@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Dict, List
 
@@ -354,12 +354,8 @@ def _drift_along_transit(fld, h_fn, y0, cfg=None, quantum=2.0 * math.pi):
     base = cfg or flow.IntegratorConfig()
     step = min(0.01, y0 / 4.0)
     for _attempt in range(3):
-        run_cfg = flow.IntegratorConfig(rel_tol=base.rel_tol,
-                                        abs_tol=base.abs_tol,
-                                        max_steps=base.max_steps,
-                                        max_step=step)
         traj = flow.integrate(fld, (-1.0, y0), flow.Stop.x_reaches(1.0),
-                              cfg=run_cfg, param="graph")
+                              cfg=replace(base, max_step=step), param="graph")
         try:
             return flow.conservation_check(fld, h_fn, traj,
                                            branch_quantum=quantum)

@@ -3,10 +3,15 @@
 The integrator is an explicit embedded Runge-Kutta 5(4) pair
 (Dormand-Prince coefficients) with FSAL, proportional step control,
 cubic Hermite dense output and event location by bisection on the dense
-output.  On top of it sit the measured counterparts of the closed-form
-transition theory: transition-map slopes across a fake saddle, Poincare
-return-map slopes around a monodromic point, a first-integral drift
-check and a monodromy probe.
+output.  The state is 1-D (y as a graph over x) or 2-D (time and
+arclength parametrizations), and the step is unrolled for each.  Only
+integrate() keeps a trajectory; the slope and probe drivers keep just
+each orbit's endpoint.
+
+On top of the integrator sit the measured counterparts of the
+closed-form transition theory: transition-map slopes across a fake
+saddle, Poincare return-map slopes around a monodromic point, a
+first-integral drift check and a monodromy probe.
 
 Everything is deterministic for a fixed configuration and free of
 shared mutable state, so parameter sweeps can run concurrently.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence, Tuple
 
 from .normalform import NormalFormField, classify, invariants
@@ -126,18 +131,49 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _rk_step(f, t, y, h, k1):
-    k = [k1]
-    n = len(y)
-    for s in range(1, 7):
-        a = _A[s]
-        ys = tuple(y[i] + h * sum(a[m] * k[m][i] for m in range(s))
-                   for i in range(n))
-        k.append(f(t + _C[s] * h, ys))
-    y5 = tuple(y[i] + h * sum(_A[6][m] * k[m][i] for m in range(6))
-               for i in range(n))
-    err = tuple(h * sum(_E[m] * k[m][i] for m in range(7)) for i in range(n))
-    return y5, err, k[6]
+def _compile_step(n: int):
+    """Unrolled DP5(4) step for n-D state, generated from the tableau.
+
+    ``step(f, t, y, h, k1) -> (y5, err, k7)``.  Each stage sum is spelled
+    out in the tableau's left-to-right order, starting from zero as the
+    builtin ``sum`` does; only zero-coefficient terms are left out and
+    ``1.0*h`` is written ``h``.  For finite stage values the step is
+    therefore bit for bit the plain tableau formula.
+    """
+    comps = range(n)
+
+    def unpack(name):
+        return "".join(f"{name}_{i}, " for i in comps)
+
+    def combo(coeffs, i):
+        return "h*(0.0" + "".join(f" + {a!r}*k{m + 1}_{i}"
+                                  for m, a in enumerate(coeffs) if a) + ")"
+
+    def state(coeffs):
+        return "(" + "".join(f"y_{i} + {combo(coeffs, i)}, "
+                             for i in comps) + ")"
+
+    def time(c):
+        return "t + h" if c == 1.0 else f"t + {c!r}*h"
+
+    lines = ["def _step(f, t, y, h, k1):",
+             f"    {unpack('y')}= y",
+             f"    {unpack('k1')}= k1"]
+    for s in range(1, 6):
+        lines.append(f"    {unpack(f'k{s + 1}')}= "
+                     f"f({time(_C[s])}, {state(_A[s])})")
+    err = "(" + "".join(f"{combo(_E, i)}, " for i in comps) + ")"
+    lines += [f"    y5 = {state(_A[6])}",
+              f"    k7 = f({time(_C[6])}, y5)",
+              f"    {unpack('k7')}= k7",
+              f"    return y5, {err}, k7"]
+    ns: dict = {}
+    exec("\n".join(lines) + "\n", ns)  # noqa: S102 - codegen over the tableau
+    return ns["_step"]
+
+
+# the state is 1-D (graph over x) or 2-D (time and arclength)
+_STEPS = {n: _compile_step(n) for n in (1, 2)}
 
 
 def _hermite(y0, f0, y1, f1, h, theta):
@@ -161,7 +197,7 @@ class _Event:
 
 @dataclass
 class _DriveResult:
-    trajectory: Trajectory
+    trajectory: Trajectory | None  # None unless the drive kept samples
     status: str  # "t_end" | "event:<name>" | "winding"
     t: float
     y: Tuple[float, ...]
@@ -179,17 +215,20 @@ def _angle_increment(p, q):
 
 def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
            winding_target=None, parametrization="time",
-           autonomous=False) -> _DriveResult:
+           autonomous=False, keep_samples=False) -> _DriveResult:
     """Adaptive driver; stops at t_end, a terminal event, or a winding target.
 
-    ``autonomous=True`` lets the driver rebase the time origin when the
-    accumulated time dwarfs the step size (degenerate loops crawl
-    through near-singular passes for astronomically long times); the
-    reported times stay absolute but may saturate float resolution.
+    The result carries a Trajectory of every accepted step only when
+    ``keep_samples`` is set.  ``autonomous=True`` lets the driver rebase
+    the time origin when the accumulated time dwarfs the step size
+    (degenerate loops crawl through near-singular passes for
+    astronomically long times); the reported times stay absolute but may
+    saturate float resolution.
     """
     t = t0
     t_offset = 0.0
     y = tuple(float(v) for v in y0)
+    step = _STEPS[len(y)]
     k1 = f(t, y)
     fn_norm = max(abs(v) for v in k1) + 1e-300
     y_norm = max(abs(v) for v in y) + 1e-6
@@ -202,23 +241,26 @@ def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
     def as_xy(tt, yy):
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
-    x0_, y0_ = as_xy(t, y)
-    samples = [(t, x0_, y0_, 0.0)]
+    samples = [(t, *as_xy(t, y), 0.0)] if keep_samples else None
     ev_records: List[Tuple[str, Tuple[float, float, float]]] = []
     theta = 0.0
     err_accum = 0.0
     g_prev = [e.fn(t, y) for e in events]
 
+    def finish(status, t_stop, y_stop, err_total, theta_stop):
+        traj = (Trajectory(samples, ev_records, parametrization)
+                if keep_samples else None)
+        return _DriveResult(traj, status, t_stop, y_stop, err_total,
+                            theta_stop)
+
     for _n in range(cfg.max_steps):
         if t_end is not None and t + h >= t_end:
             h = t_end - t
             if h <= 0.0:
-                return _DriveResult(Trajectory(samples, ev_records,
-                                               parametrization),
-                                    "t_end", t_offset + t, y, err_accum, theta)
+                return finish("t_end", t_offset + t, y, err_accum, theta)
         if t + h == t:
             raise StepUnderflow(f"step size {h} cannot advance t={t}")
-        y5, err, k7 = _rk_step(f, t, y, h, k1)
+        y5, err, k7 = step(f, t, y, h, k1)
         if any(math.isnan(v) or math.isinf(v) for v in y5):
             h *= 0.5
             continue
@@ -244,12 +286,8 @@ def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
         for idx, ev in enumerate(events):
             g1 = ev.fn(t1, y5)
             g0 = g_prev[idx]
-            crossed = (g0 < 0.0 <= g1) if ev.direction >= 0 else False
-            if ev.direction <= 0:
-                crossed = crossed or (g0 > 0.0 >= g1)
-            if ev.direction == 0:
-                crossed = (g0 < 0.0 <= g1) or (g0 > 0.0 >= g1)
-            if crossed:
+            if ((ev.direction >= 0 and g0 < 0.0 <= g1)
+                    or (ev.direction <= 0 and g0 > 0.0 >= g1)):
                 lo, hi = 0.0, 1.0
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
@@ -271,13 +309,12 @@ def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
             g_prev[idx] = g1
         if hit is not None:
             ev, t_ev, y_ev = hit
-            xe, ye = as_xy(t_ev - t_offset, y_ev)
-            samples.append((t_ev, xe, ye, err_abs))
-            traj = Trajectory(samples, ev_records, parametrization)
+            if keep_samples:
+                samples.append((t_ev, *as_xy(t_ev - t_offset, y_ev), err_abs))
             if winding_target is not None:
                 theta += _angle_increment(y, y_ev)
-            return _DriveResult(traj, f"event:{ev.name}", t_ev, y_ev,
-                                err_accum + err_abs, theta)
+            return finish(f"event:{ev.name}", t_ev, y_ev, err_accum + err_abs,
+                          theta)
 
         if winding_target is not None:
             dtheta = _angle_increment(y, y5)
@@ -297,21 +334,19 @@ def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
                 t_ev = t_offset + t + tau * h
                 theta += _angle_increment(y, y_ev)
                 xe, ye = as_xy(t + tau * h, y_ev)
-                samples.append((t_ev, xe, ye, err_abs))
+                if keep_samples:
+                    samples.append((t_ev, xe, ye, err_abs))
                 ev_records.append(("winding", (t_ev, xe, ye)))
-                traj = Trajectory(samples, ev_records, parametrization)
-                return _DriveResult(traj, "winding", t_ev, y_ev,
-                                    err_accum + err_abs, theta)
+                return finish("winding", t_ev, y_ev, err_accum + err_abs,
+                              theta)
             theta += dtheta
 
-        xs, ys = as_xy(t1, y5)
-        samples.append((t_offset + t1, xs, ys, err_abs))
+        if keep_samples:
+            samples.append((t_offset + t1, *as_xy(t1, y5), err_abs))
         err_accum += err_abs
         t, y, k1 = t1, y5, k7
         if t_end is not None and t >= t_end:
-            traj = Trajectory(samples, ev_records, parametrization)
-            return _DriveResult(traj, "t_end", t_offset + t, y, err_accum,
-                                theta)
+            return finish("t_end", t_offset + t, y, err_accum, theta)
         if autonomous and abs(t) > 1e13 * h:
             t_offset += t
             t = 0.0
@@ -379,7 +414,7 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
             return (flip * q / p,)
 
         res = _drive(rhs, flip * x0, (y0,), cfg, t_end=flip * x_target,
-                     parametrization="graph-over-x")
+                     parametrization="graph-over-x", keep_samples=True)
         if flip < 0:  # report true x in samples
             res.trajectory.samples = [(-s, -s, y, e)
                                       for s, _x, y, e in res.trajectory.samples]
@@ -424,7 +459,8 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
         raise ValueError(f"unknown stop kind {stop.kind!r}")
 
     res = _drive(rhs, 0.0, start, cfg, t_end=t_end, events=events,
-                 parametrization=param, autonomous=t_end is None)
+                 parametrization=param, autonomous=t_end is None,
+                 keep_samples=True)
     return res.trajectory
 
 
@@ -562,29 +598,35 @@ def transition_slope(nf: NormalFormField, sections, side: str,
 # -- return map ----------------------------------------------------------------
 
 
-def _loop_once(rhs_xy, start, box: float, cfg) -> Tuple[float, float]:
-    """Radius of the first return to the starting ray (full winding).
+def _wind(rhs_xy, start, box: float, r_stall: float, cfg) -> _DriveResult:
+    """Drive the orbit from ``start`` until it winds once around the origin.
 
-    Integrated in time: degenerate loops have cusp-like corners where
-    the speed nearly vanishes, which stay polynomially smooth in time
-    but are unresolvable in arclength.
+    Stops with status "winding", or "event:box_exit" when the orbit leaves
+    the box max(|x|, |y|) <= box, or "event:stall" when it falls inside
+    radius ``r_stall``.  Integrated in time: degenerate loops have
+    cusp-like corners where the speed nearly vanishes, which stay
+    polynomially smooth in time but are unresolvable in arclength.
     """
 
     def rhs_time(_t, s):
         return rhs_xy(s[0], s[1])
 
-    r0 = math.hypot(*start)
-    r_min = 1e-8 * r0 * r0  # degenerate passes dip like a power of the offset
     events = [
         _Event("box_exit", lambda _t, s: max(abs(s[0]), abs(s[1])) - box,
                direction=+1),
-        _Event("stall", lambda _t, s: r_min - math.hypot(s[0], s[1]),
+        _Event("stall", lambda _t, s: r_stall - math.hypot(s[0], s[1]),
                direction=+1),
     ]
+    return _drive(rhs_time, 0.0, start, cfg, events=events,
+                  winding_target=TWO_PI, autonomous=True)
+
+
+def _loop_once(rhs_xy, start, box: float, cfg) -> Tuple[float, float]:
+    """Radius of the first return to the starting ray (full winding)."""
+    r0 = math.hypot(*start)
     try:
-        res = _drive(rhs_time, 0.0, start, cfg, events=events,
-                     winding_target=TWO_PI, parametrization="time",
-                     autonomous=True)
+        # degenerate passes dip like a power of the offset
+        res = _wind(rhs_xy, start, box, 1e-8 * r0 * r0, cfg)
     except (MaxStepsExceeded, StepUnderflow) as exc:
         raise NoReturn(str(exc)) from None
     if res.status != "winding":
@@ -620,11 +662,7 @@ def return_slope(field: PlanarField, section_scale: float = 1.0,
         start = (0.0, r0) if ray == "+y" else (r0, 0.0)
         # deep passes shrink below the offset scale; keep error control
         # relative there by tying the absolute tolerance to the offset
-        run_cfg = IntegratorConfig(
-            rel_tol=cfg.rel_tol,
-            abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0 * r0),
-            max_steps=cfg.max_steps, min_denominator=cfg.min_denominator,
-            max_step=cfg.max_step)
+        run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0 * r0))
         x_ret, err = _loop_once(rhs_xy, start, box, run_cfg)
         if used and err > 0.1 * abs(x_ret):
             break
@@ -688,9 +726,7 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
                                   max_steps=300_000)
     r0 = ring_radius if ring_radius is not None else 1e-9 * box
     rhs_xy = field.as_rhs()
-
-    def rhs_time(_t, s):
-        return rhs_xy(s[0], s[1])
+    run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0))
 
     outcomes = []
     # degenerate passes dip like a power of the start radius; the stall
@@ -699,27 +735,13 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
     for k in range(n_rays):
         ang = TWO_PI * (k + 0.5) / n_rays
         start = (r0 * math.cos(ang), r0 * math.sin(ang))
-        run_cfg = IntegratorConfig(rel_tol=cfg.rel_tol,
-                                   abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0),
-                                   max_steps=cfg.max_steps,
-                                   min_denominator=cfg.min_denominator,
-                                   max_step=cfg.max_step)
-        events = [
-            _Event("box_exit", lambda _t, s: max(abs(s[0]), abs(s[1])) - box,
-                   direction=+1),
-            _Event("stall", lambda _t, s: r_stop - math.hypot(s[0], s[1]),
-                   direction=+1),
-        ]
         try:
-            res = _drive(rhs_time, 0.0, start, run_cfg, events=events,
-                         winding_target=TWO_PI, parametrization="time",
-                         autonomous=True)
+            status = _wind(rhs_xy, start, box, r_stop, run_cfg).status
         except (MaxStepsExceeded, StepUnderflow):
-            outcomes.append("stalled")
-            continue
-        if res.status == "winding":
+            status = "stalled"
+        if status == "winding":
             outcomes.append("wound")
-        elif res.status == "event:box_exit":
+        elif status == "event:box_exit":
             outcomes.append("exit")
         else:
             outcomes.append("stalled")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,76 @@ class TestIntegrate:
         data = traj.to_json()
         assert data["parametrization"] == "time"
         assert data["events"][0][0] == "y_reaches"
+
+
+def tableau_step(f, t, y, h, k1):
+    """The plain n-D Dormand-Prince step, read off the tableau; the
+    reference the unrolled library steps must match bit for bit."""
+    k = [k1]
+    n = len(y)
+    for s in range(1, 7):
+        a = flow._A[s]
+        ys = tuple(y[i] + h * sum(a[m] * k[m][i] for m in range(s))
+                   for i in range(n))
+        k.append(f(t + flow._C[s] * h, ys))
+    y5 = tuple(y[i] + h * sum(flow._A[6][m] * k[m][i] for m in range(6))
+               for i in range(n))
+    err = tuple(h * sum(flow._E[m] * k[m][i] for m in range(7))
+                for i in range(n))
+    return y5, err, k[6]
+
+
+class TestStep:
+    RHS_XY = PlanarField(X ** 3 - 2 * X * Y + Fraction(1, 3),
+                         Y ** 2 - X * Y ** 3 + 5 * X).as_rhs()
+
+    @staticmethod
+    def rhs_1d(t, s):
+        return (TestStep.RHS_XY(t, s[0])[0],)
+
+    @staticmethod
+    def rhs_2d(t, s):
+        p, q = TestStep.RHS_XY(s[0], s[1])
+        return (p + t * q, q - t)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unrolled_step_equals_tableau_formula(self, n):
+        f = self.rhs_1d if n == 1 else self.rhs_2d
+        step = flow._STEPS[n]
+        rng = random.Random(n)
+        for _ in range(3000):
+            t = rng.uniform(-2.0, 2.0)
+            y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
+            h = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6.0, -1.0)
+            k1 = f(t, y)
+            assert step(f, t, y, h, k1) == tableau_step(f, t, y, h, k1)
+
+    def test_endpoint_drive_matches_trajectory_end(self):
+        # the sample-free transit drive follows the same steps as integrate()
+        traj = flow.integrate(EX6.field(), (-1.0, 0.3),
+                              flow.Stop.x_reaches(1.0), param="graph")
+        y_end, _err = flow._transit_endpoint(EX6.field().as_rhs(), -1.0, 1.0,
+                                             0.3, flow.IntegratorConfig())
+        assert y_end == traj.end[1]
+
+
+class TestSectionDirection:
+    # the unit rotation x' = -y, y' = x crosses {x = 0} downward at (0, 1)
+    # and upward at (0, -1); each start meets the wrong-direction crossing
+    # first, a quarter turn before the one the stop asks for
+    @pytest.mark.parametrize("start, direction, y_stop", [
+        ((1.0, 0.0), +1, -1.0),
+        ((-1.0, 0.0), -1, 1.0),
+    ])
+    def test_crossing_in_other_direction_is_ignored(self, start, direction,
+                                                    y_stop):
+        traj = flow.integrate(PlanarField(-Y, X), start,
+                              flow.Stop.section("x", 0.0, direction))
+        assert [name for name, _loc in traj.events] == ["section_crossing"]
+        t_end, xe, ye, _err = traj.samples[-1]
+        assert t_end == pytest.approx(1.5 * math.pi, rel=1e-8)
+        assert xe == pytest.approx(0.0, abs=1e-8)
+        assert ye == pytest.approx(y_stop, abs=1e-8)
 
 
 class TestTransitionSlope:
