@@ -1,9 +1,10 @@
 """Internal helpers for univariate polynomials given as coefficient lists.
 
 A polynomial c0 + c1*t + ... + cn*t^n is the list [c0, c1, ..., cn].
-Coefficients are Fractions in exact mode or floats in float mode; all
-functions work with either, but root counting (Sturm) requires exact
-coefficients to be meaningful.
+Coefficients are Fractions in exact mode or floats in float mode.  The
+positivity check converts them to Fractions before counting roots by
+Sturm sequences; every finite float is an exact binary rational, so the
+check is exact in both modes.
 """
 
 from __future__ import annotations
@@ -81,19 +82,12 @@ def divmod_poly(a, b):
     q = [0] * max(len(a) - len(b) + 1, 1)
     r = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and trim(r):
+    while len(r) > db:
         k = len(r) - 1 - db
-        f = r[-1] / lb
+        f = r.pop() / lb  # the leading term cancels by construction
         q[k] = f
-        for i, cb in enumerate(b):
+        for i, cb in enumerate(b[:-1]):
             r[k + i] -= f * cb
-        r = trim(r) if trim(r) else []
-        if not r:
-            break
-        # guard against non-decreasing degrees from float fuzz
-        if len(r) - 1 >= k + db:
-            r = r[:k + db]
-            r = trim(r)
     return trim(q), trim(r)
 
 
@@ -105,14 +99,16 @@ def _sign(v):
     return 0
 
 
-def _sign_at_inf(coeffs, positive_end):
+def _sign_at(coeffs, t, positive_end):
+    """Sign of the polynomial at t; None means the infinite end."""
+    if t is not None:
+        return _sign(ev(coeffs, t))
     c = trim(coeffs)
     if not c:
         return 0
-    lead = c[-1]
     if positive_end or (len(c) - 1) % 2 == 0:
-        return _sign(lead)
-    return -_sign(lead)
+        return _sign(c[-1])
+    return -_sign(c[-1])
 
 
 def sturm_chain(coeffs):
@@ -149,35 +145,22 @@ def count_real_roots(coeffs, lo=None, hi=None):
     chain = sturm_chain(coeffs)
     if len(chain) == 1 and degree(chain[0]) <= 0:
         return 0
-    at_lo = [(_sign_at_inf(p, False) if lo is None else _sign(ev(p, lo)))
-             for p in chain]
-    at_hi = [(_sign_at_inf(p, True) if hi is None else _sign(ev(p, hi)))
-             for p in chain]
-    return _sign_variations(at_lo) - _sign_variations(at_hi)
+    return (_sign_variations([_sign_at(p, lo, False) for p in chain])
+            - _sign_variations([_sign_at(p, hi, True) for p in chain]))
 
 
-def positive_on_interval(coeffs, lo, hi, refinement=256):
+def positive_on_interval(coeffs, lo, hi):
     """True when the polynomial is strictly positive on [lo, hi].
 
-    Exact (Sturm) for rational coefficients; a sign sweep on a grid
-    otherwise.
+    None means -inf / +inf.  Coefficients and finite endpoints are taken
+    as exact Fractions (a float is an exact binary rational), so the
+    Sturm count decides exactly for float coefficients too.
     """
-    c = trim(coeffs)
-    if not c:
+    c = [Fraction(x) for x in coeffs]
+    lo, hi = (None if t is None else Fraction(t) for t in (lo, hi))
+    if _sign_at(c, lo, False) <= 0 or _sign_at(c, hi, True) <= 0:
         return False
-    exact = all(not isinstance(x, float) for x in c)
-    if exact:
-        flo = Fraction(lo) if not isinstance(lo, Fraction) else lo
-        fhi = Fraction(hi) if not isinstance(hi, Fraction) else hi
-        if ev(c, flo) <= 0 or ev(c, fhi) <= 0:
-            return False
-        return count_real_roots(c, flo, fhi) == 0
-    lo_f, hi_f = float(lo), float(hi)
-    for k in range(refinement + 1):
-        t = lo_f + (hi_f - lo_f) * k / refinement
-        if ev(c, t) <= 0.0:
-            return False
-    return True
+    return count_real_roots(c, lo, hi) == 0
 
 
 def series_div(num, den, order):

@@ -160,8 +160,8 @@ def _f1_g1_profiles(nf: NormalFormField):
 
 
 def validate_sections(nf: NormalFormField, sections: SectionPair) -> None:
-    """Check f1(x,0) > 0 on [alpha, omega] (exact root isolation when
-    coefficients are rational, sign sweep otherwise)."""
+    """Check f1(x,0) > 0 on [alpha, omega] by exact Sturm root counting,
+    for rational and float coefficients alike."""
     f1x, _ = _f1_g1_profiles(nf)
     if not u1.positive_on_interval(f1x, sections.alpha, sections.omega):
         raise SectionInvalid(
@@ -255,13 +255,8 @@ def pv_integral_sym_infinite(nf: NormalFormField, tol: float = 1e-8) -> float:
     if u1.degree(list(g1x)) > u1.degree(list(f1x)):
         raise TailNotIntegrable(
             "g1(x,0)/f1(x,0) grows at infinity; no symmetric principal value")
-    exact = all(not isinstance(c, float) for c in list(f1x) + list(g1x))
-    if exact:
-        if u1.ev(f1x, Fraction(0)) <= 0 or u1.count_real_roots(f1x) != 0:
-            raise SectionInvalid("f1(x,0) vanishes on the real line")
-    else:
-        if not u1.positive_on_interval(f1x, -1e4, 1e4, refinement=4096):
-            raise SectionInvalid("f1(x,0) vanishes on the real line")
+    if not u1.positive_on_interval(f1x, None, None):
+        raise SectionInvalid("f1(x,0) is not positive on the real line")
 
     f_neg = u1.negate_var(list(f1x))
     g_neg = u1.negate_var(list(g1x))
@@ -348,15 +343,6 @@ def gamma_pm(nf: NormalFormField,
     return pv + g0, pv - g0
 
 
-def section_parametrization_derivatives(alpha: float, omega: float) -> Dict[str, float]:
-    """First derivatives of the transverse-section parametrizations used
-    when composing the two directional saddle maps (hard-wired values)."""
-    return {"s111_minus": -1.0 / alpha, "s120_minus": -alpha,
-            "s210_minus": 1.0, "s221_minus": 1.0,
-            "s111_plus": 1.0, "s120_plus": 1.0,
-            "s210_plus": omega, "s221_plus": 1.0 / omega}
-
-
 def _closed_l_integrands(a, b, c):
     """Rational integrands of the divisor-side L-integrals.
 
@@ -417,9 +403,14 @@ def delta00_via_L(nf: NormalFormField, sections: SectionPair,
     the section-parametrization derivatives having been folded in.
     Must agree with exp(gamma_plus) from the closed form.
     """
-    inv = invariants(nf)
+    return _delta00_from_l(invariants(nf), sections,
+                           log_l_integrals(nf, sections, abs_tol))
+
+
+def _delta00_from_l(inv: Invariants, sections: SectionPair,
+                    ls: Dict[str, float]) -> float:
+    """delta00 composed from a ``log_l_integrals`` result."""
     lam = float(1 - inv.c)
-    ls = log_l_integrals(nf, sections, abs_tol)
     log_delta = ((lam - 1.0) * (math.log(-sections.alpha) - math.log(sections.omega))
                  + ls["log_L2_plus"] - ls["log_L1_minus"]
                  + lam * (ls["log_L2_minus"] - ls["log_L1_plus"]))
@@ -463,12 +454,7 @@ def transition_report(nf: NormalFormField,
     else:
         pv, pv_err = _pv_integral_with_err(nf, sections)
         ls = log_l_integrals(nf, sections)
-        lam = float(1 - inv.c)
-        log_delta = ((lam - 1.0) * (math.log(-sections.alpha)
-                                    - math.log(sections.omega))
-                     + ls["log_L2_plus"] - ls["log_L1_minus"]
-                     + lam * (ls["log_L2_minus"] - ls["log_L1_plus"]))
-        via_l = math.exp(log_delta)
+        via_l = _delta00_from_l(inv, sections, ls)
         errors = (pv_err,) + tuple(ls["errors"])
     gp, gm = pv + g0, pv - g0
     return TransitionReport(pv=pv, gamma0=g0, gamma_plus=gp, gamma_minus=gm,

@@ -78,10 +78,6 @@ class BlowupResult:
     u_factor: Poly2 | None
     v_factor: Poly2 | None
 
-    @property
-    def divisor_invariant(self) -> bool:
-        return self.v_factor is not None
-
 
 def blow_up(field: PlanarField, chart: BlowupChart) -> BlowupResult:
     """Pull back through the chart and divide by divisor**divide_power."""

@@ -357,8 +357,7 @@ def _drift_along_transit(fld, h_fn, y0, cfg=None, quantum=2.0 * math.pi):
         traj = flow.integrate(fld, (-1.0, y0), flow.Stop.x_reaches(1.0),
                               cfg=replace(base, max_step=step), param="graph")
         try:
-            return flow.conservation_check(fld, h_fn, traj,
-                                           branch_quantum=quantum)
+            return flow.conservation_check(h_fn, traj, branch_quantum=quantum)
         except flow.BranchTrackingFailed:
             step /= 4.0
     raise flow.BranchTrackingFailed(f"drift check failed down to step {step}")
@@ -463,7 +462,7 @@ def run_z_composite(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
 
 CASES = {
     "x4-chain": run_x4_chain,
-    "x3-script": run_x3_script,
+    "x3-script": lambda cfg: run_x3_script(),  # exact algebra, no integrator
     "example6": run_example6_case,
     "z-chain": run_z_composite,
 }
@@ -472,8 +471,7 @@ CASES = {
 def run_case(case_id: str, cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     if case_id not in CASES:
         raise KeyError(f"unknown case id {case_id!r}; known: {sorted(CASES)}")
-    fn = CASES[case_id]
-    return fn() if case_id == "x3-script" else fn(cfg=cfg)
+    return CASES[case_id](cfg=cfg)
 
 
 def run_all(cfg: flow.IntegratorConfig | None = None) -> List[CaseResult]:

@@ -5,7 +5,7 @@ Subcommands: classify, gamma, transit, return, reproduce, portrait.
 Exit codes are fixed so CI harnesses can assert failure modes:
     0  success (any classifier verdict counts as success)
     1  reproduce ran but at least one check failed
-    2  parse error / unknown case id
+    2  parse error, unknown case id or invalid argument
     3  input not in normal form
     4  not a hyperbolic fake saddle
     5  invalid sections or window
@@ -28,7 +28,7 @@ from pathlib import Path
 from . import asymptotics, casebook, flow
 from .normalform import NormalFormField, NotInNormalForm, classify, invariants, \
     validate_and_build
-from .polyfield import PlanarField, Poly2
+from .polyfield import NonMonomialDenominator, PlanarField, Poly2
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -43,7 +43,12 @@ def _tolerances():
     tol = os.environ.get("FSL_TOL")
     if tol is None:
         return asymptotics.QUAD_ABS_TOL, 1e-10
-    val = float(tol)
+    try:
+        val = float(tol)
+    except ValueError:
+        val = math.nan
+    if not 0.0 < val < math.inf:
+        raise ValueError(f"FSL_TOL must be positive and finite, got {tol!r}")
     return val, val
 
 
@@ -56,6 +61,23 @@ class _InputError(Exception):
     def __init__(self, code, msg):
         self.code = code
         super().__init__(msg)
+
+
+# The exit code and stderr prefix for each failure that ends a command;
+# an exception takes the entry of its nearest listed class.
+_FAILURES = {
+    NotInNormalForm: (EXIT_NOT_NORMAL_FORM, "not in normal form"),
+    asymptotics.NotHyperbolicFakeSaddle: (EXIT_NOT_HYPERBOLIC,
+                                          "not a hyperbolic fake saddle"),
+    asymptotics.SectionInvalid: (EXIT_BAD_SECTIONS, "invalid sections"),
+    asymptotics.TailNotIntegrable: (EXIT_BAD_SECTIONS, "invalid sections"),
+    flow.TransitDoesNotExist: (EXIT_NO_TRANSIT, "no transit"),
+    flow.StepUnderflow: (EXIT_NO_TRANSIT, "no transit"),
+    flow.MaxStepsExceeded: (EXIT_NO_TRANSIT, "no transit"),
+    flow.NoReturn: (EXIT_NO_TRANSIT, "no return"),
+    ValueError: (EXIT_PARSE, "invalid argument"),
+    OverflowError: (EXIT_PARSE, "invalid argument"),
+}
 
 
 def _load_json_input(text: str):
@@ -77,7 +99,8 @@ def _resolve_input(args):
     try:
         text = Path(args.file).read_text() if args.file else args.json
         field, nf = _load_json_input(text)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            ArithmeticError, NonMonomialDenominator) as exc:
         raise _InputError(EXIT_PARSE, f"cannot parse input: {exc}") from None
     if nf is not None:
         return nf.field(), nf
@@ -129,12 +152,7 @@ def _emit(args, payload: dict, human_lines):
 
 def cmd_classify(args) -> int:
     field, nf = _resolve_input(args)
-    try:
-        nf = _need_nf(field, nf)
-    except NotInNormalForm as exc:
-        print(f"not in normal form: {exc}", file=sys.stderr)
-        return EXIT_NOT_NORMAL_FORM
-    inv = invariants(nf)
+    inv = invariants(_need_nf(field, nf))
     cls = classify(inv)
     payload = {"invariants": inv.to_json(), "classification": cls.to_json()}
     a, b, c, d = (float(inv.a), float(inv.b), float(inv.c), float(inv.d))
@@ -160,20 +178,8 @@ def _sections_from(args):
 
 def cmd_gamma(args) -> int:
     field, nf = _resolve_input(args)
-    try:
-        nf = _need_nf(field, nf)
-    except NotInNormalForm as exc:
-        print(f"not in normal form: {exc}", file=sys.stderr)
-        return EXIT_NOT_NORMAL_FORM
-    try:
-        sections = _sections_from(args)
-        report = asymptotics.transition_report(nf, sections)
-    except asymptotics.NotHyperbolicFakeSaddle as exc:
-        print(f"not a hyperbolic fake saddle: {exc}", file=sys.stderr)
-        return EXIT_NOT_HYPERBOLIC
-    except (asymptotics.SectionInvalid, asymptotics.TailNotIntegrable) as exc:
-        print(f"invalid sections: {exc}", file=sys.stderr)
-        return EXIT_BAD_SECTIONS
+    nf = _need_nf(field, nf)
+    report = asymptotics.transition_report(nf, _sections_from(args))
     lines = [f"PV                = {report.pv:.12g}",
              f"gamma0            = {report.gamma0:.12g}",
              f"gamma_plus        = {report.gamma_plus:.12g}",
@@ -194,24 +200,14 @@ def _offsets_from(args):
 
 def cmd_transit(args) -> int:
     field, nf = _resolve_input(args)
-    try:
-        nf = _need_nf(field, nf)
-        sections = _sections_from(args)
-        if sections is None:
-            raise _InputError(EXIT_BAD_SECTIONS,
-                              "transit needs finite --alpha/--omega")
-        est = flow.transition_slope(nf, sections, args.side,
-                                    offsets=_offsets_from(args),
-                                    cfg=_integrator_cfg())
-    except NotInNormalForm as exc:
-        print(f"not in normal form: {exc}", file=sys.stderr)
-        return EXIT_NOT_NORMAL_FORM
-    except asymptotics.SectionInvalid as exc:
-        print(f"invalid sections: {exc}", file=sys.stderr)
-        return EXIT_BAD_SECTIONS
-    except (flow.TransitDoesNotExist, flow.NoReturn) as exc:
-        print(f"no transit: {exc}", file=sys.stderr)
-        return EXIT_NO_TRANSIT
+    nf = _need_nf(field, nf)
+    sections = _sections_from(args)
+    if sections is None:
+        raise _InputError(EXIT_BAD_SECTIONS,
+                          "transit needs finite --alpha/--omega")
+    est = flow.transition_slope(nf, sections, args.side,
+                                offsets=_offsets_from(args),
+                                cfg=_integrator_cfg())
     payload = {"slope": est.to_json()}
     lines = [f"measured slope    = {est.value:.10g}  "
              f"(residual {est.residual:.3g})"]
@@ -231,13 +227,9 @@ def cmd_transit(args) -> int:
 
 def cmd_return(args) -> int:
     field, _nf = _resolve_input(args)
-    try:
-        est = flow.return_slope(field, section_scale=args.section_x,
-                                offsets=_offsets_from(args),
-                                cfg=_integrator_cfg())
-    except flow.NoReturn as exc:
-        print(f"no return: {exc}", file=sys.stderr)
-        return EXIT_NO_TRANSIT
+    est = flow.return_slope(field, section_scale=args.section_x,
+                            offsets=_offsets_from(args),
+                            cfg=_integrator_cfg())
     payload = {"slope": est.to_json()}
     lines = [f"measured return slope = {est.value:.10g}  "
              f"(residual {est.residual:.3g})"]
@@ -256,12 +248,13 @@ def cmd_return(args) -> int:
 def cmd_reproduce(args) -> int:
     if args.all:
         case_ids = sorted(casebook.CASES)
-    else:
-        if args.case_id not in casebook.CASES:
-            print(f"unknown case id {args.case_id!r}; known: "
-                  f"{sorted(casebook.CASES)}", file=sys.stderr)
-            return EXIT_PARSE
+    elif not args.case_id:
+        raise _InputError(EXIT_PARSE, "reproduce needs a case id or --all")
+    elif args.case_id in casebook.CASES:
         case_ids = [args.case_id]
+    else:
+        raise _InputError(EXIT_PARSE, f"unknown case id {args.case_id!r}; "
+                                      f"known: {sorted(casebook.CASES)}")
     results = [casebook.run_case(cid, cfg=_integrator_cfg())
                for cid in case_ids]
     all_pass = all(r.passed for r in results)
@@ -293,8 +286,9 @@ def cmd_portrait(args) -> int:
     field, nf = _resolve_input(args)
     x0, x1, y0, y1 = args.window
     if not (x0 < x1 and y0 < y1):
-        print(f"bad window {args.window}", file=sys.stderr)
-        return EXIT_BAD_SECTIONS
+        raise _InputError(EXIT_BAD_SECTIONS, f"bad window {args.window}")
+    if args.orbits < 0:
+        raise ValueError(f"--orbits must be non-negative, got {args.orbits}")
     outdir = Path(args.out or f"portrait_{args.case or 'field'}")
     outdir.mkdir(parents=True, exist_ok=True)
     margin = 1e-6
@@ -319,7 +313,7 @@ def cmd_portrait(args) -> int:
             if args.case in ("example6", "figure3"):
                 try:
                     entry["first_integral_drift"] = flow.conservation_check(
-                        field, casebook.example6_first_integral(), traj,
+                        casebook.example6_first_integral(), traj,
                         branch_quantum=2.0 * math.pi)
                 except flow.BranchTrackingFailed:
                     entry["first_integral_drift"] = None
@@ -337,14 +331,22 @@ def cmd_portrait(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def fraction(text: str) -> Fraction:
+    """argparse type for a rational; argparse reports only ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _add_input_args(p):
     p.add_argument("--case", help="built-in case id (example6, x3, x4, xn, "
                                   "y1, z-family, figure3)")
     p.add_argument("--file", help="path to a field/normal-form JSON file")
     p.add_argument("--json", help="inline field/normal-form JSON")
-    p.add_argument("--a", type=Fraction, help="example6: xy coefficient")
-    p.add_argument("--b", type=Fraction, help="example6: g2(0)")
-    p.add_argument("--c", type=Fraction, help="example6: g1(0,0)")
+    p.add_argument("--a", type=fraction, help="example6: xy coefficient")
+    p.add_argument("--b", type=fraction, help="example6: g2(0)")
+    p.add_argument("--c", type=fraction, help="example6: g1(0,0)")
     p.add_argument("--n", type=int, help="xn: degree of the y-component")
     p.add_argument("--alpha-param", dest="alpha_param", type=float,
                    help="z-family: alpha parameter")
@@ -412,17 +414,16 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    if args.command == "reproduce" and not args.all and not args.case_id:
-        print("reproduce needs a case id or --all", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.fn(args)
     except _InputError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return exc.code
-    except NotInNormalForm as exc:
-        print(f"not in normal form: {exc}", file=sys.stderr)
-        return EXIT_NOT_NORMAL_FORM
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(_FAILURES[t] for t in type(exc).__mro__
+                            if t in _FAILURES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -513,6 +513,20 @@ def _extrapolate(offsets: Sequence[float], slopes: Sequence[float]):
     return s_fit, e, max(resid, 5e-16 * scale)
 
 
+def _checked_offsets(offsets, default) -> List[float]:
+    """The offsets to measure at, ``default`` when None.
+
+    The extrapolation runs toward the last offset, so they must be
+    positive, finite and strictly decreasing.
+    """
+    offsets = list(offsets if offsets is not None else default)
+    if not (all(0.0 < o < math.inf for o in offsets)
+            and all(a > b for a, b in zip(offsets, offsets[1:]))):
+        raise ValueError("offsets must be positive, finite and strictly "
+                         f"decreasing, got {offsets}")
+    return offsets
+
+
 # -- transition slope ----------------------------------------------------------
 
 
@@ -574,10 +588,7 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     cls = classify(invariants(nf))
     if not cls.is_fake_saddle:
         raise TransitDoesNotExist(f"classification is {cls.verdict.value}")
-    offsets = list(offsets if offsets is not None else DEFAULT_OFFSETS)
-    if any(o <= 0 for o in offsets) or any(offsets[i] <= offsets[i + 1]
-                                           for i in range(len(offsets) - 1)):
-        raise ValueError("offsets must be positive and strictly decreasing")
+    offsets = _checked_offsets(offsets, DEFAULT_OFFSETS)
     sign = 1.0 if side == "+" else -1.0
     rhs_xy = nf.field().as_rhs()
     alpha, omega = sections.alpha, sections.omega
@@ -652,7 +663,10 @@ def return_slope(field: PlanarField, section_scale: float = 1.0,
     stall at the origin) signals that it fails.
     """
     cfg = cfg or IntegratorConfig()
-    offsets = list(offsets if offsets is not None else DEFAULT_OFFSETS[:4])
+    offsets = _checked_offsets(offsets, DEFAULT_OFFSETS[:4])
+    if not 0.0 < section_scale < math.inf:
+        raise ValueError(f"section_scale must be positive and finite, "
+                         f"got {section_scale}")
     if ray not in ("+y", "+x"):
         raise ValueError("ray must be '+y' or '+x'")
     rhs_xy = field.as_rhs()
@@ -675,7 +689,7 @@ def return_slope(field: PlanarField, section_scale: float = 1.0,
 # -- first integral drift ------------------------------------------------------
 
 
-def conservation_check(field: PlanarField, first_integral, traj: Trajectory,
+def conservation_check(first_integral, traj: Trajectory,
                        branch_quantum: float | None = None) -> float:
     """Max |H(sample) - H(start)| along a trajectory.
 
@@ -684,7 +698,6 @@ def conservation_check(field: PlanarField, first_integral, traj: Trajectory,
     whole quanta, and leftover jumps above a quarter quantum raise
     BranchTrackingFailed.
     """
-    del field  # the field only defines the orbit; H is checked on samples
     values = []
     for _s, x, y, _e in traj.samples:
         values.append(first_integral(x, y))

@@ -119,9 +119,6 @@ class Poly2:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def to_float(self) -> "Poly2":
-        return Poly2({k: float(v) for k, v in self.terms.items()})
-
     # -- arithmetic -------------------------------------------------------
 
     def _as_poly(self, other) -> "Poly2":

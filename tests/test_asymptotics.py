@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_invariant_triple, random_normal_form
+from fakesaddle import _univariate as u1
 from fakesaddle import asymptotics as asy
 from fakesaddle.casebook import build_example6, build_z_normalform
 from fakesaddle.normalform import (NormalFormField, invariants,
@@ -46,6 +47,35 @@ class TestSectionPair:
         with pytest.raises(asy.SectionInvalid):
             asy.validate_sections(nf, asy.SectionPair(-1.0, 2.0))
         asy.validate_sections(nf, asy.SectionPair(-1.0, 0.5))
+
+
+class TestFloatModePositivity:
+    """Float coefficients are decided exactly, like rational ones.
+
+    Each profile dips below zero strictly between two nodes of a
+    256-cell grid on [-1, 1], or only far out on the line.
+    """
+
+    def test_dip_between_grid_nodes(self):
+        dip = [(1 / 512) ** 2 - 1e-8, -2 / 512, 1.0]  # roots 1/512 +- 1e-4
+        assert not u1.positive_on_interval(dip, -1.0, 1.0)
+        assert u1.positive_on_interval(dip, 0.01, 1.0)
+
+    def test_float_profile_dip_rejected_by_sections(self):
+        # f1(x,0) = 1 - 512 x + (1 - 1e-4) 65536 x^2 < 0 near x = 1/256
+        f1 = Poly2.const(1.0) - X * 512.0 + X ** 2 * (65536.0 * (1 - 1e-4))
+        nf = NormalFormField(f1, Poly2.const(1.0), Poly2.zero(),
+                             Poly2.zero(), 0.0)
+        assert nf.is_float
+        with pytest.raises(asy.SectionInvalid):
+            asy.validate_sections(nf, SECTIONS)
+
+    def test_float_profile_poles_far_out_rejected_at_infinity(self):
+        nf = NormalFormField(Poly2.const(1.0) - X ** 2 * 1e-10,
+                             Poly2.const(1.0), Poly2.const(0.5),
+                             Poly2.zero(), 0.0)
+        with pytest.raises(asy.SectionInvalid):
+            asy.pv_integral_sym_infinite(nf)
 
 
 class TestPvIntegral:

@@ -3,13 +3,21 @@ import math
 
 import pytest
 
-from fakesaddle import cli
+from fakesaddle import cli, flow
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_exit(capsys, expected, *argv):
+    """Run the CLI; assert the exit code and a one-line stderr message."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert len(err.splitlines()) == 1
+    return err
 
 
 class TestClassify:
@@ -43,6 +51,66 @@ class TestClassify:
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "classify")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"p": 1}',
+        '{"p": {"terms": [[1, 0, "1/0"]]}, "q": {"terms": []}}',
+        "[1]",
+        "5",
+    ])
+    def test_malformed_json_is_a_parse_error(self, capsys, text):
+        err = assert_exit(capsys, 2, "classify", "--json", text)
+        assert err.startswith("cannot parse input")
+
+    @pytest.mark.parametrize("argv", [
+        ("--case", "xn", "--n", "2"),
+        ("--case", "z-family", "--beta", "-1"),
+    ])
+    def test_out_of_range_case_parameter(self, capsys, argv):
+        err = assert_exit(capsys, 2, "classify", *argv)
+        assert err.startswith("invalid argument")
+
+    def test_zero_denominator_argument_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--case", "example6",
+                               "--a", "1/0")
+        assert code == 2
+        assert "argument --a: invalid fraction value" in err
+
+    def test_random_json_ends_in_a_documented_exit(self, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def mostly(good, bad):
+            return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+        coeff = (st.integers(-4, 4) | st.fractions(max_denominator=16).map(str)
+                 | st.floats(allow_nan=False, allow_infinity=False))
+        junk = (st.none() | st.booleans() | st.sampled_from(["1/0", "x", ""])
+                | st.lists(st.integers(-1, 4), max_size=4))
+        exponent = mostly(st.integers(0, 4), st.just(-1))  # small exponents
+        term = mostly(st.tuples(exponent, exponent,
+                                mostly(coeff, junk)).map(list), junk)
+        poly = mostly(st.fixed_dictionaries(
+            {"terms": st.lists(term, max_size=5)},
+            optional={"mode": st.sampled_from(["float", "exact"])}), junk)
+        field = st.fixed_dictionaries({"p": poly, "q": poly},
+                                      optional={"denom": poly})
+        normal_form = st.fixed_dictionaries(
+            {"f1": poly, "f2": poly, "g1": poly, "g2": poly,
+             "a": mostly(coeff, junk)})
+
+        empty = {"terms": []}
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(mostly(field | normal_form, junk))
+        @hypothesis.example({"p": empty, "q": empty, "denom": empty})
+        @hypothesis.example({"f1": empty, "f2": empty, "g1": empty,
+                             "g2": empty, "a": 1.3407807929942597e+154})
+        def check(doc):
+            code, _, _ = run_cli(capsys, "classify", "--json", json.dumps(doc))
+            assert code in (0, 2, 3)
+
+        check()
 
     def test_json_roundtrip_bit_for_bit(self, capsys):
         args = ("classify", "--case", "example6", "--format", "json")
@@ -104,6 +172,22 @@ class TestTransit:
         assert data["closed_form"] == pytest.approx(4.0, abs=1e-8)
         assert data["relative_deviation"] < 0.01
 
+    def test_increasing_offsets_rejected(self, capsys):
+        err = assert_exit(capsys, 2, "transit", "--case", "y1",
+                          "--alpha", "-1", "--omega", "0.5",
+                          "--offsets", "1e-3", "1e-2")
+        assert err.startswith("invalid argument")
+
+    @pytest.mark.parametrize("exc", [flow.StepUnderflow,
+                                     flow.MaxStepsExceeded])
+    def test_integrator_failure_is_no_transit(self, capsys, monkeypatch, exc):
+        def fail(*_args, **_kw):
+            raise exc("integrator gave up")
+        monkeypatch.setattr(flow, "transition_slope", fail)
+        err = assert_exit(capsys, 6, "transit", "--case", "y1",
+                          "--alpha", "-1", "--omega", "0.5")
+        assert err.startswith("no transit")
+
 
 class TestReturn:
     def test_center(self, capsys):
@@ -120,6 +204,14 @@ class TestReturn:
                                "--alpha-param", "1", "--beta", "0.2")
         assert code == 6
 
+    @pytest.mark.parametrize("argv", [
+        ("--section-x", "0"),
+        ("--offsets", "1e-3", "1e-2"),
+    ])
+    def test_invalid_argument_exit(self, capsys, argv):
+        err = assert_exit(capsys, 2, "return", "--case", "z-family", *argv)
+        assert err.startswith("invalid argument")
+
 
 class TestToleranceOverride:
     def test_env_var_changes_config(self, monkeypatch):
@@ -129,6 +221,12 @@ class TestToleranceOverride:
         assert cfg.rel_tol == 1e-6
         monkeypatch.delenv("FSL_TOL")
         assert cli._tolerances()[1] == 1e-10
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1e-6", "nan", "inf"])
+    def test_bad_value_exit(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FSL_TOL", value)
+        err = assert_exit(capsys, 2, "reproduce", "x3-script")
+        assert "FSL_TOL" in err
 
 
 class TestReproduce:
@@ -167,6 +265,12 @@ class TestPortrait:
         assert code == 0
         assert not list(out_dir.glob("orbit_*.csv"))
         assert (out_dir / "portrait.gp").exists()
+
+    def test_negative_orbit_count(self, capsys, tmp_path):
+        out_dir = tmp_path / "p4"
+        assert_exit(capsys, 2, "portrait", "--case", "x4",
+                    "--orbits", "-3", "--out", str(out_dir))
+        assert not out_dir.exists()
 
     def test_bad_window(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "portrait", "--case", "x4",

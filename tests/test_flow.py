@@ -284,7 +284,7 @@ class TestConservation:
         traj = flow.integrate(EX6.field(), (-1.0, 0.5),
                               flow.Stop.x_reaches(1.0), cfg=cfg,
                               param="graph")
-        drift = flow.conservation_check(EX6.field(), h_fn, traj,
+        drift = flow.conservation_check(h_fn, traj,
                                         branch_quantum=2.0 * math.pi)
         assert drift < 1e-6
 
@@ -298,13 +298,13 @@ class TestConservation:
                                   flow.Stop.x_reaches(1.0), cfg=cfg,
                                   param="graph")
             drifts.append(flow.conservation_check(
-                EX6.field(), h_fn, traj, branch_quantum=2.0 * math.pi))
+                h_fn, traj, branch_quantum=2.0 * math.pi))
         assert drifts[1] < drifts[0]
 
     def test_linear_first_integral_exact(self):
         field = PlanarField(Poly2.const(1), Poly2.zero())
         traj = flow.integrate(field, (0.0, 0.7), flow.Stop.x_reaches(1.0))
-        drift = flow.conservation_check(field, lambda x, y: y, traj)
+        drift = flow.conservation_check(lambda x, y: y, traj)
         assert drift < 1e-12
 
     def test_ambiguous_jump_raises(self):
@@ -313,7 +313,7 @@ class TestConservation:
                                events=[], parametrization="time")
         with pytest.raises(flow.BranchTrackingFailed):
             # jump of 1.2 pi is nowhere near a whole quantum
-            flow.conservation_check(None, lambda x, y: x * 1.2 * math.pi,
+            flow.conservation_check(lambda x, y: x * 1.2 * math.pi,
                                     traj, branch_quantum=2.0 * math.pi)
 
 
