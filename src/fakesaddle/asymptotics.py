@@ -16,7 +16,10 @@ coefficients (g1 - c f1)(x, 0) vanishes at 0 and the x is divided out
 symbolically, so no principal-value tricks are needed inside the
 quadrature engine.  An independent brute-force epsilon-limit oracle and
 a second route to the leading coefficient through the directional
-saddles' L-integrals cross-validate every value.
+saddles' L-integrals cross-validate every value.  The oracle keeps the
+raw integrand g1/(x f1) and integrates it in s = log|x| (x = +-e^s),
+where it tends to +-c near the origin; its epsilon sequence is covered
+by telescoping shells, each integrated once.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .normalform import Invariants, NormalFormField, invariants
 
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_EVALS = 10 ** 6
+ORACLE_ABS_TOL = 1e-12  # per piece of the epsilon oracle
 
 
 class SectionInvalid(Exception):
@@ -213,32 +217,44 @@ def _richardson(values: Sequence[float], ratio: float) -> Tuple[float, float]:
     return best, abs(best - second)
 
 
-def pv_integral_eps_oracle(nf: NormalFormField, sections: SectionPair,
-                           eps_sequence: Sequence[float] | None = None) -> float:
+def pv_integral_eps_oracle(nf: NormalFormField,
+                           sections: SectionPair) -> float:
     """Brute-force symmetric-epsilon limit of the raw integrand.
 
-    Integrates g1 / (x f1) on [alpha, -eps] and [eps, omega] for a
-    geometric epsilon sequence and extrapolates the limit (Richardson in
-    log eps).  Serves as the independence oracle for pv_integral.
+    Integrates the raw g1 / (x f1), with no regularization, on
+    [alpha, -eps] and [eps, omega] for eps = base * 10^-k, k = 0..4, and
+    extrapolates the limit (Richardson in log eps).  Each side is
+    integrated in s = log|x|, where the integrand raw(+-e^s) e^s tends to
+    the constant +-c instead of blowing up like 1/x; and each piece is
+    integrated once: the outer ranges for the first eps, then only the
+    shells [log eps_k, log eps_(k-1)] on each side, added to a running
+    sum.  Serves as the independence oracle for pv_integral.
     """
     validate_sections(nf, sections)
     f1x, g1x = _f1_g1_profiles(nf)
     raw = _ratio_fn(g1x, [0] + list(f1x))  # g1(x,0) / (x f1(x,0))
-    if eps_sequence is None:
-        base = min(1e-2, min(-sections.alpha, sections.omega) / 4.0)
-        eps_sequence = [base * 10.0 ** (-k) for k in range(5)]
-    eps_sequence = list(eps_sequence)
-    ratios = {round(eps_sequence[i] / eps_sequence[i + 1], 9)
-              for i in range(len(eps_sequence) - 1)}
-    if len(ratios) != 1:
-        raise ValueError("eps_sequence must be geometric")
-    ratio = ratios.pop()
-    vals = []
-    for eps in eps_sequence:
-        left, _ = adaptive_quad(raw, sections.alpha, -eps, 1e-11)
-        right, _ = adaptive_quad(raw, eps, sections.omega, 1e-11)
-        vals.append(left + right)
-    best, _resid = _richardson(vals, ratio)
+
+    def f_right(s: float) -> float:
+        x = math.exp(s)
+        return raw(x) * x
+
+    def f_left(s: float) -> float:  # int_alpha^-eps raw dx, x = -e^s
+        x = math.exp(s)
+        return raw(-x) * x
+
+    def pieces(lo: float, hi_right: float, hi_left: float) -> float:
+        return (adaptive_quad(f_right, lo, hi_right, ORACLE_ABS_TOL)[0]
+                + adaptive_quad(f_left, lo, hi_left, ORACLE_ABS_TOL)[0])
+
+    base = min(1e-2, min(-sections.alpha, sections.omega) / 4.0)
+    logs = [math.log(base * 10.0 ** (-k)) for k in range(5)]
+    total = pieces(logs[0], math.log(sections.omega),
+                   math.log(-sections.alpha))
+    vals = [total]
+    for lo, hi in zip(logs[1:], logs):
+        total += pieces(lo, hi, hi)
+        vals.append(total)
+    best, _resid = _richardson(vals, 10.0)
     return best
 
 

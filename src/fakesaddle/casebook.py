@@ -175,6 +175,9 @@ def build_z_normalform(alpha, beta) -> NormalFormField:
         third = Fraction(1, 3)
     x, _y = Poly2.gens()
     b2 = beta * beta
+    if not b2:
+        raise ValueError(f"beta = {beta} is too small: beta**2 "
+                         "underflows to 0")
     f1 = 1 + x * x * (1 / (27 * b2))
     g1 = Poly2.const(third) + x * (alpha / (9 * b2)) - x * x * (1 / (27 * b2))
     return NormalFormField(f1, Poly2.const(1), g1, Poly2.const(-s), s)

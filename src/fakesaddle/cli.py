@@ -8,7 +8,7 @@ Exit codes are fixed so CI harnesses can assert failure modes:
     2  parse error, unknown case id or invalid argument
     3  input not in normal form
     4  not a hyperbolic fake saddle
-    5  invalid sections or window
+    5  invalid sections or window; principal value did not converge
     6  no transit / no return
 
 The environment variable FSL_TOL overrides the default quadrature
@@ -71,6 +71,8 @@ _FAILURES = {
                                           "not a hyperbolic fake saddle"),
     asymptotics.SectionInvalid: (EXIT_BAD_SECTIONS, "invalid sections"),
     asymptotics.TailNotIntegrable: (EXIT_BAD_SECTIONS, "invalid sections"),
+    asymptotics.QuadratureNonConvergent: (EXIT_BAD_SECTIONS,
+                                          "principal value did not converge"),
     flow.TransitDoesNotExist: (EXIT_NO_TRANSIT, "no transit"),
     flow.StepUnderflow: (EXIT_NO_TRANSIT, "no transit"),
     flow.MaxStepsExceeded: (EXIT_NO_TRANSIT, "no transit"),
@@ -339,6 +341,14 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def finite(text: str) -> float:
+    """argparse type for a float that is neither nan nor infinite."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text!r} is not finite")
+    return val
+
+
 def _add_input_args(p):
     p.add_argument("--case", help="built-in case id (example6, x3, x4, xn, "
                                   "y1, z-family, figure3)")
@@ -348,15 +358,16 @@ def _add_input_args(p):
     p.add_argument("--b", type=fraction, help="example6: g2(0)")
     p.add_argument("--c", type=fraction, help="example6: g1(0,0)")
     p.add_argument("--n", type=int, help="xn: degree of the y-component")
-    p.add_argument("--alpha-param", dest="alpha_param", type=float,
+    p.add_argument("--alpha-param", dest="alpha_param", type=finite,
                    help="z-family: alpha parameter")
-    p.add_argument("--beta", type=float, help="z-family: beta parameter")
+    p.add_argument("--beta", type=finite, help="z-family: beta parameter")
     p.add_argument("--format", choices=("json", "human"), default="human")
 
 
 def _add_section_args(p):
-    p.add_argument("--alpha", type=float, help="left section {x = alpha < 0}")
-    p.add_argument("--omega", type=float, help="right section {x = omega > 0}")
+    p.add_argument("--alpha", type=finite, help="left section {x = alpha < 0}")
+    p.add_argument("--omega", type=finite,
+                   help="right section {x = omega > 0}")
     p.add_argument("--infinite", action="store_true",
                    help="symmetric sections at infinity")
 
@@ -381,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_section_args(p)
     p.add_argument("--side", choices=("+", "-"), default="+")
-    p.add_argument("--offsets", nargs="*", type=float)
+    p.add_argument("--offsets", nargs="*", type=finite)
     p.set_defaults(fn=cmd_transit)
 
     p = sub.add_parser("return", help="measured Poincare return slope")
     _add_input_args(p)
-    p.add_argument("--section-x", dest="section_x", type=float, default=1.0)
-    p.add_argument("--offsets", nargs="*", type=float)
+    p.add_argument("--section-x", dest="section_x", type=finite, default=1.0)
+    p.add_argument("--offsets", nargs="*", type=finite)
     p.set_defaults(fn=cmd_return)
 
     p = sub.add_parser("reproduce", help="run the casebook regressions")
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portrait", help="export phase-portrait orbit data")
     _add_input_args(p)
-    p.add_argument("--window", nargs=4, type=float,
+    p.add_argument("--window", nargs=4, type=finite,
                    default=(-1.0, 1.0, -1.0, 1.0),
                    metavar=("X0", "X1", "Y0", "Y1"))
     p.add_argument("--orbits", type=int, default=8)

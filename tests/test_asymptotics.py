@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,12 +103,32 @@ class TestEpsOracle:
     def test_odd_integrand(self):
         nf = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
         assert asy.pv_integral_eps_oracle(nf, SECTIONS) == pytest.approx(
-            0.0, abs=1e-8)
+            0.0, abs=1e-12)
 
     def test_resolved_quartic_value(self):
         nf = y1_normal_form()
         val = asy.pv_integral_eps_oracle(nf, asy.SectionPair(-1.0, 0.5))
-        assert val == pytest.approx(math.log(4.0), abs=1e-8)
+        assert val == pytest.approx(math.log(4.0), abs=1e-12)
+
+    def test_evaluation_budget(self, monkeypatch):
+        # adaptive Simpson in x rather than log|x| needs about 10^5 here
+        evals = []
+        quad = asy.adaptive_quad
+
+        def counting_quad(f, *args, **kw):
+            def counted(x):
+                evals[-1] += 1
+                return f(x)
+            return quad(counted, *args, **kw)
+
+        monkeypatch.setattr(asy, "adaptive_quad", counting_quad)
+        rng = random.Random(303)
+        forms = [build_example6(Fraction(1), Fraction(-1), Fraction(-1))]
+        forms += [random_normal_form(rng) for _ in range(10)]
+        for nf in forms:
+            evals.append(0)
+            asy.pv_integral_eps_oracle(nf, SECTIONS)
+            assert 0 < evals[-1] < 20_000
 
     def test_agreement_with_regularized_path(self, rng):
         for _ in range(15):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fakesaddle import cli, flow
+from fakesaddle import asymptotics, cli, flow
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +18,22 @@ def assert_exit(capsys, expected, *argv):
     assert code == expected
     assert len(err.splitlines()) == 1
     return err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--case", "z-family", "--alpha-param", "nan", "--beta", "1",
+     "--infinite"),
+    ("gamma", "--case", "z-family", "--beta", "inf", "--infinite"),
+    ("gamma", "--case", "example6", "--alpha", "-1", "--omega", "inf"),
+    ("transit", "--case", "y1", "--alpha", "-1", "--omega", "0.5",
+     "--offsets", "1e-2", "nan"),
+    ("return", "--case", "z-family", "--section-x", "inf"),
+    ("portrait", "--case", "x4", "--window", "0", "1", "0", "nan"),
+])
+def test_non_finite_float_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "invalid finite value" in err
 
 
 class TestClassify:
@@ -65,6 +81,7 @@ class TestClassify:
     @pytest.mark.parametrize("argv", [
         ("--case", "xn", "--n", "2"),
         ("--case", "z-family", "--beta", "-1"),
+        ("--case", "z-family", "--beta", "1e-300"),  # beta**2 underflows
     ])
     def test_out_of_range_case_parameter(self, capsys, argv):
         err = assert_exit(capsys, 2, "classify", *argv)
@@ -159,6 +176,15 @@ class TestGamma:
     def test_missing_sections_exit(self, capsys):
         code, _, err = run_cli(capsys, "gamma", "--case", "example6")
         assert code == 5
+
+    def test_nonconvergent_principal_value_exit(self, capsys, monkeypatch):
+        # what --alpha-param 1e308 --infinite hits after 10^6 evaluations
+        def fail(*_args, **_kw):
+            raise asymptotics.QuadratureNonConvergent("budget exhausted")
+        monkeypatch.setattr(asymptotics, "pv_integral_sym_infinite", fail)
+        err = assert_exit(capsys, 5, "gamma", "--case", "z-family",
+                          "--infinite")
+        assert err.startswith("principal value did not converge")
 
 
 class TestTransit:
