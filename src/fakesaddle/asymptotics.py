@@ -458,9 +458,13 @@ def log_l2_minus_closed(u: float, a: float, b: float, c: float) -> float:
     return log_l1_plus_closed(u, -a, -b, c)
 
 
-def transition_report(nf: NormalFormField,
-                      sections: SectionPair | None) -> TransitionReport:
-    """Full transition computation with both leading-coefficient routes."""
+def transition_report(nf: NormalFormField, sections: SectionPair | None,
+                      abs_tol: float = QUAD_ABS_TOL) -> TransitionReport:
+    """Full transition computation with both leading-coefficient routes.
+
+    ``abs_tol`` is the quadrature tolerance for finite sections; sections
+    at infinity use the fixed tolerances of ``pv_integral_sym_infinite``.
+    """
     inv = invariants(nf)
     g0 = gamma0(inv)
     if sections is None:
@@ -468,8 +472,8 @@ def transition_report(nf: NormalFormField,
         errors: Tuple[float, ...] = ()
         via_l = None
     else:
-        pv, pv_err = _pv_integral_with_err(nf, sections)
-        ls = log_l_integrals(nf, sections)
+        pv, pv_err = _pv_integral_with_err(nf, sections, abs_tol)
+        ls = log_l_integrals(nf, sections, abs_tol)
         via_l = _delta00_from_l(inv, sections, ls)
         errors = (pv_err,) + tuple(ls["errors"])
     gp, gm = pv + g0, pv - g0

@@ -12,7 +12,8 @@ Exit codes are fixed so CI harnesses can assert failure modes:
     6  no transit / no return
 
 The environment variable FSL_TOL overrides the default quadrature
-absolute tolerance and integrator relative tolerance.
+absolute tolerance (for finite sections) and integrator relative
+tolerance.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ def _sections_from(args):
 def cmd_gamma(args) -> int:
     field, nf = _resolve_input(args)
     nf = _need_nf(field, nf)
-    report = asymptotics.transition_report(nf, _sections_from(args))
+    report = asymptotics.transition_report(nf, _sections_from(args),
+                                           _tolerances()[0])
     lines = [f"PV                = {report.pv:.12g}",
              f"gamma0            = {report.gamma0:.12g}",
              f"gamma_plus        = {report.gamma_plus:.12g}",

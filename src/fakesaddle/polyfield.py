@@ -6,12 +6,20 @@ rescalings; any operation touching a float-mode value yields a
 float-mode result, and ``is_float`` flags every derived object so tests
 know which comparisons must be exact and which are toleranced.
 
+Input is validated once, at the public ``Poly2`` constructor: integer,
+nonnegative exponents, coefficients coerced to Fraction or float, no
+zeros, and the float mode applied to all or none.  Arithmetic keeps
+those invariants by construction, so it builds its results through the
+private ``Poly2._trusted``, which only drops zeros and applies the float
+mode.
+
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
@@ -43,7 +51,7 @@ class SingularMap(Exception):
 
 def _coerce(c) -> Coeff:
     if isinstance(c, float):
-        return c
+        return float(c)
     return Fraction(c)
 
 
@@ -74,6 +82,23 @@ class Poly2:
         if float_mode:
             clean = {k: float(v) for k, v in clean.items()}
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: Dict[Exponents, Coeff]) -> "Poly2":
+        """Wrap a term map computed from the coefficients of clean Poly2s.
+
+        The keys must be nonnegative int pairs and the values Fraction or
+        float, as arithmetic on existing terms guarantees; only zeros are
+        dropped and the float-mode rule applied, in the public
+        constructor's order.
+        """
+        if not all(terms.values()):
+            terms = {k: c for k, c in terms.items() if c}
+        if float in map(type, terms.values()):
+            terms = {k: float(c) for k, c in terms.items()}
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -130,13 +155,13 @@ class Poly2:
         other = self._as_poly(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Poly2(out)
+            out[k] = out[k] + c if k in out else c
+        return Poly2._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2({k: -c for k, c in self.terms.items()})
+        return Poly2._trusted({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly2":
         return self + (-self._as_poly(other))
@@ -150,8 +175,9 @@ class Poly2:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return Poly2(out)
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
+        return Poly2._trusted(out)
 
     __rmul__ = __mul__
 
@@ -196,12 +222,12 @@ class Poly2:
         return self.eval(x, y)
 
     def diff_x(self) -> "Poly2":
-        return Poly2({(i - 1, j): i * c
-                      for (i, j), c in self.terms.items() if i > 0})
+        return Poly2._trusted({(i - 1, j): i * c
+                               for (i, j), c in self.terms.items() if i > 0})
 
     def diff_y(self) -> "Poly2":
-        return Poly2({(i, j - 1): j * c
-                      for (i, j), c in self.terms.items() if j > 0})
+        return Poly2._trusted({(i, j - 1): j * c
+                               for (i, j), c in self.terms.items() if j > 0})
 
     def subs(self, px: "Poly2", py: "Poly2") -> "Poly2":
         """Polynomial composition p(px(u,v), py(u,v))."""
@@ -213,17 +239,33 @@ class Poly2:
                 cache[n] = p(cache, base, n - 1) * base
             return cache[n]
 
-        out = Poly2.zero()
+        # One running sum.  Once a float term is in, every later exact
+        # term is rounded before it is added, as adding the terms one Poly2
+        # at a time would do; an exact partial sum meeting its first float
+        # is rounded by Fraction's own mixed arithmetic.
+        out: Dict[Exponents, Coeff] = {}
+        float_mode = False
         for (i, j), c in self.terms.items():
-            out = out + p(powx, px, i) * p(powy, py, j) * c
-        return out
+            term = (p(powx, px, i) * p(powy, py, j)).terms
+            # a clean term map is all float or all exact: one value decides
+            float_mode = (float_mode or isinstance(c, float)
+                          or isinstance(next(iter(term.values()), None), float))
+            for k, v in term.items():
+                v = v * c
+                if float_mode:
+                    v = float(v)
+                out[k] = out[k] + v if k in out else v
+        return Poly2._trusted(out)
 
     def transpose(self) -> "Poly2":
         """Swap the two variables."""
-        return Poly2({(j, i): c for (i, j), c in self.terms.items()})
+        return Poly2._trusted({(j, i): c for (i, j), c in self.terms.items()})
 
     def shift_mul(self, di: int, dj: int, c=1) -> "Poly2":
-        return Poly2({(i + di, j + dj): v * c for (i, j), v in self.terms.items()})
+        c = _coerce(c)
+        terms = {(i + di, j + dj): v * c for (i, j), v in self.terms.items()}
+        # a negative shift goes through the exponent check
+        return Poly2._trusted(terms) if di >= 0 and dj >= 0 else Poly2(terms)
 
     def restrict_y0(self):
         """Coefficient list of p(x, 0)."""
@@ -261,16 +303,18 @@ class Poly2:
         # fast path: monomial divisor
         if divisor.is_monomial():
             ((di, dj), dc), = divisor.terms.items()
+            # c / 1 == c exactly, but only an exact 1 keeps c's mode
+            unit = not isinstance(dc, float) and dc == 1
             out = {}
             rem = {}
             for (i, j), c in self.terms.items():
                 if i >= di and j >= dj:
-                    out[(i - di, j - dj)] = c / dc
+                    out[(i - di, j - dj)] = c if unit else c / dc
                 else:
                     rem[(i, j)] = c
             if rem:
-                raise NotDivisible("poly", Poly2(rem))
-            return Poly2(out)
+                raise NotDivisible("poly", Poly2._trusted(rem))
+            return Poly2._trusted(out)
         quot: Dict[Exponents, Coeff] = {}
         rem: Dict[Exponents, Coeff] = {}
         r = self
@@ -282,14 +326,14 @@ class Poly2:
             if t[0] >= lead[0] and t[1] >= lead[1]:
                 m = (t[0] - lead[0], t[1] - lead[1])
                 f = c / lc
-                quot[m] = quot.get(m, 0) + f
+                quot[m] = quot[m] + f if m in quot else f
                 r = r - divisor.shift_mul(m[0], m[1], f)
             else:
                 rem[t] = c
-                r = r - Poly2({t: c})
+                r = r - Poly2._trusted({t: c})
         if rem:
-            raise NotDivisible("poly", Poly2(rem))
-        return Poly2(quot)
+            raise NotDivisible("poly", Poly2._trusted(rem))
+        return Poly2._trusted(quot)
 
     # -- serialization / display -------------------------------------------
 
@@ -343,7 +387,12 @@ def _horner_expr(poly: Poly2) -> str:
     jmax = max(j for _, j in poly.terms)
     grid = [[0.0] * (imax + 1) for _ in range(jmax + 1)]
     for (i, j), c in poly.terms.items():
-        grid[j][i] = float(c)
+        c = float(c)
+        if not math.isfinite(c):
+            # repr(inf) and repr(nan) are not Python literals
+            raise ValueError(f"coefficient of x^{i} y^{j} is {c}; "
+                             "only finite coefficients compile")
+        grid[j][i] = c
 
     def row(cs):
         expr = repr(cs[-1])

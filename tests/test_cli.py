@@ -139,6 +139,18 @@ class TestClassify:
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out1
 
 
+@pytest.mark.parametrize("command", ["return", "portrait"])
+def test_overflowing_coefficient_is_an_invalid_argument(capsys, tmp_path,
+                                                        command):
+    # 4 beta overflows to inf in the quartic family's coefficients
+    err = assert_exit(capsys, 2, command, "--case", "z-family",
+                      "--alpha-param", "0", "--beta", "1e308",
+                      *(("--out", str(tmp_path / "p")) if command == "portrait"
+                        else ()))
+    assert err.startswith("invalid argument")
+    assert "finite" in err
+
+
 class TestGamma:
     def test_infinite_sections(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--case", "z-family",
@@ -247,6 +259,19 @@ class TestToleranceOverride:
         assert cfg.rel_tol == 1e-6
         monkeypatch.delenv("FSL_TOL")
         assert cli._tolerances()[1] == 1e-10
+
+    def test_env_var_sets_gamma_quadrature_tolerance(self, capsys,
+                                                     monkeypatch):
+        argv = ("gamma", "--case", "y1", "--alpha", "-1", "--omega", "0.5",
+                "--format", "json")
+        _, out, _ = run_cli(capsys, *argv)
+        fine = json.loads(out)["quadrature_error_estimates"]
+        monkeypatch.setenv("FSL_TOL", "1e-4")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        coarse = json.loads(out)["quadrature_error_estimates"]
+        assert max(fine) < 1e-9
+        assert 1e-9 < max(coarse) < 1e-4
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1e-6", "nan", "inf"])
     def test_bad_value_exit(self, capsys, monkeypatch, value):

@@ -1,9 +1,13 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_normal_form
+from fakesaddle.blowup import BlowupChart, ChartKind, blow_up
+from fakesaddle.casebook import build_z
 from fakesaddle.polyfield import (AffineMap2, NonMonomialDenominator,
                                   NotDivisible, PlanarField, Poly2,
                                   SingularMap, divide_exact, pullback_affine,
@@ -93,6 +97,11 @@ class TestDivideExact:
         out = divide_exact(pulled, v, 2)
         assert out.p == 3 * beta * u ** 2 + beta * u ** 4 + u * v + 2 * v ** 2
         assert out.q == (beta * u + alpha * u ** 2 - beta * u ** 3 - v) * v
+
+    def test_float_unit_divisor_switches_to_float_mode(self):
+        out = (X * Fraction(1, 3)).divide_exact(Poly2({(1, 0): 1.0}))
+        assert out.terms == {(0, 0): 1 / 3}
+        assert type(out.terms[(0, 0)]) is float
 
     def test_not_divisible_reports_component(self):
         with pytest.raises(NotDivisible) as err:
@@ -189,3 +198,227 @@ class TestSerialization:
         field = PlanarField((X + Y) ** 2, Y ** 4)
         back = PlanarField.from_json(json.loads(json.dumps(field.to_json())))
         assert back.p == field.p and back.q == field.q
+
+
+class TestFloatCompilation:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Poly2({(1, 0): bad}).as_float_fn()
+
+
+# -- the composition before trusted arithmetic, as a test-only reference ------
+#
+# Every step below goes through the validating public constructor and adds
+# the composed terms one Poly2 at a time, as the library once did; the
+# library's trusted arithmetic must give the same term maps bit for bit.
+
+
+def ref_add(a, b):
+    out = dict(a.terms)
+    for k, c in b.terms.items():
+        out[k] = out.get(k, 0) + c
+    return Poly2(out)
+
+
+def ref_neg(a):
+    return Poly2({k: -c for k, c in a.terms.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return Poly2(out)
+
+
+def ref_subs(p, px, py):
+    powx, powy = {0: Poly2.const(1)}, {0: Poly2.const(1)}
+
+    def power(cache, base, n):
+        if n not in cache:
+            cache[n] = ref_mul(power(cache, base, n - 1), base)
+        return cache[n]
+
+    out = Poly2.zero()
+    for (i, j), c in p.terms.items():
+        term = ref_mul(ref_mul(power(powx, px, i), power(powy, py, j)),
+                       Poly2.const(c))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_diff(p, var):
+    if var == 0:
+        return Poly2({(i - 1, j): i * c for (i, j), c in p.terms.items() if i})
+    return Poly2({(i, j - 1): j * c for (i, j), c in p.terms.items() if j})
+
+
+def ref_substitute(field, sub_x, sub_y):
+    """(p, q, denom) term maps of the chain-rule pullback."""
+    j11, j12 = ref_diff(sub_x, 0), ref_diff(sub_x, 1)
+    j21, j22 = ref_diff(sub_y, 0), ref_diff(sub_y, 1)
+    det = ref_add(ref_mul(j11, j22), ref_neg(ref_mul(j12, j21)))
+    p_sub = ref_subs(field.p, sub_x, sub_y)
+    q_sub = ref_subs(field.q, sub_x, sub_y)
+    num_u = ref_add(ref_mul(j22, p_sub), ref_neg(ref_mul(j12, q_sub)))
+    num_v = ref_add(ref_mul(j11, q_sub), ref_neg(ref_mul(j21, p_sub)))
+    ((di, dj), dc), = det.terms.items()
+    quotients = []
+    for num in (num_u, num_v):
+        if any(i < di or j < dj for i, j in num.terms):
+            return num_u.terms, num_v.terms, det.terms
+        quotients.append(Poly2({(i - di, j - dj): c / dc
+                                for (i, j), c in num.terms.items()}).terms)
+    return quotients[0], quotients[1], None
+
+
+def ref_pullback_affine(field, amap):
+    inv = amap.inverse()
+    sx, sy = amap.as_polys()
+    p_sub, q_sub = ref_subs(field.p, sx, sy), ref_subs(field.q, sx, sy)
+
+    def combine(m1, m2):
+        return ref_add(ref_mul(p_sub, Poly2.const(m1)),
+                       ref_mul(q_sub, Poly2.const(m2))).terms
+
+    return combine(inv.m11, inv.m12), combine(inv.m21, inv.m22)
+
+
+def field_terms(field):
+    denom = None if field.denom is None else field.denom.terms
+    return field.p.terms, field.q.terms, denom
+
+
+class TestReferenceComposition:
+    @pytest.mark.parametrize("kind", list(ChartKind))
+    def test_blowup_charts_match_reference(self, kind):
+        rng = random.Random(5)
+        sub_x, sub_y, _divisor = BlowupChart(kind).substitution()
+        for _ in range(200):
+            field = random_normal_form(rng).field()
+            assert (field_terms(substitute(field, sub_x, sub_y))
+                    == ref_substitute(field, sub_x, sub_y))
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (Fraction(1), Fraction(1)), (Fraction(-2), Fraction(1, 2)),
+        (Fraction(3, 4), Fraction(5, 3)),
+    ])
+    def test_irrational_scaling_matches_reference(self, alpha, beta):
+        # the z-chain rescaling: 1/sqrt(6 beta) is irrational here
+        stage = blow_up(build_z(alpha, beta),
+                        BlowupChart(ChartKind.X_DIR_SWAPPED, 2)).field
+        scale = AffineMap2.scaling(1 / (3 * beta), 1 / math.sqrt(6 * beta))
+        out = pullback_affine(stage, scale)
+        assert out.is_float
+        assert (out.p.terms, out.q.terms) == ref_pullback_affine(stage, scale)
+
+    def test_mixed_mode_affine_maps_match_reference(self):
+        # exact fields under maps mixing exact and float entries, where
+        # exact and float terms land on the same monomials
+        rng = random.Random(9)
+        for _ in range(40):
+            field = random_normal_form(rng).field()
+            entries = [frac(rng) or Fraction(1) for _ in range(6)]
+            for k in rng.sample(range(6), 2):
+                entries[k] = float(entries[k]) + rng.uniform(-1e-3, 1e-3)
+            amap = AffineMap2(*entries)
+            if amap.det == 0:
+                continue
+            out = pullback_affine(field, amap)
+            assert (out.p.terms, out.q.terms) == ref_pullback_affine(field,
+                                                                     amap)
+
+    def test_exact_terms_after_a_float_term_match_reference(self):
+        # px is float and py exact, so the terms x^0 y^j compose exactly
+        # and the others in float; shuffled term order puts exact terms
+        # after float ones onto the same monomials
+        rng = random.Random(13)
+        px = X * 0.1 + Y * (1 / 3)
+        py = Y * Fraction(1, 3) + Fraction(2, 7)
+        for _ in range(100):
+            keys = [(i, j) for i in range(3) for j in range(4)]
+            rng.shuffle(keys)
+            p = Poly2({k: Fraction(rng.randint(-9, 9), rng.choice((3, 7, 11)))
+                       for k in keys[:6]})
+            assert p.subs(px, py).terms == ref_subs(p, px, py).terms
+
+
+# -- properties of Poly2 arithmetic -------------------------------------------
+
+
+def assert_clean(poly):
+    """The public constructor's invariants, held by every Poly2."""
+    assert poly == Poly2(dict(poly.terms))
+    assert all(c != 0 for c in poly.terms.values())
+    assert len({type(c) for c in poly.terms.values()}) <= 1
+    assert {type(c) for c in poly.terms.values()} <= {Fraction, float}
+    assert all(type(i) is int and type(j) is int and i >= 0 and j >= 0
+               for i, j in poly.terms)
+
+
+def poly_strategies():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exact = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+    floats = st.floats(min_value=-8, max_value=8, allow_nan=False,
+                       allow_subnormal=False)
+
+    def polys(coeff):
+        return st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               coeff, max_size=5).map(Poly2)
+
+    return hypothesis, st, polys(exact) | polys(floats)
+
+
+class TestPoly2Properties:
+    def test_arithmetic_results_are_clean(self):
+        hypothesis, st, poly = poly_strategies()
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(poly, poly, poly, st.integers(0, 3),
+                          st.integers(0, 2), st.integers(0, 2),
+                          st.sampled_from([3, Fraction(-1, 2), 0.25]))
+        def check(a, b, c, n, di, dj, k):
+            for r in (a + b, a - b, -a, a * b, a ** n, a.subs(b, c),
+                      a.transpose(), a.shift_mul(di, dj, k),
+                      a.diff_x(), a.diff_y()):
+                assert_clean(r)
+
+        check()
+
+    def test_exact_division_roundtrip_and_remainder(self):
+        hypothesis, st, poly = poly_strategies()
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(poly, poly, st.integers(0, 2), st.integers(0, 2),
+                          st.sampled_from([1, Fraction(-3, 2), 0.5]))
+        def check(a, b, di, dj, dc):
+            monomial = Poly2({(di, dj): dc})
+            q = (a * monomial).divide_exact(monomial)
+            assert_clean(q)
+            if not (a.is_float or monomial.is_float):
+                assert q == a
+                if not b.is_zero and not b.is_float:
+                    assert (a * b).divide_exact(b) == a
+            try:
+                assert_clean((a + X ** 4).divide_exact(Y))
+            except NotDivisible as exc:
+                assert_clean(exc.remainder)
+
+        check()
+
+    def test_json_roundtrips(self):
+        hypothesis, st, poly = poly_strategies()
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(poly, poly, st.booleans())
+        def check(p, q, with_denom):
+            assert Poly2.from_json(json.loads(json.dumps(p.to_json()))) == p
+            field = PlanarField(p, q, X * Y if with_denom else None)
+            back = PlanarField.from_json(json.loads(json.dumps(field.to_json())))
+            assert back == field
+
+        check()
