@@ -154,12 +154,23 @@ def positive_on_interval(coeffs, lo, hi):
 
     None means -inf / +inf.  Coefficients and finite endpoints are taken
     as exact Fractions (a float is an exact binary rational), so the
-    Sturm count decides exactly for float coefficients too.
+    decision is exact for float coefficients too.  Past the endpoint
+    signs, degree 2 is decided by its vertex and higher degrees by a
+    Sturm count.
     """
-    c = [Fraction(x) for x in coeffs]
+    c = trim(Fraction(x) for x in coeffs)
     lo, hi = (None if t is None else Fraction(t) for t in (lo, hi))
     if _sign_at(c, lo, False) <= 0 or _sign_at(c, hi, True) <= 0:
         return False
+    if len(c) < 3:
+        return True  # constant or monotone
+    if len(c) == 3:
+        c0, c1, c2 = c
+        if c2 < 0:
+            return True  # concave: the minimum sits at an endpoint
+        v = -c1 / (2 * c2)
+        inside = (lo is None or lo < v) and (hi is None or v < hi)
+        return not inside or c1 * c1 < 4 * c0 * c2
     return count_real_roots(c, lo, hi) == 0
 
 

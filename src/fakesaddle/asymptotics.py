@@ -14,12 +14,19 @@ The principal value is computed through its convergent regularization
 whose integrand is a plain rational function here: with exact
 coefficients (g1 - c f1)(x, 0) vanishes at 0 and the x is divided out
 symbolically, so no principal-value tricks are needed inside the
-quadrature engine.  An independent brute-force epsilon-limit oracle and
-a second route to the leading coefficient through the directional
-saddles' L-integrals cross-validate every value.  The oracle keeps the
-raw integrand g1/(x f1) and integrates it in s = log|x| (x = +-e^s),
-where it tends to +-c near the origin; its epsilon sequence is covered
-by telescoping shells, each integrated once.
+quadrature engine.  This integrand, the divisor-side L-integrands and
+the folded integrand at infinity are all analytic on their ranges and
+are integrated by adaptive Gauss-Kronrod G7K15 (``gk15_quad``), which
+converges geometrically on them; each interval is integrated once.
+
+An independent brute-force epsilon-limit oracle and a second route to
+the leading coefficient through the directional saddles' L-integrals
+cross-validate every value.  The oracle keeps the raw integrand
+g1/(x f1) and integrates it in s = log|x| (x = +-e^s), where it tends to
++-c near the origin; its epsilon sequence is covered by telescoping
+shells, each integrated once, with adaptive Simpson (``adaptive_quad``),
+so that it differs from the main route in its rule as well as in its
+integrand.
 """
 
 from __future__ import annotations
@@ -94,6 +101,72 @@ class TransitionReport:
 # -- quadrature engine ---------------------------------------------------------
 
 
+# QUADPACK qk15 (Piessens et al., 1983): the Kronrod nodes in (0, 1) from
+# the outside in, their weights, and the 7-point Gauss weights of the odd
+# nodes; the centre node 0 carries _WGK0 and _WG0.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649)
+_WG = (0.0, 0.129484966168869693270611432679082,
+       0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0)
+_WGK0 = 0.209482141084727828012999174891714
+_WG0 = 0.417959183673469387755102040816327
+_GK15 = tuple(zip(_XGK, _WGK, _WG))
+
+
+def gk15_quad(f: Callable[[float], float], a: float, b: float,
+              abs_tol: float = QUAD_ABS_TOL,
+              max_evals: int = QUAD_MAX_EVALS) -> Tuple[float, float]:
+    """Adaptive Gauss-Kronrod G7K15 integral of f over the oriented [a, b].
+
+    A panel is accepted when |K15 - G7| is within its tolerance (or at
+    bisection depth 54); otherwise it is halved and each half gets half
+    the tolerance.  Returns (value, error estimate), the estimate being
+    the sum of the accepted panels' |K15 - G7|.  Raises
+    QuadratureNonConvergent past the evaluation cap, or at once on a
+    non-finite panel, which no bisection can mend.
+    """
+    if a == b:
+        return 0.0, 0.0
+    stack = [(a, b, abs_tol, 0)]
+    total = 0.0
+    err_total = 0.0
+    evals = 0
+    while stack:
+        a0, b0, tol, depth = stack.pop()
+        evals += 15
+        if evals > max_evals:
+            raise QuadratureNonConvergent(
+                f"more than {max_evals} evaluations on [{a}, {b}]")
+        mid = 0.5 * (a0 + b0)
+        half = 0.5 * (b0 - a0)
+        fc = f(mid)
+        kronrod = _WGK0 * fc
+        gauss = _WG0 * fc
+        for x, wk, wg in _GK15:
+            dx = half * x
+            pair = f(mid - dx) + f(mid + dx)
+            kronrod += wk * pair
+            gauss += wg * pair
+        err = abs(half * (kronrod - gauss))
+        if not math.isfinite(err):
+            raise QuadratureNonConvergent(
+                f"non-finite integrand on [{a0}, {b0}]")
+        if err <= tol or depth >= 54:
+            total += half * kronrod
+            err_total += err
+        else:
+            stack.append((a0, mid, tol / 2.0, depth + 1))
+            stack.append((mid, b0, tol / 2.0, depth + 1))
+    return total, err_total
+
+
 def adaptive_quad(f: Callable[[float], float], a: float, b: float,
                   abs_tol: float = QUAD_ABS_TOL,
                   max_evals: int = QUAD_MAX_EVALS) -> Tuple[float, float]:
@@ -101,7 +174,8 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
 
     Nested interval-doubling refinement with Richardson correction;
     returns (value, error estimate).  Raises QuadratureNonConvergent
-    past the evaluation cap.
+    past the evaluation cap.  This is the independent rule of the
+    epsilon oracle; every other integral goes through ``gk15_quad``.
     """
     if a == b:
         return 0.0, 0.0
@@ -192,14 +266,16 @@ def _regularized_integrand(nf: NormalFormField):
 def pv_integral(nf: NormalFormField, sections: SectionPair,
                 abs_tol: float = QUAD_ABS_TOL) -> float:
     """Principal value of int g1(x,0) / (x f1(x,0)) dx over the sections."""
-    value, _err = _pv_integral_with_err(nf, sections, abs_tol)
+    validate_sections(nf, sections)
+    value, _err = _pv_integral_with_err(_regularized_integrand(nf), sections,
+                                        abs_tol)
     return value
 
 
-def _pv_integral_with_err(nf, sections, abs_tol=QUAD_ABS_TOL):
-    validate_sections(nf, sections)
-    h, c = _regularized_integrand(nf)
-    val, err = adaptive_quad(h, sections.alpha, sections.omega, abs_tol)
+def _pv_integral_with_err(regularized, sections, abs_tol):
+    """(PV, error estimate) from ``_regularized_integrand``; unchecked."""
+    h, c = regularized
+    val, err = gk15_quad(h, sections.alpha, sections.omega, abs_tol)
     return float(c) * math.log(sections.omega / -sections.alpha) + val, err
 
 
@@ -265,7 +341,8 @@ def pv_integral_sym_infinite(nf: NormalFormField, tol: float = 1e-8) -> float:
     function (bounded at infinity) with nonvanishing f1; the integral is
     folded to [0, inf) where the integrand is the even rational function
     [G(x) - G(-x)]/x, truncated at an adaptively grown R with the tail
-    integrated analytically through order 1/R^3.
+    integrated analytically through order 1/R^3.  Each doubling of R
+    integrates only the new shell [R/2, R].
     """
     f1x, g1x = _f1_g1_profiles(nf)
     if u1.degree(list(g1x)) > u1.degree(list(f1x)):
@@ -298,14 +375,15 @@ def pv_integral_sym_infinite(nf: NormalFormField, tol: float = 1e-8) -> float:
         return sum(s / ((p - 1) * r ** (p - 1)) for p, s in tail_coeffs)
 
     r = 16.0
-    prev = None
-    for _ in range(24):
-        body, _err = adaptive_quad(integrand, 0.0, r, 1e-11)
+    body = gk15_quad(integrand, 0.0, r, 1e-11)[0]
+    prev = body + tail(r)
+    for _ in range(23):
+        body += gk15_quad(integrand, r, 2.0 * r, 1e-11)[0]
+        r *= 2.0
         est = body + tail(r)
-        if prev is not None and abs(est - prev) < tol / 2.0:
+        if abs(est - prev) < tol / 2.0:
             return est
         prev = est
-        r *= 2.0
     raise QuadratureNonConvergent("symmetric infinite principal value "
                                   "did not stabilize")
 
@@ -386,22 +464,27 @@ def log_l_integrals(nf: NormalFormField, sections: SectionPair,
     inv = invariants(nf)
     _sqrt_d(inv)  # requires d > 0
     validate_sections(nf, sections)
-    a, b, c = inv.a, inv.b, inv.c
-    h, _c = _regularized_integrand(nf)
+    return _log_l_integrals(inv, _regularized_integrand(nf)[0], sections,
+                            abs_tol)
 
-    num_m, den_m, num_p, den_p = _closed_l_integrands(a, b, c)
+
+def _log_l_integrals(inv: Invariants, h: Callable[[float], float],
+                     sections: SectionPair, abs_tol: float) -> Dict[str, float]:
+    """``log_l_integrals`` for checked d > 0 and sections; h is the
+    regularized fiber integrand."""
+    num_m, den_m, num_p, den_p = _closed_l_integrands(inv.a, inv.b, inv.c)
     for name, den, sign in (("L2_minus", den_m, 1), ("L1_plus", den_p, -1)):
         if not u1.positive_on_interval(u1.scale(den, sign), 0, 1):
             raise IntegrandSingularOnPath(
                 f"denominator of the {name} integrand vanishes on (0, 1]")
-    lam = 1 - c
+    lam = 1 - inv.c
     psi_m = _ratio_fn(num_m, u1.scale(den_m, lam))
     psi_p = _ratio_fn(num_p, u1.scale(den_p, lam))
 
-    l2p, e1 = adaptive_quad(h, 0.0, sections.omega, abs_tol)
-    l1m, e2 = adaptive_quad(h, 0.0, sections.alpha, abs_tol)
-    l2m, e3 = adaptive_quad(psi_m, 0.0, 1.0, abs_tol)
-    l1p, e4 = adaptive_quad(psi_p, 0.0, 1.0, abs_tol)
+    l2p, e1 = gk15_quad(h, 0.0, sections.omega, abs_tol)
+    l1m, e2 = gk15_quad(h, 0.0, sections.alpha, abs_tol)
+    l2m, e3 = gk15_quad(psi_m, 0.0, 1.0, abs_tol)
+    l1p, e4 = gk15_quad(psi_p, 0.0, 1.0, abs_tol)
     return {"log_L2_plus": l2p, "log_L1_minus": l1m,
             "log_L2_minus": l2m, "log_L1_plus": l1p,
             "errors": (e1, e2, e3, e4)}
@@ -466,14 +549,16 @@ def transition_report(nf: NormalFormField, sections: SectionPair | None,
     at infinity use the fixed tolerances of ``pv_integral_sym_infinite``.
     """
     inv = invariants(nf)
-    g0 = gamma0(inv)
+    g0 = gamma0(inv)  # requires d > 0
     if sections is None:
         pv = pv_integral_sym_infinite(nf)
         errors: Tuple[float, ...] = ()
         via_l = None
     else:
-        pv, pv_err = _pv_integral_with_err(nf, sections, abs_tol)
-        ls = log_l_integrals(nf, sections, abs_tol)
+        validate_sections(nf, sections)
+        regularized = _regularized_integrand(nf)
+        pv, pv_err = _pv_integral_with_err(regularized, sections, abs_tol)
+        ls = _log_l_integrals(inv, regularized[0], sections, abs_tol)
         via_l = _delta00_from_l(inv, sections, ls)
         errors = (pv_err,) + tuple(ls["errors"])
     gp, gm = pv + g0, pv - g0

@@ -293,6 +293,7 @@ def cmd_portrait(args) -> int:
         raise _InputError(EXIT_BAD_SECTIONS, f"bad window {args.window}")
     if args.orbits < 0:
         raise ValueError(f"--orbits must be non-negative, got {args.orbits}")
+    field.as_rhs()  # a field that cannot be compiled leaves no directory
     outdir = Path(args.out or f"portrait_{args.case or 'field'}")
     outdir.mkdir(parents=True, exist_ok=True)
     margin = 1e-6

@@ -80,7 +80,8 @@ class Poly2:
                     float_mode = True
                 clean[(i, j)] = c
         if float_mode:
-            clean = {k: float(v) for k, v in clean.items()}
+            # a nonzero Fraction can round to 0.0, which is dropped too
+            clean = {k: f for k, v in clean.items() if (f := float(v))}
         self.terms = clean
 
     @classmethod
@@ -95,7 +96,7 @@ class Poly2:
         if not all(terms.values()):
             terms = {k: c for k, c in terms.items() if c}
         if float in map(type, terms.values()):
-            terms = {k: float(c) for k, c in terms.items()}
+            terms = {k: f for k, c in terms.items() if (f := float(c))}
         self = object.__new__(cls)
         self.terms = terms
         return self

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random normal-form generators.
+"""Shared helpers: seeded random normal-form generators and a counter of
+quadrature evaluations.
 
 Coefficients are small exact rationals so that f1(x, 0) stays positive
 on [-1, 1] by construction and every identity can be checked exactly.
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from fakesaddle import asymptotics
 from fakesaddle.normalform import NormalFormField
 from fakesaddle.polyfield import Poly2
 
@@ -54,3 +56,28 @@ def random_normal_form(rng, d_positive=False):
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+@pytest.fixture
+def count_evals(monkeypatch):
+    """Count integrand evaluations through quadrature functions of
+    ``fakesaddle.asymptotics``.
+
+    ``count_evals(*names)`` patches each named function and returns one
+    shared list; every evaluation adds one to its last entry, so a test
+    appends 0 before each call it measures.
+    """
+    def install(*names):
+        evals = []
+        for name in names:
+            quad = getattr(asymptotics, name)
+
+            def counting_quad(f, *args, _quad=quad, **kw):
+                def counted(x):
+                    evals[-1] += 1
+                    return f(x)
+                return _quad(counted, *args, **kw)
+
+            monkeypatch.setattr(asymptotics, name, counting_quad)
+        return evals
+    return install

@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,84 @@ def y1_normal_form():
     return validate_and_build(PlanarField(p, X ** 2 * Y))
 
 
+class TestGK15:
+    def test_exact_on_monomials(self):
+        for k in range(21):
+            val, _ = asy.gk15_quad(lambda x: x ** k, -1.0, 2.0)
+            want = (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert val == pytest.approx(want, rel=1e-14)
+
+    def test_oriented_interval(self):
+        def f(x):
+            return 1.0 / (1.0 + x * x)
+
+        fwd, fwd_err = asy.gk15_quad(f, -0.5, 3.0)
+        back, back_err = asy.gk15_quad(f, 3.0, -0.5)
+        assert fwd == pytest.approx(math.atan(3.0) + math.atan(0.5),
+                                    abs=1e-14)
+        assert back == pytest.approx(-fwd, abs=1e-15)
+        assert back_err == pytest.approx(fwd_err, rel=1e-12)
+
+    def test_budget_exhaustion(self):
+        with pytest.raises(asy.QuadratureNonConvergent):
+            asy.gk15_quad(lambda x: math.sin(1e4 * x), 0.0, 1.0,
+                          max_evals=64)
+
+    def test_non_finite_integrand_fails_at_once(self, count_evals):
+        evals = count_evals("gk15_quad")
+        evals.append(0)
+        with pytest.raises(asy.QuadratureNonConvergent):
+            asy.gk15_quad(lambda x: 1e308 * (1.0 + x * x), 0.0, 1.0)
+        assert evals[-1] == 15
+
+    def test_error_bars_cover_the_divisor_side_integrals(self):
+        # |quadrature - closed form| within the reported estimate for
+        # log L2_minus(1) and log L1_plus(1)
+        rng = random.Random(606)
+        for _ in range(500):
+            a, b, c = random_invariant_triple(rng, d_positive=True)
+            ls = asy.log_l_integrals(build_example6(a, b, c), SECTIONS)
+            fa, fb, fc = float(a), float(b), float(c)
+            for key, err, closed in (
+                    ("log_L2_minus", ls["errors"][2],
+                     asy.log_l2_minus_closed(1.0, fa, fb, fc)),
+                    ("log_L1_plus", ls["errors"][3],
+                     asy.log_l1_plus_closed(1.0, fa, fb, fc))):
+                assert abs(ls[key] - closed) <= err + 1e-13, (a, b, c, key)
+
+    def test_simpson_false_convergence_case(self):
+        # adaptive Simpson reported an error of 2.9e-11 here while its
+        # log L2_minus(1) was 8.0e-6 off the closed form
+        nf = build_example6(Fraction(5, 4), Fraction(0), Fraction(-3, 4))
+        ls = asy.log_l_integrals(nf, asy.SectionPair(-0.5, 0.5625))
+        assert ls["log_L2_minus"] == pytest.approx(
+            asy.log_l2_minus_closed(1.0, 1.25, 0.0, -0.75), abs=1e-12)
+        assert ls["log_L1_plus"] == pytest.approx(
+            asy.log_l1_plus_closed(1.0, 1.25, 0.0, -0.75), abs=1e-12)
+
+
+class TestEvaluationBudget:
+    """Integrand evaluations of both rules together per call."""
+
+    def test_transition_report(self, count_evals, rng):
+        evals = count_evals("gk15_quad", "adaptive_quad")
+        for _ in range(50):
+            evals.append(0)
+            asy.transition_report(random_normal_form(rng, d_positive=True),
+                                  SECTIONS)
+        assert statistics.median(evals) <= 400
+        assert max(evals) <= 1000
+
+    def test_gamma_at_infinity(self, count_evals):
+        evals = count_evals("gk15_quad", "adaptive_quad")
+        evals.append(0)
+        asy.gamma_pm(build_z_normalform(1, 1), None)
+        assert evals[-1] <= 1000
+
+
 class TestQuadrature:
+    """Adaptive Simpson, the epsilon oracle's rule."""
+
     def test_polynomial_integral_exact(self):
         val, err = asy.adaptive_quad(lambda x: x * x, 0.0, 3.0)
         assert val == pytest.approx(9.0, abs=1e-12)
@@ -79,6 +157,32 @@ class TestFloatModePositivity:
             asy.pv_integral_sym_infinite(nf)
 
 
+class TestQuadraticPositivity:
+    @staticmethod
+    def sturm_positive(coeffs, lo, hi):
+        """The Sturm decision, which still serves degrees above 2."""
+        c = [Fraction(x) for x in coeffs]
+        if u1._sign_at(c, lo, False) <= 0 or u1._sign_at(c, hi, True) <= 0:
+            return False
+        return u1.count_real_roots(c, lo, hi) == 0
+
+    def test_matches_sturm_on_random_quadratics(self):
+        rng = random.Random(707)
+
+        def rational():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        for _ in range(4000):
+            coeffs = [rational() for _ in range(3)]
+            ends = sorted({rational(), rational()})
+            lo = None if rng.random() < 0.25 else ends[0]
+            hi = None if rng.random() < 0.25 else ends[-1]
+            if lo is not None and hi is not None and lo == hi:
+                continue
+            assert (u1.positive_on_interval(coeffs, lo, hi)
+                    == self.sturm_positive(coeffs, lo, hi)), (coeffs, lo, hi)
+
+
 class TestPvIntegral:
     def test_odd_integrand_on_symmetric_sections(self):
         nf = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
@@ -110,18 +214,9 @@ class TestEpsOracle:
         val = asy.pv_integral_eps_oracle(nf, asy.SectionPair(-1.0, 0.5))
         assert val == pytest.approx(math.log(4.0), abs=1e-12)
 
-    def test_evaluation_budget(self, monkeypatch):
+    def test_evaluation_budget(self, count_evals):
         # adaptive Simpson in x rather than log|x| needs about 10^5 here
-        evals = []
-        quad = asy.adaptive_quad
-
-        def counting_quad(f, *args, **kw):
-            def counted(x):
-                evals[-1] += 1
-                return f(x)
-            return quad(counted, *args, **kw)
-
-        monkeypatch.setattr(asy, "adaptive_quad", counting_quad)
+        evals = count_evals("adaptive_quad")
         rng = random.Random(303)
         forms = [build_example6(Fraction(1), Fraction(-1), Fraction(-1))]
         forms += [random_normal_form(rng) for _ in range(10)]

@@ -143,12 +143,14 @@ class TestClassify:
 def test_overflowing_coefficient_is_an_invalid_argument(capsys, tmp_path,
                                                         command):
     # 4 beta overflows to inf in the quartic family's coefficients
+    out_dir = tmp_path / "p"
     err = assert_exit(capsys, 2, command, "--case", "z-family",
                       "--alpha-param", "0", "--beta", "1e308",
-                      *(("--out", str(tmp_path / "p")) if command == "portrait"
+                      *(("--out", str(out_dir)) if command == "portrait"
                         else ()))
     assert err.startswith("invalid argument")
     assert "finite" in err
+    assert not out_dir.exists()
 
 
 class TestGamma:

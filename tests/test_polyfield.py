@@ -36,6 +36,15 @@ class TestEval:
         assert Poly2.zero().degree == float("-inf")
         assert (X ** 2 * Y).degree == 3
 
+    def test_float_mode_drops_underflowing_fraction(self):
+        tiny = Fraction(1, 10 ** 400)  # nonzero, but float(tiny) == 0.0
+        want = Poly2({(1, 0): 1.0})
+        built = Poly2({(0, 0): tiny, (1, 0): 1.0})
+        summed = Poly2.const(tiny) + want  # arithmetic path
+        for p in (built, summed):
+            assert p == want
+            assert p.terms == {(1, 0): 1.0}
+
     def test_compiled_matches_exact(self):
         rng = random.Random(7)
         p = sum((X ** i * Y ** j * Fraction(rng.randint(-9, 9), 4)
