@@ -377,33 +377,59 @@ class Poly2:
     # -- float compilation ---------------------------------------------------
 
     def as_float_fn(self) -> Callable[[float, float], float]:
-        """Compile to a fast float evaluator (nested Horner)."""
+        """Compile to a fast float evaluator (sparse nested Horner).
+
+        Only the nonzero coefficients are written: zero addends, zero
+        rows and tails and the factors 1.0 and -1.0 are skipped.  For
+        finite arguments the value is bit for bit that of dense Horner
+        over the full (i, j) grid, signed zeros included; ``_horner_expr``
+        says why.
+        """
         return _compile_horner_pair(self, None)
 
 
 def _horner_expr(poly: Poly2) -> str:
+    """Source of a sparse Horner scheme: rows in x nested in y.
+
+    The nesting is that of dense Horner over the full (i, j) grid,
+    ((c00 + x*(c10 + ...)) + y*(row1 + y*...)), with only the nonzero
+    coefficients written.  Left out are the ``0.0+`` addends, each row's
+    trailing ``x*0.0`` tail, all-zero rows and the factors ``*1.0`` and
+    ``*-1.0`` (written ``x`` and ``-x``).  For finite x and y each is an
+    exact IEEE identity up to the sign of a zero, and every other
+    operation is done in the same order, so the value is bit for bit the
+    dense scheme's, except that a zero may come out as -0.0.  Dense
+    Horner never returns -0.0; one ``0.0+`` kept at the outermost level
+    turns it back into 0.0.
+    """
     if poly.is_zero:
         return "0.0"
-    imax = max(i for i, _ in poly.terms)
-    jmax = max(j for _, j in poly.terms)
-    grid = [[0.0] * (imax + 1) for _ in range(jmax + 1)]
+    rows: Dict[int, Dict[int, str]] = {}
     for (i, j), c in poly.terms.items():
         c = float(c)
         if not math.isfinite(c):
             # repr(inf) and repr(nan) are not Python literals
             raise ValueError(f"coefficient of x^{i} y^{j} is {c}; "
                              "only finite coefficients compile")
-        grid[j][i] = c
+        rows.setdefault(j, {})[i] = repr(c)
+    row_exprs = {j: _horner_nest(row, "x") for j, row in rows.items()}
+    return f"0.0+{_horner_nest(row_exprs, 'y')}"
 
-    def row(cs):
-        expr = repr(cs[-1])
-        for c in reversed(cs[:-1]):
-            expr = f"({c!r}+x*{expr})"
-        return expr
 
-    expr = row(grid[jmax])
-    for j in range(jmax - 1, -1, -1):
-        expr = f"({row(grid[j])}+y*{expr})"
+def _horner_nest(terms: Dict[int, str], var: str) -> str:
+    """Horner in ``var`` over the nonzero ``terms`` {degree: source}."""
+    top = max(terms)
+    expr = terms[top]
+    for d in range(top - 1, -1, -1):
+        if expr == "1.0":
+            expr = var
+        elif expr == "-1.0":
+            expr = f"-{var}"
+        else:
+            # parenthesized, so that x*(x*e) never regroups as (x*x)*e
+            expr = f"({var}*{expr})"
+        if d in terms:
+            expr = f"({terms[d]}+{expr})"
     return expr
 
 
@@ -447,7 +473,10 @@ class PlanarField:
         return px, qx
 
     def as_rhs(self) -> Callable[[float, float], Tuple[float, float]]:
-        """Compiled float evaluator returning (p, q); requires denom None."""
+        """Compiled float evaluator returning (p, q); requires denom None.
+
+        Both components are compiled as in ``Poly2.as_float_fn``.
+        """
         if self.denom is not None:
             raise ValueError("cannot compile a field with a pending denominator")
         return _compile_horner_pair(self.p, self.q)

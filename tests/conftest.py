@@ -1,5 +1,5 @@
-"""Shared helpers: seeded random normal-form generators and a counter of
-quadrature evaluations.
+"""Shared helpers: seeded random normal-form generators and counters of
+quadrature and right-hand-side evaluations.
 
 Coefficients are small exact rationals so that f1(x, 0) stays positive
 on [-1, 1] by construction and every identity can be checked exactly.
@@ -12,7 +12,7 @@ import pytest
 
 from fakesaddle import asymptotics
 from fakesaddle.normalform import NormalFormField
-from fakesaddle.polyfield import Poly2
+from fakesaddle.polyfield import PlanarField, Poly2
 
 
 def frac(rng, lo=-8, hi=8, den=16):
@@ -81,3 +81,26 @@ def count_evals(monkeypatch):
             monkeypatch.setattr(asymptotics, name, counting_quad)
         return evals
     return install
+
+
+@pytest.fixture
+def count_rhs(monkeypatch):
+    """Count calls of every compiled right-hand side ``PlanarField.as_rhs``
+    returns.
+
+    Returns a list; every call adds one to its last entry, so a test
+    appends 0 before each call it measures.
+    """
+    calls = []
+    as_rhs = PlanarField.as_rhs
+
+    def counting_as_rhs(self):
+        rhs = as_rhs(self)
+
+        def counted(x, y):
+            calls[-1] += 1
+            return rhs(x, y)
+        return counted
+
+    monkeypatch.setattr(PlanarField, "as_rhs", counting_as_rhs)
+    return calls

@@ -131,6 +131,30 @@ class TestStep:
         assert y_end == traj.end[1]
 
 
+class TestRhsCounts:
+    """Right-hand-side evaluations of the measured maps, pinned.
+
+    The count fixes the whole sequence of accepted and rejected steps, so
+    a kernel or drive-loop change that moves any step shows here first.
+    """
+
+    def test_monodromy_probe(self, count_rhs):
+        count_rhs.append(0)
+        flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
+        assert count_rhs == [159384]
+
+    def test_return_slope(self, count_rhs):
+        count_rhs.append(0)
+        flow.return_slope(build_z(1.0, 1.0))
+        assert count_rhs == [44428]
+
+    def test_transition_slope_both_sides(self, count_rhs):
+        for side in "+-":
+            count_rhs.append(0)
+            flow.transition_slope(EX6, SECTIONS, side)
+        assert count_rhs == [6293, 5387]
+
+
 class TestSectionDirection:
     # the unit rotation x' = -y, y' = x crosses {x = 0} downward at (0, 1)
     # and upward at (0, -1); each start meets the wrong-direction crossing

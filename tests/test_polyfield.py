@@ -1,17 +1,19 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_normal_form
 from fakesaddle.blowup import BlowupChart, ChartKind, blow_up
-from fakesaddle.casebook import build_z
+from fakesaddle.casebook import (build_example6, build_xn, build_z,
+                                 build_z_normalform, printed_z_blowup)
 from fakesaddle.polyfield import (AffineMap2, NonMonomialDenominator,
                                   NotDivisible, PlanarField, Poly2,
-                                  SingularMap, divide_exact, pullback_affine,
-                                  substitute)
+                                  SingularMap, _horner_expr, divide_exact,
+                                  pullback_affine, substitute)
 
 X, Y = Poly2.gens()
 
@@ -431,3 +433,81 @@ class TestPoly2Properties:
             assert back == field
 
         check()
+
+
+# -- dense Horner, as a test-only reference -----------------------------------
+#
+# The float kernels were once compiled as Horner over the full (i, j) grid of
+# each polynomial, zeros included.  The sparse kernels must agree with it bit
+# for bit, signed zeros included.
+
+
+def dense_horner_expr(poly):
+    if poly.is_zero:
+        return "0.0"
+    imax = max(i for i, _ in poly.terms)
+    jmax = max(j for _, j in poly.terms)
+    grid = [[0.0] * (imax + 1) for _ in range(jmax + 1)]
+    for (i, j), c in poly.terms.items():
+        grid[j][i] = float(c)
+
+    def row(cs):
+        expr = repr(cs[-1])
+        for c in reversed(cs[:-1]):
+            expr = f"({c!r}+x*{expr})"
+        return expr
+
+    expr = row(grid[jmax])
+    for j in range(jmax - 1, -1, -1):
+        expr = f"({row(grid[j])}+y*{expr})"
+    return expr
+
+
+def dense_fn(poly):
+    ns = {}
+    exec(f"def _f(x, y):\n    return {dense_horner_expr(poly)}\n", ns)
+    return ns["_f"]
+
+
+def reference_fields():
+    """Seeded normal forms, the z-family lattice and the casebook fields."""
+    rng = random.Random(11)
+    fields = [random_normal_form(rng).field() for _ in range(200)]
+    fields += [build_z(k / 16, m / 16)
+               for k in range(-16, 17, 2) for m in range(5, 33)]
+    fields += [build_xn(3), build_xn(4), printed_z_blowup(1.0, 1.0),
+               build_z(1, Fraction(1, 5)), build_z(1, Fraction(3, 10))]
+    fields += [build_example6(*abc).field() for abc in
+               [(1, -1, -1), (Fraction(5, 2), Fraction(5, 2), Fraction(1, 2)),
+                (0, 0, 2)]]
+    fields += [build_z_normalform(a, b).field() for a, b in
+               [(1, 1), (-1, 1), (0, 1), (1, Fraction(1, 6)),
+                (1, Fraction(1, 5))]]
+    return fields
+
+
+def reference_points():
+    rng = random.Random(12)
+    special = (0.0, -0.0, 1e-300, -1e-300, 1e-8, 1e150, -1e150)
+    points = [(x, y) for x in special for y in special]
+    return points + [(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                     for _ in range(30)]
+
+
+class TestHornerReference:
+    def test_kernels_equal_dense_horner(self):
+        points = reference_points()
+        for field in reference_fields():
+            rhs, p_fn = field.as_rhs(), field.p.as_float_fn()
+            ref_p, ref_q = dense_fn(field.p), dense_fn(field.q)
+            for x, y in points:
+                want = (ref_p(x, y), ref_q(x, y))
+                assert repr(rhs(x, y)) == repr(want), (field, x, y)
+                assert repr(p_fn(x, y)) == repr(want[0]), (field.p, x, y)
+
+    def test_z11_source_is_sparse(self):
+        z = build_z(1.0, 1.0)
+        for poly in (z.p, z.q):
+            src = _horner_expr(poly)
+            assert "*0.0" not in src
+            assert len(re.findall(r"(?<![\d.])0\.0\+", src)) == 1, src
