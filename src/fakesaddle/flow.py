@@ -3,12 +3,22 @@
 The integrator is an explicit embedded Runge-Kutta 5(4) pair
 (Dormand-Prince coefficients) with FSAL, proportional step control,
 cubic Hermite dense output and event location by bisection on the dense
-output.  The state is 1-D (y as a graph over x) or 2-D (time and
-arclength parametrizations), and the step is unrolled for each.  Only
-integrate() keeps a trajectory; the slope and probe drivers keep just
-each orbit's endpoint.  The field arrives compiled as sparse Horner
-source (``PlanarField.as_rhs``) that writes only its nonzero
-coefficients, with values bit for bit those of dense Horner.
+output.  The field arrives compiled as sparse Horner source
+(``PlanarField.as_rhs``) that writes only its nonzero coefficients, with
+values bit for bit those of dense Horner.  Each state kind has its own
+DP5(4) kernel, unrolled from the tableau and a template of the kind's
+stage slope, which calls that compiled ``(x, y) -> (p, q)`` function
+directly and returns the step's error norm with the step:
+
+- "xy": 2-D state (x, y) under time, or under arclength or backward
+  time through a two-argument wrapper of the field;
+- "graph": 1-D state y as a graph over x, with slope q/p, where a stage
+  at which p folds below ``min_denominator*(x^2 + y^2)`` gives way to
+  arclength (the transit slopes); integrate()'s graph drive is
+  unguarded.
+
+Only integrate() keeps a trajectory; the slope and probe drivers keep
+just each orbit's endpoint.
 
 On top of the integrator sit the measured counterparts of the
 closed-form transition theory: transition-map slopes across a fake
@@ -65,8 +75,16 @@ class IntegratorConfig:
     max_step: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf
+                   for tol in (self.rel_tol, self.abs_tol)):
+            raise ValueError(f"tolerances must be positive and finite, got "
+                             f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got "
+                             f"{self.max_steps}")
+        if self.max_step is not None and not 0.0 < self.max_step < math.inf:
+            raise ValueError(f"max_step must be None or positive and finite, "
+                             f"got {self.max_step}")
 
 
 @dataclass
@@ -129,49 +147,107 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _compile_step(n: int):
-    """Unrolled DP5(4) step for n-D state, generated from the tableau.
+# Stage slope of each state kind, as source: how the kernel turns the
+# point of one stage into its slope with the field ``f(x, y) -> (p, q)``
+# (the compiled field of ``PlanarField.as_rhs``, or a two-argument
+# wrapper of it).  ``{x}`` is the independent variable, ``{y0}`` (and
+# ``{y1}``) the state and ``{k0}`` (and ``{k1}``) the names the slope goes
+# into; a template may use x, y, p and q as scratch names.
+_KINDS = {
+    # 2-D state (x, y) under time or arclength
+    "xy": (2, "{k0}, {k1} = f({y0}, {y1})"),
+    # 1-D state y as a graph over x: dy/dx = q/p, raising where p folds
+    # below g*(x^2 + y^2); a NaN g never trips
+    "graph": (1, "x = {x}\n"
+                 "y = {y0}\n"
+                 "p, q = f(x, y)\n"
+                 "if p <= g*(x*x + y*y):\n"
+                 "    raise _SwitchParametrization\n"
+                 "{k0} = q/p"),
+}
 
-    ``step(f, t, y, h, k1) -> (y5, err, k7)``.  Each stage sum is spelled
+
+# The error norm's term of component i: the squared scaled error r_i of
+# min(|e|/(abs_tol + rel_tol*max(|y|, |y5|)), 1e120).  The comparisons of
+# the builtins are written out (max keeps its first argument unless the
+# second is greater, min unless the second is smaller), so NaNs come out
+# as the builtins let them through.
+_SCALED_ERROR = """\
+a_{i} = abs({e})
+m = abs(y_{i})
+m5 = abs(y5_{i})
+r_{i} = a_{i}/(abs_tol + rel_tol*(m5 if m5 > m else m))
+if r_{i} > 1e120:
+    r_{i} = 1e120"""
+
+
+def _compile_kernel(kind: str):
+    """Unrolled DP5(4) kernel of one state kind, generated from the tableau.
+
+    ``bind(f, abs_tol, rel_tol, g) -> (slope, step)`` binds the field, the
+    tolerances and the graph guard.  ``slope(t, state)`` is the slope at
+    one point.  ``step(t, state, h, k1)`` returns None when the 5th-order
+    state is not finite (after evaluating its slope k7), and otherwise
+    ``(y5, k7, norm_sum, err_abs)``: the state, its slope, the sum over
+    components of the squared scaled errors (``_SCALED_ERROR``) and the
+    largest |error|, taken in component order.  Each stage sum is spelled
     out in the tableau's left-to-right order, starting from zero as the
     builtin ``sum`` does; only zero-coefficient terms are left out and
     ``1.0*h`` is written ``h``.  For finite stage values the step is
     therefore bit for bit the plain tableau formula.
     """
+    n, stage = _KINDS[kind]
     comps = range(n)
 
-    def unpack(name):
+    def names(name):
         return "".join(f"{name}_{i}, " for i in comps)
 
     def combo(coeffs, i):
         return "h*(0.0" + "".join(f" + {a!r}*k{m + 1}_{i}"
                                   for m, a in enumerate(coeffs) if a) + ")"
 
-    def state(coeffs):
-        return "(" + "".join(f"y_{i} + {combo(coeffs, i)}, "
-                             for i in comps) + ")"
+    def body(src):
+        return ["        " + line for line in src.splitlines()]
+
+    def slope(s, x, ys):
+        return body(stage.format(x=x, **{f"y{i}": ys[i] for i in comps},
+                                 **{f"k{i}": f"k{s}_{i}" for i in comps}))
 
     def time(c):
         return "t + h" if c == 1.0 else f"t + {c!r}*h"
 
-    lines = ["def _step(f, t, y, h, k1):",
-             f"    {unpack('y')}= y",
-             f"    {unpack('k1')}= k1"]
+    lines = ["def bind(f, abs_tol, rel_tol, g):",
+             "    def slope(t, state):",
+             f"        {names('y')}= state",
+             *slope(1, "t", [f"y_{i}" for i in comps]),
+             f"        return ({names('k1')})",
+             "    def step(t, state, h, k1):",
+             f"        {names('y')}= state",
+             f"        {names('k1')}= k1"]
     for s in range(1, 6):
-        lines.append(f"    {unpack(f'k{s + 1}')}= "
-                     f"f({time(_C[s])}, {state(_A[s])})")
-    err = "(" + "".join(f"{combo(_E, i)}, " for i in comps) + ")"
-    lines += [f"    y5 = {state(_A[6])}",
-              f"    k7 = f({time(_C[6])}, y5)",
-              f"    {unpack('k7')}= k7",
-              f"    return y5, {err}, k7"]
-    ns: dict = {}
+        lines += slope(s + 1, time(_C[s]),
+                       [f"y_{i} + {combo(_A[s], i)}" for i in comps])
+    lines += [f"        y5_{i} = y_{i} + {combo(_A[6], i)}" for i in comps]
+    lines += slope(7, time(_C[6]), [f"y5_{i}" for i in comps])
+    finite = " and ".join(f"isfinite(y5_{i})" for i in comps)
+    lines += [f"        if not ({finite}):", "            return None"]
+    for i in comps:
+        lines += body(_SCALED_ERROR.format(i=i, e=combo(_E, i)))
+    err_abs = "a_0"
+    for i in comps[1:]:
+        err_abs = f"(a_{i} if a_{i} > {err_abs} else {err_abs})"
+    # no leading 0.0 + as in a sum from zero: a square is never -0.0
+    norm_sum = " + ".join(f"r_{i}*r_{i}" for i in comps)
+    lines += [f"        return ({names('y5')}), ({names('k7')}), "
+              f"{norm_sum}, {err_abs}",
+              "    return slope, step"]
+    ns: dict = {"isfinite": math.isfinite,
+                "_SwitchParametrization": _SwitchParametrization}
     exec("\n".join(lines) + "\n", ns)  # noqa: S102 - codegen over the tableau
-    return ns["_step"]
+    return ns["bind"]
 
 
-# the state is 1-D (graph over x) or 2-D (time and arclength)
-_STEPS = {n: _compile_step(n) for n in (1, 2)}
+_KERNELS = {kind: _compile_kernel(kind) for kind in _KINDS}
 
 
 def _hermite(y0, f0, y1, f1, h, theta):
@@ -211,25 +287,28 @@ def _angle_increment(p, q):
     return math.atan2(cross, dot)
 
 
-def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
-           winding_target=None, parametrization="time",
-           autonomous=False, keep_samples=False) -> _DriveResult:
+def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
+           t_end=None, events=(), winding_target=None,
+           parametrization="time", autonomous=False,
+           keep_samples=False) -> _DriveResult:
     """Adaptive driver; stops at t_end, a terminal event, or a winding target.
 
-    The result carries a Trajectory of every accepted step only when
-    ``keep_samples`` is set.  ``autonomous=True`` lets the driver rebase
-    the time origin when the accumulated time dwarfs the step size
-    (degenerate loops crawl through near-singular passes for
-    astronomically long times); the reported times stay absolute but may
-    saturate float resolution.
+    ``kind`` names the state kind of ``_KINDS`` and ``f(x, y) -> (p, q)``
+    is the field its kernel calls; ``guard`` is the graph kind's fold
+    threshold, and the NaN default never trips.  The result carries a
+    Trajectory of every accepted step only when ``keep_samples`` is set.
+    ``autonomous=True`` lets the driver rebase the time origin when the
+    accumulated time dwarfs the step size (degenerate loops crawl through
+    near-singular passes for astronomically long times); the reported
+    times stay absolute but may saturate float resolution.
     """
     t = t0
     t_offset = 0.0
     y = tuple(float(v) for v in y0)
     n = len(y)
-    step = _STEPS[n]
-    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
-    k1 = f(t, y)
+    slope, step = _KERNELS[kind](f, cfg.abs_tol, cfg.rel_tol, guard)
+    max_step = cfg.max_step
+    k1 = slope(t, y)
     fn_norm = max(abs(v) for v in k1) + 1e-300
     y_norm = max(abs(v) for v in y) + 1e-6
     h = 1e-2 * y_norm / fn_norm
@@ -260,15 +339,11 @@ def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
                 return finish("t_end", t_offset + t, y, err_accum, theta)
         if t + h == t:
             raise StepUnderflow(f"step size {h} cannot advance t={t}")
-        y5, err, k7 = step(f, t, y, h, k1)
-        if not all(map(math.isfinite, y5)):
+        out = step(t, y, h, k1)
+        if out is None:  # non-finite y5
             h *= 0.5
             continue
-        norm = 0.0
-        for yi, y5i, ei in zip(y, y5, err):
-            sc = abs_tol + rel_tol * max(abs(yi), abs(y5i))
-            ratio = min(abs(ei) / sc, 1e120)
-            norm += ratio * ratio
+        y5, k7, norm, err_abs = out
         norm = math.sqrt(norm / n)
         if norm > 1.0:
             h *= max(0.2, 0.9 * norm ** -0.2)
@@ -281,7 +356,6 @@ def _drive(f, t0, y0, cfg: IntegratorConfig, *, t_end=None, events=(),
 
         # accepted
         t1 = t + h
-        err_abs = max(map(abs, err))
         hit = None
         for idx, ev in enumerate(events):
             g1 = ev.fn(t1, y5)
@@ -376,10 +450,21 @@ class Stop:
 
     @classmethod
     def time_reaches(cls, value: float) -> "Stop":
+        """Stop after ``value`` units of time (or arclength); forward or
+        backward, the span is positive and finite."""
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"time span must be positive and finite, "
+                             f"got {value}")
         return cls("time", value=value)
 
     @classmethod
     def section(cls, axis: str, value: float, direction: int) -> "Stop":
+        """Stop where the ``axis`` coordinate crosses ``value``: upward
+        for direction +1, downward for -1, either way for 0."""
+        if axis not in ("x", "y"):
+            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        if direction not in (-1, 0, 1):
+            raise ValueError(f"direction must be -1, 0 or 1, got {direction!r}")
         return cls("section", axis=axis, value=value, direction=direction)
 
     @classmethod
@@ -400,7 +485,6 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     """
     cfg = cfg or IntegratorConfig()
     rhs_xy = field.as_rhs()
-    sgn = -1.0 if backward else 1.0
 
     if param == "graph":
         if stop.kind != "x":
@@ -408,29 +492,36 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
         x0, y0 = start
         x_target = stop.kw["value"]
         flip = -1.0 if x_target < x0 else 1.0
+        f = rhs_xy
+        if flip < 0:  # drive -x forward: dy/d(-x) = -q/p at x
+            def f(x, y):
+                p, q = rhs_xy(-x, y)
+                return p, -q
 
-        def rhs(x, state):
-            p, q = rhs_xy(flip * x, state[0])
-            return (flip * q / p,)
-
-        res = _drive(rhs, flip * x0, (y0,), cfg, t_end=flip * x_target,
-                     parametrization="graph-over-x", keep_samples=True)
+        # unguarded: the graph drive never switches parametrization
+        res = _drive("graph", f, flip * x0, (y0,), cfg,
+                     t_end=flip * x_target, parametrization="graph-over-x",
+                     keep_samples=True)
         if flip < 0:  # report true x in samples
             res.trajectory.samples = [(-s, -s, y, e)
                                       for s, _x, y, e in res.trajectory.samples]
         return res.trajectory
 
     if param == "time":
-        def rhs(_t, state):
-            p, q = rhs_xy(state[0], state[1])
-            return (sgn * p, sgn * q)
+        f = rhs_xy
+        if backward:
+            def f(x, y):
+                p, q = rhs_xy(x, y)
+                return -p, -q
     elif param == "arclength":
-        def rhs(_t, state):
-            p, q = rhs_xy(state[0], state[1])
+        sgn = -1.0 if backward else 1.0
+
+        def f(x, y):
+            p, q = rhs_xy(x, y)
             v = math.hypot(p, q)
             if v < 1e-300:
                 raise StepUnderflow("vector field vanishes on the path")
-            return (sgn * p / v, sgn * q / v)
+            return sgn * p / v, sgn * q / v
     else:
         raise ValueError(f"unknown parametrization {param!r}")
 
@@ -458,7 +549,7 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     else:
         raise ValueError(f"unknown stop kind {stop.kind!r}")
 
-    res = _drive(rhs, 0.0, start, cfg, t_end=t_end, events=events,
+    res = _drive("xy", f, 0.0, start, cfg, t_end=t_end, events=events,
                  parametrization=param, autonomous=t_end is None,
                  keep_samples=True)
     return res.trajectory
@@ -532,25 +623,17 @@ def _checked_offsets(offsets, default) -> List[float]:
 
 def _transit_endpoint(rhs_xy, alpha, omega, y0, cfg) -> Tuple[float, float]:
     """y at {x = omega} for the orbit through (alpha, y0); (value, err)."""
-    min_den = cfg.min_denominator
-
-    def rhs_graph(x, state):
-        y = state[0]
-        p, q = rhs_xy(x, y)
-        if p <= min_den * (x * x + y * y):
-            raise _SwitchParametrization
-        return (q / p,)
-
     try:
-        res = _drive(rhs_graph, alpha, (y0,), cfg, t_end=omega,
+        res = _drive("graph", rhs_xy, alpha, (y0,), cfg,
+                     guard=cfg.min_denominator, t_end=omega,
                      parametrization="graph-over-x")
         return res.y[0], res.err_accum
     except _SwitchParametrization:
         pass
 
     # fold or sign change in the graph denominator: go by arclength
-    def rhs_arc(_t, s):
-        p, q = rhs_xy(s[0], s[1])
+    def rhs_arc(x, y):
+        p, q = rhs_xy(x, y)
         v = math.hypot(p, q)
         if v < 1e-300:
             raise StepUnderflow("orbit hit a singular point")
@@ -563,8 +646,8 @@ def _transit_endpoint(rhs_xy, alpha, omega, y0, cfg) -> Tuple[float, float]:
         _Event("escape_y", lambda _t, s: abs(s[1]) - y_cap, direction=+1),
         _Event("escape_back", lambda _t, s: (alpha - span) - s[0], direction=+1),
     ]
-    res = _drive(rhs_arc, 0.0, (alpha, y0), cfg, t_end=None, events=events,
-                 parametrization="arclength")
+    res = _drive("xy", rhs_arc, 0.0, (alpha, y0), cfg, t_end=None,
+                 events=events, parametrization="arclength")
     if res.status != "event:arrive":
         raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) ended with "
                                   f"{res.status}")
@@ -615,17 +698,13 @@ def _wind(rhs_xy, start, box: float, r_stall: float, cfg) -> _DriveResult:
     cusp-like corners where the speed nearly vanishes, which stay
     polynomially smooth in time but are unresolvable in arclength.
     """
-
-    def rhs_time(_t, s):
-        return rhs_xy(s[0], s[1])
-
     events = [
         _Event("box_exit", lambda _t, s: max(abs(s[0]), abs(s[1])) - box,
                direction=+1),
         _Event("stall", lambda _t, s: r_stall - math.hypot(s[0], s[1]),
                direction=+1),
     ]
-    return _drive(rhs_time, 0.0, start, cfg, events=events,
+    return _drive("xy", rhs_xy, 0.0, start, cfg, events=events,
                   winding_target=TWO_PI, autonomous=True)
 
 

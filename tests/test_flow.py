@@ -97,30 +97,139 @@ def tableau_step(f, t, y, h, k1):
     return y5, err, k[6]
 
 
+def loop_norm(y, y5, err, abs_tol, rel_tol):
+    """The error-norm sum and largest |error| of a step, as a loop over
+    the components with the builtins; the reference for the kernels'."""
+    norm = 0.0
+    for yi, y5i, ei in zip(y, y5, err):
+        sc = abs_tol + rel_tol * max(abs(yi), abs(y5i))
+        ratio = min(abs(ei) / sc, 1e120)
+        norm += ratio * ratio
+    return norm, max(map(abs, err))
+
+
+def reference_step(f, t, y, h, k1, abs_tol, rel_tol):
+    """What a kernel's step must return, from the tableau and the loop."""
+    y5, err, k7 = tableau_step(f, t, y, h, k1)
+    if not all(map(math.isfinite, y5)):
+        return None
+    return (y5, k7, *loop_norm(y, y5, err, abs_tol, rel_tol))
+
+
 class TestStep:
-    RHS_XY = PlanarField(X ** 3 - 2 * X * Y + Fraction(1, 3),
-                         Y ** 2 - X * Y ** 3 + 5 * X).as_rhs()
+    RHS_XY = staticmethod(PlanarField(X ** 3 - 2 * X * Y + Fraction(1, 3),
+                                      Y ** 2 - X * Y ** 3 + 5 * X).as_rhs())
+    GUARD = flow.IntegratorConfig().min_denominator
 
     @staticmethod
-    def rhs_1d(t, s):
-        return (TestStep.RHS_XY(t, s[0])[0],)
+    def reference_rhs(kind, f, g):
+        """The slope of each state kind as an ``f(t, state)`` function."""
+        if kind == "xy":
+            return lambda _t, s: tuple(f(s[0], s[1]))
 
-    @staticmethod
-    def rhs_2d(t, s):
-        p, q = TestStep.RHS_XY(s[0], s[1])
-        return (p + t * q, q - t)
+        def graph(x, s):
+            y = s[0]
+            p, q = f(x, y)
+            if p <= g * (x * x + y * y):
+                raise flow._SwitchParametrization
+            return (q / p,)
+        return graph
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_unrolled_step_equals_tableau_formula(self, n):
-        f = self.rhs_1d if n == 1 else self.rhs_2d
-        step = flow._STEPS[n]
-        rng = random.Random(n)
+    def check_cases(self, kind, g, seed):
+        """3000 seeded (t, y, h, tolerances); returns how many steps met
+        the graph guard, where kernel and reference must both raise."""
+        n = flow._KINDS[kind][0]
+        ref = self.reference_rhs(kind, self.RHS_XY, g)
+        rng = random.Random(seed)
+        guarded = 0
         for _ in range(3000):
             t = rng.uniform(-2.0, 2.0)
             y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
             h = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6.0, -1.0)
-            k1 = f(t, y)
-            assert step(f, t, y, h, k1) == tableau_step(f, t, y, h, k1)
+            abs_tol = 10 ** rng.uniform(-14.0, -4.0)
+            rel_tol = 10 ** rng.uniform(-12.0, -3.0)
+            slope, step = flow._KERNELS[kind](self.RHS_XY, abs_tol, rel_tol, g)
+            try:
+                k1 = ref(t, y)
+            except flow._SwitchParametrization:
+                with pytest.raises(flow._SwitchParametrization):
+                    slope(t, y)
+                guarded += 1
+                continue
+            assert slope(t, y) == k1
+            try:
+                want = reference_step(ref, t, y, h, k1, abs_tol, rel_tol)
+            except flow._SwitchParametrization:
+                with pytest.raises(flow._SwitchParametrization):
+                    step(t, y, h, k1)
+                guarded += 1
+                continue
+            assert step(t, y, h, k1) == want
+        return guarded
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unrolled_step_equals_tableau_formula(self, n):
+        # n = 1 is the graph kind under the transit guard: p = x^3 - 2xy
+        # + 1/3 changes sign in the sampled box, so many cases meet the
+        # fold; n = 2 is the xy kind, which has no guard
+        if n == 1:
+            assert self.check_cases("graph", self.GUARD, 1) >= 300
+        else:
+            assert self.check_cases("xy", self.GUARD, 2) == 0
+
+    def test_unguarded_graph_kernel_never_switches(self):
+        # a NaN guard is integrate()'s graph drive: it never trips
+        assert self.check_cases("graph", math.nan, 1) == 0
+
+    @pytest.mark.parametrize("k7", [(math.nan, 1.0), (1.0, math.nan),
+                                    (math.inf, 1.0), (1.0, -math.inf),
+                                    (1e130, 1.0), (1e300, -1e-300),
+                                    (-0.0, 0.0)])
+    def test_norm_of_non_finite_error_is_the_loops(self, k7):
+        # a finite y5 whose slope k7 is huge, infinite or NaN: the norm sum
+        # and err_abs keep the NaNs and the 1e120 cap of the builtins' loop
+        def field_then(last):
+            calls = []
+
+            def f(x, y):
+                calls.append(None)
+                return last if len(calls) == 6 else self.RHS_XY(x, y)
+            return f
+        y, h, k1 = (0.3, -0.2), 1e-3, self.RHS_XY(0.3, -0.2)
+        _slope, step = flow._KERNELS["xy"](field_then(k7), 1e-12, 1e-10,
+                                           math.nan)
+        got = step(0.0, y, h, k1)
+        want = reference_step(self.reference_rhs("xy", field_then(k7), None),
+                              0.0, y, h, k1, 1e-12, 1e-10)
+        assert got[1] == k7
+        assert repr(got) == repr(want)
+
+    def test_graph_guard_includes_equality(self):
+        # p = 0 = g*(x^2 + y^2) at the origin: the guard trips before q/p;
+        # unguarded, the division by zero raises as the plain formula does
+        rhs = PlanarField(X, Poly2.const(1)).as_rhs()
+        slope, step = flow._KERNELS["graph"](rhs, 1e-12, 1e-10, self.GUARD)
+        with pytest.raises(flow._SwitchParametrization):
+            slope(0.0, (0.0,))
+        with pytest.raises(flow._SwitchParametrization):
+            step(-0.2, (0.0,), 1.0, (0.0,))  # stage 2 sits at the origin
+        slope, _step = flow._KERNELS["graph"](rhs, 1e-12, 1e-10, math.nan)
+        with pytest.raises(ZeroDivisionError):
+            slope(0.0, (0.0,))
+
+    @pytest.mark.parametrize("kind", ["xy", "graph"])
+    def test_non_finite_state_returns_none_after_its_slope(self, kind):
+        calls = []
+
+        def f(x, y):
+            calls.append((x, y))
+            return (1.0, 1e308)
+        n = flow._KINDS[kind][0]
+        slope, step = flow._KERNELS[kind](f, 1e-12, 1e-10, math.nan)
+        y = (0.5,) * n
+        assert step(0.0, y, 10.0, slope(0.0, y)) is None
+        # the slope k7 of the non-finite y5 is still evaluated
+        assert len(calls) == 7 and not math.isfinite(calls[-1][1])
 
     def test_endpoint_drive_matches_trajectory_end(self):
         # the sample-free transit drive follows the same steps as integrate()
@@ -153,6 +262,52 @@ class TestRhsCounts:
             count_rhs.append(0)
             flow.transition_slope(EX6, SECTIONS, side)
         assert count_rhs == [6293, 5387]
+
+    def test_transition_slope_arclength_fallback(self, count_rhs):
+        # |a| > 2 folds the graph denominator on the path: the count also
+        # pins the stage at which the fused guard gives up the graph drive
+        nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
+        for side in "+-":
+            count_rhs.append(0)
+            flow.transition_slope(nf, SECTIONS, side)
+        assert count_rhs == [13797, 12779]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kw", [
+        {"rel_tol": math.nan}, {"abs_tol": math.nan},
+        {"rel_tol": math.inf}, {"abs_tol": math.inf},
+        {"rel_tol": 0.0}, {"abs_tol": -1e-12},
+        {"max_steps": 0}, {"max_steps": -5},
+        {"max_step": -1.0}, {"max_step": 0.0},
+        {"max_step": math.nan}, {"max_step": math.inf},
+    ])
+    def test_bad_integrator_config(self, kw):
+        with pytest.raises(ValueError):
+            flow.IntegratorConfig(**kw)
+
+    def test_good_integrator_config(self):
+        cfg = flow.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-300,
+                                    max_steps=1, max_step=1e-3)
+        assert cfg.max_steps == 1 and cfg.max_step == 1e-3
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, math.nan, math.inf])
+    def test_bad_time_stop(self, value):
+        with pytest.raises(ValueError):
+            flow.Stop.time_reaches(value)
+
+    @pytest.mark.parametrize("axis, direction", [
+        ("z", 1), ("X", 0), ("", -1), ("x", 2), ("y", -2), ("x", 0.5),
+    ])
+    def test_bad_section_stop(self, axis, direction):
+        with pytest.raises(ValueError):
+            flow.Stop.section(axis, 0.0, direction)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("direction", [-1, 0, 1])
+    def test_good_section_stop(self, axis, direction):
+        stop = flow.Stop.section(axis, 0.5, direction)
+        assert stop.kw == {"axis": axis, "value": 0.5, "direction": direction}
 
 
 class TestSectionDirection:
