@@ -5,20 +5,23 @@ The integrator is an explicit embedded Runge-Kutta 5(4) pair
 cubic Hermite dense output and event location by bisection on the dense
 output.  The field arrives compiled as sparse Horner source
 (``PlanarField.as_rhs``) that writes only its nonzero coefficients, with
-values bit for bit those of dense Horner.  Each state kind has its own
-DP5(4) kernel, unrolled from the tableau and a template of the kind's
-stage slope, which calls that compiled ``(x, y) -> (p, q)`` function
-directly and returns the step's error norm with the step:
+values bit for bit those of dense Horner.  Each state kind has one
+generated drive loop (``_compile_loop``), unrolled from the tableau and a
+template of the kind's stage slope.  It calls that compiled
+``(x, y) -> (p, q)`` function directly and keeps the stages, the error
+norm and the step control in local scalars:
 
 - "xy": 2-D state (x, y) under time, or under arclength or backward
   time through a two-argument wrapper of the field;
 - "graph": 1-D state y as a graph over x, with slope q/p, where a stage
   at which p folds below ``min_denominator*(x^2 + y^2)`` gives way to
   arclength (the transit slopes); integrate()'s graph drive is
-  unguarded.
+  unguarded and gives way only where p = 0.
 
-Only integrate() keeps a trajectory; the slope and probe drivers keep
-just each orbit's endpoint.
+Events, the winding count and the trajectory samples are the business of
+one Python function that the loop calls on each accepted step, and only
+integrate(), the arclength fallback and the winding drives have one; the
+graph drives of the transit slopes keep just each orbit's endpoint.
 
 On top of the integrator sit the measured counterparts of the
 closed-form transition theory: transition-map slopes across a fake
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import textwrap
 from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence, Tuple
 
@@ -63,7 +67,8 @@ class BranchTrackingFailed(Exception):
 
 
 class _SwitchParametrization(Exception):
-    """Internal: graph-over-x denominator guard tripped."""
+    """Internal: the graph-over-x drive gave way at the point (x, y) of its
+    args, where the denominator guard tripped or p = 0."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-# Stage slope of each state kind, as source: how the kernel turns the
+# Stage slope of each state kind, as source: how the drive loop turns the
 # point of one stage into its slope with the field ``f(x, y) -> (p, q)``
 # (the compiled field of ``PlanarField.as_rhs``, or a two-argument
 # wrapper of it).  ``{x}`` is the independent variable, ``{y0}`` (and
@@ -156,14 +161,18 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 _KINDS = {
     # 2-D state (x, y) under time or arclength
     "xy": (2, "{k0}, {k1} = f({y0}, {y1})"),
-    # 1-D state y as a graph over x: dy/dx = q/p, raising where p folds
-    # below g*(x^2 + y^2); a NaN g never trips
+    # 1-D state y as a graph over x: dy/dx = q/p.  The graph gives way at
+    # (x, y) where p folds below g*(x^2 + y^2), which a NaN g never does,
+    # and where p = 0 leaves no slope at all
     "graph": (1, "x = {x}\n"
                  "y = {y0}\n"
                  "p, q = f(x, y)\n"
                  "if p <= g*(x*x + y*y):\n"
-                 "    raise _SwitchParametrization\n"
-                 "{k0} = q/p"),
+                 "    raise _SwitchParametrization(x, y)\n"
+                 "try:\n"
+                 "    {k0} = q/p\n"
+                 "except ZeroDivisionError:\n"
+                 "    raise _SwitchParametrization(x, y) from None"),
 }
 
 
@@ -180,21 +189,45 @@ r_{i} = a_{i}/(abs_tol + rel_tol*(m5 if m5 > m else m))
 if r_{i} > 1e120:
     r_{i} = 1e120"""
 
+# What an accept hook returns to reject a step and retry it at half size
+_HALVE = object()
 
-def _compile_kernel(kind: str):
-    """Unrolled DP5(4) kernel of one state kind, generated from the tableau.
 
-    ``bind(f, abs_tol, rel_tol, g) -> (slope, step)`` binds the field, the
-    tolerances and the graph guard.  ``slope(t, state)`` is the slope at
-    one point.  ``step(t, state, h, k1)`` returns None when the 5th-order
-    state is not finite (after evaluating its slope k7), and otherwise
-    ``(y5, k7, norm_sum, err_abs)``: the state, its slope, the sum over
-    components of the squared scaled errors (``_SCALED_ERROR``) and the
-    largest |error|, taken in component order.  Each stage sum is spelled
-    out in the tableau's left-to-right order, starting from zero as the
-    builtin ``sum`` does; only zero-coefficient terms are left out and
-    ``1.0*h`` is written ``h``.  For finite stage values the step is
-    therefore bit for bit the plain tableau formula.
+def _compile_loop(kind: str):
+    """The DP5(4) drive of one state kind, generated from the tableau.
+
+    Returns ``(slope, drive)``.  ``slope(f, g, t, state)`` is the slope at
+    one point, with ``f`` the field of the kind's stage template and ``g``
+    the graph guard.  ``drive(f, g, abs_tol, rel_tol, t, state, h, k1,
+    t_end, max_step, max_steps, autonomous, accept)`` runs the adaptive
+    loop on local scalars, from ``state`` at ``t`` with its slope ``k1``
+    and a first step ``h``; ``t_end`` may be None and ``max_step`` is inf
+    for no cap.  Each of at most ``max_steps`` attempts
+
+    - clamps h to end at ``t_end``, returning there when nothing is left,
+      and raises StepUnderflow when t + h == t;
+    - takes the step: six stages, then the slope k7 of the 5th-order state
+      y5, and halves h when y5 is not finite;
+    - rejects the step when the RMS over components of the scaled errors
+      (``_SCALED_ERROR``) exceeds 1, scaling h by max(0.2, 0.9 norm^-0.2);
+    - calls ``accept(t_offset, t, h, y, k1, y5, k7, err_abs)`` on an
+      accepted step when given one, with tuples for the states and slopes
+      and the largest |error|: None goes on, ``_HALVE`` retries at half
+      the step, and ``(status, t, state)`` ends the drive there;
+    - advances, returns at ``t_end``, moves the time origin of an
+      ``autonomous`` drive into ``t_offset`` once |t| > 1e13 h, and scales
+      h by min(5, 0.9 norm^-0.2), 5 for a zero or NaN norm, capped at
+      ``max_step``.
+
+    It returns ``(status, t_offset + t, state, err_accum)``, with
+    ``err_accum`` the sum of the accepted steps' largest errors, and
+    raises MaxStepsExceeded when the attempts run out.  Each stage sum is
+    spelled out in the tableau's left-to-right order, starting from zero
+    as the builtin ``sum`` does; only zero-coefficient terms are left out
+    and ``1.0*h`` is written ``h``.  The builtins' ``min``/``max`` are
+    written as conditional expressions that keep the same operand first.
+    So every float is bit for bit that of the plain tableau formula and
+    the loop it unrolls, NaNs included.
     """
     n, stage = _KINDS[kind]
     comps = range(n)
@@ -202,52 +235,99 @@ def _compile_kernel(kind: str):
     def names(name):
         return "".join(f"{name}_{i}, " for i in comps)
 
+    def tup(name):
+        return f"({names(name)})"
+
     def combo(coeffs, i):
         return "h*(0.0" + "".join(f" + {a!r}*k{m + 1}_{i}"
                                   for m, a in enumerate(coeffs) if a) + ")"
 
-    def body(src):
-        return ["        " + line for line in src.splitlines()]
-
     def slope(s, x, ys):
-        return body(stage.format(x=x, **{f"y{i}": ys[i] for i in comps},
-                                 **{f"k{i}": f"k{s}_{i}" for i in comps}))
+        return stage.format(x=x, **{f"y{i}": ys[i] for i in comps},
+                            **{f"k{i}": f"k{s}_{i}" for i in comps})
 
     def time(c):
         return "t + h" if c == 1.0 else f"t + {c!r}*h"
 
-    lines = ["def bind(f, abs_tol, rel_tol, g):",
-             "    def slope(t, state):",
-             f"        {names('y')}= state",
-             *slope(1, "t", [f"y_{i}" for i in comps]),
-             f"        return ({names('k1')})",
-             "    def step(t, state, h, k1):",
-             f"        {names('y')}= state",
-             f"        {names('k1')}= k1"]
-    for s in range(1, 6):
-        lines += slope(s + 1, time(_C[s]),
-                       [f"y_{i} + {combo(_A[s], i)}" for i in comps])
-    lines += [f"        y5_{i} = y_{i} + {combo(_A[6], i)}" for i in comps]
-    lines += slope(7, time(_C[6]), [f"y5_{i}" for i in comps])
-    finite = " and ".join(f"isfinite(y5_{i})" for i in comps)
-    lines += [f"        if not ({finite}):", "            return None"]
-    for i in comps:
-        lines += body(_SCALED_ERROR.format(i=i, e=combo(_E, i)))
+    stages = [slope(s + 1, time(_C[s]),
+                    [f"y_{i} + {combo(_A[s], i)}" for i in comps])
+              for s in range(1, 6)]
+    stages += [f"y5_{i} = y_{i} + {combo(_A[6], i)}" for i in comps]
+    stages.append(slope(7, time(_C[6]), [f"y5_{i}" for i in comps]))
     err_abs = "a_0"
     for i in comps[1:]:
         err_abs = f"(a_{i} if a_{i} > {err_abs} else {err_abs})"
     # no leading 0.0 + as in a sum from zero: a square is never -0.0
     norm_sum = " + ".join(f"r_{i}*r_{i}" for i in comps)
-    lines += [f"        return ({names('y5')}), ({names('k7')}), "
-              f"{norm_sum}, {err_abs}",
-              "    return slope, step"]
-    ns: dict = {"isfinite": math.isfinite,
+    attempt = "\n".join([
+        "if t_end is not None and t + h >= t_end:",
+        "    h = t_end - t",
+        "    if h <= 0.0:",
+        f"        return 't_end', t_offset + t, {tup('y')}, err_accum",
+        "if t + h == t:",
+        "    raise StepUnderflow(f'step size {h} cannot advance t={t}')",
+        *stages,
+        "if not (" + " and ".join(f"isfinite(y5_{i})" for i in comps) + "):",
+        "    h *= 0.5",
+        "    continue",
+        *(_SCALED_ERROR.format(i=i, e=combo(_E, i)) for i in comps),
+        f"norm = sqrt(({norm_sum})/{n})",
+        "if norm > 1.0:",
+        "    fac = 0.9*norm**-0.2",
+        "    h *= fac if fac > 0.2 else 0.2",
+        "    continue",
+        f"err_abs = {err_abs}",
+        "if accept is not None:",
+        f"    stop = accept(t_offset, t, h, {tup('y')}, {tup('k1')}, "
+        f"{tup('y5')}, {tup('k7')}, err_abs)",
+        "    if stop is not None:",
+        "        if stop is HALVE:",
+        "            h *= 0.5",
+        "            continue",
+        "        return (*stop, err_accum + err_abs)",
+        "err_accum += err_abs",
+        "t += h",
+        *(f"y_{i} = y5_{i}\nk1_{i} = k7_{i}" for i in comps),
+        "if t_end is not None and t >= t_end:",
+        f"    return 't_end', t_offset + t, {tup('y')}, err_accum",
+        "if autonomous and abs(t) > 1e13*h:",
+        "    t_offset += t",
+        "    t = 0.0",
+        # an accepted norm is at most 1, so the factor is at least 0.9 and
+        # of min(5, max(0.2, factor)) only the upper clamp can bind
+        "fac = 0.9*norm**-0.2 if norm > 0 else 5.0",
+        "h *= fac if fac < 5.0 else 5.0",
+        "if max_step < h:",
+        "    h = max_step",
+    ])
+    src = "\n".join([
+        "def slope(f, g, t, state):",
+        f"    {names('y')}= state",
+        textwrap.indent(slope(1, "t", [f"y_{i}" for i in comps]), "    "),
+        f"    return {tup('k1')}",
+        "def drive(f, g, abs_tol, rel_tol, t, state, h, k1, t_end, max_step,",
+        "          max_steps, autonomous, accept):",
+        f"    {names('y')}= state",
+        f"    {names('k1')}= k1",
+        "    t_offset = 0.0",
+        "    err_accum = 0.0",
+        "    for _ in range(max_steps):",
+        textwrap.indent(attempt, "        "),
+        "    raise MaxStepsExceeded("
+        "f'no stop condition met in {max_steps} steps')",
+    ]) + "\n"
+    ns: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt, "HALVE": _HALVE,
+                "StepUnderflow": StepUnderflow,
+                "MaxStepsExceeded": MaxStepsExceeded,
                 "_SwitchParametrization": _SwitchParametrization}
-    exec("\n".join(lines) + "\n", ns)  # noqa: S102 - codegen over the tableau
-    return ns["bind"]
+    # codegen over the tableau, under a name of its own in tracebacks and
+    # profiles
+    code = compile(src, f"<fakesaddle.flow loop {kind}>", "exec")
+    exec(code, ns)  # noqa: S102
+    return ns["slope"], ns["drive"]
 
 
-_KERNELS = {kind: _compile_kernel(kind) for kind in _KINDS}
+_LOOPS = {kind: _compile_loop(kind) for kind in _KINDS}
 
 
 def _hermite(y0, f0, y1, f1, h, theta):
@@ -291,70 +371,55 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
            t_end=None, events=(), winding_target=None,
            parametrization="time", autonomous=False,
            keep_samples=False) -> _DriveResult:
-    """Adaptive driver; stops at t_end, a terminal event, or a winding target.
+    """Adaptive drive; stops at t_end, a terminal event, or a winding target.
 
-    ``kind`` names the state kind of ``_KINDS`` and ``f(x, y) -> (p, q)``
-    is the field its kernel calls; ``guard`` is the graph kind's fold
-    threshold, and the NaN default never trips.  The result carries a
-    Trajectory of every accepted step only when ``keep_samples`` is set.
-    ``autonomous=True`` lets the driver rebase the time origin when the
-    accumulated time dwarfs the step size (degenerate loops crawl through
-    near-singular passes for astronomically long times); the reported
-    times stay absolute but may saturate float resolution.
+    ``kind`` names the state kind of ``_KINDS``, whose generated loop
+    (``_compile_loop``) takes every step, and ``f(x, y) -> (p, q)`` is the
+    field its stages call; ``guard`` is the graph kind's fold threshold,
+    and the NaN default never trips.  This function sets up the first
+    slope and step and builds the result.  Events, the winding count and
+    the samples live in one ``accept`` function that the loop calls on
+    each accepted step; a drive with none of them (the transit endpoints)
+    runs without it.
+
+    Events are located by bisection on the cubic Hermite interpolant of
+    the step.  A winding drive rejects a step that turns the state by more
+    than 0.6 rad, and stops where the accumulated angle reaches
+    ``winding_target``.  The result carries a Trajectory of every
+    accepted step only when ``keep_samples`` is set.  ``autonomous=True``
+    lets the loop rebase the time origin when the accumulated time dwarfs
+    the step size (degenerate loops crawl through near-singular passes for
+    astronomically long times); the reported times stay absolute but may
+    saturate float resolution.
     """
-    t = t0
-    t_offset = 0.0
     y = tuple(float(v) for v in y0)
-    n = len(y)
-    slope, step = _KERNELS[kind](f, cfg.abs_tol, cfg.rel_tol, guard)
+    slope, loop = _LOOPS[kind]
     max_step = cfg.max_step
-    k1 = slope(t, y)
+    k1 = slope(f, guard, t0, y)
     fn_norm = max(abs(v) for v in k1) + 1e-300
     y_norm = max(abs(v) for v in y) + 1e-6
     h = 1e-2 * y_norm / fn_norm
     if t_end is not None:
-        h = min(h, abs(t_end - t))
+        h = min(h, abs(t_end - t0))
     if max_step:
         h = min(h, max_step)
 
     def as_xy(tt, yy):
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
-    samples = [(t, *as_xy(t, y), 0.0)] if keep_samples else None
+    samples = [(t0, *as_xy(t0, y), 0.0)] if keep_samples else None
     ev_records: List[Tuple[str, Tuple[float, float, float]]] = []
     theta = 0.0
-    err_accum = 0.0
-    g_prev = [e.fn(t, y) for e in events]
+    g_prev = [e.fn(t0, y) for e in events]
 
-    def finish(status, t_stop, y_stop, err_total, theta_stop):
-        traj = (Trajectory(samples, ev_records, parametrization)
-                if keep_samples else None)
-        return _DriveResult(traj, status, t_stop, y_stop, err_total,
-                            theta_stop)
-
-    for _n in range(cfg.max_steps):
-        if t_end is not None and t + h >= t_end:
-            h = t_end - t
-            if h <= 0.0:
-                return finish("t_end", t_offset + t, y, err_accum, theta)
-        if t + h == t:
-            raise StepUnderflow(f"step size {h} cannot advance t={t}")
-        out = step(t, y, h, k1)
-        if out is None:  # non-finite y5
-            h *= 0.5
-            continue
-        y5, k7, norm, err_abs = out
-        norm = math.sqrt(norm / n)
-        if norm > 1.0:
-            h *= max(0.2, 0.9 * norm ** -0.2)
-            continue
+    def accept(t_offset, t, h, y, k1, y5, k7, err_abs):
+        # the events, winding and sample of one accepted step; returns
+        # as _compile_loop says
+        nonlocal theta
         if winding_target is not None:
             dtheta = _angle_increment(y, y5)
             if abs(dtheta) > 0.6 and t + 0.25 * h != t:
-                h *= 0.5
-                continue
-
-        # accepted
+                return _HALVE
         t1 = t + h
         hit = None
         for idx, ev in enumerate(events):
@@ -387,8 +452,7 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
                 samples.append((t_ev, *as_xy(t_ev - t_offset, y_ev), err_abs))
             if winding_target is not None:
                 theta += _angle_increment(y, y_ev)
-            return finish(f"event:{ev.name}", t_ev, y_ev, err_accum + err_abs,
-                          theta)
+            return f"event:{ev.name}", t_ev, y_ev
 
         if winding_target is not None:
             # dtheta is the increment of (y, y5) from the check above
@@ -411,23 +475,21 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
                 if keep_samples:
                     samples.append((t_ev, xe, ye, err_abs))
                 ev_records.append(("winding", (t_ev, xe, ye)))
-                return finish("winding", t_ev, y_ev, err_accum + err_abs,
-                              theta)
+                return "winding", t_ev, y_ev
             theta += dtheta
 
         if keep_samples:
             samples.append((t_offset + t1, *as_xy(t1, y5), err_abs))
-        err_accum += err_abs
-        t, y, k1 = t1, y5, k7
-        if t_end is not None and t >= t_end:
-            return finish("t_end", t_offset + t, y, err_accum, theta)
-        if autonomous and abs(t) > 1e13 * h:
-            t_offset += t
-            t = 0.0
-        h *= min(5.0, max(0.2, 0.9 * norm ** -0.2 if norm > 0 else 5.0))
-        if max_step:
-            h = min(h, max_step)
-    raise MaxStepsExceeded(f"no stop condition met in {cfg.max_steps} steps")
+        return None
+
+    watched = keep_samples or events or winding_target is not None
+    status, t, y, err_accum = loop(
+        f, guard, cfg.abs_tol, cfg.rel_tol, t0, y, h, k1, t_end,
+        max_step or math.inf, cfg.max_steps, autonomous,
+        accept if watched else None)
+    traj = (Trajectory(samples, ev_records, parametrization)
+            if keep_samples else None)
+    return _DriveResult(traj, status, t, y, err_accum, theta)
 
 
 # -- public integration --------------------------------------------------------
@@ -442,11 +504,11 @@ class Stop:
 
     @classmethod
     def x_reaches(cls, value: float) -> "Stop":
-        return cls("x", value=value)
+        return cls("x", value=_finite("value", value))
 
     @classmethod
     def y_reaches(cls, value: float) -> "Stop":
-        return cls("y", value=value)
+        return cls("y", value=_finite("value", value))
 
     @classmethod
     def time_reaches(cls, value: float) -> "Stop":
@@ -459,17 +521,31 @@ class Stop:
 
     @classmethod
     def section(cls, axis: str, value: float, direction: int) -> "Stop":
-        """Stop where the ``axis`` coordinate crosses ``value``: upward
-        for direction +1, downward for -1, either way for 0."""
+        """Stop where the ``axis`` coordinate crosses the finite ``value``:
+        upward for direction +1, downward for -1, either way for 0."""
         if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
         if direction not in (-1, 0, 1):
             raise ValueError(f"direction must be -1, 0 or 1, got {direction!r}")
-        return cls("section", axis=axis, value=value, direction=direction)
+        return cls("section", axis=axis, value=_finite("value", value),
+                   direction=direction)
 
     @classmethod
     def window_exit(cls, x0: float, x1: float, y0: float, y1: float) -> "Stop":
+        """Stop where the orbit leaves the finite, non-empty window
+        [x0, x1] x [y0, y1]."""
+        if not all(map(math.isfinite, (x0, x1, y0, y1))) \
+                or not (x0 < x1 and y0 < y1):
+            raise ValueError(f"window must be finite with x0 < x1 and "
+                             f"y0 < y1, got {(x0, x1, y0, y1)}")
         return cls("window", x0=x0, x1=x1, y0=y0, y1=y1)
+
+
+def _finite(name, value):
+    """``value``, which a stop that can fire needs to be finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
@@ -481,7 +557,8 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     (unit-speed, robust near degenerate points), or "graph" (y as a
     graph over x; only with an x-reaches stop, whose position relative
     to the start fixes the direction).  ``backward`` reverses the flow
-    in time/arclength mode.
+    in time/arclength mode.  The graph raises TransitDoesNotExist, naming
+    the point, where p = 0 at the start or at a stage point of a step.
     """
     cfg = cfg or IntegratorConfig()
     rhs_xy = field.as_rhs()
@@ -498,10 +575,16 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
                 p, q = rhs_xy(-x, y)
                 return p, -q
 
-        # unguarded: the graph drive never switches parametrization
-        res = _drive("graph", f, flip * x0, (y0,), cfg,
-                     t_end=flip * x_target, parametrization="graph-over-x",
-                     keep_samples=True)
+        # unguarded: the graph drive gives way only where p = 0
+        try:
+            res = _drive("graph", f, flip * x0, (y0,), cfg,
+                         t_end=flip * x_target,
+                         parametrization="graph-over-x", keep_samples=True)
+        except _SwitchParametrization as fold:
+            x, y = fold.args
+            raise TransitDoesNotExist(
+                f"p = 0 at ({flip * x}, {y}): the graph over x has no "
+                f"slope q/p there") from None
         if flip < 0:  # report true x in samples
             res.trajectory.samples = [(-s, -s, y, e)
                                       for s, _x, y, e in res.trajectory.samples]

@@ -440,7 +440,10 @@ def _compile_horner_pair(p: Poly2, q: Poly2 | None):
         src = (f"def _f(x, y):\n"
                f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n")
     ns: dict = {}
-    exec(src, ns)  # noqa: S102 - codegen over trusted numeric literals
+    # codegen over trusted numeric literals, under a name of its own in
+    # tracebacks and profiles
+    code = compile(src, "<fakesaddle.polyfield field>", "exec")
+    exec(code, ns)  # noqa: S102
     return ns["_f"]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,22 @@ class TestIntegrate:
             flow.integrate(PlanarField(-X, Poly2.zero()), (1.0, 0.0),
                            flow.Stop.x_reaches(2.0), cfg=cfg)
 
+    @pytest.mark.parametrize("start, target", [((0.0, 1.0), 1.0),
+                                               ((0.0, 1.0), -1.0)])
+    def test_graph_from_a_vertical_start(self, start, target):
+        # p = x vanishes at the start: no graph over x, in either direction
+        with pytest.raises(flow.TransitDoesNotExist, match=r"\(0\.0, 1\.0\)"):
+            flow.integrate(PlanarField(X, Y), start,
+                           flow.Stop.x_reaches(target), param="graph")
+
+    def test_graph_meets_p_zero_at_a_stage_point(self):
+        # p = q = 1 - x: slope 1, but the last step's stages at x = 1 meet
+        # p = 0, where 0/0 is no slope
+        with pytest.raises(flow.TransitDoesNotExist,
+                           match=r"p = 0 at \(1\.0, "):
+            flow.integrate(PlanarField(1 - X, 1 - X), (0.0, 0.0),
+                           flow.Stop.x_reaches(1.0), param="graph")
+
     def test_y_stop_and_json_export(self):
         traj = flow.integrate(PlanarField(Poly2.const(0) + X * 0 + 1,
                                           Poly2.const(1)),
@@ -99,7 +116,7 @@ def tableau_step(f, t, y, h, k1):
 
 def loop_norm(y, y5, err, abs_tol, rel_tol):
     """The error-norm sum and largest |error| of a step, as a loop over
-    the components with the builtins; the reference for the kernels'."""
+    the components with the builtins; the reference for the drives'."""
     norm = 0.0
     for yi, y5i, ei in zip(y, y5, err):
         sc = abs_tol + rel_tol * max(abs(yi), abs(y5i))
@@ -108,128 +125,303 @@ def loop_norm(y, y5, err, abs_tol, rel_tol):
     return norm, max(map(abs, err))
 
 
-def reference_step(f, t, y, h, k1, abs_tol, rel_tol):
-    """What a kernel's step must return, from the tableau and the loop."""
-    y5, err, k7 = tableau_step(f, t, y, h, k1)
-    if not all(map(math.isfinite, y5)):
-        return None
-    return (y5, k7, *loop_norm(y, y5, err, abs_tol, rel_tol))
+def reference_rhs(kind, f, g):
+    """The slope of each state kind as an ``f(t, state)`` function."""
+    if kind == "xy":
+        return lambda _t, s: tuple(f(s[0], s[1]))
+
+    def graph(x, s):
+        y = s[0]
+        p, q = f(x, y)
+        if p <= g * (x * x + y * y):
+            raise flow._SwitchParametrization(x, y)
+        try:
+            return (q / p,)
+        except ZeroDivisionError:
+            raise flow._SwitchParametrization(x, y) from None
+    return graph
+
+
+def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
+                    winding_target=None, parametrization="time",
+                    autonomous=False, keep_samples=False, seen=None):
+    """The adaptive drive as a plain loop over ``tableau_step`` and
+    ``loop_norm`` with the builtins' min and max; the reference the
+    generated drive loops must match bit for bit.  ``rhs(t, state)`` is
+    the slope of ``reference_rhs``; ``seen`` counts the branches taken."""
+    seen = Counter() if seen is None else seen
+    t = t0
+    t_offset = 0.0
+    y = tuple(float(v) for v in y0)
+    n = len(y)
+    max_step = cfg.max_step
+    k1 = rhs(t, y)
+    fn_norm = max(abs(v) for v in k1) + 1e-300
+    y_norm = max(abs(v) for v in y) + 1e-6
+    h = 1e-2 * y_norm / fn_norm
+    if t_end is not None:
+        h = min(h, abs(t_end - t))
+    if max_step:
+        h = min(h, max_step)
+
+    def as_xy(tt, yy):
+        return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
+
+    samples = [(t, *as_xy(t, y), 0.0)] if keep_samples else None
+    ev_records = []
+    theta = 0.0
+    err_accum = 0.0
+    g_prev = [e.fn(t, y) for e in events]
+
+    def finish(status, t_stop, y_stop, err_total, theta_stop):
+        seen[status.split(":")[0]] += 1
+        traj = (flow.Trajectory(samples, ev_records, parametrization)
+                if keep_samples else None)
+        return flow._DriveResult(traj, status, t_stop, y_stop, err_total,
+                                 theta_stop)
+
+    for _n in range(cfg.max_steps):
+        seen["attempt"] += 1
+        if t_end is not None and t + h >= t_end:
+            seen["t_end clamp"] += 1
+            h = t_end - t
+            if h <= 0.0:
+                return finish("t_end", t_offset + t, y, err_accum, theta)
+        if t + h == t:
+            raise flow.StepUnderflow(f"step size {h} cannot advance t={t}")
+        y5, err, k7 = tableau_step(rhs, t, y, h, k1)
+        if not all(map(math.isfinite, y5)):
+            seen["non-finite halving"] += 1
+            h *= 0.5
+            continue
+        norm, err_abs = loop_norm(y, y5, err, cfg.abs_tol, cfg.rel_tol)
+        norm = math.sqrt(norm / n)
+        if norm > 1.0:
+            seen["rejected"] += 1
+            h *= max(0.2, 0.9 * norm ** -0.2)
+            continue
+        if winding_target is not None:
+            dtheta = flow._angle_increment(y, y5)
+            if abs(dtheta) > 0.6 and t + 0.25 * h != t:
+                seen["winding rejection"] += 1
+                h *= 0.5
+                continue
+
+        # accepted
+        t1 = t + h
+        hit = None
+        for idx, ev in enumerate(events):
+            g1 = ev.fn(t1, y5)
+            g0 = g_prev[idx]
+            if ((ev.direction >= 0 and g0 < 0.0 <= g1)
+                    or (ev.direction <= 0 and g0 > 0.0 >= g1)):
+                seen[f"event direction {ev.direction}"] += 1
+                lo, hi = 0.0, 1.0
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    ym = flow._hermite(y, k1, y5, k7, h, mid)
+                    gm = ev.fn(t + mid * h, ym)
+                    if (g0 < 0.0) == (gm < 0.0):
+                        lo = mid
+                    else:
+                        hi = mid
+                    if (hi - lo) * abs(h) < 1e-12:
+                        break
+                tau = 0.5 * (lo + hi)
+                y_ev = flow._hermite(y, k1, y5, k7, h, tau)
+                t_ev = t_offset + t + tau * h
+                xe, ye = as_xy(t + tau * h, y_ev)
+                ev_records.append((ev.name, (t_ev, xe, ye)))
+                if not ev.terminal:
+                    seen["non-terminal event"] += 1
+                if ev.terminal and hit is None:
+                    hit = (ev, t_ev, y_ev)
+            g_prev[idx] = g1
+        if hit is not None:
+            ev, t_ev, y_ev = hit
+            if keep_samples:
+                samples.append((t_ev, *as_xy(t_ev - t_offset, y_ev), err_abs))
+            if winding_target is not None:
+                theta += flow._angle_increment(y, y_ev)
+            return finish(f"event:{ev.name}", t_ev, y_ev, err_accum + err_abs,
+                          theta)
+
+        if winding_target is not None:
+            if abs(theta + dtheta) >= winding_target:
+                lo, hi = 0.0, 1.0
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    ym = flow._hermite(y, k1, y5, k7, h, mid)
+                    if abs(theta + flow._angle_increment(y, ym)) \
+                            >= winding_target:
+                        hi = mid
+                    else:
+                        lo = mid
+                    if (hi - lo) * abs(h) < 1e-12:
+                        break
+                tau = hi
+                y_ev = flow._hermite(y, k1, y5, k7, h, tau)
+                t_ev = t_offset + t + tau * h
+                theta += flow._angle_increment(y, y_ev)
+                xe, ye = as_xy(t + tau * h, y_ev)
+                if keep_samples:
+                    samples.append((t_ev, xe, ye, err_abs))
+                ev_records.append(("winding", (t_ev, xe, ye)))
+                return finish("winding", t_ev, y_ev, err_accum + err_abs,
+                              theta)
+            theta += dtheta
+
+        if keep_samples:
+            samples.append((t_offset + t1, *as_xy(t1, y5), err_abs))
+        err_accum += err_abs
+        t, y, k1 = t1, y5, k7
+        if t_end is not None and t >= t_end:
+            return finish("t_end", t_offset + t, y, err_accum, theta)
+        if autonomous and abs(t) > 1e13 * h:
+            seen["rebase"] += 1
+            t_offset += t
+            t = 0.0
+        h *= min(5.0, max(0.2, 0.9 * norm ** -0.2 if norm > 0 else 5.0))
+        if max_step and max_step < h:
+            seen["max_step cap"] += 1
+            h = max_step
+    raise flow.MaxStepsExceeded(
+        f"no stop condition met in {cfg.max_steps} steps")
+
+
+def outcome(run):
+    """repr of what ``run()`` returns, or the type and args it raises."""
+    try:
+        return repr(run())
+    except Exception as exc:  # every exception is part of the outcome
+        return f"raises {type(exc).__name__}{exc.args!r}"
+
+
+def assert_drive_matches(kind, field, t0, y0, cfg, guard=math.nan,
+                         seen=None, **kw):
+    """Drive ``field()`` both ways and require the same outcome; returns it.
+
+    ``field`` makes a fresh ``f(x, y) -> (p, q)`` for each drive, so a
+    field that counts its calls sees the same sequence in both.
+    """
+    got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg,
+                                      guard=guard, **kw))
+    want = outcome(lambda: reference_drive(
+        reference_rhs(kind, field(), guard), t0, y0, cfg, seen=seen, **kw))
+    assert got == want
+    return got
+
+
+def field_then(rhs, values):
+    """A field factory: call number i (from 1) of each field it makes
+    returns ``values[i]`` where given, and ``rhs(x, y)`` otherwise."""
+    def make():
+        calls = []
+
+        def f(x, y):
+            calls.append((x, y))
+            return values.get(len(calls)) or rhs(x, y)
+        f.calls = calls
+        return f
+    return make
 
 
 class TestStep:
+    """The steps of the generated drive loops, bit for bit against
+    ``tableau_step`` and ``loop_norm`` through the reference drive."""
+
     RHS_XY = staticmethod(PlanarField(X ** 3 - 2 * X * Y + Fraction(1, 3),
                                       Y ** 2 - X * Y ** 3 + 5 * X).as_rhs())
     GUARD = flow.IntegratorConfig().min_denominator
 
-    @staticmethod
-    def reference_rhs(kind, f, g):
-        """The slope of each state kind as an ``f(t, state)`` function."""
-        if kind == "xy":
-            return lambda _t, s: tuple(f(s[0], s[1]))
-
-        def graph(x, s):
-            y = s[0]
-            p, q = f(x, y)
-            if p <= g * (x * x + y * y):
-                raise flow._SwitchParametrization
-            return (q / p,)
-        return graph
-
-    def check_cases(self, kind, g, seed):
-        """3000 seeded (t, y, h, tolerances); returns how many steps met
-        the graph guard, where kernel and reference must both raise."""
+    def check_drives(self, kind, g, seed, count):
+        """Seeded short drives (start, span, tolerances); returns the
+        branch counts and how many drives gave way to the graph guard."""
         n = flow._KINDS[kind][0]
-        ref = self.reference_rhs(kind, self.RHS_XY, g)
         rng = random.Random(seed)
+        seen = Counter()
         guarded = 0
-        for _ in range(3000):
-            t = rng.uniform(-2.0, 2.0)
-            y = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
-            h = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6.0, -1.0)
-            abs_tol = 10 ** rng.uniform(-14.0, -4.0)
-            rel_tol = 10 ** rng.uniform(-12.0, -3.0)
-            slope, step = flow._KERNELS[kind](self.RHS_XY, abs_tol, rel_tol, g)
-            try:
-                k1 = ref(t, y)
-            except flow._SwitchParametrization:
-                with pytest.raises(flow._SwitchParametrization):
-                    slope(t, y)
-                guarded += 1
-                continue
-            assert slope(t, y) == k1
-            try:
-                want = reference_step(ref, t, y, h, k1, abs_tol, rel_tol)
-            except flow._SwitchParametrization:
-                with pytest.raises(flow._SwitchParametrization):
-                    step(t, y, h, k1)
-                guarded += 1
-                continue
-            assert step(t, y, h, k1) == want
-        return guarded
+        for _ in range(count):
+            t0 = rng.uniform(-2.0, 2.0)
+            y0 = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
+            cfg = flow.IntegratorConfig(
+                abs_tol=10 ** rng.uniform(-14.0, -4.0),
+                rel_tol=10 ** rng.uniform(-12.0, -3.0), max_steps=60)
+            got = assert_drive_matches(
+                kind, lambda: self.RHS_XY, t0, y0, cfg, g, seen,
+                t_end=t0 + rng.uniform(0.01, 0.5))
+            guarded += got.startswith("raises _SwitchParametrization")
+        return seen, guarded
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unrolled_step_equals_tableau_formula(self, n):
         # n = 1 is the graph kind under the transit guard: p = x^3 - 2xy
-        # + 1/3 changes sign in the sampled box, so many cases meet the
+        # + 1/3 changes sign in the sampled box, so many drives meet the
         # fold; n = 2 is the xy kind, which has no guard
         if n == 1:
-            assert self.check_cases("graph", self.GUARD, 1) >= 300
+            seen, guarded = self.check_drives("graph", self.GUARD, 1, 400)
+            assert guarded >= 200
         else:
-            assert self.check_cases("xy", self.GUARD, 2) == 0
+            seen, guarded = self.check_drives("xy", self.GUARD, 2, 200)
+            assert guarded == 0
+        assert seen["attempt"] >= 3000 and seen["rejected"] >= 100
 
     def test_unguarded_graph_kernel_never_switches(self):
-        # a NaN guard is integrate()'s graph drive: it never trips
-        assert self.check_cases("graph", math.nan, 1) == 0
+        # a NaN guard is integrate()'s graph drive: away from p = 0 it
+        # never gives way
+        seen, guarded = self.check_drives("graph", math.nan, 1, 150)
+        assert guarded == 0 and seen["attempt"] >= 3000
 
     @pytest.mark.parametrize("k7", [(math.nan, 1.0), (1.0, math.nan),
                                     (math.inf, 1.0), (1.0, -math.inf),
                                     (1e130, 1.0), (1e300, -1e-300),
                                     (-0.0, 0.0)])
     def test_norm_of_non_finite_error_is_the_loops(self, k7):
-        # a finite y5 whose slope k7 is huge, infinite or NaN: the norm sum
-        # and err_abs keep the NaNs and the 1e120 cap of the builtins' loop
-        def field_then(last):
-            calls = []
-
-            def f(x, y):
-                calls.append(None)
-                return last if len(calls) == 6 else self.RHS_XY(x, y)
-            return f
-        y, h, k1 = (0.3, -0.2), 1e-3, self.RHS_XY(0.3, -0.2)
-        _slope, step = flow._KERNELS["xy"](field_then(k7), 1e-12, 1e-10,
-                                           math.nan)
-        got = step(0.0, y, h, k1)
-        want = reference_step(self.reference_rhs("xy", field_then(k7), None),
-                              0.0, y, h, k1, 1e-12, 1e-10)
-        assert got[1] == k7
-        assert repr(got) == repr(want)
+        # a finite y5 whose slope k7 (call 7: k1 and six stages) is huge,
+        # infinite or NaN: the norm and the largest error keep the NaNs
+        # and the 1e120 cap of the builtins' loop, and so does every step
+        # after it
+        seen = Counter()
+        assert_drive_matches("xy", field_then(self.RHS_XY, {7: k7}), 0.0,
+                             (0.3, -0.2), flow.IntegratorConfig(max_steps=200),
+                             seen=seen, t_end=0.5, keep_samples=True)
+        assert seen["attempt"] >= 1  # the first step met k7
 
     def test_graph_guard_includes_equality(self):
-        # p = 0 = g*(x^2 + y^2) at the origin: the guard trips before q/p;
-        # unguarded, the division by zero raises as the plain formula does
-        rhs = PlanarField(X, Poly2.const(1)).as_rhs()
-        slope, step = flow._KERNELS["graph"](rhs, 1e-12, 1e-10, self.GUARD)
-        with pytest.raises(flow._SwitchParametrization):
-            slope(0.0, (0.0,))
-        with pytest.raises(flow._SwitchParametrization):
-            step(-0.2, (0.0,), 1.0, (0.0,))  # stage 2 sits at the origin
-        slope, _step = flow._KERNELS["graph"](rhs, 1e-12, 1e-10, math.nan)
-        with pytest.raises(ZeroDivisionError):
-            slope(0.0, (0.0,))
+        # p = g*(x^2 + y^2) exactly gives way, at the start and at a stage
+        g = self.GUARD
+        cfg = flow.IntegratorConfig()
+
+        def on_guard():
+            return lambda x, y: (g * (x * x + y * y), g)
+        at_start = assert_drive_matches("graph", on_guard, 1.0, (0.0,), cfg,
+                                        g, t_end=2.0)
+        assert at_start == "raises _SwitchParametrization(1.0, 0.0)"
+        at_stage = assert_drive_matches(
+            "graph",
+            lambda: lambda x, y: (g * (x * x + y * y) if x > 1.0 else 1.0,
+                                  0.5),
+            0.5, (0.0,), cfg, g, t_end=2.0)
+        assert at_stage.startswith("raises _SwitchParametrization")
+        # unguarded, the slope is q/p there
+        assert assert_drive_matches("graph", on_guard, 1.0, (0.0,), cfg,
+                                    t_end=2.0).startswith("_DriveResult")
 
     @pytest.mark.parametrize("kind", ["xy", "graph"])
     def test_non_finite_state_returns_none_after_its_slope(self, kind):
-        calls = []
-
-        def f(x, y):
-            calls.append((x, y))
-            return (1.0, 1e308)
+        # stages 2-7 of the first step overflow y5: the step is retried at
+        # half size, after the slope k7 of the non-finite y5 is evaluated
         n = flow._KINDS[kind][0]
-        slope, step = flow._KERNELS[kind](f, 1e-12, 1e-10, math.nan)
-        y = (0.5,) * n
-        assert step(0.0, y, 10.0, slope(0.0, y)) is None
-        # the slope k7 of the non-finite y5 is still evaluated
-        assert len(calls) == 7 and not math.isfinite(calls[-1][1])
+        big = {i: (1.0, 1.7e308) for i in range(2, 8)}
+        field = field_then(lambda x, y: (1.0, 1.0), big)
+        seen = Counter()
+        assert_drive_matches(kind, field, 0.0, (0.5,) * n,
+                             flow.IntegratorConfig(), seen=seen, t_end=1.0)
+        assert seen["non-finite halving"] == 1
+        f = field()
+        flow._drive(kind, f, 0.0, (0.5,) * n, flow.IntegratorConfig(),
+                    t_end=1.0)
+        assert not math.isfinite(f.calls[6][1])  # k7 at the overflowed y5
 
     def test_endpoint_drive_matches_trajectory_end(self):
         # the sample-free transit drive follows the same steps as integrate()
@@ -238,6 +430,127 @@ class TestStep:
         y_end, _err = flow._transit_endpoint(EX6.field().as_rhs(), -1.0, 1.0,
                                              0.3, flow.IntegratorConfig())
         assert y_end == traj.end[1]
+
+
+ROTATION = PlanarField(-Y, X).as_rhs()
+
+
+def crossing(name, i, value, direction, terminal=True):
+    return flow._Event(name, lambda _t, s: s[i] - value, direction, terminal)
+
+
+# Named drives through every branch of the drive loop: (name, kind,
+# field factory, t0, y0, config, guard, drive options, the branches of
+# the reference that the drive must take, how the drive ends)
+DRIVES = [
+    ("graph to t_end", "graph", lambda: EX6.field().as_rhs(), -1.0, (0.3,),
+     flow.IntegratorConfig(), 1e-8,
+     dict(t_end=1.0, parametrization="graph-over-x", keep_samples=True),
+     {"t_end clamp", "t_end", "rejected"}, "_DriveResult"),
+    ("graph fold gives way", "graph",
+     lambda: build_example6(Fraction(5, 2), Fraction(5, 2),
+                            Fraction(1, 2)).field().as_rhs(),
+     -1.0, (1e-3,), flow.IntegratorConfig(), 1e-8, dict(t_end=1.0), set(),
+     "raises _SwitchParametrization"),
+    ("graph p = 0, NaN guard", "graph",
+     lambda: lambda x, y: (0.0 if x > 0.5 else 1.0, y), 0.0, (0.2,),
+     flow.IntegratorConfig(), math.nan, dict(t_end=1.0), set(),
+     "raises _SwitchParametrization"),
+    ("graph of zero span", "graph", lambda: EX6.field().as_rhs(), 0.5,
+     (0.3,), flow.IntegratorConfig(), 1e-8, dict(t_end=0.5, keep_samples=True),
+     {"t_end clamp", "t_end"}, "_DriveResult"),
+    # 0.1 + 0.2 is t_end, but t_end - 0.1 is not 0.2: the clamp moves h
+    ("t_end met by rounding", "xy",
+     lambda: lambda x, y: (1e-3 * y, -1e-3 * x), 0.1, (1.0, 0.0),
+     flow.IntegratorConfig(max_step=0.2), math.nan,
+     dict(t_end=0.1 + 0.2, keep_samples=True), {"t_end clamp", "t_end"},
+     "_DriveResult"),
+    ("xy to t_end with max_step", "xy", lambda: EX6.field().as_rhs(), 0.0,
+     (-1.0, 0.3), flow.IntegratorConfig(max_step=0.01), math.nan,
+     dict(t_end=2.0, keep_samples=True), {"max_step cap", "t_end"},
+     "_DriveResult"),
+    ("events of each direction", "xy", lambda: ROTATION, 0.0, (1.0, 0.0),
+     flow.IntegratorConfig(rel_tol=1e-8),
+     math.nan, dict(events=[crossing("down", 0, 0.0, -1, terminal=False),
+                            crossing("either", 1, 0.5, 0, terminal=False),
+                            crossing("up", 0, 0.0, +1)],
+                    keep_samples=True),
+     {"event direction -1", "event direction 0", "event direction 1",
+      "non-terminal event", "event"}, "_DriveResult"),
+    ("winding", "xy", lambda: ROTATION, 0.0, (0.0, 2.0),
+     flow.IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6), math.nan,
+     dict(events=[crossing("never", 0, 5.0, +1)], winding_target=flow.TWO_PI,
+          autonomous=True, keep_samples=True),
+     {"winding rejection", "winding"}, "_DriveResult"),
+    ("rebased winding", "xy", lambda: ROTATION, 1e12, (1.0, 0.0),
+     flow.IntegratorConfig(), math.nan,
+     dict(winding_target=flow.TWO_PI, autonomous=True, keep_samples=True),
+     {"rebase", "winding"}, "_DriveResult"),
+    ("rebased event", "xy", lambda: ROTATION, 1e12, (1.0, 0.0),
+     flow.IntegratorConfig(), math.nan,
+     dict(events=[crossing("up", 0, 0.0, +1)], autonomous=True,
+          keep_samples=True),
+     {"rebase", "event"}, "_DriveResult"),
+    ("non-finite y5", "xy",
+     field_then(ROTATION, {3: (1.0, 1.7e308), 4: (1.0, 1.7e308)}), 0.0,
+     (1.0, 0.0), flow.IntegratorConfig(), math.nan,
+     dict(t_end=1.0, keep_samples=True), {"non-finite halving", "t_end"},
+     "_DriveResult"),
+    ("step underflow", "xy", lambda: ROTATION, 1e20, (1.0, 0.0),
+     flow.IntegratorConfig(), math.nan,
+     dict(events=[crossing("up", 0, 0.0, 1)]), set(), "raises StepUnderflow"),
+    ("max steps", "xy", lambda: ROTATION, 0.0, (1.0, 0.0),
+     flow.IntegratorConfig(max_steps=30), math.nan,
+     dict(events=[crossing("never", 0, 5.0, +1)], keep_samples=True),
+     set(), "raises MaxStepsExceeded"),
+]
+
+
+class TestDrive:
+    """The generated drive loops against ``reference_drive``: the same
+    _DriveResult and Trajectory, by repr, or the same exception."""
+
+    @pytest.mark.parametrize("name, kind, field, t0, y0, cfg, guard, kw, "
+                             "branches, ending", DRIVES,
+                             ids=[d[0] for d in DRIVES])
+    def test_drive_equals_reference(self, name, kind, field, t0, y0, cfg,
+                                    guard, kw, branches, ending):
+        seen = Counter()
+        got = assert_drive_matches(kind, field, t0, y0, cfg, guard, seen,
+                                   **kw)
+        assert branches <= set(seen)
+        assert got.startswith(ending)
+
+    def test_seeded_drives_equal_reference(self):
+        # random polynomial fields, starts, tolerances, step caps, stops
+        rng = random.Random(9)
+        seen = Counter()
+        for _ in range(60):
+            coeff = [rng.uniform(-2.0, 2.0) for _ in range(6)]
+            p = coeff[0] - Y + coeff[1] * X * X + coeff[2] * X * Y
+            q = X + coeff[3] * Y + coeff[4] * X * X * Y + coeff[5] * Y ** 3
+            field = PlanarField(p, q).as_rhs()
+            cfg = flow.IntegratorConfig(
+                abs_tol=10 ** rng.uniform(-12.0, -6.0),
+                rel_tol=10 ** rng.uniform(-10.0, -4.0), max_steps=300,
+                max_step=rng.choice((None, 0.05, 0.2)))
+            start = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            if rng.random() < 0.5:
+                assert_drive_matches(
+                    "graph", lambda: field, start[0], start[1:], cfg,
+                    rng.choice((1e-8, math.nan)), seen,
+                    t_end=start[0] + rng.uniform(0.1, 1.0),
+                    parametrization="graph-over-x", keep_samples=True)
+            else:
+                assert_drive_matches(
+                    "xy", lambda: field, 0.0, start, cfg, math.nan, seen,
+                    t_end=rng.choice((None, rng.uniform(0.5, 3.0))),
+                    events=[crossing("x", 0, rng.uniform(-1.0, 1.0),
+                                     rng.choice((-1, 0, 1)),
+                                     rng.random() < 0.5)],
+                    winding_target=rng.choice((None, flow.TWO_PI)),
+                    autonomous=True, keep_samples=rng.random() < 0.5)
+        assert seen["attempt"] >= 3000
 
 
 class TestRhsCounts:
@@ -273,6 +586,39 @@ class TestRhsCounts:
         assert count_rhs == [13797, 12779]
 
 
+    # integrate() in each parametrization, with an event stop and a time
+    # stop: the accepted-step path with events and samples
+    @pytest.mark.parametrize("case, start, stop, param, backward, count", [
+        ("example6", (-1.0, 0.3), ("x", 1.0), "time", False, 1171),
+        ("example6", (-1.0, 0.3), ("time", 1.0), "time", False, 175),
+        ("example6", (1.0, 0.3), ("x", -1.0), "time", True, 463),
+        ("example6", (1.0, 0.3), ("time", 1.0), "time", True, 223),
+        ("example6", (-1.0, 0.3), ("x", 1.0), "arclength", False, 739),
+        ("example6", (-1.0, 0.3), ("time", 1.0), "arclength", False, 289),
+        ("example6", (-1.0, 0.3), ("x", 1.0), "graph", False, 781),
+        ("example6", (1.0, 0.3), ("x", -1.0), "graph", False, 301),
+        ("z", (0.0, 0.1), ("section", 1), "time", False, 2587),
+        ("z", (0.0, 0.5), ("time", 5.0), "time", False, 517),
+        ("z", (0.0, 0.1), ("section", -1), "time", True, 3541),
+        ("z", (0.0, 0.5), ("time", 5.0), "time", True, 331),
+        ("z", (0.0, 0.1), ("section", 1), "arclength", False, 1573),
+        ("z", (0.0, 0.5), ("time", 5.0), "arclength", False, 829),
+        ("z", (-1.0, 0.5), ("x", -0.5), "graph", False, 193),
+        ("z", (-0.5, 0.5), ("x", -1.0), "graph", False, 439),
+    ])
+    def test_integrate(self, count_rhs, case, start, stop, param, backward,
+                       count):
+        field = EX6.field() if case == "example6" else build_z(1.0, 1.0)
+        kind, value = stop
+        stop = {"x": flow.Stop.x_reaches,
+                "time": flow.Stop.time_reaches,
+                "section": lambda d: flow.Stop.section("x", 0.0, d)}[kind]
+        count_rhs.append(0)
+        flow.integrate(field, start, stop(value), param=param,
+                       backward=backward)
+        assert count_rhs == [count]
+
+
 class TestValidation:
     @pytest.mark.parametrize("kw", [
         {"rel_tol": math.nan}, {"abs_tol": math.nan},
@@ -302,6 +648,23 @@ class TestValidation:
     def test_bad_section_stop(self, axis, direction):
         with pytest.raises(ValueError):
             flow.Stop.section(axis, 0.0, direction)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_bad_stop_value(self, value):
+        for make in (flow.Stop.x_reaches, flow.Stop.y_reaches,
+                     lambda v: flow.Stop.section("x", v, 0)):
+            with pytest.raises(ValueError):
+                make(value)
+
+    @pytest.mark.parametrize("window", [
+        (1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0), (0.0, 0.0, -1.0, 1.0),
+        (-1.0, 1.0, 0.5, 0.5), (math.nan, 1.0, -1.0, 1.0),
+        (-1.0, math.inf, -1.0, 1.0), (-1.0, 1.0, -math.inf, 1.0),
+        (-1.0, 1.0, -1.0, math.nan),
+    ])
+    def test_bad_window_stop(self, window):
+        with pytest.raises(ValueError):
+            flow.Stop.window_exit(*window)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("direction", [-1, 0, 1])
@@ -521,3 +884,16 @@ class TestSlopeEstimateJson:
         assert set(data) == {"value", "offsets_used", "per_offset",
                              "residual", "exponent"}
         assert len(data["per_offset"]) == len(data["offsets_used"])
+
+
+class TestGeneratedCode:
+    def test_compiled_functions_carry_their_own_filenames(self):
+        # profiles and tracebacks tell the loops and the fields apart
+        for kind, (slope, loop) in flow._LOOPS.items():
+            for fn in (slope, loop):
+                assert fn.__code__.co_filename == \
+                    f"<fakesaddle.flow loop {kind}>"
+        rhs = PlanarField(X * Y, X - Y).as_rhs()
+        assert rhs.__code__.co_filename == "<fakesaddle.polyfield field>"
+        assert (X + Y).as_float_fn().__code__.co_filename == \
+            "<fakesaddle.polyfield field>"
