@@ -142,6 +142,15 @@ def printed_z_blowup(alpha, beta) -> PlanarField:
     return PlanarField(p, q)
 
 
+def printed_y1() -> PlanarField:
+    """The first blow-up of build_xn(4) with (-1, 0) moved to the origin,
+    written out."""
+    u, v = Poly2.gens()
+    p = (u ** 2 + v ** 2 - u ** 3 - 4 * u * v ** 2 + 6 * u ** 2 * v ** 2
+         - 4 * u ** 3 * v ** 2 + u ** 4 * v ** 2)
+    return PlanarField(p, u ** 2 * v)
+
+
 def _polys_close(pa, pb, tol=1e-12):
     keys = set(pa.terms) | set(pb.terms)
     return all(abs(float(pa.coeff(i, j)) - float(pb.coeff(i, j))) <= tol
@@ -219,12 +228,9 @@ def run_x4_chain(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     res.exact("blowup_q", stage1.field.q, y0_printed_q)
 
     y1 = pullback_affine(stage1.field, AffineMap2.translation(-1, 0))
-    y1_printed_p = (u ** 2 + v ** 2 - u ** 3 - 4 * u * v ** 2
-                    + 6 * u ** 2 * v ** 2 - 4 * u ** 3 * v ** 2
-                    + u ** 4 * v ** 2)
-    y1_printed_q = u ** 2 * v
-    res.exact("translated_p", y1.p, y1_printed_p)
-    res.exact("translated_q", y1.q, y1_printed_q)
+    y1_printed = printed_y1()
+    res.exact("translated_p", y1.p, y1_printed.p)
+    res.exact("translated_q", y1.q, y1_printed.q)
 
     nf1 = validate_and_build(y1)
     inv1 = invariants(nf1)

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import asymptotics, casebook, flow
 from .normalform import NormalFormField, NotInNormalForm, classify, invariants, \
     validate_and_build
-from .polyfield import NonMonomialDenominator, PlanarField, Poly2
+from .polyfield import NonMonomialDenominator, PlanarField
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -122,10 +122,7 @@ def _resolve_case(args):
         n = {"x3": 3, "x4": 4}.get(case, args.n or 4)
         return casebook.build_xn(int(n)), None
     if case == "y1":
-        u, v = Poly2.gens()
-        p = (u ** 2 + v ** 2 - u ** 3 - 4 * u * v ** 2
-             + 6 * u ** 2 * v ** 2 - 4 * u ** 3 * v ** 2 + u ** 4 * v ** 2)
-        field = PlanarField(p, u ** 2 * v)
+        field = casebook.printed_y1()
         return field, validate_and_build(field)
     if case == "z-family":
         alpha = args.alpha_param if args.alpha_param is not None else 1.0
@@ -190,7 +187,8 @@ def cmd_gamma(args) -> int:
              f"gamma_minus       = {report.gamma_minus:.12g}",
              f"delta00 (closed)  = {report.delta00_closed:.12g}",
              f"delta00 (via L)   = "
-             + (f"{report.delta00_via_L:.12g}" if report.delta00_via_L
+             + (f"{report.delta00_via_L:.12g}"
+                if report.delta00_via_L is not None
                 else "n/a (infinite sections)")]
     _emit(args, report.to_json(), lines)
     return EXIT_OK
@@ -400,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("return", help="measured Poincare return slope")
     _add_input_args(p)
-    p.add_argument("--section-x", dest="section_x", type=finite, default=1.0)
+    p.add_argument("--section-x", dest="section_x", type=finite, default=1.0,
+                   help="offset scale along the +y section ray: orbits "
+                        "start at (0, section_x*offset)")
     p.add_argument("--offsets", nargs="*", type=finite)
     p.set_defaults(fn=cmd_return)
 

@@ -14,14 +14,15 @@ norm and the step control in local scalars:
 - "xy": 2-D state (x, y) under time, or under arclength or backward
   time through a two-argument wrapper of the field;
 - "graph": 1-D state y as a graph over x, with slope q/p, where a stage
-  at which p folds below ``min_denominator*(x^2 + y^2)`` gives way to
+  at which p folds below ``_MIN_DENOMINATOR*(x^2 + y^2)`` gives way to
   arclength (the transit slopes); integrate()'s graph drive is
   unguarded and gives way only where p = 0.
 
 Events, the winding count and the trajectory samples are the business of
 one Python function that the loop calls on each accepted step, and only
 integrate(), the arclength fallback and the winding drives have one; the
-graph drives of the transit slopes keep just each orbit's endpoint.
+graph drives of the transit slopes keep just each orbit's endpoint.  Every
+event is terminal: the first one that fires in a step ends the drive.
 
 On top of the integrator sit the measured counterparts of the
 closed-form transition theory: transition-map slopes across a fake
@@ -44,6 +45,9 @@ from .normalform import NormalFormField, classify, invariants
 from .polyfield import PlanarField
 
 TWO_PI = 2.0 * math.pi
+
+# The transit graph gives way to arclength where p <= this*(x^2 + y^2)
+_MIN_DENOMINATOR = 1e-8
 
 
 class StepUnderflow(Exception):
@@ -76,7 +80,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    min_denominator: float = 1e-8  # relative to x^2 + y^2
     max_step: float | None = None
 
     def __post_init__(self):
@@ -343,10 +346,10 @@ def _hermite(y0, f0, y1, f1, h, theta):
 
 @dataclass(frozen=True)
 class _Event:
+    """The drive ends where ``fn(t, state)`` crosses 0."""
     name: str
     fn: Callable[[float, Tuple[float, ...]], float]
     direction: int = 0  # +1 upward crossing, -1 downward, 0 any
-    terminal: bool = True
 
 
 @dataclass
@@ -356,7 +359,6 @@ class _DriveResult:
     t: float
     y: Tuple[float, ...]
     err_accum: float
-    theta: float = 0.0
 
 
 def _angle_increment(p, q):
@@ -367,11 +369,27 @@ def _angle_increment(p, q):
     return math.atan2(cross, dot)
 
 
+def _bisect(before, h):
+    """The bracket (lo, hi) of a stop in a step of size ``h``, as fractions
+    of the step, where ``before(tau)`` says the stop lies beyond tau:
+    halved 80 times, or until it spans less than 1e-12 in time."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if before(mid):
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo) * abs(h) < 1e-12:
+            break
+    return lo, hi
+
+
 def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
            t_end=None, events=(), winding_target=None,
            parametrization="time", autonomous=False,
            keep_samples=False) -> _DriveResult:
-    """Adaptive drive; stops at t_end, a terminal event, or a winding target.
+    """Adaptive drive; stops at t_end, the first event, or a winding target.
 
     ``kind`` names the state kind of ``_KINDS``, whose generated loop
     (``_compile_loop``) takes every step, and ``f(x, y) -> (p, q)`` is the
@@ -382,9 +400,10 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
     each accepted step; a drive with none of them (the transit endpoints)
     runs without it.
 
-    Events are located by bisection on the cubic Hermite interpolant of
-    the step.  A winding drive rejects a step that turns the state by more
-    than 0.6 rad, and stops where the accumulated angle reaches
+    The first event that crosses zero in a step ends the drive where
+    bisection on the cubic Hermite interpolant of the step locates it.  A
+    winding drive rejects a step that turns the state by more than 0.6
+    rad, and stops where the accumulated angle reaches
     ``winding_target``.  The result carries a Trajectory of every
     accepted step only when ``keep_samples`` is set.  ``autonomous=True``
     lets the loop rebase the time origin when the accumulated time dwarfs
@@ -412,6 +431,29 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
     theta = 0.0
     g_prev = [e.fn(t0, y) for e in events]
 
+    def end_at(ev, g0, t_offset, t, h, y, k1, y5, k7, err_abs):
+        # end the drive in an accepted step where event ev (g0 at the
+        # step's start) crosses, or the winding target is met for ev None.
+        # The bisection closures live here: in accept they would turn its
+        # locals into cells, made anew on every accepted step
+        def dense(tau):
+            return _hermite(y, k1, y5, k7, h, tau)
+        if ev is not None:
+            lo, hi = _bisect(lambda tau: (g0 < 0.0) == (
+                ev.fn(t + tau * h, dense(tau)) < 0.0), h)
+            status, name, tau = f"event:{ev.name}", ev.name, 0.5 * (lo + hi)
+        else:
+            _lo, tau = _bisect(lambda tau: not abs(theta + _angle_increment(
+                y, dense(tau))) >= winding_target, h)
+            status = name = "winding"
+        y_ev = dense(tau)
+        t_ev = t_offset + t + tau * h
+        xe, ye = as_xy(t + tau * h, y_ev)
+        if keep_samples:
+            samples.append((t_ev, xe, ye, err_abs))
+        ev_records.append((name, (t_ev, xe, ye)))
+        return status, t_ev, y_ev
+
     def accept(t_offset, t, h, y, k1, y5, k7, err_abs):
         # the events, winding and sample of one accepted step; returns
         # as _compile_loop says
@@ -421,61 +463,19 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
             if abs(dtheta) > 0.6 and t + 0.25 * h != t:
                 return _HALVE
         t1 = t + h
-        hit = None
         for idx, ev in enumerate(events):
             g1 = ev.fn(t1, y5)
             g0 = g_prev[idx]
             if ((ev.direction >= 0 and g0 < 0.0 <= g1)
                     or (ev.direction <= 0 and g0 > 0.0 >= g1)):
-                lo, hi = 0.0, 1.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    ym = _hermite(y, k1, y5, k7, h, mid)
-                    gm = ev.fn(t + mid * h, ym)
-                    if (g0 < 0.0) == (gm < 0.0):
-                        lo = mid
-                    else:
-                        hi = mid
-                    if (hi - lo) * abs(h) < 1e-12:
-                        break
-                tau = 0.5 * (lo + hi)
-                y_ev = _hermite(y, k1, y5, k7, h, tau)
-                t_ev = t_offset + t + tau * h
-                xe, ye = as_xy(t + tau * h, y_ev)
-                ev_records.append((ev.name, (t_ev, xe, ye)))
-                if ev.terminal and hit is None:
-                    hit = (ev, t_ev, y_ev)
+                return end_at(ev, g0, t_offset, t, h, y, k1, y5, k7, err_abs)
             g_prev[idx] = g1
-        if hit is not None:
-            ev, t_ev, y_ev = hit
-            if keep_samples:
-                samples.append((t_ev, *as_xy(t_ev - t_offset, y_ev), err_abs))
-            if winding_target is not None:
-                theta += _angle_increment(y, y_ev)
-            return f"event:{ev.name}", t_ev, y_ev
 
         if winding_target is not None:
             # dtheta is the increment of (y, y5) from the check above
             if abs(theta + dtheta) >= winding_target:
-                lo, hi = 0.0, 1.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    ym = _hermite(y, k1, y5, k7, h, mid)
-                    if abs(theta + _angle_increment(y, ym)) >= winding_target:
-                        hi = mid
-                    else:
-                        lo = mid
-                    if (hi - lo) * abs(h) < 1e-12:
-                        break
-                tau = hi
-                y_ev = _hermite(y, k1, y5, k7, h, tau)
-                t_ev = t_offset + t + tau * h
-                theta += _angle_increment(y, y_ev)
-                xe, ye = as_xy(t + tau * h, y_ev)
-                if keep_samples:
-                    samples.append((t_ev, xe, ye, err_abs))
-                ev_records.append(("winding", (t_ev, xe, ye)))
-                return "winding", t_ev, y_ev
+                return end_at(None, None, t_offset, t, h, y, k1, y5, k7,
+                              err_abs)
             theta += dtheta
 
         if keep_samples:
@@ -489,26 +489,44 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
         accept if watched else None)
     traj = (Trajectory(samples, ev_records, parametrization)
             if keep_samples else None)
-    return _DriveResult(traj, status, t, y, err_accum, theta)
+    return _DriveResult(traj, status, t, y, err_accum)
+
+
+def _unit_speed(rhs_xy, sign=1.0):
+    """``sign`` times the field ``rhs_xy`` scaled to unit speed: the field
+    of an arclength drive, which StepUnderflow ends where it vanishes."""
+    def f(x, y):
+        p, q = rhs_xy(x, y)
+        v = math.hypot(p, q)
+        if v < 1e-300:
+            raise StepUnderflow("vector field vanishes on the path")
+        return sign * p / v, sign * q / v
+    return f
 
 
 # -- public integration --------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Stop:
-    """Stop condition for integrate()."""
+    """Stop condition for integrate(), made by a constructor below: the
+    drive ends where one of ``events`` fires or after ``span``; the graph
+    takes only x_reaches, whose value is ``x_target``."""
 
-    def __init__(self, kind: str, **kw):
-        self.kind = kind
-        self.kw = kw
+    events: Tuple[_Event, ...] = ()
+    span: float | None = None
+    x_target: float | None = None
 
     @classmethod
     def x_reaches(cls, value: float) -> "Stop":
-        return cls("x", value=_finite("value", value))
+        value = _finite("value", value)
+        return cls((_Event("x_reaches", lambda _t, s: s[0] - value),),
+                   x_target=value)
 
     @classmethod
     def y_reaches(cls, value: float) -> "Stop":
-        return cls("y", value=_finite("value", value))
+        value = _finite("value", value)
+        return cls((_Event("y_reaches", lambda _t, s: s[1] - value),))
 
     @classmethod
     def time_reaches(cls, value: float) -> "Stop":
@@ -517,7 +535,7 @@ class Stop:
         if not 0.0 < value < math.inf:
             raise ValueError(f"time span must be positive and finite, "
                              f"got {value}")
-        return cls("time", value=value)
+        return cls(span=value)
 
     @classmethod
     def section(cls, axis: str, value: float, direction: int) -> "Stop":
@@ -527,8 +545,10 @@ class Stop:
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
         if direction not in (-1, 0, 1):
             raise ValueError(f"direction must be -1, 0 or 1, got {direction!r}")
-        return cls("section", axis=axis, value=_finite("value", value),
-                   direction=direction)
+        value = _finite("value", value)
+        i = "xy".index(axis)
+        return cls((_Event("section_crossing", lambda _t, s: s[i] - value,
+                           direction),))
 
     @classmethod
     def window_exit(cls, x0: float, x1: float, y0: float, y1: float) -> "Stop":
@@ -538,7 +558,11 @@ class Stop:
                 or not (x0 < x1 and y0 < y1):
             raise ValueError(f"window must be finite with x0 < x1 and "
                              f"y0 < y1, got {(x0, x1, y0, y1)}")
-        return cls("window", x0=x0, x1=x1, y0=y0, y1=y1)
+
+        def outside(_t, s):
+            return max(s[0] - x1, x0 - s[0], s[1] - y1, y0 - s[1])
+
+        return cls((_Event("window_exit", outside, direction=+1),))
 
 
 def _finite(name, value):
@@ -564,10 +588,10 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     rhs_xy = field.as_rhs()
 
     if param == "graph":
-        if stop.kind != "x":
+        if stop.x_target is None:
             raise ValueError("graph parametrization needs Stop.x_reaches")
         x0, y0 = start
-        x_target = stop.kw["value"]
+        x_target = stop.x_target
         flip = -1.0 if x_target < x0 else 1.0
         f = rhs_xy
         if flip < 0:  # drive -x forward: dy/d(-x) = -q/p at x
@@ -597,44 +621,13 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
                 p, q = rhs_xy(x, y)
                 return -p, -q
     elif param == "arclength":
-        sgn = -1.0 if backward else 1.0
-
-        def f(x, y):
-            p, q = rhs_xy(x, y)
-            v = math.hypot(p, q)
-            if v < 1e-300:
-                raise StepUnderflow("vector field vanishes on the path")
-            return sgn * p / v, sgn * q / v
+        f = _unit_speed(rhs_xy, -1.0 if backward else 1.0)
     else:
         raise ValueError(f"unknown parametrization {param!r}")
 
-    events: List[_Event] = []
-    t_end = None
-    if stop.kind == "x":
-        events.append(_Event("x_reaches", lambda _t, s, v=stop.kw["value"]: s[0] - v))
-    elif stop.kind == "y":
-        events.append(_Event("y_reaches", lambda _t, s, v=stop.kw["value"]: s[1] - v))
-    elif stop.kind == "time":
-        t_end = stop.kw["value"]
-    elif stop.kind == "section":
-        idx = 0 if stop.kw["axis"] == "x" else 1
-        events.append(_Event("section_crossing",
-                             lambda _t, s, i=idx, v=stop.kw["value"]: s[i] - v,
-                             direction=stop.kw["direction"]))
-    elif stop.kind == "window":
-        kw = stop.kw
-
-        def outside(_t, s):
-            return max(s[0] - kw["x1"], kw["x0"] - s[0],
-                       s[1] - kw["y1"], kw["y0"] - s[1])
-
-        events.append(_Event("window_exit", outside, direction=+1))
-    else:
-        raise ValueError(f"unknown stop kind {stop.kind!r}")
-
-    res = _drive("xy", f, 0.0, start, cfg, t_end=t_end, events=events,
-                 parametrization=param, autonomous=t_end is None,
-                 keep_samples=True)
+    res = _drive("xy", f, 0.0, start, cfg, t_end=stop.span,
+                 events=stop.events, parametrization=param,
+                 autonomous=stop.span is None, keep_samples=True)
     return res.trajectory
 
 
@@ -701,6 +694,21 @@ def _checked_offsets(offsets, default) -> List[float]:
     return offsets
 
 
+def _measured_slope(offsets, measure) -> SlopeEstimate:
+    """The slope end/start extrapolated over the offsets, where
+    ``measure(offset)`` drives one orbit from ``start`` to ``end`` with
+    accumulated step error ``err`` and returns (start, end, err)."""
+    used, slopes = [], []
+    for o in offsets:
+        start, end, err = measure(o)
+        if used and err > 0.1 * abs(end):
+            break  # integration noise would dominate smaller offsets
+        used.append(o)
+        slopes.append(end / start)
+    value, exponent, residual = _extrapolate(used, slopes)
+    return SlopeEstimate(value, tuple(used), tuple(slopes), residual, exponent)
+
+
 # -- transition slope ----------------------------------------------------------
 
 
@@ -708,20 +716,13 @@ def _transit_endpoint(rhs_xy, alpha, omega, y0, cfg) -> Tuple[float, float]:
     """y at {x = omega} for the orbit through (alpha, y0); (value, err)."""
     try:
         res = _drive("graph", rhs_xy, alpha, (y0,), cfg,
-                     guard=cfg.min_denominator, t_end=omega,
+                     guard=_MIN_DENOMINATOR, t_end=omega,
                      parametrization="graph-over-x")
         return res.y[0], res.err_accum
     except _SwitchParametrization:
         pass
 
     # fold or sign change in the graph denominator: go by arclength
-    def rhs_arc(x, y):
-        p, q = rhs_xy(x, y)
-        v = math.hypot(p, q)
-        if v < 1e-300:
-            raise StepUnderflow("orbit hit a singular point")
-        return (p / v, q / v)
-
     span = omega - alpha
     y_cap = 50.0 * max(abs(y0), 1.0)
     events = [
@@ -729,7 +730,7 @@ def _transit_endpoint(rhs_xy, alpha, omega, y0, cfg) -> Tuple[float, float]:
         _Event("escape_y", lambda _t, s: abs(s[1]) - y_cap, direction=+1),
         _Event("escape_back", lambda _t, s: (alpha - span) - s[0], direction=+1),
     ]
-    res = _drive("xy", rhs_arc, 0.0, (alpha, y0), cfg, t_end=None,
+    res = _drive("xy", _unit_speed(rhs_xy), 0.0, (alpha, y0), cfg,
                  events=events, parametrization="arclength")
     if res.status != "event:arrive":
         raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) ended with "
@@ -758,15 +759,10 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     rhs_xy = nf.field().as_rhs()
     alpha, omega = sections.alpha, sections.omega
 
-    used, slopes = [], []
-    for y0 in offsets:
+    def measure(y0):
         y_end, err = _transit_endpoint(rhs_xy, alpha, omega, sign * y0, cfg)
-        if used and err > 0.1 * abs(y_end):
-            break  # integration noise would dominate smaller offsets
-        used.append(y0)
-        slopes.append(y_end / (sign * y0))
-    value, exponent, residual = _extrapolate(used, slopes)
-    return SlopeEstimate(value, tuple(used), tuple(slopes), residual, exponent)
+        return sign * y0, y_end, err
+    return _measured_slope(offsets, measure)
 
 
 # -- return map ----------------------------------------------------------------
@@ -779,8 +775,13 @@ def _wind(rhs_xy, start, box: float, r_stall: float, cfg) -> _DriveResult:
     the box max(|x|, |y|) <= box, or "event:stall" when it falls inside
     radius ``r_stall``.  Integrated in time: degenerate loops have
     cusp-like corners where the speed nearly vanishes, which stay
-    polynomially smooth in time but are unresolvable in arclength.
+    polynomially smooth in time but are unresolvable in arclength.  The
+    box guards only a start strictly inside it, so any other start, or a
+    box that is not finite, raises ValueError.
     """
+    if not max(abs(start[0]), abs(start[1])) < box < math.inf:
+        raise ValueError(f"start {start} must lie strictly inside a finite, "
+                         f"positive guard box, got box={box}")
     events = [
         _Event("box_exit", lambda _t, s: max(abs(s[0]), abs(s[1])) - box,
                direction=+1),
@@ -791,58 +792,45 @@ def _wind(rhs_xy, start, box: float, r_stall: float, cfg) -> _DriveResult:
                   winding_target=TWO_PI, autonomous=True)
 
 
-def _loop_once(rhs_xy, start, box: float, cfg) -> Tuple[float, float]:
-    """Radius of the first return to the starting ray (full winding)."""
-    r0 = math.hypot(*start)
-    try:
-        # degenerate passes dip like a power of the offset
-        res = _wind(rhs_xy, start, box, 1e-8 * r0 * r0, cfg)
-    except (MaxStepsExceeded, StepUnderflow) as exc:
-        raise NoReturn(str(exc)) from None
-    if res.status != "winding":
-        raise NoReturn(f"orbit from {start} ended with {res.status}")
-    return math.hypot(res.y[0], res.y[1]), res.err_accum
-
-
 def return_slope(field: PlanarField, section_scale: float = 1.0,
                  offsets: Sequence[float] | None = None,
                  cfg: IntegratorConfig | None = None,
-                 box: float = 4.0, ray: str = "+y") -> SlopeEstimate:
+                 box: float = 4.0) -> SlopeEstimate:
     """Measured Poincare return-map slope around a monodromic origin.
 
-    The section is a ray from the origin; the default "+y" ray
-    {x = 0, y > 0} is the one on which the return map is the plain
-    composition of the two fiber transitions (the derivative of the
-    first-return map at a degenerate singular point depends on the
-    section ray; measuring on "+x" conjugates it by a power map).
-    Returns are detected by a full 2*pi winding of the continuous angle,
-    which lands back on the starting ray; crossing direction matching is
-    automatic because every ray crossing advances the winding the same
-    way.  The caller asserts monodromy; NoReturn (guard-box exit or
-    stall at the origin) signals that it fails.
+    The section is the ray {x = 0, y > 0}, on which the return map is the
+    plain composition of the two fiber transitions, and the orbits start
+    on it at ``section_scale`` times each offset, strictly inside the
+    guard box max(|x|, |y|) < ``box``.  Returns are detected by a full
+    2*pi winding of the continuous angle, which lands back on the
+    starting ray; crossing direction matching is automatic because every
+    ray crossing advances the winding the same way.  The caller asserts
+    monodromy; NoReturn (guard-box exit or stall at the origin) signals
+    that it fails.
     """
     cfg = cfg or IntegratorConfig()
     offsets = _checked_offsets(offsets, DEFAULT_OFFSETS[:4])
     if not 0.0 < section_scale < math.inf:
         raise ValueError(f"section_scale must be positive and finite, "
                          f"got {section_scale}")
-    if ray not in ("+y", "+x"):
-        raise ValueError("ray must be '+y' or '+x'")
     rhs_xy = field.as_rhs()
-    used, slopes = [], []
-    for o in offsets:
+
+    def measure(o):
+        # one orbit from the ray at radius r0 to its first return there
         r0 = section_scale * o
-        start = (0.0, r0) if ray == "+y" else (r0, 0.0)
+        start = (0.0, r0)
         # deep passes shrink below the offset scale; keep error control
         # relative there by tying the absolute tolerance to the offset
         run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0 * r0))
-        x_ret, err = _loop_once(rhs_xy, start, box, run_cfg)
-        if used and err > 0.1 * abs(x_ret):
-            break
-        used.append(o)
-        slopes.append(x_ret / r0)
-    value, exponent, residual = _extrapolate(used, slopes)
-    return SlopeEstimate(value, tuple(used), tuple(slopes), residual, exponent)
+        try:
+            # degenerate passes dip like a power of the offset
+            res = _wind(rhs_xy, start, box, 1e-8 * r0 * r0, run_cfg)
+        except (MaxStepsExceeded, StepUnderflow) as exc:
+            raise NoReturn(str(exc)) from None
+        if res.status != "winding":
+            raise NoReturn(f"orbit from {start} ended with {res.status}")
+        return r0, math.hypot(res.y[0], res.y[1]), res.err_accum
+    return _measured_slope(offsets, measure)
 
 
 # -- first integral drift ------------------------------------------------------
@@ -886,39 +874,37 @@ class ProbeVerdict(enum.Enum):
 
 def monodromy_probe(field: PlanarField, box: float = 2.0,
                     cfg: IntegratorConfig | None = None,
-                    ring_radius: float | None = None,
-                    n_rays: int = 12) -> ProbeVerdict:
-    """Launch a ring of orbits around the origin and watch them wind.
+                    ring_radius: float | None = None) -> ProbeVerdict:
+    """Launch a ring of 12 orbits around the origin and watch them wind.
 
     Monodromic when every orbit winds past a full turn inside the guard
-    box; transit when any orbit leaves the box (it swept past along the
-    fiber directions); undecided otherwise.
+    box max(|x|, |y|) < ``box``; transit when any orbit leaves the box (it
+    swept past along the fiber directions); undecided otherwise.  The
+    ring radius, ``1e-9*box`` by default, must be positive and less than
+    the finite box.
     """
     cfg = cfg or IntegratorConfig(rel_tol=1e-9, abs_tol=1e-13,
                                   max_steps=300_000)
     r0 = ring_radius if ring_radius is not None else 1e-9 * box
+    if not 0.0 < r0 < box < math.inf:
+        raise ValueError(f"need 0 < ring radius < box < inf, got ring "
+                         f"radius {r0} and box {box}")
     rhs_xy = field.as_rhs()
     run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0))
 
-    outcomes = []
+    statuses = []
     # degenerate passes dip like a power of the start radius; the stall
     # threshold must sit far below that to flag only true convergence
     r_stop = 1e-8 * r0 ** 1.5
-    for k in range(n_rays):
-        ang = TWO_PI * (k + 0.5) / n_rays
+    for k in range(12):
+        ang = TWO_PI * (k + 0.5) / 12
         start = (r0 * math.cos(ang), r0 * math.sin(ang))
         try:
-            status = _wind(rhs_xy, start, box, r_stop, run_cfg).status
+            statuses.append(_wind(rhs_xy, start, box, r_stop, run_cfg).status)
         except (MaxStepsExceeded, StepUnderflow):
-            status = "stalled"
-        if status == "winding":
-            outcomes.append("wound")
-        elif status == "event:box_exit":
-            outcomes.append("exit")
-        else:
-            outcomes.append("stalled")
-    if all(o == "wound" for o in outcomes):
+            statuses.append("stalled")
+    if all(status == "winding" for status in statuses):
         return ProbeVerdict.MONODROMIC
-    if any(o == "exit" for o in outcomes):
+    if "event:box_exit" in statuses:
         return ProbeVerdict.TRANSIT
     return ProbeVerdict.UNDECIDED

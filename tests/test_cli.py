@@ -181,6 +181,15 @@ class TestGamma:
         data = json.loads(out)
         assert data["pv"] == pytest.approx(-math.log(2.0), abs=1e-10)
 
+    def test_finite_sections_delta00_underflows_to_zero(self, capsys):
+        # delta00 via L is exp(gamma_plus) with gamma_plus near -1573: 0.0
+        code, out, _ = run_cli(capsys, "gamma", "--case", "example6",
+                               "--a", "-48.01", "--b", "-50", "--c", "0",
+                               "--alpha", "-1", "--omega", "1")
+        assert code == 0
+        assert "delta00 (via L)   = 0\n" in out
+        assert "infinite" not in out
+
     def test_not_hyperbolic_exit(self, capsys):
         code, _, err = run_cli(capsys, "gamma", "--case", "example6",
                                "--a", "0", "--b", "0", "--c", "2",
@@ -246,6 +255,7 @@ class TestReturn:
 
     @pytest.mark.parametrize("argv", [
         ("--section-x", "0"),
+        ("--section-x", "1000"),
         ("--offsets", "1e-3", "1e-2"),
     ])
     def test_invalid_argument_exit(self, capsys, argv):

@@ -7,8 +7,8 @@ import pytest
 
 from fakesaddle import asymptotics as asy, flow
 from fakesaddle.casebook import (build_example6, build_xn, build_z,
-                                 example6_first_integral, z_gamma_closed,
-                                 z_return_slope_closed)
+                                 example6_first_integral, printed_y1,
+                                 z_gamma_closed, z_return_slope_closed)
 from fakesaddle.normalform import NormalFormField, validate_and_build
 from fakesaddle.polyfield import PlanarField, Poly2
 
@@ -18,9 +18,7 @@ EX6 = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
 
 
 def y1_normal_form():
-    p = (X ** 2 + Y ** 2 - X ** 3 - 4 * X * Y ** 2 + 6 * X ** 2 * Y ** 2
-         - 4 * X ** 3 * Y ** 2 + X ** 4 * Y ** 2)
-    return validate_and_build(PlanarField(p, X ** 2 * Y))
+    return validate_and_build(printed_y1())
 
 
 class TestIntegrate:
@@ -173,12 +171,11 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
     err_accum = 0.0
     g_prev = [e.fn(t, y) for e in events]
 
-    def finish(status, t_stop, y_stop, err_total, theta_stop):
+    def finish(status, t_stop, y_stop, err_total):
         seen[status.split(":")[0]] += 1
         traj = (flow.Trajectory(samples, ev_records, parametrization)
                 if keep_samples else None)
-        return flow._DriveResult(traj, status, t_stop, y_stop, err_total,
-                                 theta_stop)
+        return flow._DriveResult(traj, status, t_stop, y_stop, err_total)
 
     for _n in range(cfg.max_steps):
         seen["attempt"] += 1
@@ -186,7 +183,7 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
             seen["t_end clamp"] += 1
             h = t_end - t
             if h <= 0.0:
-                return finish("t_end", t_offset + t, y, err_accum, theta)
+                return finish("t_end", t_offset + t, y, err_accum)
         if t + h == t:
             raise flow.StepUnderflow(f"step size {h} cannot advance t={t}")
         y5, err, k7 = tableau_step(rhs, t, y, h, k1)
@@ -232,19 +229,14 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
                 t_ev = t_offset + t + tau * h
                 xe, ye = as_xy(t + tau * h, y_ev)
                 ev_records.append((ev.name, (t_ev, xe, ye)))
-                if not ev.terminal:
-                    seen["non-terminal event"] += 1
-                if ev.terminal and hit is None:
+                if hit is None:
                     hit = (ev, t_ev, y_ev)
             g_prev[idx] = g1
         if hit is not None:
             ev, t_ev, y_ev = hit
             if keep_samples:
                 samples.append((t_ev, *as_xy(t_ev - t_offset, y_ev), err_abs))
-            if winding_target is not None:
-                theta += flow._angle_increment(y, y_ev)
-            return finish(f"event:{ev.name}", t_ev, y_ev, err_accum + err_abs,
-                          theta)
+            return finish(f"event:{ev.name}", t_ev, y_ev, err_accum + err_abs)
 
         if winding_target is not None:
             if abs(theta + dtheta) >= winding_target:
@@ -262,13 +254,11 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
                 tau = hi
                 y_ev = flow._hermite(y, k1, y5, k7, h, tau)
                 t_ev = t_offset + t + tau * h
-                theta += flow._angle_increment(y, y_ev)
                 xe, ye = as_xy(t + tau * h, y_ev)
                 if keep_samples:
                     samples.append((t_ev, xe, ye, err_abs))
                 ev_records.append(("winding", (t_ev, xe, ye)))
-                return finish("winding", t_ev, y_ev, err_accum + err_abs,
-                              theta)
+                return finish("winding", t_ev, y_ev, err_accum + err_abs)
             theta += dtheta
 
         if keep_samples:
@@ -276,7 +266,7 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
         err_accum += err_abs
         t, y, k1 = t1, y5, k7
         if t_end is not None and t >= t_end:
-            return finish("t_end", t_offset + t, y, err_accum, theta)
+            return finish("t_end", t_offset + t, y, err_accum)
         if autonomous and abs(t) > 1e13 * h:
             seen["rebase"] += 1
             t_offset += t
@@ -332,7 +322,7 @@ class TestStep:
 
     RHS_XY = staticmethod(PlanarField(X ** 3 - 2 * X * Y + Fraction(1, 3),
                                       Y ** 2 - X * Y ** 3 + 5 * X).as_rhs())
-    GUARD = flow.IntegratorConfig().min_denominator
+    GUARD = flow._MIN_DENOMINATOR
 
     def check_drives(self, kind, g, seed, count):
         """Seeded short drives (start, span, tolerances); returns the
@@ -435,8 +425,8 @@ class TestStep:
 ROTATION = PlanarField(-Y, X).as_rhs()
 
 
-def crossing(name, i, value, direction, terminal=True):
-    return flow._Event(name, lambda _t, s: s[i] - value, direction, terminal)
+def crossing(name, i, value, direction):
+    return flow._Event(name, lambda _t, s: s[i] - value, direction)
 
 
 # Named drives through every branch of the drive loop: (name, kind,
@@ -469,14 +459,12 @@ DRIVES = [
      (-1.0, 0.3), flow.IntegratorConfig(max_step=0.01), math.nan,
      dict(t_end=2.0, keep_samples=True), {"max_step cap", "t_end"},
      "_DriveResult"),
-    ("events of each direction", "xy", lambda: ROTATION, 0.0, (1.0, 0.0),
-     flow.IntegratorConfig(rel_tol=1e-8),
-     math.nan, dict(events=[crossing("down", 0, 0.0, -1, terminal=False),
-                            crossing("either", 1, 0.5, 0, terminal=False),
-                            crossing("up", 0, 0.0, +1)],
-                    keep_samples=True),
-     {"event direction -1", "event direction 0", "event direction 1",
-      "non-terminal event", "event"}, "_DriveResult"),
+    *((f"event of direction {ev.direction}", "xy", lambda: ROTATION, 0.0,
+       (1.0, 0.0), flow.IntegratorConfig(rel_tol=1e-8), math.nan,
+       dict(events=[ev], keep_samples=True),
+       {f"event direction {ev.direction}", "event"}, "_DriveResult")
+      for ev in (crossing("down", 0, 0.0, -1), crossing("either", 1, 0.5, 0),
+                 crossing("up", 0, 0.0, +1))),
     ("winding", "xy", lambda: ROTATION, 0.0, (0.0, 2.0),
      flow.IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6), math.nan,
      dict(events=[crossing("never", 0, 5.0, +1)], winding_target=flow.TWO_PI,
@@ -542,12 +530,13 @@ class TestDrive:
                     t_end=start[0] + rng.uniform(0.1, 1.0),
                     parametrization="graph-over-x", keep_samples=True)
             else:
+                t_end = rng.choice((None, rng.uniform(0.5, 3.0)))
+                event = crossing("x", 0, rng.uniform(-1.0, 1.0),
+                                 rng.choice((-1, 0, 1)))
+                rng.random()  # once chose a non-terminal event; kept draw
                 assert_drive_matches(
                     "xy", lambda: field, 0.0, start, cfg, math.nan, seen,
-                    t_end=rng.choice((None, rng.uniform(0.5, 3.0))),
-                    events=[crossing("x", 0, rng.uniform(-1.0, 1.0),
-                                     rng.choice((-1, 0, 1)),
-                                     rng.random() < 0.5)],
+                    t_end=t_end, events=[event],
                     winding_target=rng.choice((None, flow.TWO_PI)),
                     autonomous=True, keep_samples=rng.random() < 0.5)
         assert seen["attempt"] >= 3000
@@ -586,8 +575,8 @@ class TestRhsCounts:
         assert count_rhs == [13797, 12779]
 
 
-    # integrate() in each parametrization, with an event stop and a time
-    # stop: the accepted-step path with events and samples
+    # integrate() in each parametrization, with event stops of each kind
+    # and a time stop: the accepted-step path with events and samples
     @pytest.mark.parametrize("case, start, stop, param, backward, count", [
         ("example6", (-1.0, 0.3), ("x", 1.0), "time", False, 1171),
         ("example6", (-1.0, 0.3), ("time", 1.0), "time", False, 175),
@@ -605,14 +594,22 @@ class TestRhsCounts:
         ("z", (0.0, 0.5), ("time", 5.0), "arclength", False, 829),
         ("z", (-1.0, 0.5), ("x", -0.5), "graph", False, 193),
         ("z", (-0.5, 0.5), ("x", -1.0), "graph", False, 439),
+        ("z", (0.0, 0.5), ("y", -0.2), "time", False, 853),
+        ("z", (0.0, 0.5), ("y", -0.2), "time", True, 2275),
+        ("z", (0.0, 0.5), ("y", -0.2), "arclength", False, 565),
+        ("example6", (-1.0, 0.3), ("window", 2.0), "time", False, 1339),
+        ("example6", (-1.0, 0.3), ("window", 2.0), "time", True, 199),
+        ("example6", (-1.0, 0.3), ("window", 2.0), "arclength", False, 841),
     ])
     def test_integrate(self, count_rhs, case, start, stop, param, backward,
                        count):
         field = EX6.field() if case == "example6" else build_z(1.0, 1.0)
         kind, value = stop
         stop = {"x": flow.Stop.x_reaches,
+                "y": flow.Stop.y_reaches,
                 "time": flow.Stop.time_reaches,
-                "section": lambda d: flow.Stop.section("x", 0.0, d)}[kind]
+                "section": lambda d: flow.Stop.section("x", 0.0, d),
+                "window": lambda r: flow.Stop.window_exit(-r, r, -r, r)}[kind]
         count_rhs.append(0)
         flow.integrate(field, start, stop(value), param=param,
                        backward=backward)
@@ -666,11 +663,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             flow.Stop.window_exit(*window)
 
+    @pytest.mark.parametrize("measure, kw", [
+        ("monodromy_probe", {"box": math.nan}),
+        ("monodromy_probe", {"box": -1.0}),
+        ("monodromy_probe", {"box": math.inf}),
+        ("monodromy_probe", {"ring_radius": math.nan}),
+        ("monodromy_probe", {"ring_radius": 0.0}),
+        ("monodromy_probe", {"ring_radius": -1e-8}),
+        ("monodromy_probe", {"box": 10.0, "ring_radius": 10.0}),
+        ("return_slope", {"box": -1.0}),
+        ("return_slope", {"box": math.nan}),
+        ("return_slope", {"box": 1e-9}),
+        ("return_slope", {"box": math.inf}),
+        ("return_slope", {"section_scale": 1000.0}),
+    ])
+    def test_guard_box_that_cannot_fire(self, measure, kw):
+        # the box_exit event fires only on the way out of a finite box, so
+        # a start that is not strictly inside one would run unguarded
+        message = "ring radius" if measure == "monodromy_probe" else "guard box"
+        with pytest.raises(ValueError, match=message):
+            getattr(flow, measure)(build_z(1.0, 1.0), **kw)
+
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("direction", [-1, 0, 1])
     def test_good_section_stop(self, axis, direction):
         stop = flow.Stop.section(axis, 0.5, direction)
-        assert stop.kw == {"axis": axis, "value": 0.5, "direction": direction}
+        (event,) = stop.events
+        assert event.direction == direction and stop.span is None
+        # zero on the section and the signed distance off it
+        i = "xy".index(axis)
+        for value in (0.25, 0.5, 2.0):
+            point = [-3.0, 7.0]
+            point[i] = value
+            assert event.fn(0.0, tuple(point)) == value - 0.5
 
 
 class TestSectionDirection:
