@@ -13,16 +13,16 @@ norm and the step control in local scalars:
 
 - "xy": 2-D state (x, y) under time, or under arclength or backward
   time through a two-argument wrapper of the field;
+- "wind": the xy state of a winding drive, whose loop itself tests the
+  0.6-rad turn limit, the guard box, the stall radius and the full turn;
 - "graph": 1-D state y as a graph over x, with slope q/p, where a stage
   at which p folds below ``_MIN_DENOMINATOR*(x^2 + y^2)`` gives way to
   arclength (the transit slopes); integrate()'s graph drive is
   unguarded and gives way only where p = 0.
 
-Events, the winding count and the trajectory samples are the business of
-one Python function that the loop calls on each accepted step, and only
-integrate(), the arclength fallback and the winding drives have one; the
-graph drives of the transit slopes keep just each orbit's endpoint.  Every
-event is terminal: the first one that fires in a step ends the drive.
+integrate() and the arclength fallback keep their events and samples in
+one Python function, ``accept``, that the loop calls on each accepted
+step.  Every event is terminal: the first that fires ends the drive.
 
 On top of the integrator sit the measured counterparts of the
 closed-form transition theory: transition-map slopes across a fake
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import textwrap
 from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence, Tuple
@@ -155,15 +156,16 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-# Stage slope of each state kind, as source: how the drive loop turns the
-# point of one stage into its slope with the field ``f(x, y) -> (p, q)``
-# (the compiled field of ``PlanarField.as_rhs``, or a two-argument
-# wrapper of it).  ``{x}`` is the independent variable, ``{y0}`` (and
-# ``{y1}``) the state and ``{k0}`` (and ``{k1}``) the names the slope goes
-# into; a template may use x, y, p and q as scratch names.
+# Stage slope of each state kind, as source: how the loop turns a stage
+# point into its slope with the field ``f(x, y) -> (p, q)`` (compiled by
+# ``PlanarField.as_rhs``, or a wrapper of it).  ``{x}`` is the independent
+# variable, ``{y0}``/``{y1}`` the state and ``{k0}``/``{k1}`` the slope's
+# names; a template may use x, y, p and q as scratch names.
 _KINDS = {
     # 2-D state (x, y) under time or arclength
     "xy": (2, "{k0}, {k1} = f({y0}, {y1})"),
+    # 2-D state (x, y) under time, winding around the origin: _WIND_STEP
+    "wind": (2, "{k0}, {k1} = f({y0}, {y1})"),
     # 1-D state y as a graph over x: dy/dx = q/p.  The graph gives way at
     # (x, y) where p folds below g*(x^2 + y^2), which a NaN g never does,
     # and where p = 0 leaves no slope at all
@@ -192,47 +194,69 @@ r_{i} = a_{i}/(abs_tol + rel_tol*(m5 if m5 > m else m))
 if r_{i} > 1e120:
     r_{i} = 1e120"""
 
-# What an accept hook returns to reject a step and retry it at half size
-_HALVE = object()
+# The "wind" loop's tests of a step that passed the error test: a turn
+# from y to y5 (as _angle_increment) above 0.6 rad halves the step; the
+# upward crossings of max(|x|, |y|) - box and r_stall - |(x, y)|, then the
+# full turn, each from its value at the step's start, return the stop.
+_WIND_STEP = """\
+cross = y_0*y5_1 - y_1*y5_0
+dot = y_0*y5_0 + y_1*y5_1
+turn = 0.0 if cross == 0.0 and dot == 0.0 else atan2(cross, dot)
+if abs(turn) > 0.6 and t + 0.25*h != t:
+    h *= 0.5
+    continue
+ax = abs(y5_0)
+ay = abs(y5_1)
+g = (ay if ay > ax else ax) - box
+if box_exit < 0.0 <= g:
+    return 'box_exit', box_exit, {step}
+box_exit = g
+g = r_stall - hypot(y5_0, y5_1)
+if stall < 0.0 <= g:
+    return 'stall', stall, {step}
+stall = g
+if abs(theta + turn) >= {two_pi!r}:
+    return 'winding', theta, {step}
+theta += turn"""
 
 
 def _compile_loop(kind: str):
     """The DP5(4) drive of one state kind, generated from the tableau.
 
-    Returns ``(slope, drive)``.  ``slope(f, g, t, state)`` is the slope at
-    one point, with ``f`` the field of the kind's stage template and ``g``
-    the graph guard.  ``drive(f, g, abs_tol, rel_tol, t, state, h, k1,
-    t_end, max_step, max_steps, autonomous, accept)`` runs the adaptive
-    loop on local scalars, from ``state`` at ``t`` with its slope ``k1``
-    and a first step ``h``; ``t_end`` may be None and ``max_step`` is inf
-    for no cap.  Each of at most ``max_steps`` attempts
+    ``drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, *rest)``
+    runs the adaptive loop on local scalars from ``state`` at ``t``; ``f``
+    is the field of the kind's stage template and ``max_step`` inf for no
+    cap.  ``rest`` is ``g, t_end, autonomous, accept`` (graph guard, end or
+    None, whether time may be rebased, hook or None), or for "wind" ``box,
+    r_stall, box_exit, stall`` (the stops and their values at the start).
+    The first step is 1e-2 (|state| + 1e-6)/(|slope| + 1e-300) in the max
+    norm, at most the span to ``t_end`` and ``max_step``.  Each of at most
+    ``max_steps`` attempts
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
       and raises StepUnderflow when t + h == t;
-    - takes the step: six stages, then the slope k7 of the 5th-order state
-      y5, and halves h when y5 is not finite;
-    - rejects the step when the RMS over components of the scaled errors
-      (``_SCALED_ERROR``) exceeds 1, scaling h by max(0.2, 0.9 norm^-0.2);
-    - calls ``accept(t_offset, t, h, y, k1, y5, k7, err_abs)`` on an
-      accepted step when given one, with tuples for the states and slopes
-      and the largest |error|: None goes on, ``_HALVE`` retries at half
-      the step, and ``(status, t, state)`` ends the drive there;
+    - takes the step (six stages, then the slope k7 of the 5th-order state
+      y5), and halves h when y5 is not finite;
+    - rejects the step unless the RMS of the scaled errors
+      (``_SCALED_ERROR``) is at most 1, so also for a NaN norm, scaling h
+      by max(0.2, 0.9 norm^-0.2);
+    - calls ``accept(t_offset, t, h, y, k1, y5, k7, err_abs)``, with tuples
+      and the largest |error|, if given: ``(status, t, state)`` ends the
+      drive.  "wind" runs ``_WIND_STEP`` instead;
     - advances, returns at ``t_end``, moves the time origin of an
-      ``autonomous`` drive into ``t_offset`` once |t| > 1e13 h, and scales
-      h by min(5, 0.9 norm^-0.2), 5 for a zero or NaN norm, capped at
-      ``max_step``.
+      autonomous drive (every "wind" drive) into ``t_offset`` once
+      |t| > 1e13 h, and scales h by min(5, 0.9 norm^-0.2), 5 for a zero
+      norm, capped at ``max_step``.
 
-    It returns ``(status, t_offset + t, state, err_accum)``, with
-    ``err_accum`` the sum of the accepted steps' largest errors, and
-    raises MaxStepsExceeded when the attempts run out.  Each stage sum is
-    spelled out in the tableau's left-to-right order, starting from zero
-    as the builtin ``sum`` does; only zero-coefficient terms are left out
-    and ``1.0*h`` is written ``h``.  The builtins' ``min``/``max`` are
-    written as conditional expressions that keep the same operand first.
-    So every float is bit for bit that of the plain tableau formula and
-    the loop it unrolls, NaNs included.
+    It returns ``(status, t_offset + t, state, err_accum)``, with the sum
+    of the accepted steps' largest errors, or raises MaxStepsExceeded.
+    Stage sums run in the tableau's order from zero, as ``sum`` does,
+    without zero terms and with ``h`` for ``1.0*h``, and ``min``/``max``
+    are conditional expressions that keep the same operand first: every
+    float is bit for bit that of the plain tableau loop, NaNs included.
     """
     n, stage = _KINDS[kind]
+    wind = kind == "wind"
     comps = range(n)
 
     def names(name):
@@ -262,11 +286,27 @@ def _compile_loop(kind: str):
         err_abs = f"(a_{i} if a_{i} > {err_abs} else {err_abs})"
     # no leading 0.0 + as in a sum from zero: a square is never -0.0
     norm_sum = " + ".join(f"r_{i}*r_{i}" for i in comps)
+    step = (f"t_offset, t, h, {tup('y')}, {tup('k1')}, {tup('y5')}, "
+            f"{tup('k7')}, err_accum + err_abs")
+    end = f"return 't_end', t_offset + t, {tup('y')}, err_accum"
+    if wind:
+        params, clamp, at_end = "box, r_stall, box_exit, stall", [], []
+        on_accept = [_WIND_STEP.format(step=step, two_pi=TWO_PI)]
+    else:
+        params = "g, t_end, autonomous, accept"
+        clamp = ["if t_end is not None and t + h >= t_end:",
+                 "    h = t_end - t",
+                 "    if h <= 0.0:",
+                 f"        {end}"]
+        on_accept = [
+            "if accept is not None:",
+            f"    stop = accept(t_offset, t, h, {tup('y')}, {tup('k1')}, "
+            f"{tup('y5')}, {tup('k7')}, err_abs)",
+            "    if stop is not None:",
+            "        return (*stop, err_accum + err_abs)"]
+        at_end = ["if t_end is not None and t >= t_end:", f"    {end}"]
     attempt = "\n".join([
-        "if t_end is not None and t + h >= t_end:",
-        "    h = t_end - t",
-        "    if h <= 0.0:",
-        f"        return 't_end', t_offset + t, {tup('y')}, err_accum",
+        *clamp,
         "if t + h == t:",
         "    raise StepUnderflow(f'step size {h} cannot advance t={t}')",
         *stages,
@@ -275,25 +315,17 @@ def _compile_loop(kind: str):
         "    continue",
         *(_SCALED_ERROR.format(i=i, e=combo(_E, i)) for i in comps),
         f"norm = sqrt(({norm_sum})/{n})",
-        "if norm > 1.0:",
+        "if not norm <= 1.0:",
         "    fac = 0.9*norm**-0.2",
         "    h *= fac if fac > 0.2 else 0.2",
         "    continue",
         f"err_abs = {err_abs}",
-        "if accept is not None:",
-        f"    stop = accept(t_offset, t, h, {tup('y')}, {tup('k1')}, "
-        f"{tup('y5')}, {tup('k7')}, err_abs)",
-        "    if stop is not None:",
-        "        if stop is HALVE:",
-        "            h *= 0.5",
-        "            continue",
-        "        return (*stop, err_accum + err_abs)",
+        *on_accept,
         "err_accum += err_abs",
         "t += h",
         *(f"y_{i} = y5_{i}\nk1_{i} = k7_{i}" for i in comps),
-        "if t_end is not None and t >= t_end:",
-        f"    return 't_end', t_offset + t, {tup('y')}, err_accum",
-        "if autonomous and abs(t) > 1e13*h:",
+        *at_end,
+        "if " + ("" if wind else "autonomous and ") + "abs(t) > 1e13*h:",
         "    t_offset += t",
         "    t = 0.0",
         # an accepted norm is at most 1, so the factor is at least 0.9 and
@@ -304,22 +336,25 @@ def _compile_loop(kind: str):
         "    h = max_step",
     ])
     src = "\n".join([
-        "def slope(f, g, t, state):",
+        "def drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, "
+        f"{params}):",
         f"    {names('y')}= state",
         textwrap.indent(slope(1, "t", [f"y_{i}" for i in comps]), "    "),
-        f"    return {tup('k1')}",
-        "def drive(f, g, abs_tol, rel_tol, t, state, h, k1, t_end, max_step,",
-        "          max_steps, autonomous, accept):",
-        f"    {names('y')}= state",
-        f"    {names('k1')}= k1",
+        f"    h = 1e-2*(max(map(abs, state)) + 1e-6)/"
+        f"(max(map(abs, {tup('k1')})) + 1e-300)",
+        *([] if wind else ["    if t_end is not None:",
+                           "        h = min(h, abs(t_end - t))"]),
+        "    h = min(h, max_step)",
         "    t_offset = 0.0",
         "    err_accum = 0.0",
+        *(["    theta = 0.0"] if wind else []),
         "    for _ in range(max_steps):",
         textwrap.indent(attempt, "        "),
         "    raise MaxStepsExceeded("
         "f'no stop condition met in {max_steps} steps')",
     ]) + "\n"
-    ns: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt, "HALVE": _HALVE,
+    ns: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt,
+                "atan2": math.atan2, "hypot": math.hypot,
                 "StepUnderflow": StepUnderflow,
                 "MaxStepsExceeded": MaxStepsExceeded,
                 "_SwitchParametrization": _SwitchParametrization}
@@ -327,7 +362,7 @@ def _compile_loop(kind: str):
     # profiles
     code = compile(src, f"<fakesaddle.flow loop {kind}>", "exec")
     exec(code, ns)  # noqa: S102
-    return ns["slope"], ns["drive"]
+    return ns["drive"]
 
 
 _LOOPS = {kind: _compile_loop(kind) for kind in _KINDS}
@@ -385,108 +420,63 @@ def _bisect(before, h):
     return lo, hi
 
 
+def _locate(fn, g0, t, h, y, k1, y5, k7):
+    """(tau, state) where the event ``fn(t, state)``, ``g0`` at the step's
+    start, crosses: mid-bracket of ``_bisect`` on the step's ``_hermite``."""
+    lo, hi = _bisect(lambda tau: (g0 < 0.0) == (
+        fn(t + tau * h, _hermite(y, k1, y5, k7, h, tau)) < 0.0), h)
+    tau = 0.5 * (lo + hi)
+    return tau, _hermite(y, k1, y5, k7, h, tau)
+
+
 def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
-           t_end=None, events=(), winding_target=None,
-           parametrization="time", autonomous=False,
+           t_end=None, events=(), parametrization="time", autonomous=False,
            keep_samples=False) -> _DriveResult:
-    """Adaptive drive; stops at t_end, the first event, or a winding target.
+    """Adaptive drive of the "xy" or "graph" kind: stops at t_end or
+    where the first event crosses zero, located by ``_locate``.
 
-    ``kind`` names the state kind of ``_KINDS``, whose generated loop
-    (``_compile_loop``) takes every step, and ``f(x, y) -> (p, q)`` is the
-    field its stages call; ``guard`` is the graph kind's fold threshold,
-    and the NaN default never trips.  This function sets up the first
-    slope and step and builds the result.  Events, the winding count and
-    the samples live in one ``accept`` function that the loop calls on
-    each accepted step; a drive with none of them (the transit endpoints)
-    runs without it.
-
-    The first event that crosses zero in a step ends the drive where
-    bisection on the cubic Hermite interpolant of the step locates it.  A
-    winding drive rejects a step that turns the state by more than 0.6
-    rad, and stops where the accumulated angle reaches
-    ``winding_target``.  The result carries a Trajectory of every
-    accepted step only when ``keep_samples`` is set.  ``autonomous=True``
-    lets the loop rebase the time origin when the accumulated time dwarfs
-    the step size (degenerate loops crawl through near-singular passes for
-    astronomically long times); the reported times stay absolute but may
-    saturate float resolution.
+    The kind's loop (``_compile_loop``) takes every step of the field
+    ``f(x, y) -> (p, q)``; ``guard`` is the graph's fold threshold, which
+    the NaN default never trips.  ``accept`` keeps the events and, with
+    ``keep_samples``, a Trajectory.  ``autonomous=True`` lets the loop
+    rebase the time origin for degenerate loops, which crawl through
+    near-singular passes for astronomically long times; reported times
+    stay absolute but may saturate float resolution.
     """
     y = tuple(float(v) for v in y0)
-    slope, loop = _LOOPS[kind]
-    max_step = cfg.max_step
-    k1 = slope(f, guard, t0, y)
-    fn_norm = max(abs(v) for v in k1) + 1e-300
-    y_norm = max(abs(v) for v in y) + 1e-6
-    h = 1e-2 * y_norm / fn_norm
-    if t_end is not None:
-        h = min(h, abs(t_end - t0))
-    if max_step:
-        h = min(h, max_step)
 
     def as_xy(tt, yy):
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
     samples = [(t0, *as_xy(t0, y), 0.0)] if keep_samples else None
     ev_records: List[Tuple[str, Tuple[float, float, float]]] = []
-    theta = 0.0
     g_prev = [e.fn(t0, y) for e in events]
 
-    def end_at(ev, g0, t_offset, t, h, y, k1, y5, k7, err_abs):
-        # end the drive in an accepted step where event ev (g0 at the
-        # step's start) crosses, or the winding target is met for ev None.
-        # The bisection closures live here: in accept they would turn its
-        # locals into cells, made anew on every accepted step
-        def dense(tau):
-            return _hermite(y, k1, y5, k7, h, tau)
-        if ev is not None:
-            lo, hi = _bisect(lambda tau: (g0 < 0.0) == (
-                ev.fn(t + tau * h, dense(tau)) < 0.0), h)
-            status, name, tau = f"event:{ev.name}", ev.name, 0.5 * (lo + hi)
-        else:
-            _lo, tau = _bisect(lambda tau: not abs(theta + _angle_increment(
-                y, dense(tau))) >= winding_target, h)
-            status = name = "winding"
-        y_ev = dense(tau)
-        t_ev = t_offset + t + tau * h
-        xe, ye = as_xy(t + tau * h, y_ev)
-        if keep_samples:
-            samples.append((t_ev, xe, ye, err_abs))
-        ev_records.append((name, (t_ev, xe, ye)))
-        return status, t_ev, y_ev
-
     def accept(t_offset, t, h, y, k1, y5, k7, err_abs):
-        # the events, winding and sample of one accepted step; returns
-        # as _compile_loop says
-        nonlocal theta
-        if winding_target is not None:
-            dtheta = _angle_increment(y, y5)
-            if abs(dtheta) > 0.6 and t + 0.25 * h != t:
-                return _HALVE
+        # the events and sample of one step, as _compile_loop says.  No
+        # closure here: it would make cells of the locals on every call
         t1 = t + h
         for idx, ev in enumerate(events):
             g1 = ev.fn(t1, y5)
             g0 = g_prev[idx]
             if ((ev.direction >= 0 and g0 < 0.0 <= g1)
                     or (ev.direction <= 0 and g0 > 0.0 >= g1)):
-                return end_at(ev, g0, t_offset, t, h, y, k1, y5, k7, err_abs)
+                tau, y_ev = _locate(ev.fn, g0, t, h, y, k1, y5, k7)
+                t_ev = t_offset + t + tau * h
+                xe, ye = as_xy(t + tau * h, y_ev)
+                if keep_samples:
+                    samples.append((t_ev, xe, ye, err_abs))
+                ev_records.append((ev.name, (t_ev, xe, ye)))
+                return f"event:{ev.name}", t_ev, y_ev
             g_prev[idx] = g1
-
-        if winding_target is not None:
-            # dtheta is the increment of (y, y5) from the check above
-            if abs(theta + dtheta) >= winding_target:
-                return end_at(None, None, t_offset, t, h, y, k1, y5, k7,
-                              err_abs)
-            theta += dtheta
-
         if keep_samples:
             samples.append((t_offset + t1, *as_xy(t1, y5), err_abs))
         return None
 
-    watched = keep_samples or events or winding_target is not None
-    status, t, y, err_accum = loop(
-        f, guard, cfg.abs_tol, cfg.rel_tol, t0, y, h, k1, t_end,
-        max_step or math.inf, cfg.max_steps, autonomous,
-        accept if watched else None)
+    status, t, y, err_accum = _LOOPS[kind](
+        f, cfg.abs_tol, cfg.rel_tol, t0, y, cfg.max_step or math.inf,
+        cfg.max_steps, guard, t_end, autonomous,
+        accept if keep_samples or events else None)
     traj = (Trajectory(samples, ev_records, parametrization)
             if keep_samples else None)
     return _DriveResult(traj, status, t, y, err_accum)
@@ -777,19 +767,26 @@ def _wind(rhs_xy, start, box: float, r_stall: float, cfg) -> _DriveResult:
     cusp-like corners where the speed nearly vanishes, which stay
     polynomially smooth in time but are unresolvable in arclength.  The
     box guards only a start strictly inside it, so any other start, or a
-    box that is not finite, raises ValueError.
+    box that is not finite, raises ValueError.  The "wind" loop tests each
+    step, and the stop is located on its step's Hermite interpolant.
     """
     if not max(abs(start[0]), abs(start[1])) < box < math.inf:
         raise ValueError(f"start {start} must lie strictly inside a finite, "
                          f"positive guard box, got box={box}")
-    events = [
-        _Event("box_exit", lambda _t, s: max(abs(s[0]), abs(s[1])) - box,
-               direction=+1),
-        _Event("stall", lambda _t, s: r_stall - math.hypot(s[0], s[1]),
-               direction=+1),
-    ]
-    return _drive("xy", rhs_xy, 0.0, start, cfg, events=events,
-                  winding_target=TWO_PI, autonomous=True)
+    events = {"box_exit": lambda _t, s: max(abs(s[0]), abs(s[1])) - box,
+              "stall": lambda _t, s: r_stall - math.hypot(s[0], s[1])}
+    stop, before, t_offset, t, h, y, k1, y5, k7, err_accum = _LOOPS["wind"](
+        rhs_xy, cfg.abs_tol, cfg.rel_tol, 0.0, start,
+        cfg.max_step or math.inf, cfg.max_steps, box, r_stall,
+        *(fn(0.0, start) for fn in events.values()))
+    if stop == "winding":
+        _lo, tau = _bisect(lambda tau: not abs(before + _angle_increment(
+            y, _hermite(y, k1, y5, k7, h, tau))) >= TWO_PI, h)
+        y_stop = _hermite(y, k1, y5, k7, h, tau)
+    else:
+        tau, y_stop = _locate(events[stop], before, t, h, y, k1, y5, k7)
+        stop = f"event:{stop}"
+    return _DriveResult(None, stop, t_offset + t + tau * h, y_stop, err_accum)
 
 
 def return_slope(field: PlanarField, section_scale: float = 1.0,
@@ -813,6 +810,10 @@ def return_slope(field: PlanarField, section_scale: float = 1.0,
     if not 0.0 < section_scale < math.inf:
         raise ValueError(f"section_scale must be positive and finite, "
                          f"got {section_scale}")
+    r0 = section_scale * offsets[-1]  # the deepest start
+    if min(cfg.rel_tol * r0 * r0, 1e-8 * r0 * r0) < sys.float_info.min:
+        raise ValueError(f"section_scale {section_scale} is too small: "
+                         f"rel_tol*r0^2 or 1e-8*r0^2 underflows at r0 = {r0}")
     rhs_xy = field.as_rhs()
 
     def measure(o):
@@ -878,10 +879,10 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
     """Launch a ring of 12 orbits around the origin and watch them wind.
 
     Monodromic when every orbit winds past a full turn inside the guard
-    box max(|x|, |y|) < ``box``; transit when any orbit leaves the box (it
-    swept past along the fiber directions); undecided otherwise.  The
-    ring radius, ``1e-9*box`` by default, must be positive and less than
-    the finite box.
+    box max(|x|, |y|) < ``box``; transit at the first orbit that leaves
+    the box (it swept past along the fiber directions); undecided
+    otherwise.  The ring radius, ``1e-9*box`` by default, must be positive
+    and less than the finite box.
     """
     cfg = cfg or IntegratorConfig(rel_tol=1e-9, abs_tol=1e-13,
                                   max_steps=300_000)
@@ -892,7 +893,7 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
     rhs_xy = field.as_rhs()
     run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0))
 
-    statuses = []
+    wound = 0
     # degenerate passes dip like a power of the start radius; the stall
     # threshold must sit far below that to flag only true convergence
     r_stop = 1e-8 * r0 ** 1.5
@@ -900,11 +901,10 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
         ang = TWO_PI * (k + 0.5) / 12
         start = (r0 * math.cos(ang), r0 * math.sin(ang))
         try:
-            statuses.append(_wind(rhs_xy, start, box, r_stop, run_cfg).status)
+            status = _wind(rhs_xy, start, box, r_stop, run_cfg).status
         except (MaxStepsExceeded, StepUnderflow):
-            statuses.append("stalled")
-    if all(status == "winding" for status in statuses):
-        return ProbeVerdict.MONODROMIC
-    if "event:box_exit" in statuses:
-        return ProbeVerdict.TRANSIT
-    return ProbeVerdict.UNDECIDED
+            continue
+        if status == "event:box_exit":
+            return ProbeVerdict.TRANSIT  # one exit decides
+        wound += status == "winding"
+    return ProbeVerdict.MONODROMIC if wound == 12 else ProbeVerdict.UNDECIDED

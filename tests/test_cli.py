@@ -262,6 +262,16 @@ class TestReturn:
         err = assert_exit(capsys, 2, "return", "--case", "z-family", *argv)
         assert err.startswith("invalid argument")
 
+    @pytest.mark.parametrize("section_x", ["1e-160", "1e-150"])
+    def test_section_scale_whose_tolerances_underflow(self, capsys,
+                                                       section_x):
+        # the tolerance and stall radius tied to r0^2 would be subnormal
+        # or zero: refused before any orbit is driven, naming the cause
+        err = assert_exit(capsys, 2, "return", "--case", "z-family",
+                          "--section-x", section_x)
+        assert err.startswith("invalid argument: section_scale")
+        assert "underflows" in err
+
 
 class TestToleranceOverride:
     def test_env_var_changes_config(self, monkeypatch):

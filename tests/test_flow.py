@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -83,6 +84,16 @@ class TestIntegrate:
                            match=r"p = 0 at \(1\.0, "):
             flow.integrate(PlanarField(1 - X, 1 - X), (0.0, 0.0),
                            flow.Stop.x_reaches(1.0), param="graph")
+
+    def test_nan_error_norm_is_a_rejection(self):
+        # backward in time the orbit falls onto the origin, where a step's
+        # error norm comes out NaN: accepted, it ended the drive in a
+        # window exit at (nan, inf); rejected, the steps run out
+        with pytest.raises(flow.MaxStepsExceeded):
+            flow.integrate(build_z(1.0, 1.0), (0.0, 0.1),
+                           flow.Stop.window_exit(-0.5, 0.5, -0.5, 0.5),
+                           flow.IntegratorConfig(max_steps=50_000),
+                           backward=True)
 
     def test_y_stop_and_json_export(self):
         traj = flow.integrate(PlanarField(Poly2.const(0) + X * 0 + 1,
@@ -193,7 +204,7 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
             continue
         norm, err_abs = loop_norm(y, y5, err, cfg.abs_tol, cfg.rel_tol)
         norm = math.sqrt(norm / n)
-        if norm > 1.0:
+        if not norm <= 1.0:
             seen["rejected"] += 1
             h *= max(0.2, 0.9 * norm ** -0.2)
             continue
@@ -287,15 +298,32 @@ def outcome(run):
         return f"raises {type(exc).__name__}{exc.args!r}"
 
 
+def wind_events(box, r_stall):
+    """The guard box and stall radius of ``flow._wind`` as the events of
+    ``reference_drive``."""
+    return [flow._Event("box_exit",
+                        lambda _t, s: max(abs(s[0]), abs(s[1])) - box, +1),
+            flow._Event("stall",
+                        lambda _t, s: r_stall - math.hypot(s[0], s[1]), +1)]
+
+
 def assert_drive_matches(kind, field, t0, y0, cfg, guard=math.nan,
                          seen=None, **kw):
     """Drive ``field()`` both ways and require the same outcome; returns it.
 
     ``field`` makes a fresh ``f(x, y) -> (p, q)`` for each drive, so a
-    field that counts its calls sees the same sequence in both.
+    field that counts its calls sees the same sequence in both.  The
+    "wind" kind is ``flow._wind`` from t0 = 0 with the ``box`` and
+    ``r_stall`` of ``kw``, and the reference winds once under its events.
     """
-    got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg,
-                                      guard=guard, **kw))
+    if kind == "wind":
+        got = outcome(lambda: flow._wind(field(), y0, kw["box"],
+                                         kw["r_stall"], cfg))
+        kind, kw = "xy", dict(events=wind_events(**kw),
+                              winding_target=flow.TWO_PI, autonomous=True)
+    else:
+        got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg,
+                                          guard=guard, **kw))
     want = outcome(lambda: reference_drive(
         reference_rhs(kind, field(), guard), t0, y0, cfg, seen=seen, **kw))
     assert got == want
@@ -369,8 +397,8 @@ class TestStep:
     def test_norm_of_non_finite_error_is_the_loops(self, k7):
         # a finite y5 whose slope k7 (call 7: k1 and six stages) is huge,
         # infinite or NaN: the norm and the largest error keep the NaNs
-        # and the 1e120 cap of the builtins' loop, and so does every step
-        # after it
+        # and the 1e120 cap of the builtins' loop, a NaN norm rejects the
+        # step as a norm above 1 does, and every step after it matches
         seen = Counter()
         assert_drive_matches("xy", field_then(self.RHS_XY, {7: k7}), 0.0,
                              (0.3, -0.2), flow.IntegratorConfig(max_steps=200),
@@ -465,15 +493,22 @@ DRIVES = [
        {f"event direction {ev.direction}", "event"}, "_DriveResult")
       for ev in (crossing("down", 0, 0.0, -1), crossing("either", 1, 0.5, 0),
                  crossing("up", 0, 0.0, +1))),
-    ("winding", "xy", lambda: ROTATION, 0.0, (0.0, 2.0),
+    ("winding", "wind", lambda: ROTATION, 0.0, (0.0, 2.0),
      flow.IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6), math.nan,
-     dict(events=[crossing("never", 0, 5.0, +1)], winding_target=flow.TWO_PI,
-          autonomous=True, keep_samples=True),
-     {"winding rejection", "winding"}, "_DriveResult"),
-    ("rebased winding", "xy", lambda: ROTATION, 1e12, (1.0, 0.0),
+     dict(box=5.0, r_stall=0.0), {"winding rejection", "winding"},
+     "_DriveResult"),
+    # an orbit of monodromy_probe's ring: its degenerate passes crawl
+    ("rebased winding", "wind", lambda: build_z(1.0, 1.0).as_rhs(), 0.0,
+     (1e-8 * math.cos(math.pi / 12), 1e-8 * math.sin(math.pi / 12)),
+     flow.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-17), math.nan,
+     dict(box=10.0, r_stall=1e-20), {"rebase", "winding"}, "_DriveResult"),
+    # the step from (0.9, 0.9) crosses into the stall radius and out of
+    # the box: the box, tested first, ends the drive
+    ("box exit and stall in one step", "wind",
+     lambda: lambda x, y: (0.6, -1.0), 0.0, (0.9, 0.9),
      flow.IntegratorConfig(), math.nan,
-     dict(winding_target=flow.TWO_PI, autonomous=True, keep_samples=True),
-     {"rebase", "winding"}, "_DriveResult"),
+     dict(box=1.0, r_stall=1.25), {"event"},
+     "_DriveResult(trajectory=None, status='event:box_exit'"),
     ("rebased event", "xy", lambda: ROTATION, 1e12, (1.0, 0.0),
      flow.IntegratorConfig(), math.nan,
      dict(events=[crossing("up", 0, 0.0, +1)], autonomous=True,
@@ -534,12 +569,61 @@ class TestDrive:
                 event = crossing("x", 0, rng.uniform(-1.0, 1.0),
                                  rng.choice((-1, 0, 1)))
                 rng.random()  # once chose a non-terminal event; kept draw
+                rng.choice((None, flow.TWO_PI))  # once chose winding; kept
                 assert_drive_matches(
                     "xy", lambda: field, 0.0, start, cfg, math.nan, seen,
-                    t_end=t_end, events=[event],
-                    winding_target=rng.choice((None, flow.TWO_PI)),
-                    autonomous=True, keep_samples=rng.random() < 0.5)
+                    t_end=t_end, events=[event], autonomous=True,
+                    keep_samples=rng.random() < 0.5)
         assert seen["attempt"] >= 3000
+
+    def test_wind_from_the_origin_to_a_box_met_at_a_step_end(self):
+        # from (-0.0, 0.0) the first step's turn has cross 0.0 and dot
+        # -0.0: no turn, where atan2 would give pi.  The constant field's
+        # steps have no error, so a box through the end of the fourth one
+        # makes box_exit exactly 0 there, and 0 counts as out
+        def field():
+            return lambda x, y: (1.0, -1.0)
+        cfg = flow.IntegratorConfig()
+        steps = reference_drive(reference_rhs("xy", field(), math.nan), 0.0,
+                                (-0.0, 0.0), cfg, t_end=1.0,
+                                keep_samples=True).trajectory.samples
+        got = assert_drive_matches("wind", field, 0.0, (-0.0, 0.0), cfg,
+                                   box=steps[4][1], r_stall=0.0)
+        assert "status='event:box_exit'" in got
+
+    def test_seeded_winds_equal_reference(self):
+        # flow._wind's generated loop against the reference under the box
+        # and stall events and a full turn: quartic fields z(alpha, beta),
+        # whose degenerate passes crawl, and random foci, with guard boxes,
+        # stall radii, tolerances and step caps drawn around each start
+        rng = random.Random(13)
+        seen, endings = Counter(), Counter()
+        for _ in range(40):
+            if rng.random() < 0.5:
+                field = build_z(rng.uniform(-1.0, 1.0),
+                                rng.uniform(0.05, 2.0)).as_rhs()
+                r0 = 10 ** rng.uniform(-8.0, -2.0)
+            else:
+                c = [rng.uniform(-0.5, 0.5) for _ in range(5)]
+                field = PlanarField(
+                    c[0] * X - Y + c[1] * X * X + c[2] * X * Y,
+                    X + c[0] * Y + c[3] * X * X * Y + c[4] * Y ** 3).as_rhs()
+                r0 = rng.uniform(0.05, 0.5)
+            ang = rng.uniform(0.0, flow.TWO_PI)
+            start = (r0 * math.cos(ang), r0 * math.sin(ang))
+            box = r0 * 10 ** rng.uniform(0.1, 2.0)
+            r_stall = rng.choice((0.0, r0 * 10 ** rng.uniform(-6.0, -0.5)))
+            rel_tol = 10 ** rng.uniform(-10.0, -3.0)
+            cfg = flow.IntegratorConfig(
+                rel_tol=rel_tol,
+                abs_tol=rel_tol * r0 * r0 if rng.random() < 0.5 else 1e-12,
+                max_steps=3000, max_step=rng.choice((None, None, 0.5)))
+            got = assert_drive_matches("wind", lambda: field, 0.0, start, cfg,
+                                       seen=seen, box=box, r_stall=r_stall)
+            status = re.search(r"status='([^']+)'", got)
+            endings[status.group(1) if status else got.split("(")[0]] += 1
+        assert {"winding", "event:box_exit", "event:stall"} <= set(endings)
+        assert seen["winding rejection"] >= 10 and seen["rebase"] >= 5
 
 
 class TestRhsCounts:
@@ -558,6 +642,27 @@ class TestRhsCounts:
         count_rhs.append(0)
         flow.return_slope(build_z(1.0, 1.0))
         assert count_rhs == [44428]
+
+    # below the monodromy threshold beta = 1/4 the first orbit leaves the
+    # box, or, contracting, falls inside the stall radius
+    @pytest.mark.parametrize("alpha, beta, status, count", [
+        (1.0, 0.2, "event:box_exit", 2335),
+        (-1.0, 0.1, "event:stall", 15049),
+    ])
+    def test_return_slope_without_return(self, count_rhs, alpha, beta,
+                                         status, count):
+        count_rhs.append(0)
+        with pytest.raises(flow.NoReturn, match=status):
+            flow.return_slope(build_z(alpha, beta))
+        assert count_rhs == [count]
+
+    def test_monodromy_probe_stops_at_first_exit(self, count_rhs):
+        # the first of the 12 orbits leaves the box and decides TRANSIT:
+        # its own evaluations, where the whole ring took 38130
+        count_rhs.append(0)
+        verdict = flow.monodromy_probe(EX6.field(), box=2.0)
+        assert verdict is flow.ProbeVerdict.TRANSIT
+        assert count_rhs == [3025]
 
     def test_transition_slope_both_sides(self, count_rhs):
         for side in "+-":
@@ -684,6 +789,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             getattr(flow, measure)(build_z(1.0, 1.0), **kw)
 
+    # the absolute tolerance rel_tol*r0^2 or the stall radius 1e-8*r0^2
+    # of the deepest start r0 would be zero or subnormal: both, then only
+    # the stall radius, then only the tolerance
+    @pytest.mark.parametrize("section_scale, rel_tol", [
+        (1e-160, 1e-10), (1e-150, 1e-10), (1e-147, 1e-6), (1e-145, 1e-12),
+    ])
+    def test_return_slope_tolerance_underflow(self, section_scale, rel_tol):
+        with pytest.raises(ValueError, match="section_scale .* underflows"):
+            flow.return_slope(build_z(1.0, 1.0), section_scale,
+                              cfg=flow.IntegratorConfig(rel_tol=rel_tol))
+
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("direction", [-1, 0, 1])
     def test_good_section_stop(self, axis, direction):
@@ -787,6 +903,15 @@ class TestReturnSlope:
     def test_no_return_outside_monodromy_region(self):
         with pytest.raises(flow.NoReturn):
             flow.return_slope(build_z(1.0, 0.2))
+
+    @pytest.mark.parametrize("section_scale", [1e-10, 1e-20])
+    def test_deep_starts_reject_steps_of_nan_error(self, section_scale):
+        # from r0 = 1e-12 and below, a step's k7 overflows and its error
+        # norm is NaN; accepted, the orbit left the box at (inf, nan)
+        est = flow.return_slope(build_z(1.0, 1.0),
+                                section_scale=section_scale)
+        assert est.value == pytest.approx(z_return_slope_closed(1.0, 1.0),
+                                          rel=1e-6)
 
     def test_composition_of_half_returns(self):
         # one half-loop per fiber side: slopes multiply to the full return
@@ -899,6 +1024,13 @@ class TestMonodromyProbe:
         v = flow.monodromy_probe(EX6.field(), box=2.0)
         assert v is flow.ProbeVerdict.TRANSIT
 
+    def test_contracting_below_threshold_is_not_monodromic(self):
+        # orbits fall onto the origin, where steps of NaN error norm, once
+        # accepted, jumped the state and "wound" 12 of 12 orbits
+        v = flow.monodromy_probe(build_z(-0.5, 0.1), box=10.0,
+                                 ring_radius=1e-8)
+        assert v is not flow.ProbeVerdict.MONODROMIC
+
 
 class TestSlopeEstimateJson:
     def test_fields_exported(self):
@@ -914,10 +1046,10 @@ class TestSlopeEstimateJson:
 class TestGeneratedCode:
     def test_compiled_functions_carry_their_own_filenames(self):
         # profiles and tracebacks tell the loops and the fields apart
-        for kind, (slope, loop) in flow._LOOPS.items():
-            for fn in (slope, loop):
-                assert fn.__code__.co_filename == \
-                    f"<fakesaddle.flow loop {kind}>"
+        assert set(flow._LOOPS) == {"xy", "wind", "graph"}
+        for kind, loop in flow._LOOPS.items():
+            assert loop.__code__.co_filename == \
+                f"<fakesaddle.flow loop {kind}>"
         rhs = PlanarField(X * Y, X - Y).as_rhs()
         assert rhs.__code__.co_filename == "<fakesaddle.polyfield field>"
         assert (X + Y).as_float_fn().__code__.co_filename == \
