@@ -291,7 +291,9 @@ def run_x3_script() -> CaseResult:
               note="still fully degenerate; a third chart is needed")
 
     stage3 = blow_up(stage2.field, BlowupChart(ChartKind.X_DIR, 1))
-    assert stage3.v_factor is not None
+    if stage3.v_factor is None:
+        raise AssertionError("stage-3 field is not tangent to its divisor: "
+                             "Q is not divisible by v")
     onset = stage3.v_factor.restrict_x0()
     res.exact("stage3_divisor_roots", tuple(onset), (Fraction(-2), Fraction(2)),
               note="singular points at m = 0 and m = 1 on the divisor")
@@ -481,10 +483,6 @@ def run_case(case_id: str, cfg: flow.IntegratorConfig | None = None) -> CaseResu
     if case_id not in CASES:
         raise KeyError(f"unknown case id {case_id!r}; known: {sorted(CASES)}")
     return CASES[case_id](cfg=cfg)
-
-
-def run_all(cfg: flow.IntegratorConfig | None = None) -> List[CaseResult]:
-    return [run_case(cid, cfg) for cid in sorted(CASES)]
 
 
 def dump_results(results: List[CaseResult], path) -> None:

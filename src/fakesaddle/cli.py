@@ -29,7 +29,7 @@ from pathlib import Path
 from . import asymptotics, casebook, flow
 from .normalform import NormalFormField, NotInNormalForm, classify, invariants, \
     validate_and_build
-from .polyfield import NonMonomialDenominator, PlanarField
+from .polyfield import PlanarField
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -103,7 +103,7 @@ def _resolve_input(args):
         text = Path(args.file).read_text() if args.file else args.json
         field, nf = _load_json_input(text)
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            ArithmeticError, NonMonomialDenominator) as exc:
+            ArithmeticError) as exc:
         raise _InputError(EXIT_PARSE, f"cannot parse input: {exc}") from None
     if nf is not None:
         return nf.field(), nf

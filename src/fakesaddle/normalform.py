@@ -144,8 +144,6 @@ def validate_and_build(raw: PlanarField) -> NormalFormField:
     else must be divisible by y^2 and goes to f2 (as x^i y^(j-2)).  The
     second component must factor as (x g1 + y g2(y)) y.
     """
-    if raw.denom is not None:
-        raise NotInNormalForm("field carries an unresolved denominator")
     a: Coeff = Fraction(0)
     f1_terms, f2_terms = {}, {}
     for (i, j), c in raw.p.terms.items():

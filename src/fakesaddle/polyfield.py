@@ -1,5 +1,10 @@
 """Exact sparse bivariate polynomials and planar polynomial vector fields.
 
+A field is its two components (p, q).  Every coordinate change here has
+a single-term Jacobian determinant (a constant, or +-u or +-v for the
+blow-up charts), so division is by a single term only, and a quotient
+that is not polynomial raises NotDivisible.
+
 Coefficients are exact rationals (Fraction) by default.  A parallel
 float-coefficient mode exists solely for irrational coordinate
 rescalings; any operation touching a float-mode value yields a
@@ -20,6 +25,7 @@ pure function, so everything here is safe to share between threads.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
@@ -28,10 +34,6 @@ Coeff = Union[Fraction, float]
 Exponents = Tuple[int, int]
 
 NEG_INF = float("-inf")
-
-
-class NonMonomialDenominator(Exception):
-    """Chain-rule denominator (det of the Jacobian) is not a monomial."""
 
 
 class NotDivisible(Exception):
@@ -262,12 +264,6 @@ class Poly2:
         """Swap the two variables."""
         return Poly2._trusted({(j, i): c for (i, j), c in self.terms.items()})
 
-    def shift_mul(self, di: int, dj: int, c=1) -> "Poly2":
-        c = _coerce(c)
-        terms = {(i + di, j + dj): v * c for (i, j), v in self.terms.items()}
-        # a negative shift goes through the exponent check
-        return Poly2._trusted(terms) if di >= 0 and dj >= 0 else Poly2(terms)
-
     def restrict_y0(self):
         """Coefficient list of p(x, 0)."""
         n = max((i for (i, j) in self.terms if j == 0), default=-1)
@@ -292,49 +288,30 @@ class Poly2:
 
     # -- division ----------------------------------------------------------
 
-    def _grlex_leading(self) -> Exponents:
-        return max(self.terms, key=lambda k: (k[0] + k[1], k[0]))
-
     def divide_exact(self, divisor: "Poly2") -> "Poly2":
-        """Exact quotient self / divisor; raises NotDivisible otherwise."""
+        """Exact quotient self / divisor by a single term c x^i y^j.
+
+        Any other divisor raises ValueError (ZeroDivisionError for zero);
+        a quotient that is not polynomial raises NotDivisible carrying the
+        terms that x^i y^j does not divide.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return Poly2.zero()
-        # fast path: monomial divisor
-        if divisor.is_monomial():
-            ((di, dj), dc), = divisor.terms.items()
-            # c / 1 == c exactly, but only an exact 1 keeps c's mode
-            unit = not isinstance(dc, float) and dc == 1
-            out = {}
-            rem = {}
-            for (i, j), c in self.terms.items():
-                if i >= di and j >= dj:
-                    out[(i - di, j - dj)] = c if unit else c / dc
-                else:
-                    rem[(i, j)] = c
-            if rem:
-                raise NotDivisible("poly", Poly2._trusted(rem))
-            return Poly2._trusted(out)
-        quot: Dict[Exponents, Coeff] = {}
-        rem: Dict[Exponents, Coeff] = {}
-        r = self
-        lead = divisor._grlex_leading()
-        lc = divisor.terms[lead]
-        while not r.is_zero:
-            t = r._grlex_leading()
-            c = r.terms[t]
-            if t[0] >= lead[0] and t[1] >= lead[1]:
-                m = (t[0] - lead[0], t[1] - lead[1])
-                f = c / lc
-                quot[m] = quot[m] + f if m in quot else f
-                r = r - divisor.shift_mul(m[0], m[1], f)
+        if not divisor.is_monomial():
+            raise ValueError(f"divisor {divisor} is not a single term")
+        ((di, dj), dc), = divisor.terms.items()
+        # c / 1 == c exactly, but only an exact 1 keeps c's mode
+        unit = not isinstance(dc, float) and dc == 1
+        out = {}
+        rem = {}
+        for (i, j), c in self.terms.items():
+            if i >= di and j >= dj:
+                out[(i - di, j - dj)] = c if unit else c / dc
             else:
-                rem[t] = c
-                r = r - Poly2._trusted({t: c})
+                rem[(i, j)] = c
         if rem:
             raise NotDivisible("poly", Poly2._trusted(rem))
-        return Poly2._trusted(quot)
+        return Poly2._trusted(out)
 
     # -- serialization / display -------------------------------------------
 
@@ -440,60 +417,44 @@ def _compile_horner_pair(p: Poly2, q: Poly2 | None):
         src = (f"def _f(x, y):\n"
                f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n")
     ns: dict = {}
-    # codegen over trusted numeric literals, under a name of its own in
-    # tracebacks and profiles
-    code = compile(src, "<fakesaddle.polyfield field>", "exec")
+    # codegen over trusted numeric literals.  The file name carries a
+    # checksum of the source, so that profiles, which key their entries
+    # by file name, keep one entry per field, and tracebacks tell fields
+    # apart.  (zlib's crc32, because hashlib loads OpenSSL: about 4 MB of
+    # resident memory.)
+    digest = f"{zlib.crc32(src.encode()):08x}"
+    code = compile(src, f"<fakesaddle.polyfield field {digest}>", "exec")
     exec(code, ns)  # noqa: S102
     return ns["_f"]
 
 
 @dataclass(frozen=True)
 class PlanarField:
-    """Planar vector field p(x,y) d/dx + q(x,y) d/dy.
-
-    ``denom``, when present, is a shared monomial denominator: the field
-    is (p/denom, q/denom) held exactly because the chain-rule division
-    was not polynomial-exact.
-    """
+    """Planar polynomial vector field p(x,y) d/dx + q(x,y) d/dy."""
 
     p: Poly2
     q: Poly2
-    denom: Poly2 | None = None
-
-    def __post_init__(self):
-        if self.denom is not None and not self.denom.is_monomial():
-            raise NonMonomialDenominator(f"denominator {self.denom} not a monomial")
 
     @property
     def is_float(self) -> bool:
         return self.p.is_float or self.q.is_float
 
-    def eval(self, x, y):
-        px, qx = self.p.eval(x, y), self.q.eval(x, y)
-        if self.denom is not None:
-            d = self.denom.eval(x, y)
-            return px / d, qx / d
-        return px, qx
-
     def as_rhs(self) -> Callable[[float, float], Tuple[float, float]]:
-        """Compiled float evaluator returning (p, q); requires denom None.
+        """Compiled float evaluator returning (p, q).
 
         Both components are compiled as in ``Poly2.as_float_fn``.
         """
-        if self.denom is not None:
-            raise ValueError("cannot compile a field with a pending denominator")
         return _compile_horner_pair(self.p, self.q)
 
     def to_json(self) -> dict:
-        out = {"p": self.p.to_json(), "q": self.q.to_json()}
-        if self.denom is not None:
-            out["denom"] = self.denom.to_json()
-        return out
+        return {"p": self.p.to_json(), "q": self.q.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "PlanarField":
-        denom = Poly2.from_json(data["denom"]) if "denom" in data else None
-        return cls(Poly2.from_json(data["p"]), Poly2.from_json(data["q"]), denom)
+        if set(data) != {"p", "q"}:
+            raise ValueError('a field has exactly the keys "p" and "q"; '
+                             f"got {sorted(map(str, data))}")
+        return cls(Poly2.from_json(data["p"]), Poly2.from_json(data["q"]))
 
 
 @dataclass(frozen=True)
@@ -549,31 +510,27 @@ class AffineMap2:
 def substitute(field: PlanarField, sub_x: Poly2, sub_y: Poly2) -> PlanarField:
     """Pull back a field under (x, y) = (sub_x(u,v), sub_y(u,v)).
 
-    Solves the chain rule (xdot, ydot) = J (udot, vdot).  The det(J)
-    division is performed exactly when possible; otherwise the result
-    carries det(J) as a shared monomial denominator.  Non-monomial
-    determinants are rejected: all charts used here are polynomial
-    blow-up charts with monomial Jacobian determinant.
+    Solves the chain rule (xdot, ydot) = J (udot, vdot) by dividing
+    adj(J) (xdot, ydot) by det J exactly.  det J must be a single term,
+    as it is for every blow-up chart here (+-u or +-v); any other
+    determinant raises ValueError.  A quotient that is not polynomial,
+    as for a field that is not singular at the chart centre, raises
+    NotDivisible naming the component.
     """
     j11, j12 = sub_x.diff_x(), sub_x.diff_y()
     j21, j22 = sub_y.diff_x(), sub_y.diff_y()
     det = j11 * j22 - j12 * j21
     if det.is_zero:
         raise SingularMap("substitution has identically singular Jacobian")
-    if not det.is_monomial():
-        raise NonMonomialDenominator(f"det J = {det} is not a monomial")
     p_sub = field.p.subs(sub_x, sub_y)
     q_sub = field.q.subs(sub_x, sub_y)
     num_u = j22 * p_sub - j12 * q_sub
     num_v = j11 * q_sub - j21 * p_sub
-    try:
-        return PlanarField(num_u.divide_exact(det), num_v.divide_exact(det))
-    except NotDivisible:
-        return PlanarField(num_u, num_v, denom=det)
+    return divide_exact(PlanarField(num_u, num_v), det, 1)
 
 
 def divide_exact(field: PlanarField, divisor: Poly2, power: int) -> PlanarField:
-    """Componentwise exact quotient by divisor**power.
+    """Componentwise exact quotient by divisor**power, a single term.
 
     A NotDivisible error signals a wrong chart or power choice and
     reports the offending component with its remainder.
@@ -591,7 +548,7 @@ def divide_exact(field: PlanarField, divisor: Poly2, power: int) -> PlanarField:
         q = field.q.divide_exact(d)
     except NotDivisible as e:
         raise NotDivisible("q", e.remainder) from None
-    return PlanarField(p, q, denom=field.denom)
+    return PlanarField(p, q)
 
 
 def pullback_affine(field: PlanarField, amap: AffineMap2) -> PlanarField:
@@ -605,5 +562,4 @@ def pullback_affine(field: PlanarField, amap: AffineMap2) -> PlanarField:
     p_sub = field.p.subs(sx, sy)
     q_sub = field.q.subs(sx, sy)
     return PlanarField(p_sub * inv.m11 + q_sub * inv.m12,
-                       p_sub * inv.m21 + q_sub * inv.m22,
-                       denom=field.denom)
+                       p_sub * inv.m21 + q_sub * inv.m22)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+
+import fakesaddle
 
 from conftest import random_normal_form
 from fakesaddle.blowup import (BlowupChart, ChartKind, NotAFakeSaddle,
@@ -10,7 +16,7 @@ from fakesaddle.blowup import (BlowupChart, ChartKind, NotAFakeSaddle,
 from fakesaddle.casebook import build_example6, build_xn, build_z, \
     printed_z_blowup
 from fakesaddle.normalform import invariants
-from fakesaddle.polyfield import PlanarField, Poly2
+from fakesaddle.polyfield import NotDivisible, PlanarField, Poly2
 
 U, V = Poly2.gens()
 
@@ -35,6 +41,18 @@ class TestBlowUp:
         res = blow_up(PlanarField(U, V), BlowupChart(ChartKind.X_DIR, 0))
         assert res.field.p == U
         assert res.field.q == Poly2.zero()
+
+    @pytest.mark.parametrize("field, chart, component", [
+        # (1, 0) is not singular at the centre: vdot = -v/u
+        (PlanarField(Poly2.const(1), Poly2.zero()),
+         BlowupChart(ChartKind.X_DIR, 1), "q"),
+        # the radial field blows up to (u, 0), which u^2 does not divide
+        (PlanarField(U, V), BlowupChart(ChartKind.X_DIR, 2), "p"),
+    ])
+    def test_inexact_division_is_not_divisible(self, field, chart, component):
+        with pytest.raises(NotDivisible) as err:
+            blow_up(field, chart)
+        assert err.value.component == component
 
     def test_unsupported_chart(self):
         with pytest.raises(UnsupportedChart):
@@ -73,6 +91,62 @@ class TestDivisorReport:
         for _ in range(50):
             nf = random_normal_form(rng)
             assert divisor_report(nf).discriminant == -invariants(nf).d
+
+    def test_identity_checks_survive_optimize(self):
+        # python -O strips assert statements; these checks must still raise
+        script = textwrap.dedent("""
+            import dataclasses, sys
+            from fakesaddle import blowup, casebook
+            from fakesaddle.polyfield import Poly2
+
+            if not sys.flags.optimize:
+                sys.exit("not optimized")
+            real_blow_up, real_invariants = blowup.blow_up, blowup.invariants
+            V = Poly2.gens()[1]
+
+            def q0_off(field, chart):  # Q(0, v) gains a v term
+                res = real_blow_up(field, chart)
+                return dataclasses.replace(res, v_factor=res.v_factor + V)
+
+            def d_off(nf):
+                inv = real_invariants(nf)
+                return dataclasses.replace(inv, d=inv.d + 1)
+
+            def no_v_factor(field, chart):
+                return dataclasses.replace(real_blow_up(field, chart),
+                                           v_factor=None)
+
+            for mod, name, patch, run in [
+                    (blowup, "blow_up", q0_off, lambda: blowup.divisor_report(
+                        casebook.build_example6(1, -1, -1))),
+                    (blowup, "blow_up", q0_off, lambda: blowup.divisor_report(
+                        casebook.build_example6(1.0, -1.0, -1.0))),
+                    (blowup, "invariants", d_off, lambda: blowup.divisor_report(
+                        casebook.build_example6(1, -1, -1))),
+                    (blowup, "invariants", d_off, lambda: blowup.divisor_report(
+                        casebook.build_example6(1.0, -1.0, -1.0))),
+                    (casebook, "blow_up", no_v_factor, casebook.run_x3_script)]:
+                real = getattr(mod, name)
+                setattr(mod, name, patch)
+                try:
+                    run()
+                except AssertionError as exc:
+                    print(exc)
+                else:
+                    sys.exit(f"no error with {name} patched")
+                finally:
+                    setattr(mod, name, real)
+        """)
+        src = os.path.dirname(os.path.dirname(fakesaddle.__file__))
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert [line.split(" fails")[0] for line in lines[:4]] == \
+            ["Q(0, v) = -v^2 + (b-a) v + c - 1"] * 2 \
+            + ["discriminant of Q(0, v) = -d"] * 2
+        assert "not divisible by v" in lines[4]
 
 
 class TestSaddleData:

@@ -73,6 +73,8 @@ class TestClassify:
         '{"p": {"terms": [[1, 0, "1/0"]]}, "q": {"terms": []}}',
         "[1]",
         "5",
+        '{"p": {"terms": [[2, 0, "1/1"]]}, "q": {"terms": [[1, 1, "1/1"]]},'
+        ' "denom": {"terms": [[1, 0, "1/1"]]}}',
     ])
     def test_malformed_json_is_a_parse_error(self, capsys, text):
         err = assert_exit(capsys, 2, "classify", "--json", text)

@@ -1050,7 +1050,13 @@ class TestGeneratedCode:
         for kind, loop in flow._LOOPS.items():
             assert loop.__code__.co_filename == \
                 f"<fakesaddle.flow loop {kind}>"
-        rhs = PlanarField(X * Y, X - Y).as_rhs()
-        assert rhs.__code__.co_filename == "<fakesaddle.polyfield field>"
-        assert (X + Y).as_float_fn().__code__.co_filename == \
-            "<fakesaddle.polyfield field>"
+        # each field under a label of its own, the same on every compile
+        labels = [f.__code__.co_filename for f in (
+            PlanarField(X * Y, X - Y).as_rhs(),
+            PlanarField(X * Y, X - Y).as_rhs(),
+            PlanarField(X * Y, X + Y).as_rhs(),
+            (X + Y).as_float_fn(), (X + Y).as_float_fn(), (X - Y).as_float_fn())]
+        assert all(re.fullmatch(r"<fakesaddle\.polyfield field \w+>", label)
+                   for label in labels), labels
+        assert labels[0] == labels[1] and labels[3] == labels[4]
+        assert len({labels[0], labels[2], labels[3], labels[5]}) == 4
