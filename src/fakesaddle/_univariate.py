@@ -174,20 +174,6 @@ def positive_on_interval(coeffs, lo, hi):
     return count_real_roots(c, lo, hi) == 0
 
 
-def series_div(num, den, order):
-    """Power-series coefficients of num/den up to t^order; den[0] != 0."""
-    if not den or den[0] == 0:
-        raise ZeroDivisionError("series division needs den(0) != 0")
-    out = []
-    acc = list(num) + [0] * max(0, order + 1 - len(num))
-    for k in range(order + 1):
-        s = acc[k] / den[0]
-        out.append(s)
-        for i in range(1, min(len(den), order + 1 - k)):
-            acc[k + i] -= s * den[i]
-    return out
-
-
 def sqrt_fraction(value):
     """Exact square root of a nonnegative Fraction, or None."""
     fr = Fraction(value)

@@ -15,9 +15,11 @@ whose integrand is a plain rational function here: with exact
 coefficients (g1 - c f1)(x, 0) vanishes at 0 and the x is divided out
 symbolically, so no principal-value tricks are needed inside the
 quadrature engine.  This integrand, the divisor-side L-integrands and
-the folded integrand at infinity are all analytic on their ranges and
-are integrated by adaptive Gauss-Kronrod G7K15 (``gk15_quad``), which
-converges geometrically on them; each interval is integrated once.
+the folded integrand of sections at infinity (whose half-line [1, inf)
+x = 1/u maps onto [0, 1]) are all analytic on bounded ranges and are
+integrated by adaptive Gauss-Kronrod G7K15 (``gk15_quad``), which
+converges geometrically on them; each interval is integrated once, and
+nothing is truncated or extrapolated.
 
 An independent brute-force epsilon-limit oracle and a second route to
 the leading coefficient through the directional saddles' L-integrals
@@ -263,12 +265,11 @@ def _regularized_integrand(nf: NormalFormField):
     return _ratio_fn(m, f1x), c
 
 
-def pv_integral(nf: NormalFormField, sections: SectionPair,
-                abs_tol: float = QUAD_ABS_TOL) -> float:
+def pv_integral(nf: NormalFormField, sections: SectionPair) -> float:
     """Principal value of int g1(x,0) / (x f1(x,0)) dx over the sections."""
     validate_sections(nf, sections)
     value, _err = _pv_integral_with_err(_regularized_integrand(nf), sections,
-                                        abs_tol)
+                                        QUAD_ABS_TOL)
     return value
 
 
@@ -334,15 +335,19 @@ def pv_integral_eps_oracle(nf: NormalFormField,
     return best
 
 
-def pv_integral_sym_infinite(nf: NormalFormField, tol: float = 1e-8) -> float:
+def pv_integral_sym_infinite(nf: NormalFormField) -> float:
     """Symmetric principal value over the whole line, sections at infinity.
 
     Requires the profile g1(x,0)/f1(x,0) to be a degree-matched rational
-    function (bounded at infinity) with nonvanishing f1; the integral is
-    folded to [0, inf) where the integrand is the even rational function
-    [G(x) - G(-x)]/x, truncated at an adaptively grown R with the tail
-    integrated analytically through order 1/R^3.  Each doubling of R
-    integrates only the new shell [R/2, R].
+    function (bounded at infinity) with f1 positive on the line.  The
+    integral is folded to [0, inf), where the integrand is the even
+    rational function E = [G(x) - G(-x)]/x = m/d with d = f1(x) f1(-x);
+    deg g1 <= deg f1 makes E decay like x^-gap, gap = deg d - deg m >= 2.
+    [0, 1] is integrated as it is and [1, inf) through x = 1/u (QUADPACK's
+    qagi map), where E(1/u)/u^2 = u^(gap-2) m*(u)/d*(u) with the reversed
+    polynomials m*, d*, and d*(0) > 0: two bounded G7K15 integrals, with
+    no truncation.  Raises TailNotIntegrable when gap < 2, which only the
+    underflow of float coefficients can bring about.
     """
     f1x, g1x = _f1_g1_profiles(nf)
     if u1.degree(list(g1x)) > u1.degree(list(f1x)):
@@ -356,36 +361,18 @@ def pv_integral_sym_infinite(nf: NormalFormField, tol: float = 1e-8) -> float:
     big_n = u1.sub_(u1.mul(list(g1x), f_neg), u1.mul(g_neg, list(f1x)))
     big_n = [c if k % 2 == 1 else 0 * c for k, c in enumerate(big_n)]  # odd part
     m = u1.trim(big_n[1:])
+    if not m:
+        return 0.0  # an even profile, a constant one for instance
     d = u1.mul(list(f1x), f_neg)
-    integrand = _ratio_fn(m, d)
-
-    # Laurent tail coefficients: E(x) = sum_k s_k x^-(gap+k)
-    gap = u1.degree(d) - u1.degree(m) if m else 5
-    tail_coeffs = []
-    if m and gap <= 4:
-        rev_m = list(reversed(u1.trim(m)))
-        rev_d = list(reversed(u1.trim(d)))
-        series = u1.series_div(rev_m, rev_d, 4 - gap)
-        for k, s in enumerate(series):
-            power = gap + k  # term s * x^-power
-            if power >= 2:
-                tail_coeffs.append((power, float(s)))
-
-    def tail(r):
-        return sum(s / ((p - 1) * r ** (p - 1)) for p, s in tail_coeffs)
-
-    r = 16.0
-    body = gk15_quad(integrand, 0.0, r, 1e-11)[0]
-    prev = body + tail(r)
-    for _ in range(23):
-        body += gk15_quad(integrand, r, 2.0 * r, 1e-11)[0]
-        r *= 2.0
-        est = body + tail(r)
-        if abs(est - prev) < tol / 2.0:
-            return est
-        prev = est
-    raise QuadratureNonConvergent("symmetric infinite principal value "
-                                  "did not stabilize")
+    gap = len(d) - len(m)
+    if gap < 2:
+        raise TailNotIntegrable(
+            f"the folded integrand is of order x^{-gap} at infinity, "
+            "not integrable (float coefficients underflowed)")
+    near = gk15_quad(_ratio_fn(m, d), 0.0, 1.0, 1e-11)[0]
+    far = gk15_quad(_ratio_fn([0] * (gap - 2) + m[::-1], d[::-1]),
+                    0.0, 1.0, 1e-11)[0]
+    return near + far
 
 
 # -- the asymmetry term and the two leading-coefficient routes ----------------
@@ -451,8 +438,8 @@ def _closed_l_integrands(a, b, c):
     return num_m, den_m, num_p, den_p
 
 
-def log_l_integrals(nf: NormalFormField, sections: SectionPair,
-                    abs_tol: float = QUAD_ABS_TOL) -> Dict[str, float]:
+def log_l_integrals(nf: NormalFormField,
+                    sections: SectionPair) -> Dict[str, float]:
     """The four log L values entering the composed leading coefficient.
 
     log L2_plus(omega) and log L1_minus(-alpha) integrate the fiber
@@ -465,7 +452,7 @@ def log_l_integrals(nf: NormalFormField, sections: SectionPair,
     _sqrt_d(inv)  # requires d > 0
     validate_sections(nf, sections)
     return _log_l_integrals(inv, _regularized_integrand(nf)[0], sections,
-                            abs_tol)
+                            QUAD_ABS_TOL)
 
 
 def _log_l_integrals(inv: Invariants, h: Callable[[float], float],
@@ -490,8 +477,7 @@ def _log_l_integrals(inv: Invariants, h: Callable[[float], float],
             "errors": (e1, e2, e3, e4)}
 
 
-def delta00_via_L(nf: NormalFormField, sections: SectionPair,
-                  abs_tol: float = QUAD_ABS_TOL) -> float:
+def delta00_via_L(nf: NormalFormField, sections: SectionPair) -> float:
     """Leading transition coefficient assembled from the L-integrals.
 
     Composes the two directional saddle maps: with lam = 1 - c,
@@ -503,7 +489,7 @@ def delta00_via_L(nf: NormalFormField, sections: SectionPair,
     Must agree with exp(gamma_plus) from the closed form.
     """
     return _delta00_from_l(invariants(nf), sections,
-                           log_l_integrals(nf, sections, abs_tol))
+                           log_l_integrals(nf, sections))
 
 
 def _delta00_from_l(inv: Invariants, sections: SectionPair,

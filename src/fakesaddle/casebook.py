@@ -437,8 +437,8 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
     if monodromic:
         gp, gm = asymptotics.gamma_pm(nf_direct, None)
         gp_c, gm_c = z_gamma_closed(alpha_q, beta_q)
-        res.close("gamma_plus_infinite", gp, gp_c, 1e-8)
-        res.close("gamma_minus_infinite", gm, gm_c, 1e-8)
+        res.close("gamma_plus_infinite", gp, gp_c, 1e-12)
+        res.close("gamma_minus_infinite", gm, gm_c, 1e-12)
 
     if monodromic and with_return:
         zf = build_z(float(alpha_q), float(beta_q))

@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_section_args(p)
     p.add_argument("--side", choices=("+", "-"), default="+")
-    p.add_argument("--offsets", nargs="*", type=finite)
+    p.add_argument("--offsets", nargs="+", type=finite)
     p.set_defaults(fn=cmd_transit)
 
     p = sub.add_parser("return", help="measured Poincare return slope")
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section-x", dest="section_x", type=finite, default=1.0,
                    help="offset scale along the +y section ray: orbits "
                         "start at (0, section_x*offset)")
-    p.add_argument("--offsets", nargs="*", type=finite)
+    p.add_argument("--offsets", nargs="+", type=finite)
     p.set_defaults(fn=cmd_return)
 
     p = sub.add_parser("reproduce", help="run the casebook regressions")

@@ -189,15 +189,16 @@ _KINDS = {
 _SCALED_ERROR = """\
 a_{i} = abs({e})
 m = abs(y_{i})
-m5 = abs(y5_{i})
-r_{i} = a_{i}/(abs_tol + rel_tol*(m5 if m5 > m else m))
+m5_{i} = abs(y5_{i})
+r_{i} = a_{i}/(abs_tol + rel_tol*(m5_{i} if m5_{i} > m else m))
 if r_{i} > 1e120:
     r_{i} = 1e120"""
 
 # The "wind" loop's tests of a step that passed the error test: a turn
 # from y to y5 (as _angle_increment) above 0.6 rad halves the step; the
-# upward crossings of max(|x|, |y|) - box and r_stall - |(x, y)|, then the
-# full turn, each from its value at the step's start, return the stop.
+# upward crossings of max(|x|, |y|) - box (on _SCALED_ERROR's m5_i) and
+# r_stall - |(x, y)|, then the full turn, each from its value at the
+# step's start, return the stop.
 _WIND_STEP = """\
 cross = y_0*y5_1 - y_1*y5_0
 dot = y_0*y5_0 + y_1*y5_1
@@ -205,9 +206,7 @@ turn = 0.0 if cross == 0.0 and dot == 0.0 else atan2(cross, dot)
 if abs(turn) > 0.6 and t + 0.25*h != t:
     h *= 0.5
     continue
-ax = abs(y5_0)
-ay = abs(y5_1)
-g = (ay if ay > ax else ax) - box
+g = (m5_1 if m5_1 > m5_0 else m5_0) - box
 if box_exit < 0.0 <= g:
     return 'box_exit', box_exit, {step}
 box_exit = g

@@ -351,19 +351,6 @@ class Poly2:
         parts = [fmt(i, j, c) for (i, j), c in sorted(self.terms.items())]
         return "Poly2(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
-    # -- float compilation ---------------------------------------------------
-
-    def as_float_fn(self) -> Callable[[float, float], float]:
-        """Compile to a fast float evaluator (sparse nested Horner).
-
-        Only the nonzero coefficients are written: zero addends, zero
-        rows and tails and the factors 1.0 and -1.0 are skipped.  For
-        finite arguments the value is bit for bit that of dense Horner
-        over the full (i, j) grid, signed zeros included; ``_horner_expr``
-        says why.
-        """
-        return _compile_horner_pair(self, None)
-
 
 def _horner_expr(poly: Poly2) -> str:
     """Source of a sparse Horner scheme: rows in x nested in y.
@@ -410,12 +397,9 @@ def _horner_nest(terms: Dict[int, str], var: str) -> str:
     return expr
 
 
-def _compile_horner_pair(p: Poly2, q: Poly2 | None):
-    if q is None:
-        src = f"def _f(x, y):\n    return {_horner_expr(p)}\n"
-    else:
-        src = (f"def _f(x, y):\n"
-               f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n")
+def _compile_horner_pair(p: Poly2, q: Poly2):
+    src = (f"def _f(x, y):\n"
+           f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n")
     ns: dict = {}
     # codegen over trusted numeric literals.  The file name carries a
     # checksum of the source, so that profiles, which key their entries
@@ -440,9 +424,13 @@ class PlanarField:
         return self.p.is_float or self.q.is_float
 
     def as_rhs(self) -> Callable[[float, float], Tuple[float, float]]:
-        """Compiled float evaluator returning (p, q).
+        """Compile to a fast float evaluator returning (p, q).
 
-        Both components are compiled as in ``Poly2.as_float_fn``.
+        Each component is a sparse nested Horner scheme: only the nonzero
+        coefficients are written, and zero addends, zero rows and tails
+        and the factors 1.0 and -1.0 are skipped.  For finite arguments
+        each value is bit for bit that of dense Horner over the full
+        (i, j) grid, signed zeros included; ``_horner_expr`` says why.
         """
         return _compile_horner_pair(self.p, self.q)
 

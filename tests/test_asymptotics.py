@@ -239,11 +239,27 @@ class TestSymmetricInfinite:
             nf = build_z_normalform(alpha, beta)
             want = math.pi * alpha / (beta * math.sqrt(3.0))
             assert asy.pv_integral_sym_infinite(nf) == pytest.approx(
-                want, abs=1e-8)
+                want, abs=1e-12)
 
     def test_reversible_case_vanishes(self):
         nf = build_z_normalform(0.0, 1.0)
-        assert asy.pv_integral_sym_infinite(nf) == pytest.approx(0.0, abs=1e-9)
+        assert asy.pv_integral_sym_infinite(nf) == pytest.approx(0.0,
+                                                                 abs=1e-12)
+
+    def test_arctangent_profile_closed_form(self):
+        # g1/(x f1) = (1/2)/(x (1 + x^2)) + 3/(1 + x^2): PV = 0 + 3 pi
+        nf = NormalFormField(Poly2.const(1) + X ** 2, Poly2.const(1),
+                             Poly2.const(Fraction(1, 2)) + X * 3,
+                             Poly2.zero(), 0)
+        assert asy.pv_integral_sym_infinite(nf) == pytest.approx(
+            3 * math.pi, abs=1e-12)
+
+    def test_evaluation_budget(self, count_evals):
+        evals = count_evals("gk15_quad")
+        for alpha, beta in ((1, 1), (-2, Fraction(1, 2)), (Fraction(1, 2), 2)):
+            evals.append(0)
+            asy.pv_integral_sym_infinite(build_z_normalform(alpha, beta))
+            assert 0 < evals[-1] <= 500
 
     def test_growing_profile_rejected(self):
         g1 = Poly2.const(Fraction(1, 2)) + X ** 2
@@ -307,8 +323,8 @@ class TestGammaPm:
             gp, gm = asy.gamma_pm(nf, None)
             pv = math.pi * alpha / (beta * math.sqrt(3.0))
             g0 = math.pi / math.sqrt(4.0 * beta - 1.0)
-            assert gp == pytest.approx(pv - g0, abs=1e-8)
-            assert gm == pytest.approx(pv + g0, abs=1e-8)
+            assert gp == pytest.approx(pv - g0, abs=1e-12)
+            assert gm == pytest.approx(pv + g0, abs=1e-12)
 
     def test_quadratic_homogeneous(self):
         nf = build_example6(Fraction(1), Fraction(-1), Fraction(-1))

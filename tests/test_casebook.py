@@ -66,8 +66,8 @@ class TestCases:
                 nf = casebook.build_z_normalform(alpha, beta)
                 gp, gm = asy.gamma_pm(nf, None)
                 gpc, gmc = casebook.z_gamma_closed(alpha, beta)
-                assert gp == pytest.approx(gpc, abs=1e-8)
-                assert gm == pytest.approx(gmc, abs=1e-8)
+                assert gp == pytest.approx(gpc, abs=1e-12)
+                assert gm == pytest.approx(gmc, abs=1e-12)
 
     def test_unknown_case_id(self):
         with pytest.raises(KeyError):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,31 @@ def test_non_finite_float_is_a_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "invalid finite value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("transit", "--case", "y1", "--alpha", "-1", "--omega", "0.5",
+     "--offsets"),
+    ("return", "--case", "z-family", "--offsets"),
+])
+def test_offsets_without_values_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "--offsets: expected at least one argument" in err
+    assert out == ""
+
+
+def test_cli_loads_only_the_standard_library():
+    # the package is stdlib-only: without site-packages (-S), importing
+    # the CLI loads no top-level module outside the standard library
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, fakesaddle.cli\n"
+             "print(*sorted({m.partition('.')[0] for m in sys.modules}))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"fakesaddle", "__main__"}
 
 
 class TestClassify:
@@ -162,9 +191,35 @@ class TestGamma:
                                "--infinite", "--format", "json")
         assert code == 0
         data = json.loads(out)
-        assert data["gamma_plus"] == pytest.approx(0.0, abs=1e-8)
+        assert data["gamma_plus"] == pytest.approx(0.0, abs=1e-12)
         assert data["gamma_minus"] == pytest.approx(
-            2 * math.pi / math.sqrt(3), abs=1e-8)
+            2 * math.pi / math.sqrt(3), abs=1e-12)
+
+    def test_infinite_sections_constant_profile(self, capsys):
+        # g1(x,0)/f1(x,0) is constant: the principal value is exactly 0
+        code, out, _ = run_cli(capsys, "gamma", "--case", "example6",
+                               "--infinite", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["pv"] == 0.0
+        assert data["gamma_plus"] == -data["gamma_minus"] == data["gamma0"]
+
+    def test_infinite_sections_underflowed_profile_exit(self, capsys,
+                                                        count_evals):
+        # float f1 = 1 + 1e-300 x^2, g1 = 1/2 + 1e300 x: f1(x) f1(-x) loses
+        # its x^4 term to underflow, so the folded integrand tends to a
+        # nonzero constant at infinity; rejected before any quadrature
+        nf = {"f1": {"mode": "float", "terms": [[0, 0, 1.0], [2, 0, 1e-300]]},
+              "f2": {"mode": "float", "terms": [[0, 0, 1.0]]},
+              "g1": {"mode": "float", "terms": [[0, 0, 0.5], [1, 0, 1e300]]},
+              "g2": {"terms": []}, "a": 0.0}
+        evals = count_evals("gk15_quad")
+        evals.append(0)
+        err = assert_exit(capsys, 5, "gamma", "--json", json.dumps(nf),
+                          "--infinite")
+        assert err.startswith("invalid sections")
+        assert "not integrable" in err
+        assert evals == [0]
 
     def test_quadratic_homogeneous_sections(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--case", "example6",
@@ -203,7 +258,7 @@ class TestGamma:
         assert code == 5
 
     def test_nonconvergent_principal_value_exit(self, capsys, monkeypatch):
-        # what --alpha-param 1e308 --infinite hits after 10^6 evaluations
+        # a quadrature that exhausts its evaluation budget
         def fail(*_args, **_kw):
             raise asymptotics.QuadratureNonConvergent("budget exhausted")
         monkeypatch.setattr(asymptotics, "pv_integral_sym_infinite", fail)

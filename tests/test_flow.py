@@ -1055,7 +1055,8 @@ class TestGeneratedCode:
             PlanarField(X * Y, X - Y).as_rhs(),
             PlanarField(X * Y, X - Y).as_rhs(),
             PlanarField(X * Y, X + Y).as_rhs(),
-            (X + Y).as_float_fn(), (X + Y).as_float_fn(), (X - Y).as_float_fn())]
+            PlanarField(X + Y, X).as_rhs(), PlanarField(X + Y, X).as_rhs(),
+            PlanarField(X - Y, X).as_rhs())]
         assert all(re.fullmatch(r"<fakesaddle\.polyfield field \w+>", label)
                    for label in labels), labels
         assert labels[0] == labels[1] and labels[3] == labels[4]

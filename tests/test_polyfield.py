@@ -48,12 +48,14 @@ class TestEval:
 
     def test_compiled_matches_exact(self):
         rng = random.Random(7)
-        p = sum((X ** i * Y ** j * Fraction(rng.randint(-9, 9), 4)
-                 for i in range(4) for j in range(3)), Poly2.zero())
-        fn = p.as_float_fn()
+        p, q = (sum((X ** i * Y ** j * Fraction(rng.randint(-9, 9), 4)
+                     for i in range(4) for j in range(3)), Poly2.zero())
+                for _ in range(2))
+        fn = PlanarField(p, q).as_rhs()
         for _ in range(25):
             x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            assert fn(x, y) == pytest.approx(float(p.eval(x, y)), abs=1e-12)
+            assert fn(x, y) == pytest.approx(
+                (float(p.eval(x, y)), float(q.eval(x, y))), abs=1e-12)
 
 
 class TestSubstitute:
@@ -219,8 +221,10 @@ class TestSerialization:
 class TestFloatCompilation:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_coefficient_is_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            Poly2({(1, 0): bad}).as_float_fn()
+        poly = Poly2({(1, 0): bad})
+        for field in (PlanarField(poly, X), PlanarField(X, poly)):
+            with pytest.raises(ValueError, match="finite"):
+                field.as_rhs()
 
 
 # -- the composition before trusted arithmetic, as a test-only reference ------
@@ -497,12 +501,11 @@ class TestHornerReference:
     def test_kernels_equal_dense_horner(self):
         points = reference_points()
         for field in reference_fields():
-            rhs, p_fn = field.as_rhs(), field.p.as_float_fn()
+            rhs = field.as_rhs()
             ref_p, ref_q = dense_fn(field.p), dense_fn(field.q)
             for x, y in points:
                 want = (ref_p(x, y), ref_q(x, y))
                 assert repr(rhs(x, y)) == repr(want), (field, x, y)
-                assert repr(p_fn(x, y)) == repr(want[0]), (field.p, x, y)
 
     def test_z11_source_is_sparse(self):
         z = build_z(1.0, 1.0)
