@@ -347,7 +347,8 @@ def pv_integral_sym_infinite(nf: NormalFormField) -> float:
     qagi map), where E(1/u)/u^2 = u^(gap-2) m*(u)/d*(u) with the reversed
     polynomials m*, d*, and d*(0) > 0: two bounded G7K15 integrals, with
     no truncation.  Raises TailNotIntegrable when gap < 2, which only the
-    underflow of float coefficients can bring about.
+    underflow of float coefficients can bring about, and ValueError when
+    a coefficient of m or d, or the principal value, overflows.
     """
     f1x, g1x = _f1_g1_profiles(nf)
     if u1.degree(list(g1x)) > u1.degree(list(f1x)):
@@ -364,15 +365,30 @@ def pv_integral_sym_infinite(nf: NormalFormField) -> float:
     if not m:
         return 0.0  # an even profile, a constant one for instance
     d = u1.mul(list(f1x), f_neg)
+    if not all(map(math.isfinite, m + d)):
+        raise ValueError("the folded profile m/d overflows: a coefficient "
+                         "of m or d = f1(x) f1(-x) is not finite")
     gap = len(d) - len(m)
     if gap < 2:
         raise TailNotIntegrable(
             f"the folded integrand is of order x^{-gap} at infinity, "
             "not integrable (float coefficients underflowed)")
-    near = gk15_quad(_ratio_fn(m, d), 0.0, 1.0, 1e-11)[0]
+    # both integrals are linear in m: integrate m/2^k, with k putting m's
+    # coefficients below 1 (k = 0 where they are), at the tolerance scaled
+    # alike, and scale the sum back.  Above the subnormal range a power of
+    # two changes no float of the quadrature, so only a principal value
+    # past the float range overflows
+    k = max(0, math.frexp(max(abs(float(c)) for c in m))[1])
+    m = [math.ldexp(float(c), -k) for c in m]
+    tol = math.ldexp(1e-11, -k)
+    near = gk15_quad(_ratio_fn(m, d), 0.0, 1.0, tol)[0]
     far = gk15_quad(_ratio_fn([0] * (gap - 2) + m[::-1], d[::-1]),
-                    0.0, 1.0, 1e-11)[0]
-    return near + far
+                    0.0, 1.0, tol)[0]
+    try:
+        return math.ldexp(near + far, k)
+    except OverflowError:
+        raise ValueError(f"the principal value {near + far} * 2^{k} "
+                         "overflows") from None
 
 
 # -- the asymmetry term and the two leading-coefficient routes ----------------
@@ -499,7 +515,15 @@ def _delta00_from_l(inv: Invariants, sections: SectionPair,
     log_delta = ((lam - 1.0) * (math.log(-sections.alpha) - math.log(sections.omega))
                  + ls["log_L2_plus"] - ls["log_L1_minus"]
                  + lam * (ls["log_L2_minus"] - ls["log_L1_plus"]))
-    return math.exp(log_delta)
+    return _exp(log_delta)
+
+
+def _exp(v: float) -> float:
+    """exp(v), +inf where it overflows as it is 0.0 where it underflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def log_l1_plus_closed(u: float, a: float, b: float, c: float) -> float:
@@ -549,5 +573,5 @@ def transition_report(nf: NormalFormField, sections: SectionPair | None,
         errors = (pv_err,) + tuple(ls["errors"])
     gp, gm = pv + g0, pv - g0
     return TransitionReport(pv=pv, gamma0=g0, gamma_plus=gp, gamma_minus=gm,
-                            delta00_closed=math.exp(gp), delta00_via_L=via_l,
+                            delta00_closed=_exp(gp), delta00_via_L=via_l,
                             quadrature_error_estimates=errors)

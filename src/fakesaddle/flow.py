@@ -15,14 +15,15 @@ norm and the step control in local scalars:
   time through a two-argument wrapper of the field;
 - "wind": the xy state of a winding drive, whose loop itself tests the
   0.6-rad turn limit, the guard box, the stall radius and the full turn;
-- "graph": 1-D state y as a graph over x, with slope q/p, where a stage
-  at which p folds below ``_MIN_DENOMINATOR*(x^2 + y^2)`` gives way to
-  arclength (the transit slopes); integrate()'s graph drive is
-  unguarded and gives way only where p = 0.
+- "graph": 1-D state y as a graph over x, with slope q/p, of an orbit
+  that runs rightward: a stage at which p falls to
+  ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, where the orbit folds over
+  x, ends it.  The transit slopes then go on by arclength, and
+  integrate() raises TransitDoesNotExist.
 
-integrate() and the arclength fallback keep their events and samples in
-one Python function, ``accept``, that the loop calls on each accepted
-step.  Every event is terminal: the first that fires ends the drive.
+The xy drives of integrate() and of the arclength fallback each stop at
+one event, a ``Stop``.  One Python function, ``accept``, that the loop calls
+on each accepted step, tests it and keeps the samples.
 
 On top of the integrator sit the measured counterparts of the
 closed-form transition theory: transition-map slopes across a fake
@@ -73,7 +74,7 @@ class BranchTrackingFailed(Exception):
 
 class _SwitchParametrization(Exception):
     """Internal: the graph-over-x drive gave way at the point (x, y) of its
-    args, where the denominator guard tripped or p = 0."""
+    args, where p fell to _MIN_DENOMINATOR*(x^2 + y^2) or below."""
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,9 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Adaptive-step solution samples (s, x, y, step_error) plus events."""
+    """Adaptive-step solution samples (s, x, y, step_error)."""
 
     samples: List[Tuple[float, float, float, float]]
-    events: List[Tuple[str, Tuple[float, float, float]]]
     parametrization: str  # time | graph-over-x | arclength
 
     @property
@@ -114,11 +114,6 @@ class Trajectory:
             fh.write("t_or_x,x,y,step_error\n")
             for s, x, y, e in self.samples:
                 fh.write(f"{s!r},{x!r},{y!r},{e!r}\n")
-
-    def to_json(self) -> dict:
-        return {"parametrization": self.parametrization,
-                "samples": [list(s) for s in self.samples],
-                "events": [[k, list(loc)] for k, loc in self.events]}
 
 
 @dataclass(frozen=True)
@@ -167,17 +162,13 @@ _KINDS = {
     # 2-D state (x, y) under time, winding around the origin: _WIND_STEP
     "wind": (2, "{k0}, {k1} = f({y0}, {y1})"),
     # 1-D state y as a graph over x: dy/dx = q/p.  The graph gives way at
-    # (x, y) where p folds below g*(x^2 + y^2), which a NaN g never does,
-    # and where p = 0 leaves no slope at all
+    # (x, y) where p falls to _MIN_DENOMINATOR*(x^2 + y^2), p = 0 included
     "graph": (1, "x = {x}\n"
                  "y = {y0}\n"
                  "p, q = f(x, y)\n"
-                 "if p <= g*(x*x + y*y):\n"
+                 f"if p <= {_MIN_DENOMINATOR!r}*(x*x + y*y):\n"
                  "    raise _SwitchParametrization(x, y)\n"
-                 "try:\n"
-                 "    {k0} = q/p\n"
-                 "except ZeroDivisionError:\n"
-                 "    raise _SwitchParametrization(x, y) from None"),
+                 "{k0} = q/p"),
 }
 
 
@@ -225,9 +216,9 @@ def _compile_loop(kind: str):
     ``drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, *rest)``
     runs the adaptive loop on local scalars from ``state`` at ``t``; ``f``
     is the field of the kind's stage template and ``max_step`` inf for no
-    cap.  ``rest`` is ``g, t_end, autonomous, accept`` (graph guard, end or
-    None, whether time may be rebased, hook or None), or for "wind" ``box,
-    r_stall, box_exit, stall`` (the stops and their values at the start).
+    cap.  ``rest`` is ``t_end, autonomous, accept`` (end or None, whether
+    time may be rebased, hook or None), or for "wind" ``box, r_stall,
+    box_exit, stall`` (the stops and their values at the start).
     The first step is 1e-2 (|state| + 1e-6)/(|slope| + 1e-300) in the max
     norm, at most the span to ``t_end`` and ``max_step``.  Each of at most
     ``max_steps`` attempts
@@ -240,15 +231,16 @@ def _compile_loop(kind: str):
       (``_SCALED_ERROR``) is at most 1, so also for a NaN norm, scaling h
       by max(0.2, 0.9 norm^-0.2);
     - calls ``accept(t_offset, t, h, y, k1, y5, k7, err_abs)``, with tuples
-      and the largest |error|, if given: ``(status, t, state)`` ends the
-      drive.  "wind" runs ``_WIND_STEP`` instead;
+      and the largest |error|, if given: a state it returns ends the drive
+      there.  "wind" runs ``_WIND_STEP`` instead;
     - advances, returns at ``t_end``, moves the time origin of an
       autonomous drive (every "wind" drive) into ``t_offset`` once
       |t| > 1e13 h, and scales h by min(5, 0.9 norm^-0.2), 5 for a zero
       norm, capped at ``max_step``.
 
-    It returns ``(status, t_offset + t, state, err_accum)``, with the sum
-    of the accepted steps' largest errors, or raises MaxStepsExceeded.
+    It returns ``(state, err_accum)``, with the sum of the accepted steps'
+    largest errors, or raises MaxStepsExceeded; "wind" returns its stop,
+    that stop's value at the step's start, and the step's arguments.
     Stage sums run in the tableau's order from zero, as ``sum`` does,
     without zero terms and with ``h`` for ``1.0*h``, and ``min``/``max``
     are conditional expressions that keep the same operand first: every
@@ -287,22 +279,22 @@ def _compile_loop(kind: str):
     norm_sum = " + ".join(f"r_{i}*r_{i}" for i in comps)
     step = (f"t_offset, t, h, {tup('y')}, {tup('k1')}, {tup('y5')}, "
             f"{tup('k7')}, err_accum + err_abs")
-    end = f"return 't_end', t_offset + t, {tup('y')}, err_accum"
+    end = f"return {tup('y')}, err_accum"
     if wind:
         params, clamp, at_end = "box, r_stall, box_exit, stall", [], []
         on_accept = [_WIND_STEP.format(step=step, two_pi=TWO_PI)]
     else:
-        params = "g, t_end, autonomous, accept"
+        params = "t_end, autonomous, accept"
         clamp = ["if t_end is not None and t + h >= t_end:",
                  "    h = t_end - t",
                  "    if h <= 0.0:",
                  f"        {end}"]
         on_accept = [
             "if accept is not None:",
-            f"    stop = accept(t_offset, t, h, {tup('y')}, {tup('k1')}, "
+            f"    y_stop = accept(t_offset, t, h, {tup('y')}, {tup('k1')}, "
             f"{tup('y5')}, {tup('k7')}, err_abs)",
-            "    if stop is not None:",
-            "        return (*stop, err_accum + err_abs)"]
+            "    if y_stop is not None:",
+            "        return y_stop, err_accum + err_abs"]
         at_end = ["if t_end is not None and t >= t_end:", f"    {end}"]
     attempt = "\n".join([
         *clamp,
@@ -378,23 +370,6 @@ def _hermite(y0, f0, y1, f1, h, theta):
                  for i in range(len(y0)))
 
 
-@dataclass(frozen=True)
-class _Event:
-    """The drive ends where ``fn(t, state)`` crosses 0."""
-    name: str
-    fn: Callable[[float, Tuple[float, ...]], float]
-    direction: int = 0  # +1 upward crossing, -1 downward, 0 any
-
-
-@dataclass
-class _DriveResult:
-    trajectory: Trajectory | None  # None unless the drive kept samples
-    status: str  # "t_end" | "event:<name>" | "winding"
-    t: float
-    y: Tuple[float, ...]
-    err_accum: float
-
-
 def _angle_increment(p, q):
     cross = p[0] * q[1] - p[1] * q[0]
     dot = p[0] * q[0] + p[1] * q[1]
@@ -428,17 +403,17 @@ def _locate(fn, g0, t, h, y, k1, y5, k7):
     return tau, _hermite(y, k1, y5, k7, h, tau)
 
 
-def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
-           t_end=None, events=(), parametrization="time", autonomous=False,
-           keep_samples=False) -> _DriveResult:
-    """Adaptive drive of the "xy" or "graph" kind: stops at t_end or
-    where the first event crosses zero, located by ``_locate``.
+def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
+           stop: Stop | None = None, parametrization="time",
+           autonomous=False, keep_samples=False):
+    """Adaptive drive of the "xy" or "graph" kind to t_end, or to where
+    the ``stop`` crosses zero, located by ``_locate``.  Returns (state,
+    accumulated error, Trajectory or None).
 
     The kind's loop (``_compile_loop``) takes every step of the field
-    ``f(x, y) -> (p, q)``; ``guard`` is the graph's fold threshold, which
-    the NaN default never trips.  ``accept`` keeps the events and, with
-    ``keep_samples``, a Trajectory.  ``autonomous=True`` lets the loop
-    rebase the time origin for degenerate loops, which crawl through
+    ``f(x, y) -> (p, q)``.  ``accept`` tests the stop and, with
+    ``keep_samples``, keeps a Trajectory.  ``autonomous=True`` lets the
+    loop rebase the time origin for degenerate loops, which crawl through
     near-singular passes for astronomically long times; reported times
     stay absolute but may saturate float resolution.
     """
@@ -448,37 +423,33 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, guard=math.nan,
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
     samples = [(t0, *as_xy(t0, y), 0.0)] if keep_samples else None
-    ev_records: List[Tuple[str, Tuple[float, float, float]]] = []
-    g_prev = [e.fn(t0, y) for e in events]
+    g0 = stop.fn(t0, y) if stop is not None else None
 
     def accept(t_offset, t, h, y, k1, y5, k7, err_abs):
-        # the events and sample of one step, as _compile_loop says.  No
+        # the stop and sample of one step, as _compile_loop says.  No
         # closure here: it would make cells of the locals on every call
+        nonlocal g0
         t1 = t + h
-        for idx, ev in enumerate(events):
-            g1 = ev.fn(t1, y5)
-            g0 = g_prev[idx]
-            if ((ev.direction >= 0 and g0 < 0.0 <= g1)
-                    or (ev.direction <= 0 and g0 > 0.0 >= g1)):
-                tau, y_ev = _locate(ev.fn, g0, t, h, y, k1, y5, k7)
-                t_ev = t_offset + t + tau * h
-                xe, ye = as_xy(t + tau * h, y_ev)
+        if stop is not None:
+            g1 = stop.fn(t1, y5)
+            if ((stop.direction >= 0 and g0 < 0.0 <= g1)
+                    or (stop.direction <= 0 and g0 > 0.0 >= g1)):
+                tau, y_stop = _locate(stop.fn, g0, t, h, y, k1, y5, k7)
                 if keep_samples:
-                    samples.append((t_ev, xe, ye, err_abs))
-                ev_records.append((ev.name, (t_ev, xe, ye)))
-                return f"event:{ev.name}", t_ev, y_ev
-            g_prev[idx] = g1
+                    samples.append((t_offset + t + tau * h,
+                                    *as_xy(t + tau * h, y_stop), err_abs))
+                return y_stop
+            g0 = g1
         if keep_samples:
             samples.append((t_offset + t1, *as_xy(t1, y5), err_abs))
         return None
 
-    status, t, y, err_accum = _LOOPS[kind](
+    y, err_accum = _LOOPS[kind](
         f, cfg.abs_tol, cfg.rel_tol, t0, y, cfg.max_step or math.inf,
-        cfg.max_steps, guard, t_end, autonomous,
-        accept if keep_samples or events else None)
-    traj = (Trajectory(samples, ev_records, parametrization)
-            if keep_samples else None)
-    return _DriveResult(traj, status, t, y, err_accum)
+        cfg.max_steps, t_end, autonomous,
+        accept if keep_samples or stop is not None else None)
+    return (y, err_accum,
+            Trajectory(samples, parametrization) if keep_samples else None)
 
 
 def _unit_speed(rhs_xy, sign=1.0):
@@ -498,33 +469,20 @@ def _unit_speed(rhs_xy, sign=1.0):
 
 @dataclass(frozen=True)
 class Stop:
-    """Stop condition for integrate(), made by a constructor below: the
-    drive ends where one of ``events`` fires or after ``span``; the graph
-    takes only x_reaches, whose value is ``x_target``."""
+    """The event that ends a drive, made by a constructor below: the
+    drive ends where ``fn(t, state)`` crosses 0, upward for ``direction``
+    +1, downward for -1, either way for 0.  The graph takes only
+    x_reaches, whose value is ``x_target``."""
 
-    events: Tuple[_Event, ...] = ()
-    span: float | None = None
+    name: str
+    fn: Callable[[float, Tuple[float, ...]], float]
+    direction: int = 0
     x_target: float | None = None
 
     @classmethod
     def x_reaches(cls, value: float) -> "Stop":
         value = _finite("value", value)
-        return cls((_Event("x_reaches", lambda _t, s: s[0] - value),),
-                   x_target=value)
-
-    @classmethod
-    def y_reaches(cls, value: float) -> "Stop":
-        value = _finite("value", value)
-        return cls((_Event("y_reaches", lambda _t, s: s[1] - value),))
-
-    @classmethod
-    def time_reaches(cls, value: float) -> "Stop":
-        """Stop after ``value`` units of time (or arclength); forward or
-        backward, the span is positive and finite."""
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"time span must be positive and finite, "
-                             f"got {value}")
-        return cls(span=value)
+        return cls("x_reaches", lambda _t, s: s[0] - value, x_target=value)
 
     @classmethod
     def section(cls, axis: str, value: float, direction: int) -> "Stop":
@@ -536,13 +494,13 @@ class Stop:
             raise ValueError(f"direction must be -1, 0 or 1, got {direction!r}")
         value = _finite("value", value)
         i = "xy".index(axis)
-        return cls((_Event("section_crossing", lambda _t, s: s[i] - value,
-                           direction),))
+        return cls("section_crossing", lambda _t, s: s[i] - value, direction)
 
     @classmethod
     def window_exit(cls, x0: float, x1: float, y0: float, y1: float) -> "Stop":
         """Stop where the orbit leaves the finite, non-empty window
-        [x0, x1] x [y0, y1]."""
+        [x0, x1] x [y0, y1]: where the largest signed distance past one of
+        its sides crosses 0 upward, so only from a start strictly inside."""
         if not all(map(math.isfinite, (x0, x1, y0, y1))) \
                 or not (x0 < x1 and y0 < y1):
             raise ValueError(f"window must be finite with x0 < x1 and "
@@ -551,7 +509,7 @@ class Stop:
         def outside(_t, s):
             return max(s[0] - x1, x0 - s[0], s[1] - y1, y0 - s[1])
 
-        return cls((_Event("window_exit", outside, direction=+1),))
+        return cls("window_exit", outside, +1)
 
 
 def _finite(name, value):
@@ -564,14 +522,18 @@ def _finite(name, value):
 def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
               cfg: IntegratorConfig | None = None, param: str = "time",
               backward: bool = False) -> Trajectory:
-    """Integrate a planar field from ``start`` until the stop condition.
+    """Integrate a planar field from ``start`` until the stop's event.
 
     ``param`` selects the independent variable: "time", "arclength"
     (unit-speed, robust near degenerate points), or "graph" (y as a
     graph over x; only with an x-reaches stop, whose position relative
     to the start fixes the direction).  ``backward`` reverses the flow
-    in time/arclength mode.  The graph raises TransitDoesNotExist, naming
-    the point, where p = 0 at the start or at a stage point of a step.
+    in time/arclength mode.  The graph follows an orbit that runs
+    rightward, whichever way it is traced: where p falls to
+    ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, at the start or at a stage
+    point of a step, the orbit folds over x, and the graph raises
+    TransitDoesNotExist naming the point.  A window_exit stop raises
+    ValueError unless its window strictly contains the start.
     """
     cfg = cfg or IntegratorConfig()
     rhs_xy = field.as_rhs()
@@ -588,20 +550,19 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
                 p, q = rhs_xy(-x, y)
                 return p, -q
 
-        # unguarded: the graph drive gives way only where p = 0
         try:
-            res = _drive("graph", f, flip * x0, (y0,), cfg,
-                         t_end=flip * x_target,
-                         parametrization="graph-over-x", keep_samples=True)
+            _y, _err, traj = _drive("graph", f, flip * x0, (y0,), cfg,
+                                    t_end=flip * x_target,
+                                    parametrization="graph-over-x",
+                                    keep_samples=True)
         except _SwitchParametrization as fold:
             x, y = fold.args
             raise TransitDoesNotExist(
-                f"p = 0 at ({flip * x}, {y}): the graph over x has no "
-                f"slope q/p there") from None
+                f"the graph over x folds at ({flip * x}, {y}): p <= "
+                f"{_MIN_DENOMINATOR}*(x^2 + y^2) there") from None
         if flip < 0:  # report true x in samples
-            res.trajectory.samples = [(-s, -s, y, e)
-                                      for s, _x, y, e in res.trajectory.samples]
-        return res.trajectory
+            traj.samples = [(-s, -s, y, e) for s, _x, y, e in traj.samples]
+        return traj
 
     if param == "time":
         f = rhs_xy
@@ -614,10 +575,13 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     else:
         raise ValueError(f"unknown parametrization {param!r}")
 
-    res = _drive("xy", f, 0.0, start, cfg, t_end=stop.span,
-                 events=stop.events, parametrization=param,
-                 autonomous=stop.span is None, keep_samples=True)
-    return res.trajectory
+    if stop.name == "window_exit" and not stop.fn(0.0, start) < 0.0:
+        raise ValueError(f"start {start} must lie strictly inside the "
+                         f"window of the stop")
+    _y, _err, traj = _drive("xy", f, 0.0, start, cfg, stop=stop,
+                            parametrization=param, autonomous=True,
+                            keep_samples=True)
+    return traj
 
 
 # -- slope extrapolation -------------------------------------------------------
@@ -704,27 +668,23 @@ def _measured_slope(offsets, measure) -> SlopeEstimate:
 def _transit_endpoint(rhs_xy, alpha, omega, y0, cfg) -> Tuple[float, float]:
     """y at {x = omega} for the orbit through (alpha, y0); (value, err)."""
     try:
-        res = _drive("graph", rhs_xy, alpha, (y0,), cfg,
-                     guard=_MIN_DENOMINATOR, t_end=omega,
-                     parametrization="graph-over-x")
-        return res.y[0], res.err_accum
+        (y_end,), err, _ = _drive("graph", rhs_xy, alpha, (y0,), cfg,
+                                  t_end=omega)
+        return y_end, err
     except _SwitchParametrization:
         pass
 
-    # fold or sign change in the graph denominator: go by arclength
-    span = omega - alpha
+    # the graph folds: go by arclength until the orbit leaves a window,
+    # which a transit leaves through x = omega, the side it ends nearest
     y_cap = 50.0 * max(abs(y0), 1.0)
-    events = [
-        _Event("arrive", lambda _t, s: s[0] - omega, direction=+1),
-        _Event("escape_y", lambda _t, s: abs(s[1]) - y_cap, direction=+1),
-        _Event("escape_back", lambda _t, s: (alpha - span) - s[0], direction=+1),
-    ]
-    res = _drive("xy", _unit_speed(rhs_xy), 0.0, (alpha, y0), cfg,
-                 events=events, parametrization="arclength")
-    if res.status != "event:arrive":
-        raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) ended with "
-                                  f"{res.status}")
-    return res.y[1], res.err_accum
+    window = Stop.window_exit(alpha - (omega - alpha), omega, -y_cap, y_cap)
+    (x, y), err, _ = _drive("xy", _unit_speed(rhs_xy), 0.0, (alpha, y0), cfg,
+                            stop=window)
+    if window.fn(0.0, (x, y)) != x - omega:
+        raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) left its "
+                                  f"window at ({x}, {y}), not through "
+                                  f"x = {omega}")
+    return y, err
 
 
 def transition_slope(nf: NormalFormField, sections, side: str,
@@ -757,12 +717,12 @@ def transition_slope(nf: NormalFormField, sections, side: str,
 # -- return map ----------------------------------------------------------------
 
 
-def _wind(rhs_xy, start, box: float, r_stall: float, cfg) -> _DriveResult:
+def _wind(rhs_xy, start, box: float, r_stall: float, cfg):
     """Drive the orbit from ``start`` until it winds once around the origin.
 
-    Stops with status "winding", or "event:box_exit" when the orbit leaves
-    the box max(|x|, |y|) <= box, or "event:stall" when it falls inside
-    radius ``r_stall``.  Integrated in time: degenerate loops have
+    Returns (status, state, accumulated error), with status "winding", or
+    "event:box_exit" when the orbit leaves the box max(|x|, |y|) <= box,
+    or "event:stall" when it falls inside radius ``r_stall``.  Integrated in time: degenerate loops have
     cusp-like corners where the speed nearly vanishes, which stay
     polynomially smooth in time but are unresolvable in arclength.  The
     box guards only a start strictly inside it, so any other start, or a
@@ -785,19 +745,22 @@ def _wind(rhs_xy, start, box: float, r_stall: float, cfg) -> _DriveResult:
     else:
         tau, y_stop = _locate(events[stop], before, t, h, y, k1, y5, k7)
         stop = f"event:{stop}"
-    return _DriveResult(None, stop, t_offset + t + tau * h, y_stop, err_accum)
+    return stop, y_stop, err_accum
+
+
+# return_slope's guard box max(|x|, |y|) < 4 around the origin
+_RETURN_BOX = 4.0
 
 
 def return_slope(field: PlanarField, section_scale: float = 1.0,
                  offsets: Sequence[float] | None = None,
-                 cfg: IntegratorConfig | None = None,
-                 box: float = 4.0) -> SlopeEstimate:
+                 cfg: IntegratorConfig | None = None) -> SlopeEstimate:
     """Measured Poincare return-map slope around a monodromic origin.
 
     The section is the ray {x = 0, y > 0}, on which the return map is the
     plain composition of the two fiber transitions, and the orbits start
     on it at ``section_scale`` times each offset, strictly inside the
-    guard box max(|x|, |y|) < ``box``.  Returns are detected by a full
+    guard box max(|x|, |y|) < 4, or ValueError.  Returns are detected by a full
     2*pi winding of the continuous angle, which lands back on the
     starting ray; crossing direction matching is automatic because every
     ray crossing advances the winding the same way.  The caller asserts
@@ -824,12 +787,13 @@ def return_slope(field: PlanarField, section_scale: float = 1.0,
         run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0 * r0))
         try:
             # degenerate passes dip like a power of the offset
-            res = _wind(rhs_xy, start, box, 1e-8 * r0 * r0, run_cfg)
+            status, (x, y), err = _wind(rhs_xy, start, _RETURN_BOX,
+                                        1e-8 * r0 * r0, run_cfg)
         except (MaxStepsExceeded, StepUnderflow) as exc:
             raise NoReturn(str(exc)) from None
-        if res.status != "winding":
-            raise NoReturn(f"orbit from {start} ended with {res.status}")
-        return r0, math.hypot(res.y[0], res.y[1]), res.err_accum
+        if status != "winding":
+            raise NoReturn(f"orbit from {start} ended with {status}")
+        return r0, math.hypot(x, y), err
     return _measured_slope(offsets, measure)
 
 
@@ -872,25 +836,29 @@ class ProbeVerdict(enum.Enum):
     UNDECIDED = "undecided"
 
 
+# monodromy_probe's integrator: tighter than the default, with a smaller
+# step budget for each ring orbit
+_PROBE_CFG = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-13, max_steps=300_000)
+
+
 def monodromy_probe(field: PlanarField, box: float = 2.0,
-                    cfg: IntegratorConfig | None = None,
                     ring_radius: float | None = None) -> ProbeVerdict:
     """Launch a ring of 12 orbits around the origin and watch them wind.
 
     Monodromic when every orbit winds past a full turn inside the guard
     box max(|x|, |y|) < ``box``; transit at the first orbit that leaves
     the box (it swept past along the fiber directions); undecided
-    otherwise.  The ring radius, ``1e-9*box`` by default, must be positive
-    and less than the finite box.
+    otherwise, also where an orbit runs out of ``_PROBE_CFG``'s steps.
+    The ring radius, ``1e-9*box`` by default, must be positive and less
+    than the finite box.
     """
-    cfg = cfg or IntegratorConfig(rel_tol=1e-9, abs_tol=1e-13,
-                                  max_steps=300_000)
     r0 = ring_radius if ring_radius is not None else 1e-9 * box
     if not 0.0 < r0 < box < math.inf:
         raise ValueError(f"need 0 < ring radius < box < inf, got ring "
                          f"radius {r0} and box {box}")
     rhs_xy = field.as_rhs()
-    run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol * r0))
+    run_cfg = replace(_PROBE_CFG, abs_tol=min(_PROBE_CFG.abs_tol,
+                                              _PROBE_CFG.rel_tol * r0))
 
     wound = 0
     # degenerate passes dip like a power of the start radius; the stall
@@ -900,7 +868,7 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
         ang = TWO_PI * (k + 0.5) / 12
         start = (r0 * math.cos(ang), r0 * math.sin(ang))
         try:
-            status = _wind(rhs_xy, start, box, r_stop, run_cfg).status
+            status, _y, _err = _wind(rhs_xy, start, box, r_stop, run_cfg)
         except (MaxStepsExceeded, StepUnderflow):
             continue
         if status == "event:box_exit":

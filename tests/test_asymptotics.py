@@ -254,6 +254,19 @@ class TestSymmetricInfinite:
         assert asy.pv_integral_sym_infinite(nf) == pytest.approx(
             3 * math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1e306, 2.5e307, 5e307])
+    def test_huge_profile_closed_form(self, alpha):
+        # the far integrand of m/d exceeds 1e308 near u = 0 from alpha of
+        # about 2e307: integrated as m/2^k, the sum stays finite
+        want = math.pi * alpha / math.sqrt(3.0)
+        assert asy.pv_integral_sym_infinite(
+            build_z_normalform(alpha, 1.0)) == pytest.approx(want, rel=1e-12)
+
+    def test_principal_value_past_the_float_range(self):
+        # pi*1e308/sqrt(3) is 1.8e308: named, not a non-finite panel
+        with pytest.raises(ValueError, match="principal value .* overflows"):
+            asy.pv_integral_sym_infinite(build_z_normalform(1e308, 1.0))
+
     def test_evaluation_budget(self, count_evals):
         evals = count_evals("gk15_quad")
         for alpha, beta in ((1, 1), (-2, Fraction(1, 2)), (Fraction(1, 2), 2)):

@@ -247,6 +247,48 @@ class TestGamma:
         assert "delta00 (via L)   = 0\n" in out
         assert "infinite" not in out
 
+    @pytest.mark.parametrize("argv", [
+        # gamma_plus near +1573 with finite sections
+        ("--case", "example6", "--a", "48.01", "--b", "50", "--c", "0",
+         "--alpha", "-1", "--omega", "1"),
+        # gamma_plus near 1.8e200 with sections at infinity
+        ("--case", "z-family", "--alpha-param", "1e200", "--beta", "1",
+         "--infinite"),
+    ])
+    def test_delta00_overflows_to_inf(self, capsys, argv):
+        # exp(gamma_plus) past the float range is +inf, as it is 0.0 below
+        code, out, _ = run_cli(capsys, "gamma", *argv)
+        assert code == 0
+        assert "delta00 (closed)  = inf\n" in out
+        code, out, _ = run_cli(capsys, "gamma", *argv, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["delta00_closed"] == math.inf
+        assert math.isfinite(data["gamma_plus"])
+
+    def test_infinite_sections_overflowing_principal_value(self, capsys):
+        err = assert_exit(capsys, 2, "gamma", "--case", "z-family",
+                          "--alpha-param", "1e308", "--beta", "1",
+                          "--infinite")
+        assert err.startswith("invalid argument: the principal value")
+        assert "overflows" in err
+
+    def test_infinite_sections_overflowing_profile(self, capsys,
+                                                   count_evals):
+        # g1 = 1/2 + 1e308 x against f1 = 1 + 10 x^2: the x^3 coefficient
+        # of the folded numerator m is infinite; rejected before any
+        # quadrature
+        nf = {"f1": {"mode": "float", "terms": [[0, 0, 1.0], [2, 0, 10.0]]},
+              "f2": {"mode": "float", "terms": [[0, 0, 1.0]]},
+              "g1": {"mode": "float", "terms": [[0, 0, 0.5], [1, 0, 1e308]]},
+              "g2": {"terms": []}, "a": 0.0}
+        evals = count_evals("gk15_quad")
+        evals.append(0)
+        err = assert_exit(capsys, 2, "gamma", "--json", json.dumps(nf),
+                          "--infinite")
+        assert "the folded profile m/d overflows" in err
+        assert evals == [0]
+
     def test_not_hyperbolic_exit(self, capsys):
         code, _, err = run_cli(capsys, "gamma", "--case", "example6",
                                "--a", "0", "--b", "0", "--c", "2",
@@ -293,6 +335,17 @@ class TestTransit:
         err = assert_exit(capsys, 6, "transit", "--case", "y1",
                           "--alpha", "-1", "--omega", "0.5")
         assert err.startswith("no transit")
+
+
+    def test_fallback_that_leaves_its_window_is_no_transit(self, capsys):
+        # the graph folds, and the arclength orbit leaves its window at
+        # x = alpha - (omega - alpha), not through x = omega
+        err = assert_exit(capsys, 6, "transit", "--case", "example6",
+                          "--a", "48.01", "--b", "50", "--c", "0",
+                          "--alpha", "-1", "--omega", "1")
+        assert err.startswith("no transit: orbit from (-1.0, 0.01) left its "
+                              "window at (-3.0000")
+        assert err.rstrip().endswith("not through x = 1.0")
 
 
 class TestReturn:

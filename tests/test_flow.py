@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ class TestIntegrate:
         xe, ye = traj.end
         assert xe == pytest.approx(math.e, abs=1e-9)
         assert ye == pytest.approx(math.e, abs=1e-9)
-        assert traj.events[0][0] == "x_reaches"
 
     def test_quadratic_homogeneous_transit(self):
         traj = flow.integrate(EX6.field(), (-1.0, 0.3),
@@ -46,15 +46,18 @@ class TestIntegrate:
         assert ye > 0
 
     def test_time_stop(self):
+        # x = e^t: the radial orbit from (1, 2) meets x = e at time 1,
+        # located on the step's cubic Hermite interpolant (2e-9 off)
         traj = flow.integrate(PlanarField(X, Y), (1.0, 2.0),
-                              flow.Stop.time_reaches(1.0))
-        xe, ye = traj.end
+                              flow.Stop.x_reaches(math.e))
+        t_stop, xe, ye, _err = traj.samples[-1]
+        assert t_stop == pytest.approx(1.0, rel=1e-8)
         assert xe == pytest.approx(math.e, rel=1e-9)
         assert ye == pytest.approx(2 * math.e, rel=1e-9)
 
     def test_samples_monotone_and_csv(self, tmp_path):
         traj = flow.integrate(PlanarField(X, Y), (1.0, 1.0),
-                              flow.Stop.time_reaches(0.5))
+                              flow.Stop.x_reaches(math.exp(0.5)))
         ts = [s[0] for s in traj.samples]
         assert all(a < b for a, b in zip(ts, ts[1:]))
         out = tmp_path / "traj.csv"
@@ -81,9 +84,48 @@ class TestIntegrate:
         # p = q = 1 - x: slope 1, but the last step's stages at x = 1 meet
         # p = 0, where 0/0 is no slope
         with pytest.raises(flow.TransitDoesNotExist,
-                           match=r"p = 0 at \(1\.0, "):
+                           match=r"folds at \(1\.0, "):
             flow.integrate(PlanarField(1 - X, 1 - X), (0.0, 0.0),
                            flow.Stop.x_reaches(1.0), param="graph")
+
+    @pytest.mark.parametrize("y0, fold, count", [
+        (1e-3, r"\(-4\.29514785\d*e-05, 2\.14847110\d*e-05\)", 1087),
+        (0.3, r"\(-0\.86567181\d*, 0\.43283632\d*\)", 1165),
+    ], ids=["1e-3", "0.3"])
+    def test_graph_stops_at_a_fold(self, count_rhs, y0, fold, count):
+        # |a| > 2 folds the orbit over x before it reaches x = 1: an
+        # unguarded graph ground 10^6 steps from y0 = 1e-3 and lost its
+        # step size from 0.3; the guard names the fold at once
+        nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
+        count_rhs.append(0)
+        start = time.perf_counter()
+        with pytest.raises(flow.TransitDoesNotExist,
+                           match=r"the graph over x folds at " + fold):
+            flow.integrate(nf.field(), (-1.0, y0), flow.Stop.x_reaches(1.0),
+                           param="graph")
+        assert time.perf_counter() - start < 0.1
+        assert count_rhs == [count]
+
+    @pytest.mark.parametrize("start, target", [((-1.0, 0.5), -0.5),
+                                               ((-0.5, 0.5), -1.0)])
+    def test_graph_of_a_leftward_orbit(self, start, target):
+        # p < 0 at the start: the orbit runs leftward, which the graph of
+        # a rightward orbit, traced either way, does not follow
+        with pytest.raises(flow.TransitDoesNotExist,
+                           match=re.escape(f"folds at {start}")):
+            flow.integrate(build_z(1.0, 1.0), start,
+                           flow.Stop.x_reaches(target), param="graph")
+
+    @pytest.mark.parametrize("start", [(2.0, 2.0), (1.0, 0.5)])
+    def test_window_stop_needs_a_start_inside(self, count_rhs, start):
+        # outside the window, or on its edge, the exit event never
+        # crosses upward: the drive ground 10^6 steps
+        count_rhs.append(0)
+        with pytest.raises(ValueError, match="strictly inside the window"):
+            flow.integrate(EX6.field(), start,
+                           flow.Stop.window_exit(-1.0, 1.0, -1.0, 1.0),
+                           param="arclength")
+        assert count_rhs == [0]
 
     def test_nan_error_norm_is_a_rejection(self):
         # backward in time the orbit falls onto the origin, where a step's
@@ -95,15 +137,12 @@ class TestIntegrate:
                            flow.IntegratorConfig(max_steps=50_000),
                            backward=True)
 
-    def test_y_stop_and_json_export(self):
-        traj = flow.integrate(PlanarField(Poly2.const(0) + X * 0 + 1,
-                                          Poly2.const(1)),
-                              (0.0, 0.0), flow.Stop.y_reaches(0.5))
+    def test_y_section_stop(self):
+        traj = flow.integrate(PlanarField(Poly2.const(1), Poly2.const(1)),
+                              (0.0, 0.0), flow.Stop.section("y", 0.5, 0))
         xe, ye = traj.end
         assert ye == pytest.approx(0.5, abs=1e-10)
-        data = traj.to_json()
-        assert data["parametrization"] == "time"
-        assert data["events"][0][0] == "y_reaches"
+        assert traj.parametrization == "time"
 
 
 def tableau_step(f, t, y, h, k1):
@@ -134,7 +173,7 @@ def loop_norm(y, y5, err, abs_tol, rel_tol):
     return norm, max(map(abs, err))
 
 
-def reference_rhs(kind, f, g):
+def reference_rhs(kind, f):
     """The slope of each state kind as an ``f(t, state)`` function."""
     if kind == "xy":
         return lambda _t, s: tuple(f(s[0], s[1]))
@@ -142,12 +181,9 @@ def reference_rhs(kind, f, g):
     def graph(x, s):
         y = s[0]
         p, q = f(x, y)
-        if p <= g * (x * x + y * y):
+        if p <= flow._MIN_DENOMINATOR * (x * x + y * y):
             raise flow._SwitchParametrization(x, y)
-        try:
-            return (q / p,)
-        except ZeroDivisionError:
-            raise flow._SwitchParametrization(x, y) from None
+        return (q / p,)
     return graph
 
 
@@ -157,7 +193,8 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
     """The adaptive drive as a plain loop over ``tableau_step`` and
     ``loop_norm`` with the builtins' min and max; the reference the
     generated drive loops must match bit for bit.  ``rhs(t, state)`` is
-    the slope of ``reference_rhs``; ``seen`` counts the branches taken."""
+    the slope of ``reference_rhs``; ``seen`` counts the branches taken.
+    Returns (status, t, state, accumulated error, Trajectory or None)."""
     seen = Counter() if seen is None else seen
     t = t0
     t_offset = 0.0
@@ -177,16 +214,15 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
     samples = [(t, *as_xy(t, y), 0.0)] if keep_samples else None
-    ev_records = []
     theta = 0.0
     err_accum = 0.0
     g_prev = [e.fn(t, y) for e in events]
 
     def finish(status, t_stop, y_stop, err_total):
         seen[status.split(":")[0]] += 1
-        traj = (flow.Trajectory(samples, ev_records, parametrization)
+        traj = (flow.Trajectory(samples, parametrization)
                 if keep_samples else None)
-        return flow._DriveResult(traj, status, t_stop, y_stop, err_total)
+        return status, t_stop, y_stop, err_total, traj
 
     for _n in range(cfg.max_steps):
         seen["attempt"] += 1
@@ -238,8 +274,6 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
                 tau = 0.5 * (lo + hi)
                 y_ev = flow._hermite(y, k1, y5, k7, h, tau)
                 t_ev = t_offset + t + tau * h
-                xe, ye = as_xy(t + tau * h, y_ev)
-                ev_records.append((ev.name, (t_ev, xe, ye)))
                 if hit is None:
                     hit = (ev, t_ev, y_ev)
             g_prev[idx] = g1
@@ -268,7 +302,6 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
                 xe, ye = as_xy(t + tau * h, y_ev)
                 if keep_samples:
                     samples.append((t_ev, xe, ye, err_abs))
-                ev_records.append(("winding", (t_ev, xe, ye)))
                 return finish("winding", t_ev, y_ev, err_accum + err_abs)
             theta += dtheta
 
@@ -301,31 +334,40 @@ def outcome(run):
 def wind_events(box, r_stall):
     """The guard box and stall radius of ``flow._wind`` as the events of
     ``reference_drive``."""
-    return [flow._Event("box_exit",
-                        lambda _t, s: max(abs(s[0]), abs(s[1])) - box, +1),
-            flow._Event("stall",
-                        lambda _t, s: r_stall - math.hypot(s[0], s[1]), +1)]
+    return [flow.Stop("box_exit",
+                      lambda _t, s: max(abs(s[0]), abs(s[1])) - box, +1),
+            flow.Stop("stall",
+                      lambda _t, s: r_stall - math.hypot(s[0], s[1]), +1)]
 
 
-def assert_drive_matches(kind, field, t0, y0, cfg, guard=math.nan,
-                         seen=None, **kw):
+def assert_drive_matches(kind, field, t0, y0, cfg, seen=None, **kw):
     """Drive ``field()`` both ways and require the same outcome; returns it.
 
     ``field`` makes a fresh ``f(x, y) -> (p, q)`` for each drive, so a
-    field that counts its calls sees the same sequence in both.  The
-    "wind" kind is ``flow._wind`` from t0 = 0 with the ``box`` and
-    ``r_stall`` of ``kw``, and the reference winds once under its events.
+    field that counts its calls sees the same sequence in both.  A drive
+    returns (state, error, Trajectory or None), its ``stop`` the one event
+    of the reference.  The "wind" kind is ``flow._wind`` from t0 = 0 with
+    the ``box`` and ``r_stall`` of ``kw``, which returns (status, state,
+    error), and the reference winds once under its events.
     """
     if kind == "wind":
         got = outcome(lambda: flow._wind(field(), y0, kw["box"],
                                          kw["r_stall"], cfg))
         kind, kw = "xy", dict(events=wind_events(**kw),
                               winding_target=flow.TWO_PI, autonomous=True)
+
+        def shape(status, _t, y, err, _traj):
+            return status, y, err
     else:
-        got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg,
-                                          guard=guard, **kw))
-    want = outcome(lambda: reference_drive(
-        reference_rhs(kind, field(), guard), t0, y0, cfg, seen=seen, **kw))
+        got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg, **kw))
+        kw = dict(kw)
+        stop = kw.pop("stop", None)
+        kw["events"] = [] if stop is None else [stop]
+
+        def shape(_status, _t, y, err, traj):
+            return y, err, traj
+    want = outcome(lambda: shape(*reference_drive(
+        reference_rhs(kind, field()), t0, y0, cfg, seen=seen, **kw)))
     assert got == want
     return got
 
@@ -350,9 +392,8 @@ class TestStep:
 
     RHS_XY = staticmethod(PlanarField(X ** 3 - 2 * X * Y + Fraction(1, 3),
                                       Y ** 2 - X * Y ** 3 + 5 * X).as_rhs())
-    GUARD = flow._MIN_DENOMINATOR
 
-    def check_drives(self, kind, g, seed, count):
+    def check_drives(self, kind, seed, count):
         """Seeded short drives (start, span, tolerances); returns the
         branch counts and how many drives gave way to the graph guard."""
         n = flow._KINDS[kind][0]
@@ -366,29 +407,23 @@ class TestStep:
                 abs_tol=10 ** rng.uniform(-14.0, -4.0),
                 rel_tol=10 ** rng.uniform(-12.0, -3.0), max_steps=60)
             got = assert_drive_matches(
-                kind, lambda: self.RHS_XY, t0, y0, cfg, g, seen,
+                kind, lambda: self.RHS_XY, t0, y0, cfg, seen,
                 t_end=t0 + rng.uniform(0.01, 0.5))
             guarded += got.startswith("raises _SwitchParametrization")
         return seen, guarded
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unrolled_step_equals_tableau_formula(self, n):
-        # n = 1 is the graph kind under the transit guard: p = x^3 - 2xy
+        # n = 1 is the graph kind under its fold guard: p = x^3 - 2xy
         # + 1/3 changes sign in the sampled box, so many drives meet the
         # fold; n = 2 is the xy kind, which has no guard
         if n == 1:
-            seen, guarded = self.check_drives("graph", self.GUARD, 1, 400)
+            seen, guarded = self.check_drives("graph", 1, 400)
             assert guarded >= 200
         else:
-            seen, guarded = self.check_drives("xy", self.GUARD, 2, 200)
+            seen, guarded = self.check_drives("xy", 2, 200)
             assert guarded == 0
         assert seen["attempt"] >= 3000 and seen["rejected"] >= 100
-
-    def test_unguarded_graph_kernel_never_switches(self):
-        # a NaN guard is integrate()'s graph drive: away from p = 0 it
-        # never gives way
-        seen, guarded = self.check_drives("graph", math.nan, 1, 150)
-        assert guarded == 0 and seen["attempt"] >= 3000
 
     @pytest.mark.parametrize("k7", [(math.nan, 1.0), (1.0, math.nan),
                                     (math.inf, 1.0), (1.0, -math.inf),
@@ -407,30 +442,30 @@ class TestStep:
 
     def test_graph_guard_includes_equality(self):
         # p = g*(x^2 + y^2) exactly gives way, at the start and at a stage
-        g = self.GUARD
+        g = flow._MIN_DENOMINATOR
         cfg = flow.IntegratorConfig()
 
         def on_guard():
             return lambda x, y: (g * (x * x + y * y), g)
         at_start = assert_drive_matches("graph", on_guard, 1.0, (0.0,), cfg,
-                                        g, t_end=2.0)
+                                        t_end=2.0)
         assert at_start == "raises _SwitchParametrization(1.0, 0.0)"
         at_stage = assert_drive_matches(
             "graph",
             lambda: lambda x, y: (g * (x * x + y * y) if x > 1.0 else 1.0,
                                   0.5),
-            0.5, (0.0,), cfg, g, t_end=2.0)
+            0.5, (0.0,), cfg, t_end=2.0)
         assert at_stage.startswith("raises _SwitchParametrization")
-        # unguarded, the slope is q/p there
-        assert assert_drive_matches("graph", on_guard, 1.0, (0.0,), cfg,
-                                    t_end=2.0).startswith("_DriveResult")
 
     @pytest.mark.parametrize("kind", ["xy", "graph"])
     def test_non_finite_state_returns_none_after_its_slope(self, kind):
         # stages 2-7 of the first step overflow y5: the step is retried at
-        # half size, after the slope k7 of the non-finite y5 is evaluated
+        # half size, after the slope k7 of the non-finite y5 is evaluated.
+        # The graph gives way at a stage of infinite y (p <= 1e-8*inf), so
+        # its stages go NaN through p, which the fold test lets pass
         n = flow._KINDS[kind][0]
-        big = {i: (1.0, 1.7e308) for i in range(2, 8)}
+        bad = (1.0, 1.7e308) if kind == "xy" else (math.nan, 1.0)
+        big = {i: bad for i in range(2, 8)}
         field = field_then(lambda x, y: (1.0, 1.0), big)
         seen = Counter()
         assert_drive_matches(kind, field, 0.0, (0.5,) * n,
@@ -454,93 +489,91 @@ ROTATION = PlanarField(-Y, X).as_rhs()
 
 
 def crossing(name, i, value, direction):
-    return flow._Event(name, lambda _t, s: s[i] - value, direction)
+    return flow.Stop(name, lambda _t, s: s[i] - value, direction)
 
 
 # Named drives through every branch of the drive loop: (name, kind,
-# field factory, t0, y0, config, guard, drive options, the branches of
-# the reference that the drive must take, how the drive ends)
+# field factory, t0, y0, config, drive options, the branches of the
+# reference that the drive must take, how the drive ends: "(" for a
+# result, by repr)
 DRIVES = [
     ("graph to t_end", "graph", lambda: EX6.field().as_rhs(), -1.0, (0.3,),
-     flow.IntegratorConfig(), 1e-8,
+     flow.IntegratorConfig(),
      dict(t_end=1.0, parametrization="graph-over-x", keep_samples=True),
-     {"t_end clamp", "t_end", "rejected"}, "_DriveResult"),
+     {"t_end clamp", "t_end", "rejected"}, "("),
     ("graph fold gives way", "graph",
      lambda: build_example6(Fraction(5, 2), Fraction(5, 2),
                             Fraction(1, 2)).field().as_rhs(),
-     -1.0, (1e-3,), flow.IntegratorConfig(), 1e-8, dict(t_end=1.0), set(),
+     -1.0, (1e-3,), flow.IntegratorConfig(), dict(t_end=1.0), set(),
      "raises _SwitchParametrization"),
-    ("graph p = 0, NaN guard", "graph",
+    ("graph p = 0", "graph",
      lambda: lambda x, y: (0.0 if x > 0.5 else 1.0, y), 0.0, (0.2,),
-     flow.IntegratorConfig(), math.nan, dict(t_end=1.0), set(),
+     flow.IntegratorConfig(), dict(t_end=1.0), set(),
      "raises _SwitchParametrization"),
     ("graph of zero span", "graph", lambda: EX6.field().as_rhs(), 0.5,
-     (0.3,), flow.IntegratorConfig(), 1e-8, dict(t_end=0.5, keep_samples=True),
-     {"t_end clamp", "t_end"}, "_DriveResult"),
+     (0.3,), flow.IntegratorConfig(), dict(t_end=0.5, keep_samples=True),
+     {"t_end clamp", "t_end"}, "("),
     # 0.1 + 0.2 is t_end, but t_end - 0.1 is not 0.2: the clamp moves h
     ("t_end met by rounding", "xy",
      lambda: lambda x, y: (1e-3 * y, -1e-3 * x), 0.1, (1.0, 0.0),
-     flow.IntegratorConfig(max_step=0.2), math.nan,
+     flow.IntegratorConfig(max_step=0.2),
      dict(t_end=0.1 + 0.2, keep_samples=True), {"t_end clamp", "t_end"},
-     "_DriveResult"),
+     "("),
     ("xy to t_end with max_step", "xy", lambda: EX6.field().as_rhs(), 0.0,
-     (-1.0, 0.3), flow.IntegratorConfig(max_step=0.01), math.nan,
-     dict(t_end=2.0, keep_samples=True), {"max_step cap", "t_end"},
-     "_DriveResult"),
+     (-1.0, 0.3), flow.IntegratorConfig(max_step=0.01),
+     dict(t_end=2.0, keep_samples=True), {"max_step cap", "t_end"}, "("),
     *((f"event of direction {ev.direction}", "xy", lambda: ROTATION, 0.0,
-       (1.0, 0.0), flow.IntegratorConfig(rel_tol=1e-8), math.nan,
-       dict(events=[ev], keep_samples=True),
-       {f"event direction {ev.direction}", "event"}, "_DriveResult")
+       (1.0, 0.0), flow.IntegratorConfig(rel_tol=1e-8),
+       dict(stop=ev, keep_samples=True),
+       {f"event direction {ev.direction}", "event"}, "(")
       for ev in (crossing("down", 0, 0.0, -1), crossing("either", 1, 0.5, 0),
                  crossing("up", 0, 0.0, +1))),
     ("winding", "wind", lambda: ROTATION, 0.0, (0.0, 2.0),
-     flow.IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6), math.nan,
+     flow.IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6),
      dict(box=5.0, r_stall=0.0), {"winding rejection", "winding"},
-     "_DriveResult"),
+     "('winding'"),
     # an orbit of monodromy_probe's ring: its degenerate passes crawl
     ("rebased winding", "wind", lambda: build_z(1.0, 1.0).as_rhs(), 0.0,
      (1e-8 * math.cos(math.pi / 12), 1e-8 * math.sin(math.pi / 12)),
-     flow.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-17), math.nan,
-     dict(box=10.0, r_stall=1e-20), {"rebase", "winding"}, "_DriveResult"),
+     flow.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-17),
+     dict(box=10.0, r_stall=1e-20), {"rebase", "winding"}, "('winding'"),
     # the step from (0.9, 0.9) crosses into the stall radius and out of
     # the box: the box, tested first, ends the drive
     ("box exit and stall in one step", "wind",
      lambda: lambda x, y: (0.6, -1.0), 0.0, (0.9, 0.9),
-     flow.IntegratorConfig(), math.nan,
-     dict(box=1.0, r_stall=1.25), {"event"},
-     "_DriveResult(trajectory=None, status='event:box_exit'"),
+     flow.IntegratorConfig(), dict(box=1.0, r_stall=1.25), {"event"},
+     "('event:box_exit'"),
     ("rebased event", "xy", lambda: ROTATION, 1e12, (1.0, 0.0),
-     flow.IntegratorConfig(), math.nan,
-     dict(events=[crossing("up", 0, 0.0, +1)], autonomous=True,
+     flow.IntegratorConfig(),
+     dict(stop=crossing("up", 0, 0.0, +1), autonomous=True,
           keep_samples=True),
-     {"rebase", "event"}, "_DriveResult"),
+     {"rebase", "event"}, "("),
     ("non-finite y5", "xy",
      field_then(ROTATION, {3: (1.0, 1.7e308), 4: (1.0, 1.7e308)}), 0.0,
-     (1.0, 0.0), flow.IntegratorConfig(), math.nan,
+     (1.0, 0.0), flow.IntegratorConfig(),
      dict(t_end=1.0, keep_samples=True), {"non-finite halving", "t_end"},
-     "_DriveResult"),
+     "("),
     ("step underflow", "xy", lambda: ROTATION, 1e20, (1.0, 0.0),
-     flow.IntegratorConfig(), math.nan,
-     dict(events=[crossing("up", 0, 0.0, 1)]), set(), "raises StepUnderflow"),
+     flow.IntegratorConfig(), dict(stop=crossing("up", 0, 0.0, 1)), set(),
+     "raises StepUnderflow"),
     ("max steps", "xy", lambda: ROTATION, 0.0, (1.0, 0.0),
-     flow.IntegratorConfig(max_steps=30), math.nan,
-     dict(events=[crossing("never", 0, 5.0, +1)], keep_samples=True),
+     flow.IntegratorConfig(max_steps=30),
+     dict(stop=crossing("never", 0, 5.0, +1), keep_samples=True),
      set(), "raises MaxStepsExceeded"),
 ]
 
 
 class TestDrive:
     """The generated drive loops against ``reference_drive``: the same
-    _DriveResult and Trajectory, by repr, or the same exception."""
+    result and Trajectory, by repr, or the same exception."""
 
-    @pytest.mark.parametrize("name, kind, field, t0, y0, cfg, guard, kw, "
+    @pytest.mark.parametrize("name, kind, field, t0, y0, cfg, kw, "
                              "branches, ending", DRIVES,
                              ids=[d[0] for d in DRIVES])
     def test_drive_equals_reference(self, name, kind, field, t0, y0, cfg,
-                                    guard, kw, branches, ending):
+                                    kw, branches, ending):
         seen = Counter()
-        got = assert_drive_matches(kind, field, t0, y0, cfg, guard, seen,
-                                   **kw)
+        got = assert_drive_matches(kind, field, t0, y0, cfg, seen, **kw)
         assert branches <= set(seen)
         assert got.startswith(ending)
 
@@ -559,9 +592,9 @@ class TestDrive:
                 max_step=rng.choice((None, 0.05, 0.2)))
             start = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
             if rng.random() < 0.5:
+                rng.choice((1e-8, math.nan))  # once chose the guard; kept
                 assert_drive_matches(
-                    "graph", lambda: field, start[0], start[1:], cfg,
-                    rng.choice((1e-8, math.nan)), seen,
+                    "graph", lambda: field, start[0], start[1:], cfg, seen,
                     t_end=start[0] + rng.uniform(0.1, 1.0),
                     parametrization="graph-over-x", keep_samples=True)
             else:
@@ -571,8 +604,8 @@ class TestDrive:
                 rng.random()  # once chose a non-terminal event; kept draw
                 rng.choice((None, flow.TWO_PI))  # once chose winding; kept
                 assert_drive_matches(
-                    "xy", lambda: field, 0.0, start, cfg, math.nan, seen,
-                    t_end=t_end, events=[event], autonomous=True,
+                    "xy", lambda: field, 0.0, start, cfg, seen,
+                    t_end=t_end, stop=event, autonomous=True,
                     keep_samples=rng.random() < 0.5)
         assert seen["attempt"] >= 3000
 
@@ -584,12 +617,12 @@ class TestDrive:
         def field():
             return lambda x, y: (1.0, -1.0)
         cfg = flow.IntegratorConfig()
-        steps = reference_drive(reference_rhs("xy", field(), math.nan), 0.0,
-                                (-0.0, 0.0), cfg, t_end=1.0,
-                                keep_samples=True).trajectory.samples
+        *_, traj = reference_drive(reference_rhs("xy", field()), 0.0,
+                                   (-0.0, 0.0), cfg, t_end=1.0,
+                                   keep_samples=True)
         got = assert_drive_matches("wind", field, 0.0, (-0.0, 0.0), cfg,
-                                   box=steps[4][1], r_stall=0.0)
-        assert "status='event:box_exit'" in got
+                                   box=traj.samples[4][1], r_stall=0.0)
+        assert got.startswith("('event:box_exit'")
 
     def test_seeded_winds_equal_reference(self):
         # flow._wind's generated loop against the reference under the box
@@ -620,7 +653,7 @@ class TestDrive:
                 max_steps=3000, max_step=rng.choice((None, None, 0.5)))
             got = assert_drive_matches("wind", lambda: field, 0.0, start, cfg,
                                        seen=seen, box=box, r_stall=r_stall)
-            status = re.search(r"status='([^']+)'", got)
+            status = re.match(r"\('([^']+)'", got)
             endings[status.group(1) if status else got.split("(")[0]] += 1
         assert {"winding", "event:box_exit", "event:stall"} <= set(endings)
         assert seen["winding rejection"] >= 10 and seen["rebase"] >= 5
@@ -680,25 +713,25 @@ class TestRhsCounts:
         assert count_rhs == [13797, 12779]
 
 
-    # integrate() in each parametrization, with event stops of each kind
-    # and a time stop: the accepted-step path with events and samples
+    # integrate() in each parametrization, with stops of each kind: the
+    # accepted-step path with its stop and samples
     @pytest.mark.parametrize("case, start, stop, param, backward, count", [
         ("example6", (-1.0, 0.3), ("x", 1.0), "time", False, 1171),
-        ("example6", (-1.0, 0.3), ("time", 1.0), "time", False, 175),
+        ("example6", (-1.0, 0.3), ("section", 1), "time", False, 559),
         ("example6", (1.0, 0.3), ("x", -1.0), "time", True, 463),
-        ("example6", (1.0, 0.3), ("time", 1.0), "time", True, 223),
+        ("example6", (1.0, 0.3), ("section", -1), "time", True, 259),
         ("example6", (-1.0, 0.3), ("x", 1.0), "arclength", False, 739),
-        ("example6", (-1.0, 0.3), ("time", 1.0), "arclength", False, 289),
+        ("example6", (-1.0, 0.3), ("section", 1), "arclength", False, 337),
         ("example6", (-1.0, 0.3), ("x", 1.0), "graph", False, 781),
         ("example6", (1.0, 0.3), ("x", -1.0), "graph", False, 301),
         ("z", (0.0, 0.1), ("section", 1), "time", False, 2587),
-        ("z", (0.0, 0.5), ("time", 5.0), "time", False, 517),
+        ("z", (0.0, 0.5), ("window", 2.0), "time", False, 1279),
         ("z", (0.0, 0.1), ("section", -1), "time", True, 3541),
-        ("z", (0.0, 0.5), ("time", 5.0), "time", True, 331),
+        ("example6", (1.0, 0.3), ("section", -1), "arclength", True, 181),
         ("z", (0.0, 0.1), ("section", 1), "arclength", False, 1573),
-        ("z", (0.0, 0.5), ("time", 5.0), "arclength", False, 829),
-        ("z", (-1.0, 0.5), ("x", -0.5), "graph", False, 193),
-        ("z", (-0.5, 0.5), ("x", -1.0), "graph", False, 439),
+        ("z", (0.0, 0.5), ("window", 2.0), "arclength", False, 721),
+        ("example6", (-1.0, 0.1), ("x", 1.0), "graph", False, 961),
+        ("example6", (1.0, 0.1), ("x", -1.0), "graph", False, 445),
         ("z", (0.0, 0.5), ("y", -0.2), "time", False, 853),
         ("z", (0.0, 0.5), ("y", -0.2), "time", True, 2275),
         ("z", (0.0, 0.5), ("y", -0.2), "arclength", False, 565),
@@ -711,8 +744,7 @@ class TestRhsCounts:
         field = EX6.field() if case == "example6" else build_z(1.0, 1.0)
         kind, value = stop
         stop = {"x": flow.Stop.x_reaches,
-                "y": flow.Stop.y_reaches,
-                "time": flow.Stop.time_reaches,
+                "y": lambda v: flow.Stop.section("y", v, 0),
                 "section": lambda d: flow.Stop.section("x", 0.0, d),
                 "window": lambda r: flow.Stop.window_exit(-r, r, -r, r)}[kind]
         count_rhs.append(0)
@@ -739,11 +771,6 @@ class TestValidation:
                                     max_steps=1, max_step=1e-3)
         assert cfg.max_steps == 1 and cfg.max_step == 1e-3
 
-    @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, math.nan, math.inf])
-    def test_bad_time_stop(self, value):
-        with pytest.raises(ValueError):
-            flow.Stop.time_reaches(value)
-
     @pytest.mark.parametrize("axis, direction", [
         ("z", 1), ("X", 0), ("", -1), ("x", 2), ("y", -2), ("x", 0.5),
     ])
@@ -753,7 +780,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_bad_stop_value(self, value):
-        for make in (flow.Stop.x_reaches, flow.Stop.y_reaches,
+        for make in (flow.Stop.x_reaches,
                      lambda v: flow.Stop.section("x", v, 0)):
             with pytest.raises(ValueError):
                 make(value)
@@ -776,10 +803,12 @@ class TestValidation:
         ("monodromy_probe", {"ring_radius": 0.0}),
         ("monodromy_probe", {"ring_radius": -1e-8}),
         ("monodromy_probe", {"box": 10.0, "ring_radius": 10.0}),
-        ("return_slope", {"box": -1.0}),
-        ("return_slope", {"box": math.nan}),
-        ("return_slope", {"box": 1e-9}),
-        ("return_slope", {"box": math.inf}),
+        # return_slope's box is max(|x|, |y|) < 4: starts on its edge and
+        # beyond it
+        ("return_slope", {"section_scale": 400.0}),
+        ("return_slope", {"offsets": (10.0, 1.0)}),
+        ("return_slope", {"section_scale": 1e300}),
+        ("return_slope", {"offsets": (4.0,)}),
         ("return_slope", {"section_scale": 1000.0}),
     ])
     def test_guard_box_that_cannot_fire(self, measure, kw):
@@ -804,14 +833,13 @@ class TestValidation:
     @pytest.mark.parametrize("direction", [-1, 0, 1])
     def test_good_section_stop(self, axis, direction):
         stop = flow.Stop.section(axis, 0.5, direction)
-        (event,) = stop.events
-        assert event.direction == direction and stop.span is None
+        assert stop.direction == direction and stop.x_target is None
         # zero on the section and the signed distance off it
         i = "xy".index(axis)
         for value in (0.25, 0.5, 2.0):
             point = [-3.0, 7.0]
             point[i] = value
-            assert event.fn(0.0, tuple(point)) == value - 0.5
+            assert stop.fn(0.0, tuple(point)) == value - 0.5
 
 
 class TestSectionDirection:
@@ -826,7 +854,6 @@ class TestSectionDirection:
                                                     y_stop):
         traj = flow.integrate(PlanarField(-Y, X), start,
                               flow.Stop.section("x", 0.0, direction))
-        assert [name for name, _loc in traj.events] == ["section_crossing"]
         t_end, xe, ye, _err = traj.samples[-1]
         assert t_end == pytest.approx(1.5 * math.pi, rel=1e-8)
         assert xe == pytest.approx(0.0, abs=1e-8)
@@ -1002,7 +1029,7 @@ class TestConservation:
     def test_ambiguous_jump_raises(self):
         traj = flow.Trajectory(samples=[(0.0, 0.0, 1.0, 0.0),
                                         (1.0, 1.0, 2.0, 0.0)],
-                               events=[], parametrization="time")
+                               parametrization="time")
         with pytest.raises(flow.BranchTrackingFailed):
             # jump of 1.2 pi is nowhere near a whole quantum
             flow.conservation_check(lambda x, y: x * 1.2 * math.pi,
