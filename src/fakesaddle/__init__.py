@@ -18,7 +18,7 @@ from .flow import (IntegratorConfig, ProbeVerdict, SlopeEstimate, Stop,
 from .normalform import (Classification, Invariants, NormalFormField, Verdict,
                          classify, invariants, validate_and_build)
 from .polyfield import (AffineMap2, PlanarField, Poly2, divide_exact,
-                        pullback_affine, substitute)
+                        pullback_affine)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,6 @@ __all__ = [
     "divide_exact", "divisor_report", "gamma0", "gamma_pm", "integrate",
     "invariants", "monodromy_probe", "pullback_affine", "pv_integral",
     "pv_integral_eps_oracle", "pv_integral_sym_infinite", "return_slope",
-    "saddle_data", "substitute", "transition_report", "transition_slope",
+    "saddle_data", "transition_report", "transition_slope",
     "validate_and_build",
 ]

@@ -2,15 +2,15 @@
 
 A polynomial c0 + c1*t + ... + cn*t^n is the list [c0, c1, ..., cn].
 Coefficients are Fractions in exact mode or floats in float mode.  The
-positivity check converts them to Fractions before counting roots by
-Sturm sequences; every finite float is an exact binary rational, so the
-check is exact in both modes.
+positivity check scales them to coprime integers before counting roots
+by Sturm sequences in integer arithmetic; every finite float is an
+exact binary rational, so the check is exact in both modes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def trim(coeffs):
@@ -74,23 +74,6 @@ def eq(a, b):
     return trim(a) == trim(b)
 
 
-def divmod_poly(a, b):
-    """Polynomial division a = q*b + r over the coefficient field."""
-    a, b = trim(a), trim(b)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) > db:
-        k = len(r) - 1 - db
-        f = r.pop() / lb  # the leading term cancels by construction
-        q[k] = f
-        for i, cb in enumerate(b[:-1]):
-            r[k + i] -= f * cb
-    return trim(q), trim(r)
-
-
 def _sign(v):
     if v > 0:
         return 1
@@ -100,28 +83,62 @@ def _sign(v):
 
 
 def _sign_at(coeffs, t, positive_end):
-    """Sign of the polynomial at t; None means the infinite end."""
-    if t is not None:
-        return _sign(ev(coeffs, t))
+    """Sign of the polynomial at the rational t; None means the infinite
+    end.  With t = a/b, b > 0, the sign is that of b^n p(a/b), summed
+    without division: exact, and in integers for integer coefficients."""
     c = trim(coeffs)
     if not c:
         return 0
-    if positive_end or (len(c) - 1) % 2 == 0:
-        return _sign(c[-1])
-    return -_sign(c[-1])
+    if t is None:
+        if positive_end or (len(c) - 1) % 2 == 0:
+            return _sign(c[-1])
+        return -_sign(c[-1])
+    a, b = t.as_integer_ratio()
+    acc, b_pow = c[-1], 1
+    for ck in reversed(c[:-1]):
+        b_pow *= b
+        acc = acc * a + ck * b_pow
+    return _sign(acc)
+
+
+def _primitive(coeffs):
+    """The positive multiple of ``coeffs`` (rationals, floats included)
+    with coprime integer coefficients, trimmed."""
+    ratios = [x.as_integer_ratio() for x in coeffs]
+    den = lcm(*(d for _n, d in ratios))
+    c = trim([n * (den // d) for n, d in ratios])
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
+def _positive_prem(a, b):
+    """A positive multiple of the remainder of a by b, in integers: the
+    pseudo-remainder, with |lc(b)| in place of lc(b) as each step's
+    factor and the sign of lc(b) moved onto the subtracted term."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    while len(r) > db:
+        lead = sign * r.pop()
+        k = len(r) - db
+        r = [scale * x for x in r]
+        for i, cb in enumerate(b[:-1]):
+            r[k + i] -= lead * cb
+    return trim(r)
 
 
 def sturm_chain(coeffs):
-    chain = [trim(coeffs)]
+    """A Sturm sequence of ``coeffs``: each member a positive multiple of
+    the classical one, as a primitive integer polynomial."""
+    chain = [_primitive(coeffs)]
     d = deriv(chain[0])
     if trim(d):
-        chain.append(trim(d))
+        chain.append(_primitive(d))
         while True:
-            _, r = divmod_poly(chain[-2], chain[-1])
-            r = trim(r)
+            r = _positive_prem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append([-c for c in r])
+            chain.append(_primitive([-c for c in r]))
     return chain
 
 
@@ -139,8 +156,8 @@ def _sign_variations(values):
 def count_real_roots(coeffs, lo=None, hi=None):
     """Number of distinct real roots in (lo, hi]; None means -inf / +inf.
 
-    Exact for Fraction coefficients.  Endpoints must not be roots when
-    finite (callers check f(lo), f(hi) separately).
+    Exact for rational and float coefficients and endpoints.  Endpoints
+    must not be roots when finite (callers check f(lo), f(hi) separately).
     """
     chain = sturm_chain(coeffs)
     if len(chain) == 1 and degree(chain[0]) <= 0:
@@ -153,24 +170,13 @@ def positive_on_interval(coeffs, lo, hi):
     """True when the polynomial is strictly positive on [lo, hi].
 
     None means -inf / +inf.  Coefficients and finite endpoints are taken
-    as exact Fractions (a float is an exact binary rational), so the
-    decision is exact for float coefficients too.  Past the endpoint
-    signs, degree 2 is decided by its vertex and higher degrees by a
-    Sturm count.
+    as exact rationals (a float is an exact binary rational), so the
+    decision is exact for float coefficients too: positive at both ends
+    and no root between them, by a Sturm count in integers.
     """
-    c = trim(Fraction(x) for x in coeffs)
-    lo, hi = (None if t is None else Fraction(t) for t in (lo, hi))
+    c = _primitive(coeffs)
     if _sign_at(c, lo, False) <= 0 or _sign_at(c, hi, True) <= 0:
         return False
-    if len(c) < 3:
-        return True  # constant or monotone
-    if len(c) == 3:
-        c0, c1, c2 = c
-        if c2 < 0:
-            return True  # concave: the minimum sits at an endpoint
-        v = -c1 / (2 * c2)
-        inside = (lo is None or lo < v) and (hi is None or v < hi)
-        return not inside or c1 * c1 < 4 * c0 * c2
     return count_real_roots(c, lo, hi) == 0
 
 

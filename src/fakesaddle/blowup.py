@@ -2,21 +2,26 @@
 
 The chart catalog is deliberately closed: the four charts below are the
 only ones with exactness guarantees here, and anything else raises
-UnsupportedChart.  Each chart substitutes old coordinates (x, y) by
-polynomials in the new pair (u, v):
+UnsupportedChart.  Each chart writes the old coordinates (x, y) in the
+new pair (u, v):
 
     X_DIR          (x, y) = (u, u v),        divisor u = 0
     X_DIR_SWAPPED  (x, y) = (v, u v),        divisor v = 0
     PI_PLUS        (x, y) = (u (1-v), u v),  divisor u = 0
     PI_MINUS       (x, y) = (-u (1-v), u v), divisor u = 0
 
-Blowing up means pulling back (chain-rule solve, monomial Jacobian
-determinant) and then dividing exactly by divisor**divide_power.
-"""
+Blowing up means pulling the field back and then dividing exactly by
+divisor**divide_power.  Both steps have a closed form on the term maps
+(Dumortier, Llibre & Artes, Qualitative Theory of Planar Differential
+Systems, 2006, ch. 3): a term c x^i y^j becomes c u^(i+j) v^j,
+c u^j v^(i+j), or, in the pi charts, c (+-1)^i u^(i+j) times the
+binomial expansion of v^j (1-v)^i, and the chain rule is one sum per
+component.  Division by a power of the divisor shifts exponents."""
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +30,7 @@ from typing import Dict, Tuple
 from . import _univariate as u1
 from ._univariate import sqrt_fraction
 from .normalform import NormalFormField, Verdict, classify, invariants
-from .polyfield import NotDivisible, PlanarField, Poly2, divide_exact, substitute
+from .polyfield import NotDivisible, PlanarField, Poly2
 
 
 class UnsupportedChart(Exception):
@@ -48,19 +53,6 @@ class BlowupChart:
     kind: ChartKind
     divide_power: int = 1
 
-    def substitution(self) -> Tuple[Poly2, Poly2, Poly2]:
-        """(sub_x, sub_y, divisor) for this chart."""
-        u, v = Poly2.gens()
-        if self.kind is ChartKind.X_DIR:
-            return u, u * v, u
-        if self.kind is ChartKind.X_DIR_SWAPPED:
-            return v, u * v, v
-        if self.kind is ChartKind.PI_PLUS:
-            return u * (1 - v), u * v, u
-        if self.kind is ChartKind.PI_MINUS:
-            return -u * (1 - v), u * v, u
-        raise UnsupportedChart(str(self.kind))
-
 
 @dataclass(frozen=True)
 class BlowupResult:
@@ -79,15 +71,122 @@ class BlowupResult:
     v_factor: Poly2 | None
 
 
+# -- the charts on term maps --------------------------------------------------
+#
+# A term map is {(i, j): c} for c u^i v^j, as Poly2 keeps it.  Each sum
+# adds its terms in the order of the chain rule adj(J) (P, Q) / det J
+# written out over Poly2 arithmetic, and drops zeros after each sum as
+# that arithmetic does: float coefficients and the order of the terms
+# depend on it.  The tests hold every chart to that chain rule
+# (tests/test_polyfield.py, ref_substitute).
+
+# Sign of the Jacobian determinant, +-u or +-v, of each chart
+_DET_SIGN = {ChartKind.X_DIR: 1, ChartKind.X_DIR_SWAPPED: -1,
+             ChartKind.PI_PLUS: 1, ChartKind.PI_MINUS: -1}
+
+
+@functools.cache
+def _expansion(i: int, sign: int) -> Tuple[int, ...]:
+    """Coefficients of v^k, k = 0..i, in (sign (1-v))^i."""
+    return tuple(sign ** i * (-1) ** k * math.comb(i, k) for k in range(i + 1))
+
+
+def _nonzero(terms: dict) -> dict:
+    if all(terms.values()):
+        return terms
+    return {k: c for k, c in terms.items() if c}
+
+
+def _pull(terms: dict, kind: ChartKind) -> dict:
+    """The term map of p(x(u, v), y(u, v)) in the chart ``kind``."""
+    if kind is ChartKind.X_DIR:
+        return {(i + j, j): c for (i, j), c in terms.items()}
+    if kind is ChartKind.X_DIR_SWAPPED:
+        return {(j, i + j): c for (i, j), c in terms.items()}
+    sign = 1 if kind is ChartKind.PI_PLUS else -1
+    out: dict = {}
+    for (i, j), c in terms.items():
+        for k, b in enumerate(_expansion(i, sign)):
+            key = (i + j, j + k)
+            v = c if b == 1 else -c if b == -1 else b * c
+            out[key] = out[key] + v if key in out else v
+    return _nonzero(out)
+
+
+def _add(a: dict, b: dict) -> dict:
+    """a + b with a's terms first."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return _nonzero(out)
+
+
+def _times(terms: dict, du: int, dv: int, sign: int = 1) -> dict:
+    """sign u^du v^dv times the term map."""
+    if sign < 0:
+        return {(i + du, j + dv): -c for (i, j), c in terms.items()}
+    return {(i + du, j + dv): c for (i, j), c in terms.items()}
+
+
+def _chain_rule(kind: ChartKind, p: dict, q: dict):
+    """(u', v') of the pulled-back field, as two term maps, and which of
+    them (0 or 1) is still to be divided by the divisor."""
+    P, Q = _pull(p, kind), _pull(q, kind)
+    if kind is ChartKind.X_DIR:  # (P, (Q - vP)/u)
+        return P, _add(Q, _times(P, 0, 1, -1)), 1
+    if kind is ChartKind.X_DIR_SWAPPED:  # ((Q - uP)/v, P)
+        return _add(_times(P, 1, 0, -1), Q), P, 0
+    q_qv = _add(Q, _times(Q, 0, 1, -1))
+    if kind is ChartKind.PI_PLUS:  # (P + Q, (Q - vQ - vP)/u)
+        return _add(P, Q), _add(q_qv, _times(P, 0, 1, -1)), 1
+    # PI_MINUS: (Q - P, (Q - vQ + vP)/u)
+    return _add(_times(P, 0, 0, -1), Q), _add(q_qv, _times(P, 0, 1)), 1
+
+
+def _divided(terms: dict, axis: int, power: int, name: str) -> dict:
+    """The term map divided by u**power (axis 0) or v**power (axis 1)."""
+    if any(k[axis] < power for k in terms):
+        raise NotDivisible(name, Poly2._trusted(
+            {k: c for k, c in terms.items() if k[axis] < power}))
+    if axis == 0:
+        return {(i - power, j): c for (i, j), c in terms.items()}
+    return {(i, j - power): c for (i, j), c in terms.items()}
+
+
 def blow_up(field: PlanarField, chart: BlowupChart) -> BlowupResult:
     """Pull back through the chart and divide by divisor**divide_power.
 
-    Raises NotDivisible when either division is not exact: the field is
-    not singular at the chart centre, or divide_power is too high.
+    The pullback (u', v') is, with P and Q the pulled-back p and q,
+
+        X_DIR          (P, (Q - vP)/u)
+        X_DIR_SWAPPED  ((Q - uP)/v, P)
+        PI_PLUS        (P + Q, (Q - v(P + Q))/u)
+        PI_MINUS       (Q - P, (Q + v(P - Q))/u)
+
+    Raises NotDivisible, naming the component and its remainder, when
+    either division is not exact: the field is not singular at the chart
+    centre, or divide_power is too high.  The remainder of the first
+    division is that of the chain rule's numerator, det J (u', v').
     """
-    sub_x, sub_y, divisor = chart.substitution()
-    result = divide_exact(substitute(field, sub_x, sub_y), divisor,
-                          chart.divide_power)
+    kind = chart.kind
+    if kind not in _DET_SIGN:
+        raise UnsupportedChart(str(kind))
+    axis = 1 if kind is ChartKind.X_DIR_SWAPPED else 0
+    du, dv, pending = _chain_rule(kind, field.p.terms, field.q.terms)
+    comps = [Poly2._trusted(du).terms, Poly2._trusted(dv).terms]
+    try:
+        comps[pending] = _divided(comps[pending], axis, 1, "pq"[pending])
+    except NotDivisible as exc:
+        if _DET_SIGN[kind] > 0:
+            raise
+        raise NotDivisible(exc.component, -exc.remainder) from None
+    power = chart.divide_power
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    if power:
+        comps = [_divided(c, axis, power, name)
+                 for c, name in zip(comps, "pq")]
+    result = PlanarField(Poly2._trusted(comps[0]), Poly2._trusted(comps[1]))
     u, v = Poly2.gens()
     try:
         uf = result.p.divide_exact(u)

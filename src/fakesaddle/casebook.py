@@ -428,9 +428,9 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
     res.exact("classifier_monodromy",
               classify(inv).verdict is Verdict.HYPERBOLIC_FAKE_SADDLE,
               monodromic)
+    zf = build_z(float(alpha_q), float(beta_q))  # probed and returned alike
     if with_probe:
-        probe = flow.monodromy_probe(build_z(float(alpha_q), float(beta_q)),
-                                     box=10.0, ring_radius=1e-8)
+        probe = flow.monodromy_probe(zf, box=10.0, ring_radius=1e-8)
         res.exact("probe_monodromy",
                   probe is flow.ProbeVerdict.MONODROMIC, monodromic)
 
@@ -441,7 +441,6 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
         res.close("gamma_minus_infinite", gm, gm_c, 1e-12)
 
     if monodromic and with_return:
-        zf = build_z(float(alpha_q), float(beta_q))
         est = flow.return_slope(zf, cfg=cfg)
         expected = z_return_slope_closed(alpha_q, beta_q)
         if alpha_q == 0:

@@ -22,8 +22,10 @@ norm and the step control in local scalars:
   integrate() raises TransitDoesNotExist.
 
 The xy drives of integrate() and of the arclength fallback each stop at
-one event, a ``Stop``.  One Python function, ``accept``, that the loop calls
-on each accepted step, tests it and keeps the samples.
+one event, a ``Stop``; the fallback also ends, with TransitDoesNotExist,
+at a step that turns back across an equilibrium.  One Python function,
+``accept``, that the loop calls on each accepted step, tests it and
+keeps the samples.
 
 On top of the integrator sit the measured counterparts of the
 closed-form transition theory: transition-map slopes across a fake
@@ -405,14 +407,19 @@ def _locate(fn, g0, t, h, y, k1, y5, k7):
 
 def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
            stop: Stop | None = None, parametrization="time",
-           autonomous=False, keep_samples=False):
+           autonomous=False, keep_samples=False, turn_back=False):
     """Adaptive drive of the "xy" or "graph" kind to t_end, or to where
     the ``stop`` crosses zero, located by ``_locate``.  Returns (state,
     accumulated error, Trajectory or None).
 
     The kind's loop (``_compile_loop``) takes every step of the field
     ``f(x, y) -> (p, q)``.  ``accept`` tests the stop and, with
-    ``keep_samples``, keeps a Trajectory.  ``autonomous=True`` lets the
+    ``keep_samples``, keeps a Trajectory.  With ``turn_back``, a step
+    whose end slope points against its start slope raises
+    TransitDoesNotExist naming its end: on a unit-speed field, where the
+    slope is the orbit's direction, that marks a step across an
+    equilibrium, which the orbit would otherwise cross back and forth
+    until the step budget runs out.  ``autonomous=True`` lets the
     loop rebase the time origin for degenerate loops, which crawl through
     near-singular passes for astronomically long times; reported times
     stay absolute but may saturate float resolution.
@@ -430,6 +437,10 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
         # closure here: it would make cells of the locals on every call
         nonlocal g0
         t1 = t + h
+        if turn_back and k1[0] * k7[0] + k1[1] * k7[1] < 0.0:
+            raise TransitDoesNotExist(
+                f"the orbit turns back at ({y5[0]}, {y5[1]}): it runs into "
+                f"an equilibrium there")
         if stop is not None:
             g1 = stop.fn(t1, y5)
             if ((stop.direction >= 0 and g0 < 0.0 <= g1)
@@ -675,11 +686,12 @@ def _transit_endpoint(rhs_xy, alpha, omega, y0, cfg) -> Tuple[float, float]:
         pass
 
     # the graph folds: go by arclength until the orbit leaves a window,
-    # which a transit leaves through x = omega, the side it ends nearest
+    # which a transit leaves through x = omega, the side it ends nearest,
+    # or runs into an equilibrium
     y_cap = 50.0 * max(abs(y0), 1.0)
     window = Stop.window_exit(alpha - (omega - alpha), omega, -y_cap, y_cap)
     (x, y), err, _ = _drive("xy", _unit_speed(rhs_xy), 0.0, (alpha, y0), cfg,
-                            stop=window)
+                            stop=window, turn_back=True)
     if window.fn(0.0, (x, y)) != x - omega:
         raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) left its "
                                   f"window at ({x}, {y}), not through "
@@ -695,7 +707,9 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     Integrates dy/dx in graph parametrization while the denominator is
     safely positive (switching to arclength otherwise), measures
     Pi(y0)/y0 at each offset and extrapolates against the unknown
-    remainder exponent.
+    remainder exponent.  Raises TransitDoesNotExist when the arclength
+    orbit leaves its window elsewhere than through x = omega, or runs
+    into an equilibrium.
     """
     cfg = cfg or IntegratorConfig()
     if side not in ("+", "-"):

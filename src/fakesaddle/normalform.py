@@ -56,11 +56,24 @@ class NormalFormField:
                 or self.f2.is_float or self.g1.is_float or self.g2.is_float)
 
     def field(self) -> PlanarField:
-        """Reconstruct the planar field induced by the normal form."""
-        x, y = Poly2.gens()
-        p = x * x * self.f1 + x * y * self.a + y * y * self.f2
-        q = (x * self.g1 + y * self.g2) * y
-        return PlanarField(p, q)
+        """Reconstruct the planar field induced by the normal form.
+
+        Built once; later calls return the same field, and with it the
+        field's compiled right-hand side.
+        """
+        fld = self.__dict__.get("_field")
+        if fld is None:
+            x, y = Poly2.gens()
+            p = x * x * self.f1 + x * y * self.a + y * y * self.f2
+            q = (x * self.g1 + y * self.g2) * y
+            fld = PlanarField(p, q)
+            # a pure function of the frozen members: safe to share
+            object.__setattr__(self, "_field", fld)
+        return fld
+
+    def __getstate__(self):
+        # the field is a cache, not data: copies and pickles leave it out
+        return {k: v for k, v in self.__dict__.items() if k != "_field"}
 
     def to_json(self) -> dict:
         a = self.a

@@ -1,9 +1,8 @@
 """Exact sparse bivariate polynomials and planar polynomial vector fields.
 
-A field is its two components (p, q).  Every coordinate change here has
-a single-term Jacobian determinant (a constant, or +-u or +-v for the
-blow-up charts), so division is by a single term only, and a quotient
-that is not polynomial raises NotDivisible.
+A field is its two components (p, q).  Division is by a single term
+only, as the blow-up charts (``blowup``) need it, and a quotient that is
+not polynomial raises NotDivisible.
 
 Coefficients are exact rationals (Fraction) by default.  A parallel
 float-coefficient mode exists solely for irrational coordinate
@@ -431,8 +430,19 @@ class PlanarField:
         and the factors 1.0 and -1.0 are skipped.  For finite arguments
         each value is bit for bit that of dense Horner over the full
         (i, j) grid, signed zeros included; ``_horner_expr`` says why.
+        The field compiles once; later calls return the same function.
         """
-        return _compile_horner_pair(self.p, self.q)
+        rhs = self.__dict__.get("_rhs")
+        if rhs is None:
+            rhs = _compile_horner_pair(self.p, self.q)
+            # a pure function of the frozen (p, q): safe to share
+            object.__setattr__(self, "_rhs", rhs)
+        return rhs
+
+    def __getstate__(self):
+        # the compiled function is a cache, not data: copies and pickles
+        # leave it out and compile again
+        return {k: v for k, v in self.__dict__.items() if k != "_rhs"}
 
     def to_json(self) -> dict:
         return {"p": self.p.to_json(), "q": self.q.to_json()}
@@ -493,28 +503,6 @@ class AffineMap2:
 
 
 # -- field operations ---------------------------------------------------------
-
-
-def substitute(field: PlanarField, sub_x: Poly2, sub_y: Poly2) -> PlanarField:
-    """Pull back a field under (x, y) = (sub_x(u,v), sub_y(u,v)).
-
-    Solves the chain rule (xdot, ydot) = J (udot, vdot) by dividing
-    adj(J) (xdot, ydot) by det J exactly.  det J must be a single term,
-    as it is for every blow-up chart here (+-u or +-v); any other
-    determinant raises ValueError.  A quotient that is not polynomial,
-    as for a field that is not singular at the chart centre, raises
-    NotDivisible naming the component.
-    """
-    j11, j12 = sub_x.diff_x(), sub_x.diff_y()
-    j21, j22 = sub_y.diff_x(), sub_y.diff_y()
-    det = j11 * j22 - j12 * j21
-    if det.is_zero:
-        raise SingularMap("substitution has identically singular Jacobian")
-    p_sub = field.p.subs(sub_x, sub_y)
-    q_sub = field.q.subs(sub_x, sub_y)
-    num_u = j22 * p_sub - j12 * q_sub
-    num_v = j11 * q_sub - j21 * p_sub
-    return divide_exact(PlanarField(num_u, num_v), det, 1)
 
 
 def divide_exact(field: PlanarField, divisor: Poly2, power: int) -> PlanarField:

@@ -183,6 +183,124 @@ class TestQuadraticPositivity:
                     == self.sturm_positive(coeffs, lo, hi)), (coeffs, lo, hi)
 
 
+# -- the Fraction Sturm decision, as a test-only reference -------------------
+#
+# positive_on_interval once decided on Fractions: the vertex for degree 2,
+# a Sturm count with field division for higher degrees, and endpoint
+# signs by Horner.  The integer decision must agree with it everywhere.
+
+
+def ref_ev(c, t):
+    acc = 0
+    for ck in reversed(c):
+        acc = acc * t + ck
+    return acc
+
+
+def ref_sign_at(c, t, positive_end):
+    if t is not None:
+        v = ref_ev(c, t)
+        return (v > 0) - (v < 0)
+    if not c:
+        return 0
+    sign = (c[-1] > 0) - (c[-1] < 0)
+    return sign if positive_end or (len(c) - 1) % 2 == 0 else -sign
+
+
+def ref_sturm_count(c, lo, hi):
+    chain = [c]
+    d = u1.trim(u1.deriv(c))
+    if d:
+        chain.append(d)
+        while True:
+            r, b = list(chain[-2]), chain[-1]
+            while len(r) >= len(b):
+                f = r.pop() / b[-1]
+                for i, cb in enumerate(b[:-1]):
+                    r[len(r) - len(b) + 1 + i] -= f * cb
+            r = u1.trim(r)
+            if not r:
+                break
+            chain.append([-x for x in r])
+    if len(chain) == 1 and len(c) <= 1:
+        return 0
+    return (u1._sign_variations([ref_sign_at(p, lo, False) for p in chain])
+            - u1._sign_variations([ref_sign_at(p, hi, True) for p in chain]))
+
+
+def ref_positive_on_interval(coeffs, lo, hi):
+    c = u1.trim(Fraction(x) for x in coeffs)
+    lo, hi = (None if t is None else Fraction(t) for t in (lo, hi))
+    if ref_sign_at(c, lo, False) <= 0 or ref_sign_at(c, hi, True) <= 0:
+        return False
+    if len(c) < 3:
+        return True
+    if len(c) == 3:
+        c0, c1, c2 = c
+        if c2 < 0:
+            return True
+        v = -c1 / (2 * c2)
+        inside = (lo is None or lo < v) and (hi is None or v < hi)
+        return not inside or c1 * c1 < 4 * c0 * c2
+    return ref_sturm_count(c, lo, hi) == 0
+
+
+class TestIntegerPositivity:
+    """The integer Sturm decision against the Fraction one, on products
+    of linear factors whose roots sit on, near, inside or outside the
+    interval, double roots and near-double pairs included, and on sparse
+    polynomials, whose chains skip degrees."""
+
+    @staticmethod
+    def cases(rng):
+        for _ in range(3000):
+            lo = Fraction(rng.randint(-16, 8), 16)
+            hi = lo + Fraction(rng.randint(1, 24), 16)
+            tiny = Fraction(1, 2 ** rng.choice((12, 30, 52, 70)))
+            pool = [lo, hi, lo + tiny, lo - tiny, hi + tiny, hi - tiny,
+                    (lo + hi) / 2, lo - 1, hi + Fraction(3, 7),
+                    lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)]
+            roots = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            if roots and rng.random() < 0.4:
+                roots.append(roots[0])  # a double root
+            coeffs = [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))]
+            for r in roots:
+                coeffs = u1.mul(coeffs, [-r, 1])
+            if rng.random() < 0.3:  # no real root, or a near-double pair
+                m = rng.choice(pool)
+                coeffs = u1.mul(coeffs, [m * m + rng.choice((0, tiny, 1)),
+                                         -2 * m, 1])
+            if rng.random() < 0.2:  # sparse, so the chain skips degrees
+                coeffs = [Fraction(rng.randint(-8, 8), 4) for _ in range(2)]
+                coeffs += [0] * rng.randint(1, 4) + [rng.choice((-1, 1))]
+            if rng.random() < 0.4:
+                coeffs = [float(c) for c in coeffs]
+            ends = [float(lo), float(hi)] if rng.random() < 0.3 else [lo, hi]
+            if rng.random() < 0.2:
+                ends[rng.randrange(2)] = None
+            yield coeffs, ends[0], ends[1]
+
+    def test_matches_fraction_decision(self):
+        rng = random.Random(808)
+        decided = set()
+        for coeffs, lo, hi in self.cases(rng):
+            want = ref_positive_on_interval(coeffs, lo, hi)
+            assert u1.positive_on_interval(coeffs, lo, hi) == want, \
+                (coeffs, lo, hi)
+            decided.add((want, isinstance(coeffs[0], float)))
+        assert len(decided) == 4
+
+    def test_root_counts_match_fraction_count(self):
+        rng = random.Random(809)
+        for coeffs, lo, hi in self.cases(rng):
+            c = u1.trim(Fraction(x) for x in coeffs)
+            ends = [None if t is None else Fraction(t) for t in (lo, hi)]
+            if any(t is not None and ref_ev(c, t) == 0 for t in ends):
+                continue  # the count needs endpoints that are not roots
+            assert u1.count_real_roots(coeffs, lo, hi) == \
+                ref_sturm_count(c, *ends), (coeffs, lo, hi)
+
+
 class TestPvIntegral:
     def test_odd_integrand_on_symmetric_sections(self):
         nf = build_example6(Fraction(1), Fraction(-1), Fraction(-1))

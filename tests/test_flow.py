@@ -911,6 +911,36 @@ class TestTransitionSlope:
         est = flow.transition_slope(nf, SECTIONS, "+", offsets=offsets)
         assert est.value == pytest.approx(math.exp(gp), rel=0.02)
 
+    @pytest.mark.parametrize("members, alpha, omega", [
+        ((Poly2({(0, 0): 1, (1, 0): Fraction(-1, 8), (1, 1): Fraction(-3, 8),
+                 (2, 0): Fraction(1, 8), (3, 0): Fraction(-1, 4)}),
+          Poly2({(0, 0): 1, (0, 1): Fraction(7, 16), (1, 0): Fraction(-3, 8)}),
+          Poly2({(0, 0): Fraction(-1, 8), (0, 1): Fraction(1, 16),
+                 (1, 0): Fraction(-1, 8), (1, 1): Fraction(-7, 16),
+                 (2, 0): Fraction(3, 8)}),
+          Poly2({(0, 0): Fraction(-15, 16), (0, 2): Fraction(1, 8)}),
+          Fraction(15, 16)), -0.25, 0.9375),
+        ((Poly2({(0, 0): 1, (0, 2): Fraction(-1, 4), (1, 0): Fraction(-1, 16),
+                 (1, 1): Fraction(5, 16)}),
+          Poly2({(0, 0): 1, (0, 1): Fraction(3, 16), (1, 0): Fraction(-1, 2)}),
+          Poly2({(0, 0): -1, (1, 0): Fraction(-5, 16),
+                 (1, 1): Fraction(-1, 8), (2, 0): Fraction(-1, 2)}),
+          Poly2({(0, 0): Fraction(-5, 4), (0, 1): Fraction(1, 4),
+                 (0, 2): Fraction(7, 16)}),
+          Fraction(21, 16)), -0.4375, 0.875),
+    ])
+    def test_fallback_stops_at_an_equilibrium(self, members, alpha, omega):
+        # the graph folds at offset 1e-2 and the arclength orbit runs into
+        # an equilibrium, across which it once chattered for 10^6 steps
+        nf = NormalFormField(*members)
+        with pytest.raises(flow.TransitDoesNotExist,
+                           match="turns back") as err:
+            flow.transition_slope(nf, asy.SectionPair(alpha, omega), "-")
+        x, y = map(float, re.search(r"\(([^,]+), ([^)]+)\)",
+                                    str(err.value)).groups())
+        p, q = nf.field().as_rhs()(x, y)
+        assert abs(p) < 1e-8 and abs(q) < 1e-8
+
 
 class TestReturnSlope:
     def test_center(self):

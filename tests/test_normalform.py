@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -173,3 +176,37 @@ class TestSerialization:
         data = cls.to_json()
         assert data["verdict"] == "NotFakeSaddle"
         assert data["extra_divisor_singularities"]["count"] == 2
+
+
+class TestFieldCache:
+    """field() and as_rhs() build once; the caches are invisible to
+    equality, hashing, replace, copies and pickles."""
+
+    def test_built_once(self, rng):
+        nf = random_normal_form(rng)
+        field = nf.field()
+        assert nf.field() is field
+        assert field.as_rhs() is field.as_rhs()
+
+    def test_replace_builds_from_the_new_members(self, rng):
+        nf = random_normal_form(rng)
+        nf.field().as_rhs()
+        moved = dataclasses.replace(nf, a=nf.a + 1)
+        assert moved.field() == NormalFormField(
+            nf.f1, nf.f2, nf.g1, nf.g2, nf.a + 1).field()
+        assert moved.field() != nf.field()
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+    def test_clones_equal_with_or_without_cache(self, rng, clone):
+        for cached in (False, True):
+            nf = random_normal_form(rng)
+            if cached:
+                nf.field().as_rhs()
+            twin = clone(nf)
+            assert twin == nf and hash(twin) == hash(nf)
+            assert twin.field() == nf.field()
+            field = clone(nf.field())
+            assert field == nf.field() and hash(field) == hash(nf.field())
+            assert (field.as_rhs()(0.25, -0.5)
+                    == nf.field().as_rhs()(0.25, -0.5))

@@ -12,7 +12,7 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  build_z_normalform, printed_z_blowup)
 from fakesaddle.polyfield import (AffineMap2, NotDivisible, PlanarField,
                                   Poly2, SingularMap, _horner_expr,
-                                  divide_exact, pullback_affine, substitute)
+                                  divide_exact, pullback_affine)
 
 X, Y = Poly2.gens()
 
@@ -59,33 +59,27 @@ class TestEval:
 
 
 class TestSubstitute:
+    """Pullbacks through the blow-up charts, against hand computations."""
+
     def test_blowup_of_degenerate_quartic(self):
         # (x + y)^2 d/dx + y^4 d/dy pulled back through (x, y) = (v, u v),
         # then divided by the divisor v once
         field = PlanarField((X + Y) ** 2, Y ** 4)
         u, v = Poly2.gens()
-        res = divide_exact(substitute(field, v, u * v), v, 1)
+        res = blow_up(field, BlowupChart(ChartKind.X_DIR_SWAPPED, 1)).field
         assert res.p == (-(u + 1) ** 2 + u ** 3 * v ** 2) * u
         assert res.q == (u + 1) ** 2 * v
 
-    def test_identity_substitution(self):
-        field = PlanarField(X ** 2 + Y, X * Y)
-        out = substitute(field, X, Y)
-        assert out.p == field.p and out.q == field.q
-
     def test_radial_field_is_blowup_invariant(self):
         # hand chain rule: u = x, v = y/x gives udot = u, vdot = 0
-        out = substitute(PlanarField(X, Y), X, X * Y)
+        out = blow_up(PlanarField(X, Y), BlowupChart(ChartKind.X_DIR, 0)).field
         assert out.p == X and out.q == Poly2.zero()
-
-    def test_nonmonomial_jacobian_rejected(self):
-        with pytest.raises(ValueError, match="not a single term"):
-            substitute(PlanarField(X, Y), X, X * Y + Y ** 2)
 
     def test_inexact_division_is_not_divisible(self):
         # constant horizontal field: vdot = -v/u is not polynomial
         with pytest.raises(NotDivisible) as err:
-            substitute(PlanarField(Poly2.const(1), Poly2.zero()), X, X * Y)
+            blow_up(PlanarField(Poly2.const(1), Poly2.zero()),
+                    BlowupChart(ChartKind.X_DIR, 0))
         assert err.value.component == "q"
         assert err.value.remainder == -Y
 
@@ -101,8 +95,8 @@ class TestDivideExact:
         p = beta * X ** 2 * Y + alpha * X * Y ** 2 - beta * Y ** 3 - X ** 4
         q = 4 * beta * X * Y ** 2 + alpha * Y ** 3 + 2 * X ** 5
         u, v = Poly2.gens()
-        pulled = substitute(PlanarField(p, q), v, u * v)
-        out = divide_exact(pulled, v, 2)
+        out = blow_up(PlanarField(p, q),
+                      BlowupChart(ChartKind.X_DIR_SWAPPED, 2)).field
         assert out.p == 3 * beta * u ** 2 + beta * u ** 4 + u * v + 2 * v ** 2
         assert out.q == (beta * u + alpha * u ** 2 - beta * u ** 3 - v) * v
 
@@ -185,6 +179,22 @@ class TestPullbackAffine:
 
 def frac(rng):
     return Fraction(rng.randint(-6, 6), 4)
+
+
+def as_float(poly):
+    return Poly2({k: float(c) for k, c in poly.terms.items()})
+
+
+def random_poly(rng):
+    """Up to six terms of degree at most 4, exact or float."""
+    exact = rng.random() < 0.5
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randint(0, 4)
+        j = rng.randint(0, 4 - i)
+        terms[(i, j)] = (Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                         if exact else rng.uniform(-3.0, 3.0))
+    return Poly2(terms)
 
 
 class TestSerialization:
@@ -276,8 +286,18 @@ def ref_diff(p, var):
     return Poly2({(i, j - 1): j * c for (i, j), c in p.terms.items() if j})
 
 
+def ref_divide(num, divisor, component):
+    """num / divisor, a single term; NotDivisible as the library raises it."""
+    ((di, dj), dc), = divisor.terms.items()
+    rem = {(i, j): c for (i, j), c in num.terms.items() if i < di or j < dj}
+    if rem:
+        raise NotDivisible(component, Poly2(rem))
+    return Poly2({(i - di, j - dj): c / dc for (i, j), c in num.terms.items()})
+
+
 def ref_substitute(field, sub_x, sub_y):
-    """(p, q) term maps of the chain-rule pullback; None if not polynomial."""
+    """The chain-rule pullback under (x, y) = (sub_x, sub_y): adj(J) times
+    the composed field, divided by det J, which must be a single term."""
     j11, j12 = ref_diff(sub_x, 0), ref_diff(sub_x, 1)
     j21, j22 = ref_diff(sub_y, 0), ref_diff(sub_y, 1)
     det = ref_add(ref_mul(j11, j22), ref_neg(ref_mul(j12, j21)))
@@ -285,14 +305,35 @@ def ref_substitute(field, sub_x, sub_y):
     q_sub = ref_subs(field.q, sub_x, sub_y)
     num_u = ref_add(ref_mul(j22, p_sub), ref_neg(ref_mul(j12, q_sub)))
     num_v = ref_add(ref_mul(j11, q_sub), ref_neg(ref_mul(j21, p_sub)))
-    ((di, dj), dc), = det.terms.items()
-    quotients = []
-    for num in (num_u, num_v):
-        if any(i < di or j < dj for i, j in num.terms):
-            return None
-        quotients.append(Poly2({(i - di, j - dj): c / dc
-                                for (i, j), c in num.terms.items()}).terms)
-    return quotients[0], quotients[1]
+    return PlanarField(ref_divide(num_u, det, "p"),
+                       ref_divide(num_v, det, "q"))
+
+
+# Each chart as (x, y) in the chart coordinates (u, v), written X and Y
+# here, with its divisor
+CHART_MAPS = {
+    ChartKind.X_DIR: (X, X * Y, X),
+    ChartKind.X_DIR_SWAPPED: (Y, X * Y, Y),
+    ChartKind.PI_PLUS: (X * (1 - Y), X * Y, X),
+    ChartKind.PI_MINUS: (-X * (1 - Y), X * Y, X),
+}
+
+
+def ref_blow_up(field, chart):
+    """(p, q) term maps of ref_substitute plus exact division by the
+    divisor**divide_power, or the NotDivisible (component, remainder)."""
+    sub_x, sub_y, divisor = CHART_MAPS[chart.kind]
+    ((di, dj), _c), = divisor.terms.items()
+    n = chart.divide_power
+    try:
+        out = ref_substitute(field, sub_x, sub_y)
+        if n:
+            d = Poly2({(n * di, n * dj): 1})
+            out = PlanarField(ref_divide(out.p, d, "p"),
+                              ref_divide(out.q, d, "q"))
+    except NotDivisible as exc:
+        return exc.component, exc.remainder.terms
+    return out.p.terms, out.q.terms
 
 
 def ref_pullback_affine(field, amap):
@@ -310,13 +351,36 @@ def ref_pullback_affine(field, amap):
 class TestReferenceComposition:
     @pytest.mark.parametrize("kind", list(ChartKind))
     def test_blowup_charts_match_reference(self, kind):
+        # normal forms, their float copies and random fields that are
+        # exact, float or one of each, singular at the origin or not
         rng = random.Random(5)
-        sub_x, sub_y, _divisor = BlowupChart(kind).substitution()
-        for _ in range(200):
+        fields = []
+        for _ in range(40):
             field = random_normal_form(rng).field()
-            out = substitute(field, sub_x, sub_y)
-            assert (out.p.terms, out.q.terms) == ref_substitute(field, sub_x,
-                                                                sub_y)
+            fields += [field,
+                       PlanarField(as_float(field.p), as_float(field.q))]
+        for _ in range(80):
+            p, q = random_poly(rng), random_poly(rng)
+            low = rng.choice((0, 1, 2))
+            fields.append(PlanarField(
+                Poly2({k: c for k, c in p.terms.items() if sum(k) >= low}),
+                Poly2({k: c for k, c in q.terms.items() if sum(k) >= low})))
+        outcomes = set()
+        for field in fields:
+            for power in (0, 1, 2):
+                chart = BlowupChart(kind, power)
+                want = ref_blow_up(field, chart)
+                try:
+                    res = blow_up(field, chart)
+                except NotDivisible as exc:
+                    got = exc.component, exc.remainder.terms
+                else:
+                    got = res.field.p.terms, res.field.q.terms
+                assert got == want, (field, chart)
+                outcomes.add(got[0] if isinstance(got[0], str) else "ok")
+        # in X_DIR_SWAPPED, v' = P fails only where u' has failed first
+        assert outcomes == ({"ok", "p"} if kind is ChartKind.X_DIR_SWAPPED
+                            else {"ok", "p", "q"})
 
     @pytest.mark.parametrize("alpha, beta", [
         (Fraction(1), Fraction(1)), (Fraction(-2), Fraction(1, 2)),
