@@ -17,8 +17,7 @@ from .flow import (IntegratorConfig, ProbeVerdict, SlopeEstimate, Stop,
                    return_slope, transition_slope)
 from .normalform import (Classification, Invariants, NormalFormField, Verdict,
                          classify, invariants, validate_and_build)
-from .polyfield import (AffineMap2, PlanarField, Poly2, divide_exact,
-                        pullback_affine)
+from .polyfield import AffineMap2, PlanarField, Poly2, pullback_affine
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "PlanarField", "Poly2", "ProbeVerdict", "SaddleData", "SectionPair",
     "SlopeEstimate", "Stop", "Trajectory", "TransitionReport", "Verdict",
     "arctan_sum", "blow_up", "classify", "conservation_check", "delta00_via_L",
-    "divide_exact", "divisor_report", "gamma0", "gamma_pm", "integrate",
+    "divisor_report", "gamma0", "gamma_pm", "integrate",
     "invariants", "monodromy_probe", "pullback_affine", "pv_integral",
     "pv_integral_eps_oracle", "pv_integral_sym_infinite", "return_slope",
     "saddle_data", "transition_report", "transition_slope",

@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("return", help="measured Poincare return slope")
     _add_input_args(p)
-    p.add_argument("--section-x", dest="section_x", type=finite, default=1.0,
+    p.add_argument("--section-x", dest="section_x", type=finite, default=1e-8,
                    help="offset scale along the +y section ray: orbits "
                         "start at (0, section_x*offset)")
     p.add_argument("--offsets", nargs="+", type=finite)

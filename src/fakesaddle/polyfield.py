@@ -2,7 +2,8 @@
 
 A field is its two components (p, q).  Division is by a single term
 only, as the blow-up charts (``blowup``) need it, and a quotient that is
-not polynomial raises NotDivisible.
+not polynomial raises NotDivisible.  ``newton_weights`` reads the
+weights of a field's quasi-homogeneous principal part off its support.
 
 Coefficients are exact rationals (Fraction) by default.  A parallel
 float-coefficient mode exists solely for irrational coordinate
@@ -505,26 +506,38 @@ class AffineMap2:
 # -- field operations ---------------------------------------------------------
 
 
-def divide_exact(field: PlanarField, divisor: Poly2, power: int) -> PlanarField:
-    """Componentwise exact quotient by divisor**power, a single term.
+def newton_weights(field: PlanarField) -> Tuple[int, int, int]:
+    """Weights (a, b) and weighted degree d of the field's principal part.
 
-    A NotDivisible error signals a wrong chart or power choice and
-    reports the offending component with its remainder.
+    The Newton diagram has a point (i - 1, j) for each term x^i y^j of p
+    and (i, j - 1) for each term of q.  (a, b) is the primitive normal of
+    the compact edge of its lower-left hull with the largest max(a, b)/
+    min(a, b), the leftmost of equals, or (1, 1) where there is none; d
+    is the least a*u + b*v over the points, so that x = r^a c, y = r^b s
+    make p = r^(d+a) P and q = r^(d+b) Q, with P and Q polynomial in r.
+    Only the support counts: the result is exact for any coefficients.
     """
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    if power == 0:
-        return field
-    d = divisor ** power
-    try:
-        p = field.p.divide_exact(d)
-    except NotDivisible as e:
-        raise NotDivisible("p", e.remainder) from None
-    try:
-        q = field.q.divide_exact(d)
-    except NotDivisible as e:
-        raise NotDivisible("q", e.remainder) from None
-    return PlanarField(p, q)
+    pts = ({(i - 1, j) for i, j in field.p.terms}
+           | {(i, j - 1) for i, j in field.q.terms})
+    if not pts:
+        return 1, 1, 0
+    end = min(pts, key=lambda pt: (pt[1], pt[0]))  # lowest, then leftmost
+    hull: list = []
+    for u, v in sorted(pt for pt in pts if pt[0] < end[0]) + [end]:
+        # Andrew's lower hull, in integers: drop clockwise and straight turns
+        while len(hull) > 1:
+            (u0, v0), (u1, v1) = hull[-2:]
+            if (u1 - u0) * (v - v0) > (v1 - v0) * (u - u0):
+                break
+            hull.pop()
+        hull.append((u, v))
+    a, b = 1, 1
+    for (u1, v1), (u2, v2) in zip(hull, hull[1:]):
+        g = math.gcd(v1 - v2, u2 - u1)
+        ea, eb = (v1 - v2) // g, (u2 - u1) // g
+        if max(ea, eb) * min(a, b) > max(a, b) * min(ea, eb):
+            a, b = ea, eb
+    return a, b, min(a * u + b * v for u, v in pts)
 
 
 def pullback_affine(field: PlanarField, amap: AffineMap2) -> PlanarField:

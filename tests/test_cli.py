@@ -372,15 +372,38 @@ class TestReturn:
         err = assert_exit(capsys, 2, "return", "--case", "z-family", *argv)
         assert err.startswith("invalid argument")
 
-    @pytest.mark.parametrize("section_x", ["1e-160", "1e-150"])
-    def test_section_scale_whose_tolerances_underflow(self, capsys,
-                                                       section_x):
-        # the tolerance and stall radius tied to r0^2 would be subnormal
-        # or zero: refused before any orbit is driven, naming the cause
+    @pytest.mark.parametrize("section_x", ["1e-13", "1e-20", "1e-50",
+                                           "1e-140"])
+    def test_section_scale_below_the_depth_floor(self, capsys, section_x):
+        # the deepest start, 1e-4 section_x, lies below chart radius 1e-8:
+        # refused before any orbit is driven, naming the cause.  Winding
+        # the cartesian state ground 10^6 steps (7-8 s) into exit 6 from
+        # 1e-50 to 1e-140
         err = assert_exit(capsys, 2, "return", "--case", "z-family",
                           "--section-x", section_x)
         assert err.startswith("invalid argument: section_scale")
-        assert "underflows" in err
+        assert "depth floor" in err
+
+    @pytest.mark.parametrize("section_x", ["1e-160", "1e-150"])
+    def test_section_scale_whose_tolerances_underflow(self, capsys,
+                                                       section_x):
+        # the tolerance and stall radius once tied to r0^2 were subnormal
+        # or zero here: still refused before any orbit is driven, now by
+        # the depth floor, in one line under the same prefix
+        err = assert_exit(capsys, 2, "return", "--case", "z-family",
+                          "--section-x", section_x)
+        assert err.startswith("invalid argument: section_scale")
+        assert "depth floor" in err
+
+    def test_strong_focus_near_the_threshold(self, capsys):
+        # z(0.5, 0.3) expands 422-fold per turn; it exited 6, no return
+        code, out, _ = run_cli(capsys, "return", "--case", "z-family",
+                               "--alpha-param", "0.5", "--beta", "0.3",
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["slope"]["value"] == pytest.approx(data["closed_form"],
+                                                       rel=5e-6)
 
 
 class TestToleranceOverride:

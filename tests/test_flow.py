@@ -188,8 +188,8 @@ def reference_rhs(kind, f):
 
 
 def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
-                    winding_target=None, parametrization="time",
-                    autonomous=False, keep_samples=False, seen=None):
+                    parametrization="time", autonomous=False,
+                    keep_samples=False, seen=None):
     """The adaptive drive as a plain loop over ``tableau_step`` and
     ``loop_norm`` with the builtins' min and max; the reference the
     generated drive loops must match bit for bit.  ``rhs(t, state)`` is
@@ -214,7 +214,6 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
     samples = [(t, *as_xy(t, y), 0.0)] if keep_samples else None
-    theta = 0.0
     err_accum = 0.0
     g_prev = [e.fn(t, y) for e in events]
 
@@ -244,12 +243,6 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
             seen["rejected"] += 1
             h *= max(0.2, 0.9 * norm ** -0.2)
             continue
-        if winding_target is not None:
-            dtheta = flow._angle_increment(y, y5)
-            if abs(dtheta) > 0.6 and t + 0.25 * h != t:
-                seen["winding rejection"] += 1
-                h *= 0.5
-                continue
 
         # accepted
         t1 = t + h
@@ -283,28 +276,6 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
                 samples.append((t_ev, *as_xy(t_ev - t_offset, y_ev), err_abs))
             return finish(f"event:{ev.name}", t_ev, y_ev, err_accum + err_abs)
 
-        if winding_target is not None:
-            if abs(theta + dtheta) >= winding_target:
-                lo, hi = 0.0, 1.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    ym = flow._hermite(y, k1, y5, k7, h, mid)
-                    if abs(theta + flow._angle_increment(y, ym)) \
-                            >= winding_target:
-                        hi = mid
-                    else:
-                        lo = mid
-                    if (hi - lo) * abs(h) < 1e-12:
-                        break
-                tau = hi
-                y_ev = flow._hermite(y, k1, y5, k7, h, tau)
-                t_ev = t_offset + t + tau * h
-                xe, ye = as_xy(t + tau * h, y_ev)
-                if keep_samples:
-                    samples.append((t_ev, xe, ye, err_abs))
-                return finish("winding", t_ev, y_ev, err_accum + err_abs)
-            theta += dtheta
-
         if keep_samples:
             samples.append((t_offset + t1, *as_xy(t1, y5), err_abs))
         err_accum += err_abs
@@ -331,41 +302,21 @@ def outcome(run):
         return f"raises {type(exc).__name__}{exc.args!r}"
 
 
-def wind_events(box, r_stall):
-    """The guard box and stall radius of ``flow._wind`` as the events of
-    ``reference_drive``."""
-    return [flow.Stop("box_exit",
-                      lambda _t, s: max(abs(s[0]), abs(s[1])) - box, +1),
-            flow.Stop("stall",
-                      lambda _t, s: r_stall - math.hypot(s[0], s[1]), +1)]
-
-
 def assert_drive_matches(kind, field, t0, y0, cfg, seen=None, **kw):
     """Drive ``field()`` both ways and require the same outcome; returns it.
 
     ``field`` makes a fresh ``f(x, y) -> (p, q)`` for each drive, so a
     field that counts its calls sees the same sequence in both.  A drive
     returns (state, error, Trajectory or None), its ``stop`` the one event
-    of the reference.  The "wind" kind is ``flow._wind`` from t0 = 0 with
-    the ``box`` and ``r_stall`` of ``kw``, which returns (status, state,
-    error), and the reference winds once under its events.
+    of the reference.
     """
-    if kind == "wind":
-        got = outcome(lambda: flow._wind(field(), y0, kw["box"],
-                                         kw["r_stall"], cfg))
-        kind, kw = "xy", dict(events=wind_events(**kw),
-                              winding_target=flow.TWO_PI, autonomous=True)
+    got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg, **kw))
+    kw = dict(kw)
+    stop = kw.pop("stop", None)
+    kw["events"] = [] if stop is None else [stop]
 
-        def shape(status, _t, y, err, _traj):
-            return status, y, err
-    else:
-        got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg, **kw))
-        kw = dict(kw)
-        stop = kw.pop("stop", None)
-        kw["events"] = [] if stop is None else [stop]
-
-        def shape(_status, _t, y, err, traj):
-            return y, err, traj
+    def shape(_status, _t, y, err, traj):
+        return y, err, traj
     want = outcome(lambda: shape(*reference_drive(
         reference_rhs(kind, field()), t0, y0, cfg, seen=seen, **kw)))
     assert got == want
@@ -528,21 +479,14 @@ DRIVES = [
        {f"event direction {ev.direction}", "event"}, "(")
       for ev in (crossing("down", 0, 0.0, -1), crossing("either", 1, 0.5, 0),
                  crossing("up", 0, 0.0, +1))),
-    ("winding", "wind", lambda: ROTATION, 0.0, (0.0, 2.0),
-     flow.IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6),
-     dict(box=5.0, r_stall=0.0), {"winding rejection", "winding"},
-     "('winding'"),
-    # an orbit of monodromy_probe's ring: its degenerate passes crawl
-    ("rebased winding", "wind", lambda: build_z(1.0, 1.0).as_rhs(), 0.0,
-     (1e-8 * math.cos(math.pi / 12), 1e-8 * math.sin(math.pi / 12)),
-     flow.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-17),
-     dict(box=10.0, r_stall=1e-20), {"rebase", "winding"}, "('winding'"),
-    # the step from (0.9, 0.9) crosses into the stall radius and out of
-    # the box: the box, tested first, ends the drive
-    ("box exit and stall in one step", "wind",
-     lambda: lambda x, y: (0.6, -1.0), 0.0, (0.9, 0.9),
-     flow.IntegratorConfig(), dict(box=1.0, r_stall=1.25), {"event"},
-     "('event:box_exit'"),
+    # return_slope's drive: the weighted polar chart of z(1, 1) from the
+    # ray {x = 0, y > 0} at y = 1e-8 through one turn of theta
+    ("weighted polar turn", "xy",
+     lambda: flow._weighted_polar(build_z(1.0, 1.0))[2], 0.0,
+     (math.log(1e-8) / 2, math.pi / 2), flow.IntegratorConfig(),
+     dict(stop=flow.Stop("turn", lambda _t, s: abs(s[1] - math.pi / 2)
+                         - flow.TWO_PI, +1), autonomous=True),
+     {"event direction 1", "rejected"}, "("),
     ("rebased event", "xy", lambda: ROTATION, 1e12, (1.0, 0.0),
      flow.IntegratorConfig(),
      dict(stop=crossing("up", 0, 0.0, +1), autonomous=True,
@@ -609,55 +553,6 @@ class TestDrive:
                     keep_samples=rng.random() < 0.5)
         assert seen["attempt"] >= 3000
 
-    def test_wind_from_the_origin_to_a_box_met_at_a_step_end(self):
-        # from (-0.0, 0.0) the first step's turn has cross 0.0 and dot
-        # -0.0: no turn, where atan2 would give pi.  The constant field's
-        # steps have no error, so a box through the end of the fourth one
-        # makes box_exit exactly 0 there, and 0 counts as out
-        def field():
-            return lambda x, y: (1.0, -1.0)
-        cfg = flow.IntegratorConfig()
-        *_, traj = reference_drive(reference_rhs("xy", field()), 0.0,
-                                   (-0.0, 0.0), cfg, t_end=1.0,
-                                   keep_samples=True)
-        got = assert_drive_matches("wind", field, 0.0, (-0.0, 0.0), cfg,
-                                   box=traj.samples[4][1], r_stall=0.0)
-        assert got.startswith("('event:box_exit'")
-
-    def test_seeded_winds_equal_reference(self):
-        # flow._wind's generated loop against the reference under the box
-        # and stall events and a full turn: quartic fields z(alpha, beta),
-        # whose degenerate passes crawl, and random foci, with guard boxes,
-        # stall radii, tolerances and step caps drawn around each start
-        rng = random.Random(13)
-        seen, endings = Counter(), Counter()
-        for _ in range(40):
-            if rng.random() < 0.5:
-                field = build_z(rng.uniform(-1.0, 1.0),
-                                rng.uniform(0.05, 2.0)).as_rhs()
-                r0 = 10 ** rng.uniform(-8.0, -2.0)
-            else:
-                c = [rng.uniform(-0.5, 0.5) for _ in range(5)]
-                field = PlanarField(
-                    c[0] * X - Y + c[1] * X * X + c[2] * X * Y,
-                    X + c[0] * Y + c[3] * X * X * Y + c[4] * Y ** 3).as_rhs()
-                r0 = rng.uniform(0.05, 0.5)
-            ang = rng.uniform(0.0, flow.TWO_PI)
-            start = (r0 * math.cos(ang), r0 * math.sin(ang))
-            box = r0 * 10 ** rng.uniform(0.1, 2.0)
-            r_stall = rng.choice((0.0, r0 * 10 ** rng.uniform(-6.0, -0.5)))
-            rel_tol = 10 ** rng.uniform(-10.0, -3.0)
-            cfg = flow.IntegratorConfig(
-                rel_tol=rel_tol,
-                abs_tol=rel_tol * r0 * r0 if rng.random() < 0.5 else 1e-12,
-                max_steps=3000, max_step=rng.choice((None, None, 0.5)))
-            got = assert_drive_matches("wind", lambda: field, 0.0, start, cfg,
-                                       seen=seen, box=box, r_stall=r_stall)
-            status = re.match(r"\('([^']+)'", got)
-            endings[status.group(1) if status else got.split("(")[0]] += 1
-        assert {"winding", "event:box_exit", "event:stall"} <= set(endings)
-        assert seen["winding rejection"] >= 10 and seen["rebase"] >= 5
-
 
 class TestRhsCounts:
     """Right-hand-side evaluations of the measured maps, pinned.
@@ -667,20 +562,22 @@ class TestRhsCounts:
     """
 
     def test_monodromy_probe(self, count_rhs):
+        # 159384 by winding the cartesian state
         count_rhs.append(0)
         flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
-        assert count_rhs == [159384]
+        assert count_rhs == [18364]
 
     def test_return_slope(self, count_rhs):
+        # 44428 by winding the cartesian state from four offsets
         count_rhs.append(0)
         flow.return_slope(build_z(1.0, 1.0))
-        assert count_rhs == [44428]
+        assert count_rhs == [14330]
 
     # below the monodromy threshold beta = 1/4 the first orbit leaves the
-    # box, or, contracting, falls inside the stall radius
+    # box, or, contracting, falls through the rho floor onto the origin
     @pytest.mark.parametrize("alpha, beta, status, count", [
-        (1.0, 0.2, "event:box_exit", 2335),
-        (-1.0, 0.1, "event:stall", 15049),
+        (1.0, 0.2, "box_exit", 2641),
+        (-1.0, 0.1, "floor", 6223),
     ])
     def test_return_slope_without_return(self, count_rhs, alpha, beta,
                                          status, count):
@@ -691,11 +588,11 @@ class TestRhsCounts:
 
     def test_monodromy_probe_stops_at_first_exit(self, count_rhs):
         # the first of the 12 orbits leaves the box and decides TRANSIT:
-        # its own evaluations, where the whole ring took 38130
+        # its own evaluations, where the whole ring takes 4080
         count_rhs.append(0)
         verdict = flow.monodromy_probe(EX6.field(), box=2.0)
         assert verdict is flow.ProbeVerdict.TRANSIT
-        assert count_rhs == [3025]
+        assert count_rhs == [271]
 
     def test_transition_slope_both_sides(self, count_rhs):
         for side in "+-":
@@ -803,12 +700,12 @@ class TestValidation:
         ("monodromy_probe", {"ring_radius": 0.0}),
         ("monodromy_probe", {"ring_radius": -1e-8}),
         ("monodromy_probe", {"box": 10.0, "ring_radius": 10.0}),
-        # return_slope's box is max(|x|, |y|) < 4: starts on its edge and
-        # beyond it
+        # return_slope's box is max(|x|, |y|) < 4: starts, at the default
+        # section_scale 1e-8 times each offset, on its edge and beyond it
         ("return_slope", {"section_scale": 400.0}),
-        ("return_slope", {"offsets": (10.0, 1.0)}),
+        ("return_slope", {"offsets": (1e9, 1e8)}),
         ("return_slope", {"section_scale": 1e300}),
-        ("return_slope", {"offsets": (4.0,)}),
+        ("return_slope", {"offsets": (4e8,)}),
         ("return_slope", {"section_scale": 1000.0}),
     ])
     def test_guard_box_that_cannot_fire(self, measure, kw):
@@ -818,16 +715,38 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             getattr(flow, measure)(build_z(1.0, 1.0), **kw)
 
-    # the absolute tolerance rel_tol*r0^2 or the stall radius 1e-8*r0^2
-    # of the deepest start r0 would be zero or subnormal: both, then only
-    # the stall radius, then only the tolerance
+    # the deepest start y0 = 1e-4 section_scale lies below the chart radius
+    # 1e-8, y0 = 1e-16 under z's weights (1, 2): refused before any RHS
+    # evaluation.  From y0 = 1e-20 the chart reads 1.1e-4 off on z(-1, 2),
+    # from 1e-24 28% on z(1, 1).  Winding the cartesian state ground 10^6
+    # steps (7-8 s) into NoReturn from section_scale 1e-50 to 1e-140, and
+    # refused 1e-145 and below for tolerances that underflow
+    @pytest.mark.parametrize("section_scale", [
+        9.999e-13, 1e-16, 1e-20, 1e-50, 1e-140])
+    def test_return_slope_below_the_depth_floor(self, count_rhs,
+                                                section_scale):
+        count_rhs.append(0)
+        with pytest.raises(ValueError,
+                           match=r"section_scale .* below the depth floor"):
+            flow.return_slope(build_z(1.0, 1.0), section_scale)
+        assert count_rhs == [0]
+
+    # scales at which the absolute tolerance rel_tol*r0^2 or the stall
+    # radius 1e-8*r0^2 of the deepest start r0 was zero or subnormal when
+    # the tolerance followed the start: both, then only the stall radius,
+    # then only the tolerance.  Whatever the configured tolerance, they
+    # stay refused before any RHS evaluation, now by the depth floor
     @pytest.mark.parametrize("section_scale, rel_tol", [
         (1e-160, 1e-10), (1e-150, 1e-10), (1e-147, 1e-6), (1e-145, 1e-12),
     ])
-    def test_return_slope_tolerance_underflow(self, section_scale, rel_tol):
-        with pytest.raises(ValueError, match="section_scale .* underflows"):
+    def test_return_slope_tolerance_underflow(self, count_rhs,
+                                              section_scale, rel_tol):
+        count_rhs.append(0)
+        with pytest.raises(ValueError,
+                           match=r"section_scale .* below the depth floor"):
             flow.return_slope(build_z(1.0, 1.0), section_scale,
                               cfg=flow.IntegratorConfig(rel_tol=rel_tol))
+        assert count_rhs == [0]
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("direction", [-1, 0, 1])
@@ -943,32 +862,43 @@ class TestTransitionSlope:
 
 
 class TestReturnSlope:
+    # each bound is at least 10 times the deviation of the weighted polar
+    # chart: 1.3e-7 (centre, absolute), 5.1e-9, 2.1e-9, 4.9e-7 (relative)
     def test_center(self):
         est = flow.return_slope(build_z(0.0, 1.0))
-        assert est.value == pytest.approx(1.0, abs=1e-3)
+        assert est.value == pytest.approx(1.0, abs=2e-6)
 
     def test_expanding_return(self):
         est = flow.return_slope(build_z(1.0, 1.0))
         assert est.value == pytest.approx(z_return_slope_closed(1.0, 1.0),
-                                          rel=0.02)
+                                          rel=1e-7)
 
     def test_contracting_return(self):
         est = flow.return_slope(build_z(-1.0, 1.0))
         assert est.value == pytest.approx(z_return_slope_closed(-1.0, 1.0),
-                                          rel=0.02)
+                                          rel=1e-7)
+
+    def test_strong_focus_near_the_threshold(self):
+        # beta = 0.3 expands 422-fold per turn: winding the cartesian state
+        # left the guard box from (0, 1e-2), NoReturn
+        est = flow.return_slope(build_z(0.5, 0.3))
+        closed = z_return_slope_closed(0.5, 0.3)
+        assert est.value == pytest.approx(closed, rel=5e-6)
+        assert est.residual >= abs(est.value - closed)
 
     def test_no_return_outside_monodromy_region(self):
         with pytest.raises(flow.NoReturn):
             flow.return_slope(build_z(1.0, 0.2))
 
-    @pytest.mark.parametrize("section_scale", [1e-10, 1e-20])
+    @pytest.mark.parametrize("section_scale", [1e-10])
     def test_deep_starts_reject_steps_of_nan_error(self, section_scale):
-        # from r0 = 1e-12 and below, a step's k7 overflows and its error
-        # norm is NaN; accepted, the orbit left the box at (inf, nan)
+        # starts at y0 = 1e-10 and 1e-14, above the depth floor, where
+        # winding the cartesian state met steps of NaN error norm; the
+        # chart reads 6.3e-9 off
         est = flow.return_slope(build_z(1.0, 1.0),
                                 section_scale=section_scale)
         assert est.value == pytest.approx(z_return_slope_closed(1.0, 1.0),
-                                          rel=1e-6)
+                                          rel=1e-7)
 
     def test_composition_of_half_returns(self):
         # one half-loop per fiber side: slopes multiply to the full return
@@ -982,7 +912,7 @@ class TestReturnSlope:
         assert abs(y_half) / y0 == pytest.approx(math.exp(gm), rel=0.02)
         est = flow.return_slope(z)
         assert est.value == pytest.approx(math.exp(gp) * math.exp(gm),
-                                          rel=0.03)
+                                          rel=1e-7)
 
 
 class TestReversibility:
@@ -1066,6 +996,50 @@ class TestConservation:
                                     traj, branch_quantum=2.0 * math.pi)
 
 
+class TestWeightedPolarChart:
+    @pytest.mark.parametrize("rho, theta", [
+        (800.0, 0.3),        # exp(rho) overflows
+        (-150.0, 0.3),       # r^(d+b) = r^5 underflows to 0, r^4 does not
+        (-1e4, 0.3),         # r itself underflows to 0
+        (0.0, math.inf), (0.0, -math.inf),  # cos and sin of inf
+    ])
+    def test_stage_guard(self, rho, theta):
+        # a stage the chart cannot evaluate has slope (inf, inf), so that
+        # the drive loop halves the step; unguarded, z(0, 1.25) raised
+        # ZeroDivisionError and "math domain error" from its return slope
+        _a, _b, f = flow._weighted_polar(build_z(0.0, 1.25))
+        assert f(rho, theta) == (math.inf, math.inf)
+
+    def test_guarded_stages_halve_the_step(self):
+        # 27 stages of this return meet the guard
+        est = flow.return_slope(build_z(0.0, 1.25))
+        assert est.value == pytest.approx(1.0, abs=2e-6)
+
+    def test_chart_field(self):
+        # z: p = r^4 P, q = r^5 Q under x = r c, y = r^2 s, and rho' =
+        # c P + s Q, theta' = c Q - 2 s P at r = e^rho
+        alpha, beta = 0.5, 1.5
+        a, b, f = flow._weighted_polar(build_z(alpha, beta))
+        assert (a, b) == (1, 2)
+        rho, theta = -0.7, 2.1
+        r, c, s = math.exp(rho), math.cos(theta), math.sin(theta)
+        big_p = beta * c * c * s - c ** 4 + r * alpha * c * s * s \
+            - r * r * beta * s ** 3
+        big_q = 4 * beta * c * s * s + 2 * c ** 5 + r * alpha * s ** 3
+        got = f(rho, theta)
+        assert got[0] == pytest.approx(c * big_p + s * big_q, rel=1e-13)
+        assert got[1] == pytest.approx(c * big_q - 2 * s * big_p, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (1, 1), (2, 1), (2, 3)])
+    @pytest.mark.parametrize("x, y", [(9.66e-9, 2.57e-9), (-3.0, 0.5),
+                                      (0.25, -1e-12)])
+    def test_chart_point(self, a, b, x, y):
+        rho, theta = flow._chart_point(a, b, x, y)
+        r = math.exp(rho)
+        assert r ** a * math.cos(theta) == pytest.approx(x, rel=1e-12)
+        assert r ** b * math.sin(theta) == pytest.approx(y, rel=1e-12)
+
+
 class TestMonodromyProbe:
     def test_monodromic_above_threshold(self):
         v = flow.monodromy_probe(build_z(1.0, 0.5), box=10.0,
@@ -1103,7 +1077,7 @@ class TestSlopeEstimateJson:
 class TestGeneratedCode:
     def test_compiled_functions_carry_their_own_filenames(self):
         # profiles and tracebacks tell the loops and the fields apart
-        assert set(flow._LOOPS) == {"xy", "wind", "graph"}
+        assert set(flow._LOOPS) == {"xy", "graph"}
         for kind, loop in flow._LOOPS.items():
             assert loop.__code__.co_filename == \
                 f"<fakesaddle.flow loop {kind}>"

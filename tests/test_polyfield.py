@@ -12,7 +12,7 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  build_z_normalform, printed_z_blowup)
 from fakesaddle.polyfield import (AffineMap2, NotDivisible, PlanarField,
                                   Poly2, SingularMap, _horner_expr,
-                                  divide_exact, pullback_affine)
+                                  newton_weights, pullback_affine)
 
 X, Y = Poly2.gens()
 
@@ -85,11 +85,6 @@ class TestSubstitute:
 
 
 class TestDivideExact:
-    def test_monomial_division(self):
-        field = PlanarField(X ** 2 * Y, X ** 2)
-        out = divide_exact(field, X, 2)
-        assert out.p == Y and out.q == Poly2.const(1)
-
     def test_quartic_family_blowup_quotient(self):
         alpha, beta = Fraction(2), Fraction(3)
         p = beta * X ** 2 * Y + alpha * X * Y ** 2 - beta * Y ** 3 - X ** 4
@@ -105,12 +100,6 @@ class TestDivideExact:
         assert out.terms == {(0, 0): 1 / 3}
         assert type(out.terms[(0, 0)]) is float
 
-    def test_not_divisible_reports_component(self):
-        with pytest.raises(NotDivisible) as err:
-            divide_exact(PlanarField(X, Poly2.zero()), Y, 1)
-        assert err.value.component == "p"
-        assert err.value.remainder == X
-
     def test_roundtrip_random_products(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -122,6 +111,53 @@ class TestDivideExact:
             k = rng.randint(0, 3)
             prod = f * d ** k
             assert prod.divide_exact(d ** k) == f
+
+
+class TestNewtonWeights:
+    """(a, b, d) of the principal part, read off the Newton diagram's
+    points (i - 1, j) of p's terms x^i y^j and (i, j - 1) of q's."""
+
+    def test_quartic_family(self):
+        # two compact edges, (1, 1) from (-1, 3) to (1, 1) and (1, 2) on
+        # to (3, 0): the steeper one wins, with p = r^4 P and q = r^5 Q
+        assert newton_weights(build_z(1, 1)) == (1, 2, 3)
+        assert newton_weights(build_z(Fraction(-1, 3), 2)) == (1, 2, 3)
+        # only the support counts: float coefficients, same weights
+        assert newton_weights(build_z(0.5, 0.3)) == (1, 2, 3)
+
+    def test_homogeneous_quadratic(self):
+        nf = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
+        assert newton_weights(nf.field()) == (1, 1, 1)
+
+    def test_linear_focus(self):
+        quarter = Fraction(1, 4)
+        assert newton_weights(PlanarField(X * quarter - Y,
+                                          X + Y * quarter)) == (1, 1, 0)
+
+    def test_cusp_and_its_mirror(self):
+        # x' = y, y' = -x^3: y = r^2 s, x^3 = r^3 c^3; the mirror swaps
+        assert newton_weights(PlanarField(Y, -X ** 3)) == (1, 2, 1)
+        assert newton_weights(PlanarField(-Y ** 3, X)) == (2, 1, 1)
+
+    def test_no_compact_edge(self):
+        # a single point, a vertical or a horizontal pair: plain polar
+        assert newton_weights(PlanarField(X, Y)) == (1, 1, 0)
+        assert newton_weights(PlanarField(X + X * Y, Poly2.zero())) == \
+            (1, 1, 0)
+        assert newton_weights(PlanarField(X * X, X ** 3 * Y)) == (1, 1, 1)
+        assert newton_weights(PlanarField(Poly2.zero(), Poly2.zero())) == \
+            (1, 1, 0)
+
+    def test_hull_edges(self):
+        # (-1, 2), (0, 1) and (1, 0) lie on one edge of normal (1, 1);
+        # with (1, -1) in place of (1, 0), (0, 1) lies above the one edge
+        # from (-1, 2), of normal (3, 2)
+        assert newton_weights(PlanarField(Y * Y + X * Y, X * Y)) == (1, 1, 1)
+        assert newton_weights(PlanarField(Y * Y + X * Y, X)) == (3, 2, 1)
+        # edges of normals (2, 1), (-1, 3) to (0, 1), and (1, 2), on to
+        # (2, 0), are equally steep: the leftmost one wins
+        assert newton_weights(PlanarField(Y ** 3 + X * Y, X * X * Y)) == \
+            (2, 1, 1)
 
 
 class TestPullbackAffine:
