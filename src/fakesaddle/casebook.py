@@ -244,7 +244,7 @@ def run_x4_chain(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     res.close("slope_formula", slope_formula, 4.0, 1e-8,
               note="log-derivative integral gives |(1-alpha)/(1-omega)|")
     est = flow.transition_slope(nf1, sections, "+", cfg=cfg)
-    res.close("slope_measured", est.value, 4.0, 0.04, relative=True)
+    res.close("slope_measured", est.value, 4.0, 1e-7, relative=True)
 
     # transit past the original origin: one contracting and one expanding side
     side = {}
@@ -346,7 +346,7 @@ def run_example6_case(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     for side, expected in (("+", math.exp(-math.pi)), ("-", math.exp(math.pi))):
         est = flow.transition_slope(nf, sections, side, cfg=cfg)
         res.close(f"slope_measured_{'pos' if side == '+' else 'neg'}",
-                  est.value, expected, 0.01, relative=True)
+                  est.value, expected, 1e-7, relative=True)
     res.holds("contractive_for_positive_y", report.gamma_plus < 0,
               note="measured slopes support gamma_plus = -pi on y > 0")
 

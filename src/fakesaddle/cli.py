@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_section_args(p)
     p.add_argument("--side", choices=("+", "-"), default="+")
-    p.add_argument("--offsets", nargs="+", type=finite)
+    p.add_argument("--offsets", nargs="+", type=finite,
+                   help="start depths |y0|, strictly decreasing (default "
+                        "1e-8 1e-9 1e-10): the deepest gives the slope")
     p.set_defaults(fn=cmd_transit)
 
     p = sub.add_parser("return", help="measured Poincare return slope")

@@ -3,33 +3,28 @@
 The integrator is an explicit embedded Runge-Kutta 5(4) pair
 (Dormand-Prince coefficients) with FSAL, proportional step control,
 cubic Hermite dense output and event location by bisection on the dense
-output.  The field arrives compiled as sparse Horner source
-(``PlanarField.as_rhs``) that writes only its nonzero coefficients, with
-values bit for bit those of dense Horner.  Each state kind has one
-generated drive loop (``_compile_loop``), unrolled from the tableau and a
-template of the kind's stage slope.  It calls that compiled
-``(x, y) -> (p, q)`` function directly and keeps the stages, the error
-norm and the step control in local scalars:
+output.  Fields arrive compiled as sparse Horner source
+(``PlanarField.as_rhs``), bit for bit dense Horner.  Each state kind has
+one drive loop (``_compile_loop``), generated from the tableau and the
+kind's stage template, that calls its field directly and keeps the
+stages, the error norm and the step control in local scalars:
 
-- "xy": 2-D state under time, or, through a two-argument wrapper of the
-  field, arclength, backward time or the weighted polar chart;
-- "graph": 1-D state y as a graph over x, with slope q/p, of an orbit
-  that runs rightward: a stage at which p falls to
-  ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, where the orbit folds over
-  x, ends it.  The transit slopes then go on by arclength, and
-  integrate() raises TransitDoesNotExist.
+- "xy": 2-D state under time, arclength, backward time or a chart, of
+  ``(x, y) -> (p, q)`` or a wrapper of it;
+- "graph": 1-D state as a graph over the independent variable, of a
+  field that returns the slope: integrate()'s y over x, which raises
+  TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
+  or below, and the outer legs of the transit slopes.
 
-The xy drives of integrate() and of the arclength fallback each stop at
-one event, a ``Stop``; the fallback also ends, with TransitDoesNotExist,
-at a step that turns back across an equilibrium.  One Python function,
-``accept``, that the loop calls on each accepted step, tests it and
-keeps the samples.
+A drive ends at t_end or at one event, a ``Stop``, that ``accept``, the
+function the loop calls on each accepted step, tests with the samples;
+the transit legs pass their own, which ends a leg at a step's end.
 
-On top of the integrator sit the measured counterparts of the
-closed-form transition theory: transition-map slopes across a fake
-saddle, Poincare return-map slopes around a monodromic point, a
-first-integral drift check and a monodromy probe.  The return slopes
-and the probe run in the weighted polar chart of the field's Newton
+On top sit the measured counterparts of the closed-form transition
+theory: transition and Poincare return slopes, a first-integral drift
+check and a monodromy probe.  Each slope is read off deep orbits in a
+chart, with no fit: the transit in v = log(y/y0) (``_transit``), the
+return and the probe in the weighted polar chart of the field's Newton
 diagram (``_weighted_polar``), where a turn is theta moving by 2*pi.
 
 Everything is deterministic for a fixed configuration and free of
@@ -44,12 +39,13 @@ import textwrap
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .normalform import NormalFormField, classify, invariants
+from .asymptotics import NotHyperbolicFakeSaddle
+from .normalform import NormalFormField, Verdict, classify, invariants
 from .polyfield import PlanarField, newton_weights
 
 TWO_PI = 2.0 * math.pi
 
-# The transit graph gives way to arclength where p <= this*(x^2 + y^2)
+# integrate()'s graph over x folds where p <= this*(x^2 + y^2)
 _MIN_DENOMINATOR = 1e-8
 
 
@@ -71,11 +67,6 @@ class NoReturn(Exception):
 
 class BranchTrackingFailed(Exception):
     """First-integral branch unwinding became ambiguous."""
-
-
-class _SwitchParametrization(Exception):
-    """Internal: the graph-over-x drive gave way at the point (x, y) of its
-    args, where p fell to _MIN_DENOMINATOR*(x^2 + y^2) or below."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SlopeEstimate:
-    """Extrapolated slope with its full per-offset audit trail."""
+    """A measured slope: the deepest start's, with the slope from each
+    start offset and the residual of ``_deepest``.  ``exponent`` is None:
+    no remainder exponent is fitted."""
 
     value: float
     offsets_used: Tuple[float, ...]
@@ -133,7 +126,9 @@ class SlopeEstimate:
                 "exponent": self.exponent}
 
 
-DEFAULT_OFFSETS = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4)
+# transition_slope's start depths |y0|, strictly decreasing: the deepest
+# gives the value, and their spread is part of its residual
+DEFAULT_OFFSETS = (1e-8, 1e-9, 1e-10)
 
 
 # -- Dormand-Prince 5(4) pair --------------------------------------------------
@@ -152,22 +147,13 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-# Stage slope of each state kind, as source: how the loop turns a stage
-# point into its slope with the field ``f(x, y) -> (p, q)`` (compiled by
-# ``PlanarField.as_rhs``, or a wrapper of it).  ``{x}`` is the independent
-# variable, ``{y0}``/``{y1}`` the state and ``{k0}``/``{k1}`` the slope's
-# names; a template may use x, y, p and q as scratch names.
+# Stage slope of each state kind, as source: ``{x}`` is the independent
+# variable, ``{y0}``/``{y1}`` the state and ``{k0}``/``{k1}`` the slope
 _KINDS = {
-    # 2-D state (x, y) under time or arclength, or (rho, theta) of a chart
+    # 2-D state: f(x, y) -> (p, q) of the state alone, time not read
     "xy": (2, "{k0}, {k1} = f({y0}, {y1})"),
-    # 1-D state y as a graph over x: dy/dx = q/p.  The graph gives way at
-    # (x, y) where p falls to _MIN_DENOMINATOR*(x^2 + y^2), p = 0 included
-    "graph": (1, "x = {x}\n"
-                 "y = {y0}\n"
-                 "p, q = f(x, y)\n"
-                 f"if p <= {_MIN_DENOMINATOR!r}*(x*x + y*y):\n"
-                 "    raise _SwitchParametrization(x, y)\n"
-                 "{k0} = q/p"),
+    # 1-D state as a graph over the independent variable: f(x, y) -> dy/dx
+    "graph": (1, "{k0} = f({x}, {y0})"),
 }
 
 
@@ -187,14 +173,11 @@ if r_{i} > 1e120:
 def _compile_loop(kind: str):
     """The DP5(4) drive of one state kind, generated from the tableau.
 
-    ``drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, *rest)``
-    runs the adaptive loop on local scalars from ``state`` at ``t``; ``f``
-    is the field of the kind's stage template and ``max_step`` inf for no
-    cap, and ``t_end``, ``autonomous`` and ``accept`` are the end or
-    None, whether time may be rebased, and the hook or None.
-    The first step is 1e-2 (|state| + 1e-6)/(|slope| + 1e-300) in the max
-    norm, at most the span to ``t_end`` and ``max_step``.  Each of at most
-    ``max_steps`` attempts
+    ``drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, t_end,
+    accept)`` runs from ``state`` at ``t``, ``max_step`` inf for no cap
+    and ``t_end`` and ``accept`` None when unused.  The first step is 1e-2
+    (|state| + 1e-6)/(|slope| + 1e-300) in the max norm, at most the span
+    to ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
       and raises StepUnderflow when t + h == t;
@@ -206,17 +189,17 @@ def _compile_loop(kind: str):
     - calls ``accept(t_offset, t, h, y, k1, y5, k7, err_abs)``, with tuples
       and the largest |error|, if given: a state it returns ends the drive
       there;
-    - advances, returns at ``t_end``, moves the time origin of an
-      autonomous drive into ``t_offset`` once
+    - advances, returns at ``t_end``, moves the time origin of an "xy"
+      drive, whose field does not read it, into ``t_offset`` once
       |t| > 1e13 h, and scales h by min(5, 0.9 norm^-0.2), 5 for a zero
       norm, capped at ``max_step``.
 
     It returns ``(state, err_accum)``, with the sum of the accepted steps'
-    largest errors, or raises MaxStepsExceeded.
-    Stage sums run in the tableau's order from zero, as ``sum`` does,
-    without zero terms and with ``h`` for ``1.0*h``, and ``min``/``max``
-    are conditional expressions that keep the same operand first: every
-    float is bit for bit that of the plain tableau loop, NaNs included.
+    largest errors, or raises MaxStepsExceeded.  Stage sums run in the
+    tableau's order from zero, as ``sum`` does, without zero terms and
+    with ``h`` for ``1.0*h``, and ``min``/``max`` are conditional
+    expressions that keep the same operand first: every float is bit for
+    bit that of the plain tableau loop, NaNs included.
     """
     n, stage = _KINDS[kind]
     comps = range(n)
@@ -277,9 +260,9 @@ def _compile_loop(kind: str):
         *(f"y_{i} = y5_{i}\nk1_{i} = k7_{i}" for i in comps),
         "if t_end is not None and t >= t_end:",
         f"    {end}",
-        "if autonomous and abs(t) > 1e13*h:",
-        "    t_offset += t",
-        "    t = 0.0",
+        *(["if abs(t) > 1e13*h:",
+           "    t_offset += t",
+           "    t = 0.0"] if kind == "xy" else []),
         # an accepted norm is at most 1, so the factor is at least 0.9 and
         # of min(5, max(0.2, factor)) only the upper clamp can bind
         "fac = 0.9*norm**-0.2 if norm > 0 else 5.0",
@@ -289,7 +272,7 @@ def _compile_loop(kind: str):
     ])
     src = "\n".join([
         "def drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, "
-        "t_end, autonomous, accept):",
+        "t_end, accept):",
         f"    {names('y')}= state",
         textwrap.indent(slope(1, "t", [f"y_{i}" for i in comps]), "    "),
         f"    h = 1e-2*(max(map(abs, state)) + 1e-6)/"
@@ -306,8 +289,7 @@ def _compile_loop(kind: str):
     ]) + "\n"
     ns: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt,
                 "StepUnderflow": StepUnderflow,
-                "MaxStepsExceeded": MaxStepsExceeded,
-                "_SwitchParametrization": _SwitchParametrization}
+                "MaxStepsExceeded": MaxStepsExceeded}
     # codegen over the tableau, under a name of its own in tracebacks and
     # profiles
     code = compile(src, f"<fakesaddle.flow loop {kind}>", "exec")
@@ -350,23 +332,10 @@ def _locate(fn, g0, t, h, y, k1, y5, k7):
 
 def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
            stop: Stop | None = None, parametrization="time",
-           autonomous=False, keep_samples=False, turn_back=False):
-    """Adaptive drive of the "xy" or "graph" kind to t_end, or to where
-    the ``stop`` crosses zero, located by ``_locate``.  Returns (state,
-    accumulated error, Trajectory or None).
-
-    The kind's loop (``_compile_loop``) takes every step of the field
-    ``f(x, y) -> (p, q)``.  ``accept`` tests the stop and, with
-    ``keep_samples``, keeps a Trajectory.  With ``turn_back``, a step
-    whose end slope points against its start slope raises
-    TransitDoesNotExist naming its end: on a unit-speed field, where the
-    slope is the orbit's direction, that marks a step across an
-    equilibrium, which the orbit would otherwise cross back and forth
-    until the step budget runs out.  ``autonomous=True`` lets the
-    loop rebase the time origin for degenerate loops, which crawl through
-    near-singular passes for astronomically long times; reported times
-    stay absolute but may saturate float resolution.
-    """
+           keep_samples=False):
+    """The kind's loop (``_compile_loop``) on the field ``f`` to t_end, or
+    to where the ``stop`` crosses zero, located by ``_locate``: (state,
+    accumulated error, Trajectory with absolute times, or None)."""
     y = tuple(float(v) for v in y0)
 
     def as_xy(tt, yy):
@@ -380,10 +349,6 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
         # closure here: it would make cells of the locals on every call
         nonlocal g0
         t1 = t + h
-        if turn_back and k1[0] * k7[0] + k1[1] * k7[1] < 0.0:
-            raise TransitDoesNotExist(
-                f"the orbit turns back at ({y5[0]}, {y5[1]}): it runs into "
-                f"an equilibrium there")
         if stop is not None:
             g1 = stop.fn(t1, y5)
             if ((stop.direction >= 0 and g0 < 0.0 <= g1)
@@ -400,22 +365,10 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
 
     y, err_accum = _LOOPS[kind](
         f, cfg.abs_tol, cfg.rel_tol, t0, y, cfg.max_step or math.inf,
-        cfg.max_steps, t_end, autonomous,
+        cfg.max_steps, t_end,
         accept if keep_samples or stop is not None else None)
     return (y, err_accum,
             Trajectory(samples, parametrization) if keep_samples else None)
-
-
-def _unit_speed(rhs_xy, sign=1.0):
-    """``sign`` times the field ``rhs_xy`` scaled to unit speed: the field
-    of an arclength drive, which StepUnderflow ends where it vanishes."""
-    def f(x, y):
-        p, q = rhs_xy(x, y)
-        v = math.hypot(p, q)
-        if v < 1e-300:
-            raise StepUnderflow("vector field vanishes on the path")
-        return sign * p / v, sign * q / v
-    return f
 
 
 # -- public integration --------------------------------------------------------
@@ -479,15 +432,13 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     """Integrate a planar field from ``start`` until the stop's event.
 
     ``param`` selects the independent variable: "time", "arclength"
-    (unit-speed, robust near degenerate points), or "graph" (y as a
-    graph over x; only with an x-reaches stop, whose position relative
-    to the start fixes the direction).  ``backward`` reverses the flow
-    in time/arclength mode.  The graph follows an orbit that runs
-    rightward, whichever way it is traced: where p falls to
-    ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, at the start or at a stage
-    point of a step, the orbit folds over x, and the graph raises
-    TransitDoesNotExist naming the point.  A window_exit stop raises
-    ValueError unless its window strictly contains the start.
+    (unit-speed, robust near degenerate points), or "graph" (y over x,
+    only to an x-reaches stop, either way).  ``backward`` reverses the
+    flow in time/arclength mode.  The graph follows an orbit that runs
+    rightward: where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below,
+    at the start or a stage point, the orbit folds over x, and the graph
+    raises TransitDoesNotExist naming the point.  A window_exit stop
+    raises ValueError unless its window strictly contains the start.
     """
     cfg = cfg or IntegratorConfig()
     rhs_xy = field.as_rhs()
@@ -498,22 +449,19 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
         x0, y0 = start
         x_target = stop.x_target
         flip = -1.0 if x_target < x0 else 1.0
-        f = rhs_xy
-        if flip < 0:  # drive -x forward: dy/d(-x) = -q/p at x
-            def f(x, y):
-                p, q = rhs_xy(-x, y)
-                return p, -q
 
-        try:
-            _y, _err, traj = _drive("graph", f, flip * x0, (y0,), cfg,
-                                    t_end=flip * x_target,
-                                    parametrization="graph-over-x",
-                                    keep_samples=True)
-        except _SwitchParametrization as fold:
-            x, y = fold.args
-            raise TransitDoesNotExist(
-                f"the graph over x folds at ({flip * x}, {y}): p <= "
-                f"{_MIN_DENOMINATOR}*(x^2 + y^2) there") from None
+        def f(x, y):  # dy/d(flip x) = flip q/p at flip x
+            p, q = rhs_xy(flip * x, y)
+            if p <= _MIN_DENOMINATOR * (x * x + y * y):
+                raise TransitDoesNotExist(
+                    f"the graph over x folds at ({flip * x}, {y}): p <= "
+                    f"{_MIN_DENOMINATOR}*(x^2 + y^2) there")
+            return flip * q / p
+
+        _y, _err, traj = _drive("graph", f, flip * x0, (y0,), cfg,
+                                t_end=flip * x_target,
+                                parametrization="graph-over-x",
+                                keep_samples=True)
         if flip < 0:  # report true x in samples
             traj.samples = [(-s, -s, y, e) for s, _x, y, e in traj.samples]
         return traj
@@ -525,7 +473,14 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
                 p, q = rhs_xy(x, y)
                 return -p, -q
     elif param == "arclength":
-        f = _unit_speed(rhs_xy, -1.0 if backward else 1.0)
+        sign = -1.0 if backward else 1.0
+
+        def f(x, y):  # unit speed; StepUnderflow where the field vanishes
+            p, q = rhs_xy(x, y)
+            v = math.hypot(p, q)
+            if v < 1e-300:
+                raise StepUnderflow("vector field vanishes on the path")
+            return sign * p / v, sign * q / v
     else:
         raise ValueError(f"unknown parametrization {param!r}")
 
@@ -533,66 +488,16 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
         raise ValueError(f"start {start} must lie strictly inside the "
                          f"window of the stop")
     _y, _err, traj = _drive("xy", f, 0.0, start, cfg, stop=stop,
-                            parametrization=param, autonomous=True,
-                            keep_samples=True)
+                            parametrization=param, keep_samples=True)
     return traj
 
 
-# -- slope extrapolation -------------------------------------------------------
-
-
-def _extrapolate(offsets: Sequence[float], slopes: Sequence[float]):
-    """Fit slope_i = S + C * offset_i^e with free exponent e.
-
-    Three-point log-differences on the smallest offsets; exponents
-    outside (0, 2] fall back to the smallest-offset slope with a widened
-    residual.  Returns (value, exponent, residual).
-    """
-    n = len(slopes)
-    if n == 0:
-        raise ValueError("no slopes measured")
-    if n == 1:
-        return slopes[0], None, abs(slopes[0]) * 1e-3
-    scale = max(1.0, abs(slopes[-1]))
-    if max(slopes) - min(slopes) < 1e-9 * scale:
-        return sum(slopes) / n, None, max(slopes) - min(slopes) + 1e-15
-    if n == 2:
-        return slopes[-1], None, abs(slopes[-1] - slopes[-2])
-
-    def triple(i):
-        y1, y2, y3 = offsets[i], offsets[i + 1], offsets[i + 2]
-        s1, s2, s3 = slopes[i], slopes[i + 1], slopes[i + 2]
-        d1, d2 = s1 - s2, s2 - s3
-        if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0.0:
-            return None
-        rho1, rho2 = y1 / y2, y2 / y3
-        if abs(rho1 / rho2 - 1.0) > 0.02:
-            return None
-        e = math.log(d1 / d2) / math.log(rho1)
-        if not (0.0 < e <= 2.0):
-            return None
-        s_fit = s3 - d2 / (rho2 ** e - 1.0)
-        return s_fit, e
-
-    last = triple(n - 3)
-    if last is None:
-        return slopes[-1], None, abs(slopes[-1] - slopes[-2])
-    s_fit, e = last
-    if n >= 4:
-        prev = triple(n - 4)
-        resid = abs(s_fit - prev[0]) if prev is not None \
-            else abs(slopes[-1] - slopes[-2]) / 4.0
-    else:
-        resid = abs(slopes[-1] - slopes[-2]) / 4.0
-    return s_fit, e, max(resid, 5e-16 * scale)
+# -- measured slopes -----------------------------------------------------------
 
 
 def _checked_offsets(offsets, default) -> List[float]:
-    """The offsets to measure at, ``default`` when None.
-
-    The extrapolation runs toward the last offset, so they must be
-    positive, finite and strictly decreasing.
-    """
+    """The start offsets, ``default`` when None: positive, finite and
+    strictly decreasing, so that the last start is the deepest."""
     offsets = list(offsets if offsets is not None else default)
     if not (all(0.0 < o < math.inf for o in offsets)
             and all(a > b for a, b in zip(offsets, offsets[1:]))):
@@ -601,74 +506,127 @@ def _checked_offsets(offsets, default) -> List[float]:
     return offsets
 
 
-def _measured_slope(offsets, measure) -> SlopeEstimate:
-    """The slope end/start extrapolated over the offsets, where
-    ``measure(offset)`` drives one orbit from ``start`` to ``end`` with
-    accumulated step error ``err`` and returns (start, end, err)."""
-    used, slopes = [], []
-    for o in offsets:
-        start, end, err = measure(o)
-        if used and err > 0.1 * abs(end):
-            break  # integration noise would dominate smaller offsets
-        used.append(o)
-        slopes.append(end / start)
-    value, exponent, residual = _extrapolate(used, slopes)
-    return SlopeEstimate(value, tuple(used), tuple(slopes), residual, exponent)
+def _deepest(offsets, measure) -> SlopeEstimate:
+    """The slopes exp(l) of the starts, (l, step error in l) =
+    ``measure(offset)``: the deepest start's value, with the starts'
+    spread plus 10 times the slope error of its step error."""
+    measured = [measure(o) for o in offsets]
+    slopes = [math.exp(log_slope) for log_slope, _err in measured]
+    return SlopeEstimate(slopes[-1], tuple(offsets), tuple(slopes),
+                         max(slopes) - min(slopes)
+                         + 10.0 * slopes[-1] * measured[-1][1])
 
 
 # -- transition slope ----------------------------------------------------------
 
+# The least |y0| of a transit start and |x|, |y| of its orbit near x = 0:
+# p and q, of order y^2 there, are normal floats down to |y| = 1.5e-154
+_TRANSIT_FLOOR = 1e-150
 
-def _transit_endpoint(rhs_xy, alpha, omega, y0, cfg) -> Tuple[float, float]:
-    """y at {x = omega} for the orbit through (alpha, y0); (value, err)."""
-    try:
-        (y_end,), err, _ = _drive("graph", rhs_xy, alpha, (y0,), cfg,
-                                  t_end=omega)
-        return y_end, err
-    except _SwitchParametrization:
-        pass
 
-    # the graph folds: go by arclength until the orbit leaves a window,
-    # which a transit leaves through x = omega, the side it ends nearest,
-    # or runs into an equilibrium
-    y_cap = 50.0 * max(abs(y0), 1.0)
-    window = Stop.window_exit(alpha - (omega - alpha), omega, -y_cap, y_cap)
-    (x, y), err, _ = _drive("xy", _unit_speed(rhs_xy), 0.0, (alpha, y0), cfg,
-                            stop=window, turn_back=True)
-    if window.fn(0.0, (x, y)) != x - omega:
-        raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) left its "
-                                  f"window at ({x}, {y}), not through "
-                                  f"x = {omega}")
-    return y, err
+def _outer(rhs, y0, sign):
+    """The slope dv/ds = |x| (q/y)/p of v = log(y/y0) over s = -log(-x)
+    (``sign`` -1) or s = log(x) (``sign`` +1).  A stage that overflows,
+    divides by 0 or meets p <= 0 has slope inf: the loop halves h."""
+    def f(s, v):
+        try:
+            ax = math.exp(sign * s)
+            y = y0 * math.exp(v)
+            p, q = rhs(sign * ax, y)
+            if p > 0.0:
+                return ax * (q / y) / p
+        except ArithmeticError:
+            pass
+        return math.inf
+    return f
+
+
+def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
+    """(log(y1/y0), accumulated step error) of the orbit from (alpha, y0)
+    to (omega, y1) in three legs, the first two ending at the end of the
+    first accepted step past |x| = k|y|: over s = -log(-x) in steps of at
+    most 1, in the chart u = x/|y|, v = log(y/y0) with dtau = |y| dt (u' =
+    p/y^2 - u w, v' = w = q/(y |y|); inf where a stage fails), and over
+    s = log(x)."""
+    tol, steps = (cfg.abs_tol, cfg.rel_tol), cfg.max_steps
+    cap = min(cfg.max_step or 1.0, 1.0)
+    ay0, sy = abs(y0), math.copysign(1.0, y0)
+    y_cap = min(-alpha, omega) / (2.0 * k)
+    lk, s_floor = math.log(k * ay0), -math.log(_TRANSIT_FLOOR)
+    v_lo, v_hi = math.log(_TRANSIT_FLOOR / ay0), math.log(y_cap / ay0)
+
+    def chart(u, v):
+        try:
+            ay = ay0 * math.exp(v)
+            p, q = rhs(u * ay, sy * ay)
+            w = q / (sy * ay * ay)
+            return p / (ay * ay) - u * w, w
+        except ArithmeticError:
+            return math.inf, math.inf
+
+    def left(_o, t, h, _y, _k1, y5, _k7, _e):
+        s = t + h
+        return (s, y5[0]) if s + y5[0] + lk >= 0.0 or s > s_floor else None
+
+    def middle(_o, _t, _h, _y, _k1, y5, _k7, _e):
+        return y5 if y5[0] >= k or not v_lo < y5[1] < v_hi else None
+
+    # a left leg that ends at the floor, |x| < 1e-150, has k|y| < |x| there
+    (s, v), err = _LOOPS["graph"](_outer(rhs, y0, -1.0), *tol,
+                                  -math.log(-alpha), (0.0,), cap, steps,
+                                  None, left)
+    if v > v_lo:
+        (u, v), e = _LOOPS["xy"](chart, *tol, 0.0,
+                                 (-math.exp(-s - v) / ay0, v),
+                                 cfg.max_step or math.inf, steps, None,
+                                 middle)
+        err += e
+    if v >= v_hi:
+        raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) reaches "
+                                  f"|y| = {y_cap} near x = 0")
+    if not v > v_lo:
+        raise ValueError(f"orbit from ({alpha}, {y0}) falls below the depth "
+                         f"floor |y| = {_TRANSIT_FLOOR}")
+    (v,), e = _LOOPS["graph"](_outer(rhs, y0, 1.0), *tol,
+                              math.log(u * ay0 * math.exp(v)), (v,), cap,
+                              steps, math.log(omega), None)
+    return v, err + e
 
 
 def transition_slope(nf: NormalFormField, sections, side: str,
                      offsets: Sequence[float] | None = None,
                      cfg: IntegratorConfig | None = None) -> SlopeEstimate:
-    """Measured transition-map slope on one side of the singular fiber.
+    """Measured slope y1/y0 of the transition map on one side of the
+    fiber, from orbits through (alpha, y0) to (omega, y1), y0 = +-offset.
 
-    Integrates dy/dx in graph parametrization while the denominator is
-    safely positive (switching to arclength otherwise), measures
-    Pi(y0)/y0 at each offset and extrapolates against the unknown
-    remainder exponent.  Raises TransitDoesNotExist when the arclength
-    orbit leaves its window elsewhere than through x = omega, or runs
-    into an equilibrium.
+    y = 0 is invariant, so each orbit runs in v = log(y/y0) (``_transit``)
+    and no slope changes sign; ``_deepest`` makes the estimate.  With k = 1
+    for a^2 < 4 and |a| + 1 otherwise, starts need 1e-150 <= |y0| <
+    min(-alpha, omega)/(2k), or ValueError.  An orbit that reaches that
+    bound on |y| near x = 0 raises TransitDoesNotExist, one that falls
+    below 1e-150 ValueError.  Without d > 0, NotHyperbolicFakeSaddle.
     """
     cfg = cfg or IntegratorConfig()
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    cls = classify(invariants(nf))
+    inv = invariants(nf)
+    cls = classify(inv)
     if not cls.is_fake_saddle:
         raise TransitDoesNotExist(f"classification is {cls.verdict.value}")
-    offsets = _checked_offsets(offsets, DEFAULT_OFFSETS)
-    sign = 1.0 if side == "+" else -1.0
-    rhs_xy = nf.field().as_rhs()
+    if cls.verdict is not Verdict.HYPERBOLIC_FAKE_SADDLE:
+        raise NotHyperbolicFakeSaddle(
+            f"{cls.verdict.value}: the slope exp(gamma) needs d > 0")
     alpha, omega = sections.alpha, sections.omega
-
-    def measure(y0):
-        y_end, err = _transit_endpoint(rhs_xy, alpha, omega, sign * y0, cfg)
-        return sign * y0, y_end, err
-    return _measured_slope(offsets, measure)
+    k = 1.0 if inv.a * inv.a < 4 else abs(float(inv.a)) + 1.0
+    offsets = _checked_offsets(offsets, DEFAULT_OFFSETS)
+    if not (_TRANSIT_FLOOR <= offsets[-1]
+            and 2.0 * k * offsets[0] < min(-alpha, omega)):
+        raise ValueError(f"offsets {offsets} must lie in [{_TRANSIT_FLOOR}, "
+                         f"min(-alpha, omega)/(2k)) with k = {k}")
+    sign = 1.0 if side == "+" else -1.0
+    rhs = nf.field().as_rhs()
+    return _deepest(offsets, lambda o: _transit(rhs, alpha, omega, sign * o,
+                                                k, cfg))
 
 
 # -- return map in the weighted polar chart ------------------------------------
@@ -748,8 +706,7 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     if not stop.fn(0.0, (rho0, theta0)) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
-    state, err, _ = _drive("xy", f, 0.0, (rho0, theta0), cfg, stop=stop,
-                           autonomous=True)
+    state, err, _ = _drive("xy", f, 0.0, (rho0, theta0), cfg, stop=stop)
     g = parts(state)
     return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
 
@@ -764,12 +721,11 @@ def return_slope(field: PlanarField, section_scale: float = 1e-8,
     at y0 = ``section_scale`` times each offset (1 and 1e-4 by default),
     strictly inside the guard box max(|x|, |y|) < 4, and run in the
     weighted polar chart (``_weighted_polar``) until theta has moved
-    through 2*pi: the slope is exp(b (rho1 - rho0)).  A start below chart
-    radius 1e-8 (y0 = 1e-16 under weights (1, 2)) is a ValueError before
-    any orbit runs.  The value is the deepest start's; the residual is
-    the starts' spread plus 10 times the slope error its accumulated step
-    error implies.  The caller asserts monodromy; NoReturn (guard-box
-    exit, a fall onto the origin) signals that it fails.
+    through 2*pi: the slope is exp(b (rho1 - rho0)), and ``_deepest``
+    makes the estimate.  A start below chart radius 1e-8 (y0 = 1e-16
+    under weights (1, 2)) is a ValueError before any orbit runs.  The
+    caller asserts monodromy; NoReturn (guard-box exit, a fall onto the
+    origin) signals that it fails.
     """
     cfg = cfg or IntegratorConfig()
     offsets = _checked_offsets(offsets, (1.0, 1e-4))
@@ -782,8 +738,8 @@ def return_slope(field: PlanarField, section_scale: float = 1e-8,
         raise ValueError(f"section_scale {section_scale} is too small: the "
                          f"deepest start lies below the depth floor, chart "
                          f"radius {_DEPTH_FLOOR}, where returns go wrong")
-    slopes = []
-    for o in offsets:
+
+    def measure(o):
         y0 = section_scale * o
         rho0 = math.log(y0) / b
         try:
@@ -793,10 +749,8 @@ def return_slope(field: PlanarField, section_scale: float = 1e-8,
             raise NoReturn(str(exc)) from None
         if status != "turn":
             raise NoReturn(f"orbit from (0, {y0}) ended with {status}")
-        slopes.append(math.exp(b * (rho - rho0)))
-    value = slopes[-1]
-    return SlopeEstimate(value, tuple(offsets), tuple(slopes),
-                         max(slopes) - min(slopes) + 10.0 * b * value * err)
+        return b * (rho - rho0), b * err
+    return _deepest(offsets, measure)
 
 
 # -- first integral drift ------------------------------------------------------
@@ -811,9 +765,7 @@ def conservation_check(first_integral, traj: Trajectory,
     whole quanta, and leftover jumps above a quarter quantum raise
     BranchTrackingFailed.
     """
-    values = []
-    for _s, x, y, _e in traj.samples:
-        values.append(first_integral(x, y))
+    values = [first_integral(x, y) for _s, x, y, _e in traj.samples]
     adjusted = [values[0]]
     offset = 0.0
     for prev, cur in zip(values, values[1:]):
@@ -825,8 +777,7 @@ def conservation_check(first_integral, traj: Trajectory,
                     f"jump {dv} is not a whole number of quanta")
             offset -= k * branch_quantum
         adjusted.append(cur + offset)
-    base = adjusted[0]
-    return max(abs(v - base) for v in adjusted)
+    return max(abs(v - adjusted[0]) for v in adjusted)
 
 
 # -- monodromy probe -----------------------------------------------------------

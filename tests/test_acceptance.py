@@ -100,10 +100,10 @@ def test_criterion_5_resolved_quartic_slope():
     formula = math.exp(gp)
     est = flow.transition_slope(nf, sections, "+")
     formula_ok = abs(formula - 4.0) < 1e-8
-    measured_ok = abs(est.value - 4.0) / 4.0 < 0.01
+    measured_ok = abs(est.value - 4.0) / 4.0 < 1e-7
     report(5, "resolved-quartic transition slope",
            formula_ok and measured_ok,
-           f"formula {formula:.10f}, measured {est.value:.6f}")
+           f"formula {formula:.10f}, measured {est.value:.10f}")
 
 
 def test_criterion_6_quadratic_homogeneous_stability():
@@ -111,9 +111,9 @@ def test_criterion_6_quadratic_homogeneous_stability():
     plus = flow.transition_slope(nf, SECTIONS, "+")
     minus = flow.transition_slope(nf, SECTIONS, "-")
     slope_ok = (abs(plus.value - math.exp(-math.pi)) / math.exp(-math.pi)
-                < 0.01
+                < 1e-7
                 and abs(minus.value - math.exp(math.pi)) / math.exp(math.pi)
-                < 0.01)
+                < 1e-7)
     contractive_on_plus = plus.value < 1.0 < minus.value
 
     h_fn = casebook.example6_first_integral()

@@ -338,14 +338,27 @@ class TestTransit:
 
 
     def test_fallback_that_leaves_its_window_is_no_transit(self, capsys):
-        # the graph folds, and the arclength orbit leaves its window at
-        # x = alpha - (omega - alpha), not through x = omega
+        # gamma_plus is about 1573: near x = 0, where u = x/y creeps past
+        # 1, y grows until it leaves |y| < min(-alpha, omega)/(2k), with k
+        # = |a| + 1.  From offset 1e-2 the arclength fallback left its
+        # window at x = -3, not through x = omega
         err = assert_exit(capsys, 6, "transit", "--case", "example6",
                           "--a", "48.01", "--b", "50", "--c", "0",
                           "--alpha", "-1", "--omega", "1")
-        assert err.startswith("no transit: orbit from (-1.0, 0.01) left its "
-                              "window at (-3.0000")
-        assert err.rstrip().endswith("not through x = 1.0")
+        assert err.startswith("no transit: orbit from (-1.0, 1e-08) reaches "
+                              "|y| = 0.0102")
+        assert err.rstrip().endswith("near x = 0")
+
+    @pytest.mark.parametrize("offset", ["2", "0.25", "1e-151", "1e-300"])
+    def test_start_out_of_range(self, capsys, offset):
+        # above min(-alpha, omega)/2 the start lies past the handover: the
+        # graph over x read 2.0 as a slope 73% off.  Below 1e-150, p and q
+        # of order y^2 underflow in the blow-up chart
+        err = assert_exit(capsys, 2, "transit", "--case", "y1",
+                          "--alpha", "-1", "--omega", "0.5",
+                          "--offsets", offset)
+        assert err.startswith("invalid argument: offsets")
+        assert "must lie in [1e-150, min(-alpha, omega)/(2k))" in err
 
 
 class TestReturn:

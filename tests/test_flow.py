@@ -14,6 +14,8 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
 from fakesaddle.normalform import NormalFormField, validate_and_build
 from fakesaddle.polyfield import PlanarField, Poly2
 
+from conftest import random_normal_form
+
 X, Y = Poly2.gens()
 SECTIONS = asy.SectionPair(-1.0, 1.0)
 EX6 = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
@@ -177,14 +179,15 @@ def reference_rhs(kind, f):
     """The slope of each state kind as an ``f(t, state)`` function."""
     if kind == "xy":
         return lambda _t, s: tuple(f(s[0], s[1]))
+    return lambda x, s: (f(x, s[0]),)
 
-    def graph(x, s):
-        y = s[0]
-        p, q = f(x, y)
-        if p <= flow._MIN_DENOMINATOR * (x * x + y * y):
-            raise flow._SwitchParametrization(x, y)
-        return (q / p,)
-    return graph
+
+def graph_of(rhs):
+    """The slope q/p of the field ``rhs``: y as a graph over x."""
+    def slope(x, y):
+        p, q = rhs(x, y)
+        return q / p
+    return slope
 
 
 def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(),
@@ -308,12 +311,13 @@ def assert_drive_matches(kind, field, t0, y0, cfg, seen=None, **kw):
     ``field`` makes a fresh ``f(x, y) -> (p, q)`` for each drive, so a
     field that counts its calls sees the same sequence in both.  A drive
     returns (state, error, Trajectory or None), its ``stop`` the one event
-    of the reference.
+    of the reference, and only an "xy" drive rebases its time.
     """
     got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg, **kw))
     kw = dict(kw)
     stop = kw.pop("stop", None)
     kw["events"] = [] if stop is None else [stop]
+    kw["autonomous"] = kind == "xy"
 
     def shape(_status, _t, y, err, traj):
         return y, err, traj
@@ -345,35 +349,27 @@ class TestStep:
                                       Y ** 2 - X * Y ** 3 + 5 * X).as_rhs())
 
     def check_drives(self, kind, seed, count):
-        """Seeded short drives (start, span, tolerances); returns the
-        branch counts and how many drives gave way to the graph guard."""
+        """Seeded short drives (start, span, tolerances) of RHS_XY, or of
+        its slope q/p for the graph; returns the branch counts."""
         n = flow._KINDS[kind][0]
+        field = self.RHS_XY if kind == "xy" else graph_of(self.RHS_XY)
         rng = random.Random(seed)
         seen = Counter()
-        guarded = 0
         for _ in range(count):
             t0 = rng.uniform(-2.0, 2.0)
             y0 = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
             cfg = flow.IntegratorConfig(
                 abs_tol=10 ** rng.uniform(-14.0, -4.0),
                 rel_tol=10 ** rng.uniform(-12.0, -3.0), max_steps=60)
-            got = assert_drive_matches(
-                kind, lambda: self.RHS_XY, t0, y0, cfg, seen,
-                t_end=t0 + rng.uniform(0.01, 0.5))
-            guarded += got.startswith("raises _SwitchParametrization")
-        return seen, guarded
+            assert_drive_matches(kind, lambda: field, t0, y0, cfg, seen,
+                                 t_end=t0 + rng.uniform(0.01, 0.5))
+        return seen
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unrolled_step_equals_tableau_formula(self, n):
-        # n = 1 is the graph kind under its fold guard: p = x^3 - 2xy
-        # + 1/3 changes sign in the sampled box, so many drives meet the
-        # fold; n = 2 is the xy kind, which has no guard
-        if n == 1:
-            seen, guarded = self.check_drives("graph", 1, 400)
-            assert guarded >= 200
-        else:
-            seen, guarded = self.check_drives("xy", 2, 200)
-            assert guarded == 0
+        # n = 1 is the graph kind, of the slope q/p; n = 2 the xy kind
+        seen = self.check_drives(*(("graph", 1, 400) if n == 1
+                                   else ("xy", 2, 200)))
         assert seen["attempt"] >= 3000 and seen["rejected"] >= 100
 
     @pytest.mark.parametrize("k7", [(math.nan, 1.0), (1.0, math.nan),
@@ -392,32 +388,25 @@ class TestStep:
         assert seen["attempt"] >= 1  # the first step met k7
 
     def test_graph_guard_includes_equality(self):
-        # p = g*(x^2 + y^2) exactly gives way, at the start and at a stage
-        g = flow._MIN_DENOMINATOR
-        cfg = flow.IntegratorConfig()
-
-        def on_guard():
-            return lambda x, y: (g * (x * x + y * y), g)
-        at_start = assert_drive_matches("graph", on_guard, 1.0, (0.0,), cfg,
-                                        t_end=2.0)
-        assert at_start == "raises _SwitchParametrization(1.0, 0.0)"
-        at_stage = assert_drive_matches(
-            "graph",
-            lambda: lambda x, y: (g * (x * x + y * y) if x > 1.0 else 1.0,
-                                  0.5),
-            0.5, (0.0,), cfg, t_end=2.0)
-        assert at_stage.startswith("raises _SwitchParametrization")
+        # integrate()'s graph gives way where p = g*(x^2 + y^2) exactly,
+        # traced either way
+        g = Fraction(flow._MIN_DENOMINATOR)
+        field = PlanarField(g * (X * X + Y * Y), Poly2.const(g))
+        for target in (2.0, -2.0):
+            with pytest.raises(flow.TransitDoesNotExist,
+                               match=re.escape("folds at (1.0, 0.0)")):
+                flow.integrate(field, (1.0, 0.0),
+                               flow.Stop.x_reaches(target), param="graph")
 
     @pytest.mark.parametrize("kind", ["xy", "graph"])
     def test_non_finite_state_returns_none_after_its_slope(self, kind):
         # stages 2-7 of the first step overflow y5: the step is retried at
-        # half size, after the slope k7 of the non-finite y5 is evaluated.
-        # The graph gives way at a stage of infinite y (p <= 1e-8*inf), so
-        # its stages go NaN through p, which the fold test lets pass
+        # half size, after the slope k7 of the non-finite y5 is evaluated
         n = flow._KINDS[kind][0]
-        bad = (1.0, 1.7e308) if kind == "xy" else (math.nan, 1.0)
+        bad = (1.0, 1.7e308) if kind == "xy" else 1.7e308
         big = {i: bad for i in range(2, 8)}
-        field = field_then(lambda x, y: (1.0, 1.0), big)
+        field = field_then(lambda x, y: (1.0, 1.0) if kind == "xy" else 1.0,
+                           big)
         seen = Counter()
         assert_drive_matches(kind, field, 0.0, (0.5,) * n,
                              flow.IntegratorConfig(), seen=seen, t_end=1.0)
@@ -428,11 +417,12 @@ class TestStep:
         assert not math.isfinite(f.calls[6][1])  # k7 at the overflowed y5
 
     def test_endpoint_drive_matches_trajectory_end(self):
-        # the sample-free transit drive follows the same steps as integrate()
+        # a sample-free graph drive follows the same steps as integrate()
         traj = flow.integrate(EX6.field(), (-1.0, 0.3),
                               flow.Stop.x_reaches(1.0), param="graph")
-        y_end, _err = flow._transit_endpoint(EX6.field().as_rhs(), -1.0, 1.0,
-                                             0.3, flow.IntegratorConfig())
+        (y_end,), _err, _ = flow._drive(
+            "graph", graph_of(EX6.field().as_rhs()), -1.0, (0.3,),
+            flow.IntegratorConfig(), t_end=1.0)
         assert y_end == traj.end[1]
 
 
@@ -448,20 +438,23 @@ def crossing(name, i, value, direction):
 # reference that the drive must take, how the drive ends: "(" for a
 # result, by repr)
 DRIVES = [
-    ("graph to t_end", "graph", lambda: EX6.field().as_rhs(), -1.0, (0.3,),
-     flow.IntegratorConfig(),
+    ("graph to t_end", "graph", lambda: graph_of(EX6.field().as_rhs()), -1.0,
+     (0.3,), flow.IntegratorConfig(),
      dict(t_end=1.0, parametrization="graph-over-x", keep_samples=True),
      {"t_end clamp", "t_end", "rejected"}, "("),
-    ("graph fold gives way", "graph",
-     lambda: build_example6(Fraction(5, 2), Fraction(5, 2),
-                            Fraction(1, 2)).field().as_rhs(),
-     -1.0, (1e-3,), flow.IntegratorConfig(), dict(t_end=1.0), set(),
-     "raises _SwitchParametrization"),
+    # transition_slope's left outer leg, v = log(y/y0) over s = -log(-x),
+    # of the a = b = 5/2 member, from x = -1 to -e^-6 in steps of at most 1
+    ("outer leg over s", "graph",
+     lambda: flow._outer(build_example6(Fraction(5, 2), Fraction(5, 2),
+                                        Fraction(1, 2)).field().as_rhs(),
+                         1e-3, -1.0),
+     0.0, (0.0,), flow.IntegratorConfig(max_step=1.0), dict(t_end=6.0),
+     {"t_end clamp", "t_end"}, "("),
     ("graph p = 0", "graph",
-     lambda: lambda x, y: (0.0 if x > 0.5 else 1.0, y), 0.0, (0.2,),
-     flow.IntegratorConfig(), dict(t_end=1.0), set(),
-     "raises _SwitchParametrization"),
-    ("graph of zero span", "graph", lambda: EX6.field().as_rhs(), 0.5,
+     lambda: graph_of(lambda x, y: (0.0 if x > 0.5 else 1.0, y)), 0.0,
+     (0.2,), flow.IntegratorConfig(), dict(t_end=1.0), set(),
+     "raises ZeroDivisionError"),
+    ("graph of zero span", "graph", lambda: graph_of(EX6.field().as_rhs()), 0.5,
      (0.3,), flow.IntegratorConfig(), dict(t_end=0.5, keep_samples=True),
      {"t_end clamp", "t_end"}, "("),
     # 0.1 + 0.2 is t_end, but t_end - 0.1 is not 0.2: the clamp moves h
@@ -485,12 +478,11 @@ DRIVES = [
      lambda: flow._weighted_polar(build_z(1.0, 1.0))[2], 0.0,
      (math.log(1e-8) / 2, math.pi / 2), flow.IntegratorConfig(),
      dict(stop=flow.Stop("turn", lambda _t, s: abs(s[1] - math.pi / 2)
-                         - flow.TWO_PI, +1), autonomous=True),
+                         - flow.TWO_PI, +1)),
      {"event direction 1", "rejected"}, "("),
     ("rebased event", "xy", lambda: ROTATION, 1e12, (1.0, 0.0),
      flow.IntegratorConfig(),
-     dict(stop=crossing("up", 0, 0.0, +1), autonomous=True,
-          keep_samples=True),
+     dict(stop=crossing("up", 0, 0.0, +1), keep_samples=True),
      {"rebase", "event"}, "("),
     ("non-finite y5", "xy",
      field_then(ROTATION, {3: (1.0, 1.7e308), 4: (1.0, 1.7e308)}), 0.0,
@@ -538,7 +530,8 @@ class TestDrive:
             if rng.random() < 0.5:
                 rng.choice((1e-8, math.nan))  # once chose the guard; kept
                 assert_drive_matches(
-                    "graph", lambda: field, start[0], start[1:], cfg, seen,
+                    "graph", lambda: graph_of(field), start[0], start[1:],
+                    cfg, seen,
                     t_end=start[0] + rng.uniform(0.1, 1.0),
                     parametrization="graph-over-x", keep_samples=True)
             else:
@@ -549,8 +542,7 @@ class TestDrive:
                 rng.choice((None, flow.TWO_PI))  # once chose winding; kept
                 assert_drive_matches(
                     "xy", lambda: field, 0.0, start, cfg, seen,
-                    t_end=t_end, stop=event, autonomous=True,
-                    keep_samples=rng.random() < 0.5)
+                    t_end=t_end, stop=event, keep_samples=rng.random() < 0.5)
         assert seen["attempt"] >= 3000
 
 
@@ -595,19 +587,21 @@ class TestRhsCounts:
         assert count_rhs == [271]
 
     def test_transition_slope_both_sides(self, count_rhs):
+        # 6293 and 5387 over y in the graph from five shallow offsets
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(EX6, SECTIONS, side)
-        assert count_rhs == [6293, 5387]
+        assert count_rhs == [3303, 3105]
 
-    def test_transition_slope_arclength_fallback(self, count_rhs):
-        # |a| > 2 folds the graph denominator on the path: the count also
-        # pins the stage at which the fused guard gives up the graph drive
+    def test_transition_slope_fold_member(self, count_rhs):
+        # |a| > 2: the graph over x of a shallow orbit folds, and the
+        # arclength fallback took 13797 and 12779; the deep legs hand over
+        # at |x| = (|a| + 1)|y|, where p > 0
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(nf, SECTIONS, side)
-        assert count_rhs == [13797, 12779]
+        assert count_rhs == [4071, 4239]
 
 
     # integrate() in each parametrization, with stops of each kind: the
@@ -780,19 +774,21 @@ class TestSectionDirection:
 
 
 class TestTransitionSlope:
+    # each bound is at least 10 times the deviation of the deepest start:
+    # 7.2e-10 (y1), 6.7e-10 and 4.7e-10 (example6), 7.1e-8 (a = b = 5/2)
     def test_resolved_quartic_both_sides(self):
         # closed form gives the same slope on both sides here
         for side in "+-":
             est = flow.transition_slope(y1_normal_form(),
                                         asy.SectionPair(-1.0, 0.5), side)
-            assert est.value == pytest.approx(4.0, rel=0.01)
-            assert est.residual < 0.01
+            assert est.value == pytest.approx(4.0, rel=1e-8)
+            assert abs(est.value - 4.0) <= est.residual < 1e-5
 
     def test_quadratic_homogeneous_both_sides(self):
         plus = flow.transition_slope(EX6, SECTIONS, "+")
         minus = flow.transition_slope(EX6, SECTIONS, "-")
-        assert plus.value == pytest.approx(math.exp(-math.pi), rel=0.01)
-        assert minus.value == pytest.approx(math.exp(math.pi), rel=0.01)
+        assert plus.value == pytest.approx(math.exp(-math.pi), rel=1e-8)
+        assert minus.value == pytest.approx(math.exp(math.pi), rel=1e-8)
 
     def test_flat_symmetric_case(self):
         # g1 = g2 = 0 freezes y along orbits: slope exactly 1
@@ -821,16 +817,62 @@ class TestTransitionSlope:
             flow.transition_slope(EX6, SECTIONS, "+", offsets=(1e-3, 1e-2))
 
     def test_side_with_denominator_fold(self):
-        # |a| > 2 makes the graph denominator vanish on the path; the
-        # arclength fallback must still deliver the closed-form slope
-        # (slowly, the remainder decays like the offset to the power ~0.9)
+        # |a| > 2 makes the graph denominator of a shallow orbit vanish on
+        # the path, where the arclength fallback was held to 2%.  The
+        # remainder decays about like y0: 6.5e-6, 6.5e-7 and 7.1e-8 off
+        # from the three default starts
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         gp, _ = asy.gamma_pm(nf, SECTIONS)
-        offsets = tuple(10 ** (-2 - k / 2) for k in range(7))
-        est = flow.transition_slope(nf, SECTIONS, "+", offsets=offsets)
-        assert est.value == pytest.approx(math.exp(gp), rel=0.02)
+        est = flow.transition_slope(nf, SECTIONS, "+")
+        assert est.value == pytest.approx(math.exp(gp), rel=1e-6)
+        assert est.residual >= abs(est.value - math.exp(gp))
 
-    @pytest.mark.parametrize("members, alpha, omega", [
+    def test_no_slope_is_negative(self, rng):
+        # y = 0 is invariant and each orbit runs in log|y|: every start's
+        # slope is positive, where the graphs over x of the shallow offsets
+        # crossed y = 0 on 8 of these 80 sides
+        for _ in range(40):
+            nf = random_normal_form(rng, d_positive=True)
+            for side in "+-":
+                est = flow.transition_slope(nf, SECTIONS, side)
+                assert min(est.per_offset) > 0.0
+
+    # starts above min(-alpha, omega)/(2k), k = 1 here, or below 1e-150,
+    # where p and q of order y^2 underflow: refused before any orbit runs
+    @pytest.mark.parametrize("offsets", [(2.0,), (0.25, 1e-3), (1e-3, 1e-151),
+                                         (1e-300,)])
+    def test_starts_out_of_range(self, count_rhs, offsets):
+        count_rhs.append(0)
+        with pytest.raises(ValueError, match="must lie in"):
+            flow.transition_slope(y1_normal_form(),
+                                  asy.SectionPair(-1.0, 0.5), "+",
+                                  offsets=offsets)
+        assert count_rhs == [0]
+
+    def test_orbit_below_the_depth_floor(self):
+        # y falls like |x|^c toward x = 0 and meets |x| = |y| near
+        # y0^(1/(1 - c)): for c = 19/20 the start 1e-8 stays above 1e-150
+        # and 1e-9 falls below it; c = 9/10 reaches about 1e-100 from 1e-10
+        # and reads 6.4e-9 off
+        for c, deep in ((Fraction(9, 10), False), (Fraction(19, 20), True)):
+            nf = build_example6(Fraction(0), Fraction(0), c)
+            if deep:
+                with pytest.raises(ValueError,
+                                   match=r"depth floor \|y\| = 1e-150"):
+                    flow.transition_slope(nf, SECTIONS, "+")
+            else:
+                est = flow.transition_slope(nf, SECTIONS, "+")
+                gp, _ = asy.gamma_pm(nf, SECTIONS)
+                assert est.value == pytest.approx(math.exp(gp), rel=1e-7)
+
+    def test_semi_hyperbolic_has_no_slope(self):
+        # c = 1, a = b: exp(gamma) needs d > 0; the graphs over x of the
+        # shallow offsets crossed y = 0 and read -1
+        nf = build_example6(Fraction(1), Fraction(1), Fraction(1))
+        with pytest.raises(asy.NotHyperbolicFakeSaddle, match="d > 0"):
+            flow.transition_slope(nf, SECTIONS, "+")
+
+    @pytest.mark.parametrize("members, alpha, omega, rel", [
         ((Poly2({(0, 0): 1, (1, 0): Fraction(-1, 8), (1, 1): Fraction(-3, 8),
                  (2, 0): Fraction(1, 8), (3, 0): Fraction(-1, 4)}),
           Poly2({(0, 0): 1, (0, 1): Fraction(7, 16), (1, 0): Fraction(-3, 8)}),
@@ -838,7 +880,7 @@ class TestTransitionSlope:
                  (1, 0): Fraction(-1, 8), (1, 1): Fraction(-7, 16),
                  (2, 0): Fraction(3, 8)}),
           Poly2({(0, 0): Fraction(-15, 16), (0, 2): Fraction(1, 8)}),
-          Fraction(15, 16)), -0.25, 0.9375),
+          Fraction(15, 16)), -0.25, 0.9375, 2e-7),
         ((Poly2({(0, 0): 1, (0, 2): Fraction(-1, 4), (1, 0): Fraction(-1, 16),
                  (1, 1): Fraction(5, 16)}),
           Poly2({(0, 0): 1, (0, 1): Fraction(3, 16), (1, 0): Fraction(-1, 2)}),
@@ -846,19 +888,18 @@ class TestTransitionSlope:
                  (1, 1): Fraction(-1, 8), (2, 0): Fraction(-1, 2)}),
           Poly2({(0, 0): Fraction(-5, 4), (0, 1): Fraction(1, 4),
                  (0, 2): Fraction(7, 16)}),
-          Fraction(21, 16)), -0.4375, 0.875),
+          Fraction(21, 16)), -0.4375, 0.875, 1e-3),
     ])
-    def test_fallback_stops_at_an_equilibrium(self, members, alpha, omega):
-        # the graph folds at offset 1e-2 and the arclength orbit runs into
-        # an equilibrium, across which it once chattered for 10^6 steps
+    def test_slope_past_an_equilibrium(self, members, alpha, omega, rel):
+        # from offset 1e-2 the graph folded and the arclength orbit ran
+        # into an equilibrium, TransitDoesNotExist; the deep orbits pass
+        # below it and read 1.8e-8 and 5.0e-4 off, inside their bars
         nf = NormalFormField(*members)
-        with pytest.raises(flow.TransitDoesNotExist,
-                           match="turns back") as err:
-            flow.transition_slope(nf, asy.SectionPair(alpha, omega), "-")
-        x, y = map(float, re.search(r"\(([^,]+), ([^)]+)\)",
-                                    str(err.value)).groups())
-        p, q = nf.field().as_rhs()(x, y)
-        assert abs(p) < 1e-8 and abs(q) < 1e-8
+        sections = asy.SectionPair(alpha, omega)
+        est = flow.transition_slope(nf, sections, "-")
+        closed = math.exp(asy.gamma_pm(nf, sections)[1])
+        assert est.value == pytest.approx(closed, rel=rel)
+        assert est.residual >= abs(est.value - closed)
 
 
 class TestReturnSlope:
