@@ -6,10 +6,9 @@ and cross-validate every closed form against exact blow-up algebra and
 numerical ODE integration.
 """
 
-from .asymptotics import (SectionPair, TransitionReport, arctan_sum,
-                          delta00_via_L, gamma0, gamma_pm, pv_integral,
-                          pv_integral_eps_oracle, pv_integral_sym_infinite,
-                          transition_report)
+from .asymptotics import (SectionPair, TransitionReport, arctan_sum, gamma0,
+                          gamma_pm, pv_integral, pv_integral_eps_oracle,
+                          pv_integral_sym_infinite, transition_report)
 from .blowup import (BlowupChart, ChartKind, DivisorReport, SaddleData,
                      blow_up, divisor_report, saddle_data)
 from .flow import (IntegratorConfig, ProbeVerdict, SlopeEstimate, Stop,
@@ -26,7 +25,7 @@ __all__ = [
     "DivisorReport", "IntegratorConfig", "Invariants", "NormalFormField",
     "PlanarField", "Poly2", "ProbeVerdict", "SaddleData", "SectionPair",
     "SlopeEstimate", "Stop", "Trajectory", "TransitionReport", "Verdict",
-    "arctan_sum", "blow_up", "classify", "conservation_check", "delta00_via_L",
+    "arctan_sum", "blow_up", "classify", "conservation_check",
     "divisor_report", "gamma0", "gamma_pm", "integrate",
     "invariants", "monodromy_probe", "pullback_affine", "pv_integral",
     "pv_integral_eps_oracle", "pv_integral_sym_infinite", "return_slope",

@@ -10,7 +10,7 @@ exact binary rational, so the check is exact in both modes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, sqrt
 
 
 def trim(coeffs):
@@ -189,3 +189,16 @@ def sqrt_fraction(value):
     if rn * rn == fr.numerator and rd * rd == fr.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def split_roots(half, disc):
+    """The real roots half -+ sqrt(disc)/2 of a quadratic with
+    discriminant ``disc``, a double root once: exact where disc is the
+    square of a rational, float otherwise."""
+    if disc < 0:
+        return ()
+    if disc == 0:
+        return (half,)
+    s = sqrt_fraction(disc) if not isinstance(disc, float) else None
+    root = s if s is not None else sqrt(float(disc))
+    return half - root / 2, half + root / 2

@@ -493,24 +493,17 @@ def _log_l_integrals(inv: Invariants, h: Callable[[float], float],
             "errors": (e1, e2, e3, e4)}
 
 
-def delta00_via_L(nf: NormalFormField, sections: SectionPair) -> float:
-    """Leading transition coefficient assembled from the L-integrals.
-
-    Composes the two directional saddle maps: with lam = 1 - c,
+def _delta00_from_l(inv: Invariants, sections: SectionPair,
+                    ls: Dict[str, float]) -> float:
+    """The leading transition coefficient from a ``log_l_integrals``
+    result, composing the two directional saddle maps: with lam = 1 - c,
 
         delta00 = (-alpha)^(lam-1) L2+(omega) / (omega^(lam-1) L1-(-alpha))
                   * (L2-(1) / L1+(1))^lam,
 
-    the section-parametrization derivatives having been folded in.
-    Must agree with exp(gamma_plus) from the closed form.
+    the section-parametrization derivatives having been folded in.  It
+    must agree with exp(gamma_plus) from the closed form.
     """
-    return _delta00_from_l(invariants(nf), sections,
-                           log_l_integrals(nf, sections))
-
-
-def _delta00_from_l(inv: Invariants, sections: SectionPair,
-                    ls: Dict[str, float]) -> float:
-    """delta00 composed from a ``log_l_integrals`` result."""
     lam = float(1 - inv.c)
     log_delta = ((lam - 1.0) * (math.log(-sections.alpha) - math.log(sections.omega))
                  + ls["log_L2_plus"] - ls["log_L1_minus"]

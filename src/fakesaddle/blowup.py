@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from . import _univariate as u1
-from ._univariate import sqrt_fraction
 from .normalform import NormalFormField, Verdict, classify, invariants
 from .polyfield import NotDivisible, PlanarField, Poly2
 
@@ -258,24 +257,15 @@ def divisor_report(nf: NormalFormField) -> DivisorReport:
     p00 = p_fac.coeff(0, 0)
     q00 = q0[0]
 
-    def eig_pair(v0):
+    def nonzero_eigenvalue(v0):
         # eigenvalues at (0, v0): P(0, v0) along u, v0 * dQ/dv(0, v0) along v
-        e1 = u1.ev(p_fac.restrict_x0(), v0)
-        e2 = v0 * u1.ev(u1.deriv(list(q0)), v0)
-        return e1, e2
+        return (u1.ev(p_fac.restrict_x0(), v0) != 0
+                or v0 * u1.ev(u1.deriv(list(q0)), v0) != 0)
 
-    roots = []
-    if disc > 0:
-        s = sqrt_fraction(disc) if not isinstance(disc, float) else None
-        rt = s if s is not None else math.sqrt(float(disc))
-        half = (inv.b - inv.a) / 2
-        for v0 in (half - rt / 2, half + rt / 2):
-            e1, e2 = eig_pair(v0)
-            roots.append(DivisorRoot(float(v0), 1, e1 != 0 or e2 != 0))
-    elif disc == 0:
-        v0 = (inv.b - inv.a) / 2
-        e1, e2 = eig_pair(v0)
-        roots.append(DivisorRoot(float(v0), 2, e1 != 0 or e2 != 0))
+    vs = u1.split_roots((inv.b - inv.a) / 2, disc)
+    # multiplicities add up to 2: two simple roots or one double root
+    roots = [DivisorRoot(float(v0), 2 // len(vs), nonzero_eigenvalue(v0))
+             for v0 in vs]
     return DivisorReport(tuple(q0), tuple(roots), (p00, q00), disc)
 
 

@@ -19,7 +19,8 @@ from ._univariate import sqrt_fraction
 from .blowup import BlowupChart, ChartKind, blow_up, linear_part
 from .normalform import (NormalFormField, Verdict, classify, invariants,
                          validate_and_build)
-from .polyfield import AffineMap2, PlanarField, Poly2, pullback_affine
+from .polyfield import (AffineMap2, PlanarField, Poly2, coeff_json,
+                        pullback_affine)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -38,7 +39,7 @@ class CaseCheck:
             if isinstance(v, (Poly2, PlanarField)):
                 return repr(v)
             if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
+                return coeff_json(v)
             if isinstance(v, (tuple, list)):
                 return [enc(x) for x in v]
             if hasattr(v, "value") and not isinstance(v, (int, float, str,
@@ -155,6 +156,22 @@ def _polys_close(pa, pb, tol=1e-12):
     keys = set(pa.terms) | set(pb.terms)
     return all(abs(float(pa.coeff(i, j)) - float(pb.coeff(i, j))) <= tol
                for (i, j) in keys)
+
+
+def _agrees(res, name, computed, expected, float_mode, note=""):
+    """An exact check, or in float mode agreement to 1e-12: a close check
+    for a number, a check with ``note`` that holds coefficientwise for a
+    polynomial or a tuple of polynomials and numbers."""
+    if not float_mode:
+        res.exact(name, computed, expected)
+    elif not isinstance(computed, (Poly2, tuple)):
+        res.close(name, computed, expected, 1e-12)
+    else:
+        pairs = (zip(computed, expected) if isinstance(computed, tuple)
+                 else [(computed, expected)])
+        # Poly2() + v: a number as a constant polynomial
+        res.holds(name, all(_polys_close(Poly2() + a, Poly2() + b)
+                            for a, b in pairs), note=note)
 
 
 def _inv_sqrt_6beta(beta):
@@ -384,14 +401,11 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
     z = build_z(alpha_q, beta_q)
     stage = blow_up(z, BlowupChart(ChartKind.X_DIR_SWAPPED, 2))
     printed = printed_z_blowup(alpha_q, beta_q)
-    if stage.field.p.is_float or printed.p.is_float:
-        res.holds("blowup_p", _polys_close(stage.field.p, printed.p),
-                  note="float parameters, tol 1e-12")
-        res.holds("blowup_q", _polys_close(stage.field.q, printed.q),
-                  note="float parameters, tol 1e-12")
-    else:
-        res.exact("blowup_p", stage.field.p, printed.p)
-        res.exact("blowup_q", stage.field.q, printed.q)
+    float_mode = stage.field.p.is_float or printed.p.is_float
+    for name, got, want in (("blowup_p", stage.field.p, printed.p),
+                            ("blowup_q", stage.field.q, printed.q)):
+        _agrees(res, name, got, want, float_mode,
+                "float parameters, tol 1e-12")
 
     s = _inv_sqrt_6beta(beta_q)
     scale = AffineMap2.scaling(
@@ -399,30 +413,17 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
     x_mu = pullback_affine(stage.field, scale)
     nf_direct = build_z_normalform(alpha_q, beta_q)
     nf_chain = validate_and_build(x_mu)
-    if nf_direct.is_float or nf_chain.is_float:
-        agree = all(
-            _polys_close(pa, pb)
-            for pa, pb in ((nf_chain.f1, nf_direct.f1),
-                           (nf_chain.f2, nf_direct.f2),
-                           (nf_chain.g1, nf_direct.g1),
-                           (nf_chain.g2, nf_direct.g2)))
-        agree = agree and abs(float(nf_chain.a) - float(nf_direct.a)) < 1e-12
-        res.holds("rescaled_matches_direct", agree,
-                  note="float mode (irrational rescale), tol 1e-12")
-    else:
-        res.exact("rescaled_matches_direct",
-                  (nf_chain.f1, nf_chain.f2, nf_chain.g1, nf_chain.g2,
-                   nf_chain.a),
-                  (nf_direct.f1, nf_direct.f2, nf_direct.g1, nf_direct.g2,
-                   nf_direct.a))
+    _agrees(res, "rescaled_matches_direct",
+            (nf_chain.f1, nf_chain.f2, nf_chain.g1, nf_chain.g2, nf_chain.a),
+            (nf_direct.f1, nf_direct.f2, nf_direct.g1, nf_direct.g2,
+             nf_direct.a),
+            nf_direct.is_float or nf_chain.is_float,
+            "float mode (irrational rescale), tol 1e-12")
 
     inv = invariants(nf_direct)
     d_expected = Fraction(2, 3) * (4 - 1 / Fraction(beta_q)) \
         if not isinstance(beta_q, float) else 2.0 / 3.0 * (4.0 - 1.0 / beta_q)
-    if inv.is_exact:
-        res.exact("d_closed_form", inv.d, d_expected)
-    else:
-        res.close("d_closed_form", inv.d, d_expected, 1e-12)
+    _agrees(res, "d_closed_form", inv.d, d_expected, not inv.is_exact)
 
     monodromic = float(beta_q) > 0.25
     res.exact("classifier_monodromy",

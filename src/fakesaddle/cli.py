@@ -125,10 +125,8 @@ def _resolve_case(args):
         field = casebook.printed_y1()
         return field, validate_and_build(field)
     if case == "z-family":
-        alpha = args.alpha_param if args.alpha_param is not None else 1.0
-        beta = args.beta if args.beta is not None else 1.0
-        field = casebook.build_z(float(alpha), float(beta))
-        nf = casebook.build_z_normalform(float(alpha), float(beta))
+        field = casebook.build_z(args.alpha_param, args.beta)
+        nf = casebook.build_z_normalform(args.alpha_param, args.beta)
         return field, nf
     raise _InputError(EXIT_PARSE, f"unknown case id {case!r}")
 
@@ -229,16 +227,13 @@ def cmd_transit(args) -> int:
 
 def cmd_return(args) -> int:
     field, _nf = _resolve_input(args)
-    est = flow.return_slope(field, section_scale=args.section_x,
-                            offsets=_offsets_from(args),
+    est = flow.return_slope(field, offsets=_offsets_from(args),
                             cfg=_integrator_cfg())
     payload = {"slope": est.to_json()}
     lines = [f"measured return slope = {est.value:.10g}  "
              f"(residual {est.residual:.3g})"]
-    alpha_param = args.alpha_param if args.alpha_param is not None else 1.0
-    beta = args.beta if args.beta is not None else 1.0
-    if args.case == "z-family" and beta > 0.25:
-        closed = casebook.z_return_slope_closed(alpha_param, beta)
+    if args.case == "z-family" and args.beta > 0.25:
+        closed = casebook.z_return_slope_closed(args.alpha_param, args.beta)
         payload["closed_form"] = closed
         lines.append(f"closed-form slope     = {closed:.10g}")
         lines.append(f"relative deviation    = "
@@ -360,8 +355,9 @@ def _add_input_args(p):
     p.add_argument("--c", type=fraction, help="example6: g1(0,0)")
     p.add_argument("--n", type=int, help="xn: degree of the y-component")
     p.add_argument("--alpha-param", dest="alpha_param", type=finite,
-                   help="z-family: alpha parameter")
-    p.add_argument("--beta", type=finite, help="z-family: beta parameter")
+                   default=1.0, help="z-family: alpha parameter")
+    p.add_argument("--beta", type=finite, default=1.0,
+                   help="z-family: beta parameter")
     p.add_argument("--format", choices=("json", "human"), default="human")
 
 
@@ -371,6 +367,13 @@ def _add_section_args(p):
                    help="right section {x = omega > 0}")
     p.add_argument("--infinite", action="store_true",
                    help="symmetric sections at infinity")
+
+
+def _add_offsets_arg(p, depth, default):
+    p.add_argument("--offsets", nargs="+", type=finite,
+                   help=f"absolute start depths {depth}, strictly decreasing "
+                        f"(default {' '.join(map(str, default))}): the "
+                        f"deepest gives the slope")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,17 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_section_args(p)
     p.add_argument("--side", choices=("+", "-"), default="+")
-    p.add_argument("--offsets", nargs="+", type=finite,
-                   help="start depths |y0|, strictly decreasing (default "
-                        "1e-8 1e-9 1e-10): the deepest gives the slope")
+    _add_offsets_arg(p, "|y0|", flow.DEFAULT_OFFSETS)
     p.set_defaults(fn=cmd_transit)
 
     p = sub.add_parser("return", help="measured Poincare return slope")
     _add_input_args(p)
-    p.add_argument("--section-x", dest="section_x", type=finite, default=1e-8,
-                   help="offset scale along the +y section ray: orbits "
-                        "start at (0, section_x*offset)")
-    p.add_argument("--offsets", nargs="+", type=finite)
+    _add_offsets_arg(p, "y0 on the ray {x = 0, y > 0}",
+                     flow.DEFAULT_RETURN_OFFSETS)
     p.set_defaults(fn=cmd_return)
 
     p = sub.add_parser("reproduce", help="run the casebook regressions")

@@ -126,9 +126,11 @@ class SlopeEstimate:
                 "exponent": self.exponent}
 
 
-# transition_slope's start depths |y0|, strictly decreasing: the deepest
-# gives the value, and their spread is part of its residual
+# transition_slope's and return_slope's start depths |y0|, strictly
+# decreasing: the deepest gives the value, and their spread is part of
+# its residual
 DEFAULT_OFFSETS = (1e-8, 1e-9, 1e-10)
+DEFAULT_RETURN_OFFSETS = (1e-8, 1e-12)
 
 
 # -- Dormand-Prince 5(4) pair --------------------------------------------------
@@ -434,10 +436,11 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     ``param`` selects the independent variable: "time", "arclength"
     (unit-speed, robust near degenerate points), or "graph" (y over x,
     only to an x-reaches stop, either way).  ``backward`` reverses the
-    flow in time/arclength mode.  The graph follows an orbit that runs
-    rightward: where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below,
-    at the start or a stage point, the orbit folds over x, and the graph
-    raises TransitDoesNotExist naming the point.  A window_exit stop
+    flow in time/arclength mode; with "graph" it is a ValueError.  The
+    graph follows an orbit that runs rightward: where p falls to
+    ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, at the start or a stage
+    point, the orbit folds over x, and the graph raises
+    TransitDoesNotExist naming the point.  A window_exit stop
     raises ValueError unless its window strictly contains the start.
     """
     cfg = cfg or IntegratorConfig()
@@ -446,6 +449,9 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     if param == "graph":
         if stop.x_target is None:
             raise ValueError("graph parametrization needs Stop.x_reaches")
+        if backward:
+            raise ValueError("graph parametrization runs toward the stop's "
+                             "x; it has no backward direction")
         x0, y0 = start
         x_target = stop.x_target
         flip = -1.0 if x_target < x0 else 1.0
@@ -711,14 +717,13 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
 
 
-def return_slope(field: PlanarField, section_scale: float = 1e-8,
-                 offsets: Sequence[float] | None = None,
+def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
                  cfg: IntegratorConfig | None = None) -> SlopeEstimate:
     """Measured Poincare return-map slope around a monodromic origin.
 
     The section is the ray {x = 0, y > 0}, on which the return map is the
     plain composition of the two fiber transitions.  Orbits start on it
-    at y0 = ``section_scale`` times each offset (1 and 1e-4 by default),
+    at the depths y0 = ``offsets`` (``DEFAULT_RETURN_OFFSETS`` when None),
     strictly inside the guard box max(|x|, |y|) < 4, and run in the
     weighted polar chart (``_weighted_polar``) until theta has moved
     through 2*pi: the slope is exp(b (rho1 - rho0)), and ``_deepest``
@@ -728,19 +733,15 @@ def return_slope(field: PlanarField, section_scale: float = 1e-8,
     origin) signals that it fails.
     """
     cfg = cfg or IntegratorConfig()
-    offsets = _checked_offsets(offsets, (1.0, 1e-4))
-    if not 0.0 < section_scale < math.inf:
-        raise ValueError(f"section_scale must be positive and finite, "
-                         f"got {section_scale}")
+    offsets = _checked_offsets(offsets, DEFAULT_RETURN_OFFSETS)
     chart = _weighted_polar(field)
     b = chart[1]
-    if not (section_scale * offsets[-1]) ** (1.0 / b) >= _DEPTH_FLOOR:
-        raise ValueError(f"section_scale {section_scale} is too small: the "
-                         f"deepest start lies below the depth floor, chart "
-                         f"radius {_DEPTH_FLOOR}, where returns go wrong")
+    if not offsets[-1] ** (1.0 / b) >= _DEPTH_FLOOR:
+        raise ValueError(f"offsets {offsets}: the deepest start lies below "
+                         f"the depth floor, chart radius {_DEPTH_FLOOR}, "
+                         f"where returns go wrong")
 
-    def measure(o):
-        y0 = section_scale * o
+    def measure(y0):
         rho0 = math.log(y0) / b
         try:
             status, rho, err = _turn(chart, rho0, math.pi / 2.0, _RETURN_BOX,

@@ -16,13 +16,12 @@ degenerate stratum {d = 0, a^2 - b^2 = 4}.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from ._univariate import sqrt_fraction
-from .polyfield import Coeff, PlanarField, Poly2, _coerce
+from ._univariate import split_roots
+from .polyfield import Coeff, PlanarField, Poly2, _coerce, coeff_json
 
 FLOAT_ZERO_TOL = 1e-12
 
@@ -76,10 +75,9 @@ class NormalFormField:
         return {k: v for k, v in self.__dict__.items() if k != "_field"}
 
     def to_json(self) -> dict:
-        a = self.a
-        a_out = float(a) if isinstance(a, float) else f"{a.numerator}/{a.denominator}"
         return {"f1": self.f1.to_json(), "f2": self.f2.to_json(),
-                "g1": self.g1.to_json(), "g2": self.g2.to_json(), "a": a_out}
+                "g1": self.g1.to_json(), "g2": self.g2.to_json(),
+                "a": coeff_json(self.a)}
 
     @classmethod
     def from_json(cls, data: dict) -> "NormalFormField":
@@ -102,9 +100,7 @@ class Invariants:
         return not any(isinstance(v, float) for v in (self.a, self.b, self.c, self.d))
 
     def to_json(self) -> dict:
-        def enc(v):
-            return float(v) if isinstance(v, float) else f"{v.numerator}/{v.denominator}"
-        return {k: enc(getattr(self, k)) for k in ("a", "b", "c", "d")}
+        return {k: coeff_json(getattr(self, k)) for k in ("a", "b", "c", "d")}
 
 
 class Verdict(enum.Enum):
@@ -203,21 +199,6 @@ def invariants(nf: NormalFormField) -> Invariants:
     return Invariants(a, b, c, d)
 
 
-def _extra_divisor_roots(a, b, c, d):
-    """Real roots of -v^2 + (b-a) v + c - 1 away from v = 0."""
-    disc = -d  # the quadratic's discriminant equals -d
-    if disc < 0:
-        return ()
-    half = (b - a) / 2
-    if disc == 0:
-        roots = (half,)
-    else:
-        s = sqrt_fraction(disc) if not isinstance(disc, float) else None
-        root = s if s is not None else math.sqrt(float(disc))
-        roots = (half - root / 2, half + root / 2)
-    return tuple(v for v in roots if v != 0)
-
-
 def classify(inv: Invariants) -> Classification:
     """Verdict from the invariants alone, no blow-up required.
 
@@ -248,11 +229,9 @@ def classify(inv: Invariants) -> Classification:
         if ab_excluded:
             return Classification(Verdict.BOUNDARY_INDETERMINATE,
                                   warnings=warnings)
-        locs = _extra_divisor_roots(a, b, c, 0 * d)
-        return Classification(Verdict.NOT_FAKE_SADDLE, extra_count=len(locs),
-                              extra_locations=tuple(float(v) for v in locs),
-                              warnings=warnings)
-    locs = _extra_divisor_roots(a, b, c, d)
+        d = 0 * d  # one double root
+    # the quadratic's discriminant equals -d; v = 0 is the chart's origin
+    locs = [v for v in split_roots((b - a) / 2, -d) if v != 0]
     return Classification(Verdict.NOT_FAKE_SADDLE, extra_count=len(locs),
                           extra_locations=tuple(float(v) for v in locs),
                           warnings=warnings)

@@ -57,6 +57,11 @@ def _coerce(c) -> Coeff:
     return Fraction(c)
 
 
+def coeff_json(c: Coeff):
+    """A float as itself, an exact rational as the string "num/den"."""
+    return c if isinstance(c, float) else f"{c.numerator}/{c.denominator}"
+
+
 class Poly2:
     """Sparse bivariate polynomial: {(i, j): coeff} for x^i * y^j.
 
@@ -207,8 +212,10 @@ class Poly2:
     # -- evaluation and calculus ------------------------------------------
 
     def eval(self, x, y):
-        """Exact on rational points, float otherwise."""
-        total = 0
+        """Exact on rational points, float otherwise.  At Poly2 arguments
+        it is the composition p(x(u, v), y(u, v)), a Poly2, summed term by
+        term as x^i * y^j * c."""
+        total = Poly2() if isinstance(x, Poly2) or isinstance(y, Poly2) else 0
         powx: Dict[int, object] = {0: 1}
         powy: Dict[int, object] = {0: 1}
 
@@ -218,7 +225,7 @@ class Poly2:
             return cache[n]
 
         for (i, j), c in self.terms.items():
-            total += c * p(powx, x, i) * p(powy, y, j)
+            total += p(powx, x, i) * p(powy, y, j) * c
         return total
 
     def __call__(self, x, y):
@@ -232,59 +239,27 @@ class Poly2:
         return Poly2._trusted({(i, j - 1): j * c
                                for (i, j), c in self.terms.items() if j > 0})
 
-    def subs(self, px: "Poly2", py: "Poly2") -> "Poly2":
-        """Polynomial composition p(px(u,v), py(u,v))."""
-        powx: Dict[int, Poly2] = {0: Poly2.const(1)}
-        powy: Dict[int, Poly2] = {0: Poly2.const(1)}
-
-        def p(cache, base, n):
-            if n not in cache:
-                cache[n] = p(cache, base, n - 1) * base
-            return cache[n]
-
-        # One running sum.  Once a float term is in, every later exact
-        # term is rounded before it is added, as adding the terms one Poly2
-        # at a time would do; an exact partial sum meeting its first float
-        # is rounded by Fraction's own mixed arithmetic.
-        out: Dict[Exponents, Coeff] = {}
-        float_mode = False
-        for (i, j), c in self.terms.items():
-            term = (p(powx, px, i) * p(powy, py, j)).terms
-            # a clean term map is all float or all exact: one value decides
-            float_mode = (float_mode or isinstance(c, float)
-                          or isinstance(next(iter(term.values()), None), float))
-            for k, v in term.items():
-                v = v * c
-                if float_mode:
-                    v = float(v)
-                out[k] = out[k] + v if k in out else v
-        return Poly2._trusted(out)
-
     def transpose(self) -> "Poly2":
         """Swap the two variables."""
         return Poly2._trusted({(j, i): c for (i, j), c in self.terms.items()})
 
-    def restrict_y0(self):
-        """Coefficient list of p(x, 0)."""
-        n = max((i for (i, j) in self.terms if j == 0), default=-1)
-        out = [Fraction(0)] * (n + 1)
-        for (i, j), c in self.terms.items():
-            if j == 0:
-                out[i] = c
+    def _restrict(self, var: int):
+        """Coefficient list of p(t, 0) (``var`` 0) or p(0, t) (``var`` 1)."""
+        row = {k[var]: c for k, c in self.terms.items() if not k[1 - var]}
+        out = [Fraction(0)] * (max(row, default=-1) + 1)
+        for n, c in row.items():
+            out[n] = c
         if self.is_float:
             out = [float(v) for v in out]
         return out
 
+    def restrict_y0(self):
+        """Coefficient list of p(x, 0)."""
+        return self._restrict(0)
+
     def restrict_x0(self):
         """Coefficient list of p(0, y)."""
-        n = max((j for (i, j) in self.terms if i == 0), default=-1)
-        out = [Fraction(0)] * (n + 1)
-        for (i, j), c in self.terms.items():
-            if i == 0:
-                out[j] = c
-        if self.is_float:
-            out = [float(v) for v in out]
-        return out
+        return self._restrict(1)
 
     # -- division ----------------------------------------------------------
 
@@ -316,12 +291,11 @@ class Poly2:
     # -- serialization / display -------------------------------------------
 
     def to_json(self) -> dict:
-        entries = sorted(self.terms.items())
+        out = {"terms": [[i, j, coeff_json(c)]
+                         for (i, j), c in sorted(self.terms.items())]}
         if self.is_float:
-            return {"terms": [[i, j, float(c)] for (i, j), c in entries],
-                    "mode": "float"}
-        return {"terms": [[i, j, f"{c.numerator}/{c.denominator}"]
-                          for (i, j), c in entries]}
+            out["mode"] = "float"
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "Poly2":
@@ -548,7 +522,7 @@ def pullback_affine(field: PlanarField, amap: AffineMap2) -> PlanarField:
     """
     inv = amap.inverse()  # raises SingularMap
     sx, sy = amap.as_polys()
-    p_sub = field.p.subs(sx, sy)
-    q_sub = field.q.subs(sx, sy)
+    p_sub = field.p.eval(sx, sy)
+    q_sub = field.q.eval(sx, sy)
     return PlanarField(p_sub * inv.m11 + q_sub * inv.m12,
                        p_sub * inv.m21 + q_sub * inv.m22)

@@ -84,7 +84,7 @@ def test_criterion_4_delta00_path_independence():
         nf = random_normal_form(rng, d_positive=True)
         gp, _gm = asy.gamma_pm(nf, SECTIONS)
         closed = math.exp(gp)
-        via_l = asy.delta00_via_L(nf, SECTIONS)
+        via_l = asy.transition_report(nf, SECTIONS).delta00_via_L
         worst = max(worst, abs(via_l - closed) / abs(closed))
     report(4, "leading-coefficient path independence", worst < 1e-7,
            f"worst rel diff = {worst:.2e} over 100 instances")

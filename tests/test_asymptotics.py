@@ -483,23 +483,25 @@ class TestGammaPm:
 class TestDelta00:
     def test_quadratic_homogeneous(self):
         nf = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
-        val = asy.delta00_via_L(nf, SECTIONS)
+        val = asy.transition_report(nf, SECTIONS).delta00_via_L
         assert val == pytest.approx(math.exp(-math.pi), rel=1e-8)
 
     def test_resolved_quartic(self):
-        val = asy.delta00_via_L(y1_normal_form(), asy.SectionPair(-1.0, 0.5))
+        val = asy.transition_report(y1_normal_form(),
+                                    asy.SectionPair(-1.0, 0.5)).delta00_via_L
         assert val == pytest.approx(4.0, rel=1e-8)
 
     def test_trivial_symmetric_case(self):
         nf = build_example6(Fraction(0), Fraction(0), Fraction(0))
         nf = NormalFormField(nf.f1, nf.f2, Poly2.zero(), nf.g2, 0)
-        assert asy.delta00_via_L(nf, SECTIONS) == pytest.approx(1.0, rel=1e-10)
+        val = asy.transition_report(nf, SECTIONS).delta00_via_L
+        assert val == pytest.approx(1.0, rel=1e-10)
 
     def test_matches_closed_form_on_randoms(self, rng):
         for _ in range(10):
             nf = random_normal_form(rng, d_positive=True)
             gp, _ = asy.gamma_pm(nf, SECTIONS)
-            via_l = asy.delta00_via_L(nf, SECTIONS)
+            via_l = asy.transition_report(nf, SECTIONS).delta00_via_L
             assert via_l == pytest.approx(math.exp(gp), rel=1e-7)
 
 

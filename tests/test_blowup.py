@@ -59,14 +59,14 @@ class TestBlowUp:
             blow_up(PlanarField(U, V), BlowupChart("weighted", 1))
 
     def test_charts_compose_no_polynomials(self, monkeypatch, rng):
-        # each chart maps terms in closed form: no Poly2.subs, no product
+        # each chart maps terms in closed form: no Poly2.eval, no product
         fields = [random_normal_form(rng).field() for _ in range(5)]
         fields.append(build_z(1.0, 1.0))
 
         def forbidden(*_args):
             raise AssertionError("blow_up composed polynomials")
 
-        for name in ("subs", "__mul__", "__rmul__"):
+        for name in ("eval", "__mul__", "__rmul__"):
             monkeypatch.setattr(Poly2, name, forbidden)
         for field in fields:
             for kind in ChartKind:

@@ -31,7 +31,7 @@ def assert_exit(capsys, expected, *argv):
     ("gamma", "--case", "example6", "--alpha", "-1", "--omega", "inf"),
     ("transit", "--case", "y1", "--alpha", "-1", "--omega", "0.5",
      "--offsets", "1e-2", "nan"),
-    ("return", "--case", "z-family", "--section-x", "inf"),
+    ("return", "--case", "z-family", "--offsets", "inf"),
     ("portrait", "--case", "x4", "--window", "0", "1", "0", "nan"),
 ])
 def test_non_finite_float_is_a_usage_error(capsys, argv):
@@ -377,8 +377,8 @@ class TestReturn:
         assert code == 6
 
     @pytest.mark.parametrize("argv", [
-        ("--section-x", "0"),
-        ("--section-x", "1000"),
+        ("--offsets", "0"),
+        ("--offsets", "1000", "0.1"),
         ("--offsets", "1e-3", "1e-2"),
     ])
     def test_invalid_argument_exit(self, capsys, argv):
@@ -388,13 +388,14 @@ class TestReturn:
     @pytest.mark.parametrize("section_x", ["1e-13", "1e-20", "1e-50",
                                            "1e-140"])
     def test_section_scale_below_the_depth_floor(self, capsys, section_x):
-        # the deepest start, 1e-4 section_x, lies below chart radius 1e-8:
-        # refused before any orbit is driven, naming the cause.  Winding
-        # the cartesian state ground 10^6 steps (7-8 s) into exit 6 from
-        # 1e-50 to 1e-140
+        # the starts at depths section_x and 1e-4 section_x: the deeper
+        # lies below chart radius 1e-8, refused before any orbit is driven,
+        # naming the cause.  Winding the cartesian state ground 10^6 steps
+        # (7-8 s) into exit 6 from 1e-50 to 1e-140
         err = assert_exit(capsys, 2, "return", "--case", "z-family",
-                          "--section-x", section_x)
-        assert err.startswith("invalid argument: section_scale")
+                          "--offsets", section_x,
+                          repr(float(section_x) * 1e-4))
+        assert err.startswith("invalid argument: offsets")
         assert "depth floor" in err
 
     @pytest.mark.parametrize("section_x", ["1e-160", "1e-150"])
@@ -404,8 +405,9 @@ class TestReturn:
         # or zero here: still refused before any orbit is driven, now by
         # the depth floor, in one line under the same prefix
         err = assert_exit(capsys, 2, "return", "--case", "z-family",
-                          "--section-x", section_x)
-        assert err.startswith("invalid argument: section_scale")
+                          "--offsets", section_x,
+                          repr(float(section_x) * 1e-4))
+        assert err.startswith("invalid argument: offsets")
         assert "depth floor" in err
 
     def test_strong_focus_near_the_threshold(self, capsys):

@@ -118,6 +118,17 @@ class TestIntegrate:
             flow.integrate(build_z(1.0, 1.0), start,
                            flow.Stop.x_reaches(target), param="graph")
 
+    @pytest.mark.parametrize("target", [1.0, -2.0])
+    def test_graph_has_no_backward_direction(self, count_rhs, target):
+        # the graph runs toward the stop's x either way; backward was
+        # ignored, and from (-1, 0.3) on example6 gave the forward samples
+        count_rhs.append(0)
+        with pytest.raises(ValueError, match="no backward direction"):
+            flow.integrate(EX6.field(), (-1.0, 0.3),
+                           flow.Stop.x_reaches(target), param="graph",
+                           backward=True)
+        assert count_rhs == [0]
+
     @pytest.mark.parametrize("start", [(2.0, 2.0), (1.0, 0.5)])
     def test_window_stop_needs_a_start_inside(self, count_rhs, start):
         # outside the window, or on its edge, the exit event never
@@ -694,13 +705,13 @@ class TestValidation:
         ("monodromy_probe", {"ring_radius": 0.0}),
         ("monodromy_probe", {"ring_radius": -1e-8}),
         ("monodromy_probe", {"box": 10.0, "ring_radius": 10.0}),
-        # return_slope's box is max(|x|, |y|) < 4: starts, at the default
-        # section_scale 1e-8 times each offset, on its edge and beyond it
-        ("return_slope", {"section_scale": 400.0}),
-        ("return_slope", {"offsets": (1e9, 1e8)}),
-        ("return_slope", {"section_scale": 1e300}),
-        ("return_slope", {"offsets": (4e8,)}),
-        ("return_slope", {"section_scale": 1000.0}),
+        # return_slope's box is max(|x|, |y|) < 4: starts on its edge and
+        # beyond it
+        ("return_slope", {"offsets": (400.0, 400.0 * 1e-4)}),
+        ("return_slope", {"offsets": (10.0, 1.0)}),
+        ("return_slope", {"offsets": (1e300, 1e300 * 1e-4)}),
+        ("return_slope", {"offsets": (4.0,)}),
+        ("return_slope", {"offsets": (1000.0, 1000.0 * 1e-4)}),
     ])
     def test_guard_box_that_cannot_fire(self, measure, kw):
         # the box_exit event fires only on the way out of a finite box, so
@@ -709,9 +720,9 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             getattr(flow, measure)(build_z(1.0, 1.0), **kw)
 
-    # the deepest start y0 = 1e-4 section_scale lies below the chart radius
-    # 1e-8, y0 = 1e-16 under z's weights (1, 2): refused before any RHS
-    # evaluation.  From y0 = 1e-20 the chart reads 1.1e-4 off on z(-1, 2),
+    # of the starts y0 = section_scale and 1e-4 section_scale, the deeper
+    # lies below the chart radius 1e-8, y0 = 1e-16 under z's weights
+    # (1, 2): refused before any RHS evaluation.  From y0 = 1e-20 the chart reads 1.1e-4 off on z(-1, 2),
     # from 1e-24 28% on z(1, 1).  Winding the cartesian state ground 10^6
     # steps (7-8 s) into NoReturn from section_scale 1e-50 to 1e-140, and
     # refused 1e-145 and below for tolerances that underflow
@@ -721,8 +732,9 @@ class TestValidation:
                                                 section_scale):
         count_rhs.append(0)
         with pytest.raises(ValueError,
-                           match=r"section_scale .* below the depth floor"):
-            flow.return_slope(build_z(1.0, 1.0), section_scale)
+                           match=r"offsets .* below the depth floor"):
+            flow.return_slope(build_z(1.0, 1.0),
+                              (section_scale, section_scale * 1e-4))
         assert count_rhs == [0]
 
     # scales at which the absolute tolerance rel_tol*r0^2 or the stall
@@ -737,8 +749,9 @@ class TestValidation:
                                               section_scale, rel_tol):
         count_rhs.append(0)
         with pytest.raises(ValueError,
-                           match=r"section_scale .* below the depth floor"):
-            flow.return_slope(build_z(1.0, 1.0), section_scale,
+                           match=r"offsets .* below the depth floor"):
+            flow.return_slope(build_z(1.0, 1.0),
+                              (section_scale, section_scale * 1e-4),
                               cfg=flow.IntegratorConfig(rel_tol=rel_tol))
         assert count_rhs == [0]
 
@@ -937,7 +950,7 @@ class TestReturnSlope:
         # winding the cartesian state met steps of NaN error norm; the
         # chart reads 6.3e-9 off
         est = flow.return_slope(build_z(1.0, 1.0),
-                                section_scale=section_scale)
+                                (section_scale, section_scale * 1e-4))
         assert est.value == pytest.approx(z_return_slope_closed(1.0, 1.0),
                                           rel=1e-7)
 

@@ -25,6 +25,14 @@ class TestEval:
     def test_zero_polynomial(self):
         assert Poly2.zero().eval(Fraction(7, 3), -2) == 0
 
+    def test_at_polynomials_is_a_polynomial(self):
+        # the zero and the constant polynomials compose to Poly2s too
+        px, py = X + Y * Fraction(1, 2), Y * 0.5
+        assert Poly2.zero().eval(px, py) == Poly2.zero()
+        assert Poly2.const(Fraction(2, 3)).eval(px, py) == Poly2.const(
+            Fraction(2, 3))
+        assert (X * Y + 1).eval(px, Y) == X * Y + Y * Y * Fraction(1, 2) + 1
+
     def test_root_of_perfect_square(self):
         assert ((X + Y) ** 2).eval(1, -1) == 0
 
@@ -207,6 +215,13 @@ class TestPullbackAffine:
         out = pullback_affine(PlanarField(X ** 2, Y ** 2),
                               AffineMap2.scaling(2 ** 0.5, 1))
         assert out.is_float
+
+    def test_zero_field(self):
+        for amap in (AffineMap2.scaling(2, 3), AffineMap2.translation(-1, 0),
+                     AffineMap2.scaling(2 ** 0.5, 1)):
+            out = pullback_affine(PlanarField(Poly2.zero(), Poly2.zero()),
+                                  amap)
+            assert out.p.is_zero and out.q.is_zero
 
     def test_singular_map_rejected(self):
         with pytest.raises(SingularMap):
@@ -459,7 +474,7 @@ class TestReferenceComposition:
             rng.shuffle(keys)
             p = Poly2({k: Fraction(rng.randint(-9, 9), rng.choice((3, 7, 11)))
                        for k in keys[:6]})
-            assert p.subs(px, py).terms == ref_subs(p, px, py).terms
+            assert p.eval(px, py).terms == ref_subs(p, px, py).terms
 
 
 # -- properties of Poly2 arithmetic -------------------------------------------
@@ -496,7 +511,7 @@ class TestPoly2Properties:
         @hypothesis.settings(max_examples=200, deadline=None, database=None)
         @hypothesis.given(poly, poly, poly, st.integers(0, 3))
         def check(a, b, c, n):
-            for r in (a + b, a - b, -a, a * b, a ** n, a.subs(b, c),
+            for r in (a + b, a - b, -a, a * b, a ** n, a.eval(b, c),
                       a.transpose(), a.diff_x(), a.diff_y()):
                 assert_clean(r)
 
