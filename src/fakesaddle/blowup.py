@@ -280,7 +280,15 @@ class Rational1:
         return u1.ev(list(self.num), t) / u1.ev(list(self.den), t)
 
     def equals(self, other: "Rational1") -> bool:
-        """Equality as rational functions (cross-multiplied, exact)."""
+        """Equality as rational functions: True at once for equal
+        coefficient tuples, else cross-multiplied, exact.  A NaN or
+        infinite float coefficient skips the shortcut, whose tuple ==
+        would let a NaN equal itself, and gets the cross product's
+        answer: a NaN times a nonzero coefficient equals nothing."""
+        if (self.num == other.num and self.den == other.den
+                and all(math.isfinite(c) for c in self.num + self.den
+                        if isinstance(c, float))):
+            return True
         return u1.eq(u1.mul(list(self.num), list(other.den)),
                      u1.mul(list(other.num), list(self.den)))
 

@@ -18,14 +18,18 @@ stages, the error norm and the step control in local scalars:
 
 A drive ends at t_end or at one event, a ``Stop``, that ``accept``, the
 function the loop calls on each accepted step, tests with the samples;
-the transit legs pass their own, which ends a leg at a step's end.
+the transit legs pass their own, which ends a leg at a step's end, and
+so does a turn of the chart (``_turn``), which tests its stop's sign by
+comparisons and takes logs only near a crossing.
 
 On top sit the measured counterparts of the closed-form transition
 theory: transition and Poincare return slopes, a first-integral drift
 check and a monodromy probe.  Each slope is read off deep orbits in a
 chart, with no fit: the transit in v = log(y/y0) (``_transit``), the
 return and the probe in the weighted polar chart of the field's Newton
-diagram (``_weighted_polar``), where a turn is theta moving by 2*pi.
+diagram (``_weighted_polar``), where a turn is theta moving by 2*pi.  A
+stage of that chart is one field call, with the powers of r as products
+(``_compile_chart``), not float ``**``.
 
 Everything is deterministic for a fixed configuration and free of
 shared mutable state, so parameter sweeps can run concurrently.
@@ -34,6 +38,7 @@ shared mutable state, so parameter sweeps can run concurrently.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import textwrap
 from dataclasses import dataclass
@@ -649,29 +654,59 @@ _RHO_DROP = 8.0 * math.log(10.0)
 _RETURN_BOX = 4.0
 
 
+@functools.lru_cache(maxsize=None)
+def _compile_chart(a: int, b: int, d: int):
+    """``make(rhs)``: the chart field of ``_weighted_polar`` for the
+    weights (a, b, d), generated with each power r^e of r = exp(rho) as
+    products, r^2e = r^e r^e and r^(e+1) = r^e r, for e >= 1, and as
+    exp(e*rho) for e <= 0, so that no float ``**`` runs in a stage."""
+    powers: dict = {1: "r1"}
+    lines = ["r1 = exp(rho)"]
+
+    def power(e):
+        if e not in powers:
+            if e < 1:
+                lines.append(f"r_{-e} = exp({e}*rho)")
+                powers[e] = f"r_{-e}"
+            else:
+                left, right = ((power(e // 2),) * 2 if e % 2 == 0
+                               else (power(e - 1), "r1"))
+                lines.append(f"r{e} = {left}*{right}")
+                powers[e] = f"r{e}"
+        return powers[e]
+
+    lines += [f"p, q = rhs({power(a)}*c, {power(b)}*s)",
+              f"big_p, big_q = p/{power(d + a)}, q/{power(d + b)}"]
+    src = "\n".join([
+        "def make(rhs):",
+        "    def f(rho, theta):",
+        "        try:",
+        "            c, s = cos(theta), sin(theta)",
+        textwrap.indent("\n".join(lines), "            "),
+        "        except (ValueError, OverflowError, ZeroDivisionError):",
+        "            return inf, inf",
+        f"        return c*big_p + s*big_q, {a}*c*big_q - {b}*s*big_p",
+        "    return f",
+    ]) + "\n"
+    ns: dict = {"exp": math.exp, "cos": math.cos, "sin": math.sin,
+                "inf": math.inf}
+    exec(compile(src, f"<fakesaddle.flow chart {a} {b} {d}>", "exec"),
+         ns)  # noqa: S102
+    return ns["make"]
+
+
 def _weighted_polar(field: PlanarField):
     """(a, b, f): the field over (rho, theta) in the chart x = r^a c,
     y = r^b s, rho = log r, c = cos(theta), s = sin(theta), of the Newton
     weights (a, b, d) (``newton_weights``).  With p = r^(d+a) P, q =
     r^(d+b) Q and dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q and
-    theta' = a c Q - b s P, from one ``field.as_rhs()`` call.  A stage
-    whose theta is infinite, whose powers of r overflow or whose
-    r^(d+a) or r^(d+b) is 0 has slope (inf, inf): the loop halves h."""
+    theta' = a c Q - b s P, from one ``field.as_rhs()`` call and the
+    powers of r as products (``_compile_chart``).  A stage whose theta is
+    infinite, whose r = exp(rho) overflows or whose r^(d+a) or r^(d+b) is
+    0 has slope (inf, inf); one where a product of powers of r overflows
+    has a non-finite slope: the loop halves h on either."""
     a, b, d = newton_weights(field)
-    rhs = field.as_rhs()
-    exp, cos, sin, inf = math.exp, math.cos, math.sin, math.inf
-
-    def f(rho, theta):
-        try:
-            c, s = cos(theta), sin(theta)
-            r = exp(rho)
-            ra, rb, rd = r ** a, r ** b, r ** d
-            p, q = rhs(ra * c, rb * s)
-            big_p, big_q = p / (rd * ra), q / (rd * rb)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            return inf, inf
-        return c * big_p + s * big_q, a * c * big_q - b * s * big_p
-    return a, b, f
+    return a, b, _compile_chart(a, b, d)(field.as_rhs())
 
 
 def _chart_point(a: int, b: int, x: float, y: float):
@@ -692,11 +727,18 @@ def _chart_point(a: int, b: int, x: float, y: float):
 
 def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     """(status, rho, accumulated error) of the chart orbit from (rho0,
-    theta0) where the first of three stops crosses, as one upward
-    ``Stop`` on the largest: "turn" at |theta - theta0| = 2*pi,
-    "box_exit" at max(|x|, |y|) = ``box`` and "floor" at rho =
-    min(4 rho0, rho0) - ``_RHO_DROP``.  A start not strictly inside the
-    box raises ValueError."""
+    theta0) where the first of three stops crosses, as one upward stop
+    on the largest: "turn" at |theta - theta0| = 2*pi, "box_exit" at
+    max(|x|, |y|) = ``box`` and "floor" at rho = min(4 rho0, rho0) -
+    ``_RHO_DROP``.  A start not strictly inside the box raises
+    ValueError.
+
+    The "xy" loop runs with an ``accept`` of its own.  Before a crossing
+    the stop is negative, so a step crosses where it is not: ``accept``
+    first compares |theta - theta0| < 2*pi, rho > floor and a rho, b rho
+    < log(box), which make it negative exactly (log|cos|, log|sin| <= 0),
+    and takes the logs of the full stop only where one of them fails.  A
+    crossing is located on the full stop by ``_locate``."""
     a, b, f = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
 
@@ -708,11 +750,24 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
                     b * rho + math.log(s) if s else -math.inf) - log_box,
                 floor - rho)
 
-    stop = Stop("turn", lambda _t, state: max(parts(state)), +1)
-    if not stop.fn(0.0, (rho0, theta0)) < 0.0:
+    def stop(_t, state):
+        return max(parts(state))
+
+    def accept(_t_offset, t, h, y, k1, y5, k7, _err_abs):
+        rho, theta = y5
+        if ((abs(theta - theta0) < TWO_PI and rho > floor
+                and a * rho < log_box and b * rho < log_box)
+                or stop(t + h, y5) < 0.0):
+            return None
+        # the stop at the step's start is negative: any g0 < 0 will do
+        return _locate(stop, -1.0, t, h, y, k1, y5, k7)[1]
+
+    if not stop(0.0, (rho0, theta0)) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
-    state, err, _ = _drive("xy", f, 0.0, (rho0, theta0), cfg, stop=stop)
+    state, err = _LOOPS["xy"](f, cfg.abs_tol, cfg.rel_tol, 0.0, (rho0, theta0),
+                              cfg.max_step or math.inf, cfg.max_steps, None,
+                              accept)
     g = parts(state)
     return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
 

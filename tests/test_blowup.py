@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from fakesaddle.normalform import invariants
 from fakesaddle.polyfield import NotDivisible, PlanarField, Poly2
 
 U, V = Poly2.gens()
+F = Fraction
 
 
 class TestBlowUp:
@@ -227,6 +229,36 @@ class TestSaddleData:
         for t in (0.0, 0.25, 0.7):
             assert sd.r12_plus.eval(t) == pytest.approx(closed.eval(t),
                                                         rel=1e-12)
+
+
+class TestRational1Equals:
+    def test_equal_tuples(self):
+        r = Rational1((F(1), F(-2, 3)), (F(3), F(0), 1))
+        assert r.equals(Rational1(r.num, r.den))
+
+    def test_equal_rationals_that_differ_as_tuples(self):
+        # num and den scaled by 2, and a trailing zero in num: the same
+        # rational function through the cross product
+        r = Rational1((F(1), F(-2, 3)), (F(3), F(5)))
+        scaled = Rational1(tuple(2 * c for c in r.num) + (F(0),),
+                           tuple(2 * c for c in r.den))
+        assert scaled.num != r.num
+        assert r.equals(scaled) and scaled.equals(r)
+        assert Rational1((0.5, 1.5), (1.0,)).equals(Rational1((1.0, 3.0),
+                                                              (2.0,)))
+
+    def test_unequal_rationals(self):
+        r = Rational1((F(1), F(-2, 3)), (F(3), F(5)))
+        assert not r.equals(Rational1(r.num, (F(3), F(4))))
+        assert not r.equals(Rational1((F(1), F(2, 3)), r.den))
+        assert not r.equals(Rational1((F(2), F(-4, 3)), r.den))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficient_takes_the_cross_product(self, bad):
+        # equal tuples, but NaN * 1.0 is no number and inf * 0.0 is NaN:
+        # the cross product's answer, as without the shortcut
+        r = Rational1((bad,), (0.0, 1.0))
+        assert not r.equals(Rational1(r.num, r.den))
 
 
 class TestLinearPart:

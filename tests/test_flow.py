@@ -1,9 +1,12 @@
+import importlib.util
 import math
 import random
 import re
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -917,7 +920,7 @@ class TestTransitionSlope:
 
 class TestReturnSlope:
     # each bound is at least 10 times the deviation of the weighted polar
-    # chart: 1.3e-7 (centre, absolute), 5.1e-9, 2.1e-9, 4.9e-7 (relative)
+    # chart: 1.4e-7 (centre, absolute), 2.5e-9, 2.5e-9, 4.9e-7 (relative)
     def test_center(self):
         est = flow.return_slope(build_z(0.0, 1.0))
         assert est.value == pytest.approx(1.0, abs=2e-6)
@@ -1050,19 +1053,58 @@ class TestConservation:
                                     traj, branch_quantum=2.0 * math.pi)
 
 
+STAGE_GUARD_ROWS = [
+    (800.0, 0.3, True),        # exp(rho) overflows
+    (-150.0, 0.3, True),       # r^(d+b) = r^5 underflows to 0, r^4 does not
+    (-1e4, 0.3, True),         # r itself underflows to 0
+    (0.0, math.inf, True), (0.0, -math.inf, True),  # cos and sin of inf
+    # products of powers of r overflow to inf without raising
+    (150.0, 0.3, False), (200.0, 0.3, False), (240.0, 0.3, False),
+]
+
+
 class TestWeightedPolarChart:
-    @pytest.mark.parametrize("rho, theta", [
-        (800.0, 0.3),        # exp(rho) overflows
-        (-150.0, 0.3),       # r^(d+b) = r^5 underflows to 0, r^4 does not
-        (-1e4, 0.3),         # r itself underflows to 0
-        (0.0, math.inf), (0.0, -math.inf),  # cos and sin of inf
-    ])
-    def test_stage_guard(self, rho, theta):
-        # a stage the chart cannot evaluate has slope (inf, inf), so that
-        # the drive loop halves the step; unguarded, z(0, 1.25) raised
-        # ZeroDivisionError and "math domain error" from its return slope
+    @pytest.mark.parametrize("rho, theta, raises", STAGE_GUARD_ROWS,
+                             ids=[f"{rho}-{theta}"
+                                  for rho, theta, _ in STAGE_GUARD_ROWS])
+    def test_stage_guard(self, rho, theta, raises):
+        # a stage the chart cannot evaluate has a non-finite slope, (inf,
+        # inf) where it raises, so that the drive loop halves the step;
+        # unguarded, z(0, 1.25) raised ZeroDivisionError and "math domain
+        # error" from its return slope
         _a, _b, f = flow._weighted_polar(build_z(0.0, 1.25))
-        assert f(rho, theta) == (math.inf, math.inf)
+        slope = f(rho, theta)
+        assert not any(map(math.isfinite, slope))
+        if raises:
+            assert slope == (math.inf, math.inf)
+
+    @pytest.mark.parametrize("weights, want", [
+        ((1, 2, 3), (1, 2, 4, 5)),
+        ((2, 1, 0), (2, 1, 2, 1)),
+        # a constant term in p or q: r^0 = exp(0*rho) = 1
+        ((4, 1, -1), (4, 1, 3, 0)),    # p = y^3, q = 1 + x^2 y^2
+        ((1, 1, -1), (1, 1, 0, 0)),    # p = 1 + x^3, q = x y^2 + y^3
+    ])
+    def test_chart_powers(self, weights, want):
+        # the generated chart hands the field r^a c and r^b s and divides
+        # p by r^(d+a) and q by r^(d+b), each power within a few ulps
+        seen = []
+
+        def rhs(x, y):
+            seen.append((x, y))
+            return 1.0, 1.0
+
+        a, b, d = weights
+        rho, theta = -0.7, 0.0
+        rho_dot, theta_dot = flow._compile_chart(a, b, d)(rhs)(rho, theta)
+        r = math.exp(rho)
+        assert seen == [(pytest.approx(r ** want[0], rel=1e-15), 0.0)]
+        assert rho_dot == pytest.approx(r ** -want[2], rel=1e-15)
+        assert theta_dot == pytest.approx(a * r ** -want[3], rel=1e-15)
+        _rho_dot, theta_dot = flow._compile_chart(a, b, d)(rhs)(
+            rho, math.pi / 2)
+        assert seen[1][1] == pytest.approx(r ** want[1], rel=1e-15)
+        assert theta_dot == pytest.approx(-b * r ** -want[2], rel=1e-15)
 
     def test_guarded_stages_halve_the_step(self):
         # 27 stages of this return meet the guard
@@ -1092,6 +1134,80 @@ class TestWeightedPolarChart:
         r = math.exp(rho)
         assert r ** a * math.cos(theta) == pytest.approx(x, rel=1e-12)
         assert r ** b * math.sin(theta) == pytest.approx(y, rel=1e-12)
+
+
+def full_stop_turn(chart, rho0, theta0, box, cfg):
+    """``flow._turn`` as a ``Stop`` on the largest of its three parts,
+    through ``flow._drive``: the stop value taken on every step."""
+    a, b, f = chart
+    log_box, floor = math.log(box), min(4.0 * rho0, rho0) - flow._RHO_DROP
+
+    def parts(state):
+        rho, theta = state
+        c, s = abs(math.cos(theta)), abs(math.sin(theta))
+        return (abs(theta - theta0) - flow.TWO_PI,
+                max(a * rho + math.log(c) if c else -math.inf,
+                    b * rho + math.log(s) if s else -math.inf) - log_box,
+                floor - rho)
+
+    stop = flow.Stop("turn", lambda _t, state: max(parts(state)), +1)
+    state, err, _ = flow._drive("xy", f, 0.0, (rho0, theta0), cfg, stop=stop)
+    g = parts(state)
+    return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
+
+
+def probe_start(field, box):
+    """The chart point of the first orbit of ``monodromy_probe``'s ring
+    at its default radius, 1e-9*box."""
+    a, b, _f = flow._weighted_polar(field)
+    ang, r0 = flow.TWO_PI * 0.5 / 12, 1e-9 * box
+    return flow._chart_point(a, b, r0 * math.cos(ang), r0 * math.sin(ang))
+
+
+class TestSignOnlyStop:
+    """``_turn`` tests the sign of its stop with comparisons and takes
+    the logs only near a crossing: every (status, rho, error) is bit for
+    bit that of the full stop taken on every step."""
+
+    @pytest.mark.parametrize("alpha, beta, y0, status", [
+        (1.0, 1.0, 1e-8, "turn"), (1.0, 1.0, 1e-12, "turn"),
+        (0.5, 0.3, 1e-8, "turn"), (0.5, 0.3, 1e-12, "turn"),
+        (1.0, 0.2, 1e-8, "box_exit"),
+        (-1.0, 0.1, 1e-8, "floor"),
+    ])
+    def test_returns(self, alpha, beta, y0, status):
+        chart = flow._weighted_polar(build_z(alpha, beta))
+        start = (math.log(y0) / chart[1], math.pi / 2.0)
+        cfg = flow.IntegratorConfig()
+        got = flow._turn(chart, *start, flow._RETURN_BOX, cfg)
+        assert got[0] == status
+        assert got == full_stop_turn(chart, *start, flow._RETURN_BOX, cfg)
+
+    @pytest.mark.parametrize("field, box, status", [
+        (EX6.field(), 2.0, "box_exit"),
+        (build_z(1.0, 1.0), 10.0, "turn"),
+    ])
+    def test_probe_orbits(self, field, box, status):
+        chart = flow._weighted_polar(field)
+        start = probe_start(field, box)
+        got = flow._turn(chart, *start, box, flow._PROBE_CFG)
+        assert got[0] == status
+        assert got == full_stop_turn(chart, *start, box, flow._PROBE_CFG)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_pools_stay_monodromic(self, monkeypatch, seed):
+        # the z-family benchmark's pool of 14 (alpha, beta) per seed
+        path = Path(__file__).resolve().parent.parent / "perfbench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location("_z_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        pool = workloads.z_parameters(random.Random(seed), 14)
+        verdicts = [flow.monodromy_probe(build_z(float(a), float(b)),
+                                         box=10.0, ring_radius=1e-8)
+                    for a, b in pool]
+        assert verdicts == [flow.ProbeVerdict.MONODROMIC] * 14
 
 
 class TestMonodromyProbe:
