@@ -204,10 +204,6 @@ class DivisorRoot:
     multiplicity: int
     nonzero_eigenvalue: bool
 
-    def to_json(self) -> dict:
-        return {"location": self.location, "multiplicity": self.multiplicity,
-                "nonzero_eigenvalue": self.nonzero_eigenvalue}
-
 
 @dataclass(frozen=True)
 class DivisorReport:
@@ -217,12 +213,6 @@ class DivisorReport:
     roots: Tuple[DivisorRoot, ...]
     origin_data: tuple  # (P(0,0), Q(0,0))
     discriminant: object
-
-    def to_json(self) -> dict:
-        return {"q_on_divisor": [float(c) for c in self.q_on_divisor],
-                "roots": [r.to_json() for r in self.roots],
-                "origin_data": [float(v) for v in self.origin_data],
-                "discriminant": float(self.discriminant)}
 
 
 def divisor_report(nf: NormalFormField) -> DivisorReport:
@@ -276,9 +266,6 @@ class Rational1:
     num: tuple
     den: tuple
 
-    def eval(self, t: float) -> float:
-        return u1.ev(list(self.num), t) / u1.ev(list(self.den), t)
-
     def equals(self, other: "Rational1") -> bool:
         """Equality as rational functions: True at once for equal
         coefficient tuples, else cross-multiplied, exact.  A NaN or
@@ -291,11 +278,6 @@ class Rational1:
             return True
         return u1.eq(u1.mul(list(self.num), list(other.den)),
                      u1.mul(list(other.num), list(self.den)))
-
-    def to_json(self) -> dict:
-        def enc(cs):
-            return [float(c) for c in cs]
-        return {"num": enc(self.num), "den": enc(self.den)}
 
 
 @dataclass(frozen=True)
@@ -320,22 +302,6 @@ class SaddleData:
     r21_minus_closed: Rational1
     r12_plus_closed: Rational1
     r21_plus_closed: Rational1
-
-    def to_json(self) -> dict:
-        return {
-            "lambda_plus": float(self.lambda_plus),
-            "lambda_minus": float(self.lambda_minus),
-            "restrictions": {k: [float(c) for c in v]
-                             for k, v in self.restrictions.items()},
-            "r12_minus": self.r12_minus.to_json(),
-            "r21_minus": self.r21_minus.to_json(),
-            "r12_plus": self.r12_plus.to_json(),
-            "r21_plus": self.r21_plus.to_json(),
-            "r12_minus_closed": self.r12_minus_closed.to_json(),
-            "r21_minus_closed": self.r21_minus_closed.to_json(),
-            "r12_plus_closed": self.r12_plus_closed.to_json(),
-            "r21_plus_closed": self.r21_plus_closed.to_json(),
-        }
 
 
 def closed_r21_minus(a, b, c) -> Rational1:

@@ -380,14 +380,14 @@ def run_example6_case(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
 
 def _drift_along_transit(fld, h_fn, y0, cfg=None, quantum=2.0 * math.pi):
     base = cfg or flow.IntegratorConfig()
-    step = min(0.01, y0 / 4.0)
-    for _attempt in range(3):
+    first = min(0.01, y0 / 4.0)
+    for step in (first, first / 4.0, first / 16.0):
         traj = flow.integrate(fld, (-1.0, y0), flow.Stop.x_reaches(1.0),
                               cfg=replace(base, max_step=step), param="graph")
         try:
             return flow.conservation_check(h_fn, traj, branch_quantum=quantum)
         except flow.BranchTrackingFailed:
-            step /= 4.0
+            pass
     raise flow.BranchTrackingFailed(f"drift check failed down to step {step}")
 
 

@@ -9,15 +9,17 @@ one drive loop (``_compile_loop``), generated from the tableau and the
 kind's stage template, that calls its field directly and keeps the
 stages, the error norm and the step control in local scalars:
 
-- "xy": 2-D state under time, arclength, backward time or a chart, of
+- "xy": 2-D state under arclength, either way, or a chart clock, of
   ``(x, y) -> (p, q)`` or a wrapper of it;
 - "graph": 1-D state as a graph over the independent variable, of a
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
   or below, and the outer legs of the transit slopes.
 
-A drive ends at t_end or at one event, a ``Stop``, that ``accept``, the
-function the loop calls on each accepted step, tests with the samples;
+Every drive runs on a bounded clock, arclength, x or a chart variable,
+that no stop reads.  A drive ends at t_end or at one event, a ``Stop``
+on the state, that ``accept``, the function the loop calls on each
+accepted step, tests with the samples;
 the transit legs pass their own, which ends a leg at a step's end, and
 so does a turn of the chart (``_turn``), which tests its stop's sign by
 comparisons and takes logs only near a crossing.
@@ -96,10 +98,10 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Adaptive-step solution samples (s, x, y, step_error)."""
+    """Adaptive-step solution samples (s, x, y, step_error): s is the
+    arclength, or x on the graph."""
 
     samples: List[Tuple[float, float, float, float]]
-    parametrization: str  # time | graph-over-x | arclength
 
     @property
     def end(self) -> Tuple[float, float]:
@@ -157,7 +159,7 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 # Stage slope of each state kind, as source: ``{x}`` is the independent
 # variable, ``{y0}``/``{y1}`` the state and ``{k0}``/``{k1}`` the slope
 _KINDS = {
-    # 2-D state: f(x, y) -> (p, q) of the state alone, time not read
+    # 2-D state: f(x, y) -> (p, q) of the state alone, the clock not read
     "xy": (2, "{k0}, {k1} = f({y0}, {y1})"),
     # 1-D state as a graph over the independent variable: f(x, y) -> dy/dx
     "graph": (1, "{k0} = f({x}, {y0})"),
@@ -193,13 +195,10 @@ def _compile_loop(kind: str):
     - rejects the step unless the RMS of the scaled errors
       (``_SCALED_ERROR``) is at most 1, so also for a NaN norm, scaling h
       by max(0.2, 0.9 norm^-0.2);
-    - calls ``accept(t_offset, t, h, y, k1, y5, k7, err_abs)``, with tuples
-      and the largest |error|, if given: a state it returns ends the drive
-      there;
-    - advances, returns at ``t_end``, moves the time origin of an "xy"
-      drive, whose field does not read it, into ``t_offset`` once
-      |t| > 1e13 h, and scales h by min(5, 0.9 norm^-0.2), 5 for a zero
-      norm, capped at ``max_step``.
+    - calls ``accept(t, h, y, k1, y5, k7, err_abs)``, with tuples and the
+      largest |error|, if given: a state it returns ends the drive there;
+    - advances, returns at ``t_end``, and scales h by min(5, 0.9
+      norm^-0.2), 5 for a zero norm, capped at ``max_step``.
 
     It returns ``(state, err_accum)``, with the sum of the accepted steps'
     largest errors, or raises MaxStepsExceeded.  Stage sums run in the
@@ -225,14 +224,14 @@ def _compile_loop(kind: str):
         return stage.format(x=x, **{f"y{i}": ys[i] for i in comps},
                             **{f"k{i}": f"k{s}_{i}" for i in comps})
 
-    def time(c):
+    def clock(c):
         return "t + h" if c == 1.0 else f"t + {c!r}*h"
 
-    stages = [slope(s + 1, time(_C[s]),
+    stages = [slope(s + 1, clock(_C[s]),
                     [f"y_{i} + {combo(_A[s], i)}" for i in comps])
               for s in range(1, 6)]
     stages += [f"y5_{i} = y_{i} + {combo(_A[6], i)}" for i in comps]
-    stages.append(slope(7, time(_C[6]), [f"y5_{i}" for i in comps]))
+    stages.append(slope(7, clock(_C[6]), [f"y5_{i}" for i in comps]))
     err_abs = "a_0"
     for i in comps[1:]:
         err_abs = f"(a_{i} if a_{i} > {err_abs} else {err_abs})"
@@ -258,7 +257,7 @@ def _compile_loop(kind: str):
         "    continue",
         f"err_abs = {err_abs}",
         "if accept is not None:",
-        f"    y_stop = accept(t_offset, t, h, {tup('y')}, {tup('k1')}, "
+        f"    y_stop = accept(t, h, {tup('y')}, {tup('k1')}, "
         f"{tup('y5')}, {tup('k7')}, err_abs)",
         "    if y_stop is not None:",
         "        return y_stop, err_accum + err_abs",
@@ -267,9 +266,6 @@ def _compile_loop(kind: str):
         *(f"y_{i} = y5_{i}\nk1_{i} = k7_{i}" for i in comps),
         "if t_end is not None and t >= t_end:",
         f"    {end}",
-        *(["if abs(t) > 1e13*h:",
-           "    t_offset += t",
-           "    t = 0.0"] if kind == "xy" else []),
         # an accepted norm is at most 1, so the factor is at least 0.9 and
         # of min(5, max(0.2, factor)) only the upper clamp can bind
         "fac = 0.9*norm**-0.2 if norm > 0 else 5.0",
@@ -287,7 +283,6 @@ def _compile_loop(kind: str):
         "    if t_end is not None:",
         "        h = min(h, abs(t_end - t))",
         "    h = min(h, max_step)",
-        "    t_offset = 0.0",
         "    err_accum = 0.0",
         "    for _ in range(max_steps):",
         textwrap.indent(attempt, "        "),
@@ -318,16 +313,15 @@ def _hermite(y0, f0, y1, f1, h, theta):
                  for i in range(len(y0)))
 
 
-def _locate(fn, g0, t, h, y, k1, y5, k7):
-    """(tau, state) where the event ``fn(t, state)``, ``g0`` at the step's
+def _locate(fn, g0, h, y, k1, y5, k7):
+    """(tau, state) where the event ``fn(state)``, ``g0`` at the step's
     start, crosses: the mid-bracket on the step's ``_hermite``, with the
     bracket, as fractions of the step, halved 80 times or until it spans
-    less than 1e-12 in time."""
+    less than 1e-12 of the clock."""
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if (g0 < 0.0) == (fn(t + mid * h,
-                             _hermite(y, k1, y5, k7, h, mid)) < 0.0):
+        if (g0 < 0.0) == (fn(_hermite(y, k1, y5, k7, h, mid)) < 0.0):
             lo = mid
         else:
             hi = mid
@@ -338,44 +332,38 @@ def _locate(fn, g0, t, h, y, k1, y5, k7):
 
 
 def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
-           stop: Stop | None = None, parametrization="time",
-           keep_samples=False):
+           stop: Stop | None = None):
     """The kind's loop (``_compile_loop``) on the field ``f`` to t_end, or
-    to where the ``stop`` crosses zero, located by ``_locate``: (state,
-    accumulated error, Trajectory with absolute times, or None)."""
+    to where the ``stop`` crosses zero, located by ``_locate`` and
+    sampled at t + tau h: (state, accumulated error, Trajectory)."""
     y = tuple(float(v) for v in y0)
 
     def as_xy(tt, yy):
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
-    samples = [(t0, *as_xy(t0, y), 0.0)] if keep_samples else None
-    g0 = stop.fn(t0, y) if stop is not None else None
+    samples = [(t0, *as_xy(t0, y), 0.0)]
+    g0 = stop.fn(y) if stop is not None else None
 
-    def accept(t_offset, t, h, y, k1, y5, k7, err_abs):
+    def accept(t, h, y, k1, y5, k7, err_abs):
         # the stop and sample of one step, as _compile_loop says.  No
         # closure here: it would make cells of the locals on every call
         nonlocal g0
-        t1 = t + h
         if stop is not None:
-            g1 = stop.fn(t1, y5)
+            g1 = stop.fn(y5)
             if ((stop.direction >= 0 and g0 < 0.0 <= g1)
                     or (stop.direction <= 0 and g0 > 0.0 >= g1)):
-                tau, y_stop = _locate(stop.fn, g0, t, h, y, k1, y5, k7)
-                if keep_samples:
-                    samples.append((t_offset + t + tau * h,
-                                    *as_xy(t + tau * h, y_stop), err_abs))
+                tau, y_stop = _locate(stop.fn, g0, h, y, k1, y5, k7)
+                samples.append((t + tau * h, *as_xy(t + tau * h, y_stop),
+                                err_abs))
                 return y_stop
             g0 = g1
-        if keep_samples:
-            samples.append((t_offset + t1, *as_xy(t1, y5), err_abs))
+        samples.append((t + h, *as_xy(t + h, y5), err_abs))
         return None
 
     y, err_accum = _LOOPS[kind](
         f, cfg.abs_tol, cfg.rel_tol, t0, y, cfg.max_step or math.inf,
-        cfg.max_steps, t_end,
-        accept if keep_samples or stop is not None else None)
-    return (y, err_accum,
-            Trajectory(samples, parametrization) if keep_samples else None)
+        cfg.max_steps, t_end, accept)
+    return y, err_accum, Trajectory(samples)
 
 
 # -- public integration --------------------------------------------------------
@@ -384,19 +372,19 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
 @dataclass(frozen=True)
 class Stop:
     """The event that ends a drive, made by a constructor below: the
-    drive ends where ``fn(t, state)`` crosses 0, upward for ``direction``
+    drive ends where ``fn(state)`` crosses 0, upward for ``direction``
     +1, downward for -1, either way for 0.  The graph takes only
     x_reaches, whose value is ``x_target``."""
 
     name: str
-    fn: Callable[[float, Tuple[float, ...]], float]
+    fn: Callable[[Tuple[float, ...]], float]
     direction: int = 0
     x_target: float | None = None
 
     @classmethod
     def x_reaches(cls, value: float) -> "Stop":
         value = _finite("value", value)
-        return cls("x_reaches", lambda _t, s: s[0] - value, x_target=value)
+        return cls("x_reaches", lambda s: s[0] - value, x_target=value)
 
     @classmethod
     def section(cls, axis: str, value: float, direction: int) -> "Stop":
@@ -408,7 +396,7 @@ class Stop:
             raise ValueError(f"direction must be -1, 0 or 1, got {direction!r}")
         value = _finite("value", value)
         i = "xy".index(axis)
-        return cls("section_crossing", lambda _t, s: s[i] - value, direction)
+        return cls("section_crossing", lambda s: s[i] - value, direction)
 
     @classmethod
     def window_exit(cls, x0: float, x1: float, y0: float, y1: float) -> "Stop":
@@ -420,7 +408,7 @@ class Stop:
             raise ValueError(f"window must be finite with x0 < x1 and "
                              f"y0 < y1, got {(x0, x1, y0, y1)}")
 
-        def outside(_t, s):
+        def outside(s):
             return max(s[0] - x1, x0 - s[0], s[1] - y1, y0 - s[1])
 
         return cls("window_exit", outside, +1)
@@ -434,20 +422,24 @@ def _finite(name, value):
 
 
 def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
-              cfg: IntegratorConfig | None = None, param: str = "time",
+              cfg: IntegratorConfig | None = None, *, param: str,
               backward: bool = False) -> Trajectory:
     """Integrate a planar field from ``start`` until the stop's event.
 
-    ``param`` selects the independent variable: "time", "arclength"
-    (unit-speed, robust near degenerate points), or "graph" (y over x,
-    only to an x-reaches stop, either way).  ``backward`` reverses the
-    flow in time/arclength mode; with "graph" it is a ValueError.  The
-    graph follows an orbit that runs rightward: where p falls to
-    ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, at the start or a stage
-    point, the orbit folds over x, and the graph raises
-    TransitDoesNotExist naming the point.  A window_exit stop
-    raises ValueError unless its window strictly contains the start.
+    ``param`` selects the independent variable, which the first column
+    of the samples reads: "arclength" (unit speed, robust near
+    degenerate points) or "graph" (y over x, only to an x-reaches stop,
+    either way); any other, "time" among them, is a ValueError.
+    ``backward`` reverses the arclength; with "graph" it is a
+    ValueError.  The graph follows an orbit that runs rightward: where p
+    falls to ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, at the start or a
+    stage point, the orbit folds over x, and the graph raises
+    TransitDoesNotExist naming the point.  A window_exit stop raises
+    ValueError unless its window strictly contains the start.
     """
+    if param not in ("arclength", "graph"):
+        raise ValueError(f"param must be 'arclength' or 'graph', got "
+                         f"{param!r}")
     cfg = cfg or IntegratorConfig()
     rhs_xy = field.as_rhs()
 
@@ -470,37 +462,24 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
             return flip * q / p
 
         _y, _err, traj = _drive("graph", f, flip * x0, (y0,), cfg,
-                                t_end=flip * x_target,
-                                parametrization="graph-over-x",
-                                keep_samples=True)
+                                t_end=flip * x_target)
         if flip < 0:  # report true x in samples
             traj.samples = [(-s, -s, y, e) for s, _x, y, e in traj.samples]
         return traj
 
-    if param == "time":
-        f = rhs_xy
-        if backward:
-            def f(x, y):
-                p, q = rhs_xy(x, y)
-                return -p, -q
-    elif param == "arclength":
-        sign = -1.0 if backward else 1.0
+    sign = -1.0 if backward else 1.0
 
-        def f(x, y):  # unit speed; StepUnderflow where the field vanishes
-            p, q = rhs_xy(x, y)
-            v = math.hypot(p, q)
-            if v < 1e-300:
-                raise StepUnderflow("vector field vanishes on the path")
-            return sign * p / v, sign * q / v
-    else:
-        raise ValueError(f"unknown parametrization {param!r}")
+    def f(x, y):  # unit speed; StepUnderflow where the field vanishes
+        p, q = rhs_xy(x, y)
+        v = math.hypot(p, q)
+        if v < 1e-300:
+            raise StepUnderflow("vector field vanishes on the path")
+        return sign * p / v, sign * q / v
 
-    if stop.name == "window_exit" and not stop.fn(0.0, start) < 0.0:
+    if stop.name == "window_exit" and not stop.fn(start) < 0.0:
         raise ValueError(f"start {start} must lie strictly inside the "
                          f"window of the stop")
-    _y, _err, traj = _drive("xy", f, 0.0, start, cfg, stop=stop,
-                            parametrization=param, keep_samples=True)
-    return traj
+    return _drive("xy", f, 0.0, start, cfg, stop=stop)[2]
 
 
 # -- measured slopes -----------------------------------------------------------
@@ -575,11 +554,11 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
         except ArithmeticError:
             return math.inf, math.inf
 
-    def left(_o, t, h, _y, _k1, y5, _k7, _e):
+    def left(t, h, _y, _k1, y5, _k7, _e):
         s = t + h
         return (s, y5[0]) if s + y5[0] + lk >= 0.0 or s > s_floor else None
 
-    def middle(_o, _t, _h, _y, _k1, y5, _k7, _e):
+    def middle(_t, _h, _y, _k1, y5, _k7, _e):
         return y5 if y5[0] >= k or not v_lo < y5[1] < v_hi else None
 
     # a left leg that ends at the floor, |x| < 1e-150, has k|y| < |x| there
@@ -750,19 +729,19 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
                     b * rho + math.log(s) if s else -math.inf) - log_box,
                 floor - rho)
 
-    def stop(_t, state):
+    def stop(state):
         return max(parts(state))
 
-    def accept(_t_offset, t, h, y, k1, y5, k7, _err_abs):
+    def accept(_t, h, y, k1, y5, k7, _err_abs):
         rho, theta = y5
         if ((abs(theta - theta0) < TWO_PI and rho > floor
                 and a * rho < log_box and b * rho < log_box)
-                or stop(t + h, y5) < 0.0):
+                or stop(y5) < 0.0):
             return None
         # the stop at the step's start is negative: any g0 < 0 will do
-        return _locate(stop, -1.0, t, h, y, k1, y5, k7)[1]
+        return _locate(stop, -1.0, h, y, k1, y5, k7)[1]
 
-    if not stop(0.0, (rho0, theta0)) < 0.0:
+    if not stop((rho0, theta0)) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
     state, err = _LOOPS["xy"](f, cfg.abs_tol, cfg.rel_tol, 0.0, (rho0, theta0),

@@ -457,11 +457,6 @@ class AffineMap2:
     def det(self) -> Coeff:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    @property
-    def is_float(self) -> bool:
-        return any(isinstance(getattr(self, n), float)
-                   for n in ("m11", "m12", "m21", "m22", "t1", "t2"))
-
     def inverse(self) -> "AffineMap2":
         d = self.det
         if d == 0:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fakesaddle import asymptotics as asy, casebook
+from fakesaddle import asymptotics as asy, casebook, flow
 from fakesaddle.normalform import Verdict, classify, invariants, \
     validate_and_build
 
@@ -87,3 +87,27 @@ class TestCases:
         for check in res.checks:
             assert check.computed is not None
             assert check.expected is not None
+
+
+class TestDriftAlongTransit:
+    def test_failure_names_the_last_step_tried(self, monkeypatch):
+        # from y0 = 0.3 the steps are 0.01, 0.0025 and 0.000625; the
+        # message named 0.00015625, a step never tried
+        tried = []
+        integrate = flow.integrate
+
+        def recording(*args, cfg, **kw):
+            tried.append(cfg.max_step)
+            return integrate(*args, cfg=cfg, **kw)
+
+        def fails(*_args, **_kw):
+            raise flow.BranchTrackingFailed("every jump is ambiguous")
+
+        monkeypatch.setattr(flow, "integrate", recording)
+        monkeypatch.setattr(flow, "conservation_check", fails)
+        nf = casebook.build_example6(Fraction(1), Fraction(-1), Fraction(-1))
+        with pytest.raises(flow.BranchTrackingFailed,
+                           match=r"down to step 0\.000625$"):
+            casebook._drift_along_transit(
+                nf.field(), casebook.example6_first_integral(), 0.3)
+        assert tried == [0.01, 0.0025, 0.000625]

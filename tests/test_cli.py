@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,33 @@ def test_cli_loads_only_the_standard_library():
                           capture_output=True, text=True, check=True)
     loaded = set(done.stdout.split())
     assert loaded - set(sys.stdlib_module_names) == {"fakesaddle", "__main__"}
+
+
+def readme_cli_lines():
+    """The ``fakesaddle ...`` lines of the README's CLI block, as argv."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("fakesaddle ")]
+
+
+def test_readme_cli_block_runs(capsys, tmp_path):
+    # each documented command line exits 0, in-process; field.json is the
+    # degenerate quartic and the portrait goes to a scratch directory
+    from fakesaddle.casebook import build_xn
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(build_xn(4).to_json()))
+    paths = {"field.json": str(field), "out/": str(tmp_path / "out")}
+    lines = readme_cli_lines()
+    assert len(lines) == 9
+    codes = {}
+    for line in lines:
+        argv = [paths.get(arg, arg) for arg in line[1:]]
+        codes[shlex.join(line)] = cli.main(argv)
+    capsys.readouterr()
+    assert codes == dict.fromkeys(codes, 0)
+    assert len(list((tmp_path / "out").glob("orbit_*.csv"))) == 16
 
 
 class TestClassify:
