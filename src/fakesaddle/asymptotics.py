@@ -539,11 +539,6 @@ def log_l1_plus_closed(u: float, a: float, b: float, c: float) -> float:
     return alpha_part + beta_part
 
 
-def log_l2_minus_closed(u: float, a: float, b: float, c: float) -> float:
-    """Analytic fast path for log L2_minus(u) (mirror of log L1_plus)."""
-    return log_l1_plus_closed(u, -a, -b, c)
-
-
 def transition_report(nf: NormalFormField, sections: SectionPair | None,
                       abs_tol: float = QUAD_ABS_TOL) -> TransitionReport:
     """Full transition computation with both leading-coefficient routes.

@@ -1,13 +1,14 @@
 """Numerical integration of planar fields and empirical slope measurement.
 
 The integrator is an explicit embedded Runge-Kutta 5(4) pair
-(Dormand-Prince coefficients) with FSAL, proportional step control,
-cubic Hermite dense output and event location by bisection on the dense
-output.  Fields arrive compiled as sparse Horner source
-(``PlanarField.as_rhs``), bit for bit dense Horner.  Each state kind has
-one drive loop (``_compile_loop``), generated from the tableau and the
-kind's stage template, that calls its field directly and keeps the
-stages, the error norm and the step control in local scalars:
+(Dormand-Prince coefficients) with FSAL, Gustafsson's predictive step
+control (Hairer & Wanner, Solving ODEs II, IV.8), cubic Hermite dense
+output and event location by bisection on the dense output.  Fields
+arrive compiled as sparse Horner source (``PlanarField.as_rhs``), bit
+for bit dense Horner.  Each state kind has one drive loop
+(``_compile_loop``), generated from the tableau and the kind's stage
+template, that calls its field directly and keeps the stages, the error
+norm and the step control in local scalars:
 
 - "xy": 2-D state under arclength, either way, or a chart clock, of
   ``(x, y) -> (p, q)`` or a wrapper of it;
@@ -88,9 +89,10 @@ class IntegratorConfig:
                    for tol in (self.rel_tol, self.abs_tol)):
             raise ValueError(f"tolerances must be positive and finite, got "
                              f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got "
-                             f"{self.max_steps}")
+        if (not isinstance(self.max_steps, int)
+                or isinstance(self.max_steps, bool) or self.max_steps < 1):
+            raise ValueError(f"max_steps must be an int of at least 1, got "
+                             f"{self.max_steps!r}")
         if self.max_step is not None and not 0.0 < self.max_step < math.inf:
             raise ValueError(f"max_step must be None or positive and finite, "
                              f"got {self.max_step}")
@@ -197,8 +199,15 @@ def _compile_loop(kind: str):
       by max(0.2, 0.9 norm^-0.2);
     - calls ``accept(t, h, y, k1, y5, k7, err_abs)``, with tuples and the
       largest |error|, if given: a state it returns ends the drive there;
-    - advances, returns at ``t_end``, and scales h by min(5, 0.9
-      norm^-0.2), 5 for a zero norm, capped at ``max_step``.
+    - advances, returns at ``t_end``, and scales h by min(5, fac), capped
+      at ``max_step``: fac is 5 for a zero norm, 0.9 norm^-0.2 on the
+      drive's first accepted step, and otherwise Gustafsson's predictive
+      factor, as RADAU5 has it, min(0.9 norm^-0.2, max(0.2, 0.9
+      (h/h_prev) (err_prev/norm^2)^0.2)), of the previous accepted step
+      h_prev and err_prev = max(its norm, 1e-2), and norm^2 = norm*norm,
+      never 0 for a norm > 0.  It foresees a step size that shrinks by a
+      steady ratio, where the proportional factor alone never goes below
+      0.9 and each step waits for a rejection.
 
     It returns ``(state, err_accum)``, with the sum of the accepted steps'
     largest errors, or raises MaxStepsExceeded.  Stage sums run in the
@@ -266,9 +275,19 @@ def _compile_loop(kind: str):
         *(f"y_{i} = y5_{i}\nk1_{i} = k7_{i}" for i in comps),
         "if t_end is not None and t >= t_end:",
         f"    {end}",
-        # an accepted norm is at most 1, so the factor is at least 0.9 and
-        # of min(5, max(0.2, factor)) only the upper clamp can bind
-        "fac = 0.9*norm**-0.2 if norm > 0 else 5.0",
+        # Gustafsson's predictive factor, at least 0.2, caps the
+        # proportional one, at least 0.9 for an accepted norm, so of
+        # min(5, max(0.2, factor)) only the upper clamp can bind
+        "if norm > 0:",
+        "    fac = 0.9*norm**-0.2",
+        "    if err_prev:",
+        "        pred = 0.9*(h/h_prev)*(err_prev/(norm*norm))**0.2",
+        "        pred = pred if pred > 0.2 else 0.2",
+        "        fac = pred if pred < fac else fac",
+        "else:",
+        "    fac = 5.0",
+        "h_prev = h",
+        "err_prev = 1e-2 if 1e-2 > norm else norm",
         "h *= fac if fac < 5.0 else 5.0",
         "if max_step < h:",
         "    h = max_step",
@@ -284,6 +303,8 @@ def _compile_loop(kind: str):
         "        h = min(h, abs(t_end - t))",
         "    h = min(h, max_step)",
         "    err_accum = 0.0",
+        # the last accepted step and max(its norm, 1e-2), 0.0 before one
+        "    h_prev = err_prev = 0.0",
         "    for _ in range(max_steps):",
         textwrap.indent(attempt, "        "),
         "    raise MaxStepsExceeded("
@@ -486,13 +507,14 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
 
 
 def _checked_offsets(offsets, default) -> List[float]:
-    """The start offsets, ``default`` when None: positive, finite and
-    strictly decreasing, so that the last start is the deepest."""
+    """The start offsets, ``default`` when None: at least one, positive,
+    finite and strictly decreasing, so that the last start is the
+    deepest."""
     offsets = list(offsets if offsets is not None else default)
-    if not (all(0.0 < o < math.inf for o in offsets)
+    if not (offsets and all(0.0 < o < math.inf for o in offsets)
             and all(a > b for a, b in zip(offsets, offsets[1:]))):
-        raise ValueError("offsets must be positive, finite and strictly "
-                         f"decreasing, got {offsets}")
+        raise ValueError("offsets must be non-empty, positive, finite and "
+                         f"strictly decreasing, got {offsets}")
     return offsets
 
 
