@@ -519,26 +519,6 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def log_l1_plus_closed(u: float, a: float, b: float, c: float) -> float:
-    """Analytic fast path for log L1_plus(u) (log plus arctan terms).
-
-    Valid whenever d > 0 keeps the denominator quadratic definite;
-    quadrature remains the reference path.
-    """
-    d = 4.0 * (1.0 - c) - (a - b) ** 2
-    if d <= 0:
-        raise NotHyperbolicFakeSaddle(f"d = {d} is not positive")
-    sd = math.sqrt(d)
-    quad_val = (1.0 - c + (a - b + 2.0 * c - 2.0) * u
-                + (-a + b - c + 2.0) * u * u)
-    alpha_part = c / (2.0 * (1.0 - c)) * math.log(quad_val / (1.0 - c))
-    pref = -((a + b) * c - 2.0 * b) / ((1.0 - c) * sd)
-    beta_part = pref * (
-        math.atan((2.0 * (1.0 - c) + b - a + 2.0 * (a - b + c - 2.0) * u) / sd)
-        - math.atan((2.0 * (1.0 - c) + b - a) / sd))
-    return alpha_part + beta_part
-
-
 def transition_report(nf: NormalFormField, sections: SectionPair | None,
                       abs_tol: float = QUAD_ABS_TOL) -> TransitionReport:
     """Full transition computation with both leading-coefficient routes.

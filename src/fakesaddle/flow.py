@@ -11,11 +11,13 @@ template, that calls its field directly and keeps the stages, the error
 norm and the step control in local scalars:
 
 - "xy": 2-D state under arclength, either way, or a chart clock, of
-  ``(x, y) -> (p, q)`` or a wrapper of it;
+  ``(x, y) -> (p, q)`` or a wrapper of it: integrate()'s arclength and
+  the weighted polar chart;
 - "graph": 1-D state as a graph over the independent variable, of a
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
-  or below, and the outer legs of the transit slopes.
+  or below, and all three legs of a transit, v = log(y/y0) over log|x|
+  and over u = x/|y|.
 
 Every drive runs on a bounded clock, arclength, x or a chart variable,
 that no stop reads.  A drive ends at t_end or at one event, a ``Stop``
@@ -57,11 +59,20 @@ TWO_PI = 2.0 * math.pi
 _MIN_DENOMINATOR = 1e-8
 
 
-class StepUnderflow(Exception):
+class _DriveFailure(Exception):
+    """A drive that cannot go on: ``t`` and ``state`` are where the drive
+    loop stood, None when raised outside it."""
+
+    def __init__(self, message, t=None, state=None):
+        super().__init__(message)
+        self.t, self.state = t, state
+
+
+class StepUnderflow(_DriveFailure):
     """Step size collapsed below floating resolution (near-singular passage)."""
 
 
-class MaxStepsExceeded(Exception):
+class MaxStepsExceeded(_DriveFailure):
     """Integration exceeded the configured step budget."""
 
 
@@ -191,7 +202,7 @@ def _compile_loop(kind: str):
     to ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
-      and raises StepUnderflow when t + h == t;
+      and raises StepUnderflow, with t and the state, when t + h == t;
     - takes the step (six stages, then the slope k7 of the 5th-order state
       y5), and halves h when y5 is not finite;
     - rejects the step unless the RMS of the scaled errors
@@ -210,11 +221,12 @@ def _compile_loop(kind: str):
       0.9 and each step waits for a rejection.
 
     It returns ``(state, err_accum)``, with the sum of the accepted steps'
-    largest errors, or raises MaxStepsExceeded.  Stage sums run in the
-    tableau's order from zero, as ``sum`` does, without zero terms and
-    with ``h`` for ``1.0*h``, and ``min``/``max`` are conditional
-    expressions that keep the same operand first: every float is bit for
-    bit that of the plain tableau loop, NaNs included.
+    largest errors, or raises MaxStepsExceeded, with t and the state of
+    the last attempt.  Stage sums run in the tableau's order from zero, as
+    ``sum`` does, without zero terms and with ``h`` for ``1.0*h``, and
+    ``min``/``max`` are conditional expressions that keep the same operand
+    first: every float is bit for bit that of the plain tableau loop, NaNs
+    included.
     """
     n, stage = _KINDS[kind]
     comps = range(n)
@@ -253,7 +265,8 @@ def _compile_loop(kind: str):
         "    if h <= 0.0:",
         f"        {end}",
         "if t + h == t:",
-        "    raise StepUnderflow(f'step size {h} cannot advance t={t}')",
+        "    raise StepUnderflow(f'step size {h} cannot advance t={t}', t, "
+        f"{tup('y')})",
         *stages,
         "if not (" + " and ".join(f"isfinite(y5_{i})" for i in comps) + "):",
         "    h *= 0.5",
@@ -308,7 +321,7 @@ def _compile_loop(kind: str):
         "    for _ in range(max_steps):",
         textwrap.indent(attempt, "        "),
         "    raise MaxStepsExceeded("
-        "f'no stop condition met in {max_steps} steps')",
+        f"f'no stop condition met in {{max_steps}} steps', t, {tup('y')})",
     ]) + "\n"
     ns: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt,
                 "StepUnderflow": StepUnderflow,
@@ -555,11 +568,15 @@ def _outer(rhs, y0, sign):
 
 def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     """(log(y1/y0), accumulated step error) of the orbit from (alpha, y0)
-    to (omega, y1) in three legs, the first two ending at the end of the
-    first accepted step past |x| = k|y|: over s = -log(-x) in steps of at
-    most 1, in the chart u = x/|y|, v = log(y/y0) with dtau = |y| dt (u' =
-    p/y^2 - u w, v' = w = q/(y |y|); inf where a stage fails), and over
-    s = log(x)."""
+    to (omega, y1), in v = log(y/y0) on three graph legs: over s =
+    -log(-x) in steps of at most 1, to the end of the first accepted step
+    past |x| = k|y|; over u = x/|y| to u = k; and over s = log(x), from
+    x = k|y| on.  Near x = 0 the divisor of the blow-up has no singular
+    point for d > 0, so u increases along the orbit: dv/du = w/u' with
+    v' = w = q/(y|y|) and u' = p/y^2 - u w, that is sy q/(p - sy u q) for
+    the sign sy of y, and inf where u' <= 0 or a stage fails, so the loop
+    halves h.  A leg that underflows its step or runs out of steps raises
+    TransitDoesNotExist naming the leg and the point (x, y)."""
     tol, steps = (cfg.abs_tol, cfg.rel_tol), cfg.max_steps
     cap = min(cfg.max_step or 1.0, 1.0)
     ay0, sy = abs(y0), math.copysign(1.0, y0)
@@ -567,31 +584,43 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     lk, s_floor = math.log(k * ay0), -math.log(_TRANSIT_FLOOR)
     v_lo, v_hi = math.log(_TRANSIT_FLOOR / ay0), math.log(y_cap / ay0)
 
-    def chart(u, v):
+    def dv_du(u, v):
         try:
             ay = ay0 * math.exp(v)
             p, q = rhs(u * ay, sy * ay)
-            w = q / (sy * ay * ay)
-            return p / (ay * ay) - u * w, w
+            sq = sy * q
+            du = p - u * sq
+            if du > 0.0:
+                return sq / du
         except ArithmeticError:
-            return math.inf, math.inf
+            pass
+        return math.inf
 
-    def left(t, h, _y, _k1, y5, _k7, _e):
+    def left_end(t, h, _y, _k1, y5, _k7, _e):
         s = t + h
         return (s, y5[0]) if s + y5[0] + lk >= 0.0 or s > s_floor else None
 
-    def middle(_t, _h, _y, _k1, y5, _k7, _e):
-        return y5 if y5[0] >= k or not v_lo < y5[1] < v_hi else None
+    def leaves(_t, _h, _y, _k1, y5, _k7, _e):
+        return None if v_lo < y5[0] < v_hi else y5
+
+    def leg(name, x_of, f, t, v, max_step, t_end, accept):
+        try:
+            return _LOOPS["graph"](f, *tol, t, (v,), max_step, steps, t_end,
+                                   accept)
+        except (StepUnderflow, MaxStepsExceeded) as exc:
+            y = y0 * math.exp(exc.state[0])
+            raise TransitDoesNotExist(
+                f"orbit from ({alpha}, {y0}) stops on the {name} leg at "
+                f"({x_of(exc.t, abs(y))}, {y}): {exc}") from None
 
     # a left leg that ends at the floor, |x| < 1e-150, has k|y| < |x| there
-    (s, v), err = _LOOPS["graph"](_outer(rhs, y0, -1.0), *tol,
-                                  -math.log(-alpha), (0.0,), cap, steps,
-                                  None, left)
+    (s, v), err = leg("left", lambda s, _ay: -math.exp(-s),
+                      _outer(rhs, y0, -1.0), -math.log(-alpha), 0.0, cap,
+                      None, left_end)
     if v > v_lo:
-        (u, v), e = _LOOPS["xy"](chart, *tol, 0.0,
-                                 (-math.exp(-s - v) / ay0, v),
-                                 cfg.max_step or math.inf, steps, None,
-                                 middle)
+        (v,), e = leg("middle", lambda u, ay: u * ay, dv_du,
+                      -math.exp(-s - v) / ay0, v, cfg.max_step or math.inf,
+                      k, leaves)
         err += e
     if v >= v_hi:
         raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) reaches "
@@ -599,9 +628,8 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     if not v > v_lo:
         raise ValueError(f"orbit from ({alpha}, {y0}) falls below the depth "
                          f"floor |y| = {_TRANSIT_FLOOR}")
-    (v,), e = _LOOPS["graph"](_outer(rhs, y0, 1.0), *tol,
-                              math.log(u * ay0 * math.exp(v)), (v,), cap,
-                              steps, math.log(omega), None)
+    (v,), e = leg("right", lambda s, _ay: math.exp(s), _outer(rhs, y0, 1.0),
+                  lk + v, v, cap, math.log(omega), None)
     return v, err + e
 
 
@@ -613,10 +641,14 @@ def transition_slope(nf: NormalFormField, sections, side: str,
 
     y = 0 is invariant, so each orbit runs in v = log(y/y0) (``_transit``)
     and no slope changes sign; ``_deepest`` makes the estimate.  With k = 1
-    for a^2 < 4 and |a| + 1 otherwise, starts need 1e-150 <= |y0| <
-    min(-alpha, omega)/(2k), or ValueError.  An orbit that reaches that
-    bound on |y| near x = 0 raises TransitDoesNotExist, one that falls
-    below 1e-150 ValueError.  Without d > 0, NotHyperbolicFakeSaddle.
+    for a^2 < 4 and |a| + 1 otherwise, the orbit runs over log|x| where
+    |x| > k|y|, and in between over u = x/|y|, which increases along it
+    since d > 0.  Starts need 1e-150 <= |y0| < min(-alpha, omega)/(2k), or
+    ValueError.  An orbit that reaches that bound on |y| near x = 0 raises
+    TransitDoesNotExist, one that falls below 1e-150 ValueError.  A leg
+    whose step underflows, where x or u turns back, or that runs out of
+    ``cfg.max_steps`` raises TransitDoesNotExist naming the start, the
+    leg and the point (x, y).  Without d > 0, NotHyperbolicFakeSaddle.
     """
     cfg = cfg or IntegratorConfig()
     if side not in ("+", "-"):

@@ -364,6 +364,17 @@ class TestTransit:
                           "--alpha", "-1", "--omega", "0.5")
         assert err.startswith("no transit")
 
+    def test_leg_that_cannot_go_on_is_no_transit(self, capsys):
+        # p <= 0 on the left leg from a valid start: the step underflows
+        nf = {"f1": {"terms": [[0, 0, "1"]]},
+              "f2": {"terms": [[0, 0, "1"], [0, 1, "-10"]]},
+              "g1": {"terms": [[0, 0, "-1"]]},
+              "g2": {"terms": [[0, 0, "-1"]]}, "a": "1"}
+        err = assert_exit(capsys, 6, "transit", "--json", json.dumps(nf),
+                          "--alpha", "-1", "--omega", "1",
+                          "--offsets", "0.2", "0.1", "0.05")
+        assert err.startswith("no transit") and "left leg" in err
+
 
     def test_fallback_that_leaves_its_window_is_no_transit(self, capsys):
         # gamma_plus is about 1573: near x = 0, where u = x/y creeps past

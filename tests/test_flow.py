@@ -607,21 +607,23 @@ class TestRhsCounts:
         assert count_rhs == [271]
 
     def test_transition_slope_both_sides(self, count_rhs):
-        # 6293 and 5387 over y in the graph from five shallow offsets
+        # 6293 and 5387 over y in the graph from five shallow offsets,
+        # 3057 and 2949 with the middle leg in the chart state (u, v)
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(EX6, SECTIONS, side)
-        assert count_rhs == [3057, 2949]
+        assert count_rhs == [2241, 2073]
 
     def test_transition_slope_fold_member(self, count_rhs):
         # |a| > 2: the graph over x of a shallow orbit folds, and the
         # arclength fallback took 13797 and 12779; the deep legs hand over
-        # at |x| = (|a| + 1)|y|, where p > 0
+        # at |x| = (|a| + 1)|y|, where p > 0, and the middle leg in the
+        # chart state (u, v) took 3909 and 4215
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(nf, SECTIONS, side)
-        assert count_rhs == [3909, 4215]
+        assert count_rhs == [3051, 3291]
 
 
     # integrate() in each parametrization, with stops of each kind: the
@@ -818,6 +820,46 @@ class TestSectionDirection:
         assert ye == pytest.approx(y_stop, abs=1e-8)
 
 
+def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
+    """log(y1/y0) of ``flow._transit``'s orbit with the middle leg as the
+    2-D state (u, v) of the chart u = x/|y|, v = log(y/y0), on the "xy"
+    loop over dtau = |y| dt: u' = p/y^2 - u w, v' = w = q/(y|y|), to the
+    end of the first accepted step past u = k; the right leg starts at
+    x = u|y| there."""
+    rhs = nf.field().as_rhs()
+    tol, steps = (cfg.abs_tol, cfg.rel_tol), cfg.max_steps
+    cap = min(cfg.max_step or 1.0, 1.0)
+    ay0, sy = abs(y0), math.copysign(1.0, y0)
+    lk = math.log(k * ay0)
+
+    def chart(u, v):
+        try:
+            ay = ay0 * math.exp(v)
+            p, q = rhs(u * ay, sy * ay)
+            w = q / (sy * ay * ay)
+            return p / (ay * ay) - u * w, w
+        except ArithmeticError:
+            return math.inf, math.inf
+
+    def left(t, h, _y, _k1, y5, _k7, _e):
+        s = t + h
+        return (s, y5[0]) if s + y5[0] + lk >= 0.0 else None
+
+    def middle(_t, _h, _y, _k1, y5, _k7, _e):
+        return y5 if y5[0] >= k else None
+
+    (s, v), _err = flow._LOOPS["graph"](
+        flow._outer(rhs, y0, -1.0), *tol, -math.log(-alpha), (0.0,), cap,
+        steps, None, left)
+    (u, v), _err = flow._LOOPS["xy"](
+        chart, *tol, 0.0, (-math.exp(-s - v) / ay0, v),
+        cfg.max_step or math.inf, steps, None, middle)
+    (v,), _err = flow._LOOPS["graph"](
+        flow._outer(rhs, y0, 1.0), *tol, math.log(u * ay0 * math.exp(v)),
+        (v,), cap, steps, math.log(omega), None)
+    return v
+
+
 class TestTransitionSlope:
     # each bound is at least 10 times the deviation of the deepest start:
     # 7.2e-10 (y1), 6.7e-10 and 4.7e-10 (example6), 7.1e-8 (a = b = 5/2)
@@ -834,6 +876,39 @@ class TestTransitionSlope:
         minus = flow.transition_slope(EX6, SECTIONS, "-")
         assert plus.value == pytest.approx(math.exp(-math.pi), rel=1e-8)
         assert minus.value == pytest.approx(math.exp(math.pi), rel=1e-8)
+
+    @pytest.mark.parametrize("abc, k", [
+        ((1, -1, -1), 1.0),
+        ((Fraction(5, 2), Fraction(5, 2), Fraction(1, 2)), 3.5),
+    ], ids=["example6", "a=b=5/2"])
+    @pytest.mark.parametrize("side", "+-")
+    def test_middle_leg_agrees_with_the_chart_state(self, abc, k, side):
+        # the graph of v over u against the 2-D chart state (u, v): the
+        # two differ by their step errors, 5.3e-10 at most
+        nf = build_example6(*map(Fraction, abc))
+        est = flow.transition_slope(nf, SECTIONS, side)
+        sign = 1.0 if side == "+" else -1.0
+        for offset, slope in zip(flow.DEFAULT_OFFSETS, est.per_offset):
+            ref = math.exp(chart_transit(nf, -1.0, 1.0, sign * offset, k))
+            assert slope == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("cfg, point, reason", [
+        # p <= 0 on the left leg: halving ran h down to 2.1e-17 at x = -0.71
+        (flow.IntegratorConfig(), r"-0\.71\d*, 0\.33\d*", "cannot advance"),
+        # three attempts end next to the start
+        (flow.IntegratorConfig(max_steps=3), r"-0\.99\d*, 0\.20\d*",
+         "in 3 steps"),
+    ], ids=["step_underflow", "max_steps"])
+    def test_failed_leg_is_no_transit(self, cfg, point, reason):
+        # starts below min(-alpha, omega)/(2k) = 0.5 are valid; the loop's
+        # StepUnderflow and MaxStepsExceeded leaked out of transition_slope
+        nf = NormalFormField(Poly2.const(1), 1 - 10 * Y, Poly2.const(-1),
+                             Poly2.const(-1), 1)
+        with pytest.raises(flow.TransitDoesNotExist,
+                           match=rf"orbit from \(-1.0, 0.2\) stops on the "
+                                 rf"left leg at \({point}\): .*{reason}"):
+            flow.transition_slope(nf, SECTIONS, "+",
+                                  offsets=(0.2, 0.1, 0.05), cfg=cfg)
 
     def test_flat_symmetric_case(self):
         # g1 = g2 = 0 freezes y along orbits: slope exactly 1
