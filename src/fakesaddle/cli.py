@@ -5,7 +5,8 @@ Subcommands: classify, gamma, transit, return, reproduce, portrait.
 Exit codes are fixed so CI harnesses can assert failure modes:
     0  success (any classifier verdict counts as success)
     1  reproduce ran but at least one check failed
-    2  parse error, unknown case id or invalid argument
+    2  parse error, unknown case id or invalid argument, also an --out
+       path that cannot be written
     3  input not in normal form
     4  not a hyperbolic fake saddle
     5  invalid sections or window; principal value did not converge
@@ -19,6 +20,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -83,6 +85,17 @@ _FAILURES = {
 }
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError of writing the output at ``path`` as an invalid argument
+    naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise _InputError(EXIT_PARSE, f"cannot write output {path}: "
+                                      f"{exc.strerror or exc}") from None
+
+
 def _load_json_input(text: str):
     data = json.loads(text)
     if "f1" in data:
@@ -119,7 +132,7 @@ def _resolve_case(args):
         nf = casebook.build_example6(a, b, c)
         return nf.field(), nf
     if case in ("x3", "x4", "xn"):
-        n = {"x3": 3, "x4": 4}.get(case, args.n or 4)
+        n = {"x3": 3, "x4": 4}.get(case, 4 if args.n is None else args.n)
         return casebook.build_xn(int(n)), None
     if case == "y1":
         field = casebook.printed_y1()
@@ -263,7 +276,8 @@ def cmd_reproduce(args) -> int:
             for line in r.summary_lines():
                 print(line)
     if args.out:
-        casebook.dump_results(results, args.out)
+        with _writing(args.out):
+            casebook.dump_results(results, args.out)
     return EXIT_OK if all_pass else EXIT_CHECKS_FAILED
 
 
@@ -288,6 +302,16 @@ def cmd_portrait(args) -> int:
         raise ValueError(f"--orbits must be non-negative, got {args.orbits}")
     field.as_rhs()  # a field that cannot be compiled leaves no directory
     outdir = Path(args.out or f"portrait_{args.case or 'field'}")
+    with _writing(outdir):
+        count = _write_portrait(args, field, outdir)
+    print(f"wrote {count} orbit files to {outdir}")
+    return EXIT_OK
+
+
+def _write_portrait(args, field, outdir) -> int:
+    """Write ``portrait``'s orbit CSVs, gnuplot script and summary into
+    ``outdir``: the number of orbit files."""
+    x0, x1, y0, y1 = args.window
     outdir.mkdir(parents=True, exist_ok=True)
     margin = 1e-6
     stop = flow.Stop.window_exit(x0 - margin, x1 + margin,
@@ -322,8 +346,7 @@ def cmd_portrait(args) -> int:
               + (f"plot \\\n  {plots}\n" if names else "# no orbits requested\n"))
     (outdir / "portrait.gp").write_text(script)
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2))
-    print(f"wrote {len(names)} orbit files to {outdir}")
-    return EXIT_OK
+    return len(names)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -331,27 +331,34 @@ def _horner_expr(poly: Poly2) -> str:
 
     The nesting is that of dense Horner over the full (i, j) grid,
     ((c00 + x*(c10 + ...)) + y*(row1 + y*...)), with only the nonzero
-    coefficients written.  Left out are the ``0.0+`` addends, each row's
-    trailing ``x*0.0`` tail, all-zero rows and the factors ``*1.0`` and
-    ``*-1.0`` (written ``x`` and ``-x``).  For finite x and y each is an
-    exact IEEE identity up to the sign of a zero, and every other
-    operation is done in the same order, so the value is bit for bit the
-    dense scheme's, except that a zero may come out as -0.0.  Dense
-    Horner never returns -0.0; one ``0.0+`` kept at the outermost level
-    turns it back into 0.0.
+    coefficients written (``_horner_rows``).  Left out are the ``0.0+``
+    addends, each row's trailing ``x*0.0`` tail, all-zero rows and the
+    factors ``*1.0`` and ``*-1.0`` (written ``x`` and ``-x``).  For finite
+    x and y each is an exact IEEE identity up to the sign of a zero, and
+    every other operation is done in the same order, so the value is bit
+    for bit the dense scheme's, except that a zero may come out as -0.0.
+    Dense Horner never returns -0.0; one ``0.0+`` kept at the outermost
+    level turns it back into 0.0.
     """
     if poly.is_zero:
         return "0.0"
+    return f"0.0+{_horner_rows(poly.terms, 'x', 'y')}"
+
+
+def _horner_rows(terms: Dict[Exponents, Coeff], x: str, y: str) -> str:
+    """Sparse Horner in ``x`` nested in ``y`` over the nonzero ``terms``
+    {(i, j): coefficient of x^i y^j}, each written as a float literal:
+    a coefficient that is not finite raises ValueError."""
     rows: Dict[int, Dict[int, str]] = {}
-    for (i, j), c in poly.terms.items():
+    for (i, j), c in terms.items():
         c = float(c)
         if not math.isfinite(c):
             # repr(inf) and repr(nan) are not Python literals
             raise ValueError(f"coefficient of x^{i} y^{j} is {c}; "
                              "only finite coefficients compile")
         rows.setdefault(j, {})[i] = repr(c)
-    row_exprs = {j: _horner_nest(row, "x") for j, row in rows.items()}
-    return f"0.0+{_horner_nest(row_exprs, 'y')}"
+    return _horner_nest({j: _horner_nest(row, x) for j, row in rows.items()},
+                        y)
 
 
 def _horner_nest(terms: Dict[int, str], var: str) -> str:
@@ -371,19 +378,55 @@ def _horner_nest(terms: Dict[int, str], var: str) -> str:
     return expr
 
 
-def _compile_horner_pair(p: Poly2, q: Poly2):
-    src = (f"def _f(x, y):\n"
-           f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n")
-    ns: dict = {}
-    # codegen over trusted numeric literals.  The file name carries a
-    # checksum of the source, so that profiles, which key their entries
-    # by file name, keep one entry per field, and tracebacks tell fields
-    # apart.  (zlib's crc32, because hashlib loads OpenSSL: about 4 MB of
-    # resident memory.)
+def _compile(src: str, kind: str):
+    """The function ``_f`` that ``src`` defines, compiled under a label of
+    its ``kind`` and a checksum of the source: profiles, which key their
+    entries by file name, keep one entry per field, and tracebacks tell
+    fields apart.  (zlib's crc32, because hashlib loads OpenSSL: about 4
+    MB of resident memory.)"""
+    ns: dict = {"cos": math.cos, "sin": math.sin, "exp": math.exp,
+                "inf": math.inf}
     digest = f"{zlib.crc32(src.encode()):08x}"
-    code = compile(src, f"<fakesaddle.polyfield field {digest}>", "exec")
+    # codegen over trusted numeric literals
+    code = compile(src, f"<fakesaddle.polyfield {kind} {digest}>", "exec")
     exec(code, ns)  # noqa: S102
     return ns["_f"]
+
+
+def _compile_horner_pair(p: Poly2, q: Poly2):
+    return _compile(f"def _f(x, y):\n"
+                    f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n",
+                    "field")
+
+
+def _chart_expr(poly: Poly2, a: int, b: int, shift: int) -> str:
+    """Source of poly(r^a c, r^b s)/r^shift, every power of r in it at
+    least 0: Horner in r over the sparse Horner in (c, s)
+    (``_horner_rows``) of each power's terms."""
+    if poly.is_zero:
+        return "0.0"
+    by_power: Dict[int, Dict[Exponents, Coeff]] = {}
+    for (i, j), c in poly.terms.items():
+        by_power.setdefault(a * i + b * j - shift, {})[(i, j)] = c
+    return _horner_nest({e: _horner_rows(terms, "c", "s")
+                         for e, terms in by_power.items()}, "r")
+
+
+def _compile_weighted_polar(field: "PlanarField"):
+    a, b, d = newton_weights(field)
+    a_c = "c" if a == 1 else f"{a}*c"
+    b_s = "s" if b == 1 else f"{b}*s"
+    return _compile("\n".join([
+        "def _f(rho, theta):",
+        "    try:",
+        "        c, s = cos(theta), sin(theta)",
+        "        r = exp(rho)",
+        "    except (ValueError, OverflowError):",
+        "        return inf, inf",
+        f"    big_p = {_chart_expr(field.p, a, b, d + a)}",
+        f"    big_q = {_chart_expr(field.q, a, b, d + b)}",
+        f"    return c*big_p + s*big_q, {a_c}*big_q - {b_s}*big_p",
+    ]) + "\n", "chart")
 
 
 @dataclass(frozen=True)
@@ -414,10 +457,37 @@ class PlanarField:
             object.__setattr__(self, "_rhs", rhs)
         return rhs
 
+    def as_chart(self) -> Callable[[float, float], Tuple[float, float]]:
+        """Compile the field in the weighted polar chart of its Newton
+        weights (a, b, d) (``newton_weights``) to a fast float evaluator
+        ``f(rho, theta) -> (rho', theta')``.
+
+        Under x = r^a c, y = r^b s, r = exp(rho), c = cos(theta), s =
+        sin(theta), each term p_ij x^i y^j of p is p_ij r^(a i + b j) c^i
+        s^j, so P = p/r^(d+a) and Q = q/r^(d+b) are polynomials in (r, c,
+        s), every power of r at least 0.  Each is compiled from the exact
+        terms as Horner in r over the sparse Horner in (c, s) of each
+        power's terms, with no division and no float ``**``.  With the
+        time dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q and theta' =
+        a c Q - b s P.  At r = 0 this is the principal part's value, so
+        the chart holds at any depth.  An infinite theta or an exp(rho)
+        that overflows gives (inf, inf), a product that overflows an
+        infinite or NaN value: no call raises.  A non-finite coefficient
+        raises ValueError here, as in ``as_rhs``.  The chart compiles
+        once; later calls return the same function.
+        """
+        chart = self.__dict__.get("_chart")
+        if chart is None:
+            chart = _compile_weighted_polar(self)
+            # a pure function of the frozen (p, q): safe to share
+            object.__setattr__(self, "_chart", chart)
+        return chart
+
     def __getstate__(self):
-        # the compiled function is a cache, not data: copies and pickles
-        # leave it out and compile again
-        return {k: v for k, v in self.__dict__.items() if k != "_rhs"}
+        # the compiled functions are caches, not data: copies and pickles
+        # leave them out and compile again
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_rhs", "_chart")}
 
     def to_json(self) -> dict:
         return {"p": self.p.to_json(), "q": self.q.to_json()}

@@ -1,5 +1,5 @@
 """Shared helpers: seeded random normal-form generators and counters of
-quadrature and right-hand-side evaluations.
+quadrature, right-hand-side and chart-stage evaluations.
 
 Coefficients are small exact rationals so that f1(x, 0) stays positive
 on [-1, 1] by construction and every identity can be checked exactly.
@@ -103,4 +103,27 @@ def count_rhs(monkeypatch):
         return counted
 
     monkeypatch.setattr(PlanarField, "as_rhs", counting_as_rhs)
+    return calls
+
+
+@pytest.fixture
+def count_chart(monkeypatch):
+    """Count calls of every compiled chart ``PlanarField.as_chart``
+    returns, one per stage of a turn.
+
+    Returns a list; every call adds one to its last entry, so a test
+    appends 0 before each call it measures.
+    """
+    calls = []
+    as_chart = PlanarField.as_chart
+
+    def counting_as_chart(self):
+        chart = as_chart(self)
+
+        def counted(rho, theta):
+            calls[-1] += 1
+            return chart(rho, theta)
+        return counted
+
+    monkeypatch.setattr(PlanarField, "as_chart", counting_as_chart)
     return calls

@@ -139,6 +139,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("argv", [
         ("--case", "xn", "--n", "2"),
+        ("--case", "xn", "--n", "0"),  # ran x4 and exited 0
         ("--case", "z-family", "--beta", "-1"),
         ("--case", "z-family", "--beta", "1e-300"),  # beta**2 underflows
     ])
@@ -503,6 +504,15 @@ class TestReproduce:
         code, _, err = run_cli(capsys, "reproduce")
         assert code == 2
 
+    def test_out_path_that_cannot_be_written(self, capsys, tmp_path):
+        # a regular file where the directory should be: NotADirectoryError
+        # ended in a traceback, exit 1
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "x.json"
+        err = assert_exit(capsys, 2, "reproduce", "example6", "--out",
+                          str(out))
+        assert err.startswith(f"cannot write output {out}")
+
 
 class TestPortrait:
     def test_orbit_bundle(self, capsys, tmp_path):
@@ -531,6 +541,15 @@ class TestPortrait:
         assert_exit(capsys, 2, "portrait", "--case", "x4",
                     "--orbits", "-3", "--out", str(out_dir))
         assert not out_dir.exists()
+
+    def test_out_path_that_cannot_be_written(self, capsys, tmp_path):
+        # a regular file where the directory should be: NotADirectoryError
+        # ended in a traceback, exit 1
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "sub"
+        err = assert_exit(capsys, 2, "portrait", "--case", "x4", "--orbits",
+                          "1", "--out", str(out))
+        assert err.startswith(f"cannot write output {out}")
 
     def test_bad_window(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "portrait", "--case", "x4",

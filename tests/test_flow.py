@@ -15,7 +15,7 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  example6_first_integral, printed_y1,
                                  z_gamma_closed, z_return_slope_closed)
 from fakesaddle.normalform import NormalFormField, validate_and_build
-from fakesaddle.polyfield import PlanarField, Poly2
+from fakesaddle.polyfield import PlanarField, Poly2, newton_weights
 
 from conftest import random_normal_form
 
@@ -572,17 +572,21 @@ class TestRhsCounts:
     a kernel or drive-loop change that moves any step shows here first.
     """
 
-    def test_monodromy_probe(self, count_rhs):
-        # 159384 by winding the cartesian state
-        count_rhs.append(0)
-        flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
-        assert count_rhs == [13780]
+    # the turns of the chart count its stages (``count_chart``): each was
+    # one field call until the chart was compiled from the field's terms
 
-    def test_return_slope(self, count_rhs):
+    def test_monodromy_probe(self, count_chart):
+        # 159384 by winding the cartesian state, 13780 with the chart
+        # stage as a field call
+        count_chart.append(0)
+        flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
+        assert count_chart == [13782]
+
+    def test_return_slope(self, count_chart):
         # 44428 by winding the cartesian state from four offsets
-        count_rhs.append(0)
+        count_chart.append(0)
         flow.return_slope(build_z(1.0, 1.0))
-        assert count_rhs == [14456]
+        assert count_chart == [14456]
 
     # below the monodromy threshold beta = 1/4 the first orbit leaves the
     # box, or, contracting, falls through the rho floor onto the origin
@@ -591,20 +595,20 @@ class TestRhsCounts:
         (1.0, 0.2, "box_exit", 2689),
         (-1.0, 0.1, "floor", 6325),
     ], ids=["1.0-0.2-box_exit-2641", "-1.0-0.1-floor-6223"])
-    def test_return_slope_without_return(self, count_rhs, alpha, beta,
+    def test_return_slope_without_return(self, count_chart, alpha, beta,
                                          status, count):
-        count_rhs.append(0)
+        count_chart.append(0)
         with pytest.raises(flow.NoReturn, match=status):
             flow.return_slope(build_z(alpha, beta))
-        assert count_rhs == [count]
+        assert count_chart == [count]
 
-    def test_monodromy_probe_stops_at_first_exit(self, count_rhs):
+    def test_monodromy_probe_stops_at_first_exit(self, count_chart):
         # the first of the 12 orbits leaves the box and decides TRANSIT:
-        # its own evaluations, where the whole ring takes 4056
-        count_rhs.append(0)
+        # its own stages, where the whole ring takes 4056
+        count_chart.append(0)
         verdict = flow.monodromy_probe(EX6.field(), box=2.0)
         assert verdict is flow.ProbeVerdict.TRANSIT
-        assert count_rhs == [271]
+        assert count_chart == [271]
 
     def test_transition_slope_both_sides(self, count_rhs):
         # 6293 and 5387 over y in the graph from five shallow offsets,
@@ -1157,61 +1161,115 @@ class TestConservation:
                                     traj, branch_quantum=2.0 * math.pi)
 
 
+# (rho, theta, slope) of a chart stage of z(0, 1.25): "inf" for (inf,
+# inf), "non-finite" for a slope with an infinite or NaN part, "finite"
+# for a finite one
 STAGE_GUARD_ROWS = [
-    (800.0, 0.3, True),        # exp(rho) overflows
-    (-150.0, 0.3, True),       # r^(d+b) = r^5 underflows to 0, r^4 does not
-    (-1e4, 0.3, True),         # r itself underflows to 0
-    (0.0, math.inf, True), (0.0, -math.inf, True),  # cos and sin of inf
-    # products of powers of r overflow to inf without raising
-    (150.0, 0.3, False), (200.0, 0.3, False), (240.0, 0.3, False),
+    (800.0, 0.3, "inf"),       # exp(rho) overflows
+    (0.0, math.inf, "inf"), (0.0, -math.inf, "inf"),  # cos and sin of inf
+    # r^2, the highest power of r in P and Q, overflows to inf from rho
+    # of about 354.9, without raising
+    (400.0, 0.3, "non-finite"),
+    # finite, as no power of r is divided out: p and q at x = r c, y =
+    # r^2 s overflowed at rho = 150, 200 and 240 (NaN slopes); r^(d+b) =
+    # r^5 at rho = -150 and r at rho = -1e4 underflowed to 0 (inf slopes)
+    (150.0, 0.3, "finite"), (200.0, 0.3, "finite"), (240.0, 0.3, "finite"),
+    (-150.0, 0.3, "finite"), (-1e4, 0.3, "finite"),
+]
+
+# Fields of the Newton weights (a, b, d) named: the chart's powers of r
+# run from 0 up, and a constant term in p or q gives r^0 = 1
+CHART_FIELDS = [
+    ((1, 2, 3), build_z(0.5, 1.5)),
+    ((2, 1, 0), PlanarField(Y ** 2 + X * X * Y - 3 * X ** 4,
+                            Y + X ** 3 * Y - X * Y * Y)),
+    ((4, 1, -1), PlanarField(Y ** 3, 1 + X * X * Y * Y)),
+    ((1, 1, -1), PlanarField(1 + X ** 3, X * Y * Y + Y ** 3)),
+    ((1, 2, 3), build_z(-1.0, 0.3125)), ((1, 2, 3), build_z(0.8125, 2.0)),
 ]
 
 
+def divided_chart(field, rho, theta):
+    """The chart stage the long way, p/r^(d+a) and q/r^(d+b) at x = r^a c,
+    y = r^b s, with the sums of the terms' absolute values, which bound
+    the rounding of each component."""
+    a, b, d = newton_weights(field)
+    r, c, s = math.exp(rho), math.cos(theta), math.sin(theta)
+    p, q = field.as_rhs()(r ** a * c, r ** b * s)
+    big_p, big_q = p / r ** (d + a), q / r ** (d + b)
+
+    def size(poly, shift):
+        return sum(abs(float(k)) * r ** (a * i + b * j - shift)
+                   * abs(c) ** i * abs(s) ** j
+                   for (i, j), k in poly.terms.items())
+
+    size_p, size_q = size(field.p, d + a), size(field.q, d + b)
+    return ((c * big_p + s * big_q, a * c * big_q - b * s * big_p),
+            (abs(c) * size_p + abs(s) * size_q,
+             a * abs(c) * size_q + b * abs(s) * size_p))
+
+
+def principal_chart(field, theta):
+    """The chart stage at r = 0 from the terms of p and q whose power of r
+    is 0, the principal part."""
+    a, b, d = newton_weights(field)
+    c, s = math.cos(theta), math.sin(theta)
+
+    def part(poly, shift):
+        return math.fsum(float(k) * c ** i * s ** j
+                         for (i, j), k in poly.terms.items()
+                         if a * i + b * j == shift)
+
+    big_p, big_q = part(field.p, d + a), part(field.q, d + b)
+    return c * big_p + s * big_q, a * c * big_q - b * s * big_p
+
+
 class TestWeightedPolarChart:
-    @pytest.mark.parametrize("rho, theta, raises", STAGE_GUARD_ROWS,
+    @pytest.mark.parametrize("rho, theta, slope", STAGE_GUARD_ROWS,
                              ids=[f"{rho}-{theta}"
                                   for rho, theta, _ in STAGE_GUARD_ROWS])
-    def test_stage_guard(self, rho, theta, raises):
+    def test_stage_guard(self, rho, theta, slope):
         # a stage the chart cannot evaluate has a non-finite slope, (inf,
         # inf) where it raises, so that the drive loop halves the step;
         # unguarded, z(0, 1.25) raised ZeroDivisionError and "math domain
         # error" from its return slope
         _a, _b, f = flow._weighted_polar(build_z(0.0, 1.25))
-        slope = f(rho, theta)
-        assert not any(map(math.isfinite, slope))
-        if raises:
-            assert slope == (math.inf, math.inf)
+        got = f(rho, theta)
+        if slope == "inf":
+            assert got == (math.inf, math.inf)
+        else:
+            assert all(map(math.isfinite, got)) == (slope == "finite")
 
-    @pytest.mark.parametrize("weights, want", [
-        ((1, 2, 3), (1, 2, 4, 5)),
-        ((2, 1, 0), (2, 1, 2, 1)),
-        # a constant term in p or q: r^0 = exp(0*rho) = 1
-        ((4, 1, -1), (4, 1, 3, 0)),    # p = y^3, q = 1 + x^2 y^2
-        ((1, 1, -1), (1, 1, 0, 0)),    # p = 1 + x^3, q = x y^2 + y^3
-    ])
-    def test_chart_powers(self, weights, want):
-        # the generated chart hands the field r^a c and r^b s and divides
-        # p by r^(d+a) and q by r^(d+b), each power within a few ulps
-        seen = []
+    @pytest.mark.parametrize("weights, field", CHART_FIELDS,
+                             ids=[f"weights{n}"
+                                  for n in range(len(CHART_FIELDS))])
+    def test_chart_powers(self, weights, field):
+        # the chart compiled from the terms is p/r^(d+a) and q/r^(d+b),
+        # each to 1e-13 of the sum of its terms' absolute values
+        assert newton_weights(field) == weights
+        rng = random.Random(23)
+        _a, _b, f = flow._weighted_polar(field)
+        for _ in range(200):
+            rho, theta = rng.uniform(-20.0, 1.0), rng.uniform(-7.0, 7.0)
+            want, size = divided_chart(field, rho, theta)
+            for g, w, m in zip(f(rho, theta), want, size):
+                assert abs(g - w) <= 1e-13 * m, (rho, theta)
 
-        def rhs(x, y):
-            seen.append((x, y))
-            return 1.0, 1.0
-
-        a, b, d = weights
-        rho, theta = -0.7, 0.0
-        rho_dot, theta_dot = flow._compile_chart(a, b, d)(rhs)(rho, theta)
-        r = math.exp(rho)
-        assert seen == [(pytest.approx(r ** want[0], rel=1e-15), 0.0)]
-        assert rho_dot == pytest.approx(r ** -want[2], rel=1e-15)
-        assert theta_dot == pytest.approx(a * r ** -want[3], rel=1e-15)
-        _rho_dot, theta_dot = flow._compile_chart(a, b, d)(rhs)(
-            rho, math.pi / 2)
-        assert seen[1][1] == pytest.approx(r ** want[1], rel=1e-15)
-        assert theta_dot == pytest.approx(-b * r ** -want[2], rel=1e-15)
+    @pytest.mark.parametrize("field", [f for _w, f in CHART_FIELDS],
+                             ids=[f"weights{n}"
+                                  for n in range(len(CHART_FIELDS))])
+    def test_stage_on_the_divisor_is_the_principal_part(self, field):
+        # at rho = -1e4, r = 0: p/r^(d+a) divided by zero, and the stage
+        # was (inf, inf)
+        _a, _b, f = flow._weighted_polar(field)
+        for theta in (0.3, 1.9, -2.5):
+            got = f(-1e4, theta)
+            assert got == pytest.approx(principal_chart(field, theta),
+                                        rel=1e-13, abs=1e-15)
 
     def test_guarded_stages_halve_the_step(self):
-        # 27 stages of this return meet the guard
+        # 37 stages of this return have a non-finite slope, 22 of them
+        # (inf, inf)
         est = flow.return_slope(build_z(0.0, 1.25))
         assert est.value == pytest.approx(1.0, abs=2e-6)
 
@@ -1395,3 +1453,9 @@ class TestGeneratedCode:
                    for label in labels), labels
         assert labels[0] == labels[1] and labels[3] == labels[4]
         assert len({labels[0], labels[2], labels[3], labels[5]}) == 4
+        # the chart too, compiled once per field: a probe and a return of
+        # one field share it
+        z = build_z(1.0, 1.0)
+        assert flow._weighted_polar(z)[2] is z.as_chart()
+        assert re.fullmatch(r"<fakesaddle\.polyfield chart \w+>",
+                            z.as_chart().__code__.co_filename)

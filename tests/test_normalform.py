@@ -179,14 +179,15 @@ class TestSerialization:
 
 
 class TestFieldCache:
-    """field() and as_rhs() build once; the caches are invisible to
-    equality, hashing, replace, copies and pickles."""
+    """field(), as_rhs() and as_chart() build once; the caches are
+    invisible to equality, hashing, replace, copies and pickles."""
 
     def test_built_once(self, rng):
         nf = random_normal_form(rng)
         field = nf.field()
         assert nf.field() is field
         assert field.as_rhs() is field.as_rhs()
+        assert field.as_chart() is field.as_chart()
 
     def test_replace_builds_from_the_new_members(self, rng):
         nf = random_normal_form(rng)
@@ -203,6 +204,7 @@ class TestFieldCache:
             nf = random_normal_form(rng)
             if cached:
                 nf.field().as_rhs()
+                nf.field().as_chart()
             twin = clone(nf)
             assert twin == nf and hash(twin) == hash(nf)
             assert twin.field() == nf.field()
@@ -210,3 +212,5 @@ class TestFieldCache:
             assert field == nf.field() and hash(field) == hash(nf.field())
             assert (field.as_rhs()(0.25, -0.5)
                     == nf.field().as_rhs()(0.25, -0.5))
+            assert (field.as_chart()(-0.5, 2.0)
+                    == nf.field().as_chart()(-0.5, 2.0))

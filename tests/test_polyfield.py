@@ -286,6 +286,8 @@ class TestFloatCompilation:
         for field in (PlanarField(poly, X), PlanarField(X, poly)):
             with pytest.raises(ValueError, match="finite"):
                 field.as_rhs()
+            with pytest.raises(ValueError, match="finite"):
+                field.as_chart()
 
 
 # -- the composition before trusted arithmetic, as a test-only reference ------
