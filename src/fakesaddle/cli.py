@@ -24,6 +24,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -399,8 +400,27 @@ def _add_offsets_arg(p, depth, default):
                         f"deepest gives the slope")
 
 
+# A negative float or fraction as written on the command line, -2.5E-1,
+# -.5 or -1/2, digit groups split by "_" as float() and Fraction() allow
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})"
+    rf"(?:[eE][-+]?{_DIGITS})?|{_DIGITS}/{_DIGITS})$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each subcommand's (``add_subparsers``
+    makes them of the same class), that reads every negative float or
+    fraction as a value: argparse's own pattern takes only forms like -1
+    and -0.5, and read -2.5E-1 or -1/2 as an unknown option."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fakesaddle",
         description="Classify fake-saddle singularities of planar vector "
                     "fields and compute/measure their transition-map slopes.")

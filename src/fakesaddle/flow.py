@@ -3,7 +3,8 @@
 The integrator is an explicit embedded Runge-Kutta 5(4) pair
 (Dormand-Prince coefficients) with FSAL, Gustafsson's predictive step
 control (Hairer & Wanner, Solving ODEs II, IV.8), cubic Hermite dense
-output and event location by bisection on the dense output.  Fields
+output and event location by the Illinois variant of regula falsi on
+the dense output (``_locate``).  Fields
 arrive compiled as sparse Horner source: ``PlanarField.as_rhs``, bit for
 bit dense Horner, and ``PlanarField.as_chart`` in the weighted polar
 chart.  Each state kind has one drive loop (``_compile_loop``),
@@ -11,22 +12,24 @@ generated from the tableau and the kind's stage template, that calls
 its field directly and keeps the stages, the error norm and the step
 control in local scalars:
 
-- "xy": 2-D state under arclength, either way, or a chart clock, of a
-  planar field: integrate()'s unit-speed wrapper of ``(x, y) -> (p, q)``
-  and the weighted polar chart ``(rho, theta) -> (rho', theta')``;
+- "xy": 2-D state under arclength, either way, of a planar field:
+  integrate()'s unit-speed wrapper of ``(x, y) -> (p, q)``;
 - "graph": 1-D state as a graph over the independent variable, of a
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
   or below, and all three legs of a transit, v = log(y/y0) over log|x|
-  and over u = x/|y|.
+  and over u = x/|y|;
+- "chart": the "xy" state (rho, theta) of a turn (``_turn``) in the
+  weighted polar chart ``(rho, theta) -> (rho', theta')``, on a chart
+  clock, with the turn's guard in the loop.
 
 Every drive runs on a bounded clock, arclength, x or a chart variable,
 that no stop reads.  A drive ends at t_end or at one event, a ``Stop``
 on the state, that ``accept``, the function the loop calls on each
-accepted step, tests with the samples;
-the transit legs pass their own, which ends a leg at a step's end, and
-so does a turn of the chart (``_turn``), which tests its stop's sign by
-comparisons and takes logs only near a crossing.
+accepted step, tests with the samples; the transit legs pass their own,
+which ends a leg at a step's end.  A turn's loop compares its state with
+the guard that makes the turn's stop negative, and calls its ``accept``,
+which takes logs, only where the guard fails.
 
 On top sit the measured counterparts of the closed-form transition
 theory: transition and Poincare return slopes, a first-integral drift
@@ -97,17 +100,21 @@ class IntegratorConfig:
     max_step: float | None = None
 
     def __post_init__(self):
-        if not all(0.0 < tol < math.inf
+        # a bool is an int to Python, and True passed each range check
+        if not all(not isinstance(tol, bool) and 0.0 < tol < math.inf
                    for tol in (self.rel_tol, self.abs_tol)):
-            raise ValueError(f"tolerances must be positive and finite, got "
-                             f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}")
+            raise ValueError(f"tolerances must be positive and finite "
+                             f"numbers, got rel_tol={self.rel_tol!r}, "
+                             f"abs_tol={self.abs_tol!r}")
         if (not isinstance(self.max_steps, int)
                 or isinstance(self.max_steps, bool) or self.max_steps < 1):
             raise ValueError(f"max_steps must be an int of at least 1, got "
                              f"{self.max_steps!r}")
-        if self.max_step is not None and not 0.0 < self.max_step < math.inf:
-            raise ValueError(f"max_step must be None or positive and finite, "
-                             f"got {self.max_step}")
+        if self.max_step is not None and (
+                isinstance(self.max_step, bool)
+                or not 0.0 < self.max_step < math.inf):
+            raise ValueError(f"max_step must be None or a positive and finite "
+                             f"number, got {self.max_step!r}")
 
 
 @dataclass
@@ -170,13 +177,22 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-# Stage slope of each state kind, as source: ``{x}`` is the independent
-# variable, ``{y0}``/``{y1}`` the state and ``{k0}``/``{k1}`` the slope
+# Each state kind: its dimension, its stage slope as source, where ``{x}``
+# is the independent variable, ``{y0}``/``{y1}`` the state and
+# ``{k0}``/``{k1}`` the slope, and its guard, None or (the drive's extra
+# arguments, a condition on the new state y5 under which the loop does not
+# call ``accept``)
 _KINDS = {
     # 2-D state: f(x, y) -> (p, q) of the state alone, the clock not read
-    "xy": (2, "{k0}, {k1} = f({y0}, {y1})"),
+    "xy": (2, "{k0}, {k1} = f({y0}, {y1})", None),
     # 1-D state as a graph over the independent variable: f(x, y) -> dy/dx
-    "graph": (1, "{k0} = f({x}, {y0})"),
+    "graph": (1, "{k0} = f({x}, {y0})", None),
+    # the "xy" state (rho, theta) of a turn of the weighted polar chart
+    # (``_turn``), whose guard makes the turn's stop negative
+    "chart": (2, "{k0}, {k1} = f({y0}, {y1})",
+              ("theta0, floor, a, b, log_box",
+               f"abs(y5_1 - theta0) < {TWO_PI!r} and y5_0 > floor "
+               "and a*y5_0 < log_box and b*y5_0 < log_box")),
 }
 
 
@@ -198,9 +214,13 @@ def _compile_loop(kind: str):
 
     ``drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, t_end,
     accept)`` runs from ``state`` at ``t``, ``max_step`` inf for no cap
-    and ``t_end`` and ``accept`` None when unused.  The first step is 1e-2
-    (|state| + 1e-6)/(|slope| + 1e-300) in the max norm, at most the span
-    to ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
+    and ``t_end`` and ``accept`` None when unused.  The kinds
+    (``_KINDS``) are "xy", a 2-D state, "graph", a 1-D state over the
+    independent variable, and "chart", the "xy" state of ``_turn``, whose
+    drive takes an ``accept`` and, after it, its guard's arguments
+    ``theta0, floor, a, b, log_box``.  The first step is 1e-2 (|state| +
+    1e-6)/(|slope| + 1e-300) in the max norm, at most the span to
+    ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
       and raises StepUnderflow, with t and the state, when t + h == t;
@@ -210,7 +230,8 @@ def _compile_loop(kind: str):
       (``_SCALED_ERROR``) is at most 1, so also for a NaN norm, scaling h
       by max(0.2, 0.9 norm^-0.2);
     - calls ``accept(t, h, y, k1, y5, k7, err_abs)``, with tuples and the
-      largest |error|, if given: a state it returns ends the drive there;
+      largest |error|, if given and, for a kind with a guard, where the
+      guard on y5 fails: a state it returns ends the drive there;
     - advances, returns at ``t_end``, and scales h by min(5, fac), capped
       at ``max_step``: fac is 5 for a zero norm, 0.9 norm^-0.2 on the
       drive's first accepted step, and otherwise Gustafsson's predictive
@@ -229,7 +250,7 @@ def _compile_loop(kind: str):
     first: every float is bit for bit that of the plain tableau loop, NaNs
     included.
     """
-    n, stage = _KINDS[kind]
+    n, stage, guard = _KINDS[kind]
     comps = range(n)
 
     def names(name):
@@ -279,7 +300,7 @@ def _compile_loop(kind: str):
         "    h *= fac if fac > 0.2 else 0.2",
         "    continue",
         f"err_abs = {err_abs}",
-        "if accept is not None:",
+        f"if not ({guard[1]}):" if guard else "if accept is not None:",
         f"    y_stop = accept(t, h, {tup('y')}, {tup('k1')}, "
         f"{tup('y5')}, {tup('k7')}, err_abs)",
         "    if y_stop is not None:",
@@ -308,7 +329,7 @@ def _compile_loop(kind: str):
     ])
     src = "\n".join([
         "def drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, "
-        "t_end, accept):",
+        f"t_end, accept{', ' + guard[0] if guard else ''}):",
         f"    {names('y')}= state",
         textwrap.indent(slope(1, "t", [f"y_{i}" for i in comps]), "    "),
         f"    h = 1e-2*(max(map(abs, state)) + 1e-6)/"
@@ -348,29 +369,54 @@ def _hermite(y0, f0, y1, f1, h, theta):
                  for i in range(len(y0)))
 
 
-def _locate(fn, g0, h, y, k1, y5, k7):
+def _locate(fn, g0, g1, h, y, k1, y5, k7):
     """(tau, state) where the event ``fn(state)``, ``g0`` at the step's
-    start, crosses: the mid-bracket on the step's ``_hermite``, with the
-    bracket, as fractions of the step, halved 80 times or until it spans
-    less than 1e-12 of the clock."""
-    lo, hi = 0.0, 1.0
+    start and ``g1`` at its end, crosses on the step's ``_hermite``, by
+    the Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    The bracket [lo, hi], as fractions of the step, keeps at lo the
+    stop's values on g0's side of 0 and at hi the others, zero counting
+    as non-negative; an end kept twice in a row has its value halved.
+    Each of at most 80 evaluations is at the secant point of the ends'
+    values, moved to at least a quarter of the end tolerance inside the
+    bracket, so that an end on the root does not hold the next point on
+    it, or at the midpoint where that is not strictly inside the bracket,
+    as where a value is NaN.  The search ends at the first value that is
+    exactly 0, g1 included, which is tau, or once the bracket spans less
+    than 1e-12 of the clock: tau is then the mid-bracket."""
+    lo, hi, g_lo, g_hi = 0.0, 1.0, g0, g1
+    below, kept = g0 < 0.0, None
+    tau, g = 1.0, g1
+    step = 0.25e-12 / abs(h)
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if (g0 < 0.0) == (fn(_hermite(y, k1, y5, k7, h, mid)) < 0.0):
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) * abs(h) < 1e-12:
+        if g == 0.0 or (hi - lo) * abs(h) < 1e-12:
             break
-    tau = 0.5 * (lo + hi)
+        den = g_lo - g_hi
+        tau = lo + (hi - lo) * (g_lo / den) if den else lo
+        tau = min(max(tau, lo + step), hi - step)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+        g = fn(_hermite(y, k1, y5, k7, h, tau))
+        if (g < 0.0) == below:
+            lo, g_lo = tau, g
+            if kept == "hi":
+                g_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, g_hi = tau, g
+            if kept == "lo":
+                g_lo *= 0.5
+            kept = "lo"
+    if g != 0.0:
+        tau = 0.5 * (lo + hi)
     return tau, _hermite(y, k1, y5, k7, h, tau)
 
 
 def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
            stop: Stop | None = None):
-    """The kind's loop (``_compile_loop``) on the field ``f`` to t_end, or
-    to where the ``stop`` crosses zero, located by ``_locate`` and
-    sampled at t + tau h: (state, accumulated error, Trajectory)."""
+    """The kind's loop (``_compile_loop``), "xy" or "graph", on the field
+    ``f`` to t_end, or to where the ``stop`` crosses zero, located by
+    ``_locate`` from the stop's values at the ends of the crossing step
+    and sampled at t + tau h: (state, accumulated error, Trajectory)."""
     y = tuple(float(v) for v in y0)
 
     def as_xy(tt, yy):
@@ -387,7 +433,7 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
             g1 = stop.fn(y5)
             if ((stop.direction >= 0 and g0 < 0.0 <= g1)
                     or (stop.direction <= 0 and g0 > 0.0 >= g1)):
-                tau, y_stop = _locate(stop.fn, g0, h, y, k1, y5, k7)
+                tau, y_stop = _locate(stop.fn, g0, g1, h, y, k1, y5, k7)
                 samples.append((t + tau * h, *as_xy(t + tau * h, y_stop),
                                 err_abs))
                 return y_stop
@@ -427,7 +473,7 @@ class Stop:
         upward for direction +1, downward for -1, either way for 0."""
         if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-        if direction not in (-1, 0, 1):
+        if isinstance(direction, bool) or direction not in (-1, 0, 1):
             raise ValueError(f"direction must be -1, 0 or 1, got {direction!r}")
         value = _finite("value", value)
         i = "xy".index(axis)
@@ -727,12 +773,13 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     ``_RHO_DROP``.  A start not strictly inside the box raises
     ValueError.
 
-    The "xy" loop runs with an ``accept`` of its own.  Before a crossing
-    the stop is negative, so a step crosses where it is not: ``accept``
-    first compares |theta - theta0| < 2*pi, rho > floor and a rho, b rho
-    < log(box), which make it negative exactly (log|cos|, log|sin| <= 0),
-    and takes the logs of the full stop only where one of them fails.  A
-    crossing is located on the full stop by ``_locate``."""
+    The "chart" loop runs with an ``accept`` of its own.  Before a
+    crossing the stop is negative, so a step crosses where it is not: the
+    loop's guard compares |theta - theta0| < 2*pi, rho > floor and a rho,
+    b rho < log(box), which make it negative exactly (log|cos|, log|sin|
+    <= 0), and ``accept``, called only where one of them fails, takes the
+    logs of the full stop.  A crossing is located on the full stop by
+    ``_locate``, from its values at the step's ends."""
     a, b, f = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
 
@@ -748,20 +795,18 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
         return max(parts(state))
 
     def accept(_t, h, y, k1, y5, k7, _err_abs):
-        rho, theta = y5
-        if ((abs(theta - theta0) < TWO_PI and rho > floor
-                and a * rho < log_box and b * rho < log_box)
-                or stop(y5) < 0.0):
+        g1 = stop(y5)
+        if g1 < 0.0:
             return None
-        # the stop at the step's start is negative: any g0 < 0 will do
-        return _locate(stop, -1.0, h, y, k1, y5, k7)[1]
+        return _locate(stop, stop(y), g1, h, y, k1, y5, k7)[1]
 
     if not stop((rho0, theta0)) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
-    state, err = _LOOPS["xy"](f, cfg.abs_tol, cfg.rel_tol, 0.0, (rho0, theta0),
-                              cfg.max_step or math.inf, cfg.max_steps, None,
-                              accept)
+    state, err = _LOOPS["chart"](f, cfg.abs_tol, cfg.rel_tol, 0.0,
+                                 (rho0, theta0), cfg.max_step or math.inf,
+                                 cfg.max_steps, None, accept, theta0, floor,
+                                 a, b, log_box)
     g = parts(state)
     return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
 

@@ -53,6 +53,35 @@ def test_offsets_without_values_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, plain", [
+    (("gamma", "--case", "example6", "--alpha", "-2.5E-1", "--omega", "1"),
+     ("--alpha", "-0.25")),
+    (("classify", "--case", "example6", "--a", "-1/2"), ("--a", "-0.5")),
+    (("return", "--case", "z-family", "--alpha-param", "-5e-1", "--beta",
+      "1"), ("--alpha-param", "-0.5")),
+    (("portrait", "--case", "x4", "--orbits", "1", "--window", "-1e0", "1",
+      "-1", "1"), ("--window", "-1")),
+])
+def test_negative_number_in_any_form_is_a_value(capsys, tmp_path, argv,
+                                                plain):
+    # argparse itself reads only -1 and -0.5 as negative numbers, and took
+    # -2.5E-1, -1/2, -5e-1 and -1e0 for options: "expected one argument"
+    option, value = plain
+    at = argv.index(option) + 1
+    out = {}
+    for name, args in (("written", argv),
+                       ("plain", argv[:at] + (value,) + argv[at + 1:])):
+        if args[0] == "portrait":
+            args += ("--out", str(tmp_path / name))
+        code, out[name], err = run_cli(capsys, *args)
+        assert code == 0, err
+    if argv[0] == "portrait":
+        assert (tmp_path / "written" / "summary.json").read_text() == \
+            (tmp_path / "plain" / "summary.json").read_text()
+    else:
+        assert out["written"] == out["plain"]
+
+
 def test_cli_loads_only_the_standard_library():
     # the package is stdlib-only: without site-packages (-S), importing
     # the CLI loads no top-level module outside the standard library

@@ -271,18 +271,42 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(), seen=None):
             if ((ev.direction >= 0 and g0 < 0.0 <= g1)
                     or (ev.direction <= 0 and g0 > 0.0 >= g1)):
                 seen[f"event direction {ev.direction}"] += 1
-                lo, hi = 0.0, 1.0
+                # Illinois regula falsi on the Hermite cubic of the step:
+                # the bracket's ends keep their sides of 0 (g0's at lo),
+                # the value of an end kept twice running is halved, a
+                # secant point keeps 1/4 of the tolerance from the ends
+                # or, not strictly inside, goes to the midpoint, and a
+                # value of exactly 0 is the crossing
+                lo, hi, g_lo, g_hi = 0.0, 1.0, g0, g1
+                moved = []
+                tau, gm = 1.0, g1
                 for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    ym = flow._hermite(y, k1, y5, k7, h, mid)
-                    gm = ev.fn(ym)
-                    if (g0 < 0.0) == (gm < 0.0):
-                        lo = mid
-                    else:
-                        hi = mid
-                    if (hi - lo) * abs(h) < 1e-12:
+                    if gm == 0.0 or (hi - lo) * abs(h) < 1e-12:
                         break
-                tau = 0.5 * (lo + hi)
+                    den = g_lo - g_hi
+                    tau = lo + (hi - lo) * (g_lo / den) if den != 0.0 else lo
+                    if tau < lo + 0.25e-12 / abs(h):
+                        tau = lo + 0.25e-12 / abs(h)
+                    if tau > hi - 0.25e-12 / abs(h):
+                        tau = hi - 0.25e-12 / abs(h)
+                    if not lo < tau < hi:
+                        seen["event midpoint"] += 1
+                        tau = 0.5 * (lo + hi)
+                    gm = ev.fn(flow._hermite(y, k1, y5, k7, h, tau))
+                    if (g0 < 0.0) == (gm < 0.0):
+                        lo, g_lo = tau, gm
+                        moved.append("lo")
+                    else:
+                        hi, g_hi = tau, gm
+                        moved.append("hi")
+                    if moved[-2:] == ["lo", "lo"]:
+                        g_hi = 0.5 * g_hi
+                    elif moved[-2:] == ["hi", "hi"]:
+                        g_lo = 0.5 * g_lo
+                if gm == 0.0:
+                    seen["event zero"] += 1
+                else:
+                    tau = 0.5 * (lo + hi)
                 y_ev = flow._hermite(y, k1, y5, k7, h, tau)
                 t_ev = t + tau * h
                 if hit is None:
@@ -556,6 +580,72 @@ class TestDrive:
         assert seen["attempt"] >= 3000
 
 
+def cubic_step(p, dp, h):
+    """The (h, y, k1, y5, k7) of ``flow._locate`` for a step of size h
+    whose ``_hermite`` is the cubic p(tau) of derivative dp(tau)."""
+    return h, (p(0.0),), (dp(0.0) / h,), (p(1.0),), (dp(1.0) / h,)
+
+
+def counted(fn):
+    """``fn`` with a list ``calls`` of the values it returns."""
+    def f(state):
+        f.calls.append(fn(state))
+        return f.calls[-1]
+    f.calls = []
+    return f
+
+
+class TestLocate:
+    """``flow._locate``, Illinois regula falsi on the step's Hermite
+    cubic, on cubics with known roots."""
+
+    # (root r, the cubic's other factor (tau^2 + u tau + v) as (u, v))
+    CUBICS = [(0.3, (0.0, 1.0)), (1 / 3, (-3.0, 2.25)), (0.7, (1.0, 0.1)),
+              (0.05, (-2.5, 1.6)), (0.95, (0.0, 0.01)), (0.5, (-1.0, 0.3))]
+
+    @pytest.mark.parametrize("root, uv", CUBICS)
+    @pytest.mark.parametrize("h", [1.0, 2.0 ** -20, -2.0 ** -7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_root_of_a_cubic(self, root, uv, h, sign):
+        # sign -1 turns the upward crossing into a downward one
+        u, v = uv
+        step = cubic_step(
+            lambda x: sign * (x - root) * (x * x + u * x + v),
+            lambda x: sign * ((x * x + u * x + v) + (x - root) * (2 * x + u)),
+            h)
+        fn = counted(lambda s: s[0])
+        tau, (y_stop,) = flow._locate(fn, step[1][0], step[3][0], *step)
+        assert abs(tau - root) * abs(h) <= 1e-12
+        assert len(fn.calls) <= 12
+        assert 0.0 < tau < 1.0
+        assert y_stop == flow._hermite(*step[1:], h, tau)[0]
+
+    def test_zero_at_the_step_end(self):
+        # a stop exactly 0 at the step's end crosses there, unevaluated
+        step = cubic_step(lambda x: (x - 1.0) * (x * x + 1.0),
+                          lambda x: (x * x + 1.0) + (x - 1.0) * 2 * x, 0.5)
+        fn = counted(lambda s: s[0])
+        assert flow._locate(fn, -1.0, 0.0, *step) == (1.0, step[3])
+        assert fn.calls == []
+
+    @pytest.mark.parametrize("nan_above", [0.8, 0.3, -1.0])
+    def test_nan_values_fall_back_to_bisection(self, nan_above):
+        # NaN where the line tau - 0.3 is above nan_above, its end among
+        # them: the secant points that meet a NaN go to the midpoint, and
+        # the search still ends inside the bracket, at the root while a
+        # finite value lies on each side of it
+        root = 0.3
+        step = cubic_step(lambda x: x - root, lambda x: 1.0, 1.0)
+        fn = counted(lambda s: s[0] if s[0] <= nan_above else math.nan)
+        tau, _ = flow._locate(fn, -root, math.nan, *step)
+        assert 0.0 <= tau <= 1.0
+        assert len(fn.calls) <= 80
+        if nan_above > 0.0:
+            assert abs(tau - root) <= 1e-12
+        else:  # NaN everywhere counts as non-negative: down to the start
+            assert tau <= 1e-12
+
+
 def integrate_row(n, case, start, stop, param, backward, count, named=None):
     """A row of ``TestRhsCounts.test_integrate`` under the id of its
     place ``n`` in the table, which the time rows once shared, and of the
@@ -587,6 +677,23 @@ class TestRhsCounts:
         count_chart.append(0)
         flow.return_slope(build_z(1.0, 1.0))
         assert count_chart == [14456]
+
+    def test_return_slope_stop_evaluations(self, monkeypatch):
+        # the stop's evaluations inside each turn's located stop: bisection
+        # on the step's Hermite cubic took 45 and 52
+        evals, locate = [], flow._locate
+
+        def counted_locate(fn, *args):
+            evals.append(0)
+
+            def f(state):
+                evals[-1] += 1
+                return fn(state)
+            return locate(f, *args)
+
+        monkeypatch.setattr(flow, "_locate", counted_locate)
+        flow.return_slope(build_z(1.0, 1.0))
+        assert evals == [4, 4]
 
     # below the monodromy threshold beta = 1/4 the first orbit leaves the
     # box, or, contracting, falls through the rho floor onto the origin
@@ -686,6 +793,8 @@ class TestValidation:
         {"max_steps": "100"},
         {"max_step": -1.0}, {"max_step": 0.0},
         {"max_step": math.nan}, {"max_step": math.inf},
+        # a bool is no number here, as for max_steps: True was taken as 1
+        {"rel_tol": True}, {"abs_tol": True}, {"max_step": True},
     ])
     def test_bad_integrator_config(self, kw):
         with pytest.raises(ValueError):
@@ -710,6 +819,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("axis, direction", [
         ("z", 1), ("X", 0), ("", -1), ("x", 2), ("y", -2), ("x", 0.5),
+        # a bool is no direction: True was taken as +1, False as 0
+        ("x", True), ("y", False),
     ])
     def test_bad_section_stop(self, axis, direction):
         with pytest.raises(ValueError):
@@ -1398,11 +1509,13 @@ class TestMonodromyProbe:
         # near the fake saddles the orbit dives and each step needs about
         # 0.78 of the last: the proportional factor alone, never below
         # 0.9 after an accepted step, had 70 of 237 attempts rejected;
-        # the predictive factor has 12 of 181
+        # the predictive factor has 12 of 181.  The turn runs on the "xy"
+        # loop, which calls accept on every accepted step: the "chart"
+        # loop's guard only skips the calls where accept returns None
         loop, tally = flow._LOOPS["xy"], Counter()
 
         def counted_loop(f, *args):
-            *args, accept = args
+            *args, accept = args[:-5]
 
             def counted_f(x, y):
                 tally["rhs"] += 1
@@ -1413,7 +1526,7 @@ class TestMonodromyProbe:
                 return accept(*step)
             return loop(counted_f, *args, counted_accept)
 
-        monkeypatch.setitem(flow._LOOPS, "xy", counted_loop)
+        monkeypatch.setitem(flow._LOOPS, "chart", counted_loop)
         chart = flow._weighted_polar(build_z(0.5, 0.625))
         ang = math.pi / 12
         start = flow._chart_point(chart[0], chart[1], 1e-8 * math.cos(ang),
@@ -1421,6 +1534,7 @@ class TestMonodromyProbe:
         status, _rho, _err = flow._turn(chart, *start, 10.0, flow._PROBE_CFG)
         assert status == "turn"
         attempts = (tally["rhs"] - 1) // 6  # FSAL: six calls an attempt
+        assert tally["accepted"] >= 100
         assert attempts - tally["accepted"] <= 20
 
 
@@ -1438,7 +1552,7 @@ class TestSlopeEstimateJson:
 class TestGeneratedCode:
     def test_compiled_functions_carry_their_own_filenames(self):
         # profiles and tracebacks tell the loops and the fields apart
-        assert set(flow._LOOPS) == {"xy", "graph"}
+        assert set(flow._LOOPS) == {"xy", "graph", "chart"}
         for kind, loop in flow._LOOPS.items():
             assert loop.__code__.co_filename == \
                 f"<fakesaddle.flow loop {kind}>"
