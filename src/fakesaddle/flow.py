@@ -21,11 +21,14 @@ control in local scalars:
   and over u = x/|y|;
 - "chart": the "xy" state (rho, theta) of a turn (``_turn``) in the
   weighted polar chart ``(rho, theta) -> (rho', theta')``, on a chart
-  clock, with the turn's guard in the loop.
+  clock, with the turn's guard in the loop;
+- "polar": the 1-D state rho of a probe's turn as a graph over phi =
+  sigma theta, sigma = +-1 its orientation, of the chart's slope
+  ``(phi, rho, sigma) -> drho/dphi``, with the guard of "chart" on rho.
 
-Every drive runs on a bounded clock, arclength, x or a chart variable,
-that no stop reads.  A drive ends at t_end or at one event, a ``Stop``
-on the state, that ``accept``, the function the loop calls on each
+Every drive runs on a bounded clock, arclength, x, a chart variable or
+theta, that no stop reads.  A drive ends at t_end or at one event, a
+``Stop`` on the state, that ``accept``, the function the loop calls on each
 accepted step, tests with the samples; the transit legs pass their own,
 which ends a leg at a step's end.  A turn's loop compares its state with
 the guard that makes the turn's stop negative, and calls its ``accept``,
@@ -40,6 +43,8 @@ diagram (``_weighted_polar``), where a turn is theta moving by 2*pi.  A
 stage of that chart is one call of the field's chart, compiled once per
 field as polynomials in (r, cos theta, sin theta) from its exact terms
 (``PlanarField.as_chart``): no division by powers of r, no float ``**``.
+Around a monodromic point theta moves one way only, so a probe's turn
+is the graph of rho over theta, and the chart only past a fold.
 
 Everything is deterministic for a fixed configuration and free of
 shared mutable state, so parameter sweeps can run concurrently.
@@ -64,12 +69,12 @@ _MIN_DENOMINATOR = 1e-8
 
 
 class _DriveFailure(Exception):
-    """A drive that cannot go on: ``t`` and ``state`` are where the drive
-    loop stood, None when raised outside it."""
+    """A drive that cannot go on: the loop's ``t``, ``state``, ``attempts``
+    before and accumulated ``err``, t and state None when raised outside."""
 
-    def __init__(self, message, t=None, state=None):
+    def __init__(self, message, t=None, state=None, attempts=0, err=0.0):
         super().__init__(message)
-        self.t, self.state = t, state
+        self.t, self.state, self.attempts, self.err = t, state, attempts, err
 
 
 class StepUnderflow(_DriveFailure):
@@ -193,6 +198,10 @@ _KINDS = {
               ("theta0, floor, a, b, log_box",
                f"abs(y5_1 - theta0) < {TWO_PI!r} and y5_0 > floor "
                "and a*y5_0 < log_box and b*y5_0 < log_box")),
+    # rho of a turn over phi = sigma theta, with the "chart" guard on rho
+    "polar": (1, "{k0} = f({x}, {y0}, sigma)",
+              ("sigma, floor, a, b, log_box",
+               "y5_0 > floor and a*y5_0 < log_box and b*y5_0 < log_box")),
 }
 
 
@@ -216,14 +225,17 @@ def _compile_loop(kind: str):
     accept)`` runs from ``state`` at ``t``, ``max_step`` inf for no cap
     and ``t_end`` and ``accept`` None when unused.  The kinds
     (``_KINDS``) are "xy", a 2-D state, "graph", a 1-D state over the
-    independent variable, and "chart", the "xy" state of ``_turn``, whose
+    independent variable, "chart", the "xy" state of ``_turn``, whose
     drive takes an ``accept`` and, after it, its guard's arguments
-    ``theta0, floor, a, b, log_box``.  The first step is 1e-2 (|state| +
-    1e-6)/(|slope| + 1e-300) in the max norm, at most the span to
-    ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
+    ``theta0, floor, a, b, log_box``, and "polar", the "graph" state of
+    ``_turn``, whose drive takes, after ``accept``, ``sigma, floor, a,
+    b, log_box`` for its slope and guard.  The first step is 1e-2
+    (|state| + 1e-6)/(|slope| + 1e-300) in the max norm, at most the span
+    to ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
-      and raises StepUnderflow, with t and the state, when t + h == t;
+      and raises StepUnderflow, with t, the state, the attempts before
+      and the accumulated error, when t + h == t;
     - takes the step (six stages, then the slope k7 of the 5th-order state
       y5), and halves h when y5 is not finite;
     - rejects the step unless the RMS of the scaled errors
@@ -288,7 +300,7 @@ def _compile_loop(kind: str):
         f"        {end}",
         "if t + h == t:",
         "    raise StepUnderflow(f'step size {h} cannot advance t={t}', t, "
-        f"{tup('y')})",
+        f"{tup('y')}, attempt, err_accum)",
         *stages,
         "if not (" + " and ".join(f"isfinite(y5_{i})" for i in comps) + "):",
         "    h *= 0.5",
@@ -340,7 +352,7 @@ def _compile_loop(kind: str):
         "    err_accum = 0.0",
         # the last accepted step and max(its norm, 1e-2), 0.0 before one
         "    h_prev = err_prev = 0.0",
-        "    for _ in range(max_steps):",
+        "    for attempt in range(max_steps):",
         textwrap.indent(attempt, "        "),
         "    raise MaxStepsExceeded("
         f"f'no stop condition met in {{max_steps}} steps', t, {tup('y')})",
@@ -382,13 +394,15 @@ def _locate(fn, g0, g1, h, y, k1, y5, k7):
     it, or at the midpoint where that is not strictly inside the bracket,
     as where a value is NaN.  The search ends at the first value that is
     exactly 0, g1 included, which is tau, or once the bracket spans less
-    than 1e-12 of the clock: tau is then the mid-bracket."""
+    than 1e-12 of the clock or holds no float strictly inside: tau is
+    then the mid-bracket."""
     lo, hi, g_lo, g_hi = 0.0, 1.0, g0, g1
     below, kept = g0 < 0.0, None
     tau, g = 1.0, g1
     step = 0.25e-12 / abs(h)
     for _ in range(80):
-        if g == 0.0 or (hi - lo) * abs(h) < 1e-12:
+        if (g == 0.0 or (hi - lo) * abs(h) < 1e-12
+                or math.nextafter(lo, hi) == hi):
             break
         den = g_lo - g_hi
         tau = lo + (hi - lo) * (g_lo / den) if den else lo
@@ -765,7 +779,7 @@ def _chart_point(a: int, b: int, x: float, y: float):
     return lo, math.atan2(y * math.exp(-b * lo), x * math.exp(-a * lo))
 
 
-def _turn(chart, rho0: float, theta0: float, box: float, cfg):
+def _turn(chart, rho0: float, theta0: float, box: float, cfg, slope=None):
     """(status, rho, accumulated error) of the chart orbit from (rho0,
     theta0) where the first of three stops crosses, as one upward stop
     on the largest: "turn" at |theta - theta0| = 2*pi, "box_exit" at
@@ -779,7 +793,15 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     b rho < log(box), which make it negative exactly (log|cos|, log|sin|
     <= 0), and ``accept``, called only where one of them fails, takes the
     logs of the full stop.  A crossing is located on the full stop by
-    ``_locate``, from its values at the step's ends."""
+    ``_locate``, from its values at the step's ends.
+
+    With the chart's ``slope`` (``PlanarField.as_chart_slope``) the orbit
+    is first the graph of rho over phi = sigma theta, sigma the sign of
+    theta' at the start, to sigma theta0 + 2*pi, where it turns; it exits
+    at the end of the step where the stop is not negative, unlocated.
+    Where theta turns back the slope is inf: once the step underflows the
+    chart goes on from the last accepted (rho, theta), with the stops of
+    the start and the attempts left."""
     a, b, f = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
 
@@ -794,21 +816,41 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     def stop(state):
         return max(parts(state))
 
+    def status(state, err):
+        g = parts(state)
+        return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
+
     def accept(_t, h, y, k1, y5, k7, _err_abs):
         g1 = stop(y5)
         if g1 < 0.0:
             return None
         return _locate(stop, stop(y), g1, h, y, k1, y5, k7)[1]
 
+    def exits(t, h, _y, _k1, y5, _k7, _err_abs):
+        state = (y5[0], sigma * (t + h))
+        return state if stop(state) >= 0.0 else None
+
+    def drive(loop, rhs, t, state, max_steps, t_end, accept, guard):
+        return _LOOPS[loop](rhs, cfg.abs_tol, cfg.rel_tol, t, state,
+                            cfg.max_step or math.inf, max_steps, t_end,
+                            accept, guard, floor, a, b, log_box)
+
     if not stop((rho0, theta0)) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
-    state, err = _LOOPS["chart"](f, cfg.abs_tol, cfg.rel_tol, 0.0,
-                                 (rho0, theta0), cfg.max_step or math.inf,
-                                 cfg.max_steps, None, accept, theta0, floor,
-                                 a, b, log_box)
-    g = parts(state)
-    return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
+    state, steps, err = (rho0, theta0), cfg.max_steps, 0.0
+    if slope is not None:
+        sigma = 1.0 if slope(theta0, rho0, 1.0) < math.inf else -1.0
+        try:
+            end, err = drive("polar", slope, sigma * theta0, (rho0,), steps,
+                             sigma * theta0 + TWO_PI, exits, sigma)
+        except StepUnderflow as exc:  # theta turns back: on in the chart
+            state = (exc.state[0], sigma * exc.t)
+            steps, err = steps - exc.attempts, exc.err
+        else:  # at sigma theta0 + 2*pi, or the state where exits stopped
+            return ("turn", end[0], err) if len(end) == 1 else status(end, err)
+    state, e = drive("chart", f, 0.0, state, steps, None, accept, theta0)
+    return status(state, err + e)
 
 
 def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
@@ -886,7 +928,7 @@ class ProbeVerdict(enum.Enum):
 
 # monodromy_probe's integrator, looser than the default and with a
 # smaller step budget per orbit: every verdict on both benchmark pools and
-# every casebook and test field holds from rel_tol 1e-9 to 1e-5
+# every casebook and test field holds from rel_tol 1e-10 to 5e-4, not 1e-3
 _PROBE_CFG = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_steps=300_000)
 
 
@@ -896,7 +938,8 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
 
     The ring is the circle of radius ``ring_radius``, ``1e-9*box`` by
     default, which must be positive and less than the finite box; its
-    orbits run in the weighted polar chart (``_weighted_polar``).  A ring
+    orbits run in the weighted polar chart (``_weighted_polar``) as graphs
+    of rho over theta, and in the chart past a fold (``_turn``).  A ring
     at that chart radius would start between the fake saddles, from
     where a strongly expanding focus such as z(1, 0.3) leaves the box of
     10 within one turn.  Monodromic when every orbit turns through 2*pi
@@ -916,7 +959,8 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
         rho, theta = _chart_point(chart[0], chart[1], r0 * math.cos(ang),
                                   r0 * math.sin(ang))
         try:
-            status, _rho, _err = _turn(chart, rho, theta, box, _PROBE_CFG)
+            status, _rho, _err = _turn(chart, rho, theta, box, _PROBE_CFG,
+                                       field.as_chart_slope())
         except (MaxStepsExceeded, StepUnderflow):
             continue
         if status == "box_exit":

@@ -379,11 +379,11 @@ def _horner_nest(terms: Dict[int, str], var: str) -> str:
 
 
 def _compile(src: str, kind: str):
-    """The function ``_f`` that ``src`` defines, compiled under a label of
-    its ``kind`` and a checksum of the source: profiles, which key their
-    entries by file name, keep one entry per field, and tracebacks tell
-    fields apart.  (zlib's crc32, because hashlib loads OpenSSL: about 4
-    MB of resident memory.)"""
+    """The ``_f`` that ``src`` defines, a function or a tuple of them,
+    compiled under a label of its ``kind`` and a checksum of the source:
+    profiles, which key their entries by file name, keep one entry per
+    field, and tracebacks tell fields apart.  (zlib's crc32, because
+    hashlib loads OpenSSL: about 4 MB of resident memory.)"""
     ns: dict = {"cos": math.cos, "sin": math.sin, "exp": math.exp,
                 "inf": math.inf}
     digest = f"{zlib.crc32(src.encode()):08x}"
@@ -416,16 +416,26 @@ def _compile_weighted_polar(field: "PlanarField"):
     a, b, d = newton_weights(field)
     a_c = "c" if a == 1 else f"{a}*c"
     b_s = "s" if b == 1 else f"{b}*s"
-    return _compile("\n".join([
-        "def _f(rho, theta):",
+    stage = "\n".join([
         "    try:",
         "        c, s = cos(theta), sin(theta)",
         "        r = exp(rho)",
         "    except (ValueError, OverflowError):",
-        "        return inf, inf",
+        "        return {fail}",
         f"    big_p = {_chart_expr(field.p, a, b, d + a)}",
         f"    big_q = {_chart_expr(field.q, a, b, d + b)}",
-        f"    return c*big_p + s*big_q, {a_c}*big_q - {b_s}*big_p",
+    ])
+    theta_dot = f"{a_c}*big_q - {b_s}*big_p"
+    return _compile("\n".join([
+        "def _chart(rho, theta):",
+        stage.format(fail="inf, inf"),
+        f"    return c*big_p + s*big_q, {theta_dot}",
+        "def _slope(phi, rho, sigma):",
+        "    theta = sigma*phi",
+        stage.format(fail="inf"),
+        f"    den = sigma*({theta_dot})",
+        "    return (c*big_p + s*big_q)/den if den > 0.0 else inf",
+        "_f = _chart, _slope",
     ]) + "\n", "chart")
 
 
@@ -450,12 +460,7 @@ class PlanarField:
         (i, j) grid, signed zeros included; ``_horner_expr`` says why.
         The field compiles once; later calls return the same function.
         """
-        rhs = self.__dict__.get("_rhs")
-        if rhs is None:
-            rhs = _compile_horner_pair(self.p, self.q)
-            # a pure function of the frozen (p, q): safe to share
-            object.__setattr__(self, "_rhs", rhs)
-        return rhs
+        return self._cached("_rhs", lambda f: _compile_horner_pair(f.p, f.q))
 
     def as_chart(self) -> Callable[[float, float], Tuple[float, float]]:
         """Compile the field in the weighted polar chart of its Newton
@@ -476,12 +481,23 @@ class PlanarField:
         raises ValueError here, as in ``as_rhs``.  The chart compiles
         once; later calls return the same function.
         """
-        chart = self.__dict__.get("_chart")
-        if chart is None:
-            chart = _compile_weighted_polar(self)
-            # a pure function of the frozen (p, q): safe to share
-            object.__setattr__(self, "_chart", chart)
-        return chart
+        return self._cached("_chart", _compile_weighted_polar)[0]
+
+    def as_chart_slope(self) -> Callable[[float, float, float], float]:
+        """The slope ``g(phi, rho, sigma) -> drho/dphi`` of a chart orbit as
+        a graph of rho over phi = sigma theta, sigma = +-1, compiled with
+        ``as_chart`` from one source: (c P + s Q)/(sigma (a c Q - b s P))
+        at theta = sigma phi, and inf where sigma theta' is not positive
+        or a stage fails."""
+        return self._cached("_chart", _compile_weighted_polar)[1]
+
+    def _cached(self, name, compile_):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compile_(self)
+            # pure functions of the frozen (p, q): safe to share
+            object.__setattr__(self, name, value)
+        return value
 
     def __getstate__(self):
         # the compiled functions are caches, not data: copies and pickles

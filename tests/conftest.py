@@ -84,46 +84,26 @@ def count_evals(monkeypatch):
 
 
 @pytest.fixture
-def count_rhs(monkeypatch):
-    """Count calls of every compiled right-hand side ``PlanarField.as_rhs``
-    returns.
+def count_calls(monkeypatch):
+    """Count calls of the compiled functions that ``PlanarField`` methods
+    return: ``as_rhs``, one per field evaluation, ``as_chart`` and
+    ``as_chart_slope``, one per stage of a turn.
 
-    Returns a list; every call adds one to its last entry, so a test
-    appends 0 before each call it measures.
+    ``count_calls(*names)`` patches each named method and returns one
+    shared list; every call adds one to its last entry, so a test appends
+    0 before each call it measures.
     """
-    calls = []
-    as_rhs = PlanarField.as_rhs
+    def install(*names):
+        calls = []
+        for name in names:
+            def counting(self, _compile=getattr(PlanarField, name)):
+                f = _compile(self)
 
-    def counting_as_rhs(self):
-        rhs = as_rhs(self)
+                def counted(*args):
+                    calls[-1] += 1
+                    return f(*args)
+                return counted
 
-        def counted(x, y):
-            calls[-1] += 1
-            return rhs(x, y)
-        return counted
-
-    monkeypatch.setattr(PlanarField, "as_rhs", counting_as_rhs)
-    return calls
-
-
-@pytest.fixture
-def count_chart(monkeypatch):
-    """Count calls of every compiled chart ``PlanarField.as_chart``
-    returns, one per stage of a turn.
-
-    Returns a list; every call adds one to its last entry, so a test
-    appends 0 before each call it measures.
-    """
-    calls = []
-    as_chart = PlanarField.as_chart
-
-    def counting_as_chart(self):
-        chart = as_chart(self)
-
-        def counted(rho, theta):
-            calls[-1] += 1
-            return chart(rho, theta)
-        return counted
-
-    monkeypatch.setattr(PlanarField, "as_chart", counting_as_chart)
-    return calls
+            monkeypatch.setattr(PlanarField, name, counting)
+        return calls
+    return install

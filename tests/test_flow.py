@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import random
@@ -100,10 +101,11 @@ class TestIntegrate:
         (1e-3, r"\(-4\.29516539\d*e-05, 2\.14784566\d*e-05\)", 714),
         (0.3, r"\(-0\.86567181\d*, 0\.43283603\d*\)", 564),
     ], ids=["1e-3", "0.3"])
-    def test_graph_stops_at_a_fold(self, count_rhs, y0, fold, count):
+    def test_graph_stops_at_a_fold(self, count_calls, y0, fold, count):
         # |a| > 2 folds the orbit over x before it reaches x = 1: an
         # unguarded graph ground 10^6 steps from y0 = 1e-3 and lost its
         # step size from 0.3; the guard names the fold at once
+        count_rhs = count_calls("as_rhs")
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         count_rhs.append(0)
         start = time.perf_counter()
@@ -125,9 +127,10 @@ class TestIntegrate:
                            flow.Stop.x_reaches(target), param="graph")
 
     @pytest.mark.parametrize("target", [1.0, -2.0])
-    def test_graph_has_no_backward_direction(self, count_rhs, target):
+    def test_graph_has_no_backward_direction(self, count_calls, target):
         # the graph runs toward the stop's x either way; backward was
         # ignored, and from (-1, 0.3) on example6 gave the forward samples
+        count_rhs = count_calls("as_rhs")
         count_rhs.append(0)
         with pytest.raises(ValueError, match="no backward direction"):
             flow.integrate(EX6.field(), (-1.0, 0.3),
@@ -136,9 +139,10 @@ class TestIntegrate:
         assert count_rhs == [0]
 
     @pytest.mark.parametrize("start", [(2.0, 2.0), (1.0, 0.5)])
-    def test_window_stop_needs_a_start_inside(self, count_rhs, start):
+    def test_window_stop_needs_a_start_inside(self, count_calls, start):
         # outside the window, or on its edge, the exit event never
         # crosses upward: the drive ground 10^6 steps
+        count_rhs = count_calls("as_rhs")
         count_rhs.append(0)
         with pytest.raises(ValueError, match="strictly inside the window"):
             flow.integrate(EX6.field(), start,
@@ -154,8 +158,9 @@ class TestIntegrate:
         assert ye == pytest.approx(0.5, abs=1e-10)
         assert s_stop == pytest.approx(0.5 * math.sqrt(2), abs=1e-10)
 
-    def test_time_is_no_parametrization(self, count_rhs):
+    def test_time_is_no_parametrization(self, count_calls):
         # every caller traces orbits on a bounded clock, arclength or x
+        count_rhs = count_calls("as_rhs")
         count_rhs.append(0)
         with pytest.raises(ValueError, match="got 'time'"):
             flow.integrate(EX6.field(), (-1.0, 0.3),
@@ -620,6 +625,18 @@ class TestLocate:
         assert 0.0 < tau < 1.0
         assert y_stop == flow._hermite(*step[1:], h, tau)[0]
 
+    def test_long_step_ends_where_no_float_is_inside(self):
+        # at h = 1e4 the end tolerance, 1e-12/h as a fraction of the step,
+        # lies under the float spacing of tau near 0.7: the search spent
+        # all 80 evaluations, and ended at this tau and state
+        step = cubic_step(
+            lambda x: (x - 0.7) * (x * x + x + 0.1),
+            lambda x: (x * x + x + 0.1) + (x - 0.7) * (2 * x + 1), 1e4)
+        fn = counted(lambda s: s[0])
+        tau, (y_stop,) = flow._locate(fn, step[1][0], step[3][0], *step)
+        assert (tau, y_stop) == (0.7, 5.551115123125783e-17)
+        assert len(fn.calls) <= 20
+
     def test_zero_at_the_step_end(self):
         # a stop exactly 0 at the step's end crosses there, unevaluated
         step = cubic_step(lambda x: (x - 1.0) * (x * x + 1.0),
@@ -662,18 +679,25 @@ class TestRhsCounts:
     a kernel or drive-loop change that moves any step shows here first.
     """
 
-    # the turns of the chart count its stages (``count_chart``): each was
-    # one field call until the chart was compiled from the field's terms
+    # the turns of the chart count its stages (``as_chart``): each was one
+    # field call until the chart was compiled from the field's terms.  The
+    # probe's turns count the stages of the slope (``as_chart_slope``) of
+    # rho over theta, and of the chart only past a fold
 
-    def test_monodromy_probe(self, count_chart):
+    def test_monodromy_probe(self, count_calls):
         # 159384 by winding the cartesian state, 13780 with the chart
-        # stage as a field call
+        # stage as a field call, 13782 with the turns in the chart
+        count_slope = count_calls("as_chart_slope")
+        count_chart = count_calls("as_chart")
+        count_slope.append(0)
         count_chart.append(0)
         flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
-        assert count_chart == [13782]
+        assert count_slope == [9282]
+        assert count_chart == [0]
 
-    def test_return_slope(self, count_chart):
+    def test_return_slope(self, count_calls):
         # 44428 by winding the cartesian state from four offsets
+        count_chart = count_calls("as_chart")
         count_chart.append(0)
         flow.return_slope(build_z(1.0, 1.0))
         assert count_chart == [14456]
@@ -702,34 +726,41 @@ class TestRhsCounts:
         (1.0, 0.2, "box_exit", 2689),
         (-1.0, 0.1, "floor", 6325),
     ], ids=["1.0-0.2-box_exit-2641", "-1.0-0.1-floor-6223"])
-    def test_return_slope_without_return(self, count_chart, alpha, beta,
+    def test_return_slope_without_return(self, count_calls, alpha, beta,
                                          status, count):
+        count_chart = count_calls("as_chart")
         count_chart.append(0)
         with pytest.raises(flow.NoReturn, match=status):
             flow.return_slope(build_z(alpha, beta))
         assert count_chart == [count]
 
-    def test_monodromy_probe_stops_at_first_exit(self, count_chart):
+    def test_monodromy_probe_stops_at_first_exit(self, count_calls):
         # the first of the 12 orbits leaves the box and decides TRANSIT:
-        # its own stages, where the whole ring takes 4056
+        # its own stages, 271 in the chart, where the whole ring took 4056
+        count_slope = count_calls("as_chart_slope")
+        count_chart = count_calls("as_chart")
+        count_slope.append(0)
         count_chart.append(0)
         verdict = flow.monodromy_probe(EX6.field(), box=2.0)
         assert verdict is flow.ProbeVerdict.TRANSIT
-        assert count_chart == [271]
+        assert count_slope == [566]
+        assert count_chart == [0]
 
-    def test_transition_slope_both_sides(self, count_rhs):
+    def test_transition_slope_both_sides(self, count_calls):
         # 6293 and 5387 over y in the graph from five shallow offsets,
         # 3057 and 2949 with the middle leg in the chart state (u, v)
+        count_rhs = count_calls("as_rhs")
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(EX6, SECTIONS, side)
         assert count_rhs == [2241, 2073]
 
-    def test_transition_slope_fold_member(self, count_rhs):
+    def test_transition_slope_fold_member(self, count_calls):
         # |a| > 2: the graph over x of a shallow orbit folds, and the
         # arclength fallback took 13797 and 12779; the deep legs hand over
         # at |x| = (|a| + 1)|y|, where p > 0, and the middle leg in the
         # chart state (u, v) took 3909 and 4215
+        count_rhs = count_calls("as_rhs")
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         for side in "+-":
             count_rhs.append(0)
@@ -767,8 +798,9 @@ class TestRhsCounts:
         integrate_row(23, "example6", (-1.0, 0.3), ("window", 2.0),
                       "arclength", True, 127),
     ])
-    def test_integrate(self, count_rhs, case, start, stop, param, backward,
+    def test_integrate(self, count_calls, case, start, stop, param, backward,
                        count):
+        count_rhs = count_calls("as_rhs")
         field = EX6.field() if case == "example6" else build_z(1.0, 1.0)
         kind, value = stop
         stop = {"x": flow.Stop.x_reaches,
@@ -811,7 +843,8 @@ class TestValidation:
         lambda offsets: flow.return_slope(build_z(1.0, 1.0), offsets),
     ], ids=["transition_slope", "return_slope"])
     @pytest.mark.parametrize("offsets", [[], ()])
-    def test_empty_offsets(self, count_rhs, measure, offsets):
+    def test_empty_offsets(self, count_calls, measure, offsets):
+        count_rhs = count_calls("as_rhs")
         count_rhs.append(0)
         with pytest.raises(ValueError, match="offsets must"):
             measure(offsets)
@@ -874,8 +907,9 @@ class TestValidation:
     # refused 1e-145 and below for tolerances that underflow
     @pytest.mark.parametrize("section_scale", [
         9.999e-13, 1e-16, 1e-20, 1e-50, 1e-140])
-    def test_return_slope_below_the_depth_floor(self, count_rhs,
+    def test_return_slope_below_the_depth_floor(self, count_calls,
                                                 section_scale):
+        count_rhs = count_calls("as_rhs")
         count_rhs.append(0)
         with pytest.raises(ValueError,
                            match=r"offsets .* below the depth floor"):
@@ -891,8 +925,9 @@ class TestValidation:
     @pytest.mark.parametrize("section_scale, rel_tol", [
         (1e-160, 1e-10), (1e-150, 1e-10), (1e-147, 1e-6), (1e-145, 1e-12),
     ])
-    def test_return_slope_tolerance_underflow(self, count_rhs,
+    def test_return_slope_tolerance_underflow(self, count_calls,
                                               section_scale, rel_tol):
+        count_rhs = count_calls("as_rhs")
         count_rhs.append(0)
         with pytest.raises(ValueError,
                            match=r"offsets .* below the depth floor"):
@@ -1076,7 +1111,8 @@ class TestTransitionSlope:
     # where p and q of order y^2 underflow: refused before any orbit runs
     @pytest.mark.parametrize("offsets", [(2.0,), (0.25, 1e-3), (1e-3, 1e-151),
                                          (1e-300,)])
-    def test_starts_out_of_range(self, count_rhs, offsets):
+    def test_starts_out_of_range(self, count_calls, offsets):
+        count_rhs = count_calls("as_rhs")
         count_rhs.append(0)
         with pytest.raises(ValueError, match="must lie in"):
             flow.transition_slope(y1_normal_form(),
@@ -1378,6 +1414,24 @@ class TestWeightedPolarChart:
             assert got == pytest.approx(principal_chart(field, theta),
                                         rel=1e-13, abs=1e-15)
 
+    @pytest.mark.parametrize("field", [f for _w, f in CHART_FIELDS],
+                             ids=[f"weights{n}"
+                                  for n in range(len(CHART_FIELDS))])
+    def test_slope_of_rho_over_theta(self, field):
+        # drho/dphi over phi = sigma theta is rho'/(sigma theta') from the
+        # chart's own stage, bit for bit, where sigma theta' > 0, and inf
+        # where not or where the stage fails
+        f, g = field.as_chart(), field.as_chart_slope()
+        rng = random.Random(29)
+        for _ in range(200):
+            rho, theta = rng.uniform(-20.0, 1.0), rng.uniform(-7.0, 7.0)
+            rho_dot, theta_dot = f(rho, theta)
+            for sigma in (1.0, -1.0):
+                den = sigma * theta_dot
+                want = rho_dot / den if den > 0.0 else math.inf
+                assert g(sigma * theta, rho, sigma) == want, (rho, theta)
+        assert g(math.inf, -1.0, 1.0) == g(0.3, 1e4, -1.0) == math.inf
+
     def test_guarded_stages_halve_the_step(self):
         # 37 stages of this return have a non-finite slope, 22 of them
         # (inf, inf)
@@ -1429,12 +1483,30 @@ def full_stop_turn(chart, rho0, theta0, box, cfg):
     return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
 
 
+def ring_starts(field, r0):
+    """The chart points of the 12 orbits of ``monodromy_probe``'s ring of
+    radius ``r0``."""
+    a, b, _f = flow._weighted_polar(field)
+    return [flow._chart_point(a, b, r0 * math.cos(ang), r0 * math.sin(ang))
+            for ang in (flow.TWO_PI * (k + 0.5) / 12 for k in range(12))]
+
+
 def probe_start(field, box):
     """The chart point of the first orbit of ``monodromy_probe``'s ring
     at its default radius, 1e-9*box."""
-    a, b, _f = flow._weighted_polar(field)
-    ang, r0 = flow.TWO_PI * 0.5 / 12, 1e-9 * box
-    return flow._chart_point(a, b, r0 * math.cos(ang), r0 * math.sin(ang))
+    return ring_starts(field, 1e-9 * box)[0]
+
+
+def z_pool(monkeypatch, seed):
+    """The z-family benchmark's pool of 14 fields for ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("_z_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [build_z(float(a), float(b))
+            for a, b in workloads.z_parameters(random.Random(seed), 14)]
 
 
 class TestSignOnlyStop:
@@ -1470,17 +1542,90 @@ class TestSignOnlyStop:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_benchmark_pools_stay_monodromic(self, monkeypatch, seed):
         # the z-family benchmark's pool of 14 (alpha, beta) per seed
-        path = Path(__file__).resolve().parent.parent / "perfbench" / \
-            "workloads.py"
-        spec = importlib.util.spec_from_file_location("_z_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        pool = workloads.z_parameters(random.Random(seed), 14)
-        verdicts = [flow.monodromy_probe(build_z(float(a), float(b)),
-                                         box=10.0, ring_radius=1e-8)
-                    for a, b in pool]
+        verdicts = [flow.monodromy_probe(field, box=10.0, ring_radius=1e-8)
+                    for field in z_pool(monkeypatch, seed)]
         assert verdicts == [flow.ProbeVerdict.MONODROMIC] * 14
+
+
+# monodromy_probe's fields, boxes and ring radii beside the benchmark
+# pools, with their verdicts: z(alpha, beta) is monodromic for beta > 1/4
+PROBE_FIELDS = [
+    (EX6.field(), 2.0, 2e-9, flow.ProbeVerdict.TRANSIT),
+    (build_z(1.0, 0.1), 10.0, 1e-8, flow.ProbeVerdict.TRANSIT),
+    (build_z(1.0, 0.2), 10.0, 1e-8, flow.ProbeVerdict.TRANSIT),
+    (build_z(-0.5, 0.1), 10.0, 1e-8, flow.ProbeVerdict.UNDECIDED),
+    (build_z(1.0, 0.3), 10.0, 1e-8, flow.ProbeVerdict.MONODROMIC),
+    (build_z(1.0, 0.5), 10.0, 1e-8, flow.ProbeVerdict.MONODROMIC),
+    (build_z(1.0, 1.0), 10.0, 1e-8, flow.ProbeVerdict.MONODROMIC),
+    (build_z(0.0, 1.0), 10.0, 1e-8, flow.ProbeVerdict.MONODROMIC),
+    (build_z(-1.0, 1.0), 10.0, 1e-8, flow.ProbeVerdict.MONODROMIC),
+]
+PROBE_IDS = ["example6", "z(1,0.1)", "z(1,0.2)", "z(-0.5,0.1)", "z(1,0.3)",
+             "z(1,0.5)", "z(1,1)", "z(0,1)", "z(-1,1)"]
+
+
+class TestGraphTurn:
+    """A probe orbit runs as the graph of rho over theta and hands over
+    to the chart where theta turns back: its status is the chart turn's
+    on every orbit of the ring."""
+
+    @staticmethod
+    def hand_overs(count_chart, field, box, r0):
+        """The chart stages of the graph turns of the ring, after
+        asserting that each ends with the chart turn's status."""
+        chart, slope = flow._weighted_polar(field), field.as_chart_slope()
+        stages = 0
+        for start in ring_starts(field, r0):
+            def status(*slope):
+                count_chart.append(0)
+                try:
+                    return flow._turn(chart, *start, box, flow._PROBE_CFG,
+                                      *slope)[0]
+                except (flow.MaxStepsExceeded, flow.StepUnderflow) as exc:
+                    return type(exc).__name__
+            got = status(slope)
+            stages += count_chart[-1]
+            assert got == status(), start
+        return stages
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_pools(self, monkeypatch, count_calls, seed):
+        # no orbit of either pool meets a fold: no chart stage
+        count_chart = count_calls("as_chart")
+        for field in z_pool(monkeypatch, seed):
+            assert self.hand_overs(count_chart, field, 10.0, 1e-8) == 0
+
+    @pytest.mark.parametrize("field, box, r0, _verdict", PROBE_FIELDS,
+                             ids=PROBE_IDS)
+    def test_probe_fields(self, count_calls, field, box, r0, _verdict):
+        self.hand_overs(count_calls("as_chart"), field, box, r0)
+
+    def test_hand_over_past_a_fold(self, monkeypatch, count_calls):
+        # orbits of z(1, 0.2) turn back in theta: without the chart past
+        # the fold, their steps underflow and the probe reads undecided
+        count_chart = count_calls("as_chart")
+        count_chart.append(0)
+        field = build_z(1.0, 0.2)
+        verdict = flow.monodromy_probe(field, box=10.0, ring_radius=1e-8)
+        assert verdict is flow.ProbeVerdict.TRANSIT
+        assert count_chart[0] > 0
+
+        def no_chart(*_args):
+            raise flow.StepUnderflow("no hand-over")
+
+        monkeypatch.setitem(flow._LOOPS, "chart", no_chart)
+        verdict = flow.monodromy_probe(field, box=10.0, ring_radius=1e-8)
+        assert verdict is flow.ProbeVerdict.UNDECIDED
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+    def test_verdicts_across_tolerances(self, monkeypatch, rel_tol):
+        fields = PROBE_FIELDS + [(f, 10.0, 1e-8, flow.ProbeVerdict.MONODROMIC)
+                   for seed in (1, 2) for f in z_pool(monkeypatch, seed)]
+        monkeypatch.setattr(flow, "_PROBE_CFG", dataclasses.replace(
+            flow._PROBE_CFG, rel_tol=rel_tol))
+        for field, box, r0, verdict in fields:
+            assert flow.monodromy_probe(field, box=box,
+                                        ring_radius=r0) is verdict
 
 
 class TestMonodromyProbe:
@@ -1552,7 +1697,7 @@ class TestSlopeEstimateJson:
 class TestGeneratedCode:
     def test_compiled_functions_carry_their_own_filenames(self):
         # profiles and tracebacks tell the loops and the fields apart
-        assert set(flow._LOOPS) == {"xy", "graph", "chart"}
+        assert set(flow._LOOPS) == {"xy", "graph", "chart", "polar"}
         for kind, loop in flow._LOOPS.items():
             assert loop.__code__.co_filename == \
                 f"<fakesaddle.flow loop {kind}>"
@@ -1568,8 +1713,15 @@ class TestGeneratedCode:
         assert labels[0] == labels[1] and labels[3] == labels[4]
         assert len({labels[0], labels[2], labels[3], labels[5]}) == 4
         # the chart too, compiled once per field: a probe and a return of
-        # one field share it
+        # one field share it.  The slope of rho over theta comes from the
+        # same compile, under the same label and a name of its own
         z = build_z(1.0, 1.0)
         assert flow._weighted_polar(z)[2] is z.as_chart()
+        assert z.as_chart_slope() is z.as_chart_slope()
+        chart, slope = z.as_chart().__code__, z.as_chart_slope().__code__
         assert re.fullmatch(r"<fakesaddle\.polyfield chart \w+>",
-                            z.as_chart().__code__.co_filename)
+                            chart.co_filename)
+        assert slope.co_filename == chart.co_filename
+        assert (chart.co_name, slope.co_name) == ("_chart", "_slope")
+        assert build_z(1.0, 0.5).as_chart_slope().__code__.co_filename \
+            != slope.co_filename

@@ -179,8 +179,9 @@ class TestSerialization:
 
 
 class TestFieldCache:
-    """field(), as_rhs() and as_chart() build once; the caches are
-    invisible to equality, hashing, replace, copies and pickles."""
+    """field(), as_rhs(), as_chart() and as_chart_slope() build once; the
+    caches are invisible to equality, hashing, replace, copies and
+    pickles."""
 
     def test_built_once(self, rng):
         nf = random_normal_form(rng)
@@ -188,6 +189,7 @@ class TestFieldCache:
         assert nf.field() is field
         assert field.as_rhs() is field.as_rhs()
         assert field.as_chart() is field.as_chart()
+        assert field.as_chart_slope() is field.as_chart_slope()
 
     def test_replace_builds_from_the_new_members(self, rng):
         nf = random_normal_form(rng)

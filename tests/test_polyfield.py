@@ -288,6 +288,8 @@ class TestFloatCompilation:
                 field.as_rhs()
             with pytest.raises(ValueError, match="finite"):
                 field.as_chart()
+            with pytest.raises(ValueError, match="finite"):
+                field.as_chart_slope()
 
 
 # -- the composition before trusted arithmetic, as a test-only reference ------
