@@ -396,8 +396,7 @@ def _add_section_args(p):
 def _add_offsets_arg(p, depth, default):
     p.add_argument("--offsets", nargs="+", type=finite,
                    help=f"absolute start depths {depth}, strictly decreasing "
-                        f"(default {' '.join(map(str, default))}): the "
-                        f"deepest gives the slope")
+                        f"(default {default}): the deepest gives the slope")
 
 
 # A negative float or fraction as written on the command line, -2.5E-1,
@@ -439,13 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_section_args(p)
     p.add_argument("--side", choices=("+", "-"), default="+")
-    _add_offsets_arg(p, "|y0|", flow.DEFAULT_OFFSETS)
+    _add_offsets_arg(p, "|y0|", " ".join(map(str, flow.DEFAULT_OFFSETS)))
     p.set_defaults(fn=cmd_transit)
 
     p = sub.add_parser("return", help="measured Poincare return slope")
     _add_input_args(p)
-    _add_offsets_arg(p, "y0 on the ray {x = 0, y > 0}",
-                     flow.DEFAULT_RETURN_OFFSETS)
+    _add_offsets_arg(p, "y0 on the ray {x = 0, y > 0}", "r0^b, b the "
+                     f"Newton weight of y, at chart radii r0 = "
+                     f"{' '.join(map(str, flow.DEFAULT_RETURN_RADII))}")
     p.set_defaults(fn=cmd_return)
 
     p = sub.add_parser("reproduce", help="run the casebook regressions")

@@ -3,14 +3,13 @@
 The integrator is an explicit embedded Runge-Kutta 5(4) pair
 (Dormand-Prince coefficients) with FSAL, Gustafsson's predictive step
 control (Hairer & Wanner, Solving ODEs II, IV.8), cubic Hermite dense
-output and event location by the Illinois variant of regula falsi on
-the dense output (``_locate``).  Fields
-arrive compiled as sparse Horner source: ``PlanarField.as_rhs``, bit for
-bit dense Horner, and ``PlanarField.as_chart`` in the weighted polar
-chart.  Each state kind has one drive loop (``_compile_loop``),
-generated from the tableau and the kind's stage template, that calls
-its field directly and keeps the stages, the error norm and the step
-control in local scalars:
+output and, for integrate()'s stops, event location by bisection on
+the dense output (``_locate``).  Fields arrive compiled as sparse
+Horner source: ``PlanarField.as_rhs``, bit for bit dense Horner, and
+``PlanarField.as_chart`` in the weighted polar chart.  Each state kind
+has one drive loop (``_compile_loop``), generated from the tableau and
+the kind's stage template, that calls its field directly and keeps the
+stages, the error norm and the step control in local scalars:
 
 - "xy": 2-D state under arclength, either way, of a planar field:
   integrate()'s unit-speed wrapper of ``(x, y) -> (p, q)``;
@@ -22,17 +21,18 @@ control in local scalars:
 - "chart": the "xy" state (rho, theta) of a turn (``_turn``) in the
   weighted polar chart ``(rho, theta) -> (rho', theta')``, on a chart
   clock, with the turn's guard in the loop;
-- "polar": the 1-D state rho of a probe's turn as a graph over phi =
-  sigma theta, sigma = +-1 its orientation, of the chart's slope
-  ``(phi, rho, sigma) -> drho/dphi``, with the guard of "chart" on rho.
+- "polar": the 1-D state rho of a turn as a graph over phi = sigma
+  theta, sigma = +-1 its orientation, of the chart's slope ``(phi, rho,
+  sigma) -> drho/dphi``, with the guard of "chart" on rho: every turn
+  ends on it.
 
 Every drive runs on a bounded clock, arclength, x, a chart variable or
 theta, that no stop reads.  A drive ends at t_end or at one event, a
 ``Stop`` on the state, that ``accept``, the function the loop calls on each
-accepted step, tests with the samples; the transit legs pass their own,
-which ends a leg at a step's end.  A turn's loop compares its state with
-the guard that makes the turn's stop negative, and calls its ``accept``,
-which takes logs, only where the guard fails.
+accepted step, tests with the samples; the transit legs and the turns
+pass their own, which end a drive at a step's end.  A turn's loops
+compare the state with the guard that makes the turn's stop negative,
+and call its ``accept``, which takes logs, only where the guard fails.
 
 On top sit the measured counterparts of the closed-form transition
 theory: transition and Poincare return slopes, a first-integral drift
@@ -43,8 +43,10 @@ diagram (``_weighted_polar``), where a turn is theta moving by 2*pi.  A
 stage of that chart is one call of the field's chart, compiled once per
 field as polynomials in (r, cos theta, sin theta) from its exact terms
 (``PlanarField.as_chart``): no division by powers of r, no float ``**``.
-Around a monodromic point theta moves one way only, so a probe's turn
-is the graph of rho over theta, and the chart only past a fold.
+Around a monodromic point theta moves one way only, so a turn ends on
+the graph of rho over theta, exactly at theta0 +- 2*pi: a return
+re-runs there the chart's step in which theta passes, and a probe runs
+on the graph from the start, in the chart only past a fold.
 
 Everything is deterministic for a fixed configuration and free of
 shared mutable state, so parameter sweeps can run concurrently.
@@ -159,11 +161,11 @@ class SlopeEstimate:
                 "exponent": self.exponent}
 
 
-# transition_slope's and return_slope's start depths |y0|, strictly
-# decreasing: the deepest gives the value, and their spread is part of
-# its residual
+# transition_slope's start depths |y0|, and return_slope's chart radii
+# r0 of the starts y0 = r0^b, strictly decreasing: the deepest gives the
+# value, and their spread is part of its residual
 DEFAULT_OFFSETS = (1e-8, 1e-9, 1e-10)
-DEFAULT_RETURN_OFFSETS = (1e-8, 1e-12)
+DEFAULT_RETURN_RADII = (1e-4, 1e-6)
 
 
 # -- Dormand-Prince 5(4) pair --------------------------------------------------
@@ -193,12 +195,14 @@ _KINDS = {
     # 1-D state as a graph over the independent variable: f(x, y) -> dy/dx
     "graph": (1, "{k0} = f({x}, {y0})", None),
     # the "xy" state (rho, theta) of a turn of the weighted polar chart
-    # (``_turn``), whose guard makes the turn's stop negative
+    # (``_turn``), whose guard makes the turn's stop negative, up to the
+    # step in which theta passes
     "chart": (2, "{k0}, {k1} = f({y0}, {y1})",
               ("theta0, floor, a, b, log_box",
                f"abs(y5_1 - theta0) < {TWO_PI!r} and y5_0 > floor "
                "and a*y5_0 < log_box and b*y5_0 < log_box")),
-    # rho of a turn over phi = sigma theta, with the "chart" guard on rho
+    # rho of a turn over phi = sigma theta to its end, with the "chart"
+    # guard on rho
     "polar": (1, "{k0} = f({x}, {y0}, sigma)",
               ("sigma, floor, a, b, log_box",
                "y5_0 > floor and a*y5_0 < log_box and b*y5_0 < log_box")),
@@ -381,47 +385,21 @@ def _hermite(y0, f0, y1, f1, h, theta):
                  for i in range(len(y0)))
 
 
-def _locate(fn, g0, g1, h, y, k1, y5, k7):
+def _locate(fn, g0, h, y, k1, y5, k7):
     """(tau, state) where the event ``fn(state)``, ``g0`` at the step's
-    start and ``g1`` at its end, crosses on the step's ``_hermite``, by
-    the Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971).
-    The bracket [lo, hi], as fractions of the step, keeps at lo the
-    stop's values on g0's side of 0 and at hi the others, zero counting
-    as non-negative; an end kept twice in a row has its value halved.
-    Each of at most 80 evaluations is at the secant point of the ends'
-    values, moved to at least a quarter of the end tolerance inside the
-    bracket, so that an end on the root does not hold the next point on
-    it, or at the midpoint where that is not strictly inside the bracket,
-    as where a value is NaN.  The search ends at the first value that is
-    exactly 0, g1 included, which is tau, or once the bracket spans less
-    than 1e-12 of the clock or holds no float strictly inside: tau is
-    then the mid-bracket."""
-    lo, hi, g_lo, g_hi = 0.0, 1.0, g0, g1
-    below, kept = g0 < 0.0, None
-    tau, g = 1.0, g1
-    step = 0.25e-12 / abs(h)
+    start, crosses: the mid-bracket on the step's ``_hermite``, with the
+    bracket, as fractions of the step, halved 80 times or until it spans
+    less than 1e-12 of the clock or holds no float strictly inside."""
+    lo, hi = 0.0, 1.0
     for _ in range(80):
-        if (g == 0.0 or (hi - lo) * abs(h) < 1e-12
-                or math.nextafter(lo, hi) == hi):
-            break
-        den = g_lo - g_hi
-        tau = lo + (hi - lo) * (g_lo / den) if den else lo
-        tau = min(max(tau, lo + step), hi - step)
-        if not lo < tau < hi:
-            tau = 0.5 * (lo + hi)
-        g = fn(_hermite(y, k1, y5, k7, h, tau))
-        if (g < 0.0) == below:
-            lo, g_lo = tau, g
-            if kept == "hi":
-                g_hi *= 0.5
-            kept = "hi"
+        mid = 0.5 * (lo + hi)
+        if (g0 < 0.0) == (fn(_hermite(y, k1, y5, k7, h, mid)) < 0.0):
+            lo = mid
         else:
-            hi, g_hi = tau, g
-            if kept == "lo":
-                g_lo *= 0.5
-            kept = "lo"
-    if g != 0.0:
-        tau = 0.5 * (lo + hi)
+            hi = mid
+        if (hi - lo) * abs(h) < 1e-12 or math.nextafter(lo, hi) == hi:
+            break
+    tau = 0.5 * (lo + hi)
     return tau, _hermite(y, k1, y5, k7, h, tau)
 
 
@@ -429,8 +407,8 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
            stop: Stop | None = None):
     """The kind's loop (``_compile_loop``), "xy" or "graph", on the field
     ``f`` to t_end, or to where the ``stop`` crosses zero, located by
-    ``_locate`` from the stop's values at the ends of the crossing step
-    and sampled at t + tau h: (state, accumulated error, Trajectory)."""
+    ``_locate`` on the crossing step and sampled at t + tau h: (state,
+    accumulated error, Trajectory)."""
     y = tuple(float(v) for v in y0)
 
     def as_xy(tt, yy):
@@ -447,7 +425,7 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
             g1 = stop.fn(y5)
             if ((stop.direction >= 0 and g0 < 0.0 <= g1)
                     or (stop.direction <= 0 and g0 > 0.0 >= g1)):
-                tau, y_stop = _locate(stop.fn, g0, g1, h, y, k1, y5, k7)
+                tau, y_stop = _locate(stop.fn, g0, h, y, k1, y5, k7)
                 samples.append((t + tau * h, *as_xy(t + tau * h, y_stop),
                                 err_abs))
                 return y_stop
@@ -749,18 +727,18 @@ _RETURN_BOX = 4.0
 
 
 def _weighted_polar(field: PlanarField):
-    """(a, b, f): the field over (rho, theta) in the chart x = r^a c,
+    """(a, b, f, g): the field f over (rho, theta) in the chart x = r^a c,
     y = r^b s, rho = log r, c = cos(theta), s = sin(theta), of the Newton
-    weights (a, b, d) (``newton_weights``).  With p = r^(d+a) P, q =
-    r^(d+b) Q and dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q and
-    theta' = a c Q - b s P, with P and Q compiled as polynomials in (r,
-    c, s) from the field's terms, once per field
-    (``PlanarField.as_chart``).  A stage whose theta is infinite or whose
-    r = exp(rho) overflows has slope (inf, inf), and one where a product
-    overflows has a non-finite slope: the loop halves h on either.  Where
-    r underflows to 0 a stage has the principal part's finite slope."""
+    weights (a, b, d) (``newton_weights``), and g, the slope of rho over
+    phi = sigma theta (``PlanarField.as_chart_slope``).  With p = r^(d+a)
+    P, q = r^(d+b) Q and dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q
+    and theta' = a c Q - b s P, P and Q compiled from the field's terms
+    once per field (``PlanarField.as_chart``).  A stage whose theta is
+    infinite or whose exp(rho) overflows has slope (inf, inf), one where a
+    product overflows a non-finite slope: the loop halves h on either.
+    Where r underflows to 0 a stage has the principal part's slope."""
     a, b, _d = newton_weights(field)
-    return a, b, field.as_chart()
+    return a, b, field.as_chart(), field.as_chart_slope()
 
 
 def _chart_point(a: int, b: int, x: float, y: float):
@@ -779,30 +757,29 @@ def _chart_point(a: int, b: int, x: float, y: float):
     return lo, math.atan2(y * math.exp(-b * lo), x * math.exp(-a * lo))
 
 
-def _turn(chart, rho0: float, theta0: float, box: float, cfg, slope=None):
+def _turn(chart, rho0: float, theta0: float, box: float, cfg,
+          graph: bool = False):
     """(status, rho, accumulated error) of the chart orbit from (rho0,
-    theta0) where the first of three stops crosses, as one upward stop
-    on the largest: "turn" at |theta - theta0| = 2*pi, "box_exit" at
-    max(|x|, |y|) = ``box`` and "floor" at rho = min(4 rho0, rho0) -
-    ``_RHO_DROP``.  A start not strictly inside the box raises
-    ValueError.
+    theta0) to the first of three stops: "turn" at |theta - theta0| =
+    2*pi, "box_exit" at max(|x|, |y|) = ``box`` and "floor" at rho =
+    min(4 rho0, rho0) - ``_RHO_DROP``.  A start not strictly inside the
+    box raises ValueError.
 
-    The "chart" loop runs with an ``accept`` of its own.  Before a
-    crossing the stop is negative, so a step crosses where it is not: the
-    loop's guard compares |theta - theta0| < 2*pi, rho > floor and a rho,
-    b rho < log(box), which make it negative exactly (log|cos|, log|sin|
-    <= 0), and ``accept``, called only where one of them fails, takes the
-    logs of the full stop.  A crossing is located on the full stop by
-    ``_locate``, from its values at the step's ends.
-
-    With the chart's ``slope`` (``PlanarField.as_chart_slope``) the orbit
-    is first the graph of rho over phi = sigma theta, sigma the sign of
-    theta' at the start, to sigma theta0 + 2*pi, where it turns; it exits
-    at the end of the step where the stop is not negative, unlocated.
-    Where theta turns back the slope is inf: once the step underflows the
-    chart goes on from the last accepted (rho, theta), with the stops of
-    the start and the attempts left."""
-    a, b, f = chart
+    A turn ends on the "polar" loop, the graph of rho over phi = sigma
+    theta, sigma = +-1 its orientation, exactly at sigma theta0 + 2*pi.
+    A box exit or a floor ends at the end of the first step where the
+    stop is not negative, its status the largest part.  The loops' guards
+    compare |theta - theta0| < 2*pi, rho > floor and a rho, b rho <
+    log(box), which make the stop negative exactly (log|cos|, log|sin| <=
+    0); ``exits``, called only where one fails, takes the logs.  The
+    orbit runs on the "chart" loop up to the step in which theta passes
+    theta0 +- 2*pi; that step, its error counted twice, is re-run on the
+    graph, with the chart's budget again.  With ``graph`` the orbit runs
+    on the graph from the start, sigma the sign of theta' there, and goes
+    on in the chart from where theta turns back and the step underflows,
+    with the attempts left.  A re-run step that underflows raises
+    StepUnderflow."""
+    a, b, f, slope = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
 
     def parts(state):
@@ -813,44 +790,45 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg, slope=None):
                     b * rho + math.log(s) if s else -math.inf) - log_box,
                 floor - rho)
 
-    def stop(state):
-        return max(parts(state))
+    def status(end, err):  # (rho,) where the graph turns, or an exit
+        g = parts(end) if len(end) == 2 else (0.0,)
+        return ("turn", "box_exit", "floor")[g.index(max(g))], end[0], err
 
-    def status(state, err):
-        g = parts(state)
-        return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
+    def exits(t, h, y, _k1, y5, _k7, _err_abs):
+        # the state at the step's end where the stop is not negative, or,
+        # where the chart's theta passes, the step's start and sigma
+        if len(y5) == 1:
+            y5 = (y5[0], sigma * (t + h))
+        elif abs(y5[1] - theta0) >= TWO_PI:
+            return (*y, 1.0 if y5[1] > theta0 else -1.0)
+        return y5 if max(parts(y5)) >= 0.0 else None
 
-    def accept(_t, h, y, k1, y5, k7, _err_abs):
-        g1 = stop(y5)
-        if g1 < 0.0:
-            return None
-        return _locate(stop, stop(y), g1, h, y, k1, y5, k7)[1]
-
-    def exits(t, h, _y, _k1, y5, _k7, _err_abs):
-        state = (y5[0], sigma * (t + h))
-        return state if stop(state) >= 0.0 else None
-
-    def drive(loop, rhs, t, state, max_steps, t_end, accept, guard):
+    def drive(loop, rhs, t, state, max_steps, t_end, guard):
         return _LOOPS[loop](rhs, cfg.abs_tol, cfg.rel_tol, t, state,
                             cfg.max_step or math.inf, max_steps, t_end,
-                            accept, guard, floor, a, b, log_box)
+                            exits, guard, floor, a, b, log_box)
 
-    if not stop((rho0, theta0)) < 0.0:
+    def polar(rho, theta, max_steps):
+        return drive("polar", slope, sigma * theta, (rho,), max_steps,
+                     sigma * theta0 + TWO_PI, sigma)
+
+    if not max(parts((rho0, theta0))) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
     state, steps, err = (rho0, theta0), cfg.max_steps, 0.0
-    if slope is not None:
+    if graph:
         sigma = 1.0 if slope(theta0, rho0, 1.0) < math.inf else -1.0
         try:
-            end, err = drive("polar", slope, sigma * theta0, (rho0,), steps,
-                             sigma * theta0 + TWO_PI, exits, sigma)
+            return status(*polar(rho0, theta0, steps))
         except StepUnderflow as exc:  # theta turns back: on in the chart
             state = (exc.state[0], sigma * exc.t)
             steps, err = steps - exc.attempts, exc.err
-        else:  # at sigma theta0 + 2*pi, or the state where exits stopped
-            return ("turn", end[0], err) if len(end) == 1 else status(end, err)
-    state, e = drive("chart", f, 0.0, state, steps, None, accept, theta0)
-    return status(state, err + e)
+    end, e = drive("chart", f, 0.0, state, steps, None, theta0)
+    if len(end) == 3:  # theta passes: the step again, on the graph
+        rho, theta, sigma = end
+        end, e_graph = polar(rho, theta, steps)
+        e += e_graph
+    return status(end, err + e)
 
 
 def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
@@ -859,7 +837,8 @@ def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
 
     The section is the ray {x = 0, y > 0}, on which the return map is the
     plain composition of the two fiber transitions.  Orbits start on it
-    at the depths y0 = ``offsets`` (``DEFAULT_RETURN_OFFSETS`` when None),
+    at the depths y0 = ``offsets``, by default r0^b at the chart radii r0
+    of ``DEFAULT_RETURN_RADII`` (1e-8 and 1e-12 under weights (1, 2)),
     strictly inside the guard box max(|x|, |y|) < 4, and run in the
     weighted polar chart (``_weighted_polar``) until theta has moved
     through 2*pi: the slope is exp(b (rho1 - rho0)), and ``_deepest``
@@ -869,9 +848,10 @@ def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
     origin) signals that it fails.
     """
     cfg = cfg or IntegratorConfig()
-    offsets = _checked_offsets(offsets, DEFAULT_RETURN_OFFSETS)
     chart = _weighted_polar(field)
     b = chart[1]
+    offsets = _checked_offsets(offsets,
+                               [r0 ** b for r0 in DEFAULT_RETURN_RADII])
     if not offsets[-1] ** (1.0 / b) >= _DEPTH_FLOOR:
         raise ValueError(f"offsets {offsets}: the deepest start lies below "
                          f"the depth floor, chart radius {_DEPTH_FLOOR}, "
@@ -960,7 +940,7 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
                                   r0 * math.sin(ang))
         try:
             status, _rho, _err = _turn(chart, rho, theta, box, _PROBE_CFG,
-                                       field.as_chart_slope())
+                                       graph=True)
         except (MaxStepsExceeded, StepUnderflow):
             continue
         if status == "box_exit":

@@ -479,6 +479,31 @@ class TestReturn:
         assert err.startswith("invalid argument: offsets")
         assert "depth floor" in err
 
+    # x' = x/10 - y, y' = x + y/10: a linear focus, return slope
+    # exp(2 pi/10), under weights (1, 1)
+    LINEAR_FOCUS = json.dumps({
+        "p": {"terms": [[1, 0, "1/10"], [0, 1, "-1/1"]]},
+        "q": {"terms": [[1, 0, "1/1"], [0, 1, "1/10"]]}})
+
+    @pytest.mark.parametrize("argv", [(), ("--offsets", "1e-4", "1e-6")])
+    def test_linear_focus(self, capsys, argv):
+        # the default starts are y0 = r0^b at chart radii 1e-4 and 1e-6;
+        # as 1e-8 and 1e-12, made for b = 2, they lay below the depth
+        # floor here, and every field with a linear part exited 2
+        code, out, _ = run_cli(capsys, "return", "--json", self.LINEAR_FOCUS,
+                               "--format", "json", *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["slope"]["offsets_used"] == [1e-4, 1e-6]
+        assert data["slope"]["value"] == pytest.approx(
+            math.exp(math.pi / 5), rel=1e-14)
+
+    def test_fake_saddle_has_no_return(self, capsys):
+        # example6's orbit from the ray leaves the guard box; the default
+        # starts, refused under its weights (1, 1), exited 2
+        err = assert_exit(capsys, 6, "return", "--case", "example6")
+        assert err.startswith("no return")
+
     def test_strong_focus_near_the_threshold(self, capsys):
         # z(0.5, 0.3) expands 422-fold per turn; it exited 6, no return
         code, out, _ = run_cli(capsys, "return", "--case", "z-family",
