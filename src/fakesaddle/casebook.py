@@ -272,7 +272,7 @@ def run_x4_chain(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
         xe, ye = traj.end
         side[sign] = ye / (sign * 0.05)
         res.holds(f"transit_exists_{'pos' if sign > 0 else 'neg'}",
-                  abs(xe - 1.0) < 1e-8 and sign * ye > 0)
+                  xe == 1.0 and sign * ye > 0)
     res.holds("one_side_contracts_one_expands",
               (side[1.0] - 1.0) * (side[-1.0] - 1.0) < 0,
               note=f"slopes {side[1.0]:.4f} (y>0), {side[-1.0]:.4f} (y<0)")

@@ -297,7 +297,7 @@ def _portrait_seeds(window, n):
 def cmd_portrait(args) -> int:
     field, nf = _resolve_input(args)
     x0, x1, y0, y1 = args.window
-    if not (x0 < x1 and y0 < y1):
+    if not (0.0 < x1 - x0 < math.inf and 0.0 < y1 - y0 < math.inf):
         raise _InputError(EXIT_BAD_SECTIONS, f"bad window {args.window}")
     if args.orbits < 0:
         raise ValueError(f"--orbits must be non-negative, got {args.orbits}")

@@ -1,36 +1,37 @@
 """Numerical integration of planar fields and empirical slope measurement.
 
 The integrator is an explicit embedded Runge-Kutta 5(4) pair
-(Dormand-Prince coefficients) with FSAL, Gustafsson's predictive step
-control (Hairer & Wanner, Solving ODEs II, IV.8), cubic Hermite dense
-output and, for integrate()'s stops, event location by bisection on
-the dense output (``_locate``).  Fields arrive compiled as sparse
+(Dormand-Prince coefficients) with FSAL and Gustafsson's predictive
+step control (Hairer & Wanner, Solving ODEs II, IV.8), and no dense
+output: a drive ends at a step's end or on a graph over the coordinate
+it stops on (Henon, Physica D 5, 1982).  Fields arrive compiled as sparse
 Horner source: ``PlanarField.as_rhs``, bit for bit dense Horner, and
 ``PlanarField.as_chart`` in the weighted polar chart.  Each state kind
 has one drive loop (``_compile_loop``), generated from the tableau and
 the kind's stage template, that calls its field directly and keeps the
 stages, the error norm and the step control in local scalars:
 
-- "xy": 2-D state under arclength, either way, of a planar field:
-  integrate()'s unit-speed wrapper of ``(x, y) -> (p, q)``;
+- "xy": 2-D state of a field ``(t, x, y) -> (p, q)``: integrate()'s
+  unit-speed wrapper under arclength, and its stops' re-runs (``_cross``);
 - "graph": 1-D state as a graph over the independent variable, of a
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
   or below, and all three legs of a transit, v = log(y/y0) over log|x|
   and over u = x/|y|;
-- "chart": the "xy" state (rho, theta) of a turn (``_turn``) in the
+- "chart": the 2-D state (rho, theta) of a turn (``_turn``) in the
   weighted polar chart ``(rho, theta) -> (rho', theta')``, on a chart
-  clock, with the turn's guard in the loop;
+  clock it does not read, with the turn's guard in the loop;
 - "polar": the 1-D state rho of a turn as a graph over phi = sigma
   theta, sigma = +-1 its orientation, of the chart's slope ``(phi, rho,
   sigma) -> drho/dphi``, with the guard of "chart" on rho: every turn
   ends on it.
 
 Every drive runs on a bounded clock, arclength, x, a chart variable or
-theta, that no stop reads.  A drive ends at t_end or at one event, a
-``Stop`` on the state, that ``accept``, the function the loop calls on each
-accepted step, tests with the samples; the transit legs and the turns
-pass their own, which end a drive at a step's end.  A turn's loops
+theta, that no stop reads.  A drive ends at t_end or on the section of
+a ``Stop`` that ``accept``, called on each accepted step, sees a step
+cross, on that step re-run as the graph over the crossed coordinate;
+the transit legs and the turns pass their own, which end a drive at a
+step's end or, for a turn, on the graph over theta.  A turn's loops
 compare the state with the guard that makes the turn's stop negative,
 and call its ``accept``, which takes logs, only where the guard fails.
 
@@ -58,7 +59,7 @@ import enum
 import math
 import textwrap
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .asymptotics import NotHyperbolicFakeSaddle
 from .normalform import NormalFormField, Verdict, classify, invariants
@@ -190,13 +191,13 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 # arguments, a condition on the new state y5 under which the loop does not
 # call ``accept``)
 _KINDS = {
-    # 2-D state: f(x, y) -> (p, q) of the state alone, the clock not read
-    "xy": (2, "{k0}, {k1} = f({y0}, {y1})", None),
+    # 2-D state: f(t, x, y) -> (p, q), passed the clock as the graph is
+    "xy": (2, "{k0}, {k1} = f({x}, {y0}, {y1})", None),
     # 1-D state as a graph over the independent variable: f(x, y) -> dy/dx
     "graph": (1, "{k0} = f({x}, {y0})", None),
-    # the "xy" state (rho, theta) of a turn of the weighted polar chart
-    # (``_turn``), whose guard makes the turn's stop negative, up to the
-    # step in which theta passes
+    # the 2-D state (rho, theta) of a turn of the weighted polar chart
+    # (``_turn``), f(rho, theta) not passed the clock, whose guard makes
+    # the turn's stop negative, up to the step in which theta passes
     "chart": (2, "{k0}, {k1} = f({y0}, {y1})",
               ("theta0, floor, a, b, log_box",
                f"abs(y5_1 - theta0) < {TWO_PI!r} and y5_0 > floor "
@@ -229,8 +230,8 @@ def _compile_loop(kind: str):
     accept)`` runs from ``state`` at ``t``, ``max_step`` inf for no cap
     and ``t_end`` and ``accept`` None when unused.  The kinds
     (``_KINDS``) are "xy", a 2-D state, "graph", a 1-D state over the
-    independent variable, "chart", the "xy" state of ``_turn``, whose
-    drive takes an ``accept`` and, after it, its guard's arguments
+    clock, "chart", the 2-D state of ``_turn``, its field not passed the
+    clock, whose drive takes after ``accept`` its guard's arguments
     ``theta0, floor, a, b, log_box``, and "polar", the "graph" state of
     ``_turn``, whose drive takes, after ``accept``, ``sigma, floor, a,
     b, log_box`` for its slope and guard.  The first step is 1e-2
@@ -241,13 +242,13 @@ def _compile_loop(kind: str):
       and raises StepUnderflow, with t, the state, the attempts before
       and the accumulated error, when t + h == t;
     - takes the step (six stages, then the slope k7 of the 5th-order state
-      y5), and halves h when y5 is not finite;
+      y5, the next step's k1), and halves h when y5 is not finite;
     - rejects the step unless the RMS of the scaled errors
       (``_SCALED_ERROR``) is at most 1, so also for a NaN norm, scaling h
       by max(0.2, 0.9 norm^-0.2);
-    - calls ``accept(t, h, y, k1, y5, k7, err_abs)``, with tuples and the
-      largest |error|, if given and, for a kind with a guard, where the
-      guard on y5 fails: a state it returns ends the drive there;
+    - calls ``accept(t, h, y, y5, err_abs)``, with tuples and the largest
+      |error|, if given and, for a kind with a guard, where the guard on
+      y5 fails: a state it returns ends the drive there;
     - advances, returns at ``t_end``, and scales h by min(5, fac), capped
       at ``max_step``: fac is 5 for a zero norm, 0.9 norm^-0.2 on the
       drive's first accepted step, and otherwise Gustafsson's predictive
@@ -317,8 +318,7 @@ def _compile_loop(kind: str):
         "    continue",
         f"err_abs = {err_abs}",
         f"if not ({guard[1]}):" if guard else "if accept is not None:",
-        f"    y_stop = accept(t, h, {tup('y')}, {tup('k1')}, "
-        f"{tup('y5')}, {tup('k7')}, err_abs)",
+        f"    y_stop = accept(t, h, {tup('y')}, {tup('y5')}, err_abs)",
         "    if y_stop is not None:",
         "        return y_stop, err_accum + err_abs",
         "err_accum += err_abs",
@@ -374,64 +374,33 @@ def _compile_loop(kind: str):
 _LOOPS = {kind: _compile_loop(kind) for kind in _KINDS}
 
 
-def _hermite(y0, f0, y1, f1, h, theta):
-    t2 = theta * theta
-    t3 = t2 * theta
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + theta
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    return tuple(h00 * y0[i] + h10 * h * f0[i] + h01 * y1[i] + h11 * h * f1[i]
-                 for i in range(len(y0)))
-
-
-def _locate(fn, g0, h, y, k1, y5, k7):
-    """(tau, state) where the event ``fn(state)``, ``g0`` at the step's
-    start, crosses: the mid-bracket on the step's ``_hermite``, with the
-    bracket, as fractions of the step, halved 80 times or until it spans
-    less than 1e-12 of the clock or holds no float strictly inside."""
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if (g0 < 0.0) == (fn(_hermite(y, k1, y5, k7, h, mid)) < 0.0):
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) * abs(h) < 1e-12 or math.nextafter(lo, hi) == hi:
-            break
-    tau = 0.5 * (lo + hi)
-    return tau, _hermite(y, k1, y5, k7, h, tau)
-
-
-def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
-           stop: Stop | None = None):
+def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None, sides=()):
     """The kind's loop (``_compile_loop``), "xy" or "graph", on the field
-    ``f`` to t_end, or to where the ``stop`` crosses zero, located by
-    ``_locate`` on the crossing step and sampled at t + tau h: (state,
-    accumulated error, Trajectory)."""
+    ``f`` to t_end, or, "xy" only, to the first of a ``Stop``'s ``sides``
+    crossed, by linear fraction, in the first step that crosses one,
+    which ``_cross`` re-runs: (state, accumulated error, Trajectory)."""
     y = tuple(float(v) for v in y0)
 
     def as_xy(tt, yy):
         return (yy[0], yy[1]) if len(yy) > 1 else (tt, yy[0])
 
     samples = [(t0, *as_xy(t0, y), 0.0)]
-    g0 = stop.fn(y) if stop is not None else None
 
-    def accept(t, h, y, k1, y5, k7, err_abs):
+    def accept(t, h, y, y5, err_abs):
         # the stop and sample of one step, as _compile_loop says.  No
         # closure here: it would make cells of the locals on every call
-        nonlocal g0
-        if stop is not None:
-            g1 = stop.fn(y5)
-            if ((stop.direction >= 0 and g0 < 0.0 <= g1)
-                    or (stop.direction <= 0 and g0 > 0.0 >= g1)):
-                tau, y_stop = _locate(stop.fn, g0, h, y, k1, y5, k7)
-                samples.append((t + tau * h, *as_xy(t + tau * h, y_stop),
-                                err_abs))
-                return y_stop
-            g0 = g1
-        samples.append((t + h, *as_xy(t + h, y5), err_abs))
-        return None
+        first = None
+        for i, value, direction in sides:
+            if ((direction >= 0 and y[i] < value <= y5[i])
+                    or (direction <= 0 and y[i] > value >= y5[i])):
+                crossed = ((value - y[i]) / (y5[i] - y[i]), i, value)
+                first = crossed if first is None else min(first, crossed)
+        if first is None:
+            samples.append((t + h, *as_xy(t + h, y5), err_abs))
+            return None
+        t_stop, y_stop, err = _cross(f, t, h, y, y5, *first[1:], cfg)
+        samples.append((t_stop, *y_stop, err))
+        return y_stop
 
     y, err_accum = _LOOPS[kind](
         f, cfg.abs_tol, cfg.rel_tol, t0, y, cfg.max_step or math.inf,
@@ -439,25 +408,55 @@ def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None,
     return y, err_accum, Trajectory(samples)
 
 
+def _cross(f, t, h, y, y5, i, value, cfg: IntegratorConfig):
+    """(clock, state, error) where the step from ``y`` at t to ``y5`` at
+    t + h crosses x_i = ``value``: the step re-run as the graph over c =
+    d x_i of (x_o, clock), of slope (f_o, 1)/(d f_i), to c = d value, from
+    ``y`` with d = sigma, the crossing's sign, or, where sigma f_i <= 0
+    at ``y``, back from ``y5`` with d = -sigma.  Where sigma f_i <= 0 the
+    slope is inf, so a re-run that turns back raises StepUnderflow."""
+    sigma = 1.0 if y5[i] > y[i] else -1.0
+    d, t0, start = ((sigma, t, y) if sigma * f(t, *y)[i] > 0.0
+                    else (-sigma, t + h, y5))
+
+    def slope(c, u, s):
+        v = f(s, *((d * c, u) if i == 0 else (u, d * c)))
+        if sigma * v[i] > 0.0:
+            return v[1 - i] / (d * v[i]), 1.0 / (d * v[i])
+        return math.inf, math.inf
+
+    (u, s), err = _LOOPS["xy"](
+        slope, cfg.abs_tol, cfg.rel_tol, d * start[i], (start[1 - i], t0),
+        cfg.max_step or math.inf, cfg.max_steps, d * value, None)
+    return s, ((value, u) if i == 0 else (u, value)), err
+
+
 # -- public integration --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Stop:
-    """The event that ends a drive, made by a constructor below: the
-    drive ends where ``fn(state)`` crosses 0, upward for ``direction``
-    +1, downward for -1, either way for 0.  The graph takes only
-    x_reaches, whose value is ``x_target``."""
+    """The sections that end a drive, made by a constructor below: the
+    ``sides`` (axis, value, direction), where coordinate axis, 0 for x, 1
+    for y, reaches the finite value upward for direction +1, downward for
+    -1, either way for 0.  The graph takes only x_reaches, of value
+    ``x_target``."""
 
     name: str
-    fn: Callable[[Tuple[float, ...]], float]
-    direction: int = 0
-    x_target: float | None = None
+    sides: Tuple[Tuple[int, float, int], ...]
+
+    def __post_init__(self):
+        if not all(math.isfinite(value) for _i, value, _d in self.sides):
+            raise ValueError(f"the values of a stop must be finite, got "
+                             f"{self.sides}")
+
+    @property
+    def x_target(self) -> float | None:
+        return self.sides[0][1] if self.name == "x_reaches" else None
 
     @classmethod
     def x_reaches(cls, value: float) -> "Stop":
-        value = _finite("value", value)
-        return cls("x_reaches", lambda s: s[0] - value, x_target=value)
+        return cls("x_reaches", ((0, value, 0),))
 
     @classmethod
     def section(cls, axis: str, value: float, direction: int) -> "Stop":
@@ -467,31 +466,18 @@ class Stop:
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
         if isinstance(direction, bool) or direction not in (-1, 0, 1):
             raise ValueError(f"direction must be -1, 0 or 1, got {direction!r}")
-        value = _finite("value", value)
-        i = "xy".index(axis)
-        return cls("section_crossing", lambda s: s[i] - value, direction)
+        return cls("section_crossing", (("xy".index(axis), value, direction),))
 
     @classmethod
     def window_exit(cls, x0: float, x1: float, y0: float, y1: float) -> "Stop":
         """Stop where the orbit leaves the finite, non-empty window
-        [x0, x1] x [y0, y1]: where the largest signed distance past one of
-        its sides crosses 0 upward, so only from a start strictly inside."""
-        if not all(map(math.isfinite, (x0, x1, y0, y1))) \
-                or not (x0 < x1 and y0 < y1):
-            raise ValueError(f"window must be finite with x0 < x1 and "
-                             f"y0 < y1, got {(x0, x1, y0, y1)}")
-
-        def outside(s):
-            return max(s[0] - x1, x0 - s[0], s[1] - y1, y0 - s[1])
-
-        return cls("window_exit", outside, +1)
-
-
-def _finite(name, value):
-    """``value``, which a stop that can fire needs to be finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+        [x0, x1] x [y0, y1]: where it reaches a side on the way out, so
+        only from a start strictly inside."""
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError(f"window must have x0 < x1 and y0 < y1, got "
+                             f"{(x0, x1, y0, y1)}")
+        return cls("window_exit",
+                   ((0, x1, +1), (0, x0, -1), (1, y1, +1), (1, y0, -1)))
 
 
 def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
@@ -507,8 +493,9 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     ValueError.  The graph follows an orbit that runs rightward: where p
     falls to ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, at the start or a
     stage point, the orbit folds over x, and the graph raises
-    TransitDoesNotExist naming the point.  A window_exit stop raises
-    ValueError unless its window strictly contains the start.
+    TransitDoesNotExist naming the point.  Under arclength the last
+    sample lies on the stop's section (``_cross``).  A window_exit stop
+    raises ValueError unless its window strictly contains the start.
     """
     if param not in ("arclength", "graph"):
         raise ValueError(f"param must be 'arclength' or 'graph', got "
@@ -542,17 +529,18 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
 
     sign = -1.0 if backward else 1.0
 
-    def f(x, y):  # unit speed; StepUnderflow where the field vanishes
+    def f(_s, x, y):  # unit speed; StepUnderflow where the field vanishes
         p, q = rhs_xy(x, y)
         v = math.hypot(p, q)
         if v < 1e-300:
             raise StepUnderflow("vector field vanishes on the path")
         return sign * p / v, sign * q / v
 
-    if stop.name == "window_exit" and not stop.fn(start) < 0.0:
+    if stop.name == "window_exit" and not all(
+            d * (start[i] - v) < 0.0 for i, v, d in stop.sides):
         raise ValueError(f"start {start} must lie strictly inside the "
                          f"window of the stop")
-    return _drive("xy", f, 0.0, start, cfg, stop=stop)[2]
+    return _drive("xy", f, 0.0, start, cfg, sides=stop.sides)[2]
 
 
 # -- measured slopes -----------------------------------------------------------
@@ -635,11 +623,11 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
             pass
         return math.inf
 
-    def left_end(t, h, _y, _k1, y5, _k7, _e):
+    def left_end(t, h, _y, y5, _e):
         s = t + h
         return (s, y5[0]) if s + y5[0] + lk >= 0.0 or s > s_floor else None
 
-    def leaves(_t, _h, _y, _k1, y5, _k7, _e):
+    def leaves(_t, _h, _y, y5, _e):
         return None if v_lo < y5[0] < v_hi else y5
 
     def leg(name, x_of, f, t, v, max_step, t_end, accept):
@@ -794,7 +782,7 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg,
         g = parts(end) if len(end) == 2 else (0.0,)
         return ("turn", "box_exit", "floor")[g.index(max(g))], end[0], err
 
-    def exits(t, h, y, _k1, y5, _k7, _err_abs):
+    def exits(t, h, y, y5, _err_abs):
         # the state at the step's end where the stop is not negative, or,
         # where the chart's theta passes, the step's start and sigma
         if len(y5) == 1:

@@ -611,6 +611,32 @@ class TestPortrait:
                                "--out", str(tmp_path / "p2"))
         assert code == 5
 
+    def test_window_whose_width_overflows(self, capsys, tmp_path):
+        # x1 - x0 = inf put the seeds at (inf, inf): exit 2 from the
+        # stop, after the output directory was made
+        out_dir = tmp_path / "p5"
+        err = assert_exit(capsys, 5, "portrait", "--case", "x4", "--window",
+                          "-1e308", "1e308", "-1e308", "1e308",
+                          "--out", str(out_dir))
+        assert err.startswith("bad window")
+        assert not out_dir.exists()
+
+    def test_orbits_keep_the_first_integral(self, capsys, tmp_path):
+        # each orbit ends on the edge of the window widened by 1e-6, where
+        # its stop re-runs the crossing step; the worst drift reads 4.7e-9
+        # (7.9e-7 where the stop lay on the step's Hermite cubic)
+        out_dir = tmp_path / "p6"
+        code, _, _ = run_cli(capsys, "portrait", "--case", "example6",
+                             "--out", str(out_dir))
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert len(summary["orbits"]) == 16
+        for orbit in summary["orbits"]:
+            assert orbit["first_integral_drift"] <= 5e-8, orbit
+            last = (out_dir / orbit["file"]).read_text().splitlines()[-1]
+            _s, x, y, _e = map(float, last.split(","))
+            assert 1.0 + 1e-6 in (abs(x), abs(y)), orbit
+
     def test_first_integral_summary(self, capsys, tmp_path):
         out_dir = tmp_path / "p3"
         code, _, _ = run_cli(capsys, "portrait", "--case", "example6",

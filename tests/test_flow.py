@@ -53,14 +53,55 @@ class TestIntegrate:
 
     def test_arclength_stop(self):
         # the radial orbit from (1, 2) is the ray y = 2x: it meets x = e
-        # at arclength sqrt(5) (e - 1), located on the step's cubic
-        # Hermite interpolant
+        # at arclength sqrt(5) (e - 1), which the crossing step re-run
+        # over x reads 2.2e-16 off (6.6e-14 on the step's cubic Hermite
+        # interpolant)
         traj = flow.integrate(PlanarField(X, Y), (1.0, 2.0),
                               flow.Stop.x_reaches(math.e), param="arclength")
         s_stop, xe, ye, _err = traj.samples[-1]
-        assert s_stop == pytest.approx(math.sqrt(5) * (math.e - 1), rel=1e-8)
-        assert xe == pytest.approx(math.e, rel=1e-9)
-        assert ye == pytest.approx(2 * math.e, rel=1e-9)
+        assert s_stop == pytest.approx(math.sqrt(5) * (math.e - 1), rel=1e-12)
+        assert xe == math.e
+        assert ye == pytest.approx(2 * math.e, rel=1e-12)
+
+    def test_rotation_stops_on_the_circle(self):
+        # the unit rotation from (1, 0) meets {x = 0} upward at (0, -1):
+        # 4.5e-12 off the circle, where its steps end 5e-12 off (2.3e-8 on
+        # the step's cubic Hermite interpolant)
+        traj = flow.integrate(PlanarField(-Y, X), (1.0, 0.0),
+                              flow.Stop.section("x", 0.0, +1),
+                              param="arclength")
+        _s, xe, ye, _err = traj.samples[-1]
+        assert xe == 0.0
+        assert abs(math.hypot(xe, ye) - 1.0) <= 1e-10
+
+    def test_sections_near_an_extremum(self):
+        # sections within 5.5e-5 of x = -1, where the rotation turns: the
+        # step that crosses one starts while x still falls, so its re-run
+        # runs back from the step's end; 3.7e-11 off the circle at most
+        # (1.7e-8 on the Hermite interpolant).  Which crossing the stop
+        # takes is another matter: some steps cross such a section twice
+        rotation = PlanarField(-Y, X)
+        for k in range(1, 400):
+            value = -1.0 + k * 1.37e-7
+            traj = flow.integrate(rotation, (1.0, 0.0),
+                                  flow.Stop.section("x", value, +1),
+                                  param="arclength")
+            _s, xe, ye, _err = traj.samples[-1]
+            assert xe == value
+            assert abs(math.hypot(xe, ye) - 1.0) <= 1e-10, k
+
+    def test_window_exit_through_a_corner(self):
+        # the step that leaves through the corner crosses y = 0.9 first,
+        # by linear fraction, and x = 1 after it: the stop ends on y = 0.9
+        traj = flow.integrate(PlanarField(Poly2.const(1), Poly2.const(1)),
+                              (0.0, 0.0),
+                              flow.Stop.window_exit(-1.0, 1.0, -1.0, 0.9),
+                              flow.IntegratorConfig(max_step=10.0),
+                              param="arclength")
+        s_stop, xe, ye, _err = traj.samples[-1]
+        assert ye == 0.9
+        assert xe == pytest.approx(0.9, abs=1e-15)
+        assert s_stop == pytest.approx(0.9 * math.sqrt(2), rel=1e-15)
 
     def test_samples_monotone_and_csv(self, tmp_path):
         traj = flow.integrate(PlanarField(X, Y), (1.0, 1.0),
@@ -155,7 +196,7 @@ class TestIntegrate:
                               (0.0, 0.0), flow.Stop.section("y", 0.5, 0),
                               param="arclength")
         s_stop, _xe, ye, _err = traj.samples[-1]
-        assert ye == pytest.approx(0.5, abs=1e-10)
+        assert ye == 0.5
         assert s_stop == pytest.approx(0.5 * math.sqrt(2), abs=1e-10)
 
     def test_time_is_no_parametrization(self, count_calls):
@@ -202,8 +243,13 @@ def loop_norm(y, y5, err, abs_tol, rel_tol):
 def reference_rhs(kind, f):
     """The slope of each state kind as an ``f(t, state)`` function."""
     if kind == "xy":
-        return lambda _t, s: tuple(f(s[0], s[1]))
+        return lambda t, s: tuple(f(t, s[0], s[1]))
     return lambda x, s: (f(x, s[0]),)
+
+
+def clocked(rhs):
+    """The field ``rhs(x, y)`` as the "xy" kind takes it, ``f(t, x, y)``."""
+    return lambda _t, x, y: rhs(x, y)
 
 
 def graph_of(rhs):
@@ -214,12 +260,13 @@ def graph_of(rhs):
     return slope
 
 
-def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(), seen=None):
+def reference_drive(rhs, t0, y0, cfg, *, t_end=None, sides=(), seen=None):
     """The adaptive drive as a plain loop over ``tableau_step`` and
     ``loop_norm`` with the builtins' min and max; the reference the
     generated drive loops must match bit for bit.  ``rhs(t, state)`` is
-    the slope of ``reference_rhs``; ``seen`` counts the branches taken.
-    Returns (status, t, state, accumulated error, Trajectory)."""
+    the slope of ``reference_rhs``, ``sides`` those of a ``flow.Stop``;
+    ``seen`` counts the branches taken.  Returns (status, t, state,
+    accumulated error, Trajectory)."""
     seen = Counter() if seen is None else seen
     t = t0
     y = tuple(float(v) for v in y0)
@@ -240,10 +287,9 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(), seen=None):
     samples = [(t, *as_xy(t, y), 0.0)]
     err_accum = 0.0
     h_prev = err_prev = None  # the last accepted step, max(its norm, 1e-2)
-    g_prev = [e.fn(y) for e in events]
 
     def finish(status, t_stop, y_stop, err_total):
-        seen[status.split(":")[0]] += 1
+        seen[status] += 1
         return status, t_stop, y_stop, err_total, flow.Trajectory(samples)
 
     for _n in range(cfg.max_steps):
@@ -269,36 +315,20 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(), seen=None):
 
         # accepted
         t1 = t + h
-        hit = None
-        for idx, ev in enumerate(events):
-            g1 = ev.fn(y5)
-            g0 = g_prev[idx]
-            if ((ev.direction >= 0 and g0 < 0.0 <= g1)
-                    or (ev.direction <= 0 and g0 > 0.0 >= g1)):
-                seen[f"event direction {ev.direction}"] += 1
-                # bisection on the Hermite cubic of the step, to 1e-12
-                # of the clock or no float strictly inside the bracket
-                lo, hi = 0.0, 1.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    gm = ev.fn(flow._hermite(y, k1, y5, k7, h, mid))
-                    if (g0 < 0.0) == (gm < 0.0):
-                        lo = mid
-                    else:
-                        hi = mid
-                    if (hi - lo) * abs(h) < 1e-12 or \
-                            math.nextafter(lo, hi) == hi:
-                        break
-                tau = 0.5 * (lo + hi)
-                y_ev = flow._hermite(y, k1, y5, k7, h, tau)
-                t_ev = t + tau * h
-                if hit is None:
-                    hit = (ev, t_ev, y_ev)
-            g_prev[idx] = g1
-        if hit is not None:
-            ev, t_ev, y_ev = hit
-            samples.append((t_ev, *as_xy(t_ev, y_ev), err_abs))
-            return finish(f"event:{ev.name}", t_ev, y_ev, err_accum + err_abs)
+        crossed = []
+        for i, value, direction in sides:
+            g0, g1 = y[i] - value, y5[i] - value
+            if ((direction >= 0 and g0 < 0.0 <= g1)
+                    or (direction <= 0 and g0 > 0.0 >= g1)):
+                seen[f"side direction {direction}"] += 1
+                crossed.append((g0 / (g0 - g1), i, value))
+        if crossed:
+            # the side crossed first, by linear fraction of the step
+            _frac, i, value = min(crossed)
+            t_ev, y_ev, err_ev = reference_cross(rhs, t, h, y, y5, i, value,
+                                                 cfg, seen)
+            samples.append((t_ev, *y_ev, err_ev))
+            return finish("event", t_ev, y_ev, err_accum + err_abs)
 
         samples.append((t1, *as_xy(t1, y5), err_abs))
         err_accum += err_abs
@@ -319,6 +349,30 @@ def reference_drive(rhs, t0, y0, cfg, *, t_end=None, events=(), seen=None):
         f"no stop condition met in {cfg.max_steps} steps")
 
 
+def reference_cross(rhs, t, h, y, y5, i, value, cfg, seen):
+    """(clock, state, error) of the step from y to y5 re-run by
+    ``reference_drive`` as the graph over c = d x_i of the other
+    coordinate and the clock, to x_i = value: forward from y where the
+    orbit moves toward value there, back from y5 otherwise."""
+    o = 1 - i
+    sigma = 1.0 if y5[i] > y[i] else -1.0
+    back = not sigma * rhs(t, y)[i] > 0.0
+    seen["run back" if back else "run forward"] += 1
+    d = -sigma if back else sigma
+    t0, start = (t + h, y5) if back else (t, y)
+
+    def slope(c, state):
+        u, s = state
+        v = rhs(s, (d * c, u) if i == 0 else (u, d * c))
+        if sigma * v[i] > 0.0:
+            return v[o] / (d * v[i]), 1.0 / (d * v[i])
+        return math.inf, math.inf
+
+    _status, _t, (u, s), err, _traj = reference_drive(
+        slope, d * start[i], (start[o], t0), cfg, t_end=d * value, seen=seen)
+    return s, ((value, u) if i == 0 else (u, value)), err
+
+
 def outcome(run):
     """repr of what ``run()`` returns, or the type and args it raises."""
     try:
@@ -330,15 +384,11 @@ def outcome(run):
 def assert_drive_matches(kind, field, t0, y0, cfg, seen=None, **kw):
     """Drive ``field()`` both ways and require the same outcome; returns it.
 
-    ``field`` makes a fresh ``f(x, y) -> (p, q)`` for each drive, so a
-    field that counts its calls sees the same sequence in both.  A drive
-    returns (state, error, Trajectory), its ``stop`` the one event of the
-    reference.
+    ``field`` makes a fresh field of the kind for each drive, so a field
+    that counts its calls sees the same sequence in both.  A drive
+    returns (state, error, Trajectory).
     """
     got = outcome(lambda: flow._drive(kind, field(), t0, y0, cfg, **kw))
-    kw = dict(kw)
-    stop = kw.pop("stop", None)
-    kw["events"] = [] if stop is None else [stop]
 
     def shape(_status, _t, y, err, traj):
         return y, err, traj
@@ -354,9 +404,9 @@ def field_then(rhs, values):
     def make():
         calls = []
 
-        def f(x, y):
-            calls.append((x, y))
-            return values.get(len(calls)) or rhs(x, y)
+        def f(*args):
+            calls.append(args)
+            return values.get(len(calls)) or rhs(*args)
         f.calls = calls
         return f
     return make
@@ -373,7 +423,7 @@ class TestStep:
         """Seeded short drives (start, span, tolerances) of RHS_XY, or of
         its slope q/p for the graph; returns the branch counts."""
         n = flow._KINDS[kind][0]
-        field = self.RHS_XY if kind == "xy" else graph_of(self.RHS_XY)
+        field = clocked(self.RHS_XY) if kind == "xy" else graph_of(self.RHS_XY)
         rng = random.Random(seed)
         seen = Counter()
         for _ in range(count):
@@ -404,9 +454,10 @@ class TestStep:
         # and the 1e120 cap of the builtins' loop, a NaN norm rejects the
         # step as a norm above 1 does, and every step after it matches
         seen = Counter()
-        assert_drive_matches("xy", field_then(self.RHS_XY, {7: k7}), 0.0,
-                             (0.3, -0.2), flow.IntegratorConfig(max_steps=200),
-                             seen=seen, t_end=0.5)
+        assert_drive_matches("xy", field_then(clocked(self.RHS_XY), {7: k7}),
+                             0.0, (0.3, -0.2),
+                             flow.IntegratorConfig(max_steps=200), seen=seen,
+                             t_end=0.5)
         assert seen["attempt"] >= 1  # the first step met k7
 
     def test_graph_guard_includes_equality(self):
@@ -427,7 +478,7 @@ class TestStep:
         n = flow._KINDS[kind][0]
         bad = (1.0, 1.7e308) if kind == "xy" else 1.7e308
         big = {i: bad for i in range(2, 8)}
-        field = field_then(lambda x, y: (1.0, 1.0) if kind == "xy" else 1.0,
+        field = field_then(lambda *_: (1.0, 1.0) if kind == "xy" else 1.0,
                            big)
         seen = Counter()
         assert_drive_matches(kind, field, 0.0, (0.5,) * n,
@@ -436,7 +487,7 @@ class TestStep:
         f = field()
         flow._drive(kind, f, 0.0, (0.5,) * n, flow.IntegratorConfig(),
                     t_end=1.0)
-        assert not math.isfinite(f.calls[6][1])  # k7 at the overflowed y5
+        assert not math.isfinite(f.calls[6][-1])  # k7 at the overflowed y5
 
     def test_endpoint_drive_matches_trajectory_end(self):
         # a graph drive of the unguarded slope q/p follows the same steps
@@ -449,11 +500,12 @@ class TestStep:
         assert y_end == traj.end[1]
 
 
-ROTATION = PlanarField(-Y, X).as_rhs()
+ROTATION = clocked(PlanarField(-Y, X).as_rhs())
 
 
-def crossing(name, i, value, direction):
-    return flow.Stop(name, lambda s: s[i] - value, direction)
+def section(i, value, direction):
+    """The sides of a stop on the one section x_i = value."""
+    return ((i, value, direction),)
 
 
 # Named drives through every branch of the drive loop: (name, kind,
@@ -482,38 +534,48 @@ DRIVES = [
      {"t_end clamp", "t_end"}, "("),
     # 0.1 + 0.2 is t_end, but t_end - 0.1 is not 0.2: the clamp moves h
     ("t_end met by rounding", "xy",
-     lambda: lambda x, y: (1e-3 * y, -1e-3 * x), 0.1, (1.0, 0.0),
+     lambda: lambda _t, x, y: (1e-3 * y, -1e-3 * x), 0.1, (1.0, 0.0),
      flow.IntegratorConfig(max_step=0.2),
      dict(t_end=0.1 + 0.2), {"t_end clamp", "t_end"},
      "("),
-    ("xy to t_end with max_step", "xy", lambda: EX6.field().as_rhs(), 0.0,
-     (-1.0, 0.3), flow.IntegratorConfig(max_step=0.01),
+    ("xy to t_end with max_step", "xy", lambda: clocked(EX6.field().as_rhs()),
+     0.0, (-1.0, 0.3), flow.IntegratorConfig(max_step=0.01),
      dict(t_end=2.0), {"max_step cap", "t_end"}, "("),
-    *((f"event of direction {ev.direction}", "xy", lambda: ROTATION, 0.0,
-       (1.0, 0.0), flow.IntegratorConfig(rel_tol=1e-8),
-       dict(stop=ev),
-       {f"event direction {ev.direction}", "event"}, "(")
-      for ev in (crossing("down", 0, 0.0, -1), crossing("either", 1, 0.5, 0),
-                 crossing("up", 0, 0.0, +1))),
+    *((f"event of direction {sides[0][2]}", "xy", lambda: ROTATION, 0.0,
+       (1.0, 0.0), flow.IntegratorConfig(rel_tol=1e-8), dict(sides=sides),
+       {f"side direction {sides[0][2]}", "event", "run forward"}, "(")
+      for sides in (section(0, 0.0, -1), section(1, 0.5, 0),
+                    section(0, 0.0, +1))),
+    # x falls at the start of the step that crosses this section near the
+    # extremum x = -1: the re-run runs back from the step's end
+    ("event near an extremum", "xy", lambda: ROTATION, 0.0, (1.0, 0.0),
+     flow.IntegratorConfig(), dict(sides=section(0, -1.0 + 1.37e-7, +1)),
+     {"side direction 1", "event", "run back"}, "("),
+    # the step that leaves the window crosses its top and its right side
+    ("window corner", "xy", lambda: lambda _t, x, y: (1.0, 1.0), 0.0,
+     (0.0, 0.0), flow.IntegratorConfig(max_step=10.0),
+     dict(sides=flow.Stop.window_exit(-1.0, 1.0, -1.0, 0.9).sides),
+     {"side direction 1", "event", "run forward"}, "("),
     # return_slope's drive: the weighted polar chart of z(1, 1) from the
-    # ray {x = 0, y > 0} at y = 1e-8 through one turn of theta
+    # ray {x = 0, y > 0} at y = 1e-8 through one turn of theta, to either
+    # of the two sides theta = pi/2 +- 2 pi
     ("weighted polar turn", "xy",
-     lambda: flow._weighted_polar(build_z(1.0, 1.0))[2], 0.0,
+     lambda: clocked(flow._weighted_polar(build_z(1.0, 1.0))[2]), 0.0,
      (math.log(1e-8) / 2, math.pi / 2), flow.IntegratorConfig(),
-     dict(stop=flow.Stop("turn", lambda s: abs(s[1] - math.pi / 2)
-                         - flow.TWO_PI, +1)),
-     {"event direction 1", "rejected", "predictive"}, "("),
+     dict(sides=((1, math.pi / 2 + flow.TWO_PI, +1),
+                 (1, math.pi / 2 - flow.TWO_PI, -1))),
+     {"side direction 1", "rejected", "predictive"}, "("),
     ("non-finite y5", "xy",
      field_then(ROTATION, {3: (1.0, 1.7e308), 4: (1.0, 1.7e308)}), 0.0,
      (1.0, 0.0), flow.IntegratorConfig(),
      dict(t_end=1.0), {"non-finite halving", "t_end"},
      "("),
     ("step underflow", "xy", lambda: ROTATION, 1e20, (1.0, 0.0),
-     flow.IntegratorConfig(), dict(stop=crossing("up", 0, 0.0, 1)), set(),
+     flow.IntegratorConfig(), dict(sides=section(0, 0.0, 1)), set(),
      "raises StepUnderflow"),
     ("max steps", "xy", lambda: ROTATION, 0.0, (1.0, 0.0),
      flow.IntegratorConfig(max_steps=30),
-     dict(stop=crossing("never", 0, 5.0, +1)),
+     dict(sides=section(0, 5.0, +1)),
      set(), "raises MaxStepsExceeded"),
 ]
 
@@ -532,6 +594,15 @@ class TestDrive:
         assert branches <= set(seen)
         assert got.startswith(ending)
 
+    def test_re_run_that_turns_back_underflows(self):
+        # a step taken to cross x = 0.99 from (0.95, -0.2), on a circle
+        # that reaches x = 0.9708 at most: past it the re-run's stages
+        # have slope inf, and it halves its step until t + h == t
+        with pytest.raises(flow.StepUnderflow,
+                           match=r"cannot advance t=0\.97082"):
+            flow._cross(ROTATION, 0.0, 1.0, (0.95, -0.2), (1.0, 0.0), 0, 0.99,
+                        flow.IntegratorConfig())
+
     def test_seeded_drives_equal_reference(self):
         # random polynomial fields, starts, tolerances, step caps, stops
         rng = random.Random(9)
@@ -540,7 +611,7 @@ class TestDrive:
             coeff = [rng.uniform(-2.0, 2.0) for _ in range(6)]
             p = coeff[0] - Y + coeff[1] * X * X + coeff[2] * X * Y
             q = X + coeff[3] * Y + coeff[4] * X * X * Y + coeff[5] * Y ** 3
-            field = PlanarField(p, q).as_rhs()
+            rhs = PlanarField(p, q).as_rhs()
             cfg = flow.IntegratorConfig(
                 abs_tol=10 ** rng.uniform(-12.0, -6.0),
                 rel_tol=10 ** rng.uniform(-10.0, -4.0), max_steps=300,
@@ -549,40 +620,34 @@ class TestDrive:
             if rng.random() < 0.5:
                 rng.choice((1e-8, math.nan))  # once chose the guard; kept
                 assert_drive_matches(
-                    "graph", lambda: graph_of(field), start[0], start[1:],
+                    "graph", lambda: graph_of(rhs), start[0], start[1:],
                     cfg, seen, t_end=start[0] + rng.uniform(0.1, 1.0))
             else:
                 t_end = rng.choice((None, rng.uniform(0.5, 3.0)))
-                event = crossing("x", 0, rng.uniform(-1.0, 1.0),
-                                 rng.choice((-1, 0, 1)))
+                sides = section(0, rng.uniform(-1.0, 1.0),
+                                rng.choice((-1, 0, 1)))
                 rng.random()  # once chose a non-terminal event; kept draw
                 rng.choice((None, flow.TWO_PI))  # once chose winding; kept
                 rng.random()  # once chose whether to keep samples; kept
-                assert_drive_matches("xy", lambda: field, 0.0, start, cfg,
-                                     seen, t_end=t_end, stop=event)
+                assert_drive_matches("xy", lambda: clocked(rhs), 0.0, start,
+                                     cfg, seen, t_end=t_end, sides=sides)
         assert seen["attempt"] >= 3000
 
 
-def cubic_step(p, dp, h):
-    """The (h, y, k1, y5, k7) of ``flow._locate`` for a step of size h
-    whose ``_hermite`` is the cubic p(tau) of derivative dp(tau)."""
-    return h, (p(0.0),), (dp(0.0) / h,), (p(1.0),), (dp(1.0) / h,)
-
-
-def counted(fn):
-    """``fn`` with a list ``calls`` of the values it returns."""
-    def f(state):
-        f.calls.append(fn(state))
-        return f.calls[-1]
-    f.calls = []
-    return f
+def cubic_field(p, dp, h):
+    """The "xy" field whose x runs along the cubic p(tau) of derivative
+    dp(tau) over the clock t = h (tau - tau0) from t = 0: tau from 0 up
+    to 1 for h > 0, from 1 down to 0 for h < 0; y stays 0."""
+    tau0 = 0.0 if h > 0 else 1.0
+    return tau0, lambda t, _x, _y: (dp(tau0 + t / h) / h, 0.0)
 
 
 class TestLocate:
-    """``flow._locate``, bisection on the step's Hermite cubic, on cubics
-    with known roots."""
+    """Stops on orbits whose x runs along cubics with known roots: the
+    crossing step, re-run over x, ends on the root."""
 
-    # (root r, the cubic's other factor (tau^2 + u tau + v) as (u, v))
+    # (root r, the cubic's other factor (tau^2 + u tau + v) as (u, v)),
+    # which has no zero in [0, 1]
     CUBICS = [(0.3, (0.0, 1.0)), (1 / 3, (-3.0, 2.25)), (0.7, (1.0, 0.1)),
               (0.05, (-2.5, 1.6)), (0.95, (0.0, 0.01)), (0.5, (-1.0, 0.3))]
 
@@ -590,59 +655,40 @@ class TestLocate:
     @pytest.mark.parametrize("h", [1.0, 2.0 ** -20, -2.0 ** -7])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_root_of_a_cubic(self, root, uv, h, sign):
-        # sign -1 turns the upward crossing into a downward one; each
-        # evaluation halves the bracket, until it spans under 1e-12 of the
-        # clock
+        # sign -1 turns the upward crossing into a downward one, and so
+        # does h < 0, which runs the cubic backward.  The stop reads x = 0
+        # exactly, at the root's clock to within the re-run's error: 0.75
+        # of that error at most
         u, v = uv
-        step = cubic_step(
-            lambda x: sign * (x - root) * (x * x + u * x + v),
-            lambda x: sign * ((x * x + u * x + v) + (x - root) * (2 * x + u)),
-            h)
-        fn = counted(lambda s: s[0])
-        tau, (y_stop,) = flow._locate(fn, step[1][0], *step)
-        assert abs(tau - root) * abs(h) <= 1e-12
-        assert len(fn.calls) == math.floor(math.log2(abs(h) * 1e12)) + 1
-        assert 0.0 < tau < 1.0
-        assert y_stop == flow._hermite(*step[1:], h, tau)[0]
 
-    def test_long_step_ends_where_no_float_is_inside(self):
-        # at h = 1e4 the end tolerance, 1e-12/h as a fraction of the step,
-        # lies under the float spacing of tau near 0.7: the search spent
-        # all 80 evaluations before it also ended where no float lies
-        # strictly inside the bracket, at this tau and state
-        step = cubic_step(
-            lambda x: (x - 0.7) * (x * x + x + 0.1),
-            lambda x: (x * x + x + 0.1) + (x - 0.7) * (2 * x + 1), 1e4)
-        fn = counted(lambda s: s[0])
-        tau, (y_stop,) = flow._locate(fn, step[1][0], *step)
-        assert (tau, y_stop) == (0.7, 5.551115123125783e-17)
-        assert len(fn.calls) == 53
+        def p(x):
+            return sign * (x - root) * (x * x + u * x + v)
+
+        def dp(x):
+            return sign * ((x * x + u * x + v) + (x - root) * (2 * x + u))
+
+        tau0, field = cubic_field(p, dp, h)
+        (xe, ye), _err, traj = flow._drive(
+            "xy", field, 0.0, (p(tau0), 0.0), flow.IntegratorConfig(),
+            sides=section(0, 0.0, 0))
+        assert (xe, ye) == (0.0, 0.0) == traj.samples[-1][1:3]
+        t_stop, _x, _y, err = traj.samples[-1]
+        assert abs(t_stop - h * (root - tau0)) <= err
 
     def test_zero_at_the_step_end(self):
-        # a stop exactly 0 at the step's end counts as across: the bracket
-        # closes onto the end, every value inside it negative
-        step = cubic_step(lambda x: (x - 1.0) * (x * x + 1.0),
-                          lambda x: (x * x + 1.0) + (x - 1.0) * 2 * x, 0.5)
-        fn = counted(lambda s: s[0])
-        tau, _ = flow._locate(fn, -1.0, *step)
-        assert 1.0 - 2e-12 <= tau < 1.0
-        assert all(g < 0.0 for g in fn.calls)
-
-    @pytest.mark.parametrize("nan_above", [0.8, 0.3, -1.0])
-    def test_nan_values_fall_back_to_bisection(self, nan_above):
-        # NaN where the line tau - 0.3 is above nan_above counts as
-        # non-negative: the search ends at the root while a finite value
-        # lies on its negative side
-        root = 0.3
-        step = cubic_step(lambda x: x - root, lambda x: 1.0, 1.0)
-        fn = counted(lambda s: s[0] if s[0] <= nan_above else math.nan)
-        tau, _ = flow._locate(fn, -root, *step)
-        assert 0.0 <= tau <= 1.0
-        assert len(fn.calls) <= 80
-        if nan_above > 0.0:
-            assert abs(tau - root) <= 1e-12
-        else:  # NaN everywhere counts as non-negative: down to the start
-            assert tau <= 1e-12
+        # a section through a step's end counts as crossed in that step:
+        # from there on the orbit starts on it, and the downward stop
+        # fired a whole turn later
+        cfg = flow.IntegratorConfig()
+        _y, _err, steps = flow._drive("xy", ROTATION, 0.0, (1.0, 0.0), cfg,
+                                      t_end=2.0)
+        t3, x3, y3, _e = steps.samples[3]
+        traj = flow._drive("xy", ROTATION, 0.0, (1.0, 0.0), cfg,
+                           sides=section(0, x3, -1))[2]
+        assert traj.samples[:3] == steps.samples[:3]
+        t_stop, xe, ye, err = traj.samples[3]
+        assert len(traj.samples) == 4 and xe == x3
+        assert abs(t_stop - t3) <= err and abs(ye - y3) <= err
 
 
 def integrate_row(n, case, start, stop, param, backward, count, named=None):
@@ -689,25 +735,6 @@ class TestRhsCounts:
         flow.return_slope(build_z(1.0, 1.0))
         assert count_chart == [14456]
         assert count_slope == [14]
-
-    def test_return_slope_stop_evaluations(self, monkeypatch):
-        # the stop's evaluations inside each turn's located stop: bisection
-        # on the step's Hermite cubic took 45 and 52, Illinois regula falsi
-        # 4 and 4.  A turn now ends on the graph of rho over theta, with no
-        # located stop
-        evals, locate = [], flow._locate
-
-        def counted_locate(fn, *args):
-            evals.append(0)
-
-            def f(state):
-                evals[-1] += 1
-                return fn(state)
-            return locate(f, *args)
-
-        monkeypatch.setattr(flow, "_locate", counted_locate)
-        flow.return_slope(build_z(1.0, 1.0))
-        assert evals == []
 
     # below the monodromy threshold beta = 1/4 the first orbit leaves the
     # box, or, contracting, falls through the rho floor onto the origin
@@ -759,34 +786,36 @@ class TestRhsCounts:
 
 
     # integrate() in each parametrization, with stops of each kind: the
-    # accepted-step path with its stop and samples
+    # accepted-step path with its stop and samples.  An arclength stop
+    # re-runs its crossing step over the crossed coordinate: one field
+    # call to choose where from, then one or two steps of seven
     @pytest.mark.parametrize("case, start, stop, param, backward, count", [
         integrate_row(4, "example6", (-1.0, 0.3), ("x", 1.0), "arclength",
-                      False, 739),
+                      False, 747, named=739),
         integrate_row(5, "example6", (-1.0, 0.3), ("section", 1),
-                      "arclength", False, 343, named=337),
+                      "arclength", False, 351, named=337),
         integrate_row(6, "example6", (-1.0, 0.3), ("x", 1.0), "graph", False,
                       787, named=781),
         integrate_row(7, "example6", (1.0, 0.3), ("x", -1.0), "graph", False,
                       301),
         integrate_row(11, "example6", (1.0, 0.3), ("section", -1),
-                      "arclength", True, 169, named=181),
+                      "arclength", True, 177, named=181),
         integrate_row(12, "z", (0.0, 0.1), ("section", 1), "arclength",
-                      False, 1513, named=1573),
+                      False, 1521, named=1573),
         integrate_row(13, "z", (0.0, 0.5), ("window", 2.0), "arclength",
-                      False, 721),
+                      False, 735, named=721),
         integrate_row(14, "example6", (-1.0, 0.1), ("x", 1.0), "graph",
                       False, 961),
         integrate_row(15, "example6", (1.0, 0.1), ("x", -1.0), "graph",
                       False, 457, named=445),
         integrate_row(18, "z", (0.0, 0.5), ("y", -0.2), "arclength", False,
-                      565),
+                      579, named=565),
         integrate_row(21, "example6", (-1.0, 0.3), ("window", 2.0),
-                      "arclength", False, 841),
+                      "arclength", False, 849, named=841),
         integrate_row(22, "example6", (1.0, 0.3), ("x", -1.0), "arclength",
-                      True, 283, named=295),
+                      True, 297, named=295),
         integrate_row(23, "example6", (-1.0, 0.3), ("window", 2.0),
-                      "arclength", True, 127),
+                      "arclength", True, 135, named=127),
     ])
     def test_integrate(self, count_calls, case, start, stop, param, backward,
                        count):
@@ -929,14 +958,12 @@ class TestValidation:
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("direction", [-1, 0, 1])
     def test_good_section_stop(self, axis, direction):
+        # one side, (axis index, value, direction); only x_reaches has an
+        # x_target, which the graph needs
         stop = flow.Stop.section(axis, 0.5, direction)
-        assert stop.direction == direction and stop.x_target is None
-        # zero on the section and the signed distance off it
-        i = "xy".index(axis)
-        for value in (0.25, 0.5, 2.0):
-            point = [-3.0, 7.0]
-            point[i] = value
-            assert stop.fn(tuple(point)) == value - 0.5
+        assert stop.sides == (("xy".index(axis), 0.5, direction),)
+        assert stop.x_target is None
+        assert flow.Stop.x_reaches(0.5).x_target == 0.5
 
 
 class TestSectionDirection:
@@ -952,12 +979,11 @@ class TestSectionDirection:
         # the drive on the rotation itself, whose clock is the angle
         _y, _err, traj = flow._drive("xy", ROTATION, 0.0, start,
                                      flow.IntegratorConfig(),
-                                     stop=flow.Stop.section("x", 0.0,
-                                                            direction))
+                                     sides=section(0, 0.0, direction))
         t_end, xe, ye, _err = traj.samples[-1]
         assert t_end == pytest.approx(1.5 * math.pi, rel=1e-8)
-        assert xe == pytest.approx(0.0, abs=1e-8)
-        assert ye == pytest.approx(y_stop, abs=1e-8)
+        assert xe == 0.0
+        assert ye == pytest.approx(y_stop, abs=1e-9)
 
 
 def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
@@ -972,7 +998,7 @@ def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
     ay0, sy = abs(y0), math.copysign(1.0, y0)
     lk = math.log(k * ay0)
 
-    def chart(u, v):
+    def chart(_t, u, v):
         try:
             ay = ay0 * math.exp(v)
             p, q = rhs(u * ay, sy * ay)
@@ -981,11 +1007,11 @@ def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
         except ArithmeticError:
             return math.inf, math.inf
 
-    def left(t, h, _y, _k1, y5, _k7, _e):
+    def left(t, h, _y, y5, _e):
         s = t + h
         return (s, y5[0]) if s + y5[0] + lk >= 0.0 else None
 
-    def middle(_t, _h, _y, _k1, y5, _k7, _e):
+    def middle(_t, _h, _y, y5, _e):
         return y5 if y5[0] >= k else None
 
     (s, v), _err = flow._LOOPS["graph"](
@@ -1205,11 +1231,11 @@ class TestReturnSlope:
                              ids=["z(1,1)", "z(1,0.2)", "example6"])
     def test_turns_locate_no_stop(self, monkeypatch, field):
         # a turn ends on the graph of rho over theta, a box exit or a
-        # floor at a step's end: neither map calls the stop locator
+        # floor at a step's end: neither map re-runs a step as a stop does
         def located(*_args):
             raise AssertionError("a turn located its stop")
 
-        monkeypatch.setattr(flow, "_locate", located)
+        monkeypatch.setattr(flow, "_cross", located)
         flow.monodromy_probe(field, box=10.0, ring_radius=1e-8)
         try:
             flow.return_slope(field)
@@ -1487,8 +1513,8 @@ class TestWeightedPolarChart:
 
 
 def full_stop_turn(chart, rho0, theta0, box, cfg):
-    """``flow._turn`` as a ``Stop`` on the largest of its three parts,
-    through ``flow._drive``: the stop value taken on every step."""
+    """``flow._turn`` on the "xy" loop with the largest of its three parts
+    taken on every step's end, to the first where it is not negative."""
     a, b, f, _g = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - flow._RHO_DROP
 
@@ -1500,8 +1526,12 @@ def full_stop_turn(chart, rho0, theta0, box, cfg):
                     b * rho + math.log(s) if s else -math.inf) - log_box,
                 floor - rho)
 
-    stop = flow.Stop("turn", lambda state: max(parts(state)), +1)
-    state, err, _ = flow._drive("xy", f, 0.0, (rho0, theta0), cfg, stop=stop)
+    def accept(_t, _h, _y, y5, _err):
+        return y5 if max(parts(y5)) >= 0.0 else None
+
+    state, err = flow._LOOPS["xy"](clocked(f), cfg.abs_tol, cfg.rel_tol, 0.0,
+                                   (rho0, theta0), cfg.max_step or math.inf,
+                                   cfg.max_steps, None, accept)
     g = parts(state)
     return ("turn", "box_exit", "floor")[g.index(max(g))], state[0], err
 
@@ -1533,19 +1563,15 @@ def z_pool(monkeypatch, seed):
 
 
 def assert_turn_matches(got, want, status):
-    """``got`` of ``flow._turn`` ends with ``status``, as the located
-    ``want`` of ``full_stop_turn``, and a turn's rho lies within its
-    accumulated step error of the located one; a box exit or a floor ends
-    at a step's end, past the located stop."""
+    """``got`` of ``flow._turn`` ends with ``status``, as ``want`` of
+    ``full_stop_turn`` does."""
     assert (got[0], want[0]) == (status, status)
-    if status == "turn":
-        assert abs(got[1] - want[1]) <= got[2]
 
 
 class TestSignOnlyStop:
     """``_turn`` tests the sign of its stop with comparisons and takes
     the logs only where its guard fails: each status is that of the full
-    stop taken on every step and located on the crossing step."""
+    stop taken on every step."""
 
     @pytest.mark.parametrize("alpha, beta, y0, status", [
         (1.0, 1.0, 1e-8, "turn"), (1.0, 1.0, 1e-12, "turn"),
@@ -1697,7 +1723,7 @@ class TestMonodromyProbe:
         def counted_loop(f, *args):
             *args, accept = args[:-5]
 
-            def counted_f(x, y):
+            def counted_f(_t, x, y):
                 tally["rhs"] += 1
                 return f(x, y)
 
