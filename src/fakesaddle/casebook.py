@@ -90,6 +90,15 @@ class CaseResult:
         return out
 
 
+def _bar_covers(res: CaseResult, name: str, est: flow.SlopeEstimate,
+                expected: float) -> None:
+    """The check that the error bar of the measured slope ``name`` covers
+    its deviation from the closed form."""
+    dev = abs(est.value - expected)
+    res.holds(f"{name}_bar_covers", est.residual >= dev,
+              note=f"residual {est.residual:.3g} >= deviation {dev:.3g}")
+
+
 # -- builders -------------------------------------------------------------------
 
 
@@ -261,7 +270,8 @@ def run_x4_chain(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     res.close("slope_formula", slope_formula, 4.0, 1e-8,
               note="log-derivative integral gives |(1-alpha)/(1-omega)|")
     est = flow.transition_slope(nf1, sections, "+", cfg=cfg)
-    res.close("slope_measured", est.value, 4.0, 1e-7, relative=True)
+    res.close("slope_measured", est.value, 4.0, 2e-8, relative=True)
+    _bar_covers(res, "slope_measured", est, 4.0)
 
     # transit past the original origin: one contracting and one expanding side
     side = {}
@@ -362,8 +372,9 @@ def run_example6_case(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     h_fn = example6_first_integral()
     for side, expected in (("+", math.exp(-math.pi)), ("-", math.exp(math.pi))):
         est = flow.transition_slope(nf, sections, side, cfg=cfg)
-        res.close(f"slope_measured_{'pos' if side == '+' else 'neg'}",
-                  est.value, expected, 1e-7, relative=True)
+        name = f"slope_measured_{'pos' if side == '+' else 'neg'}"
+        res.close(name, est.value, expected, 2e-8, relative=True)
+        _bar_covers(res, name, est, expected)
     res.holds("contractive_for_positive_y", report.gamma_plus < 0,
               note="measured slopes support gamma_plus = -pi on y > 0")
 

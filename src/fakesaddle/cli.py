@@ -393,10 +393,10 @@ def _add_section_args(p):
                    help="symmetric sections at infinity")
 
 
-def _add_offsets_arg(p, depth, default):
+def _add_offsets_arg(p, depth, default, use):
     p.add_argument("--offsets", nargs="+", type=finite,
                    help=f"absolute start depths {depth}, strictly decreasing "
-                        f"(default {default}): the deepest gives the slope")
+                        f"(default {default}): {use}")
 
 
 # A negative float or fraction as written on the command line, -2.5E-1,
@@ -438,14 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_section_args(p)
     p.add_argument("--side", choices=("+", "-"), default="+")
-    _add_offsets_arg(p, "|y0|", " ".join(map(str, flow.DEFAULT_OFFSETS)))
+    _add_offsets_arg(p, "|y0|", " ".join(map(str, flow.DEFAULT_OFFSETS)),
+                     "each pair takes one Richardson step in depth with the "
+                     "exponent min(1, 1/(1 - c)), and the two deepest give "
+                     "the slope; one start gives its own")
     p.set_defaults(fn=cmd_transit)
 
     p = sub.add_parser("return", help="measured Poincare return slope")
     _add_input_args(p)
     _add_offsets_arg(p, "y0 on the ray {x = 0, y > 0}", "r0^b, b the "
                      f"Newton weight of y, at chart radii r0 = "
-                     f"{' '.join(map(str, flow.DEFAULT_RETURN_RADII))}")
+                     f"{' '.join(map(str, flow.DEFAULT_RETURN_RADII))}",
+                     "the deepest gives the slope")
     p.set_defaults(fn=cmd_return)
 
     p = sub.add_parser("reproduce", help="run the casebook regressions")

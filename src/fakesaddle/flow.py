@@ -146,9 +146,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SlopeEstimate:
-    """A measured slope: the deepest start's, with the slope from each
-    start offset and the residual of ``_deepest``.  ``exponent`` is None:
-    no remainder exponent is fitted."""
+    """A measured slope, with the slope from each start offset and the
+    residual of ``_deepest``.  ``exponent`` is the depth exponent kappa
+    of the Richardson step that made the value, or None where the value
+    is the deepest start's own slope (returns, a single start)."""
 
     value: float
     offsets_used: Tuple[float, ...]
@@ -163,8 +164,9 @@ class SlopeEstimate:
 
 
 # transition_slope's start depths |y0|, and return_slope's chart radii
-# r0 of the starts y0 = r0^b, strictly decreasing: the deepest gives the
-# value, and their spread is part of its residual
+# r0 of the starts y0 = r0^b, strictly decreasing: the deepest (a
+# transit's two deepest, extrapolated in depth) give the value, and
+# their spread is part of its residual
 DEFAULT_OFFSETS = (1e-8, 1e-9, 1e-10)
 DEFAULT_RETURN_RADII = (1e-4, 1e-6)
 
@@ -558,15 +560,32 @@ def _checked_offsets(offsets, default) -> List[float]:
     return offsets
 
 
-def _deepest(offsets, measure) -> SlopeEstimate:
-    """The slopes exp(l) of the starts, (l, step error in l) =
-    ``measure(offset)``: the deepest start's value, with the starts'
-    spread plus 10 times the slope error of its step error."""
+def _deepest(offsets, measure, exponent=None) -> SlopeEstimate:
+    """The slopes s_i = exp(l) of the starts o_i, (l, step error in l) =
+    ``measure(o_i)``, made into one estimate whose residual is a spread
+    plus 10 times the deepest slope times its step error.
+
+    Without ``exponent``, or from one start, the value is the deepest
+    start's slope and the spread that of the slopes.  With the exponent
+    kappa of a remainder of order o^kappa, each pair of consecutive
+    starts takes one Richardson step, R_i = (q s_i - s_(i-1))/(q - 1)
+    with q = (o_(i-1)/o_i)^kappa: the deepest pair's R is the value, and
+    the spread is that of every R_i and the deepest slope."""
     measured = [measure(o) for o in offsets]
     slopes = [math.exp(log_slope) for log_slope, _err in measured]
-    return SlopeEstimate(slopes[-1], tuple(offsets), tuple(slopes),
-                         max(slopes) - min(slopes)
-                         + 10.0 * slopes[-1] * measured[-1][1])
+    spanned = slopes
+    if exponent is not None and len(slopes) > 1:
+        spanned = []
+        for o0, o1, s0, s1 in zip(offsets, offsets[1:], slopes, slopes[1:]):
+            q = (o0 / o1) ** exponent
+            spanned.append((q * s1 - s0) / (q - 1.0))
+        value = spanned[-1]
+        spanned.append(slopes[-1])
+    else:
+        value, exponent = slopes[-1], None
+    return SlopeEstimate(value, tuple(offsets), tuple(slopes),
+                         max(spanned) - min(spanned)
+                         + 10.0 * slopes[-1] * measured[-1][1], exponent)
 
 
 # -- transition slope ----------------------------------------------------------
@@ -667,7 +686,13 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     fiber, from orbits through (alpha, y0) to (omega, y1), y0 = +-offset.
 
     y = 0 is invariant, so each orbit runs in v = log(y/y0) (``_transit``)
-    and no slope changes sign; ``_deepest`` makes the estimate.  With k = 1
+    and no slope changes sign.  A start at depth |y0| misses the slope
+    exp(gamma) by a remainder of order |y0|^kappa, kappa = min(1, 1/(1 -
+    c)), the ratio lambda_minus of the directional saddles, found here
+    from the invariants: ``_deepest`` takes one Richardson step with it
+    on each pair of consecutive starts, reports the two deepest starts'
+    as the value, and spans every step and the deepest start's slope
+    with the residual; one start gives its own slope.  With k = 1
     for a^2 < 4 and |a| + 1 otherwise, the orbit runs over log|x| where
     |x| > k|y|, and in between over u = x/|y|, which increases along it
     since d > 0.  Starts need 1e-150 <= |y0| < min(-alpha, omega)/(2k), or
@@ -697,7 +722,8 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     sign = 1.0 if side == "+" else -1.0
     rhs = nf.field().as_rhs()
     return _deepest(offsets, lambda o: _transit(rhs, alpha, omega, sign * o,
-                                                k, cfg))
+                                                k, cfg),
+                    float(min(1, 1 / (1 - inv.c))))
 
 
 # -- return map in the weighted polar chart ------------------------------------
@@ -830,7 +856,8 @@ def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
     strictly inside the guard box max(|x|, |y|) < 4, and run in the
     weighted polar chart (``_weighted_polar``) until theta has moved
     through 2*pi: the slope is exp(b (rho1 - rho0)), and ``_deepest``
-    makes the estimate.  A start below chart radius 1e-8 (y0 = 1e-16
+    makes the estimate, the deepest start's slope, with no extrapolation
+    in depth.  A start below chart radius 1e-8 (y0 = 1e-16
     under weights (1, 2)) is a ValueError before any orbit runs.  The
     caller asserts monodromy; NoReturn (guard-box exit, a fall onto the
     origin) signals that it fails.

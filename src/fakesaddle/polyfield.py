@@ -299,10 +299,29 @@ class Poly2:
 
     @classmethod
     def from_json(cls, data: dict) -> "Poly2":
+        """The polynomial of ``to_json``'s form: "terms", a list of [i, j,
+        coeff] with non-negative int exponents and no (i, j) twice, and an
+        optional "mode", "float" or "exact".  Anything else is a
+        ValueError."""
+        if not (isinstance(data, dict) and "terms" in data
+                and set(data) <= {"terms", "mode"}):
+            raise ValueError('a polynomial has the key "terms" and at most '
+                             f'"mode"; got {data!r}')
+        mode = data.get("mode", "exact")
+        if mode not in ("float", "exact"):
+            raise ValueError(f'"mode" must be "float" or "exact", got {mode!r}')
+        if not isinstance(data["terms"], list):
+            raise ValueError(f'"terms" must be a list, got {data["terms"]!r}')
         terms = {}
-        float_mode = data.get("mode") == "float"
-        for i, j, c in data.get("terms", []):
-            terms[(int(i), int(j))] = float(c) if float_mode else Fraction(c)
+        for term in data["terms"]:
+            i, j, c = term if type(term) is list and len(term) == 3 else \
+                (None, None, None)
+            if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
+                raise ValueError("a term is [i, j, coeff] with non-negative "
+                                 f"int exponents, got {term!r}")
+            if (i, j) in terms:
+                raise ValueError(f"term ({i}, {j}) appears twice")
+            terms[(i, j)] = float(c) if mode == "float" else Fraction(c)
         return cls(terms)
 
     def __repr__(self):

@@ -166,6 +166,14 @@ class TestClassify:
         err = assert_exit(capsys, 2, "classify", "--json", text)
         assert err.startswith("cannot parse input")
 
+    def test_polynomial_without_terms_is_a_parse_error(self, capsys):
+        # read as the zero field: return integrated it for about 2 s and
+        # exited 6 with "no stop condition met in 1000000 steps"
+        err = assert_exit(capsys, 2, "return", "--json",
+                          '{"p": {"0,1": 1}, "q": {"1,0": -1}}')
+        assert err.startswith("cannot parse input")
+        assert 'key "terms"' in err
+
     @pytest.mark.parametrize("argv", [
         ("--case", "xn", "--n", "2"),
         ("--case", "xn", "--n", "0"),  # ran x4 and exited 0

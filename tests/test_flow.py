@@ -4,14 +4,17 @@ import math
 import random
 import re
 import sys
+import statistics
 import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from fakesaddle import asymptotics as asy, flow
+from fakesaddle import asymptotics as asy, flow, normalform, polyfield
+from fakesaddle.blowup import saddle_data
 from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  example6_first_integral, printed_y1,
                                  z_gamma_closed, z_return_slope_closed)
@@ -1027,8 +1030,9 @@ def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
 
 
 class TestTransitionSlope:
-    # each bound is at least 10 times the deviation of the deepest start:
-    # 7.2e-10 (y1), 6.7e-10 and 4.7e-10 (example6), 7.1e-8 (a = b = 5/2)
+    # each bound is at least 10 times the deviation of the estimate, the
+    # Richardson step on the two deepest starts: 6.2e-11 (y1), 1.4e-10
+    # and 3.2e-11 (example6), 5.0e-9 (a = b = 5/2)
     def test_resolved_quartic_both_sides(self):
         # closed form gives the same slope on both sides here
         for side in "+-":
@@ -1106,11 +1110,11 @@ class TestTransitionSlope:
         # |a| > 2 makes the graph denominator of a shallow orbit vanish on
         # the path, where the arclength fallback was held to 2%.  The
         # remainder decays about like y0: 6.5e-6, 6.5e-7 and 7.1e-8 off
-        # from the three default starts
+        # from the three default starts, 5.0e-9 after the Richardson step
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         gp, _ = asy.gamma_pm(nf, SECTIONS)
         est = flow.transition_slope(nf, SECTIONS, "+")
-        assert est.value == pytest.approx(math.exp(gp), rel=1e-6)
+        assert est.value == pytest.approx(math.exp(gp), rel=5e-8)
         assert est.residual >= abs(est.value - math.exp(gp))
 
     def test_no_slope_is_negative(self, rng):
@@ -1180,13 +1184,98 @@ class TestTransitionSlope:
     def test_slope_past_an_equilibrium(self, members, alpha, omega, rel):
         # from offset 1e-2 the graph folded and the arclength orbit ran
         # into an equilibrium, TransitDoesNotExist; the deep orbits pass
-        # below it and read 1.8e-8 and 5.0e-4 off, inside their bars
+        # below it and read 2.0e-8 and 4.4e-7 off, inside their bars (the
+        # second's deepest start 5.0e-4, before the Richardson step)
         nf = NormalFormField(*members)
         sections = asy.SectionPair(alpha, omega)
         est = flow.transition_slope(nf, sections, "-")
         closed = math.exp(asy.gamma_pm(nf, sections)[1])
         assert est.value == pytest.approx(closed, rel=rel)
         assert est.residual >= abs(est.value - closed)
+
+
+    def test_depth_exponent_is_the_directional_saddles_ratio(self,
+                                                             monkeypatch):
+        # the exponent kappa of the depth remainder, from the invariants,
+        # is min(1, lambda_minus) of the exact layer's saddle data, and
+        # the three default starts measure it: (s8 - s9)/(s9 - s10) =
+        # 10^kappa.  On the first 128 members of the seed-1 transit pool
+        # the median |difference| is 0.002, and 216 of 255 sides lie
+        # within 0.05; 3 ratios are not positive
+        workloads = bench_workloads(monkeypatch)
+        lib = SimpleNamespace(polyfield=polyfield, normalform=normalform,
+                              asymptotics=asy)
+        pool = workloads.WORKLOADS["transit"].generate(lib, random.Random(1),
+                                                       128)
+        errors, sides = [], 0
+        for nf, sections, _y0 in pool:
+            kappa = float(min(1, saddle_data(nf).lambda_minus))
+            for side in "+-":
+                try:
+                    est = flow.transition_slope(nf, sections, side)
+                except flow.TransitDoesNotExist:
+                    continue
+                sides += 1
+                assert est.exponent == kappa
+                s8, s9, s10 = est.per_offset
+                if (s8 - s9) * (s9 - s10) > 0.0:
+                    errors.append(abs(math.log10((s8 - s9) / (s9 - s10))
+                                      - kappa))
+        assert sides >= 250
+        assert statistics.median(errors) <= 0.01
+        assert sum(e <= 0.05 for e in errors) >= 0.8 * sides
+
+    def test_one_start_is_not_extrapolated(self):
+        est = flow.transition_slope(EX6, SECTIONS, "+", offsets=(1e-9,))
+        assert est.exponent is None
+        assert est.value == est.per_offset[0]
+
+    def test_two_starts_take_one_richardson_step(self):
+        # c = 1/2: kappa = 1, so q = 10 for starts a decade apart.  The
+        # remainder of 6.5e-7 from 1e-9 falls to 5.0e-9
+        nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
+        closed = math.exp(asy.gamma_pm(nf, SECTIONS)[0])
+        est = flow.transition_slope(nf, SECTIONS, "+", offsets=(1e-8, 1e-9))
+        s8, s9 = est.per_offset
+        assert est.exponent == 1.0
+        assert est.value == pytest.approx((10.0 * s9 - s8) / 9.0, rel=1e-15)
+        assert est.value == pytest.approx(closed, rel=1e-8)
+        assert abs(s9 - closed) > 100.0 * abs(est.value - closed)
+
+
+class TestDeepest:
+    """``_deepest``: the deepest start's slope, or one Richardson step in
+    depth per pair of consecutive starts."""
+
+    @staticmethod
+    def measure(slope, kappa, err=0.0):
+        return lambda o: (math.log(slope * (1.0 + o ** kappa)), err)
+
+    def test_without_exponent_the_deepest_slope(self):
+        offsets = (1e-2, 1e-3, 1e-4)
+        est = flow._deepest(offsets, self.measure(2.0, 1.0, 1e-9))
+        slopes = [2.0 * (1.0 + o) for o in offsets]
+        assert est.exponent is None
+        assert est.value == est.per_offset[-1]
+        assert est.residual == (max(est.per_offset) - min(est.per_offset)
+                                + 10.0 * est.per_offset[-1] * 1e-9)
+        assert est.per_offset == pytest.approx(slopes, rel=1e-15)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.75, 1.0])
+    def test_exact_remainder_is_removed(self, kappa):
+        # s = S (1 + o^kappa): every R_i is S, and the spread is that of
+        # the deepest slope from S
+        offsets = (1e-2, 1e-3, 1e-4)
+        est = flow._deepest(offsets, self.measure(2.0, kappa), kappa)
+        assert est.exponent == kappa
+        assert est.value == pytest.approx(2.0, rel=1e-12)
+        assert est.residual == pytest.approx(2.0 * 1e-4 ** kappa, rel=1e-9)
+
+    def test_one_start_with_exponent(self):
+        est = flow._deepest((1e-3,), self.measure(2.0, 1.0, 1e-9), 1.0)
+        assert est.exponent is None
+        assert est.value == est.per_offset[0]
+        assert est.residual == 10.0 * est.value * 1e-9
 
 
 class TestReturnSlope:
@@ -1206,6 +1295,8 @@ class TestReturnSlope:
         est = flow.return_slope(build_z(-1.0, 1.0))
         assert est.value == pytest.approx(z_return_slope_closed(-1.0, 1.0),
                                           rel=1e-7)
+        # returns are not extrapolated in depth: the deepest start's slope
+        assert est.exponent is None and est.value == est.per_offset[-1]
 
     def test_strong_focus_near_the_threshold(self):
         # beta = 0.3 expands 422-fold per turn: winding the cartesian state
@@ -1550,14 +1641,20 @@ def probe_start(field, box):
     return ring_starts(field, 1e-9 * box)[0]
 
 
-def z_pool(monkeypatch, seed):
-    """The z-family benchmark's pool of 14 fields for ``seed``."""
+def bench_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, which makes its pools."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / \
         "workloads.py"
-    spec = importlib.util.spec_from_file_location("_z_workloads", path)
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def z_pool(monkeypatch, seed):
+    """The z-family benchmark's pool of 14 fields for ``seed``."""
+    workloads = bench_workloads(monkeypatch)
     return [build_z(float(a), float(b))
             for a, b in workloads.z_parameters(random.Random(seed), 14)]
 

@@ -278,6 +278,50 @@ class TestSerialization:
         with pytest.raises(TypeError):
             PlanarField(X ** 2, X * Y, X)
 
+    def test_explicit_exact_mode(self):
+        data = {"terms": [[1, 0, "1/2"]], "mode": "exact"}
+        assert Poly2.from_json(data) == X * Fraction(1, 2)
+
+    @pytest.mark.parametrize("data", [{"terms": [], "denom": []},
+                                      {"0,1": 1}])
+    def test_unknown_key(self, data):
+        # {"0,1": 1} was read as the zero polynomial
+        with pytest.raises(ValueError, match='key "terms"'):
+            Poly2.from_json(data)
+
+    @pytest.mark.parametrize("data", [{}, {"mode": "float"}, [[1, 0, 1]]])
+    def test_terms_required(self, data):
+        with pytest.raises(ValueError, match='key "terms"'):
+            Poly2.from_json(data)
+
+    @pytest.mark.parametrize("mode", ["rational", "Float", None, 1])
+    def test_mode_float_or_exact(self, mode):
+        # any mode but "float" was read as exact
+        with pytest.raises(ValueError, match='"mode"'):
+            Poly2.from_json({"terms": [[1, 0, 1]], "mode": mode})
+
+    @pytest.mark.parametrize("term", [[1, 0], [1, 0, 1, 2], "101", 1,
+                                      {"i": 1, "j": 0, "c": 1}])
+    def test_term_is_a_three_item_list(self, term):
+        with pytest.raises(ValueError, match=r"\[i, j, coeff\]"):
+            Poly2.from_json({"terms": [term]})
+
+    def test_terms_is_a_list(self):
+        with pytest.raises(ValueError, match='"terms" must be a list'):
+            Poly2.from_json({"terms": {"1,0": 1}})
+
+    @pytest.mark.parametrize("i, j", [(0.5, 0), (0, True), (False, 1),
+                                      (-1, 0), ("1", 0), (1.0, 0)])
+    def test_exponents_non_negative_ints(self, i, j):
+        # int() read 0.5 as 0 and True as 1
+        with pytest.raises(ValueError, match="non-negative int exponents"):
+            Poly2.from_json({"terms": [[i, j, "1/1"]]})
+
+    def test_no_term_twice(self):
+        # the second term overwrote the first
+        with pytest.raises(ValueError, match=r"\(1, 0\) appears twice"):
+            Poly2.from_json({"terms": [[1, 0, "1/1"], [1, 0, "2/1"]]})
+
 
 class TestFloatCompilation:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
