@@ -622,8 +622,12 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     v' = w = q/(y|y|) and u' = p/y^2 - u w, that is sy q/(p - sy u q) for
     the sign sy of y, and inf where u' <= 0 or a stage fails, so the loop
     halves h.  A leg that underflows its step or runs out of steps raises
-    TransitDoesNotExist naming the leg and the point (x, y)."""
-    tol, steps = (cfg.abs_tol, cfg.rel_tol), cfg.max_steps
+    TransitDoesNotExist naming the leg and the point (x, y).
+
+    v is a logarithm: its absolute error is y's relative error, so every
+    leg tests v's error against rel_tol (1 + |v|), abs_tol = rel_tol =
+    ``cfg.rel_tol``, and reads no ``cfg.abs_tol``."""
+    tol, steps = (cfg.rel_tol, cfg.rel_tol), cfg.max_steps
     cap = min(cfg.max_step or 1.0, 1.0)
     ay0, sy = abs(y0), math.copysign(1.0, y0)
     y_cap = min(-alpha, omega) / (2.0 * k)
@@ -695,12 +699,14 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     with the residual; one start gives its own slope.  With k = 1
     for a^2 < 4 and |a| + 1 otherwise, the orbit runs over log|x| where
     |x| > k|y|, and in between over u = x/|y|, which increases along it
-    since d > 0.  Starts need 1e-150 <= |y0| < min(-alpha, omega)/(2k), or
-    ValueError.  An orbit that reaches that bound on |y| near x = 0 raises
-    TransitDoesNotExist, one that falls below 1e-150 ValueError.  A leg
-    whose step underflows, where x or u turns back, or that runs out of
-    ``cfg.max_steps`` raises TransitDoesNotExist naming the start, the
-    leg and the point (x, y).  Without d > 0, NotHyperbolicFakeSaddle.
+    since d > 0; every leg tests v's error against rel_tol (1 + |v|) of
+    ``cfg`` and reads no abs_tol.  Starts need 1e-150 <= |y0| <
+    min(-alpha, omega)/(2k), or ValueError.  An orbit that reaches that
+    bound on |y| near x = 0 raises TransitDoesNotExist, one that falls
+    below 1e-150 ValueError.  A leg whose step underflows, where x or u
+    turns back, or that runs out of ``cfg.max_steps`` raises
+    TransitDoesNotExist naming the start, the leg and the point (x, y).
+    Without d > 0, NotHyperbolicFakeSaddle.
     """
     cfg = cfg or IntegratorConfig()
     if side not in ("+", "-"):

@@ -81,11 +81,25 @@ class NormalFormField:
 
     @classmethod
     def from_json(cls, data: dict) -> "NormalFormField":
+        """The member of ``to_json``'s form: exactly the keys f1, f2, g1
+        and g2, each a polynomial (``Poly2.from_json``), and a, a number
+        or a "num/den" string, not a bool.  Anything else is a ValueError
+        naming the key."""
+        keys = ("f1", "f2", "g1", "g2", "a")
+        if set(data) != set(keys):
+            raise ValueError('a normal form has exactly the keys "f1", "f2", '
+                             f'"g1", "g2" and "a"; got {sorted(map(str, data))}')
+        polys = []
+        for key in keys[:4]:
+            try:
+                polys.append(Poly2.from_json(data[key]))
+            except ValueError as exc:
+                raise ValueError(f'"{key}": {exc}') from None
         a = data["a"]
-        a_val: Coeff = float(a) if isinstance(a, float) else Fraction(a)
-        return cls(Poly2.from_json(data["f1"]), Poly2.from_json(data["f2"]),
-                   Poly2.from_json(data["g1"]), Poly2.from_json(data["g2"]),
-                   a_val)
+        if type(a) not in (int, float, str):
+            raise ValueError(f'"a" must be a number or a "num/den" string, '
+                             f"got {a!r}")
+        return cls(*polys, float(a) if isinstance(a, float) else Fraction(a))
 
 
 @dataclass(frozen=True)

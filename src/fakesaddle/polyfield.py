@@ -300,9 +300,9 @@ class Poly2:
     @classmethod
     def from_json(cls, data: dict) -> "Poly2":
         """The polynomial of ``to_json``'s form: "terms", a list of [i, j,
-        coeff] with non-negative int exponents and no (i, j) twice, and an
-        optional "mode", "float" or "exact".  Anything else is a
-        ValueError."""
+        coeff] with non-negative int exponents, a number or "num/den"
+        string, not a bool, as coeff and no (i, j) twice, and an optional
+        "mode", "float" or "exact".  Anything else is a ValueError."""
         if not (isinstance(data, dict) and "terms" in data
                 and set(data) <= {"terms", "mode"}):
             raise ValueError('a polynomial has the key "terms" and at most '
@@ -319,6 +319,9 @@ class Poly2:
             if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
                 raise ValueError("a term is [i, j, coeff] with non-negative "
                                  f"int exponents, got {term!r}")
+            if type(c) not in (int, float, str):
+                raise ValueError(f"the coefficient of term ({i}, {j}) must be "
+                                 f'a number or a "num/den" string, got {c!r}')
             if (i, j) in terms:
                 raise ValueError(f"term ({i}, {j}) appears twice")
             terms[(i, j)] = float(c) if mode == "float" else Fraction(c)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fakesaddle import asymptotics, cli, flow
+from fakesaddle.casebook import build_example6
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +174,21 @@ class TestClassify:
                           '{"p": {"0,1": 1}, "q": {"1,0": -1}}')
         assert err.startswith("cannot parse input")
         assert 'key "terms"' in err
+
+    @pytest.mark.parametrize("change, named", [
+        # exited 0 with a = 1/1
+        ({"a": True, "denom": 5}, "'denom'"),
+        ({"a": True}, '"a"'),
+        ({"f1": {"terms": [[0, 0, True]]}}, '"f1"'),
+        ({"g2": {"terms": [[0, 0, "-1/1"]], "mode": "float", "x": 1}},
+         '"g2"'),
+    ])
+    def test_malformed_normal_form_names_its_key(self, capsys, change,
+                                                 named):
+        doc = {**build_example6(1, -1, -1).to_json(), **change}
+        err = assert_exit(capsys, 2, "classify", "--json", json.dumps(doc))
+        assert err.startswith("cannot parse input")
+        assert named in err
 
     @pytest.mark.parametrize("argv", [
         ("--case", "xn", "--n", "2"),

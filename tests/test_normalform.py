@@ -13,6 +13,11 @@ from fakesaddle.normalform import (Invariants, NormalFormField,
                                    invariants, validate_and_build)
 from fakesaddle.polyfield import AffineMap2, PlanarField, Poly2, pullback_affine
 
+# example6, (a, b, c) = (1, -1, -1), as NormalFormField.to_json writes it
+EX6_JSON = {"f1": {"terms": [[0, 0, "1/1"]]}, "f2": {"terms": [[0, 0, "1/1"]]},
+            "g1": {"terms": [[0, 0, "-1/1"]]},
+            "g2": {"terms": [[0, 0, "-1/1"]]}, "a": "1/1"}
+
 X, Y = Poly2.gens()
 
 
@@ -169,6 +174,29 @@ class TestSerialization:
         data = json.loads(json.dumps(nf.to_json()))
         back = NormalFormField.from_json(data)
         assert back.f1 == nf.f1 and back.g2 == nf.g2 and back.a == nf.a
+
+    @pytest.mark.parametrize("extra", ["denom", "p"])
+    def test_no_other_keys(self, extra):
+        # {"denom": 5} was ignored
+        with pytest.raises(ValueError, match=rf"exactly the keys .*'{extra}'"):
+            NormalFormField.from_json({**EX6_JSON, extra: 5})
+
+    def test_every_key_required(self):
+        data = {k: v for k, v in EX6_JSON.items() if k != "g2"}
+        with pytest.raises(ValueError, match="exactly the keys"):
+            NormalFormField.from_json(data)
+
+    @pytest.mark.parametrize("a", [True, False, None, [1]])
+    def test_a_is_a_number_or_string(self, a):
+        # "a": true was read as 1
+        with pytest.raises(ValueError, match='"a" must be a number'):
+            NormalFormField.from_json({**EX6_JSON, "a": a})
+
+    @pytest.mark.parametrize("key", ["f1", "f2", "g1", "g2"])
+    def test_bad_polynomial_names_its_key(self, key):
+        with pytest.raises(ValueError, match=rf'^"{key}": the coefficient'):
+            NormalFormField.from_json({**EX6_JSON,
+                                       key: {"terms": [[0, 0, True]]}})
 
     def test_classification_json(self):
         cls = classify(Invariants(Fraction(0), Fraction(0), Fraction(2),

@@ -317,6 +317,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-negative int exponents"):
             Poly2.from_json({"terms": [[i, j, "1/1"]]})
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("coeff", [True, False, None, [1], {"n": 1}])
+    def test_coefficient_is_a_number_or_string(self, mode, coeff):
+        # Fraction(True) and float(True) read true as 1
+        with pytest.raises(ValueError, match=r"coefficient of term \(1, 0\)"):
+            Poly2.from_json({"terms": [[1, 0, coeff]], "mode": mode})
+
     def test_no_term_twice(self):
         # the second term overwrote the first
         with pytest.raises(ValueError, match=r"\(1, 0\) appears twice"):
