@@ -456,12 +456,12 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
         est = flow.return_slope(zf, cfg=cfg)
         expected = z_return_slope_closed(alpha_q, beta_q)
         if alpha_q == 0:
-            res.close("center_return_slope", est.value, 1.0, 2e-7,
+            res.close("center_return_slope", est.value, 1.0, 1.5e-7,
                       note="reversible field, every return closes")
         else:
-            res.close("return_slope", est.value, expected, 1e-7, relative=True)
+            res.close("return_slope", est.value, expected, 5e-8, relative=True)
             res.close("composition_of_transitions", est.value,
-                      math.exp(gp + gm), 1e-7, relative=True,
+                      math.exp(gp + gm), 5e-8, relative=True,
                       note="return map = product of the two one-sided passes")
     return res
 

@@ -20,20 +20,22 @@ stages, the error norm and the step control in local scalars:
   and over u = x/|y|;
 - "chart": the 2-D state (rho, theta) of a turn (``_turn``) in the
   weighted polar chart ``(rho, theta) -> (rho', theta')``, on a chart
-  clock it does not read, with the turn's guard in the loop;
-- "polar": the 1-D state rho of a turn as a graph over phi = sigma
-  theta, sigma = +-1 its orientation, of the chart's slope ``(phi, rho,
-  sigma) -> drho/dphi``, with the guard of "chart" on rho: every turn
-  ends on it.
+  clock it does not read, with the turn's guard in the loop: past a
+  fold only;
+- "polar": the 1-D state rho of a turn's legs, a graph over phi = sigma
+  theta, sigma = +-1 its orientation, or over log|phi - phi_f| near a
+  fiber direction phi_f, of the chart's slope ``(clock, rho, leg) ->
+  drho/dclock``, with the guard of "chart" on rho: every turn ends on
+  it.
 
-Every drive runs on a bounded clock, arclength, x, a chart variable or
-theta, that no stop reads.  A drive ends at t_end or on the section of
-a ``Stop`` that ``accept``, called on each accepted step, sees a step
-cross, on that step re-run as the graph over the crossed coordinate;
-the transit legs and the turns pass their own, which end a drive at a
-step's end or, for a turn, on the graph over theta.  A turn's loops
-compare the state with the guard that makes the turn's stop negative,
-and call its ``accept``, which takes logs, only where the guard fails.
+Every drive runs on a bounded clock, arclength, x, a chart variable,
+theta or log|theta - theta_f|, that no stop reads.  A drive ends at
+t_end or on the section of a ``Stop`` that ``accept``, called on each
+accepted step, sees a step cross, on that step re-run as the graph over
+the crossed coordinate; the transit legs and the turns pass their own,
+which end a drive at a step's end.  A turn's loops compare the state
+with the guard that makes the turn's stop negative, and call its
+``accept``, which takes logs, only where the guard fails.
 
 On top sit the measured counterparts of the closed-form transition
 theory: transition and Poincare return slopes, a first-integral drift
@@ -44,10 +46,11 @@ diagram (``_weighted_polar``), where a turn is theta moving by 2*pi.  A
 stage of that chart is one call of the field's chart, compiled once per
 field as polynomials in (r, cos theta, sin theta) from its exact terms
 (``PlanarField.as_chart``): no division by powers of r, no float ``**``.
-Around a monodromic point theta moves one way only, so a turn ends on
-the graph of rho over theta, exactly at theta0 +- 2*pi: a return
-re-runs there the chart's step in which theta passes, and a probe runs
-on the graph from the start, in the chart only past a fold.
+Around a monodromic point theta moves one way only, so a turn runs as
+the graph of rho over theta and ends on it, exactly at theta0 +- 2*pi,
+in the chart only past a fold.  Near each fiber direction theta_f,
+where theta' vanishes at r = 0 (``fiber_directions``) and rho behaves
+like a multiple of log|theta - theta_f|, the graph runs over that log.
 
 Everything is deterministic for a fixed configuration and free of
 shared mutable state, so parameter sweeps can run concurrently.
@@ -63,7 +66,7 @@ from typing import List, Sequence, Tuple
 
 from .asymptotics import NotHyperbolicFakeSaddle
 from .normalform import NormalFormField, Verdict, classify, invariants
-from .polyfield import PlanarField, newton_weights
+from .polyfield import PlanarField, fiber_directions, newton_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,10 +207,10 @@ _KINDS = {
               ("theta0, floor, a, b, log_box",
                f"abs(y5_1 - theta0) < {TWO_PI!r} and y5_0 > floor "
                "and a*y5_0 < log_box and b*y5_0 < log_box")),
-    # rho of a turn over phi = sigma theta to its end, with the "chart"
-    # guard on rho
-    "polar": (1, "{k0} = f({x}, {y0}, sigma)",
-              ("sigma, floor, a, b, log_box",
+    # rho of a turn's leg over its clock to the leg's end, the slope
+    # passed its leg, with the "chart" guard on rho
+    "polar": (1, "{k0} = f({x}, {y0}, leg)",
+              ("leg, floor, a, b, log_box",
                "y5_0 > floor and a*y5_0 < log_box and b*y5_0 < log_box")),
 }
 
@@ -235,8 +238,8 @@ def _compile_loop(kind: str):
     clock, "chart", the 2-D state of ``_turn``, its field not passed the
     clock, whose drive takes after ``accept`` its guard's arguments
     ``theta0, floor, a, b, log_box``, and "polar", the "graph" state of
-    ``_turn``, whose drive takes, after ``accept``, ``sigma, floor, a,
-    b, log_box`` for its slope and guard.  The first step is 1e-2
+    ``_turn``, whose drive takes, after ``accept``, ``leg, floor, a, b,
+    log_box`` for its slope and guard.  The first step is 1e-2
     (|state| + 1e-6)/(|slope| + 1e-300) in the max norm, at most the span
     to ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
 
@@ -744,21 +747,38 @@ _DEPTH_FLOOR = 1e-8
 _RHO_DROP = 8.0 * math.log(10.0)
 # return_slope's guard box max(|x|, |y|) < 4 around the origin
 _RETURN_BOX = 4.0
+# The half-width in phi of a turn's leg across a fiber direction, over
+# the start's chart radius r0, about the r at which the orbit crosses the
+# fiber.  Within about r0 of it the slope over log|phi - phi_f| falls off
+# like |phi - phi_f|/r0, a tail that a log leg resolves step by step and
+# a leg over phi crosses in a step or two.  r0 is held to [1e-10, 1]:
+# the leg spans over 500 units in the last place of |phi| < 4*pi, and the
+# log legs beside it keep their sides of the midpoints
+_FIBER_SPAN = 1e-2
+# The longest step of a leg over log|phi - phi_f|, a factor e^2 in
+# |phi - phi_f|: the slope changes over a few units of the log where the
+# orbit passes the fiber, and a longer step can cross that change with an
+# error estimate far below its error (z(1, 1) read 1.1e-6 off at rel_tol
+# 8.32e-10), or start a leg with steps that are rejected
+_LOG_STEP = 2.0
 
 
 def _weighted_polar(field: PlanarField):
-    """(a, b, f, g): the field f over (rho, theta) in the chart x = r^a c,
-    y = r^b s, rho = log r, c = cos(theta), s = sin(theta), of the Newton
-    weights (a, b, d) (``newton_weights``), and g, the slope of rho over
-    phi = sigma theta (``PlanarField.as_chart_slope``).  With p = r^(d+a)
-    P, q = r^(d+b) Q and dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q
-    and theta' = a c Q - b s P, P and Q compiled from the field's terms
-    once per field (``PlanarField.as_chart``).  A stage whose theta is
+    """(a, b, f, g, h, fibers): the field f over (rho, theta) in the chart
+    x = r^a c, y = r^b s, rho = log r, c = cos(theta), s = sin(theta), of
+    the Newton weights (a, b, d) (``newton_weights``), g and h, the slopes
+    of rho over phi = sigma theta and over log|phi - phi_f|
+    (``PlanarField.as_chart_slope``, ``as_chart_log_slope``), and the
+    fiber directions (``fiber_directions``).  With p = r^(d+a) P, q =
+    r^(d+b) Q and dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q and
+    theta' = a c Q - b s P, P and Q compiled from the field's terms once
+    per field (``PlanarField.as_chart``).  A stage whose theta is
     infinite or whose exp(rho) overflows has slope (inf, inf), one where a
     product overflows a non-finite slope: the loop halves h on either.
     Where r underflows to 0 a stage has the principal part's slope."""
     a, b, _d = newton_weights(field)
-    return a, b, field.as_chart(), field.as_chart_slope()
+    return (a, b, field.as_chart(), field.as_chart_slope(),
+            field.as_chart_log_slope(), fiber_directions(field))
 
 
 def _chart_point(a: int, b: int, x: float, y: float):
@@ -777,30 +797,58 @@ def _chart_point(a: int, b: int, x: float, y: float):
     return lo, math.atan2(y * math.exp(-b * lo), x * math.exp(-a * lo))
 
 
-def _turn(chart, rho0: float, theta0: float, box: float, cfg,
-          graph: bool = False):
+def _legs(fibers, sigma, phi0, phi1, span):
+    """The legs that carry rho over phi = sigma theta from phi0 to phi1,
+    each (phi_f, e, lo, hi) over [lo, hi]: e = 0 over phi itself, e = 1
+    over t = log(phi - phi_f) and e = -1 over t = -log(phi_f - phi).
+    Without fibers one leg runs over phi.  Otherwise each fiber direction
+    phi_f has a leg over phi across [phi_f - span, phi_f + span], one over
+    log away from it up to the midpoint with the next, phi_n, and one
+    over log toward phi_n from there, each clipped to [phi0, phi1]."""
+    if not fibers:
+        return [(0.0, 0, phi0, phi1)]
+    tops = sorted((sigma * f) % TWO_PI for f in fibers)
+    n0 = math.floor(phi0 / TWO_PI) - 1
+    marks = [f + TWO_PI * n for n in range(n0, n0 + 5) for f in tops]
+    legs = []
+    for f, f_next in zip(marks, marks[1:]):
+        mid = 0.5 * (f + f_next)
+        for phi_f, e, lo, hi in ((f, 0, f - span, f + span),
+                                 (f, 1, f + span, mid),
+                                 (f_next, -1, mid, f_next - span)):
+            lo, hi = max(lo, phi0), min(hi, phi1)
+            if lo < hi:
+                legs.append((phi_f, e, lo, hi))
+    return legs
+
+
+def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     """(status, rho, accumulated error) of the chart orbit from (rho0,
     theta0) to the first of three stops: "turn" at |theta - theta0| =
     2*pi, "box_exit" at max(|x|, |y|) = ``box`` and "floor" at rho =
     min(4 rho0, rho0) - ``_RHO_DROP``.  A start not strictly inside the
     box raises ValueError.
 
-    A turn ends on the "polar" loop, the graph of rho over phi = sigma
-    theta, sigma = +-1 its orientation, exactly at sigma theta0 + 2*pi.
-    A box exit or a floor ends at the end of the first step where the
-    stop is not negative, its status the largest part.  The loops' guards
-    compare |theta - theta0| < 2*pi, rho > floor and a rho, b rho <
-    log(box), which make the stop negative exactly (log|cos|, log|sin| <=
-    0); ``exits``, called only where one fails, takes the logs.  The
-    orbit runs on the "chart" loop up to the step in which theta passes
-    theta0 +- 2*pi; that step, its error counted twice, is re-run on the
-    graph, with the chart's budget again.  With ``graph`` the orbit runs
-    on the graph from the start, sigma the sign of theta' there, and goes
-    on in the chart from where theta turns back and the step underflows,
-    with the attempts left.  A re-run step that underflows raises
-    StepUnderflow."""
-    a, b, f, slope = chart
+    The orbit runs as the graph of rho over phi = sigma theta, sigma =
+    +-1 the sign of theta' at the start, on the "polar" loop, in the legs
+    of ``_legs``: over log|theta - theta_f| near each fiber direction
+    theta_f, where rho behaves like a multiple of that log, in steps of
+    at most ``_LOG_STEP``, and over theta across it, within
+    ``_FIBER_SPAN`` r0, r0 = exp(rho0) held to [1e-10, 1].  A turn ends
+    exactly at sigma theta0 + 2*pi.  A box
+    exit or a floor ends at the end of the first step where the stop is
+    not negative, its status the largest part.  The loops' guards compare
+    rho > floor and a rho, b rho < log(box), which make the stop negative
+    exactly (log|cos|, log|sin| <= 0); ``exits``, called only where one
+    fails, takes the logs.  Where theta turns back, a fold, the leg's
+    step underflows, and the orbit goes on in the chart with the attempts
+    left, up to the step in which theta passes theta0 +- 2*pi: from that
+    step's start it runs on the graph again, with the chart's budget
+    again.  A leg after the chart that underflows raises StepUnderflow."""
+    a, b, f, slope, log_slope, fibers = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
+    max_step = cfg.max_step or math.inf
+    span = _FIBER_SPAN * math.exp(min(max(rho0, math.log(1e-10)), 0.0))
 
     def parts(state):
         rho, theta = state
@@ -810,45 +858,65 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg,
                     b * rho + math.log(s) if s else -math.inf) - log_box,
                 floor - rho)
 
-    def status(end, err):  # (rho,) where the graph turns, or an exit
-        g = parts(end) if len(end) == 2 else (0.0,)
+    def status(end, err):
+        g = parts(end)
         return ("turn", "box_exit", "floor")[g.index(max(g))], end[0], err
 
-    def exits(t, h, y, y5, _err_abs):
-        # the state at the step's end where the stop is not negative, or,
-        # where the chart's theta passes, the step's start and sigma
-        if len(y5) == 1:
-            y5 = (y5[0], sigma * (t + h))
-        elif abs(y5[1] - theta0) >= TWO_PI:
+    def graph(rho, theta, sigma, err):
+        # the legs from (rho, theta) to sigma theta0 + 2 pi: ("turn", rho,
+        # err), or the end of the step where the stop is not negative
+        for phi_f, e, lo, hi in _legs(fibers, sigma, sigma * theta,
+                                      sigma * theta0 + TWO_PI, span):
+            if e:
+                g, leg, cap = log_slope, (sigma, phi_f, e), _LOG_STEP
+                t0, t1 = (e * math.log(e * (phi - phi_f)) for phi in (lo, hi))
+            else:
+                g, leg, cap, t0, t1 = slope, sigma, math.inf, lo, hi
+
+            def theta_at(t, phi_f=phi_f, e=e):
+                return sigma * (phi_f + e * math.exp(e * t) if e else t)
+
+            def exits(t, h, _y, y5, _err_abs, theta_at=theta_at):
+                end = (y5[0], theta_at(t + h))
+                return end if max(parts(end)) >= 0.0 else None
+
+            try:
+                end, err_leg = _LOOPS["polar"](
+                    g, cfg.abs_tol, cfg.rel_tol, t0, (rho,),
+                    min(max_step, cap), cfg.max_steps, t1, exits, leg, floor,
+                    a, b, log_box)
+            except StepUnderflow as exc:  # a fold: the chart takes over
+                exc.state = (exc.state[0], theta_at(exc.t))
+                exc.err += err
+                raise
+            err += err_leg
+            if len(end) == 2:
+                return status(end, err)
+            rho = end[0]
+        return "turn", rho, err
+
+    def passes(_t, _h, y, y5, _err_abs):
+        # the chart's step start where theta passes, with the orientation
+        # it passes in, or the end of a step where the stop is not negative
+        if abs(y5[1] - theta0) >= TWO_PI:
             return (*y, 1.0 if y5[1] > theta0 else -1.0)
         return y5 if max(parts(y5)) >= 0.0 else None
-
-    def drive(loop, rhs, t, state, max_steps, t_end, guard):
-        return _LOOPS[loop](rhs, cfg.abs_tol, cfg.rel_tol, t, state,
-                            cfg.max_step or math.inf, max_steps, t_end,
-                            exits, guard, floor, a, b, log_box)
-
-    def polar(rho, theta, max_steps):
-        return drive("polar", slope, sigma * theta, (rho,), max_steps,
-                     sigma * theta0 + TWO_PI, sigma)
 
     if not max(parts((rho0, theta0))) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
-    state, steps, err = (rho0, theta0), cfg.max_steps, 0.0
-    if graph:
-        sigma = 1.0 if slope(theta0, rho0, 1.0) < math.inf else -1.0
-        try:
-            return status(*polar(rho0, theta0, steps))
-        except StepUnderflow as exc:  # theta turns back: on in the chart
-            state = (exc.state[0], sigma * exc.t)
-            steps, err = steps - exc.attempts, exc.err
-    end, e = drive("chart", f, 0.0, state, steps, None, theta0)
-    if len(end) == 3:  # theta passes: the step again, on the graph
-        rho, theta, sigma = end
-        end, e_graph = polar(rho, theta, steps)
-        e += e_graph
-    return status(end, err + e)
+    sigma = 1.0 if slope(theta0, rho0, 1.0) < math.inf else -1.0
+    try:
+        return graph(rho0, theta0, sigma, 0.0)
+    except StepUnderflow as exc:  # theta turns back: on in the chart
+        state, steps, err = exc.state, cfg.max_steps - exc.attempts, exc.err
+    end, e = _LOOPS["chart"](f, cfg.abs_tol, cfg.rel_tol, 0.0, state,
+                             max_step, steps, None, passes, theta0, floor, a,
+                             b, log_box)
+    if len(end) == 2:
+        return status(end, err + e)
+    rho, theta, sigma = end
+    return graph(rho, theta, sigma, err + e)
 
 
 def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
@@ -861,14 +929,19 @@ def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,
     of ``DEFAULT_RETURN_RADII`` (1e-8 and 1e-12 under weights (1, 2)),
     strictly inside the guard box max(|x|, |y|) < 4, and run in the
     weighted polar chart (``_weighted_polar``) until theta has moved
-    through 2*pi: the slope is exp(b (rho1 - rho0)), and ``_deepest``
-    makes the estimate, the deepest start's slope, with no extrapolation
-    in depth.  A start below chart radius 1e-8 (y0 = 1e-16
-    under weights (1, 2)) is a ValueError before any orbit runs.  The
-    caller asserts monodromy; NoReturn (guard-box exit, a fall onto the
-    origin) signals that it fails.
+    through 2*pi (``_turn``): as the graph of rho over theta, over
+    log|theta - theta_f| on either side of each fiber direction theta_f,
+    where the orbit passes a fake saddle, and in the chart only past a
+    fold.  The slope is exp(b (rho1 - rho0)), and ``_deepest`` makes the
+    estimate, the deepest start's slope, with no extrapolation in depth.
+    A start below chart radius 1e-8 (y0 = 1e-16 under weights (1, 2)) is
+    a ValueError before any orbit runs.  The caller asserts monodromy;
+    NoReturn (guard-box exit, a fall onto the origin, a field with no
+    terms, refused before any orbit runs) signals that it fails.
     """
     cfg = cfg or IntegratorConfig()
+    if field.p.is_zero and field.q.is_zero:
+        raise NoReturn("the field has no terms: every point is at rest")
     chart = _weighted_polar(field)
     b = chart[1]
     offsets = _checked_offsets(offsets,
@@ -939,20 +1012,24 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
 
     The ring is the circle of radius ``ring_radius``, ``1e-9*box`` by
     default, which must be positive and less than the finite box; its
-    orbits run in the weighted polar chart (``_weighted_polar``) as graphs
-    of rho over theta, and in the chart past a fold (``_turn``).  A ring
+    orbits run in the weighted polar chart (``_weighted_polar``) as
+    graphs of rho over theta, over log|theta - theta_f| near each fiber
+    direction theta_f, and in the chart past a fold (``_turn``).  A ring
     at that chart radius would start between the fake saddles, from
     where a strongly expanding focus such as z(1, 0.3) leaves the box of
     10 within one turn.  Monodromic when every orbit turns through 2*pi
     inside the guard box max(|x|, |y|) < ``box``; transit at the first
     orbit that leaves the box (it swept past along the fiber
     directions); undecided otherwise, also where an orbit falls onto the
-    origin or runs out of ``_PROBE_CFG``'s steps.
+    origin or runs out of ``_PROBE_CFG``'s steps, and for a field with no
+    terms, before any orbit runs.
     """
     r0 = ring_radius if ring_radius is not None else 1e-9 * box
     if not 0.0 < r0 < box < math.inf:
         raise ValueError(f"need 0 < ring radius < box < inf, got ring "
                          f"radius {r0} and box {box}")
+    if field.p.is_zero and field.q.is_zero:
+        return ProbeVerdict.UNDECIDED  # every point is at rest
     chart = _weighted_polar(field)
     wound = 0
     for k in range(12):
@@ -960,8 +1037,7 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
         rho, theta = _chart_point(chart[0], chart[1], r0 * math.cos(ang),
                                   r0 * math.sin(ang))
         try:
-            status, _rho, _err = _turn(chart, rho, theta, box, _PROBE_CFG,
-                                       graph=True)
+            status, _rho, _err = _turn(chart, rho, theta, box, _PROBE_CFG)
         except (MaxStepsExceeded, StepUnderflow):
             continue
         if status == "box_exit":

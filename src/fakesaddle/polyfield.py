@@ -439,7 +439,7 @@ def _compile_weighted_polar(field: "PlanarField"):
     a_c = "c" if a == 1 else f"{a}*c"
     b_s = "s" if b == 1 else f"{b}*s"
     stage = "\n".join([
-        "    try:",
+        "    try:{clock}",
         "        c, s = cos(theta), sin(theta)",
         "        r = exp(rho)",
         "    except (ValueError, OverflowError):",
@@ -450,14 +450,20 @@ def _compile_weighted_polar(field: "PlanarField"):
     theta_dot = f"{a_c}*big_q - {b_s}*big_p"
     return _compile("\n".join([
         "def _chart(rho, theta):",
-        stage.format(fail="inf, inf"),
+        stage.format(clock="", fail="inf, inf"),
         f"    return c*big_p + s*big_q, {theta_dot}",
         "def _slope(phi, rho, sigma):",
         "    theta = sigma*phi",
-        stage.format(fail="inf"),
+        stage.format(clock="", fail="inf"),
         f"    den = sigma*({theta_dot})",
         "    return (c*big_p + s*big_q)/den if den > 0.0 else inf",
-        "_f = _chart, _slope",
+        "def _log_slope(t, rho, leg):",
+        "    sigma, phi_f, e = leg",
+        stage.format(clock="\n        u = exp(e*t)\n"
+                           "        theta = sigma*(phi_f + e*u)", fail="inf"),
+        f"    den = sigma*({theta_dot})",
+        "    return u*(c*big_p + s*big_q)/den if den > 0.0 else inf",
+        "_f = _chart, _slope, _log_slope",
     ]) + "\n", "chart")
 
 
@@ -512,6 +518,17 @@ class PlanarField:
         at theta = sigma phi, and inf where sigma theta' is not positive
         or a stage fails."""
         return self._cached("_chart", _compile_weighted_polar)[1]
+
+    def as_chart_log_slope(self) -> Callable[[float, float, tuple], float]:
+        """The slope ``h(t, rho, (sigma, phi_f, e)) -> drho/dt`` of the
+        graph of ``as_chart_slope`` over the clock t of phi = phi_f + e
+        exp(e t), e = +-1: u g(phi) at u = exp(e t) = dphi/dt, compiled with
+        ``as_chart`` from one source, and inf where g is inf or a stage
+        fails.  Near a fiber direction phi_f (``fiber_directions``), where
+        g behaves like a multiple of 1/(phi - phi_f), t = log(phi - phi_f)
+        away from it (e = 1) and t = -log(phi_f - phi) toward it (e = -1)
+        make that slope bounded."""
+        return self._cached("_chart", _compile_weighted_polar)[2]
 
     def _cached(self, name, compile_):
         value = self.__dict__.get(name)
@@ -615,6 +632,22 @@ def newton_weights(field: PlanarField) -> Tuple[int, int, int]:
         if max(ea, eb) * min(a, b) > max(a, b) * min(ea, eb):
             a, b = ea, eb
     return a, b, min(a * u + b * v for u, v in pts)
+
+
+def fiber_directions(field: PlanarField) -> Tuple[float, ...]:
+    """The axis directions theta in [0, 2*pi) at which theta' of the
+    weighted polar chart (``PlanarField.as_chart``) vanishes at r = 0,
+    read off the support under ``newton_weights``.  There theta' = a c Q
+    - b s P is -b s P at c = 0, where P is p's principal term in y alone,
+    and a c Q at s = 0, where Q is q's principal term in x alone.  So
+    pi/2 and 3*pi/2 are fiber directions when p's principal part has no
+    pure-y term (c divides theta'), 0 and pi when q's has no pure-x term
+    (s divides it)."""
+    a, b, d = newton_weights(field)
+    no_y = not any(i == 0 and b * j == d + a for i, j in field.p.terms)
+    no_x = not any(j == 0 and a * i == d + b for i, j in field.q.terms)
+    return tuple(k * 0.5 * math.pi for k in range(4)
+                 if (no_x, no_y)[k % 2])
 
 
 def pullback_affine(field: PlanarField, amap: AffineMap2) -> PlanarField:

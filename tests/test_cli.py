@@ -522,6 +522,13 @@ class TestReturn:
         assert data["slope"]["value"] == pytest.approx(
             math.exp(math.pi / 5), rel=1e-14)
 
+    def test_field_without_terms_has_no_return(self, capsys):
+        # every point is at rest: it ground through 10^6 steps (1.8 s)
+        # before it exited 6
+        err = assert_exit(capsys, 6, "return", "--json",
+                          '{"p": {"terms": []}, "q": {"terms": []}}')
+        assert err.startswith("no return: the field has no terms")
+
     def test_fake_saddle_has_no_return(self, capsys):
         # example6's orbit from the ray leaves the guard box; the default
         # starts, refused under its weights (1, 1), exited 2

@@ -711,59 +711,65 @@ class TestRhsCounts:
     """
 
     # the turns of the chart count its stages (``as_chart``): each was one
-    # field call until the chart was compiled from the field's terms.  The
-    # probe's turns count the stages of the slope (``as_chart_slope``) of
-    # rho over theta, and of the chart only past a fold
+    # field call until the chart was compiled from the field's terms.  A
+    # turn's legs count the stages of the slope of rho over theta
+    # (``as_chart_slope``) and over log|theta - theta_f| near a fiber
+    # direction (``as_chart_log_slope``), and the chart's only past a fold
 
     def test_monodromy_probe(self, count_calls):
         # 159384 by winding the cartesian state, 13780 with the chart
-        # stage as a field call, 13782 with the turns in the chart
-        count_slope = count_calls("as_chart_slope")
+        # stage as a field call, 13782 with the turns in the chart, 9282
+        # as one graph over theta
+        count_slope = count_calls("as_chart_slope", "as_chart_log_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
         flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
-        assert count_slope == [9282]
+        assert count_slope == [7710]
         assert count_chart == [0]
 
     def test_return_slope(self, count_calls):
-        # 44428 by winding the cartesian state from four offsets; the
-        # chart's count is unchanged since the step in which theta passes
-        # is re-run on the slope: one step of each turn, its first slope
-        # and six stages
-        count_slope = count_calls("as_chart_slope")
+        # 44428 by winding the cartesian state from four offsets; 14456
+        # chart stages, and 14 of the slope over theta for the step in
+        # which theta passes, before each turn ran as legs over log|theta
+        # - theta_f| from the start
+        count_slope = count_calls("as_chart_slope", "as_chart_log_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
         flow.return_slope(build_z(1.0, 1.0))
-        assert count_chart == [14456]
-        assert count_slope == [14]
+        assert count_chart == [0]
+        assert count_slope == [5440]
 
     # below the monodromy threshold beta = 1/4 the first orbit leaves the
-    # box, or, contracting, falls through the rho floor onto the origin
-    # (the ids keep the counts first pinned)
+    # box, or, contracting, falls through the rho floor onto the origin,
+    # each past a fold in the chart.  Every stage counts; the chart alone
+    # took 2689 and 6325 before the legs (the ids keep the counts first
+    # pinned)
     @pytest.mark.parametrize("alpha, beta, status, count", [
-        (1.0, 0.2, "box_exit", 2689),
-        (-1.0, 0.1, "floor", 6325),
+        (1.0, 0.2, "box_exit", 2369),
+        (-1.0, 0.1, "floor", 6934),
     ], ids=["1.0-0.2-box_exit-2641", "-1.0-0.1-floor-6223"])
     def test_return_slope_without_return(self, count_calls, alpha, beta,
                                          status, count):
-        count_chart = count_calls("as_chart")
-        count_chart.append(0)
+        count_stages = count_calls("as_chart", "as_chart_slope",
+                                   "as_chart_log_slope")
+        count_stages.append(0)
         with pytest.raises(flow.NoReturn, match=status):
             flow.return_slope(build_z(alpha, beta))
-        assert count_chart == [count]
+        assert count_stages == [count]
 
     def test_monodromy_probe_stops_at_first_exit(self, count_calls):
         # the first of the 12 orbits leaves the box and decides TRANSIT:
-        # its own stages, 271 in the chart, where the whole ring took 4056
-        count_slope = count_calls("as_chart_slope")
+        # its own stages, 271 in the chart, where the whole ring took
+        # 4056, and 566 as one graph over theta
+        count_slope = count_calls("as_chart_slope", "as_chart_log_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
         verdict = flow.monodromy_probe(EX6.field(), box=2.0)
         assert verdict is flow.ProbeVerdict.TRANSIT
-        assert count_slope == [566]
+        assert count_slope == [387]
         assert count_chart == [0]
 
     def test_transition_slope_both_sides(self, count_calls):
@@ -1057,13 +1063,16 @@ class TestTransitionSlope:
     @pytest.mark.parametrize("side", "+-")
     def test_middle_leg_agrees_with_the_chart_state(self, abc, k, side):
         # the graph of v over u against the 2-D chart state (u, v): the
-        # two differ by their step errors, 9.5e-10 at most
+        # two differ by their step errors, 9.1e-12 at most at rel_tol
+        # 1e-12 (9.5e-10 at the default 1e-10, against a bound of 1e-9)
         nf = build_example6(*map(Fraction, abc))
-        est = flow.transition_slope(nf, SECTIONS, side)
+        cfg = flow.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+        est = flow.transition_slope(nf, SECTIONS, side, cfg=cfg)
         sign = 1.0 if side == "+" else -1.0
         for offset, slope in zip(flow.DEFAULT_OFFSETS, est.per_offset):
-            ref = math.exp(chart_transit(nf, -1.0, 1.0, sign * offset, k))
-            assert slope == pytest.approx(ref, rel=1e-9)
+            ref = math.exp(chart_transit(nf, -1.0, 1.0, sign * offset, k,
+                                         cfg))
+            assert slope == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("cfg, point, reason", [
         # p <= 0 on the left leg: halving ran h down to 2.1e-17 at x = -0.71
@@ -1310,10 +1319,45 @@ class TestDeepest:
         assert est.residual == 10.0 * est.value * 1e-9
 
 
+def chart_return(field, cfg=flow.IntegratorConfig()):
+    """``flow.return_slope`` from its default starts with each turn in
+    the 2-D chart state (rho, theta) on the "chart" loop up to the step
+    in which theta passes theta0 +- 2 pi, and that step re-run from its
+    start on the graph of rho over theta, as returns ran before their
+    legs over log|theta - theta_f|.  The step's error counts twice."""
+    a, b, f, slope, *_ = flow._weighted_polar(field)
+    theta0, log_box = math.pi / 2.0, math.log(flow._RETURN_BOX)
+
+    def passes(_t, _h, y, y5, _err):
+        if abs(y5[1] - theta0) >= flow.TWO_PI:
+            return (*y, 1.0 if y5[1] > theta0 else -1.0)
+        return None
+
+    def measure(y0):
+        rho0 = math.log(y0) / b
+        floor = min(4.0 * rho0, rho0) - flow._RHO_DROP
+        (rho, theta, sigma), err = flow._LOOPS["chart"](
+            f, cfg.abs_tol, cfg.rel_tol, 0.0, (rho0, theta0), math.inf,
+            cfg.max_steps, None, passes, theta0, floor, a, b, log_box)
+        (rho,), err_graph = flow._LOOPS["polar"](
+            slope, cfg.abs_tol, cfg.rel_tol, sigma * theta, (rho,), math.inf,
+            cfg.max_steps, sigma * theta0 + flow.TWO_PI, lambda *_: None,
+            sigma, floor, a, b, log_box)
+        return b * (rho - rho0), b * (err + err_graph)
+    return flow._deepest([r0 ** b for r0 in flow.DEFAULT_RETURN_RADII],
+                         measure)
+
+
+def transposed(field):
+    """The field mirrored in the diagonal, (q(y, x), p(y, x))."""
+    return PlanarField(field.q.transpose(), field.p.transpose())
+
+
 class TestReturnSlope:
-    # each bound is at least 10 times the deviation of the weighted polar
-    # chart: 1.3e-8 (centre, absolute), 4.3e-9, 5.3e-9, 3.4e-7 and 4.6e-5
-    # (relative)
+    # each bound is at least 10 times the deviation of the returns:
+    # 1.1e-9 (centre, absolute), 3.0e-9, 8.8e-9, 3.4e-7 and 4.6e-5
+    # (relative); in the chart the first three read 1.3e-8, 4.3e-9 and
+    # 5.3e-9
     def test_center(self):
         est = flow.return_slope(build_z(0.0, 1.0))
         assert est.value == pytest.approx(1.0, abs=2e-7)
@@ -1365,20 +1409,56 @@ class TestReturnSlope:
         except flow.NoReturn:
             pass
 
-    def test_re_run_step_that_folds_is_no_return(self, monkeypatch):
-        # where theta turns back inside the re-run step its step underflows
-        def folds(*_args):
-            raise flow.StepUnderflow("theta turns back")
+    def test_legs_agree_with_the_chart(self, monkeypatch):
+        # the seed-1 benchmark pool, the casebook's returns and the
+        # transposed quartic, whose fibers lie a quarter turn from the
+        # start: each start's slope within 4.4e-7 of the chart's (z(-1,
+        # 5/16), which contracts 1.1e5-fold a turn, 2.7e-7 and -1.8e-7
+        # off from its deeper start), and the values within the sum of
+        # the residuals, about 1e-5 and 5e-5 of the slope
+        fields = z_pool(monkeypatch, 1) + [
+            make(build_z(alpha, 1.0)) for make in (lambda z: z, transposed)
+            for alpha in (1.0, -1.0, 0.0)]
+        for field in fields:
+            legs, chart = flow.return_slope(field), chart_return(field)
+            assert abs(legs.value - chart.value) <= \
+                legs.residual + chart.residual
+            for s_legs, s_chart in zip(legs.per_offset, chart.per_offset):
+                assert s_legs == pytest.approx(s_chart, rel=2e-6)
 
+    def test_field_without_terms_is_refused(self, count_calls):
+        # every point is at rest, so every stage's slope was 0/0: the
+        # return ground through 10^6 steps (1.8 s) into NoReturn
+        field = PlanarField(Poly2.zero(), Poly2.zero())
+        count_stages = count_calls("as_chart", "as_chart_slope",
+                                   "as_chart_log_slope")
+        count_stages.append(0)
+        with pytest.raises(flow.NoReturn, match="no terms"):
+            flow.return_slope(field)
+        assert flow.monodromy_probe(field) is flow.ProbeVerdict.UNDECIDED
+        assert count_stages == [0]
+
+    def test_re_run_step_that_folds_is_no_return(self, monkeypatch,
+                                                 count_calls):
+        # every leg's step underflows at its start, as where theta turns
+        # back: the turn goes on in the chart, and the legs that run again
+        # from the start of the chart's step in which theta passes fold
+        # too, NoReturn
+        def folds(_f, _abs_tol, _rel_tol, t, state, *_args):
+            raise flow.StepUnderflow("theta turns back", t, state)
+
+        count_chart = count_calls("as_chart")
+        count_chart.append(0)
         monkeypatch.setitem(flow._LOOPS, "polar", folds)
         with pytest.raises(flow.NoReturn, match="theta turns back"):
             flow.return_slope(build_z(1.0, 1.0))
+        assert count_chart[0] > 1000
 
     @pytest.mark.parametrize("section_scale", [1e-10])
     def test_deep_starts_reject_steps_of_nan_error(self, section_scale):
         # starts at y0 = 1e-10 and 1e-14, above the depth floor, where
         # winding the cartesian state met steps of NaN error norm; the
-        # chart reads 6.3e-9 off
+        # chart read 6.3e-9 off, the legs 2.6e-9
         est = flow.return_slope(build_z(1.0, 1.0),
                                 (section_scale, section_scale * 1e-4))
         assert est.value == pytest.approx(z_return_slope_closed(1.0, 1.0),
@@ -1552,7 +1632,7 @@ class TestWeightedPolarChart:
         # inf) where it raises, so that the drive loop halves the step;
         # unguarded, z(0, 1.25) raised ZeroDivisionError and "math domain
         # error" from its return slope
-        _a, _b, f, _g = flow._weighted_polar(build_z(0.0, 1.25))
+        _a, _b, f, *_ = flow._weighted_polar(build_z(0.0, 1.25))
         got = f(rho, theta)
         if slope == "inf":
             assert got == (math.inf, math.inf)
@@ -1567,7 +1647,7 @@ class TestWeightedPolarChart:
         # each to 1e-13 of the sum of its terms' absolute values
         assert newton_weights(field) == weights
         rng = random.Random(23)
-        _a, _b, f, _g = flow._weighted_polar(field)
+        _a, _b, f, *_ = flow._weighted_polar(field)
         for _ in range(200):
             rho, theta = rng.uniform(-20.0, 1.0), rng.uniform(-7.0, 7.0)
             want, size = divided_chart(field, rho, theta)
@@ -1580,7 +1660,7 @@ class TestWeightedPolarChart:
     def test_stage_on_the_divisor_is_the_principal_part(self, field):
         # at rho = -1e4, r = 0: p/r^(d+a) divided by zero, and the stage
         # was (inf, inf)
-        _a, _b, f, _g = flow._weighted_polar(field)
+        _a, _b, f, *_ = flow._weighted_polar(field)
         for theta in (0.3, 1.9, -2.5):
             got = f(-1e4, theta)
             assert got == pytest.approx(principal_chart(field, theta),
@@ -1605,8 +1685,9 @@ class TestWeightedPolarChart:
         assert g(math.inf, -1.0, 1.0) == g(0.3, 1e4, -1.0) == math.inf
 
     def test_guarded_stages_halve_the_step(self):
-        # 37 stages of this return have a non-finite slope, 22 of them
-        # (inf, inf); it reads 6.8e-9 off
+        # in the chart 37 stages of this return had a non-finite slope,
+        # 22 of them (inf, inf), and it read 6.8e-9 off; on its legs no
+        # stage has, and it reads 7.7e-10 off
         est = flow.return_slope(build_z(0.0, 1.25))
         assert est.value == pytest.approx(1.0, abs=2e-7)
 
@@ -1614,7 +1695,7 @@ class TestWeightedPolarChart:
         # z: p = r^4 P, q = r^5 Q under x = r c, y = r^2 s, and rho' =
         # c P + s Q, theta' = c Q - 2 s P at r = e^rho
         alpha, beta = 0.5, 1.5
-        a, b, f, _g = flow._weighted_polar(build_z(alpha, beta))
+        a, b, f, *_ = flow._weighted_polar(build_z(alpha, beta))
         assert (a, b) == (1, 2)
         rho, theta = -0.7, 2.1
         r, c, s = math.exp(rho), math.cos(theta), math.sin(theta)
@@ -1635,10 +1716,51 @@ class TestWeightedPolarChart:
         assert r ** b * math.sin(theta) == pytest.approx(y, rel=1e-12)
 
 
+class TestLegs:
+    """``flow._legs``: a turn's legs from phi0 to phi1 = phi0 + 2 pi."""
+
+    @pytest.mark.parametrize("fibers", [
+        (), (0.5 * math.pi, 1.5 * math.pi), (0.0, math.pi),
+        (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)])
+    @pytest.mark.parametrize("sigma", [1.0, -1.0])
+    @pytest.mark.parametrize("theta0", [math.pi / 2.0, 0.3, -2.9, math.pi,
+                                        -math.pi / 2.0 + 1e-7])
+    def test_legs_run_end_to_end(self, fibers, sigma, theta0):
+        # each leg starts where the last ended; one across each fiber
+        # direction within span of [phi0, phi1], at most 2 span wide, and
+        # each log leg on one side of its fiber, within a half gap of it.
+        # The last start lies inside the leg across -pi/2
+        span = 1e-6
+        phi0 = sigma * theta0
+        phi1 = phi0 + flow.TWO_PI
+        legs = flow._legs(fibers, sigma, phi0, phi1, span)
+        assert (legs[0][2], legs[-1][3]) == (phi0, phi1)
+        assert all(a[3] == b[2] for a, b in zip(legs, legs[1:]))
+        tops = [(sigma * f) % flow.TWO_PI for f in fibers]
+        crossed = [f + flow.TWO_PI * n for f in tops for n in range(-2, 3)
+                   if phi0 - span < f + flow.TWO_PI * n < phi1 + span]
+        across = [leg for leg in legs if leg[1] == 0]
+        if not fibers:
+            assert legs == [(0.0, 0, phi0, phi1)]
+            return
+        assert sorted(phi_f for phi_f, *_ in across) == sorted(crossed)
+        half_gap = math.pi / len(fibers)
+        for phi_f, e, lo, hi in legs:
+            assert lo < hi
+            assert min(abs(phi_f - f - flow.TWO_PI * n) for f in tops
+                       for n in range(-2, 3)) < 1e-12
+            if e:
+                assert 0.0 < e * (lo - phi_f) and 0.0 < e * (hi - phi_f)
+                assert max(abs(lo - phi_f), abs(hi - phi_f)) \
+                    <= half_gap + 1e-12
+            else:
+                assert lo >= phi_f - span and hi <= phi_f + span
+
+
 def full_stop_turn(chart, rho0, theta0, box, cfg):
     """``flow._turn`` on the "xy" loop with the largest of its three parts
     taken on every step's end, to the first where it is not negative."""
-    a, b, f, _g = chart
+    a, b, f, *_ = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - flow._RHO_DROP
 
     def parts(state):
@@ -1662,7 +1784,7 @@ def full_stop_turn(chart, rho0, theta0, box, cfg):
 def ring_starts(field, r0):
     """The chart points of the 12 orbits of ``monodromy_probe``'s ring of
     radius ``r0``."""
-    a, b, _f, _g = flow._weighted_polar(field)
+    a, b, *_ = flow._weighted_polar(field)
     return [flow._chart_point(a, b, r0 * math.cos(ang), r0 * math.sin(ang))
             for ang in (flow.TWO_PI * (k + 0.5) / 12 for k in range(12))]
 
@@ -1753,27 +1875,26 @@ PROBE_IDS = ["example6", "z(1,0.1)", "z(1,0.2)", "z(-0.5,0.1)", "z(1,0.3)",
 
 
 class TestGraphTurn:
-    """A probe orbit runs as the graph of rho over theta and hands over
+    """A turn runs as legs of the graph of rho over theta and hands over
     to the chart where theta turns back: its status is the chart turn's
-    on every orbit of the ring."""
+    (``full_stop_turn``) on every orbit of the ring."""
 
     @staticmethod
     def hand_overs(count_chart, field, box, r0):
-        """The chart stages of the graph turns of the ring, after
-        asserting that each ends with the chart turn's status."""
+        """The chart stages of the turns of the ring, after asserting that
+        each ends with the chart turn's status."""
         chart = flow._weighted_polar(field)
         stages = 0
         for start in ring_starts(field, r0):
-            def status(graph):
+            def status(turn):
                 count_chart.append(0)
                 try:
-                    return flow._turn(chart, *start, box, flow._PROBE_CFG,
-                                      graph)[0]
+                    return turn(chart, *start, box, flow._PROBE_CFG)[0]
                 except (flow.MaxStepsExceeded, flow.StepUnderflow) as exc:
                     return type(exc).__name__
-            got = status(True)
+            got = status(flow._turn)
             stages += count_chart[-1]
-            assert got == status(False), start
+            assert got == status(full_stop_turn), start
         return stages
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -1838,36 +1959,30 @@ class TestMonodromyProbe:
                                  ring_radius=1e-8)
         assert v is not flow.ProbeVerdict.MONODROMIC
 
-    def test_shrinking_steps_are_predicted(self, monkeypatch):
+    def test_shrinking_steps_are_predicted(self):
         # near the fake saddles the orbit dives and each step needs about
         # 0.78 of the last: the proportional factor alone, never below
         # 0.9 after an accepted step, had 70 of 237 attempts rejected;
-        # the predictive factor has 12 of 181.  The turn runs on the "xy"
-        # loop, which calls accept on every accepted step: the "chart"
-        # loop's guard only skips the calls where accept returns None.
-        # The step in which theta passes is re-run on the "polar" loop,
-        # not counted here
-        loop, tally = flow._LOOPS["xy"], Counter()
-
-        def counted_loop(f, *args):
-            *args, accept = args[:-5]
-
-            def counted_f(_t, x, y):
-                tally["rhs"] += 1
-                return f(x, y)
-
-            def counted_accept(*step):
-                tally["accepted"] += 1
-                return accept(*step)
-            return loop(counted_f, *args, counted_accept)
-
-        monkeypatch.setitem(flow._LOOPS, "chart", counted_loop)
-        chart = flow._weighted_polar(build_z(0.5, 0.625))
+        # the predictive factor has 12 of 181.  The chart turn, which a
+        # turn runs past a fold, on the "xy" loop, which calls accept on
+        # every accepted step, to where theta passes theta0 + 2 pi
+        tally = Counter()
+        a, b, f, *_ = flow._weighted_polar(build_z(0.5, 0.625))
         ang = math.pi / 12
-        start = flow._chart_point(chart[0], chart[1], 1e-8 * math.cos(ang),
+        start = flow._chart_point(a, b, 1e-8 * math.cos(ang),
                                   1e-8 * math.sin(ang))
-        status, _rho, _err = flow._turn(chart, *start, 10.0, flow._PROBE_CFG)
-        assert status == "turn"
+
+        def counted_f(_t, rho, theta):
+            tally["rhs"] += 1
+            return f(rho, theta)
+
+        def accept(_t, _h, _y, y5, _err):
+            tally["accepted"] += 1
+            return y5 if abs(y5[1] - start[1]) >= flow.TWO_PI else None
+
+        cfg = flow._PROBE_CFG
+        flow._LOOPS["xy"](counted_f, cfg.abs_tol, cfg.rel_tol, 0.0, start,
+                          math.inf, cfg.max_steps, None, accept)
         attempts = (tally["rhs"] - 1) // 6  # FSAL: six calls an attempt
         assert tally["accepted"] >= 100
         assert attempts - tally["accepted"] <= 20
@@ -1903,16 +2018,21 @@ class TestGeneratedCode:
         assert labels[0] == labels[1] and labels[3] == labels[4]
         assert len({labels[0], labels[2], labels[3], labels[5]}) == 4
         # the chart too, compiled once per field: a probe and a return of
-        # one field share it.  The slope of rho over theta comes from the
-        # same compile, under the same label and a name of its own
+        # one field share it.  The slopes of rho over theta and over
+        # log|theta - theta_f| come from the same compile, under the same
+        # label and names of their own
         z = build_z(1.0, 1.0)
-        assert flow._weighted_polar(z)[2:] == (z.as_chart(),
-                                               z.as_chart_slope())
+        assert flow._weighted_polar(z)[2:5] == (z.as_chart(),
+                                                z.as_chart_slope(),
+                                                z.as_chart_log_slope())
         assert z.as_chart_slope() is z.as_chart_slope()
-        chart, slope = z.as_chart().__code__, z.as_chart_slope().__code__
+        chart, slope, log_slope = (z.as_chart().__code__,
+                                   z.as_chart_slope().__code__,
+                                   z.as_chart_log_slope().__code__)
         assert re.fullmatch(r"<fakesaddle\.polyfield chart \w+>",
                             chart.co_filename)
-        assert slope.co_filename == chart.co_filename
-        assert (chart.co_name, slope.co_name) == ("_chart", "_slope")
+        assert slope.co_filename == log_slope.co_filename == chart.co_filename
+        assert (chart.co_name, slope.co_name, log_slope.co_name) == (
+            "_chart", "_slope", "_log_slope")
         assert build_z(1.0, 0.5).as_chart_slope().__code__.co_filename \
             != slope.co_filename

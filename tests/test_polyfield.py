@@ -12,7 +12,8 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  build_z_normalform, printed_z_blowup)
 from fakesaddle.polyfield import (AffineMap2, NotDivisible, PlanarField,
                                   Poly2, SingularMap, _horner_expr,
-                                  newton_weights, pullback_affine)
+                                  fiber_directions, newton_weights,
+                                  pullback_affine)
 
 X, Y = Poly2.gens()
 
@@ -166,6 +167,44 @@ class TestNewtonWeights:
         # (2, 0), are equally steep: the leftmost one wins
         assert newton_weights(PlanarField(Y ** 3 + X * Y, X * X * Y)) == \
             (2, 1, 1)
+
+
+class TestFiberDirections:
+    """The axis directions at which theta' of the weighted polar chart
+    vanishes at r = 0, read off the principal part's support: pi/2 and
+    3 pi/2 without a pure-y term in p's, 0 and pi without a pure-x term
+    in q's."""
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (1, 1), (-1, 1), (0, 1), (Fraction(-1, 3), 2), (0.5, 0.3)])
+    def test_quartic_family(self, alpha, beta):
+        # p's principal part beta x^2 y - x^4: theta' = c^2 (2 beta s^2 +
+        # 2 c^4 + 2 c^2 s) at r = 0 vanishes on x = 0
+        assert fiber_directions(build_z(alpha, beta)) == (0.5 * math.pi,
+                                                          1.5 * math.pi)
+
+    def test_transposed_quartic(self):
+        # mirrored in the diagonal, under weights (2, 1): q's principal
+        # part has no pure-x term, and the fibers lie on y = 0
+        z = build_z(1, 1)
+        mirror = PlanarField(z.q.transpose(), z.p.transpose())
+        assert newton_weights(mirror) == (2, 1, 3)
+        assert fiber_directions(mirror) == (0.0, math.pi)
+
+    def test_linear_focus(self):
+        # x' = x/10 - y, y' = x + y/10: theta' = 1 at r = 0, no fiber
+        tenth = Fraction(1, 10)
+        assert fiber_directions(PlanarField(X * tenth - Y,
+                                            X + Y * tenth)) == ()
+
+    def test_homogeneous_quadratic(self):
+        # the normal form's singular fiber is y = 0
+        nf = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
+        assert fiber_directions(nf.field()) == (0.0, math.pi)
+
+    def test_cusp(self):
+        # x' = y, y' = -x^3 under weights (1, 2): both pure terms
+        assert fiber_directions(PlanarField(Y, -X ** 3)) == ()
 
 
 class TestPullbackAffine:
