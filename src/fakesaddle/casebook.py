@@ -272,6 +272,16 @@ def run_x4_chain(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     est = flow.transition_slope(nf1, sections, "+", cfg=cfg)
     res.close("slope_measured", est.value, 4.0, 2e-8, relative=True)
     _bar_covers(res, "slope_measured", est, 4.0)
+    # the depth exponent kappa of that Richardson step against the decay
+    # of the slopes from starts a decade apart, (s0 - s1)/(s1 - s2) =
+    # 10^kappa up to higher orders (0.99965; the - side reads the same)
+    s0, s1, s2 = flow.transition_slope(nf1, sections, "+",
+                                       offsets=(1e-4, 1e-5, 1e-6),
+                                       cfg=cfg).per_offset
+    d0, d1 = s0 - s1, s1 - s2
+    res.close("depth_exponent", math.log10(d0 / d1) if d0 * d1 > 0
+              else math.nan, est.exponent, 1e-2,
+              note="kappa = min(1, 1/(1 - c)) of the invariants, c = 0")
 
     # transit past the original origin: one contracting and one expanding side
     side = {}

@@ -17,7 +17,9 @@ stages, the error norm and the step control in local scalars:
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
   or below, and all three legs of a transit, v = log(y/y0) over log|x|
-  and over u = x/|y|;
+  and over u = x/|y|, which test v's step error against a fixed multiple
+  of rel_tol and start from the step 1e-2 (|v| + 1)/|v'|, where integrate()
+  and the turns start from 1e-2 (|state| + 1e-6)/|slope|;
 - "chart": the 2-D state (rho, theta) of a turn (``_turn``) in the
   weighted polar chart ``(rho, theta) -> (rho', theta')``, on a chart
   clock it does not read, with the turn's guard in the loop: past a
@@ -232,16 +234,17 @@ def _compile_loop(kind: str):
     """The DP5(4) drive of one state kind, generated from the tableau.
 
     ``drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, t_end,
-    accept)`` runs from ``state`` at ``t``, ``max_step`` inf for no cap
-    and ``t_end`` and ``accept`` None when unused.  The kinds
-    (``_KINDS``) are "xy", a 2-D state, "graph", a 1-D state over the
-    clock, "chart", the 2-D state of ``_turn``, its field not passed the
-    clock, whose drive takes after ``accept`` its guard's arguments
-    ``theta0, floor, a, b, log_box``, and "polar", the "graph" state of
-    ``_turn``, whose drive takes, after ``accept``, ``leg, floor, a, b,
-    log_box`` for its slope and guard.  The first step is 1e-2
-    (|state| + 1e-6)/(|slope| + 1e-300) in the max norm, at most the span
-    to ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
+    accept, [guard,] scale=1e-6)`` runs from ``state`` at ``t``,
+    ``max_step`` inf for no cap and ``t_end`` and ``accept`` None when
+    unused.  The kinds (``_KINDS``) are "xy", a 2-D state, "graph", a 1-D
+    state over the clock, "chart", the 2-D state of ``_turn``, its field
+    not passed the clock, whose drive takes after ``accept`` its guard's
+    arguments ``theta0, floor, a, b, log_box``, and "polar", the "graph"
+    state of ``_turn``, whose drive takes, after ``accept``, ``leg,
+    floor, a, b, log_box`` for its slope and guard.  The first step is
+    1e-2 (|state| + ``scale``)/(|slope| + 1e-300) in the max norm, at
+    most the span to ``t_end`` and ``max_step``.  Each of at most
+    ``max_steps`` attempts
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
       and raises StepUnderflow, with t, the state, the attempts before
@@ -350,10 +353,10 @@ def _compile_loop(kind: str):
     ])
     src = "\n".join([
         "def drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, "
-        f"t_end, accept{', ' + guard[0] if guard else ''}):",
+        f"t_end, accept{', ' + guard[0] if guard else ''}, scale=1e-6):",
         f"    {names('y')}= state",
         textwrap.indent(slope(1, "t", [f"y_{i}" for i in comps]), "    "),
-        f"    h = 1e-2*(max(map(abs, state)) + 1e-6)/"
+        f"    h = 1e-2*(max(map(abs, state)) + scale)/"
         f"(max(map(abs, {tup('k1')})) + 1e-300)",
         "    if t_end is not None:",
         "        h = min(h, abs(t_end - t))",
@@ -596,6 +599,11 @@ def _deepest(offsets, measure, exponent=None) -> SlopeEstimate:
 # The least |y0| of a transit start and |x|, |y| of its orbit near x = 0:
 # p and q, of order y^2 there, are normal floats down to |y| = 1.5e-154
 _TRANSIT_FLOOR = 1e-150
+# A transit leg's bound on the step error of v = log(y/y0), in units of
+# rel_tol: the factor 1 + |v| of a test against rel_tol (1 + |v|),
+# averaged over the accepted leg steps of the benchmark's seed-1 transit
+# pool (8.06), so the same budget, spent evenly along the orbit
+_LOG_TOL = 8.0
 
 
 def _outer(rhs, y0, sign):
@@ -627,10 +635,12 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     halves h.  A leg that underflows its step or runs out of steps raises
     TransitDoesNotExist naming the leg and the point (x, y).
 
-    v is a logarithm: its absolute error is y's relative error, so every
-    leg tests v's error against rel_tol (1 + |v|), abs_tol = rel_tol =
-    ``cfg.rel_tol``, and reads no ``cfg.abs_tol``."""
-    tol, steps = (cfg.rel_tol, cfg.rel_tol), cfg.max_steps
+    v is a logarithm: its absolute error is y's relative error, and its
+    natural scale is 1 wherever it lies.  So every leg tests v's step
+    error against the fixed ``_LOG_TOL`` rel_tol of ``cfg``, with no part
+    in |v|, and reads no ``cfg.abs_tol``; and each leg's first step is
+    1e-2 (|v| + 1)/|v'|, at most the leg's span and step cap."""
+    tol, steps = (_LOG_TOL * cfg.rel_tol, 0.0), cfg.max_steps
     cap = min(cfg.max_step or 1.0, 1.0)
     ay0, sy = abs(y0), math.copysign(1.0, y0)
     y_cap = min(-alpha, omega) / (2.0 * k)
@@ -659,7 +669,7 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     def leg(name, x_of, f, t, v, max_step, t_end, accept):
         try:
             return _LOOPS["graph"](f, *tol, t, (v,), max_step, steps, t_end,
-                                   accept)
+                                   accept, scale=1.0)
         except (StepUnderflow, MaxStepsExceeded) as exc:
             y = y0 * math.exp(exc.state[0])
             raise TransitDoesNotExist(
@@ -702,8 +712,10 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     with the residual; one start gives its own slope.  With k = 1
     for a^2 < 4 and |a| + 1 otherwise, the orbit runs over log|x| where
     |x| > k|y|, and in between over u = x/|y|, which increases along it
-    since d > 0; every leg tests v's error against rel_tol (1 + |v|) of
-    ``cfg`` and reads no abs_tol.  Starts need 1e-150 <= |y0| <
+    since d > 0.  v's absolute error is y's relative error, and its
+    scale is 1: every leg tests v's step error against the fixed 8 rel_tol
+    of ``cfg``, with no part in |v|, reads no abs_tol, and starts from the
+    step 1e-2 (|v| + 1)/|v'|.  Starts need 1e-150 <= |y0| <
     min(-alpha, omega)/(2k), or ValueError.  An orbit that reaches that
     bound on |y| near x = 0 raises TransitDoesNotExist, one that falls
     below 1e-150 ValueError.  A leg whose step underflows, where x or u
@@ -1010,14 +1022,20 @@ def monodromy_probe(field: PlanarField, box: float = 2.0,
                     ring_radius: float | None = None) -> ProbeVerdict:
     """Launch a ring of 12 orbits around the origin and watch them turn.
 
-    The ring is the circle of radius ``ring_radius``, ``1e-9*box`` by
-    default, which must be positive and less than the finite box; its
-    orbits run in the weighted polar chart (``_weighted_polar``) as
-    graphs of rho over theta, over log|theta - theta_f| near each fiber
-    direction theta_f, and in the chart past a fold (``_turn``).  A ring
-    at that chart radius would start between the fake saddles, from
-    where a strongly expanding focus such as z(1, 0.3) leaves the box of
-    10 within one turn.  Monodromic when every orbit turns through 2*pi
+    The ring is the cartesian circle of radius ``ring_radius``,
+    ``1e-9*box`` by default, which must be positive and less than the
+    finite box; each start is mapped into the weighted polar chart
+    (``_weighted_polar``, ``_chart_point``), where its orbit runs as the
+    graph of rho over theta, over log|theta - theta_f| near each fiber
+    direction theta_f, and in the chart past a fold (``_turn``).  Under
+    unequal weights the ring lands on the fiber directions: for Newton
+    weights (1, 2) and the ring radius 1e-8, all 12 starts lie within
+    1.9e-4 rad of the fiber directions +-pi/2, six on each, at chart
+    radii 5.1e-5 to 9.8e-5, on z(1, 1), z(0, 5/4) and z(-1, 5/16) alike,
+    so the 12 orbits cover 2 directions.  A ring at chart radius 1e-8
+    would start between the fake saddles, from where a strongly
+    expanding focus such as z(1, 0.3) leaves the box of 10 within one
+    turn.  Monodromic when every orbit turns through 2*pi
     inside the guard box max(|x|, |y|) < ``box``; transit at the first
     orbit that leaves the box (it swept past along the fiber
     directions); undecided otherwise, also where an orbit falls onto the

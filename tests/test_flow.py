@@ -775,25 +775,29 @@ class TestRhsCounts:
     def test_transition_slope_both_sides(self, count_calls):
         # 6293 and 5387 over y in the graph from five shallow offsets,
         # 3057 and 2949 with the middle leg in the chart state (u, v),
-        # 2241 and 2073 with v's error tested against abs_tol + rel_tol |v|
+        # 2241 and 2073 with v's error tested against abs_tol + rel_tol |v|,
+        # 2181 and 2055 against rel_tol (1 + |v|) and with the loop's first
+        # step 1e-2 (|v| + 1e-6)/|v'|
         count_rhs = count_calls("as_rhs")
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(EX6, SECTIONS, side)
-        assert count_rhs == [2181, 2055]
+        assert count_rhs == [2127, 2031]
 
     def test_transition_slope_fold_member(self, count_calls):
         # |a| > 2: the graph over x of a shallow orbit folds, and the
         # arclength fallback took 13797 and 12779; the deep legs hand over
         # at |x| = (|a| + 1)|y|, where p > 0, and the middle leg in the
         # chart state (u, v) took 3909 and 4215; 3051 and 3291 with v's
-        # error tested against abs_tol + rel_tol |v|
+        # error tested against abs_tol + rel_tol |v|, 3003 and 3279 against
+        # rel_tol (1 + |v|) and with the loop's first step 1e-2 (|v| +
+        # 1e-6)/|v'|
         count_rhs = count_calls("as_rhs")
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(nf, SECTIONS, side)
-        assert count_rhs == [3003, 3279]
+        assert count_rhs == [3027, 3555]
 
 
     # integrate() in each parametrization, with stops of each kind: the
@@ -1002,10 +1006,12 @@ def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
     2-D state (u, v) of the chart u = x/|y|, v = log(y/y0), on the "xy"
     loop over dtau = |y| dt: u' = p/y^2 - u w, v' = w = q/(y|y|), to the
     end of the first accepted step past u = k; the right leg starts at
-    x = u|y| there.  The outer legs run at abs_tol = rel_tol, as in
-    ``_transit``; the chart at ``cfg``'s, since u is no logarithm."""
+    x = u|y| there.  The outer legs test v's error against the fixed
+    ``_LOG_TOL`` rel_tol and start from 1e-2 (|v| + 1)/|v'|, as in
+    ``_transit``; the chart runs at ``cfg``'s tolerances from the loop's
+    first step, since u is no logarithm."""
     rhs = nf.field().as_rhs()
-    tol, steps = (cfg.rel_tol, cfg.rel_tol), cfg.max_steps
+    tol, steps = (flow._LOG_TOL * cfg.rel_tol, 0.0), cfg.max_steps
     cap = min(cfg.max_step or 1.0, 1.0)
     ay0, sy = abs(y0), math.copysign(1.0, y0)
     lk = math.log(k * ay0)
@@ -1028,20 +1034,20 @@ def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
 
     (s, v), _err = flow._LOOPS["graph"](
         flow._outer(rhs, y0, -1.0), *tol, -math.log(-alpha), (0.0,), cap,
-        steps, None, left)
+        steps, None, left, scale=1.0)
     (u, v), _err = flow._LOOPS["xy"](
         chart, cfg.abs_tol, cfg.rel_tol, 0.0, (-math.exp(-s - v) / ay0, v),
         cfg.max_step or math.inf, steps, None, middle)
     (v,), _err = flow._LOOPS["graph"](
         flow._outer(rhs, y0, 1.0), *tol, math.log(u * ay0 * math.exp(v)),
-        (v,), cap, steps, math.log(omega), None)
+        (v,), cap, steps, math.log(omega), None, scale=1.0)
     return v
 
 
 class TestTransitionSlope:
     # each bound is at least 9 times the deviation of the estimate, the
-    # Richardson step on the two deepest starts: 1.2e-10 (y1), 6.2e-12
-    # and 5.1e-11 (example6), 5.5e-9 (a = b = 5/2)
+    # Richardson step on the two deepest starts: 4.4e-10 (y1), 5.0e-11
+    # and 2.2e-10 (example6), 2.6e-9 (a = b = 5/2)
     def test_resolved_quartic_both_sides(self):
         # closed form gives the same slope on both sides here
         for side in "+-":
@@ -1063,8 +1069,8 @@ class TestTransitionSlope:
     @pytest.mark.parametrize("side", "+-")
     def test_middle_leg_agrees_with_the_chart_state(self, abc, k, side):
         # the graph of v over u against the 2-D chart state (u, v): the
-        # two differ by their step errors, 9.1e-12 at most at rel_tol
-        # 1e-12 (9.5e-10 at the default 1e-10, against a bound of 1e-9)
+        # two differ by their step errors, 6.7e-12 at most at rel_tol
+        # 1e-12 (5.9e-10 at the default 1e-10, against a bound of 1e-9)
         nf = build_example6(*map(Fraction, abc))
         cfg = flow.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         est = flow.transition_slope(nf, SECTIONS, side, cfg=cfg)
@@ -1077,8 +1083,9 @@ class TestTransitionSlope:
     @pytest.mark.parametrize("cfg, point, reason", [
         # p <= 0 on the left leg: halving ran h down to 2.1e-17 at x = -0.71
         (flow.IntegratorConfig(), r"-0\.71\d*, 0\.33\d*", "cannot advance"),
-        # three attempts end next to the start
-        (flow.IntegratorConfig(max_steps=3), r"-0\.99\d*, 0\.20\d*",
+        # three attempts from the first step 1e-2 (|v| + 1)/|v'| reach x =
+        # -0.947; from 1e-2 (|v| + 1e-6)/|v'| they ended next to the start
+        (flow.IntegratorConfig(max_steps=3), r"-0\.94\d*, 0\.21\d*",
          "in 3 steps"),
     ], ids=["step_underflow", "max_steps"])
     def test_failed_leg_is_no_transit(self, cfg, point, reason):
@@ -1091,6 +1098,32 @@ class TestTransitionSlope:
                                  rf"left leg at \({point}\): .*{reason}"):
             flow.transition_slope(nf, SECTIONS, "+",
                                   offsets=(0.2, 0.1, 0.05), cfg=cfg)
+
+    @pytest.mark.parametrize("side", "+-")
+    def test_left_leg_starts_on_the_log_scale(self, monkeypatch, side):
+        # every left leg starts at v = 0, where the loop's first step 1e-2
+        # (|v| + 1e-6)/|v'| took about 1e-8 in s and grew by 5 a step for
+        # some 9 accepted steps; the leg's 1e-2 (|v| + 1)/|v'| reads v on
+        # its own scale, 1
+        drive, left_steps = flow._LOOPS["graph"], []
+
+        def recording(f, abs_tol, rel_tol, t, state, max_step, max_steps,
+                      t_end, accept, **kw):
+            if state == (0.0,):
+                steps = []
+                left_steps.append(steps)
+
+                def seen(t, h, y, y5, err_abs, accept=accept):
+                    steps.append(h)
+                    return accept(t, h, y, y5, err_abs)
+                accept = seen
+            return drive(f, abs_tol, rel_tol, t, state, max_step, max_steps,
+                         t_end, accept, **kw)
+
+        monkeypatch.setitem(flow._LOOPS, "graph", recording)
+        flow.transition_slope(EX6, SECTIONS, side)
+        assert len(left_steps) == len(flow.DEFAULT_OFFSETS)
+        assert all(steps[0] >= 1e-3 for steps in left_steps)
 
     def test_flat_symmetric_case(self):
         # g1 = g2 = 0 freezes y along orbits: slope exactly 1
@@ -1121,8 +1154,8 @@ class TestTransitionSlope:
     def test_side_with_denominator_fold(self):
         # |a| > 2 makes the graph denominator of a shallow orbit vanish on
         # the path, where the arclength fallback was held to 2%.  The
-        # remainder decays about like y0: 6.5e-6, 6.5e-7 and 7.0e-8 off
-        # from the three default starts, 5.5e-9 after the Richardson step
+        # remainder decays about like y0: 6.5e-6, 6.5e-7 and 6.7e-8 off
+        # from the three default starts, 2.6e-9 after the Richardson step
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         gp, _ = asy.gamma_pm(nf, SECTIONS)
         est = flow.transition_slope(nf, SECTIONS, "+")
@@ -1156,7 +1189,7 @@ class TestTransitionSlope:
         # y falls like |x|^c toward x = 0 and meets |x| = |y| near
         # y0^(1/(1 - c)): for c = 19/20 the start 1e-8 stays above 1e-150
         # and 1e-9 falls below it; c = 9/10 reaches about 1e-100 from 1e-10
-        # and reads 6.4e-9 off
+        # and reads 5.5e-10 off
         for c, deep in ((Fraction(9, 10), False), (Fraction(19, 20), True)):
             nf = build_example6(Fraction(0), Fraction(0), c)
             if deep:
@@ -1196,7 +1229,7 @@ class TestTransitionSlope:
     def test_slope_past_an_equilibrium(self, members, alpha, omega, rel):
         # from offset 1e-2 the graph folded and the arclength orbit ran
         # into an equilibrium, TransitDoesNotExist; the deep orbits pass
-        # below it and read 2.0e-8 and 4.4e-7 off, inside their bars (the
+        # below it and read 2.1e-8 and 4.4e-7 off, inside their bars (the
         # second's deepest start 5.0e-4, before the Richardson step)
         nf = NormalFormField(*members)
         sections = asy.SectionPair(alpha, omega)
@@ -1212,8 +1245,8 @@ class TestTransitionSlope:
         # is min(1, lambda_minus) of the exact layer's saddle data, and
         # the three default starts measure it: (s8 - s9)/(s9 - s10) =
         # 10^kappa.  On the first 128 members of the seed-1 transit pool
-        # the median |difference| is 0.002, and 213 of 255 sides lie
-        # within 0.05; 4 ratios are not positive
+        # the median |difference| is 0.002, and 228 of 255 sides lie
+        # within 0.05; 3 ratios are not positive
         workloads = bench_workloads(monkeypatch)
         lib = SimpleNamespace(polyfield=polyfield, normalform=normalform,
                               asymptotics=asy)
@@ -1246,7 +1279,7 @@ class TestTransitionSlope:
     @pytest.mark.parametrize("side", "+-")
     def test_extrapolation_with_kappa_below_one(self, side):
         # the deepest start reads 6.6e-6 (+) and 3.2e-5 (-) off; the
-        # Richardson step with q = 10^(1/2) reads 2.0e-9 and 2.4e-8 off
+        # Richardson step with q = 10^(1/2) reads 1.5e-9 and 2.4e-8 off
         nf = self.KAPPA_HALF
         closed = math.exp(asy.gamma_pm(nf, SECTIONS)["+-".index(side)])
         est = flow.transition_slope(nf, SECTIONS, side)
@@ -1260,8 +1293,8 @@ class TestTransitionSlope:
                              ids=["example6", "kappa=1/2"])
     @pytest.mark.parametrize("side", "+-")
     def test_legs_do_not_read_abs_tol(self, nf, side):
-        # each leg tests the error of v = log(y/y0) against rel_tol (1 +
-        # |v|), whatever cfg.abs_tol is
+        # each leg tests the error of v = log(y/y0) against the fixed 8
+        # rel_tol, whatever cfg.abs_tol is
         assert flow.transition_slope(
             nf, SECTIONS, side, cfg=flow.IntegratorConfig(abs_tol=1e-30)) \
             == flow.transition_slope(nf, SECTIONS, side)
@@ -1951,6 +1984,33 @@ class TestMonodromyProbe:
     def test_fake_saddle_is_transit(self):
         v = flow.monodromy_probe(EX6.field(), box=2.0)
         assert v is flow.ProbeVerdict.TRANSIT
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (0, Fraction(5, 4)),
+                                             (-1, Fraction(5, 16))])
+    def test_cartesian_ring_lands_on_the_fibers(self, monkeypatch, alpha,
+                                                beta):
+        # under weights (1, 2) the ring of radius 1e-8 starts its 12 orbits
+        # within 1.9e-4 rad of the fiber directions +-pi/2, six on each,
+        # at chart radii 5.1e-5 to 9.8e-5: they cover 2 directions
+        field = build_z(alpha, beta)
+        starts = []
+
+        def turn(_chart, rho, theta, _box, _cfg):
+            starts.append((rho, theta))
+            return "turn", rho, 0.0
+
+        monkeypatch.setattr(flow, "_turn", turn)
+        verdict = flow.monodromy_probe(field, box=10.0, ring_radius=1e-8)
+        assert verdict is flow.ProbeVerdict.MONODROMIC
+        assert newton_weights(field)[:2] == (1, 2)
+        assert polyfield.fiber_directions(field) == (math.pi / 2,
+                                                     3 * math.pi / 2)
+        assert Counter(math.copysign(1.0, theta) for _rho, theta in starts) \
+            == {1.0: 6, -1.0: 6}
+        assert max(abs(abs(theta) - math.pi / 2)
+                   for _rho, theta in starts) < 1.9e-4
+        radii = [math.exp(rho) for rho, _theta in starts]
+        assert 5.0e-5 < min(radii) < 5.1e-5 and 9.8e-5 < max(radii) < 9.9e-5
 
     def test_contracting_below_threshold_is_not_monodromic(self):
         # orbits fall onto the origin, where steps of NaN error norm, once
