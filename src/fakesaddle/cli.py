@@ -11,6 +11,7 @@ Exit codes are fixed so CI harnesses can assert failure modes:
     4  not a hyperbolic fake saddle
     5  invalid sections or window; principal value did not converge
     6  no transit / no return
+   70  internal error, with its traceback (sysexits' EX_SOFTWARE)
 
 The environment variable FSL_TOL overrides the default quadrature
 absolute tolerance (for finite sections) and integrator relative
@@ -26,6 +27,7 @@ import math
 import os
 import re
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +43,7 @@ EXIT_NOT_NORMAL_FORM = 3
 EXIT_NOT_HYPERBOLIC = 4
 EXIT_BAD_SECTIONS = 5
 EXIT_NO_TRANSIT = 6
+EXIT_INTERNAL = 70
 
 
 def _tolerances():
@@ -486,6 +489,9 @@ def main(argv=None) -> int:
                             if t in _FAILURES)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
+    except Exception:  # a bug, not a reproduction check that failed
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

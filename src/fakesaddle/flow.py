@@ -5,9 +5,10 @@ The integrator is an explicit embedded Runge-Kutta 5(4) pair
 step control (Hairer & Wanner, Solving ODEs II, IV.8), and no dense
 output: a drive ends at a step's end or on a graph over the coordinate
 it stops on (Henon, Physica D 5, 1982).  Fields arrive compiled as sparse
-Horner source: ``PlanarField.as_rhs``, bit for bit dense Horner, and
-``PlanarField.as_chart`` in the weighted polar chart.  Each state kind
-has one drive loop (``_compile_loop``), generated from the tableau and
+Horner source: ``PlanarField.as_rhs``, bit for bit dense Horner, and in
+two charts, ``as_chart`` (weighted polar) and ``as_x_dir_slope`` (X_DIR
+blow-up, the transits' outer legs).  Each state kind has one drive loop
+(``_compile_loop``), generated from the tableau and
 the kind's stage template, that calls its field directly and keeps the
 stages, the error norm and the step control in local scalars:
 
@@ -604,36 +605,26 @@ _TRANSIT_FLOOR = 1e-150
 # averaged over the accepted leg steps of the benchmark's seed-1 transit
 # pool (8.06), so the same budget, spent evenly along the orbit
 _LOG_TOL = 8.0
+# The longest step on a log clock, log|x| or log|phi - phi_f|, a factor
+# e^2: a longer step can cross the bend where the orbit passes a fiber
+# with an error estimate far below its error (z(1, 1) read 1.1e-6 off at
+# rel_tol 8.32e-10), or be guessed at 1e292 where v' vanishes at a start
+_LOG_STEP = 2.0
 
 
-def _outer(rhs, y0, sign):
-    """The slope dv/ds = |x| (q/y)/p of v = log(y/y0) over s = -log(-x)
-    (``sign`` -1) or s = log(x) (``sign`` +1).  A stage that overflows,
-    divides by 0 or meets p <= 0 has slope inf: the loop halves h."""
-    def f(s, v):
-        try:
-            ax = math.exp(sign * s)
-            y = y0 * math.exp(v)
-            p, q = rhs(sign * ax, y)
-            if p > 0.0:
-                return ax * (q / y) / p
-        except ArithmeticError:
-            pass
-        return math.inf
-    return f
-
-
-def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
-    """(log(y1/y0), accumulated step error) of the orbit from (alpha, y0)
-    to (omega, y1), in v = log(y/y0) on three graph legs: over s =
-    -log(-x) in steps of at most 1, to the end of the first accepted step
-    past |x| = k|y|; over u = x/|y| to u = k; and over s = log(x), from
-    x = k|y| on.  Near x = 0 the divisor of the blow-up has no singular
+def _transit(field, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
+    """(log(y1/y0), accumulated step error) of the orbit from (alpha, y0) to
+    (omega, y1), in v = log(y/y0) on three graph legs: over s = -log(-x) to
+    the end of the first accepted step past |x| = k|y|; over u = x/|y| to
+    u = k; and over s = log(x), from x = k|y| on, the outer legs on the
+    X_DIR slope (``PlanarField.as_x_dir_slope``) in steps of at most
+    ``_LOG_STEP``.  Near x = 0 the divisor of the blow-up has no singular
     point for d > 0, so u increases along the orbit: dv/du = w/u' with
     v' = w = q/(y|y|) and u' = p/y^2 - u w, that is sy q/(p - sy u q) for
     the sign sy of y, and inf where u' <= 0 or a stage fails, so the loop
-    halves h.  A leg that underflows its step or runs out of steps raises
-    TransitDoesNotExist naming the leg and the point (x, y).
+    halves h.  That leg stays on ``as_rhs``: in u, terms of different
+    degree share no Horner rows.  A leg that underflows its step or runs
+    out of steps raises TransitDoesNotExist naming the leg and its (x, y).
 
     v is a logarithm: its absolute error is y's relative error, and its
     natural scale is 1 wherever it lies.  So every leg tests v's step
@@ -641,7 +632,8 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     in |v|, and reads no ``cfg.abs_tol``; and each leg's first step is
     1e-2 (|v| + 1)/|v'|, at most the leg's span and step cap."""
     tol, steps = (_LOG_TOL * cfg.rel_tol, 0.0), cfg.max_steps
-    cap = min(cfg.max_step or 1.0, 1.0)
+    cap = min(cfg.max_step or math.inf, _LOG_STEP)
+    rhs, outer = field.as_rhs(), field.as_x_dir_slope
     ay0, sy = abs(y0), math.copysign(1.0, y0)
     y_cap = min(-alpha, omega) / (2.0 * k)
     lk, s_floor = math.log(k * ay0), -math.log(_TRANSIT_FLOOR)
@@ -678,7 +670,7 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
 
     # a left leg that ends at the floor, |x| < 1e-150, has k|y| < |x| there
     (s, v), err = leg("left", lambda s, _ay: -math.exp(-s),
-                      _outer(rhs, y0, -1.0), -math.log(-alpha), 0.0, cap,
+                      outer(y0, -1.0), -math.log(-alpha), 0.0, cap,
                       None, left_end)
     if v > v_lo:
         (v,), e = leg("middle", lambda u, ay: u * ay, dv_du,
@@ -691,7 +683,7 @@ def _transit(rhs, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     if not v > v_lo:
         raise ValueError(f"orbit from ({alpha}, {y0}) falls below the depth "
                          f"floor |y| = {_TRANSIT_FLOOR}")
-    (v,), e = leg("right", lambda s, _ay: math.exp(s), _outer(rhs, y0, 1.0),
+    (v,), e = leg("right", lambda s, _ay: math.exp(s), outer(y0, 1.0),
                   lk + v, v, cap, math.log(omega), None)
     return v, err + e
 
@@ -709,17 +701,18 @@ def transition_slope(nf: NormalFormField, sections, side: str,
     from the invariants: ``_deepest`` takes one Richardson step with it
     on each pair of consecutive starts, reports the two deepest starts'
     as the value, and spans every step and the deepest start's slope
-    with the residual; one start gives its own slope.  With k = 1
-    for a^2 < 4 and |a| + 1 otherwise, the orbit runs over log|x| where
-    |x| > k|y|, and in between over u = x/|y|, which increases along it
-    since d > 0.  v's absolute error is y's relative error, and its
-    scale is 1: every leg tests v's step error against the fixed 8 rel_tol
-    of ``cfg``, with no part in |v|, reads no abs_tol, and starts from the
-    step 1e-2 (|v| + 1)/|v'|.  Starts need 1e-150 <= |y0| <
-    min(-alpha, omega)/(2k), or ValueError.  An orbit that reaches that
-    bound on |y| near x = 0 raises TransitDoesNotExist, one that falls
-    below 1e-150 ValueError.  A leg whose step underflows, where x or u
-    turns back, or that runs out of ``cfg.max_steps`` raises
+    with the residual; one start gives its own slope.  With k = 1 for a^2
+    < 4 and |a| + 1 otherwise, the orbit runs over log|x| where |x| >
+    k|y|, and in between over u = x/|y|, which increases along it since d
+    > 0: over log|x| on the slope +-Qt/Pt of the X_DIR blow-up chart, in
+    steps of at most 2, and over u on ``as_rhs``.  v's absolute error is
+    y's relative error, and its scale is 1: every leg tests v's step error
+    against the fixed 8 rel_tol of ``cfg``, with no part in |v|, reads no
+    abs_tol, and starts from the step 1e-2 (|v| + 1)/|v'|.  Starts need
+    1e-150 <= |y0| < min(-alpha, omega)/(2k), or ValueError.  An orbit
+    that reaches that bound on |y| near x = 0 raises TransitDoesNotExist,
+    one that falls below 1e-150 ValueError.  A leg whose step underflows,
+    where x or u turns back, or that runs out of ``cfg.max_steps`` raises
     TransitDoesNotExist naming the start, the leg and the point (x, y).
     Without d > 0, NotHyperbolicFakeSaddle.
     """
@@ -741,8 +734,8 @@ def transition_slope(nf: NormalFormField, sections, side: str,
         raise ValueError(f"offsets {offsets} must lie in [{_TRANSIT_FLOOR}, "
                          f"min(-alpha, omega)/(2k)) with k = {k}")
     sign = 1.0 if side == "+" else -1.0
-    rhs = nf.field().as_rhs()
-    return _deepest(offsets, lambda o: _transit(rhs, alpha, omega, sign * o,
+    field = nf.field()
+    return _deepest(offsets, lambda o: _transit(field, alpha, omega, sign * o,
                                                 k, cfg),
                     float(min(1, 1 / (1 - inv.c))))
 
@@ -767,12 +760,6 @@ _RETURN_BOX = 4.0
 # the leg spans over 500 units in the last place of |phi| < 4*pi, and the
 # log legs beside it keep their sides of the midpoints
 _FIBER_SPAN = 1e-2
-# The longest step of a leg over log|phi - phi_f|, a factor e^2 in
-# |phi - phi_f|: the slope changes over a few units of the log where the
-# orbit passes the fiber, and a longer step can cross that change with an
-# error estimate far below its error (z(1, 1) read 1.1e-6 off at rel_tol
-# 8.32e-10), or start a leg with steps that are rejected
-_LOG_STEP = 2.0
 
 
 def _weighted_polar(field: PlanarField):

@@ -467,6 +467,22 @@ def _compile_weighted_polar(field: "PlanarField"):
     ]) + "\n", "chart")
 
 
+def _compile_x_dir_slope(field: "PlanarField"):
+    pt, qt = (_horner_rows(f.terms, "x", "w") if f.terms else "0.0"
+              for f in x_dir_factors(field))
+    return _compile(f"""def _f(y0, sign):
+    def _slope(s, v):
+        try:
+            x = sign*exp(sign*s)
+            w = y0*exp(v)/x
+        except ArithmeticError:
+            return inf
+        pt = {pt}
+        return sign*({qt})/pt if pt > 0.0 else inf
+    return _slope
+""", "x_dir")
+
+
 @dataclass(frozen=True)
 class PlanarField:
     """Planar polynomial vector field p(x,y) d/dx + q(x,y) d/dy."""
@@ -530,6 +546,14 @@ class PlanarField:
         make that slope bounded."""
         return self._cached("_chart", _compile_weighted_polar)[2]
 
+    def as_x_dir_slope(self, y0, sign) -> Callable[[float, float], float]:
+        """The slope ``f(s, v) -> dv/ds`` of v = log(y/y0) over s = -log(-x)
+        (``sign`` -1) or log(x) (+1): |x| (q/y)/p = sign Qt/Pt at w = y/x,
+        (Pt, Qt) of ``x_dir_factors`` in sparse Horner, inf where Pt <= 0
+        or a stage fails.  Compiled once per field (ValueError as
+        ``x_dir_factors``); each call closes it over y0 and sign."""
+        return self._cached("_x_dir", _compile_x_dir_slope)(y0, sign)
+
     def _cached(self, name, compile_):
         value = self.__dict__.get(name)
         if value is None:
@@ -542,7 +566,7 @@ class PlanarField:
         # the compiled functions are caches, not data: copies and pickles
         # leave them out and compile again
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("_rhs", "_chart")}
+                if k not in ("_rhs", "_chart", "_x_dir")}
 
     def to_json(self) -> dict:
         return {"p": self.p.to_json(), "q": self.q.to_json()}
@@ -648,6 +672,19 @@ def fiber_directions(field: PlanarField) -> Tuple[float, ...]:
     no_x = not any(j == 0 and a * i == d + b for i, j in field.q.terms)
     return tuple(k * 0.5 * math.pi for k in range(4)
                  if (no_x, no_y)[k % 2])
+
+
+def x_dir_factors(field: PlanarField) -> Tuple[Poly2, Poly2]:
+    """(Pt, Qt) = (p(x, wx)/x^2, q(x, wx)/(x^2 w)) exactly: ``u_factor`` and
+    ``u_factor + v_factor`` of ``blow_up`` in the X_DIR chart, divide power
+    1.  ValueError unless y divides q and p, q have no term of degree < 2."""
+    p, q = field.p.terms, field.q.terms
+    if any(i + j < 2 for i, j in [*p, *q]) or any(j < 1 for _i, j in q):
+        raise ValueError("the X_DIR slope needs y to divide q and terms of "
+                         f"degree at least 2 in p and q, got {field}")
+    return (Poly2._trusted({(i + j - 2, j): c for (i, j), c in p.items()}),
+            Poly2._trusted({(i + j - 2, j - 1): c
+                            for (i, j), c in q.items()}))
 
 
 def pullback_affine(field: PlanarField, amap: AffineMap2) -> PlanarField:

@@ -87,7 +87,8 @@ def count_evals(monkeypatch):
 def count_calls(monkeypatch):
     """Count calls of the compiled functions that ``PlanarField`` methods
     return: ``as_rhs``, one per field evaluation, ``as_chart`` and
-    ``as_chart_slope``, one per stage of a turn.
+    ``as_chart_slope``, one per stage of a turn, and ``as_x_dir_slope``,
+    one per stage of a transit's outer leg.
 
     ``count_calls(*names)`` patches each named method and returns one
     shared list; every call adds one to its last entry, so a test appends
@@ -96,8 +97,8 @@ def count_calls(monkeypatch):
     def install(*names):
         calls = []
         for name in names:
-            def counting(self, _compile=getattr(PlanarField, name)):
-                f = _compile(self)
+            def counting(self, *bound, _compile=getattr(PlanarField, name)):
+                f = _compile(self, *bound)
 
                 def counted(*args):
                     calls[-1] += 1

@@ -418,6 +418,19 @@ class TestTransit:
                           "--alpha", "-1", "--omega", "0.5")
         assert err.startswith("no transit")
 
+    def test_internal_error_has_its_own_exit(self, capsys, monkeypatch):
+        # a bug is no failed reproduction check: exit 70 (sysexits'
+        # EX_SOFTWARE) with the traceback on stderr, where Python's 1 was
+        # the code of failed checks
+        def fail(*_args, **_kw):
+            raise RuntimeError("an identity broke")
+        monkeypatch.setattr(flow, "transition_slope", fail)
+        code, _, err = run_cli(capsys, "transit", "--case", "y1",
+                               "--alpha", "-1", "--omega", "0.5")
+        assert code == cli.EXIT_INTERNAL == 70
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.splitlines()[-1] == "RuntimeError: an identity broke"
+
     def test_leg_that_cannot_go_on_is_no_transit(self, capsys):
         # p <= 0 on the left leg from a valid start: the step underflows
         nf = {"f1": {"terms": [[0, 0, "1"]]},

@@ -521,13 +521,13 @@ DRIVES = [
      dict(t_end=1.0),
      {"t_end clamp", "t_end", "rejected", "predictive"}, "("),
     # transition_slope's left outer leg, v = log(y/y0) over s = -log(-x),
-    # of the a = b = 5/2 member, from x = -1 to -e^-6 in steps of at most 1
+    # of the a = b = 5/2 member on the X_DIR slope, from x = -1 to -e^-6
+    # in steps of at most 2
     ("outer leg over s", "graph",
-     lambda: flow._outer(build_example6(Fraction(5, 2), Fraction(5, 2),
-                                        Fraction(1, 2)).field().as_rhs(),
-                         1e-3, -1.0),
-     0.0, (0.0,), flow.IntegratorConfig(max_step=1.0), dict(t_end=6.0),
-     {"t_end clamp", "t_end"}, "("),
+     lambda: build_example6(Fraction(5, 2), Fraction(5, 2),
+                            Fraction(1, 2)).field().as_x_dir_slope(1e-3, -1.0),
+     0.0, (0.0,), flow.IntegratorConfig(max_step=flow._LOG_STEP),
+     dict(t_end=6.0), {"t_end clamp", "t_end"}, "("),
     ("graph p = 0", "graph",
      lambda: graph_of(lambda x, y: (0.0 if x > 0.5 else 1.0, y)), 0.0,
      (0.2,), flow.IntegratorConfig(), dict(t_end=1.0), set(),
@@ -777,12 +777,13 @@ class TestRhsCounts:
         # 3057 and 2949 with the middle leg in the chart state (u, v),
         # 2241 and 2073 with v's error tested against abs_tol + rel_tol |v|,
         # 2181 and 2055 against rel_tol (1 + |v|) and with the loop's first
-        # step 1e-2 (|v| + 1e-6)/|v'|
-        count_rhs = count_calls("as_rhs")
+        # step 1e-2 (|v| + 1e-6)/|v'|, 2127 and 2031 with the outer legs on
+        # as_rhs in steps of at most 1
+        count_rhs = count_calls("as_rhs", "as_x_dir_slope")
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(EX6, SECTIONS, side)
-        assert count_rhs == [2127, 2031]
+        assert count_rhs == [2025, 1983]
 
     def test_transition_slope_fold_member(self, count_calls):
         # |a| > 2: the graph over x of a shallow orbit folds, and the
@@ -791,13 +792,14 @@ class TestRhsCounts:
         # chart state (u, v) took 3909 and 4215; 3051 and 3291 with v's
         # error tested against abs_tol + rel_tol |v|, 3003 and 3279 against
         # rel_tol (1 + |v|) and with the loop's first step 1e-2 (|v| +
-        # 1e-6)/|v'|
-        count_rhs = count_calls("as_rhs")
+        # 1e-6)/|v'|, 3027 and 3555 with the outer legs on as_rhs in
+        # steps of at most 1
+        count_rhs = count_calls("as_rhs", "as_x_dir_slope")
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         for side in "+-":
             count_rhs.append(0)
             flow.transition_slope(nf, SECTIONS, side)
-        assert count_rhs == [3027, 3555]
+        assert count_rhs == [2703, 3045]
 
 
     # integrate() in each parametrization, with stops of each kind: the
@@ -1006,13 +1008,15 @@ def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
     2-D state (u, v) of the chart u = x/|y|, v = log(y/y0), on the "xy"
     loop over dtau = |y| dt: u' = p/y^2 - u w, v' = w = q/(y|y|), to the
     end of the first accepted step past u = k; the right leg starts at
-    x = u|y| there.  The outer legs test v's error against the fixed
-    ``_LOG_TOL`` rel_tol and start from 1e-2 (|v| + 1)/|v'|, as in
-    ``_transit``; the chart runs at ``cfg``'s tolerances from the loop's
-    first step, since u is no logarithm."""
-    rhs = nf.field().as_rhs()
+    x = u|y| there.  The outer legs run on the X_DIR slope in steps of at
+    most ``_LOG_STEP``, test v's error against the fixed ``_LOG_TOL``
+    rel_tol and start from 1e-2 (|v| + 1)/|v'|, as in ``_transit``; the
+    chart runs at ``cfg``'s tolerances from the loop's first step, since u
+    is no logarithm."""
+    field = nf.field()
+    rhs = field.as_rhs()
     tol, steps = (flow._LOG_TOL * cfg.rel_tol, 0.0), cfg.max_steps
-    cap = min(cfg.max_step or 1.0, 1.0)
+    cap = min(cfg.max_step or math.inf, flow._LOG_STEP)
     ay0, sy = abs(y0), math.copysign(1.0, y0)
     lk = math.log(k * ay0)
 
@@ -1033,21 +1037,21 @@ def chart_transit(nf, alpha, omega, y0, k, cfg=flow.IntegratorConfig()):
         return y5 if y5[0] >= k else None
 
     (s, v), _err = flow._LOOPS["graph"](
-        flow._outer(rhs, y0, -1.0), *tol, -math.log(-alpha), (0.0,), cap,
+        field.as_x_dir_slope(y0, -1.0), *tol, -math.log(-alpha), (0.0,), cap,
         steps, None, left, scale=1.0)
     (u, v), _err = flow._LOOPS["xy"](
         chart, cfg.abs_tol, cfg.rel_tol, 0.0, (-math.exp(-s - v) / ay0, v),
         cfg.max_step or math.inf, steps, None, middle)
     (v,), _err = flow._LOOPS["graph"](
-        flow._outer(rhs, y0, 1.0), *tol, math.log(u * ay0 * math.exp(v)),
+        field.as_x_dir_slope(y0, 1.0), *tol, math.log(u * ay0 * math.exp(v)),
         (v,), cap, steps, math.log(omega), None, scale=1.0)
     return v
 
 
 class TestTransitionSlope:
     # each bound is at least 9 times the deviation of the estimate, the
-    # Richardson step on the two deepest starts: 4.4e-10 (y1), 5.0e-11
-    # and 2.2e-10 (example6), 2.6e-9 (a = b = 5/2)
+    # Richardson step on the two deepest starts: 3.0e-10 (y1), 5.8e-10
+    # on both sides (example6), 2.5e-9 (a = b = 5/2)
     def test_resolved_quartic_both_sides(self):
         # closed form gives the same slope on both sides here
         for side in "+-":
@@ -1069,8 +1073,8 @@ class TestTransitionSlope:
     @pytest.mark.parametrize("side", "+-")
     def test_middle_leg_agrees_with_the_chart_state(self, abc, k, side):
         # the graph of v over u against the 2-D chart state (u, v): the
-        # two differ by their step errors, 6.7e-12 at most at rel_tol
-        # 1e-12 (5.9e-10 at the default 1e-10, against a bound of 1e-9)
+        # two differ by their step errors, 8.2e-12 at most at rel_tol
+        # 1e-12 (5.7e-10 at the default 1e-10, against a bound of 1e-9)
         nf = build_example6(*map(Fraction, abc))
         cfg = flow.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         est = flow.transition_slope(nf, SECTIONS, side, cfg=cfg)
@@ -1125,6 +1129,26 @@ class TestTransitionSlope:
         assert len(left_steps) == len(flow.DEFAULT_OFFSETS)
         assert all(steps[0] >= 1e-3 for steps in left_steps)
 
+    @pytest.mark.parametrize("side", "+-")
+    def test_outer_steps_are_capped(self, side):
+        # member 209 of the benchmark's seed-1 transit pool: g1(-1, 0) = 0
+        # makes v' vanish at the start, so the first step guessed from it
+        # is about 1e292 in s.  Without a cap the sides read 99.8% and 87%
+        # off; in steps of at most _LOG_STEP 4.2e-9 and 1.3e-9
+        n = Fraction(1, 16)
+        nf = NormalFormField(
+            1 - 4 * n * Y ** 2 - n * X - 5 * n * X * Y
+            - 2 * n * X ** 2 - 2 * n * X ** 3,
+            1 - 7 * n * X,
+            -3 * n - 8 * n * Y - 4 * n * X * Y
+            + 3 * n * X ** 2,
+            20 * n - 8 * n * Y - 6 * n * Y ** 2, 15 * n)
+        sections = asy.SectionPair(-1.0, 0.6875)
+        assert nf.g1(-1, 0) == 0
+        closed = math.exp(asy.gamma_pm(nf, sections)["+-".index(side)])
+        est = flow.transition_slope(nf, sections, side)
+        assert est.value == pytest.approx(closed, rel=1e-7)
+
     def test_flat_symmetric_case(self):
         # g1 = g2 = 0 freezes y along orbits: slope exactly 1
         nf = NormalFormField(Poly2.const(1), Poly2.const(1), Poly2.zero(),
@@ -1155,7 +1179,7 @@ class TestTransitionSlope:
         # |a| > 2 makes the graph denominator of a shallow orbit vanish on
         # the path, where the arclength fallback was held to 2%.  The
         # remainder decays about like y0: 6.5e-6, 6.5e-7 and 6.7e-8 off
-        # from the three default starts, 2.6e-9 after the Richardson step
+        # from the three default starts, 2.5e-9 after the Richardson step
         nf = build_example6(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
         gp, _ = asy.gamma_pm(nf, SECTIONS)
         est = flow.transition_slope(nf, SECTIONS, "+")

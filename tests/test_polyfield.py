@@ -10,10 +10,11 @@ from conftest import random_normal_form
 from fakesaddle.blowup import BlowupChart, ChartKind, blow_up
 from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  build_z_normalform, printed_z_blowup)
+from fakesaddle.normalform import invariants
 from fakesaddle.polyfield import (AffineMap2, NotDivisible, PlanarField,
                                   Poly2, SingularMap, _horner_expr,
                                   fiber_directions, newton_weights,
-                                  pullback_affine)
+                                  pullback_affine, x_dir_factors)
 
 X, Y = Poly2.gens()
 
@@ -205,6 +206,78 @@ class TestFiberDirections:
     def test_cusp(self):
         # x' = y, y' = -x^3 under weights (1, 2): both pure terms
         assert fiber_directions(PlanarField(Y, -X ** 3)) == ()
+
+
+class TestXDirSlope:
+    """The outer transit legs' slope sign Qt/Pt of v = log(y/y0) over
+    s = sign log|x|, checked against the exact layer's X_DIR blow-up and
+    against |x| (q/y)/p of ``as_rhs``."""
+
+    def test_factors_are_the_blow_up_chart(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(hypothesis.strategies.integers(0, 2 ** 32 - 1))
+        def check(seed):
+            field = random_normal_form(random.Random(seed),
+                                       d_positive=True).field()
+            res = blow_up(field, BlowupChart(ChartKind.X_DIR, 1))
+            assert x_dir_factors(field) == (res.u_factor,
+                                            res.u_factor + res.v_factor)
+
+        check()
+
+    def test_slope_agrees_with_the_field(self):
+        # at the x and y the slope reads off (s, v), on both legs, where
+        # |x| >= k|y| up to rounding: within 1e-13 of |x| (q/y)/p, relative
+        # to it or, where the terms of p or q cancel, to the bound on its
+        # rounding that their absolute sums give
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.integers(0, 2 ** 32 - 1), st.floats(-12.0, 0.0),
+                          st.floats(-100.0, 0.0), st.sampled_from([-1.0, 1.0]),
+                          st.sampled_from([-1.0, 1.0]))
+        def check(seed, log_ax, log_ratio, sy, sign):
+            nf = random_normal_form(random.Random(seed), d_positive=True)
+            a = float(invariants(nf).a)
+            k = 1.0 if a * a < 4 else abs(a) + 1.0
+            field = nf.field()
+            ay = 10.0 ** (log_ax + log_ratio) / k
+            y0 = sy * 1e-8
+            s, v = sign * log_ax * math.log(10.0), math.log(ay / 1e-8)
+            x, y = sign * math.exp(sign * s), y0 * math.exp(v)
+            p, q = field.as_rhs()(x, y)
+            abs_p, abs_q = (
+                float(Poly2({key: abs(c) for key, c in f.terms.items()})(
+                    abs(x), abs(y))) for f in (field.p, field.q))
+            # the orbits run rightward: p > 0, not lost in rounding
+            hypothesis.assume(p > 1e-6 * abs_p)
+            scale = abs(x) * (abs_q / abs(y)) / p * (abs_p / p)
+            ref = abs(x) * (q / y) / p
+            got = field.as_x_dir_slope(y0, sign)(s, v)
+            assert abs(got - ref) <= 1e-13 * max(abs(ref), scale)
+
+        check()
+
+    @pytest.mark.parametrize("p, q", [
+        (X * X, X * X + X * Y),  # y does not divide q
+        (X * X + X, X * Y),  # p has a term of degree 1
+        (X * X, Y + X * Y),  # q has a term of degree 1
+    ], ids=["q", "p degree", "q degree"])
+    def test_refuses_fields_off_the_chart(self, p, q):
+        with pytest.raises(ValueError, match="X_DIR slope needs"):
+            x_dir_factors(PlanarField(p, q))
+        with pytest.raises(ValueError, match="X_DIR slope needs"):
+            PlanarField(p, q).as_x_dir_slope(1e-3, 1.0)
+
+    def test_no_slope_where_pt_is_not_positive(self):
+        # p = -x^2 runs the orbit leftward: no graph over log|x|
+        slope = PlanarField(-X * X, X * Y).as_x_dir_slope(1e-3, 1.0)
+        assert slope(0.0, 0.0) == math.inf
+        assert PlanarField(X * X, X * Y).as_x_dir_slope(1e-3, 1.0)(
+            0.0, 0.0) == 1.0
 
 
 class TestPullbackAffine:
