@@ -280,8 +280,9 @@ def _pv_integral_with_err(regularized, sections, abs_tol):
     return float(c) * math.log(sections.omega / -sections.alpha) + val, err
 
 
-def _richardson(values: Sequence[float], ratio: float) -> Tuple[float, float]:
-    """Richardson table for values at geometrically shrinking steps."""
+def _richardson(values: Sequence[float], ratio: float) -> float:
+    """The corner of the Richardson table for values at geometrically
+    shrinking steps."""
     table = [list(values)]
     while len(table[-1]) > 1:
         m = len(table)
@@ -289,9 +290,7 @@ def _richardson(values: Sequence[float], ratio: float) -> Tuple[float, float]:
         prev = table[-1]
         table.append([(r * prev[i + 1] - prev[i]) / (r - 1.0)
                       for i in range(len(prev) - 1)])
-    best = table[-1][0]
-    second = table[-2][0] if len(table) > 1 else best
-    return best, abs(best - second)
+    return table[-1][0]
 
 
 def pv_integral_eps_oracle(nf: NormalFormField,
@@ -331,8 +330,7 @@ def pv_integral_eps_oracle(nf: NormalFormField,
     for lo, hi in zip(logs[1:], logs):
         total += pieces(lo, hi, hi)
         vals.append(total)
-    best, _resid = _richardson(vals, 10.0)
-    return best
+    return _richardson(vals, 10.0)
 
 
 def pv_integral_sym_infinite(nf: NormalFormField) -> float:

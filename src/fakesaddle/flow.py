@@ -13,7 +13,9 @@ the kind's stage template, that calls its field directly and keeps the
 stages, the error norm and the step control in local scalars:
 
 - "xy": 2-D state of a field ``(t, x, y) -> (p, q)``: integrate()'s
-  unit-speed wrapper under arclength, and its stops' re-runs (``_cross``);
+  unit-speed wrapper under arclength, its stops' re-runs (``_cross``),
+  and a turn's (rho, theta) in the weighted polar chart past a fold
+  (``_turn``), whose ``accept`` tests the turn's stop on every step;
 - "graph": 1-D state as a graph over the independent variable, of a
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
@@ -21,22 +23,18 @@ stages, the error norm and the step control in local scalars:
   and over u = x/|y|, which test v's step error against a fixed multiple
   of rel_tol and start from the step 1e-2 (|v| + 1)/|v'|, where integrate()
   and the turns start from 1e-2 (|state| + 1e-6)/|slope|;
-- "chart": the 2-D state (rho, theta) of a turn (``_turn``) in the
-  weighted polar chart ``(rho, theta) -> (rho', theta')``, on a chart
-  clock it does not read, with the turn's guard in the loop: past a
-  fold only;
 - "polar": the 1-D state rho of a turn's legs, a graph over phi = sigma
   theta, sigma = +-1 its orientation, or over log|phi - phi_f| near a
   fiber direction phi_f, of the chart's slope ``(clock, rho, leg) ->
-  drho/dclock``, with the guard of "chart" on rho: every turn ends on
-  it.
+  drho/dclock``, with the turn's guard on rho in the loop: every turn
+  ends on it.
 
 Every drive runs on a bounded clock, arclength, x, a chart variable,
 theta or log|theta - theta_f|, that no stop reads.  A drive ends at
 t_end or on the section of a ``Stop`` that ``accept``, called on each
 accepted step, sees a step cross, on that step re-run as the graph over
 the crossed coordinate; the transit legs and the turns pass their own,
-which end a drive at a step's end.  A turn's loops compare the state
+which end a drive at a step's end.  A turn's legs compare the state
 with the guard that makes the turn's stop negative, and call its
 ``accept``, which takes logs, only where the guard fails.
 
@@ -203,15 +201,8 @@ _KINDS = {
     "xy": (2, "{k0}, {k1} = f({x}, {y0}, {y1})", None),
     # 1-D state as a graph over the independent variable: f(x, y) -> dy/dx
     "graph": (1, "{k0} = f({x}, {y0})", None),
-    # the 2-D state (rho, theta) of a turn of the weighted polar chart
-    # (``_turn``), f(rho, theta) not passed the clock, whose guard makes
-    # the turn's stop negative, up to the step in which theta passes
-    "chart": (2, "{k0}, {k1} = f({y0}, {y1})",
-              ("theta0, floor, a, b, log_box",
-               f"abs(y5_1 - theta0) < {TWO_PI!r} and y5_0 > floor "
-               "and a*y5_0 < log_box and b*y5_0 < log_box")),
     # rho of a turn's leg over its clock to the leg's end, the slope
-    # passed its leg, with the "chart" guard on rho
+    # passed its leg, with a guard that makes the turn's stop negative
     "polar": (1, "{k0} = f({x}, {y0}, leg)",
               ("leg, floor, a, b, log_box",
                "y5_0 > floor and a*y5_0 < log_box and b*y5_0 < log_box")),
@@ -238,14 +229,11 @@ def _compile_loop(kind: str):
     accept, [guard,] scale=1e-6)`` runs from ``state`` at ``t``,
     ``max_step`` inf for no cap and ``t_end`` and ``accept`` None when
     unused.  The kinds (``_KINDS``) are "xy", a 2-D state, "graph", a 1-D
-    state over the clock, "chart", the 2-D state of ``_turn``, its field
-    not passed the clock, whose drive takes after ``accept`` its guard's
-    arguments ``theta0, floor, a, b, log_box``, and "polar", the "graph"
-    state of ``_turn``, whose drive takes, after ``accept``, ``leg,
-    floor, a, b, log_box`` for its slope and guard.  The first step is
-    1e-2 (|state| + ``scale``)/(|slope| + 1e-300) in the max norm, at
-    most the span to ``t_end`` and ``max_step``.  Each of at most
-    ``max_steps`` attempts
+    state over the clock, and "polar", the "graph" state of ``_turn``,
+    whose drive takes, after ``accept``, ``leg, floor, a, b, log_box``
+    for its slope and guard.  The first step is 1e-2 (|state| +
+    ``scale``)/(|slope| + 1e-300) in the max norm, at most the span to
+    ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
       and raises StepUnderflow, with t, the state, the attempts before
@@ -763,12 +751,12 @@ _FIBER_SPAN = 1e-2
 
 
 def _weighted_polar(field: PlanarField):
-    """(a, b, f, g, h, fibers): the field f over (rho, theta) in the chart
+    """(a, b, f, g, fibers): the field f over (rho, theta) in the chart
     x = r^a c, y = r^b s, rho = log r, c = cos(theta), s = sin(theta), of
-    the Newton weights (a, b, d) (``newton_weights``), g and h, the slopes
-    of rho over phi = sigma theta and over log|phi - phi_f|
-    (``PlanarField.as_chart_slope``, ``as_chart_log_slope``), and the
-    fiber directions (``fiber_directions``).  With p = r^(d+a) P, q =
+    the Newton weights (a, b, d) (``newton_weights``), g, the slope of rho
+    over phi = sigma theta or over log|phi - phi_f|, as its leg (sigma,
+    phi_f, e) says (``PlanarField.as_chart_slope``), and the fiber
+    directions (``fiber_directions``).  With p = r^(d+a) P, q =
     r^(d+b) Q and dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q and
     theta' = a c Q - b s P, P and Q compiled from the field's terms once
     per field (``PlanarField.as_chart``).  A stage whose theta is
@@ -777,7 +765,7 @@ def _weighted_polar(field: PlanarField):
     Where r underflows to 0 a stage has the principal part's slope."""
     a, b, _d = newton_weights(field)
     return (a, b, field.as_chart(), field.as_chart_slope(),
-            field.as_chart_log_slope(), fiber_directions(field))
+            fiber_directions(field))
 
 
 def _chart_point(a: int, b: int, x: float, y: float):
@@ -830,21 +818,24 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
 
     The orbit runs as the graph of rho over phi = sigma theta, sigma =
     +-1 the sign of theta' at the start, on the "polar" loop, in the legs
-    of ``_legs``: over log|theta - theta_f| near each fiber direction
+    of ``_legs``, each on the chart's one slope with its leg (sigma,
+    phi_f, e): over log|theta - theta_f| near each fiber direction
     theta_f, where rho behaves like a multiple of that log, in steps of
-    at most ``_LOG_STEP``, and over theta across it, within
+    at most ``_LOG_STEP``, and over theta (e = 0) across it, within
     ``_FIBER_SPAN`` r0, r0 = exp(rho0) held to [1e-10, 1].  A turn ends
-    exactly at sigma theta0 + 2*pi.  A box
-    exit or a floor ends at the end of the first step where the stop is
-    not negative, its status the largest part.  The loops' guards compare
-    rho > floor and a rho, b rho < log(box), which make the stop negative
-    exactly (log|cos|, log|sin| <= 0); ``exits``, called only where one
-    fails, takes the logs.  Where theta turns back, a fold, the leg's
-    step underflows, and the orbit goes on in the chart with the attempts
-    left, up to the step in which theta passes theta0 +- 2*pi: from that
-    step's start it runs on the graph again, with the chart's budget
-    again.  A leg after the chart that underflows raises StepUnderflow."""
-    a, b, f, slope, log_slope, fibers = chart
+    exactly at sigma theta0 + 2*pi.  A box exit or a floor ends at the
+    end of the first step where the stop is not negative, its status the
+    largest part.  The legs' guard compares rho > floor and a rho, b rho
+    < log(box), which make the stop negative exactly (log|cos|, log|sin|
+    <= 0); ``exits``, called only where one fails, takes the logs.  Where
+    theta turns back, a fold, the leg's step underflows, and the orbit
+    goes on in the 2-D chart on the "xy" loop with the attempts left,
+    where ``passes``, called on every step, ends it at the end of a step
+    where the stop is not negative or at the start of the step in which
+    theta passes theta0 +- 2*pi: from there it runs on the graph again,
+    with the chart's budget again.  A leg after the chart that underflows
+    raises StepUnderflow."""
+    a, b, f, slope, fibers = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
     max_step = cfg.max_step or math.inf
     span = _FIBER_SPAN * math.exp(min(max(rho0, math.log(1e-10)), 0.0))
@@ -866,11 +857,8 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
         # err), or the end of the step where the stop is not negative
         for phi_f, e, lo, hi in _legs(fibers, sigma, sigma * theta,
                                       sigma * theta0 + TWO_PI, span):
-            if e:
-                g, leg, cap = log_slope, (sigma, phi_f, e), _LOG_STEP
-                t0, t1 = (e * math.log(e * (phi - phi_f)) for phi in (lo, hi))
-            else:
-                g, leg, cap, t0, t1 = slope, sigma, math.inf, lo, hi
+            t0, t1 = ((e * math.log(e * (phi - phi_f)) for phi in (lo, hi))
+                      if e else (lo, hi))
 
             def theta_at(t, phi_f=phi_f, e=e):
                 return sigma * (phi_f + e * math.exp(e * t) if e else t)
@@ -881,9 +869,10 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
 
             try:
                 end, err_leg = _LOOPS["polar"](
-                    g, cfg.abs_tol, cfg.rel_tol, t0, (rho,),
-                    min(max_step, cap), cfg.max_steps, t1, exits, leg, floor,
-                    a, b, log_box)
+                    slope, cfg.abs_tol, cfg.rel_tol, t0, (rho,),
+                    min(max_step, _LOG_STEP) if e else max_step,
+                    cfg.max_steps, t1, exits, (sigma, phi_f, e), floor, a, b,
+                    log_box)
             except StepUnderflow as exc:  # a fold: the chart takes over
                 exc.state = (exc.state[0], theta_at(exc.t))
                 exc.err += err
@@ -904,14 +893,14 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     if not max(parts((rho0, theta0))) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
-    sigma = 1.0 if slope(theta0, rho0, 1.0) < math.inf else -1.0
+    sigma = 1.0 if slope(theta0, rho0, (1.0, 0.0, 0)) < math.inf else -1.0
     try:
         return graph(rho0, theta0, sigma, 0.0)
     except StepUnderflow as exc:  # theta turns back: on in the chart
         state, steps, err = exc.state, cfg.max_steps - exc.attempts, exc.err
-    end, e = _LOOPS["chart"](f, cfg.abs_tol, cfg.rel_tol, 0.0, state,
-                             max_step, steps, None, passes, theta0, floor, a,
-                             b, log_box)
+    end, e = _LOOPS["xy"](lambda _t, rho, theta: f(rho, theta), cfg.abs_tol,
+                          cfg.rel_tol, 0.0, state, max_step, steps, None,
+                          passes)
     if len(end) == 2:
         return status(end, err + e)
     rho, theta, sigma = end

@@ -86,9 +86,10 @@ def count_evals(monkeypatch):
 @pytest.fixture
 def count_calls(monkeypatch):
     """Count calls of the compiled functions that ``PlanarField`` methods
-    return: ``as_rhs``, one per field evaluation, ``as_chart`` and
-    ``as_chart_slope``, one per stage of a turn, and ``as_x_dir_slope``,
-    one per stage of a transit's outer leg.
+    return: ``as_rhs``, one per field evaluation, ``as_chart_slope``, one
+    per stage of a turn's legs, over theta or over log|theta - theta_f|,
+    ``as_chart``, one per stage of a turn past a fold, and
+    ``as_x_dir_slope``, one per stage of a transit's outer leg.
 
     ``count_calls(*names)`` patches each named method and returns one
     shared list; every call adds one to its last entry, so a test appends

@@ -712,15 +712,15 @@ class TestRhsCounts:
 
     # the turns of the chart count its stages (``as_chart``): each was one
     # field call until the chart was compiled from the field's terms.  A
-    # turn's legs count the stages of the slope of rho over theta
-    # (``as_chart_slope``) and over log|theta - theta_f| near a fiber
-    # direction (``as_chart_log_slope``), and the chart's only past a fold
+    # turn's legs count the stages of the slope of rho over theta and
+    # over log|theta - theta_f| near a fiber direction
+    # (``as_chart_slope``), and the chart's only past a fold
 
     def test_monodromy_probe(self, count_calls):
         # 159384 by winding the cartesian state, 13780 with the chart
         # stage as a field call, 13782 with the turns in the chart, 9282
         # as one graph over theta
-        count_slope = count_calls("as_chart_slope", "as_chart_log_slope")
+        count_slope = count_calls("as_chart_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
@@ -733,7 +733,7 @@ class TestRhsCounts:
         # chart stages, and 14 of the slope over theta for the step in
         # which theta passes, before each turn ran as legs over log|theta
         # - theta_f| from the start
-        count_slope = count_calls("as_chart_slope", "as_chart_log_slope")
+        count_slope = count_calls("as_chart_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
@@ -752,8 +752,7 @@ class TestRhsCounts:
     ], ids=["1.0-0.2-box_exit-2641", "-1.0-0.1-floor-6223"])
     def test_return_slope_without_return(self, count_calls, alpha, beta,
                                          status, count):
-        count_stages = count_calls("as_chart", "as_chart_slope",
-                                   "as_chart_log_slope")
+        count_stages = count_calls("as_chart", "as_chart_slope")
         count_stages.append(0)
         with pytest.raises(flow.NoReturn, match=status):
             flow.return_slope(build_z(alpha, beta))
@@ -763,7 +762,7 @@ class TestRhsCounts:
         # the first of the 12 orbits leaves the box and decides TRANSIT:
         # its own stages, 271 in the chart, where the whole ring took
         # 4056, and 566 as one graph over theta
-        count_slope = count_calls("as_chart_slope", "as_chart_log_slope")
+        count_slope = count_calls("as_chart_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
@@ -1378,8 +1377,8 @@ class TestDeepest:
 
 def chart_return(field, cfg=flow.IntegratorConfig()):
     """``flow.return_slope`` from its default starts with each turn in
-    the 2-D chart state (rho, theta) on the "chart" loop up to the step
-    in which theta passes theta0 +- 2 pi, and that step re-run from its
+    the 2-D chart state (rho, theta) on the "xy" loop up to the step in
+    which theta passes theta0 +- 2 pi, and that step re-run from its
     start on the graph of rho over theta, as returns ran before their
     legs over log|theta - theta_f|.  The step's error counts twice."""
     a, b, f, slope, *_ = flow._weighted_polar(field)
@@ -1393,13 +1392,13 @@ def chart_return(field, cfg=flow.IntegratorConfig()):
     def measure(y0):
         rho0 = math.log(y0) / b
         floor = min(4.0 * rho0, rho0) - flow._RHO_DROP
-        (rho, theta, sigma), err = flow._LOOPS["chart"](
-            f, cfg.abs_tol, cfg.rel_tol, 0.0, (rho0, theta0), math.inf,
-            cfg.max_steps, None, passes, theta0, floor, a, b, log_box)
+        (rho, theta, sigma), err = flow._LOOPS["xy"](
+            clocked(f), cfg.abs_tol, cfg.rel_tol, 0.0, (rho0, theta0),
+            math.inf, cfg.max_steps, None, passes)
         (rho,), err_graph = flow._LOOPS["polar"](
             slope, cfg.abs_tol, cfg.rel_tol, sigma * theta, (rho,), math.inf,
             cfg.max_steps, sigma * theta0 + flow.TWO_PI, lambda *_: None,
-            sigma, floor, a, b, log_box)
+            (sigma, 0.0, 0), floor, a, b, log_box)
         return b * (rho - rho0), b * (err + err_graph)
     return flow._deepest([r0 ** b for r0 in flow.DEFAULT_RETURN_RADII],
                          measure)
@@ -1487,8 +1486,7 @@ class TestReturnSlope:
         # every point is at rest, so every stage's slope was 0/0: the
         # return ground through 10^6 steps (1.8 s) into NoReturn
         field = PlanarField(Poly2.zero(), Poly2.zero())
-        count_stages = count_calls("as_chart", "as_chart_slope",
-                                   "as_chart_log_slope")
+        count_stages = count_calls("as_chart", "as_chart_slope")
         count_stages.append(0)
         with pytest.raises(flow.NoReturn, match="no terms"):
             flow.return_slope(field)
@@ -1738,8 +1736,38 @@ class TestWeightedPolarChart:
             for sigma in (1.0, -1.0):
                 den = sigma * theta_dot
                 want = rho_dot / den if den > 0.0 else math.inf
-                assert g(sigma * theta, rho, sigma) == want, (rho, theta)
-        assert g(math.inf, -1.0, 1.0) == g(0.3, 1e4, -1.0) == math.inf
+                assert g(sigma * theta, rho, (sigma, 0.0, 0)) == want, \
+                    (rho, theta)
+        assert g(math.inf, -1.0, (1.0, 0.0, 0)) == \
+            g(0.3, 1e4, (-1.0, 0.0, 0)) == math.inf
+
+    @pytest.mark.parametrize("field", [*(f for _w, f in CHART_FIELDS),
+                                       build_xn(3)],
+                             ids=[*(f"weights{n}"
+                                    for n in range(len(CHART_FIELDS))),
+                                  "xn3"])
+    def test_slope_of_rho_over_a_log_clock(self, field):
+        # on the clock t of phi = phi_f + e u, u = exp(e t), e = +-1, the
+        # slope is u rho'/(sigma theta') from the chart's own stage at
+        # theta = sigma phi, bit for bit, where sigma theta' > 0, and inf
+        # where not or where a stage fails
+        f, g = field.as_chart(), field.as_chart_slope()
+        rng = random.Random(31)
+        phis = [*polyfield.fiber_directions(field), 0.0, 1.0, -2.5]
+        for _ in range(200):
+            rho = rng.uniform(-20.0, 1.0)
+            for sigma in (1.0, -1.0):
+                for e in (1, -1):
+                    phi_f = rng.choice(phis)
+                    t = e * rng.uniform(-28.0, 1.5)
+                    u = math.exp(e * t)
+                    rho_dot, theta_dot = f(rho, sigma * (phi_f + e * u))
+                    den = sigma * theta_dot
+                    want = u * rho_dot / den if den > 0.0 else math.inf
+                    assert g(t, rho, (sigma, phi_f, e)) == want, \
+                        (rho, sigma, phi_f, e, t)
+        assert g(1e4, -1.0, (1.0, 0.0, 1)) == \
+            g(0.3, 1e4, (-1.0, 0.5, -1)) == math.inf
 
     def test_guarded_stages_halve_the_step(self):
         # in the chart 37 stages of this return had a non-finite slope,
@@ -1979,7 +2007,7 @@ class TestGraphTurn:
         def no_chart(*_args):
             raise flow.StepUnderflow("no hand-over")
 
-        monkeypatch.setitem(flow._LOOPS, "chart", no_chart)
+        monkeypatch.setitem(flow._LOOPS, "xy", no_chart)
         verdict = flow.monodromy_probe(field, box=10.0, ring_radius=1e-8)
         assert verdict is flow.ProbeVerdict.UNDECIDED
 
@@ -2086,7 +2114,7 @@ class TestSlopeEstimateJson:
 class TestGeneratedCode:
     def test_compiled_functions_carry_their_own_filenames(self):
         # profiles and tracebacks tell the loops and the fields apart
-        assert set(flow._LOOPS) == {"xy", "graph", "chart", "polar"}
+        assert set(flow._LOOPS) == {"xy", "graph", "polar"}
         for kind, loop in flow._LOOPS.items():
             assert loop.__code__.co_filename == \
                 f"<fakesaddle.flow loop {kind}>"
@@ -2102,21 +2130,17 @@ class TestGeneratedCode:
         assert labels[0] == labels[1] and labels[3] == labels[4]
         assert len({labels[0], labels[2], labels[3], labels[5]}) == 4
         # the chart too, compiled once per field: a probe and a return of
-        # one field share it.  The slopes of rho over theta and over
-        # log|theta - theta_f| come from the same compile, under the same
-        # label and names of their own
+        # one field share it.  The slope of rho over theta and over
+        # log|theta - theta_f| comes from the same compile, under the same
+        # label and a name of its own
         z = build_z(1.0, 1.0)
-        assert flow._weighted_polar(z)[2:5] == (z.as_chart(),
-                                                z.as_chart_slope(),
-                                                z.as_chart_log_slope())
+        assert flow._weighted_polar(z)[2:4] == (z.as_chart(),
+                                                z.as_chart_slope())
         assert z.as_chart_slope() is z.as_chart_slope()
-        chart, slope, log_slope = (z.as_chart().__code__,
-                                   z.as_chart_slope().__code__,
-                                   z.as_chart_log_slope().__code__)
+        chart, slope = z.as_chart().__code__, z.as_chart_slope().__code__
         assert re.fullmatch(r"<fakesaddle\.polyfield chart \w+>",
                             chart.co_filename)
-        assert slope.co_filename == log_slope.co_filename == chart.co_filename
-        assert (chart.co_name, slope.co_name, log_slope.co_name) == (
-            "_chart", "_slope", "_log_slope")
+        assert slope.co_filename == chart.co_filename
+        assert (chart.co_name, slope.co_name) == ("_chart", "_slope")
         assert build_z(1.0, 0.5).as_chart_slope().__code__.co_filename \
             != slope.co_filename
