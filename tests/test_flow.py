@@ -719,13 +719,13 @@ class TestRhsCounts:
     def test_monodromy_probe(self, count_calls):
         # 159384 by winding the cartesian state, 13780 with the chart
         # stage as a field call, 13782 with the turns in the chart, 9282
-        # as one graph over theta
+        # as one graph over theta, 7710 in legs at the probe's rel_tol 1e-6
         count_slope = count_calls("as_chart_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
         flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
-        assert count_slope == [7710]
+        assert count_slope == [5556]
         assert count_chart == [0]
 
     def test_return_slope(self, count_calls):
@@ -761,14 +761,15 @@ class TestRhsCounts:
     def test_monodromy_probe_stops_at_first_exit(self, count_calls):
         # the first of the 12 orbits leaves the box and decides TRANSIT:
         # its own stages, 271 in the chart, where the whole ring took
-        # 4056, and 566 as one graph over theta
+        # 4056, 566 as one graph over theta, and 387 in legs at the
+        # probe's rel_tol 1e-6
         count_slope = count_calls("as_chart_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
         verdict = flow.monodromy_probe(EX6.field(), box=2.0)
         assert verdict is flow.ProbeVerdict.TRANSIT
-        assert count_slope == [387]
+        assert count_slope == [351]
         assert count_chart == [0]
 
     def test_transition_slope_both_sides(self, count_calls):
@@ -2011,7 +2012,10 @@ class TestGraphTurn:
         verdict = flow.monodromy_probe(field, box=10.0, ring_radius=1e-8)
         assert verdict is flow.ProbeVerdict.UNDECIDED
 
-    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+    # the probe runs at rel_tol 1e-5; every verdict holds up to 3e-3, and
+    # at 5e-3 z(1, 0.3) turns TRANSIT
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4,
+                                         1e-3, 2e-3, 3e-3])
     def test_verdicts_across_tolerances(self, monkeypatch, rel_tol):
         fields = PROBE_FIELDS + [(f, 10.0, 1e-8, flow.ProbeVerdict.MONODROMIC)
                    for seed in (1, 2) for f in z_pool(monkeypatch, seed)]
