@@ -7,10 +7,10 @@ output: a drive ends at a step's end or on a graph over the coordinate
 it stops on (Henon, Physica D 5, 1982).  Fields arrive compiled as sparse
 Horner source: ``PlanarField.as_rhs``, bit for bit dense Horner, and in
 two charts, ``as_chart`` (weighted polar) and ``as_x_dir_slope`` (X_DIR
-blow-up, the transits' outer legs).  Each state kind has one drive loop
-(``_compile_loop``), generated from the tableau and
-the kind's stage template, that calls its field directly and keeps the
-stages, the error norm and the step control in local scalars:
+blow-up, the transits' outer legs).  Each state dimension has one drive
+loop (``_compile_loop``), generated from the tableau, that calls its
+field directly, keeps the stages, the error norm and the step control in
+local scalars, and knows nothing of its caller:
 
 - "xy": 2-D state of a field ``(t, x, y) -> (p, q)``: integrate()'s
   unit-speed wrapper under arclength, its stops' re-runs (``_cross``),
@@ -19,24 +19,27 @@ stages, the error norm and the step control in local scalars:
 - "graph": 1-D state as a graph over the independent variable, of a
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
-  or below, and all three legs of a transit, v = log(y/y0) over log|x|
+  or below; all three legs of a transit, v = log(y/y0) over log|x|
   and over u = x/|y|, which test v's step error against a fixed multiple
   of rel_tol and start from the step 1e-2 (|v| + 1)/|v'|, where integrate()
-  and the turns start from 1e-2 (|state| + 1e-6)/|slope|;
-- "polar": the 1-D state rho of a turn's legs, a graph over phi = sigma
-  theta, sigma = +-1 its orientation, or over log|phi - phi_f| near a
-  fiber direction phi_f, of the chart's slope ``(clock, rho, leg) ->
-  drho/dclock``, with the turn's guard on rho in the loop: every turn
-  ends on it.
+  and the turns start from 1e-2 (|state| + 1e-6)/|slope|; and a turn's
+  legs, rho over phi = sigma theta, sigma = +-1 its orientation, or over
+  log|phi - phi_f| near a fiber direction phi_f, on the chart's slope
+  closed over its leg (``PlanarField.as_chart_slope``): every turn ends
+  on them.
 
 Every drive runs on a bounded clock, arclength, x, a chart variable,
 theta or log|theta - theta_f|, that no stop reads.  A drive ends at
 t_end or on the section of a ``Stop`` that ``accept``, called on each
 accepted step, sees a step cross, on that step re-run as the graph over
 the crossed coordinate; the transit legs and the turns pass their own,
-which end a drive at a step's end.  A turn's legs compare the state
-with the guard that makes the turn's stop negative, and call its
-``accept``, which takes logs, only where the guard fails.
+which end a drive at a step's end.  A drive calls ``accept`` only where
+the new state's first entry is not in the band (lo, hi), which is empty
+unless the caller passes one: a turn's legs pass a band of rho inside
+which the turn's stop is negative, so their ``accept``, which takes
+logs, runs only outside it; the transit's middle leg passes v between
+its depth floor and its cap on |y|, outside which its ``accept`` ends
+the leg.
 
 On top sit the measured counterparts of the closed-form transition
 theory: transition and Poincare return slopes, a first-integral drift
@@ -76,12 +79,12 @@ _MIN_DENOMINATOR = 1e-8
 
 
 class _DriveFailure(Exception):
-    """A drive that cannot go on: the loop's ``t``, ``state``, ``attempts``
-    before and accumulated ``err``, t and state None when raised outside."""
+    """A drive that cannot go on: the loop's ``t``, ``state`` and
+    accumulated ``err``, t and state None when raised outside."""
 
-    def __init__(self, message, t=None, state=None, attempts=0, err=0.0):
+    def __init__(self, message, t=None, state=None, err=0.0):
         super().__init__(message)
-        self.t, self.state, self.attempts, self.err = t, state, attempts, err
+        self.t, self.state, self.err = t, state, err
 
 
 class StepUnderflow(_DriveFailure):
@@ -191,24 +194,6 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-# Each state kind: its dimension, its stage slope as source, where ``{x}``
-# is the independent variable, ``{y0}``/``{y1}`` the state and
-# ``{k0}``/``{k1}`` the slope, and its guard, None or (the drive's extra
-# arguments, a condition on the new state y5 under which the loop does not
-# call ``accept``)
-_KINDS = {
-    # 2-D state: f(t, x, y) -> (p, q), passed the clock as the graph is
-    "xy": (2, "{k0}, {k1} = f({x}, {y0}, {y1})", None),
-    # 1-D state as a graph over the independent variable: f(x, y) -> dy/dx
-    "graph": (1, "{k0} = f({x}, {y0})", None),
-    # rho of a turn's leg over its clock to the leg's end, the slope
-    # passed its leg, with a guard that makes the turn's stop negative
-    "polar": (1, "{k0} = f({x}, {y0}, leg)",
-              ("leg, floor, a, b, log_box",
-               "y5_0 > floor and a*y5_0 < log_box and b*y5_0 < log_box")),
-}
-
-
 # The error norm's term of component i: the squared scaled error r_i of
 # min(|e|/(abs_tol + rel_tol*max(|y|, |y5|)), 1e120).  The comparisons of
 # the builtins are written out (max keeps its first argument unless the
@@ -222,30 +207,29 @@ r_{i} = a_{i}/(abs_tol + rel_tol*(m5_{i} if m5_{i} > m else m))
 if r_{i} > 1e120:
     r_{i} = 1e120"""
 
-def _compile_loop(kind: str):
-    """The DP5(4) drive of one state kind, generated from the tableau.
+def _compile_loop(kind: str, n: int):
+    """The DP5(4) drive of an ``n``-D state, generated from the tableau
+    and labelled by its ``kind``, "xy" for n = 2 and "graph" for n = 1.
 
     ``drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, t_end,
-    accept, [guard,] scale=1e-6)`` runs from ``state`` at ``t``,
-    ``max_step`` inf for no cap and ``t_end`` and ``accept`` None when
-    unused.  The kinds (``_KINDS``) are "xy", a 2-D state, "graph", a 1-D
-    state over the clock, and "polar", the "graph" state of ``_turn``,
-    whose drive takes, after ``accept``, ``leg, floor, a, b, log_box``
-    for its slope and guard.  The first step is 1e-2 (|state| +
-    ``scale``)/(|slope| + 1e-300) in the max norm, at most the span to
-    ``t_end`` and ``max_step``.  Each of at most ``max_steps`` attempts
+    accept, lo=inf, hi=-inf, scale=1e-6)`` runs from ``state`` at ``t`` on
+    the slope ``f(t, *state)``, a tuple for n = 2, ``max_step`` inf for
+    no cap and ``t_end`` and ``accept`` None when unused.  The first step
+    is 1e-2 (|state| + ``scale``)/(|slope| + 1e-300) in the max norm, at
+    most the span to ``t_end`` and ``max_step``.  Each try of a step, at
+    most ``max_steps`` of them,
 
     - clamps h to end at ``t_end``, returning there when nothing is left,
-      and raises StepUnderflow, with t, the state, the attempts before
-      and the accumulated error, when t + h == t;
+      and raises StepUnderflow, with t, the state and the accumulated
+      error, when t + h == t;
     - takes the step (six stages, then the slope k7 of the 5th-order state
       y5, the next step's k1), and halves h when y5 is not finite;
     - rejects the step unless the RMS of the scaled errors
       (``_SCALED_ERROR``) is at most 1, so also for a NaN norm, scaling h
       by max(0.2, 0.9 norm^-0.2);
     - calls ``accept(t, h, y, y5, err_abs)``, with tuples and the largest
-      |error|, if given and, for a kind with a guard, where the guard on
-      y5 fails: a state it returns ends the drive there;
+      |error|, if given and y5's first entry is not in the band (lo, hi),
+      empty by default: a state it returns ends the drive there;
     - advances, returns at ``t_end``, and scales h by min(5, fac), capped
       at ``max_step``: fac is 5 for a zero norm, 0.9 norm^-0.2 on the
       drive's first accepted step, and otherwise Gustafsson's predictive
@@ -264,7 +248,6 @@ def _compile_loop(kind: str):
     first: every float is bit for bit that of the plain tableau loop, NaNs
     included.
     """
-    n, stage, guard = _KINDS[kind]
     comps = range(n)
 
     def names(name):
@@ -278,8 +261,8 @@ def _compile_loop(kind: str):
                                   for m, a in enumerate(coeffs) if a) + ")"
 
     def slope(s, x, ys):
-        return stage.format(x=x, **{f"y{i}": ys[i] for i in comps},
-                            **{f"k{i}": f"k{s}_{i}" for i in comps})
+        return (", ".join(f"k{s}_{i}" for i in comps)
+                + f" = f({x}, {', '.join(ys)})")
 
     def clock(c):
         return "t + h" if c == 1.0 else f"t + {c!r}*h"
@@ -302,7 +285,7 @@ def _compile_loop(kind: str):
         f"        {end}",
         "if t + h == t:",
         "    raise StepUnderflow(f'step size {h} cannot advance t={t}', t, "
-        f"{tup('y')}, attempt, err_accum)",
+        f"{tup('y')}, err_accum)",
         *stages,
         "if not (" + " and ".join(f"isfinite(y5_{i})" for i in comps) + "):",
         "    h *= 0.5",
@@ -314,7 +297,7 @@ def _compile_loop(kind: str):
         "    h *= fac if fac > 0.2 else 0.2",
         "    continue",
         f"err_abs = {err_abs}",
-        f"if not ({guard[1]}):" if guard else "if accept is not None:",
+        "if accept is not None and not (lo < y5_0 < hi):",
         f"    y_stop = accept(t, h, {tup('y')}, {tup('y5')}, err_abs)",
         "    if y_stop is not None:",
         "        return y_stop, err_accum + err_abs",
@@ -342,7 +325,7 @@ def _compile_loop(kind: str):
     ])
     src = "\n".join([
         "def drive(f, abs_tol, rel_tol, t, state, max_step, max_steps, "
-        f"t_end, accept{', ' + guard[0] if guard else ''}, scale=1e-6):",
+        "t_end, accept, lo=inf, hi=-inf, scale=1e-6):",
         f"    {names('y')}= state",
         textwrap.indent(slope(1, "t", [f"y_{i}" for i in comps]), "    "),
         f"    h = 1e-2*(max(map(abs, state)) + scale)/"
@@ -353,12 +336,12 @@ def _compile_loop(kind: str):
         "    err_accum = 0.0",
         # the last accepted step and max(its norm, 1e-2), 0.0 before one
         "    h_prev = err_prev = 0.0",
-        "    for attempt in range(max_steps):",
+        "    for _ in range(max_steps):",
         textwrap.indent(attempt, "        "),
         "    raise MaxStepsExceeded("
         f"f'no stop condition met in {{max_steps}} steps', t, {tup('y')})",
     ]) + "\n"
-    ns: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt,
+    ns: dict = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf,
                 "StepUnderflow": StepUnderflow,
                 "MaxStepsExceeded": MaxStepsExceeded}
     # codegen over the tableau, under a name of its own in tracebacks and
@@ -368,7 +351,7 @@ def _compile_loop(kind: str):
     return ns["drive"]
 
 
-_LOOPS = {kind: _compile_loop(kind) for kind in _KINDS}
+_LOOPS = {"xy": _compile_loop("xy", 2), "graph": _compile_loop("graph", 1)}
 
 
 def _drive(kind, f, t0, y0, cfg: IntegratorConfig, *, t_end=None, sides=()):
@@ -604,15 +587,17 @@ def _transit(field, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     """(log(y1/y0), accumulated step error) of the orbit from (alpha, y0) to
     (omega, y1), in v = log(y/y0) on three graph legs: over s = -log(-x) to
     the end of the first accepted step past |x| = k|y|; over u = x/|y| to
-    u = k; and over s = log(x), from x = k|y| on, the outer legs on the
-    X_DIR slope (``PlanarField.as_x_dir_slope``) in steps of at most
-    ``_LOG_STEP``.  Near x = 0 the divisor of the blow-up has no singular
-    point for d > 0, so u increases along the orbit: dv/du = w/u' with
-    v' = w = q/(y|y|) and u' = p/y^2 - u w, that is sy q/(p - sy u q) for
-    the sign sy of y, and inf where u' <= 0 or a stage fails, so the loop
-    halves h.  That leg stays on ``as_rhs``: in u, terms of different
-    degree share no Horner rows.  A leg that underflows its step or runs
-    out of steps raises TransitDoesNotExist naming the leg and its (x, y).
+    u = k, or to the end of the first step whose v leaves the band (v_lo,
+    v_hi) of 1e-150 < |y| < ``y_cap``; and over s = log(x), from x = k|y|
+    on, the outer legs on the X_DIR slope (``PlanarField.as_x_dir_slope``)
+    in steps of at most ``_LOG_STEP``.  Near x = 0 the divisor of the
+    blow-up has no singular point for d > 0, so u increases along the
+    orbit: dv/du = w/u' with v' = w = q/(y|y|) and u' = p/y^2 - u w, that
+    is sy q/(p - sy u q) for the sign sy of y, and inf where u' <= 0 or a
+    stage fails, so the loop halves h.  That leg stays on ``as_rhs``: in
+    u, terms of different degree share no Horner rows.  A leg that
+    underflows its step or runs out of steps raises TransitDoesNotExist
+    naming the leg and its (x, y).
 
     v is a logarithm: its absolute error is y's relative error, and its
     natural scale is 1 wherever it lies.  So every leg tests v's step
@@ -643,13 +628,10 @@ def _transit(field, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
         s = t + h
         return (s, y5[0]) if s + y5[0] + lk >= 0.0 or s > s_floor else None
 
-    def leaves(_t, _h, _y, y5, _e):
-        return None if v_lo < y5[0] < v_hi else y5
-
-    def leg(name, x_of, f, t, v, max_step, t_end, accept):
+    def leg(name, x_of, f, t, v, max_step, t_end, accept, **band):
         try:
             return _LOOPS["graph"](f, *tol, t, (v,), max_step, steps, t_end,
-                                   accept, scale=1.0)
+                                   accept, scale=1.0, **band)
         except (StepUnderflow, MaxStepsExceeded) as exc:
             y = y0 * math.exp(exc.state[0])
             raise TransitDoesNotExist(
@@ -663,7 +645,7 @@ def _transit(field, alpha, omega, y0, k, cfg) -> Tuple[float, float]:
     if v > v_lo:
         (v,), e = leg("middle", lambda u, ay: u * ay, dv_du,
                       -math.exp(-s - v) / ay0, v, cfg.max_step or math.inf,
-                      k, leaves)
+                      k, lambda _t, _h, _y, y5, _e: y5, lo=v_lo, hi=v_hi)
         err += e
     if v >= v_hi:
         raise TransitDoesNotExist(f"orbit from ({alpha}, {y0}) reaches "
@@ -753,9 +735,9 @@ _FIBER_SPAN = 1e-2
 def _weighted_polar(field: PlanarField):
     """(a, b, f, g, fibers): the field f over (rho, theta) in the chart
     x = r^a c, y = r^b s, rho = log r, c = cos(theta), s = sin(theta), of
-    the Newton weights (a, b, d) (``newton_weights``), g, the slope of rho
-    over phi = sigma theta or over log|phi - phi_f|, as its leg (sigma,
-    phi_f, e) says (``PlanarField.as_chart_slope``), and the fiber
+    the Newton weights (a, b, d) (``newton_weights``), g, which closes the
+    slope of rho over phi = sigma theta or over log|phi - phi_f| over its
+    leg, g(sigma, phi_f, e) (``PlanarField.as_chart_slope``), and the fiber
     directions (``fiber_directions``).  With p = r^(d+a) P, q =
     r^(d+b) Q and dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q and
     theta' = a c Q - b s P, P and Q compiled from the field's terms once
@@ -764,7 +746,7 @@ def _weighted_polar(field: PlanarField):
     product overflows a non-finite slope: the loop halves h on either.
     Where r underflows to 0 a stage has the principal part's slope."""
     a, b, _d = newton_weights(field)
-    return (a, b, field.as_chart(), field.as_chart_slope(),
+    return (a, b, field.as_chart(), field.as_chart_slope,
             fiber_directions(field))
 
 
@@ -817,26 +799,33 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     box raises ValueError.
 
     The orbit runs as the graph of rho over phi = sigma theta, sigma =
-    +-1 the sign of theta' at the start, on the "polar" loop, in the legs
-    of ``_legs``, each on the chart's one slope with its leg (sigma,
+    +-1 the sign of theta' at the start, on the "graph" loop, in the legs
+    of ``_legs``, each on the chart's slope closed over its leg (sigma,
     phi_f, e): over log|theta - theta_f| near each fiber direction
     theta_f, where rho behaves like a multiple of that log, in steps of
     at most ``_LOG_STEP``, and over theta (e = 0) across it, within
     ``_FIBER_SPAN`` r0, r0 = exp(rho0) held to [1e-10, 1].  A turn ends
     exactly at sigma theta0 + 2*pi.  A box exit or a floor ends at the
     end of the first step where the stop is not negative, its status the
-    largest part.  The legs' guard compares rho > floor and a rho, b rho
-    < log(box), which make the stop negative exactly (log|cos|, log|sin|
-    <= 0); ``exits``, called only where one fails, takes the logs.  Where
+    largest part.  The legs pass the band floor < rho < rho_hi, rho_hi
+    the largest float with m rho_hi < log(box) for m = max(a, b) if
+    log(box) > 0 and min(a, b) otherwise: as m x rounds monotonely, a
+    rho in it makes a rho, b rho < log(box), so the stop is negative
+    (log|cos|, log|sin| <= 0), and ``exits``, called only outside it,
+    takes the logs.  Where
     theta turns back, a fold, the leg's step underflows, and the orbit
-    goes on in the 2-D chart on the "xy" loop with the attempts left,
-    where ``passes``, called on every step, ends it at the end of a step
-    where the stop is not negative or at the start of the step in which
-    theta passes theta0 +- 2*pi: from there it runs on the graph again,
-    with the chart's budget again.  A leg after the chart that underflows
-    raises StepUnderflow."""
+    goes on in the 2-D chart on the "xy" loop with ``cfg.max_steps``, as
+    every leg has, where ``passes``, called on every step, ends it at the
+    end of a step where the stop is not negative or at the start of the
+    step in which theta passes theta0 +- 2*pi: from there it runs on the
+    graph again.  A leg after the chart that underflows raises
+    StepUnderflow."""
     a, b, f, slope, fibers = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
+    m = max(a, b) if log_box > 0.0 else min(a, b)
+    rho_hi = log_box / m
+    while not m * rho_hi < log_box:
+        rho_hi = math.nextafter(rho_hi, -math.inf)
     max_step = cfg.max_step or math.inf
     span = _FIBER_SPAN * math.exp(min(max(rho0, math.log(1e-10)), 0.0))
 
@@ -868,11 +857,10 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
                 return end if max(parts(end)) >= 0.0 else None
 
             try:
-                end, err_leg = _LOOPS["polar"](
-                    slope, cfg.abs_tol, cfg.rel_tol, t0, (rho,),
-                    min(max_step, _LOG_STEP) if e else max_step,
-                    cfg.max_steps, t1, exits, (sigma, phi_f, e), floor, a, b,
-                    log_box)
+                end, err_leg = _LOOPS["graph"](
+                    slope(sigma, phi_f, e), cfg.abs_tol, cfg.rel_tol, t0,
+                    (rho,), min(max_step, _LOG_STEP) if e else max_step,
+                    cfg.max_steps, t1, exits, lo=floor, hi=rho_hi)
             except StepUnderflow as exc:  # a fold: the chart takes over
                 exc.state = (exc.state[0], theta_at(exc.t))
                 exc.err += err
@@ -893,14 +881,14 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     if not max(parts((rho0, theta0))) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
-    sigma = 1.0 if slope(theta0, rho0, (1.0, 0.0, 0)) < math.inf else -1.0
+    sigma = 1.0 if slope(1.0, 0.0, 0)(theta0, rho0) < math.inf else -1.0
     try:
         return graph(rho0, theta0, sigma, 0.0)
     except StepUnderflow as exc:  # theta turns back: on in the chart
-        state, steps, err = exc.state, cfg.max_steps - exc.attempts, exc.err
+        state, err = exc.state, exc.err
     end, e = _LOOPS["xy"](lambda _t, rho, theta: f(rho, theta), cfg.abs_tol,
-                          cfg.rel_tol, 0.0, state, max_step, steps, None,
-                          passes)
+                          cfg.rel_tol, 0.0, state, max_step, cfg.max_steps,
+                          None, passes)
     if len(end) == 2:
         return status(end, err + e)
     rho, theta, sigma = end
@@ -960,10 +948,13 @@ def conservation_check(first_integral, traj: Trajectory,
     """Max |H(sample) - H(start)| along a trajectory.
 
     ``branch_quantum``, when given, is the jump of H across its branch
-    cut (e.g. 2*pi for an arctan term); jumps are unwound by shifting
-    whole quanta, and leftover jumps above a quarter quantum raise
-    BranchTrackingFailed.
+    cut (e.g. 2*pi for an arctan term), positive and finite or
+    ValueError; jumps are unwound by shifting whole quanta, and leftover
+    jumps above a quarter quantum raise BranchTrackingFailed.
     """
+    if branch_quantum is not None and not 0.0 < branch_quantum < math.inf:
+        raise ValueError(f"branch_quantum must be positive and finite, got "
+                         f"{branch_quantum!r}")
     values = [first_integral(x, y) for _s, x, y, _e in traj.samples]
     adjusted = [values[0]]
     offset = 0.0

@@ -452,14 +452,16 @@ def _compile_weighted_polar(field: "PlanarField"):
         "def _chart(rho, theta):",
         stage.format(clock="", fail="inf, inf"),
         f"    return c*big_p + s*big_q, {theta_dot}",
-        "def _slope(t, rho, leg):",
-        "    sigma, phi_f, e = leg",
-        stage.format(clock="\n        u = exp(e*t)\n"
-                           "        theta = sigma*(phi_f + e*u if e else t)",
-                     fail="inf"),
-        f"    den = sigma*({theta_dot})",
-        "    return u*(c*big_p + s*big_q)/den if den > 0.0 else inf",
-        "_f = _chart, _slope",
+        "def _leg(sigma, phi_f, e):",
+        "    def _slope(t, rho):",
+        "    " + stage.format(
+            clock="\n        u = exp(e*t)\n"
+                  "        theta = sigma*(phi_f + e*u if e else t)",
+            fail="inf").replace("\n", "\n    "),
+        f"        den = sigma*({theta_dot})",
+        "        return u*(c*big_p + s*big_q)/den if den > 0.0 else inf",
+        "    return _slope",
+        "_f = _chart, _leg",
     ]) + "\n", "chart")
 
 
@@ -523,19 +525,23 @@ class PlanarField:
         """
         return self._cached("_chart", _compile_weighted_polar)[0]
 
-    def as_chart_slope(self) -> Callable[[float, float, tuple], float]:
-        """The slope ``g(t, rho, (sigma, phi_f, e)) -> drho/dt`` of a chart
-        orbit as a graph of rho over a clock t of phi = sigma theta, sigma
-        = +-1, compiled with ``as_chart`` from one source.  With e = 0 the
-        clock is phi itself and the slope (c P + s Q)/(sigma (a c Q - b s
-        P)) at theta = sigma t; with e = +-1 it is phi = phi_f + e exp(e t),
-        and the slope is u times that at u = exp(e t) = dphi/dt (u = 1.0
-        for e = 0, so both are one expression); inf where sigma theta' is
-        not positive or a stage fails.  Near a fiber direction phi_f
-        (``fiber_directions``), where drho/dphi behaves like a multiple of
-        1/(phi - phi_f), t = log(phi - phi_f) away from it (e = 1) and t =
-        -log(phi_f - phi) toward it (e = -1) make the slope bounded."""
-        return self._cached("_chart", _compile_weighted_polar)[1]
+    def as_chart_slope(self, sigma: float, phi_f: float,
+                       e: int) -> Callable[[float, float], float]:
+        """The slope ``g(t, rho) -> drho/dt`` of a chart orbit as a graph
+        of rho over a clock t of phi = sigma theta, sigma = +-1, on the
+        leg (sigma, phi_f, e).  With e = 0 the clock is phi itself and the
+        slope (c P + s Q)/(sigma (a c Q - b s P)) at theta = sigma t; with
+        e = +-1 it is phi = phi_f + e exp(e t), and the slope is u times
+        that at u = exp(e t) = dphi/dt (u = 1.0 for e = 0, so both are one
+        expression); inf where sigma theta' is not positive or a stage
+        fails.  Near a fiber direction phi_f (``fiber_directions``), where
+        drho/dphi behaves like a multiple of 1/(phi - phi_f), t = log(phi
+        - phi_f) away from it (e = 1) and t = -log(phi_f - phi) toward it
+        (e = -1) make the slope bounded.  Compiled once per field, with
+        ``as_chart`` from one source; each call closes it over its leg, as
+        ``as_x_dir_slope`` does."""
+        leg = self._cached("_chart", _compile_weighted_polar)[1]
+        return leg(sigma, phi_f, e)
 
     def as_x_dir_slope(self, y0, sign) -> Callable[[float, float], float]:
         """The slope ``f(s, v) -> dv/ds`` of v = log(y/y0) over s = -log(-x)

@@ -89,7 +89,9 @@ def count_calls(monkeypatch):
     return: ``as_rhs``, one per field evaluation, ``as_chart_slope``, one
     per stage of a turn's legs, over theta or over log|theta - theta_f|,
     ``as_chart``, one per stage of a turn past a fold, and
-    ``as_x_dir_slope``, one per stage of a transit's outer leg.
+    ``as_x_dir_slope``, one per stage of a transit's outer leg.  The two
+    slopes close over their leg, so each call of the method, with the
+    leg's arguments, returns a counted closure of its own.
 
     ``count_calls(*names)`` patches each named method and returns one
     shared list; every call adds one to its last entry, so a test appends

@@ -26,6 +26,8 @@ from conftest import random_normal_form
 X, Y = Poly2.gens()
 SECTIONS = asy.SectionPair(-1.0, 1.0)
 EX6 = build_example6(Fraction(1), Fraction(-1), Fraction(-1))
+# an expanding focus: r' = r, theta' = 1, weights (1, 1), no fibers
+FOCUS = PlanarField(X - Y, X + Y)
 
 
 def y1_normal_form():
@@ -425,7 +427,7 @@ class TestStep:
     def check_drives(self, kind, seed, count):
         """Seeded short drives (start, span, tolerances) of RHS_XY, or of
         its slope q/p for the graph; returns the branch counts."""
-        n = flow._KINDS[kind][0]
+        n = {"xy": 2, "graph": 1}[kind]
         field = clocked(self.RHS_XY) if kind == "xy" else graph_of(self.RHS_XY)
         rng = random.Random(seed)
         seen = Counter()
@@ -446,6 +448,58 @@ class TestStep:
                                    else ("xy", 2, 200)))
         assert seen["attempt"] >= 3000 and seen["rejected"] >= 100
         assert seen["predictive"] >= 1000
+
+    def test_band_only_filters(self):
+        # a drive with the band (lo, hi) calls accept only where y5 leaves
+        # it: the same state, error, stages and accept calls as a drive
+        # without a band whose accept skips the band itself.  The bands
+        # are random, the empty band and the whole line among them
+        slope = graph_of(self.RHS_XY)
+        rng = random.Random(41)
+        seen = Counter()
+        for _ in range(300):
+            t0 = rng.uniform(-2.0, 2.0)
+            y0 = (rng.uniform(-1.5, 1.5),)
+            cfg = flow.IntegratorConfig(
+                abs_tol=10 ** rng.uniform(-14.0, -4.0),
+                rel_tol=10 ** rng.uniform(-12.0, -3.0), max_steps=60)
+            t_end = t0 + rng.uniform(0.01, 0.5)
+            t_stop = rng.uniform(t0, t_end + 0.1)
+            lo, hi = rng.choice([
+                (math.inf, -math.inf), (-math.inf, math.inf),
+                sorted(rng.uniform(-2.0, 2.0) for _ in range(2)),
+                (y0[0] - rng.uniform(0.0, 0.1), y0[0] + rng.uniform(0.0, 0.1)),
+                (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))])
+
+            def run(banded):
+                stages, calls = [0], []
+
+                def f(x, y):
+                    stages[0] += 1
+                    return slope(x, y)
+
+                def accept(t, h, y, y5, err):
+                    calls.append((t, h, y, y5, err))
+                    return y5 if t + h >= t_stop else None
+
+                def filtered(t, h, y, y5, err):
+                    if lo < y5[0] < hi:
+                        seen["filtered"] += 1
+                        return None
+                    return accept(t, h, y, y5, err)
+
+                band = {"lo": lo, "hi": hi} if banded else {}
+                got = outcome(lambda: flow._LOOPS["graph"](
+                    f, cfg.abs_tol, cfg.rel_tol, t0, y0, math.inf,
+                    cfg.max_steps, t_end, accept if banded else filtered,
+                    **band))
+                return got, stages[0], calls
+
+            banded = run(True)
+            assert banded == run(False)
+            seen["stopped early"] += len(banded[2]) > 0 and \
+                banded[2][-1][0] + banded[2][-1][1] >= t_stop
+        assert seen["filtered"] >= 1000 and seen["stopped early"] >= 50
 
     @pytest.mark.parametrize("k7", [(math.nan, 1.0), (1.0, math.nan),
                                     (math.inf, 1.0), (1.0, -math.inf),
@@ -478,7 +532,7 @@ class TestStep:
     def test_non_finite_state_returns_none_after_its_slope(self, kind):
         # stages 2-7 of the first step overflow y5: the step is retried at
         # half size, after the slope k7 of the non-finite y5 is evaluated
-        n = flow._KINDS[kind][0]
+        n = {"xy": 2, "graph": 1}[kind]
         bad = (1.0, 1.7e308) if kind == "xy" else 1.7e308
         big = {i: bad for i in range(2, 8)}
         field = field_then(lambda *_: (1.0, 1.0) if kind == "xy" else 1.0,
@@ -1382,8 +1436,8 @@ def chart_return(field, cfg=flow.IntegratorConfig()):
     which theta passes theta0 +- 2 pi, and that step re-run from its
     start on the graph of rho over theta, as returns ran before their
     legs over log|theta - theta_f|.  The step's error counts twice."""
-    a, b, f, slope, *_ = flow._weighted_polar(field)
-    theta0, log_box = math.pi / 2.0, math.log(flow._RETURN_BOX)
+    _a, b, f, slope, *_ = flow._weighted_polar(field)
+    theta0 = math.pi / 2.0
 
     def passes(_t, _h, y, y5, _err):
         if abs(y5[1] - theta0) >= flow.TWO_PI:
@@ -1392,14 +1446,13 @@ def chart_return(field, cfg=flow.IntegratorConfig()):
 
     def measure(y0):
         rho0 = math.log(y0) / b
-        floor = min(4.0 * rho0, rho0) - flow._RHO_DROP
         (rho, theta, sigma), err = flow._LOOPS["xy"](
             clocked(f), cfg.abs_tol, cfg.rel_tol, 0.0, (rho0, theta0),
             math.inf, cfg.max_steps, None, passes)
-        (rho,), err_graph = flow._LOOPS["polar"](
-            slope, cfg.abs_tol, cfg.rel_tol, sigma * theta, (rho,), math.inf,
-            cfg.max_steps, sigma * theta0 + flow.TWO_PI, lambda *_: None,
-            (sigma, 0.0, 0), floor, a, b, log_box)
+        (rho,), err_graph = flow._LOOPS["graph"](
+            slope(sigma, 0.0, 0), cfg.abs_tol, cfg.rel_tol, sigma * theta,
+            (rho,), math.inf, cfg.max_steps, sigma * theta0 + flow.TWO_PI,
+            None)
         return b * (rho - rho0), b * (err + err_graph)
     return flow._deepest([r0 ** b for r0 in flow.DEFAULT_RETURN_RADII],
                          measure)
@@ -1500,12 +1553,13 @@ class TestReturnSlope:
         # back: the turn goes on in the chart, and the legs that run again
         # from the start of the chart's step in which theta passes fold
         # too, NoReturn
-        def folds(_f, _abs_tol, _rel_tol, t, state, *_args):
+        def folds(_f, _abs_tol, _rel_tol, t, state, *_args, **_kw):
             raise flow.StepUnderflow("theta turns back", t, state)
 
         count_chart = count_calls("as_chart")
         count_chart.append(0)
-        monkeypatch.setitem(flow._LOOPS, "polar", folds)
+        # only the turns' legs run on the graph loop here
+        monkeypatch.setitem(flow._LOOPS, "graph", folds)
         with pytest.raises(flow.NoReturn, match="theta turns back"):
             flow.return_slope(build_z(1.0, 1.0))
         assert count_chart[0] > 1000
@@ -1606,6 +1660,17 @@ class TestConservation:
                               param="arclength")
         drift = flow.conservation_check(lambda x, y: y, traj)
         assert drift < 1e-12
+
+    @pytest.mark.parametrize("quantum", [0.0, -1.0, -2.0 * math.pi,
+                                         math.nan, math.inf, -math.inf])
+    def test_quantum_must_be_positive_and_finite(self, quantum):
+        # unchecked, 0 divides by zero, a negative quantum reports every
+        # jump as a failed unwinding, and nan and inf are ignored
+        traj = flow.Trajectory(samples=[(0.0, 0.0, 1.0, 0.0),
+                                        (1.0, 1.0, 2.0, 0.0)])
+        with pytest.raises(ValueError, match="branch_quantum"):
+            flow.conservation_check(lambda x, y: x * 2.0 * math.pi, traj,
+                                    branch_quantum=quantum)
 
     def test_ambiguous_jump_raises(self):
         traj = flow.Trajectory(samples=[(0.0, 0.0, 1.0, 0.0),
@@ -1729,7 +1794,7 @@ class TestWeightedPolarChart:
         # drho/dphi over phi = sigma theta is rho'/(sigma theta') from the
         # chart's own stage, bit for bit, where sigma theta' > 0, and inf
         # where not or where the stage fails
-        f, g = field.as_chart(), field.as_chart_slope()
+        f, g = field.as_chart(), field.as_chart_slope
         rng = random.Random(29)
         for _ in range(200):
             rho, theta = rng.uniform(-20.0, 1.0), rng.uniform(-7.0, 7.0)
@@ -1737,10 +1802,10 @@ class TestWeightedPolarChart:
             for sigma in (1.0, -1.0):
                 den = sigma * theta_dot
                 want = rho_dot / den if den > 0.0 else math.inf
-                assert g(sigma * theta, rho, (sigma, 0.0, 0)) == want, \
+                assert g(sigma, 0.0, 0)(sigma * theta, rho) == want, \
                     (rho, theta)
-        assert g(math.inf, -1.0, (1.0, 0.0, 0)) == \
-            g(0.3, 1e4, (-1.0, 0.0, 0)) == math.inf
+        assert g(1.0, 0.0, 0)(math.inf, -1.0) == \
+            g(-1.0, 0.0, 0)(0.3, 1e4) == math.inf
 
     @pytest.mark.parametrize("field", [*(f for _w, f in CHART_FIELDS),
                                        build_xn(3)],
@@ -1752,7 +1817,7 @@ class TestWeightedPolarChart:
         # slope is u rho'/(sigma theta') from the chart's own stage at
         # theta = sigma phi, bit for bit, where sigma theta' > 0, and inf
         # where not or where a stage fails
-        f, g = field.as_chart(), field.as_chart_slope()
+        f, g = field.as_chart(), field.as_chart_slope
         rng = random.Random(31)
         phis = [*polyfield.fiber_directions(field), 0.0, 1.0, -2.5]
         for _ in range(200):
@@ -1765,10 +1830,10 @@ class TestWeightedPolarChart:
                     rho_dot, theta_dot = f(rho, sigma * (phi_f + e * u))
                     den = sigma * theta_dot
                     want = u * rho_dot / den if den > 0.0 else math.inf
-                    assert g(t, rho, (sigma, phi_f, e)) == want, \
+                    assert g(sigma, phi_f, e)(t, rho) == want, \
                         (rho, sigma, phi_f, e, t)
-        assert g(1e4, -1.0, (1.0, 0.0, 1)) == \
-            g(0.3, 1e4, (-1.0, 0.5, -1)) == math.inf
+        assert g(1.0, 0.0, 1)(1e4, -1.0) == \
+            g(-1.0, 0.5, -1)(0.3, 1e4) == math.inf
 
     def test_guarded_stages_halve_the_step(self):
         # in the chart 37 stages of this return had a non-finite slope,
@@ -1934,6 +1999,78 @@ class TestSignOnlyStop:
         got = flow._turn(chart, *start, box, flow._PROBE_CFG)
         assert_turn_matches(
             got, full_stop_turn(chart, *start, box, flow._PROBE_CFG), status)
+
+    def test_band_edges(self, monkeypatch):
+        # the band a turn's legs pass is floor < rho < rho_hi, rho_hi the
+        # largest float with m rho_hi < log(box), m = max(a, b) if
+        # log(box) > 0 and min(a, b) otherwise, over weights (a, b) with m
+        # in {1, 2, 3}; log(box)/m alone misses it for m = 3
+        class Band(Exception):
+            pass
+
+        def record(*_args, lo, hi):
+            raise Band(lo, hi)
+
+        monkeypatch.setitem(flow._LOOPS, "graph", record)
+        rng = random.Random(7)
+        weights_13 = PlanarField(X ** 3 - Y, X ** 5)
+        for field in (FOCUS, build_z(1.0, 1.0), weights_13):
+            chart = flow._weighted_polar(field)
+            a, b = chart[:2]
+            for log_box in [0.0] + [rng.uniform(-4, 4) for _ in range(200)]:
+                box = math.exp(log_box)
+                rho0, theta0 = ring_starts(field, 1e-3 * min(box, 1.0))[0]
+                with pytest.raises(Band) as band:
+                    flow._turn(chart, rho0, theta0, box, flow._PROBE_CFG)
+                lo, hi = band.value.args
+                m = max(a, b) if math.log(box) > 0.0 else min(a, b)
+                assert lo == min(4.0 * rho0, rho0) - flow._RHO_DROP
+                assert m * hi < math.log(box)
+                assert not m * math.nextafter(hi, math.inf) < math.log(box)
+
+    def test_band_only_filters(self, monkeypatch):
+        # each turn of the probe fields' rings, of an expanding focus's
+        # ring that leaves the box on a leg without a fold and of the
+        # seed-1 z pool's returns ends bit for bit the same with its legs'
+        # band and with the empty band, where ``exits`` decides on every
+        # step
+        drive, calls = flow._LOOPS["graph"], Counter()
+
+        def counting(banded):
+            def run(*args, lo=math.inf, hi=-math.inf, **kw):
+                *args, accept = args
+
+                def counted(*step):
+                    calls[banded] += 1
+                    return accept(*step)
+                band = {"lo": lo, "hi": hi} if banded else {}
+                return drive(*args, counted, **band, **kw)
+            return run
+
+        def turns(banded):
+            monkeypatch.setitem(flow._LOOPS, "graph", counting(banded))
+            ends = []
+            for field, box, r0, _verdict in PROBE_FIELDS:
+                chart = flow._weighted_polar(field)
+                ends += [outcome(lambda: flow._turn(chart, *start, box,
+                                                    flow._PROBE_CFG))
+                         for start in ring_starts(field, r0)]
+            chart = flow._weighted_polar(FOCUS)
+            exits = [flow._turn(chart, *start, 2.0, flow._PROBE_CFG)
+                     for start in ring_starts(FOCUS, 0.1)]
+            assert {end[0] for end in exits} == {"box_exit"}
+            ends += exits
+            for field in z_pool(monkeypatch, 1):
+                chart = flow._weighted_polar(field)
+                ends += [outcome(lambda: flow._turn(
+                    chart, math.log(r0 ** chart[1]) / chart[1],
+                    math.pi / 2.0, flow._RETURN_BOX, flow.IntegratorConfig()))
+                    for r0 in flow.DEFAULT_RETURN_RADII]
+            return ends
+
+        assert turns(True) == turns(False)
+        # the band spares exits most of its calls
+        assert calls[True] < calls[False] / 10
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_benchmark_pools_stay_monodromic(self, monkeypatch, seed):
@@ -2118,7 +2255,7 @@ class TestSlopeEstimateJson:
 class TestGeneratedCode:
     def test_compiled_functions_carry_their_own_filenames(self):
         # profiles and tracebacks tell the loops and the fields apart
-        assert set(flow._LOOPS) == {"xy", "graph", "polar"}
+        assert set(flow._LOOPS) == {"xy", "graph"}
         for kind, loop in flow._LOOPS.items():
             assert loop.__code__.co_filename == \
                 f"<fakesaddle.flow loop {kind}>"
@@ -2136,15 +2273,17 @@ class TestGeneratedCode:
         # the chart too, compiled once per field: a probe and a return of
         # one field share it.  The slope of rho over theta and over
         # log|theta - theta_f| comes from the same compile, under the same
-        # label and a name of its own
+        # label and a name of its own, one closure per leg over one code
         z = build_z(1.0, 1.0)
         assert flow._weighted_polar(z)[2:4] == (z.as_chart(),
-                                                z.as_chart_slope())
-        assert z.as_chart_slope() is z.as_chart_slope()
-        chart, slope = z.as_chart().__code__, z.as_chart_slope().__code__
+                                                z.as_chart_slope)
+        assert z.as_chart_slope(1.0, 0.0, 0).__code__ is \
+            z.as_chart_slope(-1.0, 0.5, -1).__code__
+        chart = z.as_chart().__code__
+        slope = z.as_chart_slope(1.0, 0.0, 0).__code__
         assert re.fullmatch(r"<fakesaddle\.polyfield chart \w+>",
                             chart.co_filename)
         assert slope.co_filename == chart.co_filename
         assert (chart.co_name, slope.co_name) == ("_chart", "_slope")
-        assert build_z(1.0, 0.5).as_chart_slope().__code__.co_filename \
-            != slope.co_filename
+        assert build_z(1.0, 0.5).as_chart_slope(1.0, 0.0, 0).__code__ \
+            .co_filename != slope.co_filename

@@ -217,7 +217,8 @@ class TestFieldCache:
         assert nf.field() is field
         assert field.as_rhs() is field.as_rhs()
         assert field.as_chart() is field.as_chart()
-        assert field.as_chart_slope() is field.as_chart_slope()
+        assert field.as_chart_slope(1.0, 0.0, 0).__code__ is \
+            field.as_chart_slope(-1.0, 0.5, 1).__code__
 
     def test_replace_builds_from_the_new_members(self, rng):
         nf = random_normal_form(rng)

@@ -452,7 +452,7 @@ class TestFloatCompilation:
             with pytest.raises(ValueError, match="finite"):
                 field.as_chart()
             with pytest.raises(ValueError, match="finite"):
-                field.as_chart_slope()
+                field.as_chart_slope(1.0, 0.0, 0)
 
 
 # -- the composition before trusted arithmetic, as a test-only reference ------
