@@ -68,15 +68,17 @@ class TailNotIntegrable(Exception):
 
 @dataclass(frozen=True)
 class SectionPair:
-    """Transverse sections {x = alpha} and {x = omega}, alpha < 0 < omega."""
+    """Transverse sections {x = alpha} and {x = omega}, finite, alpha < 0
+    < omega."""
 
     alpha: float
     omega: float
 
     def __post_init__(self):
-        if not (self.alpha < 0 < self.omega):
+        if not (-math.inf < self.alpha < 0 < self.omega < math.inf):
             raise SectionInvalid(
-                f"need alpha < 0 < omega, got ({self.alpha}, {self.omega})")
+                f"need -inf < alpha < 0 < omega < inf, got ({self.alpha}, "
+                f"{self.omega})")
 
 
 @dataclass(frozen=True)

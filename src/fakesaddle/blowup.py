@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import _univariate as u1
 from .normalform import NormalFormField, Verdict, classify, invariants
@@ -293,7 +293,6 @@ class SaddleData:
 
     lambda_plus: object
     lambda_minus: object
-    restrictions: Dict[str, tuple]  # eight univariate coefficient lists
     r12_minus: Rational1
     r21_minus: Rational1
     r12_plus: Rational1
@@ -340,21 +339,11 @@ def saddle_data(nf: NormalFormField) -> SaddleData:
     lam_plus = -p2p.coeff(0, 0) / p1p.coeff(0, 0)
     lam_minus = -p2m.coeff(0, 0) / p1m.coeff(0, 0)
 
-    restr = {
-        "p1_minus_x": tuple(p1m.restrict_y0()),
-        "p2_minus_x": tuple(p2m.restrict_y0()),
-        "p1_minus_y": tuple(p1m.restrict_x0()),
-        "p2_minus_y": tuple(p2m.restrict_x0()),
-        "p1_plus_x": tuple(p1p.restrict_y0()),
-        "p2_plus_x": tuple(p2p.restrict_y0()),
-        "p1_plus_y": tuple(p1p.restrict_x0()),
-        "p2_plus_y": tuple(p2p.restrict_x0()),
-    }
-
-    r12_m = Rational1(restr["p1_minus_y"], restr["p2_minus_y"])
-    r21_m = Rational1(restr["p2_minus_x"], restr["p1_minus_x"])
-    r12_p = Rational1(restr["p1_plus_y"], restr["p2_plus_y"])
-    r21_p = Rational1(restr["p2_plus_x"], restr["p1_plus_x"])
+    # r12 = P1/P2 on the y-axis, r21 = P2/P1 on the x-axis
+    r12_m = Rational1(tuple(p1m.restrict_x0()), tuple(p2m.restrict_x0()))
+    r21_m = Rational1(tuple(p2m.restrict_y0()), tuple(p1m.restrict_y0()))
+    r12_p = Rational1(tuple(p1p.restrict_x0()), tuple(p2p.restrict_x0()))
+    r21_p = Rational1(tuple(p2p.restrict_y0()), tuple(p1p.restrict_y0()))
 
     a, b, c = inv.a, inv.b, inv.c
     f1x = nf.f1.restrict_y0()
@@ -367,7 +356,6 @@ def saddle_data(nf: NormalFormField) -> SaddleData:
     return SaddleData(
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
-        restrictions=restr,
         r12_minus=r12_m,
         r21_minus=r21_m,
         r12_plus=r12_p,

@@ -15,7 +15,8 @@ local scalars, and knows nothing of its caller:
 - "xy": 2-D state of a field ``(t, x, y) -> (p, q)``: integrate()'s
   unit-speed wrapper under arclength, its stops' re-runs (``_cross``),
   and a turn's (rho, theta) in the weighted polar chart past a fold
-  (``_turn``), whose ``accept`` tests the turn's stop on every step;
+  (``_turn``), whose ``accept`` tests the turn's stop on every step and
+  lands on theta0 +- 2*pi as a stop's section;
 - "graph": 1-D state as a graph over the independent variable, of a
   field that returns the slope: integrate()'s y over x, which raises
   TransitDoesNotExist where p falls to ``_MIN_DENOMINATOR*(x^2 + y^2)``
@@ -25,15 +26,16 @@ local scalars, and knows nothing of its caller:
   and the turns start from 1e-2 (|state| + 1e-6)/|slope|; and a turn's
   legs, rho over phi = sigma theta, sigma = +-1 its orientation, or over
   log|phi - phi_f| near a fiber direction phi_f, on the chart's slope
-  closed over its leg (``PlanarField.as_chart_slope``): every turn ends
-  on them.
+  closed over its leg (``PlanarField.as_chart_slope``): every turn that
+  does not fold ends on them.
 
 Every drive runs on a bounded clock, arclength, x, a chart variable,
 theta or log|theta - theta_f|, that no stop reads.  A drive ends at
 t_end or on the section of a ``Stop`` that ``accept``, called on each
 accepted step, sees a step cross, on that step re-run as the graph over
 the crossed coordinate; the transit legs and the turns pass their own,
-which end a drive at a step's end.  A drive calls ``accept`` only where
+which end a drive at a step's end, save that past a fold the chart's
+lands on theta0 +- 2*pi as a stop does.  A drive calls ``accept`` only where
 the new state's first entry is not in the band (lo, hi), which is empty
 unless the caller passes one: a turn's legs pass a band of rho inside
 which the turn's stop is negative, so their ``accept``, which takes
@@ -51,10 +53,11 @@ stage of that chart is one call of the field's chart, compiled once per
 field as polynomials in (r, cos theta, sin theta) from its exact terms
 (``PlanarField.as_chart``): no division by powers of r, no float ``**``.
 Around a monodromic point theta moves one way only, so a turn runs as
-the graph of rho over theta and ends on it, exactly at theta0 +- 2*pi,
-in the chart only past a fold.  Near each fiber direction theta_f,
-where theta' vanishes at r = 0 (``fiber_directions``) and rho behaves
-like a multiple of log|theta - theta_f|, the graph runs over that log.
+the graph of rho over theta and ends exactly at theta0 +- 2*pi: on the
+graph, or, past a fold, in the chart, which then ends the turn.  Near
+each fiber direction theta_f, where theta' vanishes at r = 0
+(``fiber_directions``) and rho behaves like a multiple of log|theta -
+theta_f|, the graph runs over that log.
 
 Everything is deterministic for a fixed configuration and free of
 shared mutable state, so parameter sweeps can run concurrently.
@@ -474,12 +477,15 @@ def integrate(field: PlanarField, start: Tuple[float, float], stop: Stop,
     falls to ``_MIN_DENOMINATOR*(x^2 + y^2)`` or below, at the start or a
     stage point, the orbit folds over x, and the graph raises
     TransitDoesNotExist naming the point.  Under arclength the last
-    sample lies on the stop's section (``_cross``).  A window_exit stop
-    raises ValueError unless its window strictly contains the start.
+    sample lies on the stop's section (``_cross``).  A start that is not
+    finite raises ValueError, and so does a window_exit stop unless its
+    window strictly contains the start.
     """
     if param not in ("arclength", "graph"):
         raise ValueError(f"param must be 'arclength' or 'graph', got "
                          f"{param!r}")
+    if not all(math.isfinite(v) for v in start):
+        raise ValueError(f"start must be finite, got {start}")
     cfg = cfg or IntegratorConfig()
     rhs_xy = field.as_rhs()
 
@@ -766,14 +772,16 @@ def _chart_point(a: int, b: int, x: float, y: float):
     return lo, math.atan2(y * math.exp(-b * lo), x * math.exp(-a * lo))
 
 
-def _legs(fibers, sigma, phi0, phi1, span):
-    """The legs that carry rho over phi = sigma theta from phi0 to phi1,
-    each (phi_f, e, lo, hi) over [lo, hi]: e = 0 over phi itself, e = 1
-    over t = log(phi - phi_f) and e = -1 over t = -log(phi_f - phi).
-    Without fibers one leg runs over phi.  Otherwise each fiber direction
-    phi_f has a leg over phi across [phi_f - span, phi_f + span], one over
-    log away from it up to the midpoint with the next, phi_n, and one
-    over log toward phi_n from there, each clipped to [phi0, phi1]."""
+def _legs(fibers, sigma, phi0, span):
+    """The legs that carry rho over phi = sigma theta from phi0 to phi1 =
+    phi0 + 2 pi, each (phi_f, e, lo, hi) over [lo, hi]: e = 0 over phi
+    itself, e = 1 over t = log(phi - phi_f) and e = -1 over t = -log(phi_f
+    - phi).  Without fibers one leg runs over phi.  Otherwise each fiber
+    direction phi_f has a leg over phi across [phi_f - span, phi_f +
+    span], one over log away from it up to the midpoint with the next,
+    phi_n, and one over log toward phi_n from there, each clipped to
+    [phi0, phi1]."""
+    phi1 = phi0 + TWO_PI
     if not fibers:
         return [(0.0, 0, phi0, phi1)]
     tops = sorted((sigma * f) % TWO_PI for f in fibers)
@@ -812,14 +820,14 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
     log(box) > 0 and min(a, b) otherwise: as m x rounds monotonely, a
     rho in it makes a rho, b rho < log(box), so the stop is negative
     (log|cos|, log|sin| <= 0), and ``exits``, called only outside it,
-    takes the logs.  Where
-    theta turns back, a fold, the leg's step underflows, and the orbit
-    goes on in the 2-D chart on the "xy" loop with ``cfg.max_steps``, as
-    every leg has, where ``passes``, called on every step, ends it at the
-    end of a step where the stop is not negative or at the start of the
-    step in which theta passes theta0 +- 2*pi: from there it runs on the
-    graph again.  A leg after the chart that underflows raises
-    StepUnderflow."""
+    takes the logs.  Where theta turns back, a fold, the leg's step
+    underflows, and the 2-D chart ends the turn from there, on the "xy"
+    loop with ``cfg.max_steps``, as every leg has: ``passes``, called on
+    every step, ends it at the end of a step where the stop is not
+    negative, or in the step in which theta passes theta0 +- 2*pi exactly
+    there, the step re-run as the graph over theta (``_cross``).  The
+    turn's error sums its legs', the folding leg's up to the fold and the
+    chart's."""
     a, b, f, slope, fibers = chart
     log_box, floor = math.log(box), min(4.0 * rho0, rho0) - _RHO_DROP
     m = max(a, b) if log_box > 0.0 else min(a, b)
@@ -841,58 +849,49 @@ def _turn(chart, rho0: float, theta0: float, box: float, cfg):
         g = parts(end)
         return ("turn", "box_exit", "floor")[g.index(max(g))], end[0], err
 
-    def graph(rho, theta, sigma, err):
-        # the legs from (rho, theta) to sigma theta0 + 2 pi: ("turn", rho,
-        # err), or the end of the step where the stop is not negative
-        for phi_f, e, lo, hi in _legs(fibers, sigma, sigma * theta,
-                                      sigma * theta0 + TWO_PI, span):
-            t0, t1 = ((e * math.log(e * (phi - phi_f)) for phi in (lo, hi))
-                      if e else (lo, hi))
+    def chart_f(_t, rho, theta):
+        return f(rho, theta)
 
-            def theta_at(t, phi_f=phi_f, e=e):
-                return sigma * (phi_f + e * math.exp(e * t) if e else t)
-
-            def exits(t, h, _y, y5, _err_abs, theta_at=theta_at):
-                end = (y5[0], theta_at(t + h))
-                return end if max(parts(end)) >= 0.0 else None
-
-            try:
-                end, err_leg = _LOOPS["graph"](
-                    slope(sigma, phi_f, e), cfg.abs_tol, cfg.rel_tol, t0,
-                    (rho,), min(max_step, _LOG_STEP) if e else max_step,
-                    cfg.max_steps, t1, exits, lo=floor, hi=rho_hi)
-            except StepUnderflow as exc:  # a fold: the chart takes over
-                exc.state = (exc.state[0], theta_at(exc.t))
-                exc.err += err
-                raise
-            err += err_leg
-            if len(end) == 2:
-                return status(end, err)
-            rho = end[0]
-        return "turn", rho, err
-
-    def passes(_t, _h, y, y5, _err_abs):
-        # the chart's step start where theta passes, with the orientation
-        # it passes in, or the end of a step where the stop is not negative
+    def passes(t, h, y, y5, _err_abs):
+        # the point where theta passes theta0 +- 2 pi, or the end of a
+        # step where the stop is not negative
         if abs(y5[1] - theta0) >= TWO_PI:
-            return (*y, 1.0 if y5[1] > theta0 else -1.0)
+            turned = theta0 + (TWO_PI if y5[1] > theta0 else -TWO_PI)
+            return _cross(chart_f, t, h, y, y5, 1, turned, cfg)[1]
         return y5 if max(parts(y5)) >= 0.0 else None
 
     if not max(parts((rho0, theta0))) < 0.0:
         raise ValueError(f"start rho={rho0}, theta={theta0} must lie strictly "
                          f"inside the guard box max(|x|, |y|) < {box}")
     sigma = 1.0 if slope(1.0, 0.0, 0)(theta0, rho0) < math.inf else -1.0
-    try:
-        return graph(rho0, theta0, sigma, 0.0)
-    except StepUnderflow as exc:  # theta turns back: on in the chart
-        state, err = exc.state, exc.err
-    end, e = _LOOPS["xy"](lambda _t, rho, theta: f(rho, theta), cfg.abs_tol,
-                          cfg.rel_tol, 0.0, state, max_step, cfg.max_steps,
-                          None, passes)
-    if len(end) == 2:
-        return status(end, err + e)
-    rho, theta, sigma = end
-    return graph(rho, theta, sigma, err + e)
+    rho, err = rho0, 0.0
+    for phi_f, e, lo, hi in _legs(fibers, sigma, sigma * theta0, span):
+        t0, t1 = ((e * math.log(e * (phi - phi_f)) for phi in (lo, hi))
+                  if e else (lo, hi))
+
+        def theta_at(t, phi_f=phi_f, e=e):
+            return sigma * (phi_f + e * math.exp(e * t) if e else t)
+
+        def exits(t, h, _y, y5, _err_abs, theta_at=theta_at):
+            end = (y5[0], theta_at(t + h))
+            return end if max(parts(end)) >= 0.0 else None
+
+        try:
+            end, err_leg = _LOOPS["graph"](
+                slope(sigma, phi_f, e), cfg.abs_tol, cfg.rel_tol, t0, (rho,),
+                min(max_step, _LOG_STEP) if e else max_step, cfg.max_steps,
+                t1, exits, lo=floor, hi=rho_hi)
+        except StepUnderflow as exc:  # theta turns back: the chart ends it
+            err += exc.err
+            end, err_leg = _LOOPS["xy"](
+                chart_f, cfg.abs_tol, cfg.rel_tol, 0.0,
+                (exc.state[0], theta_at(exc.t)), max_step, cfg.max_steps,
+                None, passes)
+        err += err_leg
+        if len(end) == 2:
+            return status(end, err)
+        rho = end[0]
+    return "turn", rho, err
 
 
 def return_slope(field: PlanarField, offsets: Sequence[float] | None = None,

@@ -142,6 +142,16 @@ class TestSectionPair:
         with pytest.raises(asy.SectionInvalid):
             asy.SectionPair(1.0, -1.0)
 
+    @pytest.mark.parametrize("alpha, omega", [
+        (-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf),
+        (math.nan, 1.0), (-1.0, math.nan)])
+    def test_sections_must_be_finite(self, alpha, omega):
+        # an infinite section passed alpha < 0 < omega: pv_integral and
+        # gamma_pm raised a bare OverflowError from the Sturm count, and
+        # transition_slope's left leg ran out of steps at x = -inf
+        with pytest.raises(asy.SectionInvalid, match="-inf < alpha"):
+            asy.SectionPair(alpha, omega)
+
     def test_vanishing_profile_rejected(self):
         nf = NormalFormField(Poly2.const(1) - X, Poly2.const(1),
                              Poly2.zero(), Poly2.zero(), 0)

@@ -185,7 +185,6 @@ class TestSaddleData:
             assert sd.lambda_plus == 1 - c
             assert sd.lambda_minus == 1 / (1 - c)
             assert sd.lambda_plus * sd.lambda_minus == 1
-            assert len(sd.restrictions) == 8
 
     def test_restriction_values_at_origin(self, rng):
         # the two transported quotients start at -1/ratio on each side

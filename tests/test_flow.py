@@ -956,6 +956,21 @@ class TestValidation:
             with pytest.raises(ValueError):
                 make(value)
 
+    @pytest.mark.parametrize("start, stop, param", [
+        ((math.nan, 0.3), flow.Stop.x_reaches(1.0), "graph"),
+        ((-1.0, math.inf), flow.Stop.x_reaches(1.0), "graph"),
+        ((-1.0, math.inf), flow.Stop.section("x", 0.0, 0), "arclength"),
+        ((-1.0, math.nan), flow.Stop.section("y", 0.0, 0), "arclength"),
+        ((-math.inf, 0.3), flow.Stop.section("x", 0.0, 0), "arclength"),
+    ])
+    def test_non_finite_start(self, count_calls, start, stop, param):
+        # each ground through 10^6 tries (4-5 s) into MaxStepsExceeded
+        count_rhs = count_calls("as_rhs")
+        count_rhs.append(0)
+        with pytest.raises(ValueError, match="start must be finite"):
+            flow.integrate(build_z(1.0, 1.0), start, stop, param=param)
+        assert count_rhs == [0]
+
     @pytest.mark.parametrize("window", [
         (1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0), (0.0, 0.0, -1.0, 1.0),
         (-1.0, 1.0, 0.5, 0.5), (math.nan, 1.0, -1.0, 1.0),
@@ -1508,7 +1523,9 @@ class TestReturnSlope:
                              ids=["z(1,1)", "z(1,0.2)", "example6"])
     def test_turns_locate_no_stop(self, monkeypatch, field):
         # a turn ends on the graph of rho over theta, a box exit or a
-        # floor at a step's end: neither map re-runs a step as a stop does
+        # floor at a step's end; only a turn that folds and then passes
+        # theta0 +- 2 pi in the chart re-runs a step as a stop does, and
+        # no orbit of these maps makes one
         def located(*_args):
             raise AssertionError("a turn located its stop")
 
@@ -1547,22 +1564,57 @@ class TestReturnSlope:
         assert flow.monodromy_probe(field) is flow.ProbeVerdict.UNDECIDED
         assert count_stages == [0]
 
-    def test_re_run_step_that_folds_is_no_return(self, monkeypatch,
-                                                 count_calls):
-        # every leg's step underflows at its start, as where theta turns
-        # back: the turn goes on in the chart, and the legs that run again
-        # from the start of the chart's step in which theta passes fold
-        # too, NoReturn
-        def folds(_f, _abs_tol, _rel_tol, t, state, *_args, **_kw):
-            raise flow.StepUnderflow("theta turns back", t, state)
+    @staticmethod
+    def fold_legs(monkeypatch, every, err, graph=flow._LOOPS["graph"]):
+        """Make every ``every``-th leg of the turns (only they run on the
+        graph loop here) raise StepUnderflow at its start with the
+        accumulated error ``err``, as where theta turns back; the others
+        run on ``graph``, the unpatched loop."""
+        legs = []
 
+        def folds(f, abs_tol, rel_tol, t, state, *args, **kw):
+            legs.append(t)
+            if len(legs) % every == 0:
+                raise flow.StepUnderflow("theta turns back", t, state, err)
+            return graph(f, abs_tol, rel_tol, t, state, *args, **kw)
+
+        monkeypatch.setitem(flow._LOOPS, "graph", folds)
+
+    def test_chart_ends_a_turn_that_folds(self, monkeypatch, count_calls):
+        # every leg's step underflows at its start: each turn runs in the
+        # chart from its start and lands on theta0 + 2 pi there, 4.3e-9
+        # off with a bar of 4.5e-5 (relative).  When legs ran again from
+        # the chart's step in which theta passed, they folded too: NoReturn
         count_chart = count_calls("as_chart")
         count_chart.append(0)
-        # only the turns' legs run on the graph loop here
-        monkeypatch.setitem(flow._LOOPS, "graph", folds)
-        with pytest.raises(flow.NoReturn, match="theta turns back"):
-            flow.return_slope(build_z(1.0, 1.0))
+        self.fold_legs(monkeypatch, 1, 0.0)
+        est = flow.return_slope(build_z(1.0, 1.0))
+        closed = z_return_slope_closed(1.0, 1.0)
+        assert est.value == pytest.approx(closed, rel=5e-8)
+        assert est.residual >= abs(est.value - closed)
         assert count_chart[0] > 1000
+
+    @pytest.mark.parametrize("every", [2, 3])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (-1.0, 1.0),
+                                             (0.5, 0.625)])
+    def test_chart_ends_a_turn_mid_way(self, monkeypatch, every, alpha,
+                                       beta):
+        # the first legs run, then one folds and the chart ends the turn:
+        # at most 2.3e-8 off (relative), within the bar.  The error of the
+        # folding leg up to the fold counts: 10 b = 20 times it, under
+        # weights (1, 2), widens the bar
+        field = build_z(alpha, beta)
+        closed = z_return_slope_closed(alpha, beta)
+        ests = []
+        for err in (1e-12, 1e-3):
+            self.fold_legs(monkeypatch, every, err)
+            ests.append(flow.return_slope(field))
+        est, wide = ests
+        assert est.value == pytest.approx(closed, rel=5e-8)
+        assert est.residual >= abs(est.value - closed)
+        assert wide.value == est.value
+        assert wide.residual - est.residual == pytest.approx(
+            20.0 * est.value * (1e-3 - 1e-12), rel=1e-9)
 
     @pytest.mark.parametrize("section_scale", [1e-10])
     def test_deep_starts_reject_steps_of_nan_error(self, section_scale):
@@ -1884,7 +1936,7 @@ class TestLegs:
         span = 1e-6
         phi0 = sigma * theta0
         phi1 = phi0 + flow.TWO_PI
-        legs = flow._legs(fibers, sigma, phi0, phi1, span)
+        legs = flow._legs(fibers, sigma, phi0, span)
         assert (legs[0][2], legs[-1][3]) == (phi0, phi1)
         assert all(a[3] == b[2] for a, b in zip(legs, legs[1:]))
         tops = [(sigma * f) % flow.TWO_PI for f in fibers]
@@ -2099,8 +2151,8 @@ PROBE_IDS = ["example6", "z(1,0.1)", "z(1,0.2)", "z(-0.5,0.1)", "z(1,0.3)",
 
 class TestGraphTurn:
     """A turn runs as legs of the graph of rho over theta and hands over
-    to the chart where theta turns back: its status is the chart turn's
-    (``full_stop_turn``) on every orbit of the ring."""
+    once, to the chart, which ends it, where theta turns back: its status
+    is the chart turn's (``full_stop_turn``) on every orbit of the ring."""
 
     @staticmethod
     def hand_overs(count_chart, field, box, r0):
