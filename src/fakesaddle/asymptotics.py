@@ -36,10 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import _univariate as u1
-from .normalform import Invariants, NormalFormField, invariants
+from .normalform import (Invariants, NormalFormField,
+                         NotHyperbolicFakeSaddle, invariants)
 
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_EVALS = 10 ** 6
@@ -52,10 +53,6 @@ class SectionInvalid(Exception):
 
 class QuadratureNonConvergent(Exception):
     """Adaptive quadrature exhausted its evaluation budget."""
-
-
-class NotHyperbolicFakeSaddle(Exception):
-    """Operation requires invariants with d > 0."""
 
 
 class IntegrandSingularOnPath(Exception):
@@ -125,16 +122,16 @@ _GK15 = tuple(zip(_XGK, _WGK, _WG))
 
 
 def gk15_quad(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float = QUAD_ABS_TOL,
-              max_evals: int = QUAD_MAX_EVALS) -> Tuple[float, float]:
+              abs_tol: float = QUAD_ABS_TOL) -> Tuple[float, float]:
     """Adaptive Gauss-Kronrod G7K15 integral of f over the oriented [a, b].
 
     A panel is accepted when |K15 - G7| is within its tolerance (or at
     bisection depth 54); otherwise it is halved and each half gets half
     the tolerance.  Returns (value, error estimate), the estimate being
     the sum of the accepted panels' |K15 - G7|.  Raises
-    QuadratureNonConvergent past the evaluation cap, or at once on a
-    non-finite panel, which no bisection can mend.
+    QuadratureNonConvergent past the module's cap ``QUAD_MAX_EVALS`` on
+    evaluations, or at once on a non-finite panel, which no bisection
+    can mend.
     """
     if a == b:
         return 0.0, 0.0
@@ -145,9 +142,9 @@ def gk15_quad(f: Callable[[float], float], a: float, b: float,
     while stack:
         a0, b0, tol, depth = stack.pop()
         evals += 15
-        if evals > max_evals:
+        if evals > QUAD_MAX_EVALS:
             raise QuadratureNonConvergent(
-                f"more than {max_evals} evaluations on [{a}, {b}]")
+                f"more than {QUAD_MAX_EVALS} evaluations on [{a}, {b}]")
         mid = 0.5 * (a0 + b0)
         half = 0.5 * (b0 - a0)
         fc = f(mid)
@@ -172,14 +169,14 @@ def gk15_quad(f: Callable[[float], float], a: float, b: float,
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float,
-                  abs_tol: float = QUAD_ABS_TOL,
-                  max_evals: int = QUAD_MAX_EVALS) -> Tuple[float, float]:
+                  abs_tol: float = QUAD_ABS_TOL) -> Tuple[float, float]:
     """Adaptive Simpson integral of f over the oriented interval [a, b].
 
     Nested interval-doubling refinement with Richardson correction;
     returns (value, error estimate).  Raises QuadratureNonConvergent
-    past the evaluation cap.  This is the independent rule of the
-    epsilon oracle; every other integral goes through ``gk15_quad``.
+    past the module's cap ``QUAD_MAX_EVALS`` on evaluations.  This is the
+    independent rule of the epsilon oracle; every other integral goes
+    through ``gk15_quad``.
     """
     if a == b:
         return 0.0, 0.0
@@ -197,9 +194,9 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
         lm, rm = 0.5 * (a0 + m0), 0.5 * (m0 + b0)
         flm, frm = f(lm), f(rm)
         evals += 2
-        if evals > max_evals:
+        if evals > QUAD_MAX_EVALS:
             raise QuadratureNonConvergent(
-                f"more than {max_evals} evaluations on [{a}, {b}]")
+                f"more than {QUAD_MAX_EVALS} evaluations on [{a}, {b}]")
         sl = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
         sr = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
         delta = sl + sr - s0
@@ -282,17 +279,23 @@ def _pv_integral_with_err(regularized, sections, abs_tol):
     return float(c) * math.log(sections.omega / -sections.alpha) + val, err
 
 
+def richardson_step(values: Sequence[float],
+                    ratios: Sequence[float]) -> List[float]:
+    """One Richardson step on each pair of consecutive values,
+    (q v_(i+1) - v_i)/(q - 1), where q is the pair's ratio of the
+    remainders of v_i and v_(i+1)."""
+    return [(q * v1 - v0) / (q - 1.0)
+            for v0, v1, q in zip(values, values[1:], ratios)]
+
+
 def _richardson(values: Sequence[float], ratio: float) -> float:
     """The corner of the Richardson table for values at geometrically
-    shrinking steps."""
-    table = [list(values)]
-    while len(table[-1]) > 1:
-        m = len(table)
-        r = ratio ** m
-        prev = table[-1]
-        table.append([(r * prev[i + 1] - prev[i]) / (r - 1.0)
-                      for i in range(len(prev) - 1)])
-    return table[-1][0]
+    shrinking steps: its column m is ``richardson_step`` of column m - 1
+    with the ratio ratio^m for every pair."""
+    column = list(values)
+    for m in range(1, len(column)):
+        column = richardson_step(column, [ratio ** m] * (len(column) - 1))
+    return column[0]
 
 
 def pv_integral_eps_oracle(nf: NormalFormField,

@@ -28,16 +28,24 @@ from fractions import Fraction
 from typing import Tuple
 
 from . import _univariate as u1
-from .normalform import NormalFormField, Verdict, classify, invariants
-from .polyfield import NotDivisible, PlanarField, Poly2
+from .normalform import (NormalFormField, NotHyperbolicFakeSaddle, Verdict,
+                         classify, invariants)
+from .polyfield import PlanarField, Poly2
 
 
 class UnsupportedChart(Exception):
     """Chart outside the closed catalog."""
 
 
-class NotAFakeSaddle(Exception):
-    """Saddle data requested for invariants with d <= 0."""
+class NotDivisible(Exception):
+    """Exact division by a power of u or v failed; carries the remainder."""
+
+    def __init__(self, component: str, remainder: Poly2):
+        self.component = component
+        self.remainder = remainder
+        super().__init__(
+            f"component {component!r} is not divisible; remainder {remainder}"
+        )
 
 
 class ChartKind(enum.Enum):
@@ -165,7 +173,9 @@ def blow_up(field: PlanarField, chart: BlowupChart) -> BlowupResult:
     Raises NotDivisible, naming the component and its remainder, when
     either division is not exact: the field is not singular at the chart
     centre, or divide_power is too high.  The remainder of the first
-    division is that of the chain rule's numerator, det J (u', v').
+    division is that of the chain rule's numerator, det J (u', v').  The
+    same shift of exponents divides the result's p by u and q by v into
+    ``u_factor`` and ``v_factor``, each None where it is not exact.
     """
     kind = chart.kind
     if kind not in _DET_SIGN:
@@ -186,13 +196,12 @@ def blow_up(field: PlanarField, chart: BlowupChart) -> BlowupResult:
         comps = [_divided(c, axis, power, name)
                  for c, name in zip(comps, "pq")]
     result = PlanarField(Poly2._trusted(comps[0]), Poly2._trusted(comps[1]))
-    u, v = Poly2.gens()
     try:
-        uf = result.p.divide_exact(u)
+        uf = Poly2._trusted(_divided(result.p.terms, 0, 1, "p"))
     except NotDivisible:
         uf = None
     try:
-        vf = result.q.divide_exact(v)
+        vf = Poly2._trusted(_divided(result.q.terms, 1, 1, "q"))
     except NotDivisible:
         vf = None
     return BlowupResult(result, chart, uf, vf)
@@ -320,7 +329,8 @@ def saddle_data(nf: NormalFormField) -> SaddleData:
     inv = invariants(nf)
     cls = classify(inv)
     if cls.verdict is not Verdict.HYPERBOLIC_FAKE_SADDLE:
-        raise NotAFakeSaddle(f"verdict {cls.verdict.value}; saddle data needs d > 0")
+        raise NotHyperbolicFakeSaddle(
+            f"verdict {cls.verdict.value}; saddle data needs d > 0")
 
     fld = nf.field()
     plus = blow_up(fld, BlowupChart(ChartKind.PI_PLUS, 1))

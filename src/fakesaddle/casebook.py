@@ -399,17 +399,15 @@ def run_example6_case(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
     return res
 
 
-def _drift_along_transit(fld, h_fn, y0, cfg=None, quantum=2.0 * math.pi):
-    base = cfg or flow.IntegratorConfig()
-    first = min(0.01, y0 / 4.0)
-    for step in (first, first / 4.0, first / 16.0):
-        traj = flow.integrate(fld, (-1.0, y0), flow.Stop.x_reaches(1.0),
-                              cfg=replace(base, max_step=step), param="graph")
-        try:
-            return flow.conservation_check(h_fn, traj, branch_quantum=quantum)
-        except flow.BranchTrackingFailed:
-            pass
-    raise flow.BranchTrackingFailed(f"drift check failed down to step {step}")
+def _drift_along_transit(fld, h_fn, y0, cfg=None):
+    """Drift of the first integral along the graph orbit from (-1, y0) to
+    x = 1 in steps of at most min(0.01, y0/4); BranchTrackingFailed
+    propagates."""
+    traj = flow.integrate(fld, (-1.0, y0), flow.Stop.x_reaches(1.0),
+                          cfg=replace(cfg or flow.IntegratorConfig(),
+                                      max_step=min(0.01, y0 / 4.0)),
+                          param="graph")
+    return flow.conservation_check(h_fn, traj, branch_quantum=2.0 * math.pi)
 
 
 def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,

@@ -32,8 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, casebook, flow
-from .normalform import NormalFormField, NotInNormalForm, classify, invariants, \
-    validate_and_build
+from .normalform import NormalFormField, NotHyperbolicFakeSaddle, \
+    NotInNormalForm, classify, invariants, validate_and_build
 from .polyfield import PlanarField
 
 EXIT_OK = 0
@@ -74,8 +74,8 @@ class _InputError(Exception):
 # an exception takes the entry of its nearest listed class.
 _FAILURES = {
     NotInNormalForm: (EXIT_NOT_NORMAL_FORM, "not in normal form"),
-    asymptotics.NotHyperbolicFakeSaddle: (EXIT_NOT_HYPERBOLIC,
-                                          "not a hyperbolic fake saddle"),
+    NotHyperbolicFakeSaddle: (EXIT_NOT_HYPERBOLIC,
+                              "not a hyperbolic fake saddle"),
     asymptotics.SectionInvalid: (EXIT_BAD_SECTIONS, "invalid sections"),
     asymptotics.TailNotIntegrable: (EXIT_BAD_SECTIONS, "invalid sections"),
     asymptotics.QuadratureNonConvergent: (EXIT_BAD_SECTIONS,
@@ -230,13 +230,16 @@ def cmd_transit(args) -> int:
              f"(residual {est.residual:.3g})"]
     try:
         g = asymptotics.gamma_pm(nf, sections)
-        closed = math.exp(g[0] if args.side == "+" else g[1])
+        # 0.0 or inf past the float range, where no deviation is relative
+        closed = asymptotics._exp(g[0] if args.side == "+" else g[1])
+        dev = (abs(est.value - closed) / closed if 0.0 < closed < math.inf
+               else None)
         payload["closed_form"] = closed
-        payload["relative_deviation"] = abs(est.value - closed) / abs(closed)
+        payload["relative_deviation"] = dev
         lines.append(f"closed-form slope = {closed:.10g}")
-        lines.append(f"relative deviation = "
-                     f"{payload['relative_deviation']:.3g}")
-    except asymptotics.NotHyperbolicFakeSaddle:
+        lines.append("relative deviation = "
+                     + ("n/a" if dev is None else f"{dev:.3g}"))
+    except NotHyperbolicFakeSaddle:
         lines.append("closed-form slope = n/a (d <= 0)")
     _emit(args, payload, lines)
     return EXIT_OK

@@ -71,8 +71,9 @@ import textwrap
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .asymptotics import NotHyperbolicFakeSaddle
-from .normalform import NormalFormField, Verdict, classify, invariants
+from .asymptotics import richardson_step
+from .normalform import (NormalFormField, NotHyperbolicFakeSaddle, Verdict,
+                         classify, invariants)
 from .polyfield import PlanarField, fiber_directions, newton_weights
 
 TWO_PI = 2.0 * math.pi
@@ -552,17 +553,15 @@ def _deepest(offsets, measure, exponent=None) -> SlopeEstimate:
     Without ``exponent``, or from one start, the value is the deepest
     start's slope and the spread that of the slopes.  With the exponent
     kappa of a remainder of order o^kappa, each pair of consecutive
-    starts takes one Richardson step, R_i = (q s_i - s_(i-1))/(q - 1)
+    starts takes one ``richardson_step``, R_i = (q s_i - s_(i-1))/(q - 1)
     with q = (o_(i-1)/o_i)^kappa: the deepest pair's R is the value, and
     the spread is that of every R_i and the deepest slope."""
     measured = [measure(o) for o in offsets]
     slopes = [math.exp(log_slope) for log_slope, _err in measured]
     spanned = slopes
     if exponent is not None and len(slopes) > 1:
-        spanned = []
-        for o0, o1, s0, s1 in zip(offsets, offsets[1:], slopes, slopes[1:]):
-            q = (o0 / o1) ** exponent
-            spanned.append((q * s1 - s0) / (q - 1.0))
+        spanned = richardson_step(slopes, [(o0 / o1) ** exponent for o0, o1
+                                           in zip(offsets, offsets[1:])])
         value = spanned[-1]
         spanned.append(slopes[-1])
     else:

@@ -34,6 +34,10 @@ class NotInNormalForm(Exception):
         super().__init__(reason)
 
 
+class NotHyperbolicFakeSaddle(Exception):
+    """Operation requires invariants with d > 0."""
+
+
 @dataclass(frozen=True)
 class NormalFormField:
     """One member of the normal-form family (one parameter value)."""

@@ -1,8 +1,6 @@
 """Exact sparse bivariate polynomials and planar polynomial vector fields.
 
-A field is its two components (p, q).  Division is by a single term
-only, as the blow-up charts (``blowup``) need it, and a quotient that is
-not polynomial raises NotDivisible.  ``newton_weights`` reads the
+A field is its two components (p, q).  ``newton_weights`` reads the
 weights of a field's quasi-homogeneous principal part off its support.
 
 Coefficients are exact rationals (Fraction) by default.  A parallel
@@ -34,17 +32,6 @@ Coeff = Union[Fraction, float]
 Exponents = Tuple[int, int]
 
 NEG_INF = float("-inf")
-
-
-class NotDivisible(Exception):
-    """Exact polynomial division failed; carries the offending remainder."""
-
-    def __init__(self, component: str, remainder: "Poly2"):
-        self.component = component
-        self.remainder = remainder
-        super().__init__(
-            f"component {component!r} is not divisible; remainder {remainder}"
-        )
 
 
 class SingularMap(Exception):
@@ -148,9 +135,6 @@ class Poly2:
 
     def coeff(self, i: int, j: int) -> Coeff:
         return self.terms.get((i, j), Fraction(0))
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     # -- arithmetic -------------------------------------------------------
 
@@ -260,33 +244,6 @@ class Poly2:
     def restrict_x0(self):
         """Coefficient list of p(0, y)."""
         return self._restrict(1)
-
-    # -- division ----------------------------------------------------------
-
-    def divide_exact(self, divisor: "Poly2") -> "Poly2":
-        """Exact quotient self / divisor by a single term c x^i y^j.
-
-        Any other divisor raises ValueError (ZeroDivisionError for zero);
-        a quotient that is not polynomial raises NotDivisible carrying the
-        terms that x^i y^j does not divide.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not divisor.is_monomial():
-            raise ValueError(f"divisor {divisor} is not a single term")
-        ((di, dj), dc), = divisor.terms.items()
-        # c / 1 == c exactly, but only an exact 1 keeps c's mode
-        unit = not isinstance(dc, float) and dc == 1
-        out = {}
-        rem = {}
-        for (i, j), c in self.terms.items():
-            if i >= di and j >= dj:
-                out[(i - di, j - dj)] = c if unit else c / dc
-            else:
-                rem[(i, j)] = c
-        if rem:
-            raise NotDivisible("poly", Poly2._trusted(rem))
-        return Poly2._trusted(out)
 
     # -- serialization / display -------------------------------------------
 

@@ -11,14 +11,14 @@ import fakesaddle
 
 from conftest import random_normal_form
 from fakesaddle import _univariate as u1
-from fakesaddle.blowup import (BlowupChart, ChartKind, NotAFakeSaddle,
+from fakesaddle.blowup import (BlowupChart, ChartKind, NotDivisible,
                                Rational1, UnsupportedChart, blow_up,
                                closed_r12_plus, closed_r21_minus,
                                divisor_report, linear_part, saddle_data)
 from fakesaddle.casebook import build_example6, build_xn, build_z, \
     printed_z_blowup
-from fakesaddle.normalform import invariants
-from fakesaddle.polyfield import NotDivisible, PlanarField, Poly2
+from fakesaddle.normalform import NotHyperbolicFakeSaddle, invariants
+from fakesaddle.polyfield import PlanarField, Poly2
 
 U, V = Poly2.gens()
 F = Fraction
@@ -223,7 +223,7 @@ class TestSaddleData:
             assert sd.r21_plus.equals(sd.r21_plus_closed)
 
     def test_rejects_non_hyperbolic(self):
-        with pytest.raises(NotAFakeSaddle):
+        with pytest.raises(NotHyperbolicFakeSaddle):
             saddle_data(build_example6(Fraction(0), Fraction(0), Fraction(2)))
 
     def test_float_mode_ratios_toleranced(self):

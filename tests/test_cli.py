@@ -455,6 +455,30 @@ class TestTransit:
                               "|y| = 0.0102")
         assert err.rstrip().endswith("near x = 0")
 
+    # exp(gamma) past the float range: g1 = -1 - 600 x puts gamma near
+    # -1200 on either side, and g1 = -1 + 800 x with alpha = -0.01 puts
+    # gamma_plus at 800.25
+    @pytest.mark.parametrize("g1_x, argv, closed", [
+        ("-600", ("--alpha", "-1", "--omega", "1"), 0.0),
+        ("800", ("--alpha", "-0.01", "--omega", "1", "--side", "+"),
+         math.inf),
+    ])
+    def test_closed_form_out_of_float_range(self, capsys, g1_x, argv,
+                                            closed):
+        nf = {"f1": {"terms": [[0, 0, "1"]]}, "f2": {"terms": [[0, 0, "1"]]},
+              "g1": {"terms": [[0, 0, "-1"], [1, 0, g1_x]]},
+              "g2": {"terms": [[0, 0, "-1"]]}, "a": "1"}
+        code, out, err = run_cli(capsys, "transit", "--json", json.dumps(nf),
+                                 *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["closed_form"] == closed
+        assert data["relative_deviation"] is None
+        code, out, _ = run_cli(capsys, "transit", "--json", json.dumps(nf),
+                               *argv)
+        assert code == 0
+        assert out.endswith("relative deviation = n/a\n")
+
     @pytest.mark.parametrize("offset", ["2", "0.25", "1e-151", "1e-300"])
     def test_start_out_of_range(self, capsys, offset):
         # above min(-alpha, omega)/2 the start lies past the handover: the
