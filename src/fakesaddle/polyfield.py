@@ -393,8 +393,9 @@ def _chart_expr(poly: Poly2, a: int, b: int, shift: int) -> str:
 
 def _compile_weighted_polar(field: "PlanarField"):
     a, b, d = newton_weights(field)
-    a_c = "c" if a == 1 else f"{a}*c"
-    b_s = "s" if b == 1 else f"{b}*s"
+    # float literals: CPython specialises float*float, not int*float
+    a_c = "c" if a == 1 else f"{float(a)!r}*c"
+    b_s = "s" if b == 1 else f"{float(b)!r}*s"
     stage = "\n".join([
         "    try:{clock}",
         "        c, s = cos(theta), sin(theta)",
@@ -410,6 +411,7 @@ def _compile_weighted_polar(field: "PlanarField"):
         stage.format(clock="", fail="inf, inf"),
         f"    return c*big_p + s*big_q, {theta_dot}",
         "def _leg(sigma, phi_f, e):",
+        "    e = float(e)",
         "    def _slope(t, rho):",
         "    " + stage.format(
             clock="\n        u = exp(e*t)\n"
