@@ -4,13 +4,15 @@ The integrator is an explicit embedded Runge-Kutta 5(4) pair
 (Dormand-Prince coefficients) with FSAL and Gustafsson's predictive
 step control (Hairer & Wanner, Solving ODEs II, IV.8), and no dense
 output: a drive ends at a step's end or on a graph over the coordinate
-it stops on (Henon, Physica D 5, 1982).  Fields arrive compiled as sparse
-Horner source: ``PlanarField.as_rhs``, bit for bit dense Horner, and in
-two charts, ``as_chart`` (weighted polar) and ``as_x_dir_slope`` (X_DIR
-blow-up, the transits' outer legs).  Each state dimension has one drive
-loop (``_compile_loop``), generated from the tableau, that calls its
-field directly, keeps the stages, the error norm and the step control in
-local scalars, and knows nothing of its caller:
+it stops on (Henon, Physica D 5, 1982).  Fields arrive compiled from
+their exact terms: as sparse Horner source in ``PlanarField.as_rhs``, bit
+for bit dense Horner, and ``as_x_dir_slope`` (X_DIR blow-up, the
+transits' outer legs), and in ``as_chart`` (weighted polar) as Horner in
+r over sums of monomials in cos and sin, each monomial computed once.
+Each state dimension has one drive loop (``_compile_loop``), generated
+from the tableau, that calls its field directly, keeps the stages, the
+error norm and the step control in local scalars, and knows nothing of
+its caller:
 
 - "xy": 2-D state of a field ``(t, x, y) -> (p, q)``: integrate()'s
   unit-speed wrapper under arclength, its stops' re-runs (``_cross``),

@@ -324,18 +324,27 @@ def _horner_expr(poly: Poly2) -> str:
     return f"0.0+{_horner_rows(poly.terms, 'x', 'y')}"
 
 
+def _coeff_literal(c: Coeff, i: int, j: int) -> str:
+    """The float literal of the coefficient ``c`` of x^i y^j: ValueError
+    where its float is not finite, an exact ``c`` beyond float range
+    included (repr(inf) and repr(nan) are not Python literals)."""
+    try:
+        f = float(c)
+    except OverflowError:
+        f = math.inf if c > 0 else -math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"coefficient of x^{i} y^{j} is {f} as a float; "
+                         "only finite coefficients compile")
+    return repr(f)
+
+
 def _horner_rows(terms: Dict[Exponents, Coeff], x: str, y: str) -> str:
     """Sparse Horner in ``x`` nested in ``y`` over the nonzero ``terms``
-    {(i, j): coefficient of x^i y^j}, each written as a float literal:
-    a coefficient that is not finite raises ValueError."""
+    {(i, j): coefficient of x^i y^j}, each written as a float literal
+    (``_coeff_literal``)."""
     rows: Dict[int, Dict[int, str]] = {}
     for (i, j), c in terms.items():
-        c = float(c)
-        if not math.isfinite(c):
-            # repr(inf) and repr(nan) are not Python literals
-            raise ValueError(f"coefficient of x^{i} y^{j} is {c}; "
-                             "only finite coefficients compile")
-        rows.setdefault(j, {})[i] = repr(c)
+        rows.setdefault(j, {})[i] = _coeff_literal(c, i, j)
     return _horner_nest({j: _horner_nest(row, x) for j, row in rows.items()},
                         y)
 
@@ -378,17 +387,49 @@ def _compile_horner_pair(p: Poly2, q: Poly2):
                     "field")
 
 
-def _chart_expr(poly: Poly2, a: int, b: int, shift: int) -> str:
-    """Source of poly(r^a c, r^b s)/r^shift, every power of r in it at
-    least 0: Horner in r over the sparse Horner in (c, s)
-    (``_horner_rows``) of each power's terms."""
-    if poly.is_zero:
-        return "0.0"
-    by_power: Dict[int, Dict[Exponents, Coeff]] = {}
-    for (i, j), c in poly.terms.items():
-        by_power.setdefault(a * i + b * j - shift, {})[(i, j)] = c
-    return _horner_nest({e: _horner_rows(terms, "c", "s")
-                         for e, terms in by_power.items()}, "r")
+def _chart_stage(field: "PlanarField", a: int, b: int, d: int):
+    """Source lines that set big_p and big_q to P = p/r^(d+a) and Q =
+    q/r^(d+b) at x = r^a c, y = r^b s from r, c and s: each Horner in r
+    over rows that sum coefficient*monomial, every power of r at least 0,
+    after lines that bind the monomials c^i s^j.  Each power c^n and s^n,
+    n > 1, is bound once as the product of two lower ones (c4 = c2*c2, c5
+    = c4*c), and each mixed monomial that both P and Q have as c^i*s^j."""
+    shared = field.p.terms.keys() & field.q.terms.keys()
+    bound: Dict[str, str] = {}  # name: source, each after its factors
+
+    def power(v: str, n: int) -> str:
+        if n > 1 and f"{v}{n}" not in bound:
+            bound[f"{v}{n}"] = (f"{power(v, n // 2)}*{power(v, n // 2)}"
+                                if n % 2 == 0 else f"{power(v, n - 1)}*{v}")
+        return f"{v}{n}" if n > 1 else v
+
+    def term(i: int, j: int, k: str) -> str:
+        if i and j and (i, j) in shared:
+            mono = f"c{i}s{j}"
+            bound.setdefault(mono, f"{power('c', i)}*{power('s', j)}")
+        elif i and j:
+            mono = f"({power('c', i)}*{power('s', j)})"
+        elif i or j:
+            mono = power("c", i) if i else power("s", j)
+        else:
+            return k
+        return {"1.0": mono, "-1.0": f"-{mono}"}.get(k, f"{k}*{mono}")
+
+    def chart_poly(poly: Poly2, shift: int) -> str:
+        rows: Dict[int, list] = {}
+        for (i, j), k in sorted(poly.terms.items()):
+            rows.setdefault(a * i + b * j - shift, []).append(
+                term(i, j, _coeff_literal(k, i, j)))
+        sums = {}
+        for e, row in rows.items():
+            src = "+".join(row).replace("+-", "-")
+            # in parentheses, so that r*(k*m) never regroups as (r*k)*m
+            sums[e] = src if len(row) == 1 and "*" not in src else f"({src})"
+        return _horner_nest(sums, "r") if sums else "0.0"
+
+    big_p, big_q = chart_poly(field.p, d + a), chart_poly(field.q, d + b)
+    return [f"    {n} = {src}" for n, src in
+            [*bound.items(), ("big_p", big_p), ("big_q", big_q)]]
 
 
 def _compile_weighted_polar(field: "PlanarField"):
@@ -402,8 +443,7 @@ def _compile_weighted_polar(field: "PlanarField"):
         "        r = exp(rho)",
         "    except (ValueError, OverflowError):",
         "        return {fail}",
-        f"    big_p = {_chart_expr(field.p, a, b, d + a)}",
-        f"    big_q = {_chart_expr(field.q, a, b, d + b)}",
+        *_chart_stage(field, a, b, d),
     ])
     theta_dot = f"{a_c}*big_q - {b_s}*big_p"
     return _compile("\n".join([
@@ -459,7 +499,9 @@ class PlanarField:
         and the factors 1.0 and -1.0 are skipped.  For finite arguments
         each value is bit for bit that of dense Horner over the full
         (i, j) grid, signed zeros included; ``_horner_expr`` says why.
-        The field compiles once; later calls return the same function.
+        A coefficient whose float is not finite raises ValueError
+        (``_coeff_literal``).  The field compiles once; later calls
+        return the same function.
         """
         return self._cached("_rhs", lambda f: _compile_horner_pair(f.p, f.q))
 
@@ -472,14 +514,17 @@ class PlanarField:
         sin(theta), each term p_ij x^i y^j of p is p_ij r^(a i + b j) c^i
         s^j, so P = p/r^(d+a) and Q = q/r^(d+b) are polynomials in (r, c,
         s), every power of r at least 0.  Each is compiled from the exact
-        terms as Horner in r over the sparse Horner in (c, s) of each
-        power's terms, with no division and no float ``**``.  With the
+        terms as Horner in r over rows that sum coefficient times c^i s^j,
+        with no division and no float ``**``; each power of c and s and
+        each monomial P and Q share is computed once (``_chart_stage``),
+        and the weights enter as float literals.  With the
         time dt = (a c^2 + b s^2) dtau/r^d, rho' = c P + s Q and theta' =
         a c Q - b s P.  At r = 0 this is the principal part's value, so
         the chart holds at any depth.  An infinite theta or an exp(rho)
         that overflows gives (inf, inf), a product that overflows an
-        infinite or NaN value: no call raises.  A non-finite coefficient
-        raises ValueError here, as in ``as_rhs``.  The chart compiles
+        infinite or NaN value: no call raises.  A coefficient whose float
+        is not finite raises ValueError here, as in ``as_rhs``, an exact
+        one beyond float range included.  The chart compiles
         once; later calls return the same function.
         """
         return self._cached("_chart", _compile_weighted_polar)[0]
@@ -507,7 +552,8 @@ class PlanarField:
         (``sign`` -1) or log(x) (+1): |x| (q/y)/p = sign Qt/Pt at w = y/x,
         (Pt, Qt) of ``x_dir_factors`` in sparse Horner, inf where Pt <= 0
         or a stage fails.  Compiled once per field (ValueError as
-        ``x_dir_factors``); each call closes it over y0 and sign."""
+        ``x_dir_factors`` and ``as_rhs``); each call closes it over y0
+        and sign."""
         return self._cached("_x_dir", _compile_x_dir_slope)(y0, sign)
 
     def _cached(self, name, compile_):

@@ -515,6 +515,15 @@ class TestReturn:
         err = assert_exit(capsys, 2, "return", "--case", "z-family", *argv)
         assert err.startswith("invalid argument")
 
+    def test_coefficient_beyond_float_range(self, capsys):
+        # read as "integer division result too large for a float"
+        doc = {"p": {"terms": [[1, 0, "1e400"], [0, 3, "-1"]]},
+               "q": {"terms": [[3, 0, "1"], [0, 1, "1"]]}}
+        err = assert_exit(capsys, 2, "return", "--json", json.dumps(doc))
+        assert err.startswith("invalid argument: coefficient of x^1 y^0 is "
+                              "inf as a float; only finite coefficients "
+                              "compile")
+
     @pytest.mark.parametrize("section_x", ["1e-13", "1e-20", "1e-50",
                                            "1e-140"])
     def test_section_scale_below_the_depth_floor(self, capsys, section_x):

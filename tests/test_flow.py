@@ -773,13 +773,14 @@ class TestRhsCounts:
     def test_monodromy_probe(self, count_calls):
         # 159384 by winding the cartesian state, 13780 with the chart
         # stage as a field call, 13782 with the turns in the chart, 9282
-        # as one graph over theta, 7710 in legs at the probe's rel_tol 1e-6
+        # as one graph over theta, 7710 in legs at the probe's rel_tol
+        # 1e-6, 5556 before the chart bound its monomials once
         count_slope = count_calls("as_chart_slope")
         count_chart = count_calls("as_chart")
         count_slope.append(0)
         count_chart.append(0)
         flow.monodromy_probe(build_z(1.0, 1.0), box=10.0, ring_radius=1e-8)
-        assert count_slope == [5556]
+        assert count_slope == [5550]
         assert count_chart == [0]
 
     def test_return_slope(self, count_calls):
@@ -798,11 +799,12 @@ class TestRhsCounts:
     # below the monodromy threshold beta = 1/4 the first orbit leaves the
     # box, or, contracting, falls through the rho floor onto the origin,
     # each past a fold in the chart.  Every stage counts; the chart alone
-    # took 2689 and 6325 before the legs (the ids keep the counts first
-    # pinned)
+    # took 2689 and 6325 before the legs, and the legs 2369 and 6934
+    # before the chart bound its monomials once (the ids keep the counts
+    # first pinned)
     @pytest.mark.parametrize("alpha, beta, status, count", [
-        (1.0, 0.2, "box_exit", 2369),
-        (-1.0, 0.1, "floor", 6934),
+        (1.0, 0.2, "box_exit", 2381),
+        (-1.0, 0.1, "floor", 6916),
     ], ids=["1.0-0.2-box_exit-2641", "-1.0-0.1-floor-6223"])
     def test_return_slope_without_return(self, count_calls, alpha, beta,
                                          status, count):
@@ -1761,6 +1763,52 @@ CHART_FIELDS = [
 ]
 
 
+def random_chart_fields(seed, weights, count):
+    """``count`` seeded fields whose Newton weights (a, b) are ``weights``:
+    p and q each of one to five terms x^i y^j, i, j <= 5, coefficient 1,
+    -1 or a small rational, drawn until ``newton_weights`` reads them."""
+    rng = random.Random(seed)
+    fields = []
+    while len(fields) < count:
+        p, q = (Poly2({(rng.randint(0, 5), rng.randint(0, 5)): rng.choice(
+            [1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+            for _ in range(rng.randint(1, 5))}) for _ in range(2))
+        if newton_weights(PlanarField(p, q))[:2] == weights:
+            fields.append(PlanarField(p, q))
+    return fields
+
+
+RANDOM_CHART_FIELDS = [field for seed, weights in enumerate([(1, 1), (1, 2),
+                                                             (2, 3)])
+                       for field in random_chart_fields(seed, weights, 8)]
+ALL_CHART_FIELDS = [*(f for _w, f in CHART_FIELDS), *RANDOM_CHART_FIELDS]
+ALL_CHART_IDS = [*(f"weights{n}" for n in range(len(CHART_FIELDS))),
+                 *(f"random{n}" for n in range(len(RANDOM_CHART_FIELDS)))]
+
+
+def exact_chart(field, rho, theta):
+    """(P, Q, rho', theta') in exact arithmetic at the floats c =
+    cos(theta), s = sin(theta), r = exp(rho) and the float coefficients,
+    and the same sums over the terms' absolute values, which scale the
+    rounding of each."""
+    a, b, d = newton_weights(field)
+    r, c, s = (Fraction(v) for v in (math.exp(rho), math.cos(theta),
+                                     math.sin(theta)))
+
+    def chart_poly(poly, shift, size=lambda v: v):
+        return sum((size(Fraction(float(k)) * r ** (a * i + b * j - shift)
+                         * c ** i * s ** j)
+                    for (i, j), k in poly.terms.items()), Fraction(0))
+
+    big_p, big_q = chart_poly(field.p, d + a), chart_poly(field.q, d + b)
+    size_p = chart_poly(field.p, d + a, abs)
+    size_q = chart_poly(field.q, d + b, abs)
+    return ((big_p, big_q, c * big_p + s * big_q,
+             a * c * big_q - b * s * big_p),
+            (size_p, size_q, abs(c) * size_p + abs(s) * size_q,
+             a * abs(c) * size_q + b * abs(s) * size_p))
+
+
 def divided_chart(field, rho, theta):
     """The chart stage the long way, p/r^(d+a) and q/r^(d+b) at x = r^a c,
     y = r^b s, with the sums of the terms' absolute values, which bound
@@ -1839,9 +1887,38 @@ class TestWeightedPolarChart:
             assert got == pytest.approx(principal_chart(field, theta),
                                         rel=1e-13, abs=1e-15)
 
-    @pytest.mark.parametrize("field", [f for _w, f in CHART_FIELDS],
-                             ids=[f"weights{n}"
-                                  for n in range(len(CHART_FIELDS))])
+    def test_random_fields_have_constants_and_empty_rows(self):
+        # RANDOM_CHART_FIELDS holds a constant term (the row of c^0 s^0)
+        # and a P or Q with an empty row: a power of r below its top one
+        # with no terms
+        a_b_d = [newton_weights(f) for f in RANDOM_CHART_FIELDS]
+        assert any((0, 0) in poly.terms for f in RANDOM_CHART_FIELDS
+                   for poly in (f.p, f.q))
+        powers = [{a * i + b * j - d - shift for i, j in poly.terms}
+                  for f, (a, b, d) in zip(RANDOM_CHART_FIELDS, a_b_d)
+                  for poly, shift in ((f.p, a), (f.q, b)) if poly.terms]
+        assert any(len(e) <= max(e) for e in powers)
+
+    @pytest.mark.parametrize("field", ALL_CHART_FIELDS, ids=ALL_CHART_IDS)
+    def test_chart_is_exact_to_a_few_roundings(self, field):
+        # P and Q from the chart's codegen, and the chart's rho' and
+        # theta', each within 16 units of roundoff 2^-53 of the exact
+        # value at the same float c, s and r, relative to the sum of the
+        # terms' absolute values (4.9 at most on these fields)
+        ns = {}
+        exec("def pq(r, c, s):\n"
+             + "\n".join(polyfield._chart_stage(field, *newton_weights(field)))
+             + "\n    return big_p, big_q\n", ns)
+        rng = random.Random(37)
+        for rho in [-1e4, *(rng.uniform(-20.0, 1.0) for _ in range(40))]:
+            theta = rng.uniform(-7.0, 7.0)
+            got = (*ns["pq"](math.exp(rho), math.cos(theta), math.sin(theta)),
+                   *field.as_chart()(rho, theta))
+            for g, want, size in zip(got, *exact_chart(field, rho, theta)):
+                assert abs(Fraction(g) - want) <= 16 * 2.0 ** -53 * size, \
+                    (rho, theta)
+
+    @pytest.mark.parametrize("field", ALL_CHART_FIELDS, ids=ALL_CHART_IDS)
     def test_slope_of_rho_over_theta(self, field):
         # drho/dphi over phi = sigma theta is rho'/(sigma theta') from the
         # chart's own stage, bit for bit, where sigma theta' > 0, and inf
@@ -1859,11 +1936,8 @@ class TestWeightedPolarChart:
         assert g(1.0, 0.0, 0)(math.inf, -1.0) == \
             g(-1.0, 0.0, 0)(0.3, 1e4) == math.inf
 
-    @pytest.mark.parametrize("field", [*(f for _w, f in CHART_FIELDS),
-                                       build_xn(3)],
-                             ids=[*(f"weights{n}"
-                                    for n in range(len(CHART_FIELDS))),
-                                  "xn3"])
+    @pytest.mark.parametrize("field", [*ALL_CHART_FIELDS, build_xn(3)],
+                             ids=[*ALL_CHART_IDS, "xn3"])
     def test_slope_of_rho_over_a_log_clock(self, field):
         # on the clock t of phi = phi_f + e u, u = exp(e t), e = +-1, the
         # slope is u rho'/(sigma theta') from the chart's own stage at

@@ -426,16 +426,22 @@ class TestSerialization:
 
 
 class TestFloatCompilation:
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    # an exact coefficient beyond float range raised OverflowError from
+    # float() in every compiler
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                     Fraction(10) ** 400,
+                                     -Fraction(10) ** 400],
+                             ids=["inf", "-inf", "nan", "1e400", "-1e400"])
     def test_non_finite_coefficient_is_rejected(self, bad):
-        poly = Poly2({(1, 0): bad})
-        for field in (PlanarField(poly, X), PlanarField(X, poly)):
-            with pytest.raises(ValueError, match="finite"):
-                field.as_rhs()
-            with pytest.raises(ValueError, match="finite"):
-                field.as_chart()
-            with pytest.raises(ValueError, match="finite"):
-                field.as_chart_slope(1.0, 0.0, 0)
+        poly = Poly2({(2, 0): bad})
+        for field in (PlanarField(poly, X * Y), PlanarField(X * Y, poly * Y)):
+            for compiled in (field.as_rhs, field.as_chart,
+                             lambda: field.as_chart_slope(1.0, 0.0, 0),
+                             lambda: field.as_x_dir_slope(1.0, 1.0)):
+                with pytest.raises(ValueError, match=r"coefficient of x\^\d "
+                                   r"y\^\d is -?(inf|nan) as a float; only "
+                                   "finite coefficients compile"):
+                    compiled()
 
 
 # -- the composition before trusted arithmetic, as a test-only reference ------
