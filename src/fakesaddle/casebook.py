@@ -116,15 +116,12 @@ def build_example6(a, b, c) -> NormalFormField:
     return NormalFormField(one, one, Poly2.const(c), Poly2.const(b), a)
 
 
-def example6_first_integral(a=1, b=-1, c=-1):
+def example6_first_integral():
     """First integral of the (1, -1, -1) quadratic field.
 
     H = log(y^2 (2x^2 + 2xy + y^2)) - 2 arctan((x+y)/x); the arctan
     branch jumps by 2*pi across x = 0 (track with branch_quantum=2*pi).
     """
-    if (a, b, c) != (1, -1, -1):
-        raise ValueError("first integral known only for (a,b,c)=(1,-1,-1)")
-
     def h_fn(x, y):
         quad = 2.0 * x * x + 2.0 * x * y + y * y
         if x == 0.0:
@@ -161,9 +158,9 @@ def printed_y1() -> PlanarField:
     return PlanarField(p, u ** 2 * v)
 
 
-def _polys_close(pa, pb, tol=1e-12):
+def _polys_close(pa, pb):
     keys = set(pa.terms) | set(pb.terms)
-    return all(abs(float(pa.coeff(i, j)) - float(pb.coeff(i, j))) <= tol
+    return all(abs(float(pa.coeff(i, j)) - float(pb.coeff(i, j))) <= 1e-12
                for (i, j) in keys)
 
 

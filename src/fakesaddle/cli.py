@@ -47,9 +47,11 @@ EXIT_INTERNAL = 70
 
 
 def _tolerances():
+    """FSL_TOL as the quadrature's abs_tol and the integrator's rel_tol,
+    else the library's QUAD_ABS_TOL and None for the config's defaults."""
     tol = os.environ.get("FSL_TOL")
     if tol is None:
-        return asymptotics.QUAD_ABS_TOL, 1e-10
+        return asymptotics.QUAD_ABS_TOL, None
     try:
         val = float(tol)
     except ValueError:
@@ -61,7 +63,8 @@ def _tolerances():
 
 def _integrator_cfg() -> flow.IntegratorConfig:
     _, rel = _tolerances()
-    return flow.IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
+    return flow.IntegratorConfig() if rel is None else \
+        flow.IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
 
 
 class _InputError(Exception):

@@ -200,18 +200,15 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-# The error norm's term of component i: the squared scaled error r_i of
-# min(|e|/(abs_tol + rel_tol*max(|y|, |y5|)), 1e120).  The comparisons of
-# the builtins are written out (max keeps its first argument unless the
-# second is greater, min unless the second is smaller), so NaNs come out
-# as the builtins let them through.
+# The error norm's term of component i, the scaled error r_i =
+# |e|/(abs_tol + rel_tol*max(|y|, |y5|)), max written as the builtin's
+# comparison, NaNs included.  Not capped: a norm above 4.5^5 (about 1845),
+# inf included, is rejected with h scaled by the floor factor 0.2.
 _SCALED_ERROR = """\
 a_{i} = abs({e})
 m = abs(y_{i})
 m5_{i} = abs(y5_{i})
-r_{i} = a_{i}/(abs_tol + rel_tol*(m5_{i} if m5_{i} > m else m))
-if r_{i} > 1e120:
-    r_{i} = 1e120"""
+r_{i} = a_{i}/(abs_tol + rel_tol*(m5_{i} if m5_{i} > m else m))"""
 
 def _compile_loop(kind: str, n: int):
     """The DP5(4) drive of an ``n``-D state, generated from the tableau
@@ -230,9 +227,9 @@ def _compile_loop(kind: str, n: int):
       error, when t + h == t;
     - takes the step (six stages, then the slope k7 of the 5th-order state
       y5, the next step's k1), and halves h when y5 is not finite;
-    - rejects the step unless the RMS of the scaled errors
-      (``_SCALED_ERROR``) is at most 1, so also for a NaN norm, scaling h
-      by max(0.2, 0.9 norm^-0.2);
+    - rejects the step unless the RMS of the scaled errors, not capped
+      (``_SCALED_ERROR``), is at most 1, so also for a NaN norm, scaling
+      h by max(0.2, 0.9 norm^-0.2);
     - calls ``accept(t, h, y, y5, err_abs)``, with tuples and the largest
       |error|, if given and y5's first entry is not in the band (lo, hi),
       empty by default: a state it returns ends the drive there;
@@ -251,8 +248,8 @@ def _compile_loop(kind: str, n: int):
     the last attempt.  Stage sums run in the tableau's order from zero, as
     ``sum`` does, without zero terms and with ``h`` for ``1.0*h``, and
     ``min``/``max`` are conditional expressions that keep the same operand
-    first: every float is bit for bit that of the plain tableau loop, NaNs
-    included.
+    first: every step and state is bit for bit that of the plain tableau
+    loop, NaNs included, also where that loop caps a scaled error.
     """
     comps = range(n)
 

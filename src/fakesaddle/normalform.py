@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from ._univariate import split_roots
-from .polyfield import Coeff, PlanarField, Poly2, _coerce, coeff_json
+from .polyfield import Coeff, PlanarField, Poly2, _cached, _coerce, \
+    _fields_state, coeff_json
 
 FLOAT_ZERO_TOL = 1e-12
 
@@ -64,19 +65,9 @@ class NormalFormField:
         Built once; later calls return the same field, and with it the
         field's compiled right-hand side.
         """
-        fld = self.__dict__.get("_field")
-        if fld is None:
-            x, y = Poly2.gens()
-            p = x * x * self.f1 + x * y * self.a + y * y * self.f2
-            q = (x * self.g1 + y * self.g2) * y
-            fld = PlanarField(p, q)
-            # a pure function of the frozen members: safe to share
-            object.__setattr__(self, "_field", fld)
-        return fld
+        return _cached(self, "_field", _build_field)
 
-    def __getstate__(self):
-        # the field is a cache, not data: copies and pickles leave it out
-        return {k: v for k, v in self.__dict__.items() if k != "_field"}
+    __getstate__ = _fields_state
 
     def to_json(self) -> dict:
         return {"f1": self.f1.to_json(), "f2": self.f2.to_json(),
@@ -104,6 +95,12 @@ class NormalFormField:
             raise ValueError(f'"a" must be a number or a "num/den" string, '
                              f"got {a!r}")
         return cls(*polys, float(a) if isinstance(a, float) else Fraction(a))
+
+
+def _build_field(nf: NormalFormField) -> PlanarField:
+    x, y = Poly2.gens()
+    return PlanarField(x * x * nf.f1 + x * y * nf.a + y * y * nf.f2,
+                       (x * nf.g1 + y * nf.g2) * y)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
 
@@ -305,8 +305,8 @@ class Poly2:
         return "Poly2(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
-def _horner_expr(poly: Poly2) -> str:
-    """Source of a sparse Horner scheme: rows in x nested in y.
+def _horner_expr(literals: Dict[Exponents, str]) -> str:
+    """Source of sparse Horner, rows in x nested in y, over ``_literals``.
 
     The nesting is that of dense Horner over the full (i, j) grid,
     ((c00 + x*(c10 + ...)) + y*(row1 + y*...)), with only the nonzero
@@ -319,32 +319,38 @@ def _horner_expr(poly: Poly2) -> str:
     Dense Horner never returns -0.0; one ``0.0+`` kept at the outermost
     level turns it back into 0.0.
     """
-    if poly.is_zero:
+    if not literals:
         return "0.0"
-    return f"0.0+{_horner_rows(poly.terms, 'x', 'y')}"
+    return f"0.0+{_horner_rows(literals, 'x', 'y')}"
 
 
-def _coeff_literal(c: Coeff, i: int, j: int) -> str:
-    """The float literal of the coefficient ``c`` of x^i y^j: ValueError
-    where its float is not finite, an exact ``c`` beyond float range
-    included (repr(inf) and repr(nan) are not Python literals)."""
+def _coeff_literal(c: Coeff, i: int, j: int, name: str) -> str:
+    """The float literal of the coefficient ``c`` of x^i y^j in the field's
+    component ``name``, p or q: ValueError where its float is not finite,
+    an exact ``c`` beyond float range included (repr(inf) and repr(nan)
+    are not Python literals)."""
     try:
         f = float(c)
     except OverflowError:
         f = math.inf if c > 0 else -math.inf
     if not math.isfinite(f):
-        raise ValueError(f"coefficient of x^{i} y^{j} is {f} as a float; "
-                         "only finite coefficients compile")
+        raise ValueError(f"coefficient of x^{i} y^{j} in {name} is {f} as a "
+                         "float; only finite coefficients compile")
     return repr(f)
 
 
-def _horner_rows(terms: Dict[Exponents, Coeff], x: str, y: str) -> str:
-    """Sparse Horner in ``x`` nested in ``y`` over the nonzero ``terms``
-    {(i, j): coefficient of x^i y^j}, each written as a float literal
-    (``_coeff_literal``)."""
+def _literals(field: "PlanarField") -> Tuple[Dict[Exponents, str], ...]:
+    """p's and q's {(i, j): ``_coeff_literal`` of x^i y^j}."""
+    return tuple({(i, j): _coeff_literal(c, i, j, name)
+                  for (i, j), c in poly.terms.items()}
+                 for name, poly in (("p", field.p), ("q", field.q)))
+
+
+def _horner_rows(literals: Dict[Exponents, str], x: str, y: str) -> str:
+    """Sparse Horner in ``x`` nested in ``y`` over {(i, j): literal}."""
     rows: Dict[int, Dict[int, str]] = {}
-    for (i, j), c in terms.items():
-        rows.setdefault(j, {})[i] = _coeff_literal(c, i, j)
+    for (i, j), k in literals.items():
+        rows.setdefault(j, {})[i] = k
     return _horner_nest({j: _horner_nest(row, x) for j, row in rows.items()},
                         y)
 
@@ -381,7 +387,8 @@ def _compile(src: str, kind: str):
     return ns["_f"]
 
 
-def _compile_horner_pair(p: Poly2, q: Poly2):
+def _compile_horner_pair(field: "PlanarField"):
+    p, q = _literals(field)
     return _compile(f"def _f(x, y):\n"
                     f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n",
                     "field")
@@ -415,11 +422,10 @@ def _chart_stage(field: "PlanarField", a: int, b: int, d: int):
             return k
         return {"1.0": mono, "-1.0": f"-{mono}"}.get(k, f"{k}*{mono}")
 
-    def chart_poly(poly: Poly2, shift: int) -> str:
+    def chart_poly(literals: Dict[Exponents, str], shift: int) -> str:
         rows: Dict[int, list] = {}
-        for (i, j), k in sorted(poly.terms.items()):
-            rows.setdefault(a * i + b * j - shift, []).append(
-                term(i, j, _coeff_literal(k, i, j)))
+        for (i, j), k in sorted(literals.items()):
+            rows.setdefault(a * i + b * j - shift, []).append(term(i, j, k))
         sums = {}
         for e, row in rows.items():
             src = "+".join(row).replace("+-", "-")
@@ -427,7 +433,8 @@ def _chart_stage(field: "PlanarField", a: int, b: int, d: int):
             sums[e] = src if len(row) == 1 and "*" not in src else f"({src})"
         return _horner_nest(sums, "r") if sums else "0.0"
 
-    big_p, big_q = chart_poly(field.p, d + a), chart_poly(field.q, d + b)
+    p, q = _literals(field)
+    big_p, big_q = chart_poly(p, d + a), chart_poly(q, d + b)
     return [f"    {n} = {src}" for n, src in
             [*bound.items(), ("big_p", big_p), ("big_q", big_q)]]
 
@@ -465,8 +472,15 @@ def _compile_weighted_polar(field: "PlanarField"):
 
 
 def _compile_x_dir_slope(field: "PlanarField"):
-    pt, qt = (_horner_rows(f.terms, "x", "w") if f.terms else "0.0"
-              for f in x_dir_factors(field))
+    if any(i + j < 2 for i, j in [*field.p.terms, *field.q.terms]) or any(
+            j < 1 for _i, j in field.q.terms):
+        raise ValueError("the X_DIR slope needs y to divide q and terms of "
+                         f"degree at least 2 in p and q, got {field}")
+    p, q = _literals(field)
+    # x^i y^j = x^(i+j) w^j: Pt = p/x^2 and Qt = q/(x^2 w) in x and w
+    pt, qt = (_horner_rows(terms, "x", "w") if terms else "0.0" for terms in (
+        {(i + j - 2, j): k for (i, j), k in p.items()},
+        {(i + j - 2, j - 1): k for (i, j), k in q.items()}))
     return _compile(f"""def _f(y0, sign):
     def _slope(s, v):
         try:
@@ -478,6 +492,21 @@ def _compile_x_dir_slope(field: "PlanarField"):
         return sign*({qt})/pt if pt > 0.0 else inf
     return _slope
 """, "x_dir")
+
+
+def _cached(value, name: str, build):
+    """``build(value)``, a pure function of the frozen dataclass ``value``,
+    built once and kept on it as ``name``."""
+    out = value.__dict__.get(name)
+    if out is None:
+        out = build(value)
+        object.__setattr__(value, name, out)
+    return out
+
+
+def _fields_state(value) -> dict:
+    """``__getstate__`` without the ``_cached`` values: copies rebuild."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
 @dataclass(frozen=True)
@@ -503,7 +532,7 @@ class PlanarField:
         (``_coeff_literal``).  The field compiles once; later calls
         return the same function.
         """
-        return self._cached("_rhs", lambda f: _compile_horner_pair(f.p, f.q))
+        return _cached(self, "_rhs", _compile_horner_pair)
 
     def as_chart(self) -> Callable[[float, float], Tuple[float, float]]:
         """Compile the field in the weighted polar chart of its Newton
@@ -527,7 +556,7 @@ class PlanarField:
         one beyond float range included.  The chart compiles
         once; later calls return the same function.
         """
-        return self._cached("_chart", _compile_weighted_polar)[0]
+        return _cached(self, "_chart", _compile_weighted_polar)[0]
 
     def as_chart_slope(self, sigma: float, phi_f: float,
                        e: int) -> Callable[[float, float], float]:
@@ -544,31 +573,20 @@ class PlanarField:
         (e = -1) make the slope bounded.  Compiled once per field, with
         ``as_chart`` from one source; each call closes it over its leg, as
         ``as_x_dir_slope`` does."""
-        leg = self._cached("_chart", _compile_weighted_polar)[1]
+        leg = _cached(self, "_chart", _compile_weighted_polar)[1]
         return leg(sigma, phi_f, e)
 
     def as_x_dir_slope(self, y0, sign) -> Callable[[float, float], float]:
         """The slope ``f(s, v) -> dv/ds`` of v = log(y/y0) over s = -log(-x)
         (``sign`` -1) or log(x) (+1): |x| (q/y)/p = sign Qt/Pt at w = y/x,
-        (Pt, Qt) of ``x_dir_factors`` in sparse Horner, inf where Pt <= 0
-        or a stage fails.  Compiled once per field (ValueError as
-        ``x_dir_factors`` and ``as_rhs``); each call closes it over y0
-        and sign."""
-        return self._cached("_x_dir", _compile_x_dir_slope)(y0, sign)
+        inf where Pt <= 0 or a stage fails.  Pt = p/x^2 and Qt = q/(x^2 w),
+        ``blow_up``'s X_DIR chart, are Horner in x over w from the field's
+        own terms, compiled once per field (ValueError unless y divides q
+        and no term has degree < 2, or as ``as_rhs``); each call closes it
+        over y0 and sign."""
+        return _cached(self, "_x_dir", _compile_x_dir_slope)(y0, sign)
 
-    def _cached(self, name, compile_):
-        value = self.__dict__.get(name)
-        if value is None:
-            value = compile_(self)
-            # pure functions of the frozen (p, q): safe to share
-            object.__setattr__(self, name, value)
-        return value
-
-    def __getstate__(self):
-        # the compiled functions are caches, not data: copies and pickles
-        # leave them out and compile again
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("_rhs", "_chart", "_x_dir")}
+    __getstate__ = _fields_state
 
     def to_json(self) -> dict:
         return {"p": self.p.to_json(), "q": self.q.to_json()}
@@ -674,19 +692,6 @@ def fiber_directions(field: PlanarField) -> Tuple[float, ...]:
     no_x = not any(j == 0 and a * i == d + b for i, j in field.q.terms)
     return tuple(k * 0.5 * math.pi for k in range(4)
                  if (no_x, no_y)[k % 2])
-
-
-def x_dir_factors(field: PlanarField) -> Tuple[Poly2, Poly2]:
-    """(Pt, Qt) = (p(x, wx)/x^2, q(x, wx)/(x^2 w)) exactly: ``u_factor`` and
-    ``u_factor + v_factor`` of ``blow_up`` in the X_DIR chart, divide power
-    1.  ValueError unless y divides q and p, q have no term of degree < 2."""
-    p, q = field.p.terms, field.q.terms
-    if any(i + j < 2 for i, j in [*p, *q]) or any(j < 1 for _i, j in q):
-        raise ValueError("the X_DIR slope needs y to divide q and terms of "
-                         f"degree at least 2 in p and q, got {field}")
-    return (Poly2._trusted({(i + j - 2, j): c for (i, j), c in p.items()}),
-            Poly2._trusted({(i + j - 2, j - 1): c
-                            for (i, j), c in q.items()}))
 
 
 def pullback_affine(field: PlanarField, amap: AffineMap2) -> PlanarField:

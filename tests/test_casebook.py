@@ -28,10 +28,6 @@ class TestBuilders:
         nf0 = casebook.build_example6(Fraction(0), Fraction(0), Fraction(0))
         assert invariants(nf0).d == 4
 
-    def test_first_integral_only_for_reference_values(self):
-        with pytest.raises(ValueError):
-            casebook.example6_first_integral(a=2)
-
     def test_exact_square_rescue(self):
         nf = casebook.build_z_normalform(Fraction(1), Fraction(1, 6))
         assert not nf.is_float

@@ -520,9 +520,9 @@ class TestReturn:
         doc = {"p": {"terms": [[1, 0, "1e400"], [0, 3, "-1"]]},
                "q": {"terms": [[3, 0, "1"], [0, 1, "1"]]}}
         err = assert_exit(capsys, 2, "return", "--json", json.dumps(doc))
-        assert err.startswith("invalid argument: coefficient of x^1 y^0 is "
-                              "inf as a float; only finite coefficients "
-                              "compile")
+        assert err.startswith("invalid argument: coefficient of x^1 y^0 in "
+                              "p is inf as a float; only finite "
+                              "coefficients compile")
 
     @pytest.mark.parametrize("section_x", ["1e-13", "1e-20", "1e-50",
                                            "1e-140"])
@@ -599,7 +599,9 @@ class TestToleranceOverride:
         cfg = cli._integrator_cfg()
         assert cfg.rel_tol == 1e-6
         monkeypatch.delenv("FSL_TOL")
-        assert cli._tolerances()[1] == 1e-10
+        # unset, the library's own defaults, not copies of them
+        assert cli._tolerances()[0] == asymptotics.QUAD_ABS_TOL
+        assert cli._integrator_cfg() == flow.IntegratorConfig()
 
     def test_env_var_sets_gamma_quadrature_tolerance(self, capsys,
                                                      monkeypatch):

@@ -507,9 +507,11 @@ class TestStep:
                                     (-0.0, 0.0)])
     def test_norm_of_non_finite_error_is_the_loops(self, k7):
         # a finite y5 whose slope k7 (call 7: k1 and six stages) is huge,
-        # infinite or NaN: the norm and the largest error keep the NaNs
-        # and the 1e120 cap of the builtins' loop, a NaN norm rejects the
-        # step as a norm above 1 does, and every step after it matches
+        # infinite or NaN: the drives keep the NaNs of the builtins' loop,
+        # a NaN norm rejects the step as a norm above 1 does, a norm past
+        # the builtins' cap of 1e120 on each scaled error, which the drives
+        # do not have, scales h by the same floor 0.2, and every step after
+        # it matches
         seen = Counter()
         assert_drive_matches("xy", field_then(clocked(self.RHS_XY), {7: k7}),
                              0.0, (0.3, -0.2),

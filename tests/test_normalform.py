@@ -207,9 +207,9 @@ class TestSerialization:
 
 
 class TestFieldCache:
-    """field(), as_rhs(), as_chart() and as_chart_slope() build once; the
-    caches are invisible to equality, hashing, replace, copies and
-    pickles."""
+    """field(), as_rhs(), as_chart(), as_chart_slope() and as_x_dir_slope()
+    build once; the caches are invisible to equality, hashing, replace,
+    copies and pickles."""
 
     def test_built_once(self, rng):
         nf = random_normal_form(rng)
@@ -219,6 +219,8 @@ class TestFieldCache:
         assert field.as_chart() is field.as_chart()
         assert field.as_chart_slope(1.0, 0.0, 0).__code__ is \
             field.as_chart_slope(-1.0, 0.5, 1).__code__
+        assert field.as_x_dir_slope(1e-8, 1.0).__code__ is \
+            field.as_x_dir_slope(-1e-6, -1.0).__code__
 
     def test_replace_builds_from_the_new_members(self, rng):
         nf = random_normal_form(rng)
@@ -236,6 +238,7 @@ class TestFieldCache:
             if cached:
                 nf.field().as_rhs()
                 nf.field().as_chart()
+                nf.field().as_x_dir_slope(1e-8, 1.0)
             twin = clone(nf)
             assert twin == nf and hash(twin) == hash(nf)
             assert twin.field() == nf.field()
@@ -245,3 +248,5 @@ class TestFieldCache:
                     == nf.field().as_rhs()(0.25, -0.5))
             assert (field.as_chart()(-0.5, 2.0)
                     == nf.field().as_chart()(-0.5, 2.0))
+            assert (field.as_x_dir_slope(1e-8, 1.0)(-1.0, 0.5)
+                    == nf.field().as_x_dir_slope(1e-8, 1.0)(-1.0, 0.5))

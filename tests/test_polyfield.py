@@ -12,9 +12,8 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  build_z_normalform, printed_z_blowup)
 from fakesaddle.normalform import invariants
 from fakesaddle.polyfield import (AffineMap2, PlanarField, Poly2, SingularMap,
-                                  _horner_expr, fiber_directions,
-                                  newton_weights, pullback_affine,
-                                  x_dir_factors)
+                                  _horner_expr, _literals, fiber_directions,
+                                  newton_weights, pullback_affine)
 
 X, Y = Poly2.gens()
 
@@ -196,17 +195,44 @@ class TestXDirSlope:
     s = sign log|x|, checked against the exact layer's X_DIR blow-up and
     against |x| (q/y)/p of ``as_rhs``."""
 
-    def test_factors_are_the_blow_up_chart(self):
+    def test_slope_is_the_blow_up_chart(self):
+        # sign Qt/Pt, with Pt and Qt the exact layer's u_factor and
+        # u_factor + v_factor, evaluated in Fractions at the float x and w
+        # that the slope computes from (s, v): within 1e-13 of it, relative
+        # to it or to the bound on its rounding that the absolute sums of
+        # Pt's and Qt's terms give
         hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def exact(poly, x, w):
+            return sum((Fraction(c) * x ** i * w ** j
+                        for (i, j), c in poly.terms.items()), Fraction(0))
 
         @hypothesis.settings(max_examples=200, deadline=None, database=None)
-        @hypothesis.given(hypothesis.strategies.integers(0, 2 ** 32 - 1))
-        def check(seed):
+        @hypothesis.given(st.integers(0, 2 ** 32 - 1), st.floats(-27.0, 0.0),
+                          st.floats(-230.0, 0.0), st.sampled_from([-1.0, 1.0]),
+                          st.sampled_from([-1e-8, 1e-8]))
+        def check(seed, log_ax, v, sign, y0):
             field = random_normal_form(random.Random(seed),
                                        d_positive=True).field()
             res = blow_up(field, BlowupChart(ChartKind.X_DIR, 1))
-            assert x_dir_factors(field) == (res.u_factor,
-                                            res.u_factor + res.v_factor)
+            pt, qt = res.u_factor, res.u_factor + res.v_factor
+            # |x| = exp(log_ax) on either leg; then the slope's own two
+            # lines, in floats
+            s = sign * log_ax
+            x = sign * math.exp(sign * s)
+            w = y0 * math.exp(v) / x
+            fx, fw = Fraction(x), Fraction(w)
+            pt_x, qt_x = exact(pt, fx, fw), exact(qt, fx, fw)
+            abs_pt, abs_qt = (exact(Poly2({k: abs(c) for k, c in
+                                           f.terms.items()}), abs(fx), abs(fw))
+                              for f in (pt, qt))
+            # the orbits run rightward: Pt > 0, not lost in rounding
+            hypothesis.assume(pt_x > Fraction(1, 10 ** 6) * abs_pt)
+            ref = sign * qt_x / pt_x
+            got = field.as_x_dir_slope(y0, sign)(s, v)
+            assert abs(Fraction(got) - ref) <= Fraction(1e-13) * max(
+                abs(ref), abs_qt * abs_pt / (pt_x * pt_x))
 
         check()
 
@@ -250,8 +276,6 @@ class TestXDirSlope:
         (X * X, Y + X * Y),  # q has a term of degree 1
     ], ids=["q", "p degree", "q degree"])
     def test_refuses_fields_off_the_chart(self, p, q):
-        with pytest.raises(ValueError, match="X_DIR slope needs"):
-            x_dir_factors(PlanarField(p, q))
         with pytest.raises(ValueError, match="X_DIR slope needs"):
             PlanarField(p, q).as_x_dir_slope(1e-3, 1.0)
 
@@ -433,13 +457,16 @@ class TestFloatCompilation:
                                      -Fraction(10) ** 400],
                              ids=["inf", "-inf", "nan", "1e400", "-1e400"])
     def test_non_finite_coefficient_is_rejected(self, bad):
+        # named by the field's own term, x^2 in p or x^2 y in q, where the
+        # X_DIR slope named its blow-up chart's, x^0 y^0 or x^1 y^0
         poly = Poly2({(2, 0): bad})
-        for field in (PlanarField(poly, X * Y), PlanarField(X * Y, poly * Y)):
+        for field, term in ((PlanarField(poly, X * Y), r"x\^2 y\^0 in p"),
+                            (PlanarField(X * Y, poly * Y), r"x\^2 y\^1 in q")):
             for compiled in (field.as_rhs, field.as_chart,
                              lambda: field.as_chart_slope(1.0, 0.0, 0),
                              lambda: field.as_x_dir_slope(1.0, 1.0)):
-                with pytest.raises(ValueError, match=r"coefficient of x\^\d "
-                                   r"y\^\d is -?(inf|nan) as a float; only "
+                with pytest.raises(ValueError, match=rf"coefficient of {term} "
+                                   r"is -?(inf|nan) as a float; only "
                                    "finite coefficients compile"):
                     compiled()
 
@@ -778,7 +805,7 @@ class TestHornerReference:
 
     def test_z11_source_is_sparse(self):
         z = build_z(1.0, 1.0)
-        for poly in (z.p, z.q):
-            src = _horner_expr(poly)
+        for literals in _literals(z):
+            src = _horner_expr(literals)
             assert "*0.0" not in src
             assert len(re.findall(r"(?<![\d.])0\.0\+", src)) == 1, src
