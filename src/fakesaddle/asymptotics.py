@@ -9,21 +9,23 @@ Pi(y) = exp(gamma_pm) * y + o(y), with
 
 The principal value is computed through its convergent regularization
 
-    PV = c log|omega/alpha| + int (g1/f1 - c) dx / x,
+    PV = c log|omega/alpha| + int (r(x) - c) dx / x,  r = g1/f1, c = r(0),
 
-whose integrand is a plain rational function here: with exact
-coefficients (g1 - c f1)(x, 0) vanishes at 0 and the x is divided out
-symbolically, so no principal-value tricks are needed inside the
-quadrature engine.  This integrand, the divisor-side L-integrands and
-the folded integrand of sections at infinity (whose half-line [1, inf)
-x = 1/u maps onto [0, 1]) are all analytic on bounded ranges and are
-integrated by adaptive Gauss-Kronrod G7K15 (``gk15_quad``), which
-converges geometrically on them; each interval is integrated once, and
-nothing is truncated or extrapolated.
+whose integrand is a plain rational function: the x is divided out of
+its numerator symbolically, so no principal-value tricks are needed
+inside the quadrature engine.  This integrand, the divisor-side
+L-integrands and the folded integrand of sections at infinity (whose
+half-line [1, inf) x = 1/u maps onto [0, 1]) are all analytic on bounded
+ranges and are integrated by adaptive Gauss-Kronrod G7K15
+(``gk15_quad``), which converges geometrically on them; each interval is
+integrated once, and nothing is truncated or extrapolated.
 
 An independent brute-force epsilon-limit oracle and a second route to
 the leading coefficient through the directional saddles' L-integrals
-cross-validate every value.  The oracle keeps the raw integrand
+cross-validate every value.  Each L-integrand is (r(u) - r(0))/u of a
+directional saddle's restriction r: the fiber profile g1/f1 above, and
+on the divisor ``blowup``'s r21_minus and r12_plus; one builder,
+``_minus_origin``, makes all three.  The oracle keeps the raw integrand
 g1/(x f1) and integrates it in s = log|x| (x = +-e^s), where it tends to
 +-c near the origin; its epsilon sequence is covered by telescoping
 shells, each integrated once, with adaptive Simpson (``adaptive_quad``),
@@ -36,11 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import _univariate as u1
+from .blowup import closed_r12_plus, closed_r21_minus
 from .normalform import (Invariants, NormalFormField,
-                         NotHyperbolicFakeSaddle, invariants)
+                         NotHyperbolicFakeSaddle, d_vanishes, invariants)
 
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_EVALS = 10 ** 6
@@ -228,55 +232,57 @@ def _ratio_fn(num: Sequence, den: Sequence) -> Callable[[float], float]:
 # -- section checks and the regularized integrand ------------------------------
 
 
-def _f1_g1_profiles(nf: NormalFormField):
+def _f1_g1_profiles(nf: NormalFormField, sections: SectionPair | None = None):
+    """f1(x,0) and g1(x,0); with sections, f1 checked positive on them."""
     f1x = nf.f1.restrict_y0()
     g1x = nf.g1.restrict_y0()
-    if not f1x:
-        raise SectionInvalid("f1(x, 0) is identically zero")
     if not g1x:
         g1x = [Fraction(0)] if not nf.is_float else [0.0]
+    if sections is not None and not u1.positive_on_interval(
+            f1x, sections.alpha, sections.omega):
+        raise SectionInvalid(
+            f"f1(x,0) is not positive on [{sections.alpha}, {sections.omega}]")
     return f1x, g1x
 
 
 def validate_sections(nf: NormalFormField, sections: SectionPair) -> None:
     """Check f1(x,0) > 0 on [alpha, omega] by exact Sturm root counting,
     for rational and float coefficients alike."""
-    f1x, _ = _f1_g1_profiles(nf)
-    if not u1.positive_on_interval(f1x, sections.alpha, sections.omega):
-        raise SectionInvalid(
-            f"f1(x,0) is not positive on [{sections.alpha}, {sections.omega}]")
+    _f1_g1_profiles(nf, sections)
 
 
-def _regularized_integrand(nf: NormalFormField):
-    """(g1/f1 - c)/x as the rational function m(x)/f1(x,0) plus c.
+def _minus_origin(num: Sequence, den: Sequence) -> Tuple[list, list]:
+    """(r(u) - r(0))/u for r = num/den, den(0) != 0, as the coefficient
+    lists of its numerator (den(0) num - num(0) den)/u and denominator
+    den(0) den.  The bracket's constant term vanishes exactly, in floats
+    too, and is not formed; a den(0) of 1, f1(0,0) for the fiber
+    profile, is not multiplied in."""
+    n0, d0 = num[0], den[0]
+    num, tail = num[1:], den[1:]
+    if d0 != 1:
+        num, den = [d0 * n for n in num], u1.scale(den, d0)
+    m = [n - n0 * d for n, d in zip_longest(num, tail, fillvalue=0)]
+    return u1.trim(m), u1.trim(den)
 
-    m is (g1 - c f1)(x, 0) with its exactly-zero constant term divided
-    out, so the integrand has no singularity at 0 at all.
-    """
-    f1x, g1x = _f1_g1_profiles(nf)
-    c = g1x[0]
-    n = u1.sub_(list(g1x), u1.scale(list(f1x), c))
-    if n and n[0] != 0:
-        if abs(float(n[0])) > 1e-12:
-            raise SectionInvalid("g1 - c*f1 does not vanish at the origin")
-        n[0] = 0
-    m = n[1:] if n else []
-    return _ratio_fn(m, f1x), c
+
+def _regularized_integrand(nf: NormalFormField, sections: SectionPair):
+    """(g1/f1 - c)/x as a float function and c = g1/f1 at 0, from one
+    read of the profiles, with the sections checked."""
+    f1x, g1x = _f1_g1_profiles(nf, sections)
+    return _ratio_fn(*_minus_origin(g1x, f1x)), float(g1x[0]) / float(f1x[0])
 
 
 def pv_integral(nf: NormalFormField, sections: SectionPair) -> float:
     """Principal value of int g1(x,0) / (x f1(x,0)) dx over the sections."""
-    validate_sections(nf, sections)
-    value, _err = _pv_integral_with_err(_regularized_integrand(nf), sections,
-                                        QUAD_ABS_TOL)
-    return value
+    return _pv_integral_with_err(_regularized_integrand(nf, sections),
+                                 sections, QUAD_ABS_TOL)[0]
 
 
 def _pv_integral_with_err(regularized, sections, abs_tol):
     """(PV, error estimate) from ``_regularized_integrand``; unchecked."""
     h, c = regularized
     val, err = gk15_quad(h, sections.alpha, sections.omega, abs_tol)
-    return float(c) * math.log(sections.omega / -sections.alpha) + val, err
+    return c * math.log(sections.omega / -sections.alpha) + val, err
 
 
 def richardson_step(values: Sequence[float],
@@ -311,8 +317,7 @@ def pv_integral_eps_oracle(nf: NormalFormField,
     shells [log eps_k, log eps_(k-1)] on each side, added to a running
     sum.  Serves as the independence oracle for pv_integral.
     """
-    validate_sections(nf, sections)
-    f1x, g1x = _f1_g1_profiles(nf)
+    f1x, g1x = _f1_g1_profiles(nf, sections)
     raw = _ratio_fn(g1x, [0] + list(f1x))  # g1(x,0) / (x f1(x,0))
 
     def f_right(s: float) -> float:
@@ -398,9 +403,12 @@ def pv_integral_sym_infinite(nf: NormalFormField) -> float:
 
 
 def _sqrt_d(inv: Invariants) -> float:
+    """sqrt(d) where ``classify`` reads a hyperbolic fake saddle."""
     d = float(inv.d)
-    if d <= 0:
+    if not d > 0:
         raise NotHyperbolicFakeSaddle(f"d = {d} is not positive")
+    if d_vanishes(inv):
+        raise NotHyperbolicFakeSaddle(f"d = {d} is on the d = 0 stratum")
     return math.sqrt(d)
 
 
@@ -443,54 +451,45 @@ def gamma_pm(nf: NormalFormField,
     return pv + g0, pv - g0
 
 
-def _closed_l_integrands(a, b, c):
-    """Rational integrands of the divisor-side L-integrals.
-
-    log L2_minus(u) integrates num_m / ((1-c) den_m) and log L1_plus(u)
-    integrates num_p / ((1-c) den_p); both denominators have negative
-    discriminant -d, hence no real roots when d > 0.
-    """
-    num_m = [-(a * c - c * c - b + c), c * (a - b - c + 2)]
-    den_m = [1 - c, -a + b + 2 * c - 2, a - b - c + 2]
-    num_p = [-(a * c + c * c - b - c), c * (a - b + c - 2)]
-    den_p = [c - 1, -a + b - 2 * c + 2, a - b + c - 2]
-    return num_m, den_m, num_p, den_p
+def _divisor_integrands(inv: Invariants):
+    """(name, numerator, denominator) of the divisor-side L-integrands,
+    (r(u) - r(0))/u of r21_minus and r12_plus."""
+    return [(name, *_minus_origin(r.num, r.den)) for name, r in (
+        ("L2_minus", closed_r21_minus(inv.a, inv.b, inv.c)),
+        ("L1_plus", closed_r12_plus(inv.a, inv.b, inv.c)))]
 
 
 def log_l_integrals(nf: NormalFormField,
                     sections: SectionPair) -> Dict[str, float]:
     """The four log L values entering the composed leading coefficient.
 
-    log L2_plus(omega) and log L1_minus(-alpha) integrate the fiber
-    profile (g1/f1 - c)/x; log L2_minus(1) and log L1_plus(1) integrate
-    the divisor-side closed-form rational integrands.  Denominators are
-    checked for roots on the path by exact isolation and reported, never
-    silently regularized.
+    Each integrates (r(u) - r(0))/u of a directional saddle's restriction
+    r: log L2_plus(omega) and log L1_minus(-alpha) that of the fiber
+    profile g1/f1, log L2_minus(1) and log L1_plus(1) those of the divisor
+    restrictions r21_minus and r12_plus.  Denominators are checked for
+    roots on the path by exact isolation, never silently regularized.
     """
     inv = invariants(nf)
     _sqrt_d(inv)  # requires d > 0
-    validate_sections(nf, sections)
-    return _log_l_integrals(inv, _regularized_integrand(nf)[0], sections,
-                            QUAD_ABS_TOL)
+    return _log_l_integrals(inv, _regularized_integrand(nf, sections)[0],
+                            sections, QUAD_ABS_TOL)
 
 
 def _log_l_integrals(inv: Invariants, h: Callable[[float], float],
                      sections: SectionPair, abs_tol: float) -> Dict[str, float]:
     """``log_l_integrals`` for checked d > 0 and sections; h is the
     regularized fiber integrand."""
-    num_m, den_m, num_p, den_p = _closed_l_integrands(inv.a, inv.b, inv.c)
-    for name, den, sign in (("L2_minus", den_m, 1), ("L1_plus", den_p, -1)):
-        if not u1.positive_on_interval(u1.scale(den, sign), 0, 1):
+    psi = []
+    for name, num, den in _divisor_integrands(inv):
+        if not u1.positive_on_interval(den, 0, 1):
             raise IntegrandSingularOnPath(
                 f"denominator of the {name} integrand vanishes on (0, 1]")
-    lam = 1 - inv.c
-    psi_m = _ratio_fn(num_m, u1.scale(den_m, lam))
-    psi_p = _ratio_fn(num_p, u1.scale(den_p, lam))
+        psi.append(_ratio_fn(num, den))
 
     l2p, e1 = gk15_quad(h, 0.0, sections.omega, abs_tol)
     l1m, e2 = gk15_quad(h, 0.0, sections.alpha, abs_tol)
-    l2m, e3 = gk15_quad(psi_m, 0.0, 1.0, abs_tol)
-    l1p, e4 = gk15_quad(psi_p, 0.0, 1.0, abs_tol)
+    l2m, e3 = gk15_quad(psi[0], 0.0, 1.0, abs_tol)
+    l1p, e4 = gk15_quad(psi[1], 0.0, 1.0, abs_tol)
     return {"log_L2_plus": l2p, "log_L1_minus": l1m,
             "log_L2_minus": l2m, "log_L1_plus": l1p,
             "errors": (e1, e2, e3, e4)}
@@ -536,8 +535,7 @@ def transition_report(nf: NormalFormField, sections: SectionPair | None,
         errors: Tuple[float, ...] = ()
         via_l = None
     else:
-        validate_sections(nf, sections)
-        regularized = _regularized_integrand(nf)
+        regularized = _regularized_integrand(nf, sections)
         pv, pv_err = _pv_integral_with_err(regularized, sections, abs_tol)
         ls = _log_l_integrals(inv, regularized[0], sections, abs_tol)
         via_l = _delta00_from_l(inv, sections, ls)

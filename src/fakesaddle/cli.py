@@ -231,19 +231,16 @@ def cmd_transit(args) -> int:
     payload = {"slope": est.to_json()}
     lines = [f"measured slope    = {est.value:.10g}  "
              f"(residual {est.residual:.3g})"]
-    try:
-        g = asymptotics.gamma_pm(nf, sections)
-        # 0.0 or inf past the float range, where no deviation is relative
-        closed = asymptotics._exp(g[0] if args.side == "+" else g[1])
-        dev = (abs(est.value - closed) / closed if 0.0 < closed < math.inf
-               else None)
-        payload["closed_form"] = closed
-        payload["relative_deviation"] = dev
-        lines.append(f"closed-form slope = {closed:.10g}")
-        lines.append("relative deviation = "
-                     + ("n/a" if dev is None else f"{dev:.3g}"))
-    except NotHyperbolicFakeSaddle:
-        lines.append("closed-form slope = n/a (d <= 0)")
+    g = asymptotics.gamma_pm(nf, sections)
+    # 0.0 or inf past the float range, where no deviation is relative
+    closed = asymptotics._exp(g[0] if args.side == "+" else g[1])
+    dev = (abs(est.value - closed) / closed if 0.0 < closed < math.inf
+           else None)
+    payload["closed_form"] = closed
+    payload["relative_deviation"] = dev
+    lines.append(f"closed-form slope = {closed:.10g}")
+    lines.append("relative deviation = "
+                 + ("n/a" if dev is None else f"{dev:.3g}"))
     _emit(args, payload, lines)
     return EXIT_OK
 

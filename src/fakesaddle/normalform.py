@@ -41,7 +41,8 @@ class NotHyperbolicFakeSaddle(Exception):
 
 @dataclass(frozen=True)
 class NormalFormField:
-    """One member of the normal-form family (one parameter value)."""
+    """One member of the normal-form family (one parameter value), with
+    f1(0,0) = f2(0,0) = 1, in float mode to within FLOAT_ZERO_TOL."""
 
     f1: Poly2
     f2: Poly2
@@ -53,6 +54,11 @@ class NormalFormField:
         object.__setattr__(self, "a", _coerce(self.a))
         if any(i != 0 for (i, _j) in self.g2.terms):
             raise NotInNormalForm("g2 must depend on y only")
+        for name, poly in (("f1", self.f1), ("f2", self.f2)):
+            c00 = poly.coeff(0, 0)
+            if not (abs(c00 - 1) < FLOAT_ZERO_TOL if self.is_float
+                    else c00 == 1):
+                raise NotInNormalForm(f"{name}(0,0) = {c00}, expected 1")
 
     @property
     def is_float(self) -> bool:
@@ -196,13 +202,6 @@ def validate_and_build(raw: PlanarField) -> NormalFormField:
         else:
             g1_terms[(i - 1, j)] = c
     g1, g2 = Poly2(g1_terms), Poly2(g2_terms)
-
-    one = 1.0 if raw.is_float else Fraction(1)
-    for name, poly in (("f1", f1), ("f2", f2)):
-        c00 = poly.coeff(0, 0)
-        ok = (abs(c00 - 1) < FLOAT_ZERO_TOL) if raw.is_float else (c00 == one)
-        if not ok:
-            raise NotInNormalForm(f"{name}(0,0) = {c00}, expected 1")
     return NormalFormField(f1, f2, g1, g2, a)
 
 
@@ -214,6 +213,13 @@ def invariants(nf: NormalFormField) -> Invariants:
     return Invariants(a, b, c, d)
 
 
+def d_vanishes(inv: Invariants) -> bool:
+    """Whether d is on the d = 0 stratum: d == 0 exactly, or in float
+    mode |d| < FLOAT_ZERO_TOL.  The origin is a hyperbolic fake saddle
+    exactly when d > 0 and d does not vanish."""
+    return inv.d == 0 if inv.is_exact else abs(inv.d) < FLOAT_ZERO_TOL
+
+
 def classify(inv: Invariants) -> Classification:
     """Verdict from the invariants alone, no blow-up required.
 
@@ -223,12 +229,11 @@ def classify(inv: Invariants) -> Classification:
     """
     a, b, c, d = inv.a, inv.b, inv.c, inv.d
     warnings: Tuple[str, ...] = ()
+    d_is_zero = d_vanishes(inv)
     if inv.is_exact:
-        d_is_zero = d == 0
         ab_excluded = a * a - b * b == 4
         semi = c == 1 and a == b
     else:
-        d_is_zero = abs(d) < FLOAT_ZERO_TOL
         if d_is_zero and d != 0:
             warnings = ("BoundaryNearZero",)
         ab_excluded = abs(a * a - b * b - 4) < FLOAT_ZERO_TOL

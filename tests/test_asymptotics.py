@@ -8,6 +8,7 @@ import pytest
 from conftest import random_invariant_triple, random_normal_form
 from fakesaddle import _univariate as u1
 from fakesaddle import asymptotics as asy
+from fakesaddle.blowup import saddle_data
 from fakesaddle.casebook import build_example6, build_z_normalform
 from fakesaddle.normalform import (NormalFormField, invariants,
                                    validate_and_build)
@@ -566,6 +567,44 @@ class TestAnalyticFastPath:
             alpha_part = log_l1_plus_closed(1.0, a, b, c) - beta_part
             want = -c / (2.0 * (1.0 - c)) * math.log(1.0 - c)
             assert alpha_part == pytest.approx(want, abs=1e-12)
+
+
+class TestIntegrandsOfTheRestrictions:
+    """Each built integrand times u is r(u) - r(0), exactly in Fractions,
+    for the restriction r that it integrates: the divisor's as
+    ``saddle_data`` pulls them back through the pi charts, not the closed
+    forms the builder reads, and the fiber's g1/f1 evaluated on y = 0."""
+
+    US = [Fraction(1, 1000), Fraction(1, 7), Fraction(1, 3), Fraction(3, 5),
+          Fraction(22, 23), Fraction(1)]
+
+    @staticmethod
+    def quotient(num, den, u):
+        return u1.ev(list(num), u) / u1.ev(list(den), u)
+
+    def test_divisor_integrands_of_the_pullback(self, rng):
+        for _ in range(40):
+            nf = random_normal_form(rng, d_positive=True)
+            sd = saddle_data(nf)
+            built = {name: (num, den) for name, num, den
+                     in asy._divisor_integrands(invariants(nf))}
+            assert set(built) == {"L2_minus", "L1_plus"}
+            for name, r in (("L2_minus", sd.r21_minus),
+                            ("L1_plus", sd.r12_plus)):
+                r0 = self.quotient(r.num, r.den, 0)
+                for u in self.US:
+                    assert u * self.quotient(*built[name], u) == \
+                        self.quotient(r.num, r.den, u) - r0
+
+    def test_fiber_integrand_of_the_profile(self, rng):
+        for _ in range(40):
+            nf = random_normal_form(rng, d_positive=True)
+            f1x, g1x = asy._f1_g1_profiles(nf)
+            num, den = asy._minus_origin(g1x, f1x)
+            r0 = nf.g1.eval(0, 0) / nf.f1.eval(0, 0)
+            for u in self.US:
+                r = nf.g1.eval(u, 0) / nf.f1.eval(u, 0)
+                assert u * self.quotient(num, den, u) == r - r0
 
 
 class TestTransitionReport:

@@ -151,6 +151,19 @@ class TestClassify:
         assert code == 3
         assert "normal form" in err
 
+    @pytest.mark.parametrize("key", ["f1", "f2"])
+    @pytest.mark.parametrize("command", ["classify", "gamma"])
+    def test_constant_term_other_than_one_is_not_normal_form(
+            self, capsys, key, command):
+        member = {"f1": {"terms": [[0, 0, 1]]}, "f2": {"terms": [[0, 0, 1]]},
+                  "g1": {"terms": [[0, 0, "1/2"]]}, "g2": {"terms": []},
+                  "a": 0}
+        member[key] = {"terms": [[0, 0, 2]]}
+        sections = ("--alpha", "-1", "--omega", "2") * (command == "gamma")
+        err = assert_exit(capsys, 3, command, "--json", json.dumps(member),
+                          *sections)
+        assert err.startswith(f"not in normal form: {key}(0,0) = 2, expected 1")
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "classify")
         assert code == 2
@@ -376,6 +389,21 @@ class TestGamma:
                                "--a", "0", "--b", "0", "--c", "2",
                                "--alpha", "-1", "--omega", "1")
         assert code == 4
+
+    def test_float_d_near_zero_is_not_hyperbolic(self, capsys):
+        # d = 5.0e-13 is below the float zero tolerance: classify reads
+        # the d = 0 stratum, and gamma and transit refuse it alike
+        member = json.dumps({
+            "f1": {"terms": [[0, 0, 1.0]], "mode": "float"},
+            "f2": {"terms": [[0, 0, 1.0]], "mode": "float"},
+            "g1": {"terms": [[0, 0, 0.9999999999998751]], "mode": "float"},
+            "g2": {"terms": [[0, 0, 0.5]], "mode": "float"}, "a": 0.5})
+        code, out, _ = run_cli(capsys, "classify", "--json", member)
+        assert code == 0 and "SemiHyperbolicFakeSaddle" in out
+        for command in ("gamma", "transit"):
+            err = assert_exit(capsys, 4, command, "--json", member,
+                              "--alpha", "-1", "--omega", "1")
+            assert err.startswith("not a hyperbolic fake saddle")
 
     def test_missing_sections_exit(self, capsys):
         code, _, err = run_cli(capsys, "gamma", "--case", "example6")
