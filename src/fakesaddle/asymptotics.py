@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -235,9 +234,7 @@ def _ratio_fn(num: Sequence, den: Sequence) -> Callable[[float], float]:
 def _f1_g1_profiles(nf: NormalFormField, sections: SectionPair | None = None):
     """f1(x,0) and g1(x,0); with sections, f1 checked positive on them."""
     f1x = nf.f1.restrict_y0()
-    g1x = nf.g1.restrict_y0()
-    if not g1x:
-        g1x = [Fraction(0)] if not nf.is_float else [0.0]
+    g1x = nf.g1.restrict_y0() or [0]
     if sections is not None and not u1.positive_on_interval(
             f1x, sections.alpha, sections.omega):
         raise SectionInvalid(
@@ -368,7 +365,7 @@ def pv_integral_sym_infinite(nf: NormalFormField) -> float:
     f_neg = u1.negate_var(list(f1x))
     g_neg = u1.negate_var(list(g1x))
     big_n = u1.sub_(u1.mul(list(g1x), f_neg), u1.mul(g_neg, list(f1x)))
-    big_n = [c if k % 2 == 1 else 0 * c for k, c in enumerate(big_n)]  # odd part
+    big_n = [c if k % 2 == 1 else 0 for k, c in enumerate(big_n)]  # odd part
     m = u1.trim(big_n[1:])
     if not m:
         return 0.0  # an even profile, a constant one for instance

@@ -15,8 +15,9 @@ divisor**divide_power.  Both steps have a closed form on the term maps
 (Dumortier, Llibre & Artes, Qualitative Theory of Planar Differential
 Systems, 2006, ch. 3): a term c x^i y^j becomes c u^(i+j) v^j,
 c u^j v^(i+j), or, in the pi charts, c (+-1)^i u^(i+j) times the
-binomial expansion of v^j (1-v)^i, and the chain rule is one sum per
-component.  Division by a power of the divisor shifts exponents."""
+binomial expansion of v^j (1-v)^i.  The chain rule is then Poly2's own
+arithmetic, sums and monomial shifts, and division by a power of the
+divisor is a shift of exponents (``Poly2.shift``)."""
 
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from . import _univariate as u1
@@ -80,12 +80,10 @@ class BlowupResult:
 
 # -- the charts on term maps --------------------------------------------------
 #
-# A term map is {(i, j): c} for c u^i v^j, as Poly2 keeps it.  Each sum
-# adds its terms in the order of the chain rule adj(J) (P, Q) / det J
-# written out over Poly2 arithmetic, and drops zeros after each sum as
-# that arithmetic does: float coefficients and the order of the terms
-# depend on it.  The tests hold every chart to that chain rule
-# (tests/test_polyfield.py, ref_substitute).
+# Each chart pulls p and q back term by term (``_pull``); the chain rule
+# adj(J) (P, Q) / det J is then Poly2 arithmetic, its sums taken in the
+# order written, as float coefficients round per sum.  The tests hold
+# every chart to that chain rule (tests/test_polyfield.py, ref_substitute).
 
 # Sign of the Jacobian determinant, +-u or +-v, of each chart
 _DET_SIGN = {ChartKind.X_DIR: 1, ChartKind.X_DIR_SWAPPED: -1,
@@ -98,66 +96,45 @@ def _expansion(i: int, sign: int) -> Tuple[int, ...]:
     return tuple(sign ** i * (-1) ** k * math.comb(i, k) for k in range(i + 1))
 
 
-def _nonzero(terms: dict) -> dict:
-    if all(terms.values()):
-        return terms
-    return {k: c for k, c in terms.items() if c}
-
-
-def _pull(terms: dict, kind: ChartKind) -> dict:
-    """The term map of p(x(u, v), y(u, v)) in the chart ``kind``."""
+def _pull(p: Poly2, kind: ChartKind) -> Poly2:
+    """p(x(u, v), y(u, v)) in the chart ``kind``."""
     if kind is ChartKind.X_DIR:
-        return {(i + j, j): c for (i, j), c in terms.items()}
+        return Poly2._clean({(i + j, j): c for (i, j), c in p.terms.items()})
     if kind is ChartKind.X_DIR_SWAPPED:
-        return {(j, i + j): c for (i, j), c in terms.items()}
+        return Poly2._clean({(j, i + j): c for (i, j), c in p.terms.items()})
     sign = 1 if kind is ChartKind.PI_PLUS else -1
     out: dict = {}
-    for (i, j), c in terms.items():
+    for (i, j), c in p.terms.items():
         for k, b in enumerate(_expansion(i, sign)):
             key = (i + j, j + k)
             v = c if b == 1 else -c if b == -1 else b * c
             out[key] = out[key] + v if key in out else v
-    return _nonzero(out)
+    return Poly2._trusted(out)
 
 
-def _add(a: dict, b: dict) -> dict:
-    """a + b with a's terms first."""
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out[k] + c if k in out else c
-    return _nonzero(out)
-
-
-def _times(terms: dict, du: int, dv: int, sign: int = 1) -> dict:
-    """sign u^du v^dv times the term map."""
-    if sign < 0:
-        return {(i + du, j + dv): -c for (i, j), c in terms.items()}
-    return {(i + du, j + dv): c for (i, j), c in terms.items()}
-
-
-def _chain_rule(kind: ChartKind, p: dict, q: dict):
-    """(u', v') of the pulled-back field, as two term maps, and which of
-    them (0 or 1) is still to be divided by the divisor."""
+def _chain_rule(kind: ChartKind, p: Poly2, q: Poly2) -> Tuple[Poly2, Poly2]:
+    """(u', v') of the pulled-back field as ``blow_up`` writes it, with the
+    component it divides, v' or in X_DIR_SWAPPED u', still undivided."""
     P, Q = _pull(p, kind), _pull(q, kind)
     if kind is ChartKind.X_DIR:  # (P, (Q - vP)/u)
-        return P, _add(Q, _times(P, 0, 1, -1)), 1
+        return P, Q - P.shift(0, 1)
     if kind is ChartKind.X_DIR_SWAPPED:  # ((Q - uP)/v, P)
-        return _add(_times(P, 1, 0, -1), Q), P, 0
-    q_qv = _add(Q, _times(Q, 0, 1, -1))
+        return -P.shift(1, 0) + Q, P
     if kind is ChartKind.PI_PLUS:  # (P + Q, (Q - vQ - vP)/u)
-        return _add(P, Q), _add(q_qv, _times(P, 0, 1, -1)), 1
+        return P + Q, (Q - Q.shift(0, 1)) - P.shift(0, 1)
     # PI_MINUS: (Q - P, (Q - vQ + vP)/u)
-    return _add(_times(P, 0, 0, -1), Q), _add(q_qv, _times(P, 0, 1)), 1
+    return -P + Q, (Q - Q.shift(0, 1)) + P.shift(0, 1)
 
 
-def _divided(terms: dict, axis: int, power: int, name: str) -> dict:
-    """The term map divided by u**power (axis 0) or v**power (axis 1)."""
-    if any(k[axis] < power for k in terms):
-        raise NotDivisible(name, Poly2._trusted(
-            {k: c for k, c in terms.items() if k[axis] < power}))
-    if axis == 0:
-        return {(i - power, j): c for (i, j), c in terms.items()}
-    return {(i, j - power): c for (i, j), c in terms.items()}
+def _divided(poly: Poly2, axis: int, power: int, name: str,
+             sign: int = 1) -> Poly2:
+    """poly divided by u**power (axis 0) or v**power (axis 1); where that
+    is not exact, NotDivisible names the remainder of sign * poly."""
+    rem = {k: c for k, c in poly.terms.items() if k[axis] < power}
+    if rem:
+        rem = Poly2._trusted(rem)
+        raise NotDivisible(name, rem if sign > 0 else -rem)
+    return poly.shift(-power, 0) if axis == 0 else poly.shift(0, -power)
 
 
 def blow_up(field: PlanarField, chart: BlowupChart) -> BlowupResult:
@@ -181,30 +158,19 @@ def blow_up(field: PlanarField, chart: BlowupChart) -> BlowupResult:
     if kind not in _DET_SIGN:
         raise UnsupportedChart(str(kind))
     axis = 1 if kind is ChartKind.X_DIR_SWAPPED else 0
-    du, dv, pending = _chain_rule(kind, field.p.terms, field.q.terms)
-    comps = [Poly2._trusted(du).terms, Poly2._trusted(dv).terms]
-    try:
-        comps[pending] = _divided(comps[pending], axis, 1, "pq"[pending])
-    except NotDivisible as exc:
-        if _DET_SIGN[kind] > 0:
-            raise
-        raise NotDivisible(exc.component, -exc.remainder) from None
+    comps = list(_chain_rule(kind, field.p, field.q))
+    comps[1 - axis] = _divided(comps[1 - axis], axis, 1, "pq"[1 - axis],
+                               _DET_SIGN[kind])
     power = chart.divide_power
     if power < 0:
         raise ValueError("power must be nonnegative")
     if power:
         comps = [_divided(c, axis, power, name)
                  for c, name in zip(comps, "pq")]
-    result = PlanarField(Poly2._trusted(comps[0]), Poly2._trusted(comps[1]))
-    try:
-        uf = Poly2._trusted(_divided(result.p.terms, 0, 1, "p"))
-    except NotDivisible:
-        uf = None
-    try:
-        vf = Poly2._trusted(_divided(result.q.terms, 1, 1, "q"))
-    except NotDivisible:
-        vf = None
-    return BlowupResult(result, chart, uf, vf)
+    p, q = comps
+    return BlowupResult(PlanarField(p, q), chart,
+                        p.shift(-1, 0) if all(i for i, _j in p.terms) else None,
+                        q.shift(0, -1) if all(j for _i, j in q.terms) else None)
 
 
 @dataclass(frozen=True)
@@ -237,13 +203,12 @@ def divisor_report(nf: NormalFormField) -> DivisorReport:
         raise NotDivisible("blowup", Poly2.zero())
     p_fac, q_fac = res.u_factor, res.v_factor
     q0 = q_fac.restrict_x0()  # Q(0, v) as a polynomial in v
-    q0 = (q0 + [type(q0[0])(0)] * 3)[:3] if q0 else [Fraction(0)] * 3
-    expected = [inv.c - 1, inv.b - inv.a, -1 + 0 * inv.c]
+    expected = [inv.c - 1, inv.b - inv.a, -1]
     if nf.is_float:
         q0_holds = all(abs(float(x) - float(y)) < 1e-9
                        for x, y in zip(q0, expected))
     else:
-        q0_holds = u1.eq(list(q0), list(expected))
+        q0_holds = q0 == expected
     if not q0_holds:
         raise AssertionError(f"Q(0, v) = -v^2 + (b-a) v + c - 1 fails: "
                              f"coefficients {q0}, expected {expected}")
@@ -314,13 +279,13 @@ class SaddleData:
 
 def closed_r21_minus(a, b, c) -> Rational1:
     """Divisor restriction P2-/P1- as a rational function of (a, b, c)."""
-    return Rational1((-1 + 0 * a, a - c + 2, -a + b + c - 2),
+    return Rational1((-1, a - c + 2, -a + b + c - 2),
                      (1 - c, -a + b + 2 * c - 2, a - b - c + 2))
 
 
 def closed_r12_plus(a, b, c) -> Rational1:
     """Divisor restriction P1+/P2+ as a rational function of (a, b, c)."""
-    return Rational1((1 + 0 * a, a + c - 2, -a + b - c + 2),
+    return Rational1((1, a + c - 2, -a + b - c + 2),
                      (c - 1, -a + b - 2 * c + 2, a - b + c - 2))
 
 
@@ -338,20 +303,18 @@ def saddle_data(nf: NormalFormField) -> SaddleData:
     if plus.u_factor is None or plus.v_factor is None \
             or minus.u_factor is None or minus.v_factor is None:
         raise NotDivisible("pi-chart factorization", Poly2.zero())
-    p_plus, q_plus = plus.u_factor, plus.v_factor
-    p_minus, q_minus = minus.u_factor, minus.v_factor
-
-    # saddle fields: x' = P1 x, y' = P2 y, with the minus chart transposed
-    p1m = q_minus.transpose()
-    p2m = p_minus.transpose()
-    p1p, p2p = p_plus, q_plus
+    # saddle fields x' = P1 x, y' = P2 y: (P1, P2) is (u_factor, v_factor)
+    # of the plus chart, and (v_factor, u_factor) of the minus chart with
+    # u and v swapped, so that its x-axis is v = 0 and its y-axis u = 0
+    p1p, p2p = plus.u_factor, plus.v_factor
+    p1m, p2m = minus.v_factor, minus.u_factor
 
     lam_plus = -p2p.coeff(0, 0) / p1p.coeff(0, 0)
     lam_minus = -p2m.coeff(0, 0) / p1m.coeff(0, 0)
 
     # r12 = P1/P2 on the y-axis, r21 = P2/P1 on the x-axis
-    r12_m = Rational1(tuple(p1m.restrict_x0()), tuple(p2m.restrict_x0()))
-    r21_m = Rational1(tuple(p2m.restrict_y0()), tuple(p1m.restrict_y0()))
+    r12_m = Rational1(tuple(p1m.restrict_y0()), tuple(p2m.restrict_y0()))
+    r21_m = Rational1(tuple(p2m.restrict_x0()), tuple(p1m.restrict_x0()))
     r12_p = Rational1(tuple(p1p.restrict_x0()), tuple(p2p.restrict_x0()))
     r21_p = Rational1(tuple(p2p.restrict_y0()), tuple(p1p.restrict_y0()))
 

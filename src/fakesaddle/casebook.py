@@ -463,8 +463,10 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
         if alpha_q == 0:
             res.close("center_return_slope", est.value, 1.0, 1.5e-7,
                       note="reversible field, every return closes")
+            _bar_covers(res, "center_return_slope", est, 1.0)
         else:
             res.close("return_slope", est.value, expected, 5e-8, relative=True)
+            _bar_covers(res, "return_slope", est, expected)
             res.close("composition_of_transitions", est.value,
                       math.exp(gp + gm), 5e-8, relative=True,
                       note="return map = product of the two one-sided passes")

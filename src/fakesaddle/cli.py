@@ -15,7 +15,7 @@ Exit codes are fixed so CI harnesses can assert failure modes:
 
 The environment variable FSL_TOL overrides the default quadrature
 absolute tolerance (for finite sections) and integrator relative
-tolerance.
+tolerance; portrait keeps its own fixed integrator config.
 """
 
 from __future__ import annotations

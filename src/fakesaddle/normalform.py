@@ -209,7 +209,11 @@ def invariants(nf: NormalFormField) -> Invariants:
     a = nf.a
     b = nf.g2.coeff(0, 0)
     c = nf.g1.coeff(0, 0)
-    d = 4 * (1 - c) - (a - b) ** 2
+    try:
+        d = 4 * (1 - c) - (a - b) ** 2
+    except OverflowError:  # a float (a - b) ** 2 past the float range
+        raise OverflowError(f"d = 4(1 - c) - (a - b)^2 overflows the float "
+                            f"range at a = {a}, b = {b}, c = {c}") from None
     return Invariants(a, b, c, d)
 
 
@@ -249,7 +253,7 @@ def classify(inv: Invariants) -> Classification:
         if ab_excluded:
             return Classification(Verdict.BOUNDARY_INDETERMINATE,
                                   warnings=warnings)
-        d = 0 * d  # one double root
+        d = 0  # one double root
     # the quadratic's discriminant equals -d; v = 0 is the chart's origin
     locs = [v for v in split_roots((b - a) / 2, -d) if v != 0]
     return Classification(Verdict.NOT_FAKE_SADDLE, extra_count=len(locs),

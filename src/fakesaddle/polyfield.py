@@ -91,6 +91,13 @@ class Poly2:
             terms = {k: c for k, c in terms.items() if c}
         if float in map(type, terms.values()):
             terms = {k: f for k, c in terms.items() if (f := float(c))}
+        return cls._clean(terms)
+
+    @classmethod
+    def _clean(cls, terms: Dict[Exponents, Coeff]) -> "Poly2":
+        """Wrap a term map that is clean as it is: the terms of a clean
+        Poly2 moved or negated, which keeps each coefficient nonzero and
+        of its type."""
         self = object.__new__(cls)
         self.terms = terms
         return self
@@ -153,7 +160,7 @@ class Poly2:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2._trusted({k: -c for k, c in self.terms.items()})
+        return Poly2._clean({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly2":
         return self + (-self._as_poly(other))
@@ -184,6 +191,15 @@ class Poly2:
             base = base * base
             n >>= 1
         return result
+
+    def shift(self, di: int, dj: int) -> "Poly2":
+        """x^di y^dj times p.  A negative di or dj divides by that power
+        of x or y, which must divide p exactly: ValueError otherwise."""
+        out = {(i + di, j + dj): c for (i, j), c in self.terms.items()}
+        if (di < 0 or dj < 0) and out and min(map(min, out)) < 0:
+            raise ValueError(f"x^{-min(di, 0)} y^{-min(dj, 0)} does not "
+                             f"divide {self}")
+        return Poly2._clean(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
@@ -372,17 +388,26 @@ def _horner_nest(terms: Dict[int, str], var: str) -> str:
     return expr
 
 
-def _compile(src: str, kind: str):
+def _compile(src: str, kind: str, field: "PlanarField"):
     """The ``_f`` that ``src`` defines, a function or a tuple of them,
-    compiled under a label of its ``kind`` and a checksum of the source:
-    profiles, which key their entries by file name, keep one entry per
-    field, and tracebacks tell fields apart.  (zlib's crc32, because
-    hashlib loads OpenSSL: about 4 MB of resident memory.)"""
+    compiled from ``field`` under a label of its ``kind`` and a checksum
+    of the source: profiles, which key their entries by file name, keep
+    one entry per field, and tracebacks tell fields apart.  (zlib's crc32,
+    because hashlib loads OpenSSL: about 4 MB of resident memory.)  A
+    source that CPython cannot compile, Horner nested past its parser's
+    200 levels of parentheses for one, is a ValueError that names the
+    kind and the field's degree."""
     ns: dict = {"cos": math.cos, "sin": math.sin, "exp": math.exp,
                 "inf": math.inf}
     digest = f"{zlib.crc32(src.encode()):08x}"
-    # codegen over trusted numeric literals
-    code = compile(src, f"<fakesaddle.polyfield {kind} {digest}>", "exec")
+    try:
+        # codegen over trusted numeric literals
+        code = compile(src, f"<fakesaddle.polyfield {kind} {digest}>", "exec")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        degree = max(field.p.degree, field.q.degree)
+        raise ValueError(f"cannot compile the {kind} evaluator of a field of "
+                         f"degree {degree}: {type(exc).__name__}: {exc}"
+                         ) from None
     exec(code, ns)  # noqa: S102
     return ns["_f"]
 
@@ -391,7 +416,7 @@ def _compile_horner_pair(field: "PlanarField"):
     p, q = _literals(field)
     return _compile(f"def _f(x, y):\n"
                     f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n",
-                    "field")
+                    "field", field)
 
 
 def _chart_stage(field: "PlanarField", a: int, b: int, d: int):
@@ -468,7 +493,7 @@ def _compile_weighted_polar(field: "PlanarField"):
         "        return u*(c*big_p + s*big_q)/den if den > 0.0 else inf",
         "    return _slope",
         "_f = _chart, _leg",
-    ]) + "\n", "chart")
+    ]) + "\n", "chart", field)
 
 
 def _compile_x_dir_slope(field: "PlanarField"):
@@ -491,7 +516,7 @@ def _compile_x_dir_slope(field: "PlanarField"):
         pt = {pt}
         return sign*({qt})/pt if pt > 0.0 else inf
     return _slope
-""", "x_dir")
+""", "x_dir", field)
 
 
 def _cached(value, name: str, build):

@@ -279,6 +279,44 @@ def test_overflowing_coefficient_is_an_invalid_argument(capsys, tmp_path,
     assert not out_dir.exists()
 
 
+def _normal_form_json(f1_terms):
+    one = {"terms": [[0, 0, "1"]]}
+    return json.dumps({"f1": {"terms": f1_terms}, "f2": one,
+                       "g1": {"terms": [[0, 0, "-1"]]},
+                       "g2": {"terms": [[0, 0, "-1"]]}, "a": "1"})
+
+
+@pytest.mark.parametrize("argv", [
+    ("portrait", "--case", "xn", "--n", "201", "--orbits", "1"),
+    ("return", "--case", "xn", "--n", "300"),
+    ("transit", "--json", _normal_form_json([[0, 0, "1"], [196, 0, "1/1000"]]),
+     "--alpha", "-1", "--omega", "1"),
+])
+def test_field_of_high_degree_ends_in_a_documented_exit(capsys, tmp_path,
+                                                        argv):
+    # CPython's parser nests at most 200 parentheses, and the compiled
+    # Horner source of a field of degree above about 200 nests deeper: it
+    # ended in a traceback, exit 70
+    out_dir = tmp_path / "p"
+    code, _, err = run_cli(capsys, *argv, *(("--out", str(out_dir))
+                                            if argv[0] == "portrait" else ()))
+    assert code in (0, 2, 6)
+    if code == 2:
+        assert err.startswith("invalid argument: cannot compile the")
+        assert "of a field of degree" in err
+        assert not out_dir.exists()
+
+
+def test_float_d_that_overflows_names_d(capsys):
+    # (a - b) ** 2 overflows at b = 1e308: the message named nothing
+    field = {"p": {"terms": [[2, 0, 1.0], [0, 2, 1.0]], "mode": "float"},
+             "q": {"terms": [[1, 1, 1.0], [0, 2, 1e308]], "mode": "float"}}
+    err = assert_exit(capsys, 2, "classify", "--json", json.dumps(field))
+    assert err.startswith("invalid argument: d = 4(1 - c) - (a - b)^2 "
+                          "overflows the float range at a = 0, b = 1e+308, "
+                          "c = 1.0")
+
+
 class TestGamma:
     def test_infinite_sections(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--case", "z-family",

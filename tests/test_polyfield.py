@@ -12,7 +12,8 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  build_z_normalform, printed_z_blowup)
 from fakesaddle.normalform import invariants
 from fakesaddle.polyfield import (AffineMap2, PlanarField, Poly2, SingularMap,
-                                  _horner_expr, _literals, fiber_directions,
+                                  _compile, _horner_expr, _literals,
+                                  fiber_directions,
                                   newton_weights, pullback_affine)
 
 X, Y = Poly2.gens()
@@ -103,6 +104,18 @@ class TestDivideExact:
                       BlowupChart(ChartKind.X_DIR_SWAPPED, 2)).field
         assert out.p == 3 * beta * u ** 2 + beta * u ** 4 + u * v + 2 * v ** 2
         assert out.q == (beta * u + alpha * u ** 2 - beta * u ** 3 - v) * v
+
+    def test_shift_is_a_monomial_product(self):
+        p = 3 * X ** 2 * Y - Fraction(1, 2) * X * Y ** 2 + 1.5 * Y
+        for di, dj in ((0, 0), (1, 0), (0, 2), (3, 1)):
+            mono = X ** di * Y ** dj
+            assert p.shift(di, dj) == p * mono
+            assert (p * mono).shift(-di, -dj) == p
+
+    @pytest.mark.parametrize("di, dj", [(-1, 0), (0, -2), (-2, -1)])
+    def test_shift_that_does_not_divide(self, di, dj):
+        with pytest.raises(ValueError, match="does not divide"):
+            (X * Y + Y ** 2).shift(di, dj)
 
 
 class TestNewtonWeights:
@@ -471,6 +484,27 @@ class TestFloatCompilation:
                     compiled()
 
 
+    def test_source_nested_past_the_parser_is_a_value_error(self):
+        # CPython's parser nests at most 200 parentheses: deeper Horner
+        # source raised SyntaxError from compile, a traceback in the CLI
+        deep = "def _f(x):\n    return " + "(1.0+x*" * 300 + "1.0" \
+            + ")" * 300 + "\n"
+        field = PlanarField(X ** 300, Y)
+        with pytest.raises(ValueError, match="cannot compile the field "
+                           "evaluator of a field of degree 300"):
+            _compile(deep, "field", field)
+
+    def test_field_of_high_degree_is_a_value_error(self):
+        field = build_xn(300)
+        for compiled in (field.as_rhs, field.as_chart,
+                         lambda: field.as_chart_slope(1.0, 0.0, 0)):
+            with pytest.raises(ValueError, match="degree 300"):
+                compiled()
+        field = PlanarField(X ** 2 + X ** 250 * Y, X * Y)
+        with pytest.raises(ValueError, match="x_dir evaluator .* degree 251"):
+            field.as_x_dir_slope(1.0, 1.0)
+
+
 # -- the composition before trusted arithmetic, as a test-only reference ------
 #
 # Every step below goes through the validating public constructor and adds
@@ -715,7 +749,8 @@ class TestPoly2Properties:
         @hypothesis.given(poly, poly, poly, st.integers(0, 3))
         def check(a, b, c, n):
             for r in (a + b, a - b, -a, a * b, a ** n, a.eval(b, c),
-                      a.transpose(), a.diff_x(), a.diff_y()):
+                      a.transpose(), a.diff_x(), a.diff_y(),
+                      a.shift(n, 3 - n)):
                 assert_clean(r)
 
         check()
