@@ -242,12 +242,6 @@ def _f1_g1_profiles(nf: NormalFormField, sections: SectionPair | None = None):
     return f1x, g1x
 
 
-def validate_sections(nf: NormalFormField, sections: SectionPair) -> None:
-    """Check f1(x,0) > 0 on [alpha, omega] by exact Sturm root counting,
-    for rational and float coefficients alike."""
-    _f1_g1_profiles(nf, sections)
-
-
 def _minus_origin(num: Sequence, den: Sequence) -> Tuple[list, list]:
     """(r(u) - r(0))/u for r = num/den, den(0) != 0, as the coefficient
     lists of its numerator (den(0) num - num(0) den)/u and denominator

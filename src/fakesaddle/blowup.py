@@ -204,17 +204,16 @@ def divisor_report(nf: NormalFormField) -> DivisorReport:
     p_fac, q_fac = res.u_factor, res.v_factor
     q0 = q_fac.restrict_x0()  # Q(0, v) as a polynomial in v
     expected = [inv.c - 1, inv.b - inv.a, -1]
-    if nf.is_float:
-        q0_holds = all(abs(float(x) - float(y)) < 1e-9
-                       for x, y in zip(q0, expected))
-    else:
-        q0_holds = q0 == expected
-    if not q0_holds:
+    exact = not nf.is_float
+
+    def agree(x, y):
+        return x == y if exact else abs(float(x) - float(y)) < 1e-9
+
+    if not all(map(agree, q0, expected)):  # Q(0, v) has degree 2 exactly
         raise AssertionError(f"Q(0, v) = -v^2 + (b-a) v + c - 1 fails: "
                              f"coefficients {q0}, expected {expected}")
     disc = q0[1] * q0[1] - 4 * q0[2] * q0[0]
-    if not ((abs(float(disc + inv.d)) < 1e-9) if nf.is_float
-            else (disc == -inv.d)):
+    if not agree(disc, -inv.d):
         raise AssertionError(f"discriminant of Q(0, v) = -d fails: "
                              f"discriminant {disc}, d = {inv.d}")
 

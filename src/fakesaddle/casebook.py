@@ -19,7 +19,7 @@ from ._univariate import sqrt_fraction
 from .blowup import BlowupChart, ChartKind, blow_up, linear_part
 from .normalform import (NormalFormField, Verdict, classify, invariants,
                          validate_and_build)
-from .polyfield import (AffineMap2, PlanarField, Poly2, coeff_json,
+from .polyfield import (AffineMap2, PlanarField, Poly2, _coerce, coeff_json,
                         pullback_affine)
 
 SQRT3 = math.sqrt(3.0)
@@ -164,11 +164,15 @@ def _polys_close(pa, pb):
                for (i, j) in keys)
 
 
-def _agrees(res, name, computed, expected, float_mode, note=""):
-    """An exact check, or in float mode agreement to 1e-12: a close check
+def _agrees(res, name, computed, expected, note=""):
+    """An exact check, or in float mode, where any of the values is a
+    float or a float-mode polynomial, agreement to 1e-12: a close check
     for a number, a check with ``note`` that holds coefficientwise for a
     polynomial or a tuple of polynomials and numbers."""
-    if not float_mode:
+    values = ((*computed, *expected) if isinstance(computed, tuple)
+              else (computed, expected))
+    if not any(v.is_float if isinstance(v, Poly2) else isinstance(v, float)
+               for v in values):
         res.exact(name, computed, expected)
     elif not isinstance(computed, (Poly2, tuple)):
         res.close(name, computed, expected, 1e-12)
@@ -199,12 +203,8 @@ def build_z_normalform(alpha, beta) -> NormalFormField:
     if not (float(beta) > 0):
         raise ValueError("beta must be positive")
     s = _inv_sqrt_6beta(beta)
-    if isinstance(s, float):
-        alpha, beta = float(alpha), float(beta)
-        third = 1.0 / 3.0
-    else:
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        third = Fraction(1, 3)
+    num = float if isinstance(s, float) else Fraction
+    alpha, beta, third = num(alpha), num(beta), num(1) / 3
     x, _y = Poly2.gens()
     b2 = beta * beta
     if not b2:
@@ -277,7 +277,7 @@ def run_x4_chain(cfg: flow.IntegratorConfig | None = None) -> CaseResult:
                                        cfg=cfg).per_offset
     d0, d1 = s0 - s1, s1 - s2
     res.close("depth_exponent", math.log10(d0 / d1) if d0 * d1 > 0
-              else math.nan, est.exponent, 1e-2,
+              else math.nan, min(1, 1 / (1 - inv1.c)), 1e-2,
               note="kappa = min(1, 1/(1 - c)) of the invariants, c = 0")
 
     # transit past the original origin: one contracting and one expanding side
@@ -411,17 +411,14 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
                 with_probe: bool = True, with_return: bool = True) -> CaseResult:
     """Blow-up, rescaling, exponents and return map of the quartic family."""
     res = CaseResult("z-chain", {"alpha": alpha, "beta": beta})
-    alpha_q = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    beta_q = Fraction(beta) if not isinstance(beta, float) else beta
+    alpha_q, beta_q = _coerce(alpha), _coerce(beta)
 
     z = build_z(alpha_q, beta_q)
     stage = blow_up(z, BlowupChart(ChartKind.X_DIR_SWAPPED, 2))
     printed = printed_z_blowup(alpha_q, beta_q)
-    float_mode = stage.field.p.is_float or printed.p.is_float
     for name, got, want in (("blowup_p", stage.field.p, printed.p),
                             ("blowup_q", stage.field.q, printed.q)):
-        _agrees(res, name, got, want, float_mode,
-                "float parameters, tol 1e-12")
+        _agrees(res, name, got, want, "float parameters, tol 1e-12")
 
     s = _inv_sqrt_6beta(beta_q)
     scale = AffineMap2.scaling(
@@ -433,13 +430,12 @@ def run_z_chain(alpha, beta, cfg: flow.IntegratorConfig | None = None,
             (nf_chain.f1, nf_chain.f2, nf_chain.g1, nf_chain.g2, nf_chain.a),
             (nf_direct.f1, nf_direct.f2, nf_direct.g1, nf_direct.g2,
              nf_direct.a),
-            nf_direct.is_float or nf_chain.is_float,
             "float mode (irrational rescale), tol 1e-12")
 
     inv = invariants(nf_direct)
-    d_expected = Fraction(2, 3) * (4 - 1 / Fraction(beta_q)) \
-        if not isinstance(beta_q, float) else 2.0 / 3.0 * (4.0 - 1.0 / beta_q)
-    _agrees(res, "d_closed_form", inv.d, d_expected, not inv.is_exact)
+    # a float beta_q rounds as 2.0 / 3.0 * (4.0 - 1.0 / beta_q): Fraction
+    # times float is float(Fraction(2, 3)) times it
+    _agrees(res, "d_closed_form", inv.d, Fraction(2, 3) * (4 - 1 / beta_q))
 
     monodromic = float(beta_q) > 0.25
     res.exact("classifier_monodromy",

@@ -103,14 +103,6 @@ def _writing(path):
                                       f"{exc.strerror or exc}") from None
 
 
-def _load_json_input(text: str):
-    data = json.loads(text)
-    if "f1" in data:
-        return None, NormalFormField.from_json(data)
-    field = PlanarField.from_json(data)
-    return field, None
-
-
 def _resolve_input(args):
     """Return (field, nf) where nf is a NormalFormField when available."""
     sources = [s for s in ("case", "file", "json") if getattr(args, s, None)]
@@ -120,23 +112,24 @@ def _resolve_input(args):
     if args.case:
         return _resolve_case(args)
     try:
-        text = Path(args.file).read_text() if args.file else args.json
-        field, nf = _load_json_input(text)
+        data = json.loads(Path(args.file).read_text() if args.file
+                          else args.json)
+        if not isinstance(data, dict):
+            raise ValueError("the input must be a JSON object, got "
+                             f"{data!r:.60}")
+        if "f1" not in data:
+            return PlanarField.from_json(data), None
+        nf = NormalFormField.from_json(data)
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             ArithmeticError) as exc:
         raise _InputError(EXIT_PARSE, f"cannot parse input: {exc}") from None
-    if nf is not None:
-        return nf.field(), nf
-    return field, None
+    return nf.field(), nf
 
 
 def _resolve_case(args):
     case = args.case
     if case in ("example6", "figure3"):
-        a = Fraction(args.a if args.a is not None else 1)
-        b = Fraction(args.b if args.b is not None else -1)
-        c = Fraction(args.c if args.c is not None else -1)
-        nf = casebook.build_example6(a, b, c)
+        nf = casebook.build_example6(args.a, args.b, args.c)
         return nf.field(), nf
     if case in ("x3", "x4", "xn"):
         n = {"x3": 3, "x4": 4}.get(case, 4 if args.n is None else args.n)
@@ -212,12 +205,6 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _offsets_from(args):
-    if args.offsets:
-        return tuple(float(o) for o in args.offsets)
-    return None
-
-
 def cmd_transit(args) -> int:
     field, nf = _resolve_input(args)
     nf = _need_nf(field, nf)
@@ -226,7 +213,7 @@ def cmd_transit(args) -> int:
         raise _InputError(EXIT_BAD_SECTIONS,
                           "transit needs finite --alpha/--omega")
     est = flow.transition_slope(nf, sections, args.side,
-                                offsets=_offsets_from(args),
+                                offsets=args.offsets,
                                 cfg=_integrator_cfg())
     payload = {"slope": est.to_json()}
     lines = [f"measured slope    = {est.value:.10g}  "
@@ -247,7 +234,7 @@ def cmd_transit(args) -> int:
 
 def cmd_return(args) -> int:
     field, _nf = _resolve_input(args)
-    est = flow.return_slope(field, offsets=_offsets_from(args),
+    est = flow.return_slope(field, offsets=args.offsets,
                             cfg=_integrator_cfg())
     payload = {"slope": est.to_json()}
     lines = [f"measured return slope = {est.value:.10g}  "
@@ -380,9 +367,12 @@ def _add_input_args(p):
                                   "y1, z-family, figure3)")
     p.add_argument("--file", help="path to a field/normal-form JSON file")
     p.add_argument("--json", help="inline field/normal-form JSON")
-    p.add_argument("--a", type=fraction, help="example6: xy coefficient")
-    p.add_argument("--b", type=fraction, help="example6: g2(0)")
-    p.add_argument("--c", type=fraction, help="example6: g1(0,0)")
+    p.add_argument("--a", type=fraction, default=Fraction(1),
+                   help="example6: xy coefficient")
+    p.add_argument("--b", type=fraction, default=Fraction(-1),
+                   help="example6: g2(0)")
+    p.add_argument("--c", type=fraction, default=Fraction(-1),
+                   help="example6: g1(0,0)")
     p.add_argument("--n", type=int, help="xn: degree of the y-component")
     p.add_argument("--alpha-param", dest="alpha_param", type=finite,
                    default=1.0, help="z-family: alpha parameter")

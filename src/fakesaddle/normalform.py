@@ -22,7 +22,7 @@ from typing import Tuple
 
 from ._univariate import split_roots
 from .polyfield import Coeff, PlanarField, Poly2, _cached, _coerce, \
-    _fields_state, coeff_json
+    _fields_state, coeff_from_json, coeff_json
 
 FLOAT_ZERO_TOL = 1e-12
 
@@ -56,8 +56,7 @@ class NormalFormField:
             raise NotInNormalForm("g2 must depend on y only")
         for name, poly in (("f1", self.f1), ("f2", self.f2)):
             c00 = poly.coeff(0, 0)
-            if not (abs(c00 - 1) < FLOAT_ZERO_TOL if self.is_float
-                    else c00 == 1):
+            if not vanishes(c00 - 1, not self.is_float):
                 raise NotInNormalForm(f"{name}(0,0) = {c00}, expected 1")
 
     @property
@@ -83,9 +82,10 @@ class NormalFormField:
     @classmethod
     def from_json(cls, data: dict) -> "NormalFormField":
         """The member of ``to_json``'s form: exactly the keys f1, f2, g1
-        and g2, each a polynomial (``Poly2.from_json``), and a, a number
-        or a "num/den" string, not a bool.  Anything else is a ValueError
-        naming the key."""
+        and g2, each a polynomial (``Poly2.from_json``), and a, read by
+        ``coeff_from_json`` as a float where it is a JSON float and as a
+        Fraction otherwise.  Anything else is a ValueError naming the
+        key."""
         keys = ("f1", "f2", "g1", "g2", "a")
         if set(data) != set(keys):
             raise ValueError('a normal form has exactly the keys "f1", "f2", '
@@ -97,10 +97,7 @@ class NormalFormField:
             except ValueError as exc:
                 raise ValueError(f'"{key}": {exc}') from None
         a = data["a"]
-        if type(a) not in (int, float, str):
-            raise ValueError(f'"a" must be a number or a "num/den" string, '
-                             f"got {a!r}")
-        return cls(*polys, float(a) if isinstance(a, float) else Fraction(a))
+        return cls(*polys, coeff_from_json(a, '"a"', type(a) is float))
 
 
 def _build_field(nf: NormalFormField) -> PlanarField:
@@ -191,16 +188,15 @@ def validate_and_build(raw: PlanarField) -> NormalFormField:
     q = raw.q
     if any(j == 0 for (_i, j) in q.terms):
         raise NotInNormalForm("q is not divisible by y")
-    r = Poly2({(i, j - 1): c for (i, j), c in q.terms.items()})
     g2_terms, g1_terms = {}, {}
-    for (i, j), c in r.terms.items():
+    for (i, j), c in q.terms.items():
         if i == 0:
-            if j == 0:
+            if j == 1:
                 raise NotInNormalForm(
                     "q/y has a constant term; it must split as x*g1 + y*g2(y)")
-            g2_terms[(0, j - 1)] = c
+            g2_terms[(0, j - 2)] = c
         else:
-            g1_terms[(i - 1, j)] = c
+            g1_terms[(i - 1, j - 1)] = c
     g1, g2 = Poly2(g1_terms), Poly2(g2_terms)
     return NormalFormField(f1, f2, g1, g2, a)
 
@@ -217,11 +213,16 @@ def invariants(nf: NormalFormField) -> Invariants:
     return Invariants(a, b, c, d)
 
 
+def vanishes(v: Coeff, exact: bool) -> bool:
+    """The one near-zero rule: v == 0 in exact mode, |v| < FLOAT_ZERO_TOL
+    in float mode."""
+    return v == 0 if exact else abs(v) < FLOAT_ZERO_TOL
+
+
 def d_vanishes(inv: Invariants) -> bool:
-    """Whether d is on the d = 0 stratum: d == 0 exactly, or in float
-    mode |d| < FLOAT_ZERO_TOL.  The origin is a hyperbolic fake saddle
-    exactly when d > 0 and d does not vanish."""
-    return inv.d == 0 if inv.is_exact else abs(inv.d) < FLOAT_ZERO_TOL
+    """Whether d is on the d = 0 stratum (``vanishes``).  The origin is a
+    hyperbolic fake saddle exactly when d > 0 and d does not vanish."""
+    return vanishes(inv.d, inv.is_exact)
 
 
 def classify(inv: Invariants) -> Classification:
@@ -232,16 +233,11 @@ def classify(inv: Invariants) -> Classification:
     BoundaryNearZero warning instead of silently branching.
     """
     a, b, c, d = inv.a, inv.b, inv.c, inv.d
-    warnings: Tuple[str, ...] = ()
-    d_is_zero = d_vanishes(inv)
-    if inv.is_exact:
-        ab_excluded = a * a - b * b == 4
-        semi = c == 1 and a == b
-    else:
-        if d_is_zero and d != 0:
-            warnings = ("BoundaryNearZero",)
-        ab_excluded = abs(a * a - b * b - 4) < FLOAT_ZERO_TOL
-        semi = abs(c - 1) < FLOAT_ZERO_TOL and abs(a - b) < FLOAT_ZERO_TOL
+    exact = inv.is_exact
+    d_is_zero = vanishes(d, exact)
+    warnings = ("BoundaryNearZero",) if d_is_zero and d != 0 else ()
+    ab_excluded = vanishes(a * a - b * b - 4, exact)
+    semi = vanishes(c - 1, exact) and vanishes(a - b, exact)
 
     if not d_is_zero and d > 0:
         return Classification(Verdict.HYPERBOLIC_FAKE_SADDLE, ratio=1 - c,

@@ -9,12 +9,13 @@ rescalings; any operation touching a float-mode value yields a
 float-mode result, and ``is_float`` flags every derived object so tests
 know which comparisons must be exact and which are toleranced.
 
-Input is validated once, at the public ``Poly2`` constructor: integer,
-nonnegative exponents, coefficients coerced to Fraction or float, no
-zeros, and the float mode applied to all or none.  Arithmetic keeps
-those invariants by construction, so it builds its results through the
-private ``Poly2._trusted``, which only drops zeros and applies the float
-mode.
+The float-mode rule lives in one place, the private ``Poly2._trusted``:
+it drops zeros and, where any coefficient is a float, makes every one a
+float.  The public ``Poly2`` constructor checks its input, integer and
+nonnegative exponents with coefficients coerced to Fraction or float,
+and then applies that rule; arithmetic, whose terms are clean by
+construction, and ``from_json``, which checks its own, apply it
+directly.
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share between threads.
@@ -49,6 +50,19 @@ def coeff_json(c: Coeff):
     return c if isinstance(c, float) else f"{c.numerator}/{c.denominator}"
 
 
+def coeff_from_json(c, name: str, float_mode: bool) -> Coeff:
+    """The JSON coefficient ``c``, a number or a "num/den" string, not a
+    bool, whose value is finite, as a float in float mode and a Fraction
+    otherwise: a ValueError that calls it ``name`` otherwise."""
+    if type(c) not in (int, float, str):
+        raise ValueError(f'{name} must be a number or a "num/den" string, '
+                         f"got {c!r}")
+    v = float(c) if float_mode else c
+    if type(v) is float and not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {c!r}")
+    return v if float_mode else Fraction(v)
+
+
 class Poly2:
     """Sparse bivariate polynomial: {(i, j): coeff} for x^i * y^j.
 
@@ -61,32 +75,20 @@ class Poly2:
 
     def __init__(self, terms: Dict[Exponents, Coeff] | None = None):
         clean: Dict[Exponents, Coeff] = {}
-        float_mode = False
-        if terms:
-            for (i, j), c in terms.items():
-                i, j = int(i), int(j)
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent ({i},{j})")
-                c = _coerce(c)
-                if c == 0:
-                    continue
-                if isinstance(c, float):
-                    float_mode = True
-                clean[(i, j)] = c
-        if float_mode:
-            # a nonzero Fraction can round to 0.0, which is dropped too
-            clean = {k: f for k, v in clean.items() if (f := float(v))}
-        self.terms = clean
+        for (i, j), c in (terms or {}).items():
+            i, j = int(i), int(j)
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent ({i},{j})")
+            clean[(i, j)] = _coerce(c)
+        self.terms = Poly2._trusted(clean).terms
 
     @classmethod
     def _trusted(cls, terms: Dict[Exponents, Coeff]) -> "Poly2":
-        """Wrap a term map computed from the coefficients of clean Poly2s.
-
-        The keys must be nonnegative int pairs and the values Fraction or
-        float, as arithmetic on existing terms guarantees; only zeros are
-        dropped and the float-mode rule applied, in the public
-        constructor's order.
-        """
+        """Wrap a term map with nonnegative int pair keys and Fraction or
+        float values, as arithmetic on existing terms guarantees: the one
+        home of the rule that drops zeros and, where any coefficient is a
+        float, makes every coefficient a float (a nonzero Fraction that
+        rounds to 0.0 is dropped too)."""
         if not all(terms.values()):
             terms = {k: c for k, c in terms.items() if c}
         if float in map(type, terms.values()):
@@ -246,11 +248,10 @@ class Poly2:
     def _restrict(self, var: int):
         """Coefficient list of p(t, 0) (``var`` 0) or p(0, t) (``var`` 1)."""
         row = {k[var]: c for k, c in self.terms.items() if not k[1 - var]}
-        out = [Fraction(0)] * (max(row, default=-1) + 1)
+        zero = 0.0 if self.is_float else Fraction(0)
+        out = [zero] * (max(row, default=-1) + 1)
         for n, c in row.items():
             out[n] = c
-        if self.is_float:
-            out = [float(v) for v in out]
         return out
 
     def restrict_y0(self):
@@ -273,8 +274,8 @@ class Poly2:
     @classmethod
     def from_json(cls, data: dict) -> "Poly2":
         """The polynomial of ``to_json``'s form: "terms", a list of [i, j,
-        coeff] with non-negative int exponents, a number or "num/den"
-        string, not a bool, as coeff and no (i, j) twice, and an optional
+        coeff] with non-negative int exponents, a coefficient as
+        ``coeff_from_json`` reads it and no (i, j) twice, and an optional
         "mode", "float" or "exact".  Anything else is a ValueError."""
         if not (isinstance(data, dict) and "terms" in data
                 and set(data) <= {"terms", "mode"}):
@@ -292,13 +293,12 @@ class Poly2:
             if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
                 raise ValueError("a term is [i, j, coeff] with non-negative "
                                  f"int exponents, got {term!r}")
-            if type(c) not in (int, float, str):
-                raise ValueError(f"the coefficient of term ({i}, {j}) must be "
-                                 f'a number or a "num/den" string, got {c!r}')
+            c = coeff_from_json(c, f"the coefficient of term ({i}, {j})",
+                                mode == "float")
             if (i, j) in terms:
                 raise ValueError(f"term ({i}, {j}) appears twice")
-            terms[(i, j)] = float(c) if mode == "float" else Fraction(c)
-        return cls(terms)
+            terms[(i, j)] = c
+        return cls._trusted(terms)
 
     def __repr__(self):
         if not self.terms:
@@ -372,8 +372,17 @@ def _horner_rows(literals: Dict[Exponents, str], x: str, y: str) -> str:
 
 
 def _horner_nest(terms: Dict[int, str], var: str) -> str:
-    """Horner in ``var`` over the nonzero ``terms`` {degree: source}."""
+    """Horner in ``var`` over the nonzero ``terms`` {degree: source}.
+
+    Each degree below the top opens a parenthesis (the first does not
+    where the top source is 1.0 or -1.0), so a top degree above 201 nests
+    deeper than the 200 levels that CPython's parser allows.  That is a
+    SyntaxError, raised before any source is built, since building it
+    takes time quadratic in the degree."""
     top = max(terms)
+    if top > 201:
+        raise SyntaxError(f"Horner of degree {top} nests past the parser's "
+                          "200 levels of parentheses")
     expr = terms[top]
     for d in range(top - 1, -1, -1):
         if expr == "1.0":
@@ -388,35 +397,42 @@ def _horner_nest(terms: Dict[int, str], var: str) -> str:
     return expr
 
 
-def _compile(src: str, kind: str, field: "PlanarField"):
-    """The ``_f`` that ``src`` defines, a function or a tuple of them,
-    compiled from ``field`` under a label of its ``kind`` and a checksum
-    of the source: profiles, which key their entries by file name, keep
-    one entry per field, and tracebacks tell fields apart.  (zlib's crc32,
-    because hashlib loads OpenSSL: about 4 MB of resident memory.)  A
-    source that CPython cannot compile, Horner nested past its parser's
-    200 levels of parentheses for one, is a ValueError that names the
-    kind and the field's degree."""
-    ns: dict = {"cos": math.cos, "sin": math.sin, "exp": math.exp,
-                "inf": math.inf}
-    digest = f"{zlib.crc32(src.encode()):08x}"
-    try:
-        # codegen over trusted numeric literals
-        code = compile(src, f"<fakesaddle.polyfield {kind} {digest}>", "exec")
-    except (SyntaxError, RecursionError, MemoryError) as exc:
-        degree = max(field.p.degree, field.q.degree)
-        raise ValueError(f"cannot compile the {kind} evaluator of a field of "
-                         f"degree {degree}: {type(exc).__name__}: {exc}"
-                         ) from None
-    exec(code, ns)  # noqa: S102
-    return ns["_f"]
+def _compiled(kind: str):
+    """Decorate a function that writes the source of ``_f`` for a field:
+    the decorated function returns the ``_f`` that the source defines, a
+    function or a tuple of them, compiled under a label of ``kind`` and a
+    checksum of the source: profiles, which key their entries by file
+    name, keep one entry per field, and tracebacks tell fields apart.
+    (zlib's crc32, because hashlib loads OpenSSL: about 4 MB of resident
+    memory.)  A source that CPython cannot compile, Horner nested past its
+    parser's 200 levels of parentheses for one, whether ``_horner_nest``
+    refuses to write it or ``compile`` fails on it, is a ValueError that
+    names the kind and the field's degree."""
+    def decorate(source: Callable[["PlanarField"], str]):
+        def build(field: "PlanarField"):
+            try:
+                src = source(field)
+                # codegen over trusted numeric literals
+                code = compile(src, f"<fakesaddle.polyfield {kind} "
+                                    f"{zlib.crc32(src.encode()):08x}>", "exec")
+            except (SyntaxError, RecursionError, MemoryError) as exc:
+                degree = max(field.p.degree, field.q.degree)
+                raise ValueError(f"cannot compile the {kind} evaluator of a "
+                                 f"field of degree {degree}: "
+                                 f"{type(exc).__name__}: {exc}") from None
+            ns: dict = {"cos": math.cos, "sin": math.sin, "exp": math.exp,
+                        "inf": math.inf}
+            exec(code, ns)  # noqa: S102
+            return ns["_f"]
+        return build
+    return decorate
 
 
+@_compiled("field")
 def _compile_horner_pair(field: "PlanarField"):
     p, q = _literals(field)
-    return _compile(f"def _f(x, y):\n"
-                    f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n",
-                    "field", field)
+    return (f"def _f(x, y):\n"
+            f"    return ({_horner_expr(p)}, {_horner_expr(q)})\n")
 
 
 def _chart_stage(field: "PlanarField", a: int, b: int, d: int):
@@ -464,6 +480,7 @@ def _chart_stage(field: "PlanarField", a: int, b: int, d: int):
             [*bound.items(), ("big_p", big_p), ("big_q", big_q)]]
 
 
+@_compiled("chart")
 def _compile_weighted_polar(field: "PlanarField"):
     a, b, d = newton_weights(field)
     # float literals: CPython specialises float*float, not int*float
@@ -478,7 +495,7 @@ def _compile_weighted_polar(field: "PlanarField"):
         *_chart_stage(field, a, b, d),
     ])
     theta_dot = f"{a_c}*big_q - {b_s}*big_p"
-    return _compile("\n".join([
+    return "\n".join([
         "def _chart(rho, theta):",
         stage.format(clock="", fail="inf, inf"),
         f"    return c*big_p + s*big_q, {theta_dot}",
@@ -493,9 +510,10 @@ def _compile_weighted_polar(field: "PlanarField"):
         "        return u*(c*big_p + s*big_q)/den if den > 0.0 else inf",
         "    return _slope",
         "_f = _chart, _leg",
-    ]) + "\n", "chart", field)
+    ]) + "\n"
 
 
+@_compiled("x_dir")
 def _compile_x_dir_slope(field: "PlanarField"):
     if any(i + j < 2 for i, j in [*field.p.terms, *field.q.terms]) or any(
             j < 1 for _i, j in field.q.terms):
@@ -506,7 +524,7 @@ def _compile_x_dir_slope(field: "PlanarField"):
     pt, qt = (_horner_rows(terms, "x", "w") if terms else "0.0" for terms in (
         {(i + j - 2, j): k for (i, j), k in p.items()},
         {(i + j - 2, j - 1): k for (i, j), k in q.items()}))
-    return _compile(f"""def _f(y0, sign):
+    return f"""def _f(y0, sign):
     def _slope(s, v):
         try:
             x = sign*exp(sign*s)
@@ -516,7 +534,7 @@ def _compile_x_dir_slope(field: "PlanarField"):
         pt = {pt}
         return sign*({qt})/pt if pt > 0.0 else inf
     return _slope
-""", "x_dir", field)
+"""
 
 
 def _cached(value, name: str, build):

@@ -158,8 +158,8 @@ class TestSectionPair:
         nf = NormalFormField(Poly2.const(1) - X, Poly2.const(1),
                              Poly2.zero(), Poly2.zero(), 0)
         with pytest.raises(asy.SectionInvalid):
-            asy.validate_sections(nf, asy.SectionPair(-1.0, 2.0))
-        asy.validate_sections(nf, asy.SectionPair(-1.0, 0.5))
+            asy._f1_g1_profiles(nf, asy.SectionPair(-1.0, 2.0))
+        asy._f1_g1_profiles(nf, asy.SectionPair(-1.0, 0.5))
 
 
 class TestFloatModePositivity:
@@ -181,7 +181,7 @@ class TestFloatModePositivity:
                              Poly2.zero(), 0.0)
         assert nf.is_float
         with pytest.raises(asy.SectionInvalid):
-            asy.validate_sections(nf, SECTIONS)
+            asy._f1_g1_profiles(nf, SECTIONS)
 
     def test_float_profile_poles_far_out_rejected_at_infinity(self):
         nf = NormalFormField(Poly2.const(1.0) - X ** 2 * 1e-10,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,18 @@ class TestBuilders:
 class TestCases:
     def test_x4_chain_passes(self):
         res = casebook.run_x4_chain()
+        assert res.passed, [c.name for c in res.checks if not c.passed]
+
+    def test_x4_depth_exponent_reads_kappa_off_the_invariants(
+            self, monkeypatch):
+        # the expected kappa came from est.exponent: with the estimate's
+        # exponent gone, CaseResult.close raised TypeError on float(None)
+        measured = flow.transition_slope
+        monkeypatch.setattr(flow, "transition_slope", lambda *a, **kw:
+                            replace(measured(*a, **kw), exponent=None))
+        res = casebook.run_x4_chain()
+        check = {c.name: c for c in res.checks}["depth_exponent"]
+        assert check.expected == 1.0
         assert res.passed, [c.name for c in res.checks if not c.passed]
 
     def test_x3_script_passes(self):

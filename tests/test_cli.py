@@ -180,6 +180,38 @@ class TestClassify:
         err = assert_exit(capsys, 2, "classify", "--json", text)
         assert err.startswith("cannot parse input")
 
+    @pytest.mark.parametrize("text", ["null", "42", "[1, 2]", '"f1"'])
+    def test_input_that_is_no_object_is_a_parse_error(self, capsys, text):
+        # null and 42 read "argument of type ... is not iterable", [1, 2]
+        # a field's missing keys, and "f1" went to the normal-form parser
+        err = assert_exit(capsys, 2, "classify", "--json", text)
+        assert err.startswith("cannot parse input: the input must be a "
+                              "JSON object, got ")
+
+    @pytest.mark.parametrize("g1, a, named", [
+        # each exited 0: "2 extra singularities at [nan, nan]" for NaN, and
+        # "c": Infinity, "d": -Infinity in the JSON report for Infinity
+        ("NaN", "0", "term (0, 0)"),
+        ("Infinity", "0", "term (0, 0)"),
+        ("-Infinity", "0", "term (0, 0)"),
+        ("1e999", "0", "term (0, 0)"),
+        ('"inf"', "0", "term (0, 0)"),
+        ("1", "NaN", '"a"'),
+        ("1", "-Infinity", '"a"'),
+        ("1", "1e999", '"a"'),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("classify",), ("gamma", "--alpha", "-1", "--omega", "1")])
+    def test_non_finite_json_number_is_a_parse_error(self, capsys, g1, a,
+                                                     named, command):
+        # gamma exited 4 with "d = -inf is not positive" at "a": 1e999
+        text = ('{"f1": {"terms": [[0, 0, 1]]}, "f2": {"terms": [[0, 0, 1]]},'
+                f' "g1": {{"terms": [[0, 0, {g1}]], "mode": "float"}},'
+                f' "g2": {{"terms": []}}, "a": {a}}}')
+        err = assert_exit(capsys, 2, *command, "--json", text)
+        assert err.startswith("cannot parse input")
+        assert named in err and "must be finite" in err
+
     def test_polynomial_without_terms_is_a_parse_error(self, capsys):
         # read as the zero field: return integrated it for about 2 s and
         # exited 6 with "no stop condition met in 1000000 steps"
@@ -305,6 +337,25 @@ def test_field_of_high_degree_ends_in_a_documented_exit(capsys, tmp_path,
         assert err.startswith("invalid argument: cannot compile the")
         assert "of a field of degree" in err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("return",), ("transit", "--alpha", "-1", "--omega", "1"), ("portrait",)])
+def test_field_of_huge_degree_is_refused_at_once(tmp_path, argv):
+    # Horner source of degree 1e9 took quadratic time to build before
+    # compile refused it: each command ran past 20 s
+    field = '{"p": {"terms": [[2, 0, 1], [0, 2, 1], [1000000000, 0, 1]]}, ' \
+        '"q": {"terms": [[1, 1, -1]]}}'
+    out_dir = tmp_path / "p"
+    done = subprocess.run(
+        [sys.executable, "-m", "fakesaddle", *argv, "--json", field,
+         *(("--out", str(out_dir)) if argv[0] == "portrait" else ())],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=5)
+    assert done.returncode == 2
+    assert done.stderr.startswith("invalid argument: cannot compile the")
+    assert "of a field of degree 1000000000" in done.stderr
+    assert not out_dir.exists()
 
 
 def test_float_d_that_overflows_names_d(capsys):

@@ -12,7 +12,7 @@ from fakesaddle.casebook import (build_example6, build_xn, build_z,
                                  build_z_normalform, printed_z_blowup)
 from fakesaddle.normalform import invariants
 from fakesaddle.polyfield import (AffineMap2, PlanarField, Poly2, SingularMap,
-                                  _compile, _horner_expr, _literals,
+                                  _compiled, _horner_expr, _literals,
                                   fiber_directions,
                                   newton_weights, pullback_affine)
 
@@ -492,7 +492,7 @@ class TestFloatCompilation:
         field = PlanarField(X ** 300, Y)
         with pytest.raises(ValueError, match="cannot compile the field "
                            "evaluator of a field of degree 300"):
-            _compile(deep, "field", field)
+            _compiled("field")(lambda _field: deep)(field)
 
     def test_field_of_high_degree_is_a_value_error(self):
         field = build_xn(300)
@@ -503,6 +503,14 @@ class TestFloatCompilation:
         field = PlanarField(X ** 2 + X ** 250 * Y, X * Y)
         with pytest.raises(ValueError, match="x_dir evaluator .* degree 251"):
             field.as_x_dir_slope(1.0, 1.0)
+
+    def test_nest_refused_unbuilt_only_where_it_cannot_compile(self):
+        # Pt = x^201 nests exactly 200 parentheses deep and compiles; one
+        # degree more is refused before its source is written
+        PlanarField(X ** 203, X * Y).as_x_dir_slope(1.0, 1.0)
+        with pytest.raises(ValueError, match="SyntaxError: Horner of degree "
+                           "202 nests past the parser's 200 levels"):
+            PlanarField(X ** 204, X * Y).as_x_dir_slope(1.0, 1.0)
 
 
 # -- the composition before trusted arithmetic, as a test-only reference ------
